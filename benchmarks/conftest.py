@@ -11,7 +11,7 @@ environment variables:
 * ``REPRO_BENCH_EPOCHS`` — RMI training epochs (default 40).
 
 Every benchmark writes its measured rows as JSON under
-``benchmarks/out/`` — EXPERIMENTS.md quotes those files.
+``benchmarks/out/``.
 """
 
 from __future__ import annotations

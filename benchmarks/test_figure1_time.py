@@ -6,8 +6,8 @@ most cases; DBSCAN is the slowest of the non-tree methods. Note on the
 tree baselines: KNN-BLOCK and BLOCK-DBSCAN run on Python tree indexes
 here, whose constant factors are far worse relative to numpy's
 BLAS-backed brute force than the paper's all-C++ substrate — their
-absolute times are distorted upward (documented in EXPERIMENTS.md);
-their quality knobs and trade-off behaviour are still faithful.
+absolute times are distorted upward; their quality knobs and trade-off
+behaviour are still faithful.
 """
 
 import pytest

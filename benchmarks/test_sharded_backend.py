@@ -1,15 +1,13 @@
 """Scaling benchmark: sharded range-query backend, shards x workers grid.
 
 Measures the headline claim of the sharded backend — that fanning
-`batch_range_query` across row shards through the multiprocessing
-executor (shared-memory dataset, per-worker shard indexes) beats
-*serial* sharding once real cores exist — and records every
-(executor, n_shards, n_workers) cell to
+`batch_range_query` across row shards through the thread executor
+(NumPy releases the GIL inside BLAS) beats *serial* sharding once real
+cores exist — and records every (executor, n_shards, n_workers) cell to
 ``benchmarks/out/sharded_backend_n{N}.json`` for the CI regression gate.
 A second test measures the **build-once fit** win for tree inners: the
-shard-before-build path never constructs the whole-dataset index that
-``maybe_shard`` used to build and throw away, and shard→worker affinity
-caps inner builds at one per live shard.
+shard-before-build path never constructs a whole-dataset index only to
+throw it away, and builds exactly one inner index per live shard.
 
 Methodology notes:
 
@@ -27,8 +25,7 @@ Methodology notes:
   comparable, not machine-proof).
 * BLAS pools are pinned to one thread (best-effort, via threadpoolctl)
   for the duration: the benchmark isolates *executor* parallelism, and
-  otherwise a multi-threaded serial GEMM masks it. Worker processes pin
-  themselves the same way in their initializer.
+  otherwise a multi-threaded serial GEMM masks it.
 * The >= 1.8x acceptance assertion fires only where >= 4 CPUs are
   actually usable; on smaller machines (including 1-core CI shards and
   dev containers) the JSON is still written so the trajectory accrues.
@@ -65,9 +62,6 @@ GRID = [
     ("serial", 2, 1),
     ("serial", 4, 1),
     ("thread", 4, 4),
-    ("process", 2, 2),
-    ("process", 4, 2),
-    ("process", 4, 4),
 ]
 
 
@@ -162,13 +156,13 @@ def test_sharded_backend_scaling():
 
     write_benchmark_rows(out_path(f"sharded_backend_n{N}.json"), rows)
 
-    # Acceptance criterion: the multiprocessing executor with 4 workers
-    # beats serial sharding >= 1.8x at the same shard count — but only
-    # where four cores actually exist to win on.
-    headline = next(r for r in rows if r["method"] == "process_s4_w4")
+    # Acceptance criterion: the thread executor with 4 workers beats
+    # serial sharding >= 1.8x at the same shard count — but only where
+    # four cores actually exist to win on.
+    headline = next(r for r in rows if r["method"] == "thread_s4_w4")
     if cpus >= 4:
         assert headline["fanout_speedup"] >= 1.8, (
-            f"process executor only {headline['fanout_speedup']:.2f}x over "
+            f"thread executor only {headline['fanout_speedup']:.2f}x over "
             f"serial sharding on {cpus} CPUs"
         )
     else:
@@ -182,14 +176,11 @@ def test_sharded_tree_fit_build_once():
     """Fit-time win of build-once sharding on a tree inner.
 
     The legacy sharded fit built the whole-dataset index and then threw
-    it away when ``maybe_shard`` rebuilt per-shard copies; the
-    shard-before-build path builds only the shards. ``fit_speedup``
-    compares the two as (single build + sharded fit) / sharded fit —
-    both halves measured fresh in this run, so the ratio is
-    machine-resistant. The sharded fit here is build + one full query
-    pass (the engine's fit workload); on the process executor the shard
-    builds also overlap across workers, which is extra win on real
-    cores.
+    it away when it rebuilt per-shard copies; the shard-before-build
+    path builds only the shards. ``fit_speedup`` compares the two as
+    (single build + sharded fit) / sharded fit — both halves measured
+    fresh in this run, so the ratio is machine-resistant. The sharded
+    fit here is build + one full query pass (the engine's fit workload).
     """
     X = _dataset(N_FIT)
     cpus = usable_cpus()
@@ -199,11 +190,7 @@ def test_sharded_tree_fit_build_once():
         t_single_build = _best_of(lambda: CoverTree(**inner_kwargs).build(X))
 
         rows = []
-        for executor, n_shards, n_workers in [
-            ("serial", 4, 1),
-            ("process", 4, 2),
-            ("process", 4, 4),
-        ]:
+        for executor, n_shards, n_workers in [("serial", 4, 1)]:
 
             def fit_and_query():
                 index = ShardedIndex(

@@ -30,7 +30,7 @@ EPS, TAU = 0.55, 5
 
 # One ExecutionConfig threads through every method below via
 # MethodContext — e.g. repro.ExecutionConfig(
-#     sharding=repro.ShardingConfig(n_shards=4, executor="process"))
+#     sharding=repro.ShardingConfig(n_shards=4, executor="thread"))
 # shards every engine-routed fit. None keeps the defaults.
 EXECUTION = None
 

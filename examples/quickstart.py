@@ -23,7 +23,7 @@ EPS, TAU = 0.55, 5
 
 # Execution policy is one declarative object threaded into every fit —
 # e.g. ExecutionConfig(sharding=ShardingConfig(n_shards=4,
-# executor="process")) fans the range queries across worker processes.
+# executor="thread")) fans the range queries across a thread pool.
 # None keeps the default batched brute-force engine.
 EXECUTION = None
 

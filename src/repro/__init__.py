@@ -67,7 +67,6 @@ from repro.exceptions import (
     InvalidParameterError,
     NotFittedError,
     PersistenceError,
-    RemovedAPIError,
     RemoteExecutorError,
     RemoteProtocolError,
     RemoteTimeoutError,
@@ -116,7 +115,6 @@ __all__ = [
     "PersistenceError",
     "RMICardinalityEstimator",
     "RadialHistogramEstimator",
-    "RemovedAPIError",
     "RemoteExecutorError",
     "RemoteProtocolError",
     "RemoteTimeoutError",

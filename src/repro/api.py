@@ -19,7 +19,7 @@ that combine any algorithm with any
         estimator=estimator,
         execution=ExecutionConfig(
             index=IndexSpec("cover_tree", {"base": 1.6}),
-            sharding=ShardingConfig(n_shards=4, executor="process"),
+            sharding=ShardingConfig(n_shards=4, executor="thread"),
         ),
     )
 

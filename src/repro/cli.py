@@ -120,14 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--shard-workers",
             type=_positive_int,
             default=None,
-            help="pool width for the thread/process shard executors",
+            help="pool width for the thread shard executor",
         )
         p.add_argument(
             "--shard-query-block",
             type=_positive_int,
             default=None,
             help="query rows fanned out per shard-executor round "
-            "(bounds per-task pickle size and merge memory)",
+            "(bounds per-call payload size and merge memory)",
         )
         p.add_argument(
             "--pool-address",

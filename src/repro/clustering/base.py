@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.engine_config import ExecutionConfig, IndexSpec
-from repro.exceptions import InvalidParameterError, RemovedAPIError
+from repro.exceptions import InvalidParameterError
 from repro.index.brute_force import BruteForceIndex
 from repro.index.engine import NeighborhoodCache, PerPointQueries, fresh_engine_index
 
@@ -184,34 +184,6 @@ class Clusterer(abc.ABC):
     # Execution resolution
     # ------------------------------------------------------------------
 
-    def _resolve_legacy_execution(
-        self,
-        index_factory=None,
-        batch_queries: bool | None = None,
-    ) -> None:
-        """Reject the retired ``index_factory=`` / ``batch_queries=`` kwargs.
-
-        The PR 5 deprecation cycle is over: the kwargs survive in the
-        constructor signatures only so that passing one raises a typed
-        :class:`~repro.exceptions.RemovedAPIError` naming the
-        :class:`ExecutionConfig` replacement (instead of an opaque
-        ``TypeError: unexpected keyword argument``).
-        """
-        owner = type(self).__name__
-        if index_factory is not None:
-            raise RemovedAPIError(
-                f"{owner}(index_factory=...) was removed after its "
-                "deprecation cycle; pass "
-                "execution=ExecutionConfig(index=IndexSpec(name, kwargs)) "
-                "(or IndexSpec.custom(factory) for a custom backend)"
-            )
-        if batch_queries is not None:
-            raise RemovedAPIError(
-                f"{owner}(batch_queries=...) was removed after its "
-                "deprecation cycle; pass "
-                "execution=ExecutionConfig(batch_queries=...)"
-            )
-
     def _default_index(self):
         """The backend used when the execution config names none."""
         return BruteForceIndex(metric=self.metric)
@@ -238,8 +210,8 @@ class Clusterer(abc.ABC):
         reference path) — optionally pre-planning ``plan``, and closes
         it deterministically on exit. The ``finally`` matters: a fit
         raising mid-query pins its frame in the traceback, so without
-        an explicit close a process executor's shared-memory segment
-        would leak until gc.
+        an explicit close a sharded executor's thread pool or worker
+        connections would leak until gc.
 
         ``prebuilt`` hands over an already-built substrate instead of
         resolving one from the config (ρ-approximate DBSCAN's grid,

@@ -69,9 +69,6 @@ class BlockDBSCAN(Clusterer):
         the backend answers per point either way — the seam buys uniform
         engine statistics and sharding. The algorithm itself visits each
         seed at most once, so no query repeats on either path.
-    batch_queries:
-        Deprecated: folds into ``execution`` (a ``DeprecationWarning``)
-        and produces identical results.
     """
 
     algo_name = "block-dbscan"
@@ -82,11 +79,9 @@ class BlockDBSCAN(Clusterer):
         tau: int,
         base: float = 2.0,
         rnt: int = 10,
-        batch_queries: bool | None = None,
         execution: ExecutionConfig | None = None,
     ) -> None:
         super().__init__(eps, tau, execution=execution)
-        self._resolve_legacy_execution(batch_queries=batch_queries)
         if rnt < 1:
             raise InvalidParameterError(f"rnt must be >= 1; got {rnt}")
         self.base = float(base)

@@ -8,8 +8,6 @@ approximate method is scored against in the paper's evaluation.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.clustering.base import (
@@ -20,7 +18,6 @@ from repro.clustering.base import (
 )
 from repro.distances.metric import COSINE, Metric
 from repro.engine_config import ExecutionConfig
-from repro.index.base import NeighborIndex
 
 __all__ = ["DBSCAN"]
 
@@ -49,9 +46,6 @@ class DBSCAN(Clusterer):
         the outer loop or at its dequeue) and executes them as blocked
         matrix products; ``batch_queries=False`` keeps the per-point
         reference loop. The clustering is identical either way.
-    index_factory, batch_queries:
-        Deprecated: both fold into ``execution`` (a
-        ``DeprecationWarning`` each) and produce identical results.
 
     Examples
     --------
@@ -68,13 +62,10 @@ class DBSCAN(Clusterer):
         self,
         eps: float,
         tau: int,
-        index_factory: Callable[[], NeighborIndex] | None = None,
         metric: str | Metric = COSINE,
-        batch_queries: bool | None = None,
         execution: ExecutionConfig | None = None,
     ) -> None:
         super().__init__(eps, tau, metric=metric, execution=execution)
-        self._resolve_legacy_execution(index_factory, batch_queries)
 
     def fit(self, X: np.ndarray) -> ClusteringResult:
         X = self.metric.validate(X)

@@ -57,9 +57,6 @@ class DBSCANPlusPlus(Clusterer):
         index's ``batch_range_count`` kernel, sharded when a sharding
         config is set); ``batch_queries=False`` keeps the per-point
         reference loop. Identical output either way.
-    batch_queries:
-        Deprecated: folds into ``execution`` (a ``DeprecationWarning``)
-        and produces identical results.
     """
 
     algo_name = "dbscan++"
@@ -72,11 +69,9 @@ class DBSCANPlusPlus(Clusterer):
         init: str = "uniform",
         assign_within_eps: bool = True,
         seed: int | np.random.Generator | None = 0,
-        batch_queries: bool | None = None,
         execution: ExecutionConfig | None = None,
     ) -> None:
         super().__init__(eps, tau, execution=execution)
-        self._resolve_legacy_execution(batch_queries=batch_queries)
         if not 0.0 < p <= 1.0:
             raise InvalidParameterError(f"sample fraction p must lie in (0, 1]; got {p}")
         if init not in _INIT_METHODS:

@@ -61,9 +61,6 @@ class RhoApproxDBSCAN(Clusterer):
         blocked product instead of a per-point loop);
         ``batch_queries=False`` keeps the per-point reference loops.
         Identical output either way.
-    batch_queries:
-        Deprecated: folds into ``execution`` (a ``DeprecationWarning``)
-        and produces identical results.
     """
 
     algo_name = "rho-approx"
@@ -73,11 +70,9 @@ class RhoApproxDBSCAN(Clusterer):
         eps: float,
         tau: int,
         rho: float = 1.0,
-        batch_queries: bool | None = None,
         execution: ExecutionConfig | None = None,
     ) -> None:
         super().__init__(eps, tau, execution=execution)
-        self._resolve_legacy_execution(batch_queries=batch_queries)
         if rho <= 0:
             raise InvalidParameterError(f"rho must be positive; got {rho}")
         self.rho = float(rho)

@@ -21,8 +21,6 @@ assert with the :class:`~repro.estimators.exact.ExactCardinalityEstimator`.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.clustering.base import (
@@ -35,7 +33,6 @@ from repro.core.laf import LAF
 from repro.distances.metric import COSINE, Metric
 from repro.engine_config import ExecutionConfig
 from repro.estimators.base import CardinalityEstimator
-from repro.index.base import NeighborIndex
 
 __all__ = ["LAFDBSCAN"]
 
@@ -70,9 +67,6 @@ class LAFDBSCAN(Clusterer):
         Algorithm 1 line, so the map ``E`` — and therefore
         post-processing — is identical to the per-point path
         (``batch_queries=False``).
-    index_factory, batch_queries:
-        Deprecated: both fold into ``execution`` (a
-        ``DeprecationWarning`` each) and produce identical results.
 
     Examples
     --------
@@ -94,14 +88,11 @@ class LAFDBSCAN(Clusterer):
         estimator: CardinalityEstimator,
         alpha: float = 1.0,
         enable_post_processing: bool = True,
-        index_factory: Callable[[], NeighborIndex] | None = None,
         metric: str | Metric = COSINE,
         seed: int | np.random.Generator | None = 0,
-        batch_queries: bool | None = None,
         execution: ExecutionConfig | None = None,
     ) -> None:
         super().__init__(eps, tau, metric=metric, execution=execution)
-        self._resolve_legacy_execution(index_factory, batch_queries)
         self.laf = LAF(
             estimator,
             alpha=alpha,

@@ -63,9 +63,6 @@ class LAFDBSCANPlusPlus(Clusterer):
         once either way, and ``UpdatePartialNeighbors`` receives each
         executed result in the same sample order, so the output is
         identical to the per-point path (``batch_queries=False``).
-    batch_queries:
-        Deprecated: folds into ``execution`` (a ``DeprecationWarning``)
-        and produces identical results.
     """
 
     algo_name = "laf-dbscan++"
@@ -80,11 +77,9 @@ class LAFDBSCANPlusPlus(Clusterer):
         enable_post_processing: bool = True,
         assign_within_eps: bool = True,
         seed: int | np.random.Generator | None = 0,
-        batch_queries: bool | None = None,
         execution: ExecutionConfig | None = None,
     ) -> None:
         super().__init__(eps, tau, execution=execution)
-        self._resolve_legacy_execution(batch_queries=batch_queries)
         if not 0.0 < p <= 1.0:
             raise InvalidParameterError(f"sample fraction p must lie in (0, 1]; got {p}")
         self.p = float(p)

@@ -3,7 +3,8 @@
 The registry keeps the paper's names, dimensions, relative sizes and the
 per-dataset error factors ``alpha`` used by LAF-DBSCAN, while the point
 counts scale by a single ``scale`` factor so the whole evaluation runs on
-one machine (see DESIGN.md, "Data substitutions").
+one machine. The points themselves are synthetic surrogates generated
+in-process (see :mod:`repro.data`), not the paper's embeddings.
 
 >>> ds = load_dataset("MS-50k", scale=0.01, seed=0)
 >>> ds.X.shape[1]

@@ -175,11 +175,9 @@ class ExecutionConfig:
     sharding:
         Optional :class:`~repro.index.sharded.ShardingConfig`: fan range
         queries across row shards (any registered executor — serial,
-        thread, process, remote). Threaded explicitly into the engine —
-        no global state — so concurrent fits with different sharding
-        cannot interfere. ``None`` (the default) and ``False`` both mean
-        unsharded execution; the distinction survives the wire format
-        because ``False`` records an explicit opt-out.
+        thread, remote). Threaded explicitly into the engine — no global
+        state — so concurrent fits with different sharding cannot
+        interfere. ``None`` (the default) means unsharded execution.
     batch_queries:
         True (default) routes neighborhood computation through the
         batched engine; False keeps the per-point reference loop the
@@ -195,7 +193,7 @@ class ExecutionConfig:
     """
 
     index: IndexSpec | None = None
-    sharding: "ShardingConfig | None | bool" = None
+    sharding: ShardingConfig | None = None
     batch_queries: bool = True
     query_block: int = DEFAULT_ENGINE_BLOCK
     cache_eviction: str = "serve"
@@ -205,14 +203,9 @@ class ExecutionConfig:
             raise InvalidParameterError(
                 f"index must be an IndexSpec or None; got {type(self.index).__name__}"
             )
-        if not (
-            self.sharding is None
-            or self.sharding is False
-            or isinstance(self.sharding, ShardingConfig)
-        ):
+        if not (self.sharding is None or isinstance(self.sharding, ShardingConfig)):
             raise InvalidParameterError(
-                "sharding must be a ShardingConfig, None (unset) or False "
-                f"(explicitly disabled); got {self.sharding!r}"
+                f"sharding must be a ShardingConfig or None; got {self.sharding!r}"
             )
         if self.query_block < 1:
             raise InvalidParameterError(
@@ -223,7 +216,7 @@ class ExecutionConfig:
                 f"cache_eviction must be one of {EVICTION_POLICIES}; "
                 f"got {self.cache_eviction!r}"
             )
-        if isinstance(self.sharding, ShardingConfig) and not self.batch_queries:
+        if self.sharding is not None and not self.batch_queries:
             # Sharding fans *batched* query blocks across shards; the
             # per-point reference path has no batches to fan out. Running
             # it unsharded anyway would silently drop the parallelism the
@@ -240,11 +233,10 @@ class ExecutionConfig:
 
     def to_dict(self) -> dict:
         """JSON-safe representation (the remote-worker wire format)."""
-        if isinstance(self.sharding, ShardingConfig):
+        sharding: dict | None = None
+        if self.sharding is not None:
             sharding = {f: getattr(self.sharding, f) for f in _SHARDING_FIELDS}
             sharding["executor"] = self.sharding.executor.wire_value()
-        else:
-            sharding = self.sharding  # None (unset) or False (disabled)
         return {
             "index": None if self.index is None else self.index.to_dict(),
             "sharding": sharding,
@@ -277,9 +269,7 @@ class ExecutionConfig:
         if index is not None:
             index = IndexSpec.from_dict(index)
         sharding = data.get("sharding")
-        if sharding is False:
-            pass  # the explicit opt-out round-trips as JSON false
-        elif sharding is not None:
+        if sharding is not None:
             sharding = ShardingConfig(
                 **_checked_mapping(sharding, set(_SHARDING_FIELDS), "ShardingConfig")
             )

@@ -50,17 +50,6 @@ class IndexError_(ReproError, RuntimeError):
     """
 
 
-class RemovedAPIError(ReproError, TypeError):
-    """A retired legacy entry point was called.
-
-    The PR 5 deprecation shims (``set_sharding`` / ``sharded_queries``
-    and the ``index_factory=`` / ``batch_queries=`` constructor kwargs)
-    completed their cycle: calling them now raises this error, whose
-    message names the :class:`~repro.engine_config.ExecutionConfig`
-    replacement.
-    """
-
-
 class RemoteExecutorError(ReproError, RuntimeError):
     """Base class for remote worker-pool failures.
 

@@ -51,8 +51,8 @@ def prepare_workload(
 ) -> Workload:
     """Generate, split and train for one dataset (memoized).
 
-    The estimator defaults are the benchmark-friendly reduction of the
-    paper's setup (see DESIGN.md); pass ``epochs=200``,
+    The estimator defaults are a benchmark-friendly reduction of the
+    paper's setup; pass ``epochs=200``,
     ``hidden_layers=(512, 512, 256, 128)``, ``n_train_queries=None`` for
     the full paper configuration.
     """

@@ -36,9 +36,6 @@ from repro.index.sharded import (
     ShardingConfig,
     register_executor,
     registered_executors,
-    set_sharding,
-    sharded_queries,
-    sharding_config,
 )
 
 __all__ = [
@@ -53,7 +50,4 @@ __all__ = [
     "ShardingConfig",
     "register_executor",
     "registered_executors",
-    "set_sharding",
-    "sharded_queries",
-    "sharding_config",
 ]

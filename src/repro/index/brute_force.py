@@ -158,15 +158,6 @@ class BruteForceIndex(NeighborIndex):
         self._points = np.asarray(arrays["points"], dtype=np.float64)
         return self
 
-    # Backwards-compatible aliases for the pre-engine batched names.
-    def range_count_many(self, Q: np.ndarray, eps: float) -> np.ndarray:
-        """Alias of :meth:`batch_range_count` (pre-engine name)."""
-        return self.batch_range_count(Q, eps)
-
-    def range_query_many(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
-        """Alias of :meth:`batch_range_query` (pre-engine name)."""
-        return self.batch_range_query(Q, eps)
-
     def range_count_multi_eps(
         self, Q: np.ndarray, eps_values: np.ndarray
     ) -> np.ndarray:

@@ -129,13 +129,9 @@ class NeighborhoodCache:
     sharding:
         Optional :class:`~repro.index.sharded.ShardingConfig` for this
         cache — normally threaded in from
-        :attr:`~repro.engine_config.ExecutionConfig.sharding`. When
-        omitted, the *thread-local* configuration installed by the
-        deprecated :func:`~repro.index.sharded.sharded_queries` shim
-        applies (None when no shim is active); ``False`` disables
-        sharding outright, shim or not. When a
-        configuration is active and ``index`` is a recognised backend,
-        the cache routes through a
+        :attr:`~repro.engine_config.ExecutionConfig.sharding`; None (the
+        default) means unsharded. When a configuration is given and
+        ``index`` is a recognised backend, the cache routes through a
         :class:`~repro.index.sharded.ShardedIndex` — built directly from
         an unbuilt index (shard-before-build, no discarded whole-dataset
         build) or rebuilt over a fitted index's points (fallback) — and
@@ -171,12 +167,8 @@ class NeighborhoodCache:
 
         self._X = np.asarray(X, dtype=np.float64)
         # When the cache built (or shard-wrapped) the index itself, the
-        # result — and its worker pool / shared memory, for the process
-        # executor — belongs to this cache: close() releases it
-        # deterministically. Hosts that never call close still get
-        # prompt release when the cache goes out of scope at the end of
-        # a fit (the executor's weakref.finalize fires on refcount
-        # collection).
+        # result — and its thread pool or worker connections — belongs
+        # to this cache: close() releases it deterministically.
         self._index, self._owns_index = resolve_engine_index(index, self._X, sharding)
         self.eps = float(eps)
         self.block_size = int(block_size)

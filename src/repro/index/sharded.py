@@ -9,22 +9,13 @@ fanning query blocks across the shards through a pluggable executor:
   reference executor every other one is differentially tested against);
 * ``thread``  — a thread pool; NumPy releases the GIL inside BLAS, so
   shard GEMMs genuinely overlap on multi-core machines;
-* ``process`` — a pool of single-process workers that attach the
-  dataset through :mod:`multiprocessing.shared_memory` (one row-major
-  float64 segment written at build time), so the data matrix is never
-  pickled; each live shard is pinned to exactly one worker (stable
-  shard→worker affinity), which builds that shard's inner index lazily
-  from the shared segment on first use and reuses it for every later
-  query block. A fit therefore pays exactly ``n_live_shards`` inner
-  builds — never ``n_workers × n_shards`` — and when a worker dies its
-  shards are rebalanced across the survivors (who rebuild just those
-  shards) with the failed calls retried.
 * ``remote``  — a fleet of :mod:`repro.remote` worker processes reached
-  over a length-prefixed socket protocol, each holding its pinned
-  shards' inner indexes *warm across fits*: a second fit on the same
-  pool attaches to the cached indexes and pays zero inner builds.
-  Same affinity + rebalance protocol as ``process``, with per-call
-  timeouts and bounded retry on top.
+  over a length-prefixed socket protocol. Each live shard is pinned to
+  one worker (stable shard→worker affinity), which builds its inner
+  index on first use and keeps it *warm across fits*: a second fit on
+  the same pool attaches to the cached indexes and pays zero inner
+  builds. A dead worker's shards are rebalanced across the survivors
+  and the failed calls retried; timeouts get bounded retry.
 
 Executors are named by :class:`ExecutorSpec` — a registered value type
 (``name`` + JSON-safe ``options``) that replaces the former magic
@@ -36,7 +27,7 @@ new fabrics behind the same seam.
 
 Build lifecycle: an inner index is a build-once, query-many artifact.
 The serial/thread executors build all live shards eagerly in
-:meth:`ShardedIndex.build`; the process executor builds them lazily in
+:meth:`ShardedIndex.build`; the remote executor builds them lazily in
 the owning worker. Either way :meth:`ShardedIndex.stats` reports the
 instrumented ``shard_inner_builds`` counter so hosts can prove the
 build-once property per fit. :func:`resolve_engine_index` is the
@@ -56,11 +47,8 @@ splits, which is what the property-based tests exercise.
 The module also hosts :class:`ShardingConfig`, the declarative sharding
 spec that :class:`~repro.engine_config.ExecutionConfig` embeds and
 threads explicitly into :class:`~repro.index.engine.NeighborhoodCache` /
-:func:`resolve_engine_index` — the *only* way to shard a fit. The PR 5
-thread-local deprecation shims (:func:`set_sharding` /
-:func:`sharded_queries`) completed their cycle and now raise
-:class:`~repro.exceptions.RemovedAPIError` naming the replacement;
-there is no ambient sharding state of any scope anymore.
+:func:`resolve_engine_index` — the *only* way to shard a fit; there
+is no ambient sharding state.
 
 Exactness: range queries and counts are exact for exact inner backends
 (a point's eps-neighborhood is the disjoint union of its per-shard
@@ -77,20 +65,15 @@ index.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import warnings
-import weakref
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError, NotFittedError, RemovedAPIError
+from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index.base import NeighborIndex
 from repro.index.brute_force import BruteForceIndex
 from repro.index.cover_tree import CoverTree
@@ -98,7 +81,6 @@ from repro.index.grid import GridIndex
 from repro.index.kmeans_tree import KMeansTree
 
 __all__ = [
-    "EXECUTOR_NAMES",
     "INNER_BACKENDS",
     "ExecutorSpec",
     "ShardedIndex",
@@ -107,30 +89,17 @@ __all__ = [
     "concat_shard_rows",
     "csr_to_rows",
     "make_inner_backend",
-    "maybe_shard",
     "merge_knn_rows",
     "merge_shard_rows",
     "register_executor",
     "registered_executors",
     "resolve_engine_index",
     "rows_to_csr",
-    "set_sharding",
     "shard_offsets",
-    "sharded_queries",
-    "sharding_config",
 ]
 
 #: Default number of query rows fanned out per executor round.
 DEFAULT_QUERY_BLOCK = 2048
-
-#: Upper bound on one worker's stats round-trip (a wedged worker must
-#: not hang close(), which snapshots build counters before teardown).
-_STATS_TIMEOUT_S = 10.0
-
-#: The always-registered single-box executors (back-compat constant;
-#: the authoritative list is :func:`registered_executors`, which also
-#: names ``remote`` and anything added via :func:`register_executor`).
-EXECUTOR_NAMES = ("serial", "thread", "process")
 
 #: Registered inner backends, constructible by name in worker processes.
 INNER_BACKENDS = {
@@ -191,7 +160,7 @@ class _ExecutorEntry:
     """One registered executor fabric.
 
     ``make_local`` (serial/thread style) receives the per-shard indexes
-    the parent built eagerly; ``make`` (process/remote style) receives
+    the parent built eagerly; ``make`` (remote style) receives
     the raw dataset + shard bounds and owns building inside its workers.
     Exactly one of the two is set.
     """
@@ -497,7 +466,7 @@ def merge_knn_rows(
 
 
 # ----------------------------------------------------------------------
-# Shard query operations (module-level so process pools can pickle them)
+# Shard query operations (shared with the remote worker)
 # ----------------------------------------------------------------------
 
 
@@ -571,283 +540,6 @@ class _ThreadExecutor:
         self._pool.shutdown()
 
 
-# Worker-process state, populated once per worker by _worker_init.
-_WORKER_STATE: dict = {}  # reprolint: disable=RPL003 -- per-process worker
-# state, written exactly once by the pool initializer in each worker
-
-
-def _pin_blas_single_thread():
-    """Limit BLAS pools in this process to one thread; returns the limiter.
-
-    One BLAS thread per worker: the parallelism budget is spent on
-    processes, and oversubscription (workers x BLAS threads) is the
-    classic way a process pool ends up slower than serial. Returns
-    ``None`` when threadpoolctl is unavailable — the worker still runs,
-    just at risk of oversubscription.
-    """
-    try:
-        import threadpoolctl
-    except ImportError:
-        return None
-    try:
-        return threadpoolctl.threadpool_limits(limits=1)
-    except Exception as exc:
-        warnings.warn(
-            f"could not pin BLAS threads to 1: {exc}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-
-
-def _worker_init(
-    shm_name: str,
-    shape: tuple[int, int],
-    dtype_str: str,
-    bounds: tuple[tuple[int, int], ...],
-    inner_name: str,
-    inner_kwargs: dict,
-) -> None:
-    """Attach the shared dataset segment and stash the shard specs."""
-    limiter = _pin_blas_single_thread()
-    # The attachment lives as long as the worker process: _WORKER_STATE
-    # holds it and the OS reclaims the mapping when the pool shuts down.
-    shm = shared_memory.SharedMemory(name=shm_name)  # reprolint: disable=RPL001
-    X = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(
-        shm=shm,
-        X=X,
-        bounds=bounds,
-        inner=(inner_name, dict(inner_kwargs)),
-        indexes={},
-        limiter=limiter,
-        n_builds=0,
-    )
-
-
-def _worker_shard_index(shard_id: int):
-    """The worker's inner index for one shard, built lazily from shm."""
-    index = _WORKER_STATE["indexes"].get(shard_id)
-    if index is None:
-        lo, hi = _WORKER_STATE["bounds"][shard_id]
-        name, kwargs = _WORKER_STATE["inner"]
-        index = make_inner_backend(name, kwargs).build(_WORKER_STATE["X"][lo:hi])
-        _WORKER_STATE["indexes"][shard_id] = index
-        _WORKER_STATE["n_builds"] += 1
-    return index
-
-
-def _worker_call(task: tuple[str, int, tuple]):
-    op, shard_id, args = task
-    return _SHARD_OPS[op](_worker_shard_index(shard_id), *args)
-
-
-def _worker_stats() -> int:
-    """This worker's inner-build count (queried by ``stats()``)."""
-    return int(_WORKER_STATE.get("n_builds", 0))
-
-
-def _release_process_resources(slots, shm) -> None:
-    """Teardown without waiting on in-flight shard calls.
-
-    ``shutdown(wait=False)`` signals each single-worker pool and cancels
-    *queued* work, but a call already running would keep its worker
-    alive — and a wedged worker (the classic BLAS-after-fork deadlock)
-    would keep it alive forever — so any still-running worker is then
-    terminated outright, matching the prompt-release semantics the
-    pre-affinity ``pool.terminate()`` had. The segment is unlinked last:
-    existing attachments in a straggler keep working (POSIX unlink only
-    removes the name), and the memory is freed once every process lets
-    go. ``slots`` is the executor's live slot list — mutated in place by
-    rebalancing, so this sees whatever slots exist at release time.
-    """
-    workers = []
-    for slot in slots:
-        if slot is not None:
-            workers.extend((getattr(slot, "_processes", None) or {}).values())
-            slot.shutdown(wait=False, cancel_futures=True)
-    for proc in workers:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in workers:
-        proc.join(timeout=5.0)
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-def _start_method() -> str:
-    """Prefer fork where available: no interpreter reboot per worker."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
-
-
-class _ProcessExecutor:
-    """Affinity-routed shard execution over shared memory.
-
-    The dataset is written once into a ``SharedMemory`` segment. Each
-    worker slot is a single-process pool; every live shard is pinned to
-    one slot by a stable assignment (``shard_id % n_slots``), so the
-    worker that owns a shard builds its inner index exactly once (lazily,
-    from the shared segment) and reuses it for every later query block.
-    Only query blocks travel to the workers and only compact CSR result
-    arrays travel back — the data matrix itself is never pickled.
-
-    Fault tolerance: a dead worker surfaces as ``BrokenProcessPool`` on
-    its futures. Its shards are rebalanced round-robin across the
-    surviving slots (which lazily rebuild just those shards) and the
-    failed calls are retried; if every slot is gone a fresh one is
-    spawned. ``n_rebalances`` counts these events for ``stats()``.
-    """
-
-    def __init__(
-        self,
-        X: np.ndarray,
-        bounds: tuple[tuple[int, int], ...],
-        inner_name: str,
-        inner_kwargs: dict,
-        n_workers: int,
-    ) -> None:
-        self._shm = shared_memory.SharedMemory(create=True, size=X.nbytes)
-        try:
-            np.ndarray(X.shape, dtype=X.dtype, buffer=self._shm.buf)[:] = X
-            self._ctx = multiprocessing.get_context(_start_method())
-            self._initargs = (
-                self._shm.name,
-                X.shape,
-                X.dtype.str,
-                bounds,
-                inner_name,
-                inner_kwargs,
-            )
-            n_slots = max(1, min(n_workers, len(bounds)))
-            self._slots: list = [self._new_slot() for _ in range(n_slots)]
-            # Stable shard→slot affinity: contiguous shards are balanced
-            # within one row, so modulo routing is an even split.
-            self._assignment = {s: s % n_slots for s in range(len(bounds))}
-            # Slots that have accepted at least one task: stats can skip
-            # the rest (their pools spawn workers lazily, and a worker
-            # that never started has trivially built nothing).
-            self._used_slots: set[int] = set()
-            self.n_rebalances = 0
-        except BaseException:
-            # Construction failed after the segment was created: release
-            # it here, nobody else holds a handle yet.
-            self._shm.close()
-            self._shm.unlink()
-            raise
-        # Guaranteed teardown even when close() is never called: finalize
-        # must not reference self, or it would keep the executor alive.
-        self._finalizer = weakref.finalize(
-            self, _release_process_resources, self._slots, self._shm
-        )
-
-    def _new_slot(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=self._ctx,
-            initializer=_worker_init,
-            initargs=self._initargs,
-        )
-
-    def _live_slot_ids(self) -> list[int]:
-        return [i for i, slot in enumerate(self._slots) if slot is not None]
-
-    def _rebalance(self, dead_slot_ids: set[int]) -> None:
-        """Retire dead slots and move their shards to the survivors."""
-        for slot_id in dead_slot_ids:
-            slot = self._slots[slot_id]
-            if slot is not None:
-                slot.shutdown(wait=False, cancel_futures=True)
-                self._slots[slot_id] = None
-        survivors = self._live_slot_ids()
-        if not survivors:
-            # Every worker died: spawn one fresh slot so the fit can
-            # still finish (its worker rebuilds shards lazily).
-            self._slots.append(self._new_slot())
-            survivors = self._live_slot_ids()
-        orphaned = sorted(
-            shard_id
-            for shard_id, slot_id in self._assignment.items()
-            if slot_id not in survivors
-        )
-        for rank, shard_id in enumerate(orphaned):
-            self._assignment[shard_id] = survivors[rank % len(survivors)]
-        self.n_rebalances += 1
-
-    def run(self, op: str, calls: list[tuple[int, tuple]]) -> list:
-        results: list = [None] * len(calls)
-        pending = list(enumerate(calls))
-        # Each retry round retires at least one slot; one extra round
-        # covers the all-slots-dead respawn. Beyond that the machine is
-        # actively killing workers and retrying would loop forever.
-        for _ in range(len(self._slots) + 2):
-            submitted: list[tuple[int, int, object]] = []
-            broken: set[int] = set()
-            failed: list[int] = []
-            for pos, (shard_id, args) in pending:
-                slot_id = self._assignment[shard_id]
-                try:
-                    future = self._slots[slot_id].submit(
-                        _worker_call, (op, shard_id, args)
-                    )
-                except BrokenProcessPool:
-                    broken.add(slot_id)
-                    failed.append(pos)
-                    continue
-                self._used_slots.add(slot_id)
-                submitted.append((pos, slot_id, future))
-            for pos, slot_id, future in submitted:
-                try:
-                    results[pos] = future.result()
-                except BrokenProcessPool:
-                    broken.add(slot_id)
-                    failed.append(pos)
-            if not broken:
-                return results
-            self._rebalance(broken)
-            pending = [(pos, calls[pos]) for pos in sorted(failed)]
-        raise BrokenProcessPool(  # reprolint: disable=RPL004 -- callers
-            # catch the stdlib executor's failure type; converting it
-            # to a ReproError would break that contract
-            f"shard workers keep dying; gave up after {self.n_rebalances} "
-            f"rebalances with {len(pending)} calls outstanding"
-        )
-
-    def collect_stats(self) -> dict[str, int]:
-        """Aggregate build accounting across the live workers.
-
-        Only slots that ever accepted a task are queried: the others
-        have lazily-unspawned workers, and starting a whole process just
-        to hear "0 builds" would make close() pay worker start-up for an
-        index that never served a query. Builds done by a worker that
-        has since died are gone with it — the counter reflects the
-        indexes the surviving pool actually built, which is what the
-        build-once contract is about.
-        """
-        builds = 0
-        for slot_id in self._live_slot_ids():
-            if slot_id not in self._used_slots:
-                continue
-            try:
-                # Bounded wait: a wedged worker must not turn a stats
-                # snapshot (close() takes one) into an indefinite hang.
-                builds += (
-                    self._slots[slot_id]
-                    .submit(_worker_stats)
-                    .result(timeout=_STATS_TIMEOUT_S)
-                )
-            except (BrokenProcessPool, FuturesTimeoutError):
-                continue
-        return {"inner_builds": builds, "n_rebalances": self.n_rebalances}
-
-    def close(self) -> None:
-        self._finalizer()
-
-
 # ----------------------------------------------------------------------
 # Built-in executor registrations
 # ----------------------------------------------------------------------
@@ -918,12 +610,6 @@ register_executor(
     "thread", make_local=lambda indexes, n_workers: _ThreadExecutor(indexes, n_workers)
 )
 register_executor(
-    "process",
-    make=lambda X, bounds, inner_name, inner_kwargs, n_workers, spec: _ProcessExecutor(
-        X, bounds, inner_name, inner_kwargs, n_workers
-    ),
-)
-register_executor(
     "remote",
     normalize_options=_normalize_remote_options,
     make=_make_remote_executor,
@@ -944,8 +630,8 @@ class ShardedIndex(NeighborIndex):
         Name of the registered inner backend fitted per shard
         (``"brute_force"``, ``"cover_tree"``, ``"kmeans_tree"``,
         ``"grid"``), or a zero-argument callable returning an unbuilt
-        index (serial/thread executors only — worker processes can only
-        rebuild from a picklable name + kwargs spec).
+        index (serial/thread executors only — remote workers can only
+        rebuild from a registered name + kwargs spec).
     inner_kwargs:
         Constructor arguments for the named inner backend (e.g. the
         grid's ``eps`` / ``rho``).
@@ -954,16 +640,16 @@ class ShardedIndex(NeighborIndex):
         ``n_shards > n_points``) are skipped.
     executor:
         An :class:`ExecutorSpec`, a registered executor name
-        (``"serial"``, ``"thread"``, ``"process"``, ``"remote"``), or a
+        (``"serial"``, ``"thread"``, ``"remote"``), or a
         spec wire dict. Stored coerced: ``self.executor`` is always an
         :class:`ExecutorSpec`.
     n_workers:
-        Pool width for the thread/process executors; defaults to
+        Pool width for the thread executor; defaults to
         ``min(n_live_shards, cpu_count)``. The remote executor's width
         is its address list.
     query_block:
         Query rows fanned out per executor round; bounds both the
-        per-task pickle size and peak memory of the merge.
+        per-call payload size and peak memory of the merge.
     """
 
     def __init__(
@@ -1035,9 +721,8 @@ class ShardedIndex(NeighborIndex):
         )
         entry = _EXECUTOR_REGISTRY[self.executor.name]
         if not self._live:
-            # Zero live shards (empty dataset): nothing to execute, and a
-            # zero-byte SharedMemory segment is illegal — every executor
-            # degenerates to the task-free serial one.
+            # Zero live shards (empty dataset): nothing to execute, so
+            # every executor degenerates to the task-free serial one.
             self._executor_obj = _SerialExecutor({})
         elif not entry.local:
             bounds = tuple((lo, hi) for _, lo, hi in self._live)
@@ -1056,7 +741,7 @@ class ShardedIndex(NeighborIndex):
         return self
 
     def close(self) -> None:
-        """Release executor resources (pool, shared memory). Idempotent.
+        """Release executor resources (pools, connections). Idempotent.
 
         The final build accounting is snapshotted first, so
         :meth:`stats` keeps answering after the pools are gone.
@@ -1085,7 +770,7 @@ class ShardedIndex(NeighborIndex):
             "shard_rebalances": 0,
         }
         # Duck-typed: any executor that owns building in its workers
-        # (process, remote, registered externals) reports its own
+        # (remote, registered externals) reports its own
         # counters through collect_stats().
         collect = getattr(self._executor_obj, "collect_stats", None)
         if collect is not None:
@@ -1099,8 +784,8 @@ class ShardedIndex(NeighborIndex):
 
         ``shard_inner_builds`` counts inner-index constructions since
         :meth:`build`: eager per-shard builds for the serial/thread
-        executors, lazy in-worker builds (queried from the live workers)
-        for the process executor. The build-once contract is
+        executors, lazy in-worker builds for the remote executor. The
+        build-once contract is
         ``shard_inner_builds == shard_live_shards`` once every shard has
         served a query — never ``n_workers × n_shards``.
         ``shard_rebalances`` counts worker-death rebalancing events.
@@ -1127,8 +812,8 @@ class ShardedIndex(NeighborIndex):
         """The built per-shard inner indexes, keyed by live shard id.
 
         Only the local (serial/thread) executors hold their indexes in
-        this process; the process and remote executors' live in worker
-        memory, so they cannot be handed out from the parent.
+        this process; the remote executor's live in worker memory, so
+        they cannot be handed out from the parent.
         (:func:`repro.persistence.save_index` no longer needs them — it
         rebuilds per-shard indexes parent-side when serializing a
         worker-held executor.)
@@ -1151,11 +836,8 @@ class ShardedIndex(NeighborIndex):
         """Adopt reloaded per-shard state (repro.persistence's seam).
 
         ``points`` is typically a read-only memory map and is adopted
-        as-is — reattaching never copies the matrix. The process
-        executor cannot be reconstructed from artifacts (its workers
-        rebuild from raw points, defeating the point of persisting the
-        built trees), so a saved process-sharded spec reattaches on the
-        thread executor instead. A remote spec reattaches through the
+        as-is — reattaching never copies the matrix. A remote spec
+        reattaches through the
         pool: ``artifact_path`` travels to the workers, which
         :func:`~repro.persistence.load_index` their pinned shards from
         the shared filesystem (``indexes`` may then be None — nothing is
@@ -1181,7 +863,7 @@ class ShardedIndex(NeighborIndex):
             )
             return self
         indexes = dict(indexes)
-        if name in ("thread", "process") and self._live:
+        if name == "thread" and self._live:
             n_workers = self.n_workers or max(
                 1, min(len(self._live), os.cpu_count() or 1)
             )
@@ -1329,106 +1011,6 @@ class ShardingConfig:
         )
 
 
-# The PR 5 thread-local deprecation shims completed their cycle: there
-# is no ambient sharding state at all anymore. The entry points survive
-# only to raise a typed error naming the ExecutionConfig replacement.
-
-
-def set_sharding(config=None):
-    """Removed: there is no ambient sharding state to install.
-
-    Raises :class:`~repro.exceptions.RemovedAPIError` — pass an
-    :class:`~repro.engine_config.ExecutionConfig` with
-    ``sharding=ShardingConfig(...)`` to the clusterer (or to
-    :func:`repro.cluster`) instead.
-    """
-    raise RemovedAPIError(
-        "set_sharding() was removed after its deprecation cycle; pass "
-        "ExecutionConfig(sharding=ShardingConfig(...)) to the clusterer "
-        "(or repro.cluster) instead"
-    )
-
-
-def sharding_config() -> None:
-    """Always None: the ambient thread-local sharding scope is gone.
-
-    Kept so hosts probing for ambient state keep working; execution is
-    configured exclusively through
-    :class:`~repro.engine_config.ExecutionConfig`.
-    """
-    return None
-
-
-def sharded_queries(config=None, **fields):
-    """Removed: there is no ambient sharding scope to enter.
-
-    Raises :class:`~repro.exceptions.RemovedAPIError` — pass an
-    :class:`~repro.engine_config.ExecutionConfig` with
-    ``sharding=ShardingConfig(...)`` to the clusterer (or to
-    :func:`repro.cluster`) instead.
-    """
-    raise RemovedAPIError(
-        "sharded_queries() was removed after its deprecation cycle; pass "
-        "ExecutionConfig(sharding=ShardingConfig(...)) to the clusterer "
-        "(or repro.cluster) instead"
-    )
-
-
-def maybe_shard(index, config: ShardingConfig | None = None):
-    """Wrap a *fitted* single index per the active sharding configuration.
-
-    This is the fallback wrap-a-fitted-index path: it re-fits per-shard
-    copies of ``index``'s configuration over its own points, paying the
-    already-done whole-dataset build a second time. Hosts that can defer
-    the build should hand the *unbuilt* index to
-    :func:`resolve_engine_index` instead, which builds the shards
-    directly.
-
-    Returns ``index`` unchanged when sharding is disabled, when the index
-    is already sharded, or when its type has no picklable rebuild spec
-    (custom user indexes keep working, just unsharded). A recognised
-    index whose points are unavailable — not built yet, or a subclass
-    that dropped the public ``points`` property — is returned unsharded
-    with a :class:`RuntimeWarning` naming the reason, never silently.
-
-    ``config`` follows the :class:`~repro.engine_config.ExecutionConfig`
-    convention: both None (unset) and ``False`` (explicitly disabled)
-    mean no sharding — with the ambient thread-local scope retired,
-    there is nothing left for *unset* to fall back to.
-    """
-    if config is False:
-        config = None
-    if config is None or isinstance(index, ShardedIndex):
-        return index
-    spec = backend_spec_of(index)
-    if spec is None:
-        return index
-    try:
-        points = index.points
-    except NotFittedError:
-        warnings.warn(
-            f"sharding is active but this {type(index).__name__} has not "
-            "been built: returning it unsharded (build it first, or hand "
-            "the unbuilt index to resolve_engine_index for a "
-            "shard-before-build fit)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return index
-    except AttributeError:
-        points = None
-    if points is None:
-        warnings.warn(
-            f"sharding is active but {type(index).__name__} exposes no "
-            "public 'points' property: returning it unsharded",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return index
-    name, kwargs = spec
-    return config.make_index(name, kwargs).build(points)
-
-
 def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = None):
     """Resolve the engine's query index, building shard-first when possible.
 
@@ -1436,45 +1018,37 @@ def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = N
     (:class:`~repro.index.engine.NeighborhoodCache`): hosts hand over the
     *unbuilt* backend they would have fitted themselves, and
 
-    * with sharding active and a registered backend spec, the per-shard
+    * with ``config`` set and a registered backend spec, the per-shard
       indexes are built directly over ``X`` — the whole-dataset index is
       never constructed, so a sharded fit pays exactly ``n_live_shards``
       inner builds;
-    * with sharding active but no picklable spec (a custom unbuilt
-      index), the single index is built and used unsharded, with a
-      :class:`RuntimeWarning`;
-    * with sharding inactive, the single index is built over ``X``
-      exactly as the host would have done.
+    * with ``config`` set but no registered spec (a custom index), the
+      index is used unsharded, with a :class:`RuntimeWarning`;
+    * with ``config`` None, the index is built over ``X`` exactly as the
+      host would have done.
 
-    A *fitted* index takes the legacy :func:`maybe_shard` fallback,
-    which re-fits shard copies over the index's own points (one
-    redundant whole-dataset build — the price of handing over a built
-    artifact).
+    A *fitted* index (ρ-approximate DBSCAN's grid, which the algorithm
+    also queries directly) is used as-is when unsharded; under a config
+    its shard copies are re-fit over its own points.
 
     Returns ``(resolved_index, owned)``. ``owned`` means the resolver
     *built* the result — including the in-place build of an unbuilt
     object the host handed over — and the host should treat it as the
     engine's to ``close()``; only a fitted index passed through
-    untouched stays the caller's (``owned`` False). ``config`` is a
-    :class:`ShardingConfig`, or None / ``False`` for no sharding.
+    untouched stays the caller's (``owned`` False).
     """
-    if config is False:
-        config = None
-    built = getattr(index, "is_built", None)
-    if built is None or built:
-        wrapped = maybe_shard(index, config)
-        return wrapped, wrapped is not index
-    if isinstance(index, ShardedIndex):
-        return index.build(X), True
-    if config is not None:
+    fitted = getattr(index, "is_built", True)
+    spec = None
+    if config is not None and not isinstance(index, ShardedIndex):
         spec = backend_spec_of(index)
-        if spec is not None:
-            name, kwargs = spec
-            return config.make_index(name, kwargs).build(X), True
-        warnings.warn(
-            f"sharding is active but {type(index).__name__} has no "
-            "registered rebuild spec: building it unsharded",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return index.build(X), True
+        if spec is None:
+            warnings.warn(
+                f"sharding is active but {type(index).__name__} has no "
+                "registered rebuild spec: querying it unsharded",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    if spec is None:
+        return (index, False) if fitted else (index.build(X), True)
+    name, kwargs = spec
+    return config.make_index(name, kwargs).build(index.points if fitted else X), True

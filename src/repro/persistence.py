@@ -79,6 +79,33 @@ _HASH_CHUNK = 1 << 20
 _CUSTOM_SPEC = "custom"
 
 
+def _upgrade_executor(executor: Any) -> Any:
+    """Older artifacts may name the removed shared-memory ``process``
+    executor; they reattach on ``thread``, as loading them always did."""
+    return "thread" if executor == "process" else executor
+
+
+def _upgrade_execution(payload: Any) -> Any:
+    """Read older spellings of a saved execution config.
+
+    ``"sharding": false`` (the former explicit opt-out) reads as None,
+    and a retired executor name as its replacement. Writers emit
+    neither; this runs only at the load boundary.
+    """
+    if not isinstance(payload, Mapping):
+        return payload
+    payload = dict(payload)
+    sharding = payload.get("sharding")
+    if sharding is False:
+        payload["sharding"] = None
+    elif isinstance(sharding, Mapping) and "executor" in sharding:
+        payload["sharding"] = {
+            **sharding,
+            "executor": _upgrade_executor(sharding["executor"]),
+        }
+    return payload
+
+
 # ----------------------------------------------------------------------
 # Manifest + array I/O core
 # ----------------------------------------------------------------------
@@ -371,7 +398,7 @@ def _save_sharded(index: Any, path: str | Path) -> Path:
 
     Works under *any* executor: the local (serial/thread) executors hand
     their built shard indexes over directly, while a worker-held
-    executor (process/remote) keeps its indexes out of reach of the
+    executor (remote) keeps its indexes out of reach of the
     parent — those shards are rebuilt parent-side one at a time for
     serialization (deterministic: registered backends reconstruct
     bit-identically from the same rows and spec). The executor spec is
@@ -459,7 +486,7 @@ def _load_sharded(
         ) from exc
     try:
         executor_spec = ExecutorSpec.coerce(
-            spec["executor"] if executor is None else executor
+            _upgrade_executor(spec["executor"]) if executor is None else executor
         )
         out = ShardedIndex(
             inner=str(spec["inner"]),
@@ -678,14 +705,11 @@ class ClusterModel:
         """
         if self._core_index is None:
             from repro.clustering.base import resolve_index_spec
-            from repro.index.sharded import ShardingConfig, resolve_engine_index
+            from repro.index.sharded import resolve_engine_index
 
             unbuilt = resolve_index_spec(self.execution.index, self.metric)
-            sharding = self.execution.sharding
-            if not isinstance(sharding, ShardingConfig):
-                sharding = False  # None and False both mean unsharded
             self._core_index, self._core_index_owned = resolve_engine_index(
-                unbuilt, self._cores(), sharding
+                unbuilt, self._cores(), self.execution.sharding
             )
         return self._core_index
 
@@ -730,7 +754,7 @@ class ClusterModel:
         return out
 
     def close(self) -> None:
-        """Release the serving index (pools, shared memory). Idempotent."""
+        """Release the serving index (pools, connections). Idempotent."""
         if self._core_index is not None and self._core_index_owned:
             closer = getattr(self._core_index, "close", None)
             if closer is not None:
@@ -810,7 +834,7 @@ def load_model(
             raise PersistenceError(
                 f"model artifact at {path} is missing spec key {key!r}"
             )
-    execution_payload = spec["execution"]
+    execution_payload = _upgrade_execution(spec["execution"])
     index_payload = (execution_payload or {}).get("index")
     if isinstance(index_payload, Mapping) and index_payload.get("name") == _CUSTOM_SPEC:
         raise PersistenceError(

@@ -13,11 +13,10 @@ indexes and pays zero.
 :class:`~repro.remote.pool.RemoteExecutor` is the client side, plugged
 in behind the shard-executor seam as the registered ``remote``
 :class:`~repro.index.sharded.ExecutorSpec` — query blocks fan out with
-the stable ``shard → worker`` affinity of the process executor, results
-come back as compact CSR arrays feeding the existing merge kernels
-unchanged, and dead workers trigger the same round-robin rebalance
-(plus per-call timeouts and bounded retry, which a single box never
-needed).
+a stable ``shard → worker`` affinity, results come back as compact CSR
+arrays feeding the existing merge kernels unchanged, dead workers
+trigger a round-robin rebalance of their shards to the survivors, and
+every call runs under a timeout with bounded retry.
 """
 
 from repro.remote.pool import RemoteExecutor, WorkerPool

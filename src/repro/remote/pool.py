@@ -17,9 +17,8 @@ Robustness contract:
   *fit* fails typed, the pool and its warm shards stay usable;
 * a worker that cannot be reached at all is declared dead: its shards
   are rebalanced round-robin across the surviving workers (who attach
-  them on first use, exactly like the single-box process executor) and
-  the failed calls are retried — ``n_rebalances`` counts these events
-  into ``ShardedIndex.stats()``;
+  them on first use) and the failed calls are retried —
+  ``n_rebalances`` counts these events into ``ShardedIndex.stats()``;
 * when every worker is gone, :class:`~repro.exceptions.WorkerUnavailableError`.
 
 Warm-reuse accounting: every worker reply says whether it had to build
@@ -36,6 +35,7 @@ executor spec, shut the fleet down.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -66,6 +66,12 @@ DEFAULT_CONNECT_TIMEOUT_S = 5.0
 DEFAULT_RETRIES = 2
 
 
+def _start_method() -> str:
+    """Prefer fork where available: no interpreter reboot per worker."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else methods[0]
+
+
 def _parse_address(address: str) -> tuple[str, int]:
     host, _, port = str(address).rpartition(":")
     return host, int(port)
@@ -92,6 +98,7 @@ class _WorkerClient:
                 f"cannot reach pool worker at {self.address}: {exc}"
             ) from exc
         sock.settimeout(self._timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
     def call(self, header: dict, arrays: dict | None = None) -> tuple[dict, dict]:
@@ -153,7 +160,7 @@ class _WorkerClient:
 class RemoteExecutor:
     """Affinity-routed shard execution over a worker fleet.
 
-    Implements the same contract as the in-process executors in
+    Implements the same contract as the local executors in
     :mod:`repro.index.sharded` (``run`` / ``close`` / ``collect_stats``)
     so :class:`~repro.index.sharded.ShardedIndex` cannot tell the
     difference. ``shards`` maps shard id → ``(lo, hi)`` global rows;
@@ -198,8 +205,8 @@ class RemoteExecutor:
         self._inner_kwargs = dict(inner_kwargs or {})
         self._artifact_path = artifact_path
         self._fingerprint: str | None = None
-        # Stable shard→worker affinity, same scheme as the process
-        # executor: position in the sorted shard list, modulo the fleet.
+        # Stable shard→worker affinity: position in the sorted shard
+        # list, modulo the fleet.
         n_slots = len(self._clients)
         self._assignment = {
             s: pos % n_slots for pos, s in enumerate(sorted(self._shards))
@@ -416,8 +423,6 @@ class WorkerPool:
         """
         if n_workers < 1:
             raise InvalidParameterError(f"n_workers must be >= 1; got {n_workers}")
-        from repro.index.sharded import _start_method
-
         ctx = multiprocessing.get_context(_start_method())
         queue = ctx.Queue()
         processes = []
@@ -429,11 +434,11 @@ class WorkerPool:
             proc.daemon = True
             proc.start()
             processes.append(proc)
-        addresses = []
+        bound: dict[int, str] = {}
         try:
             for _ in range(n_workers):
-                bound_host, bound_port = queue.get(timeout=start_timeout_s)
-                addresses.append(f"{bound_host}:{bound_port}")
+                pid, bound_host, bound_port = queue.get(timeout=start_timeout_s)
+                bound[pid] = f"{bound_host}:{bound_port}"
         except Exception as exc:
             for proc in processes:
                 proc.terminate()
@@ -441,7 +446,9 @@ class WorkerPool:
                 f"local pool workers failed to start within "
                 f"{start_timeout_s}s: {exc}"
             ) from exc
-        return cls(addresses, processes)
+        # Workers report in bind order; keep addresses in spawn order so
+        # addresses[i] is the worker with pid worker_pids[i].
+        return cls([bound[proc.pid] for proc in processes], processes)
 
     def executor_spec(self, **options):
         """The ``remote`` :class:`~repro.index.sharded.ExecutorSpec` for
@@ -504,4 +511,4 @@ def _serve_reporting(
         max_cached_shards=max_cached_shards,
         max_cached_bytes=max_cached_bytes,
     )
-    serve(host, 0, on_bound=lambda h, p: queue.put((h, p)), holder=holder)
+    serve(host, 0, on_bound=lambda h, p: queue.put((os.getpid(), h, p)), holder=holder)

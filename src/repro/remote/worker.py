@@ -1,6 +1,7 @@
 """The pool worker: a warm shard holder behind a TCP socket.
 
-One worker process serves many client connections (one thread each) and
+One worker process serves many client connections (one thread each,
+via the shared :class:`~repro.remote.protocol.FrameServer`) and
 holds every shard index it has ever built or reattached in an in-memory
 cache keyed by ``(dataset, inner spec, rows)`` — so a second fit (or a
 different clusterer, or a new eps under an eps-independent inner
@@ -40,18 +41,19 @@ take down a warm shard holder.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
-import socket
 import threading
+import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError, RemoteProtocolError, ReproError
+from repro.exceptions import InvalidParameterError, RemoteProtocolError
 from repro.index import sharded as _sharded
-from repro.remote.protocol import recv_msg, send_msg
+from repro.remote.protocol import FrameServer
 
 __all__ = ["ShardHolder", "serve", "worker_main"]
 
@@ -296,42 +298,28 @@ def _handle_request(holder: ShardHolder, header: dict, arrays: dict):
     raise RemoteProtocolError(f"unknown pool request op {op!r}")
 
 
-def _serve_connection(conn: socket.socket, holder: ShardHolder, stop) -> None:
+def _pin_blas_single_thread():
+    """Limit BLAS pools in this process to one thread; returns the limiter.
+
+    One BLAS thread per worker: the pool's parallelism budget is spent
+    on workers, and oversubscription (workers x BLAS threads) is the
+    classic way a worker pool ends up slower than serial. Returns
+    ``None`` when threadpoolctl is unavailable — the worker still runs,
+    just at risk of oversubscription.
+    """
     try:
-        while True:
-            msg = recv_msg(conn)
-            if msg is None:
-                return  # client hung up cleanly
-            header, arrays = msg
-            try:
-                reply, out, keep = _handle_request(holder, header, arrays)
-            except ReproError as exc:
-                reply, out, keep = (
-                    {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                    {},
-                    True,
-                )
-            send_msg(conn, reply, out)
-            if not keep:
-                stop.set()
-                return
-    except ReproError:
-        # Client died mid-frame or spoke garbage: drop the connection,
-        # keep the worker (and its warm shards) alive for the next one.
-        return
-    except OSError:
-        return
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def _pin_blas() -> None:
-    # One BLAS thread per worker: the pool's parallelism budget is spent
-    # on workers; missing threadpoolctl degrades gracefully (and loudly).
-    _sharded._pin_blas_single_thread()
+        import threadpoolctl
+    except ImportError:
+        return None
+    try:
+        return threadpoolctl.threadpool_limits(limits=1)
+    except Exception as exc:
+        warnings.warn(
+            f"could not pin BLAS threads to 1: {exc}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
 
 
 def serve(
@@ -347,31 +335,15 @@ def serve(
     called once listening (the CLI prints it, spawn helpers report it to
     the parent). Blocks until a ``shutdown`` request arrives.
     """
-    _pin_blas()
+    _pin_blas_single_thread()
     holder = holder or ShardHolder()
-    stop = threading.Event()
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((host, port))
-        server.listen()
-        # Wake the accept loop periodically to notice the stop flag.
-        server.settimeout(0.2)
-        bound_host, bound_port = server.getsockname()[:2]
+    server = FrameServer(functools.partial(_handle_request, holder), host, port)
+    try:
         if on_bound is not None:
-            on_bound(bound_host, bound_port)
-        while not stop.is_set():
-            try:
-                conn, _ = server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            conn.settimeout(None)
-            threading.Thread(
-                target=_serve_connection,
-                args=(conn, holder, stop),
-                daemon=True,
-            ).start()
+            on_bound(*server.address)
+        server.serve_forever()
+    finally:
+        server.close()
 
 
 def worker_main(argv=None) -> int:

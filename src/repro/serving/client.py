@@ -61,6 +61,7 @@ class ServingClient:
                     self._sock = socket.create_connection(
                         self.address, timeout=self._timeout_s
                     )
+                    self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 send_msg(self._sock, header, arrays)
                 reply = recv_msg(self._sock)
             except OSError as exc:

@@ -5,12 +5,13 @@ JSON-header + raw-array format of :mod:`repro.remote.protocol`, so the
 serving front door and the remote worker pool speak the same protocol
 (a serving client is a pool client with different ops).
 
-Threading model (the :mod:`repro.remote.worker` idiom): the asyncio
-event loop that owns the :class:`ModelServer` runs on one background
-thread; a 0.2 s-timeout accept loop runs on another; each connection
-gets a thread that parses frames and bridges into the loop with
-``asyncio.run_coroutine_threadsafe`` — so slow clients never stall the
-batcher, and a dead client costs one thread, not the server.
+Threading model: the asyncio event loop that owns the
+:class:`ModelServer` runs on one background thread; the shared
+:class:`~repro.remote.protocol.FrameServer` (the pool worker's server
+loop) accepts connections and gives each a thread that parses frames
+and bridges into the loop with ``asyncio.run_coroutine_threadsafe`` —
+so slow clients never stall the batcher, and a dead client costs one
+thread, not the server.
 
 Ops (``header["op"]``):
 
@@ -29,14 +30,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import socket
 import threading
 from typing import Any
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError, RemoteProtocolError, ReproError
-from repro.remote.protocol import recv_msg, send_msg
+from repro.exceptions import InvalidParameterError, RemoteProtocolError
+from repro.remote.protocol import FrameServer
 from repro.serving.server import ModelServer
 
 _CALL_TIMEOUT_GRACE_S = 30.0
@@ -59,12 +59,7 @@ class ServingFrontend:
         self._port = port
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._listener: socket.socket | None = None
-        self._conns: set[socket.socket] = set()
-        self._conn_threads: list[threading.Thread] = []
-        self._conn_lock = threading.Lock()
-        self._stop = threading.Event()
+        self._frames: FrameServer | None = None
         self._closed = False
         self.address: tuple[str, int] | None = None
 
@@ -79,36 +74,21 @@ class ServingFrontend:
             target=self._loop.run_forever, name="repro-serving-loop", daemon=True
         )
         self._loop_thread.start()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((self._host, self._port))
-        self._listener.listen()
-        # Wake the accept loop periodically to notice the stop flag.
-        self._listener.settimeout(0.2)
-        self.address = self._listener.getsockname()[:2]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-serving-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._frames = FrameServer(self._handle, self._host, self._port)
+        self.address = self._frames.start()
         return self.address
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until shutdown is requested; True if it was."""
-        return self._stop.wait(timeout)
+        return self._frames is not None and self._frames.stopped.wait(timeout)
 
     def close(self) -> None:
         """Graceful drain: stop accepting, flush batches, release sockets."""
         if self._closed:
             return
         self._closed = True
-        self._stop.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        if self._frames is not None:
+            self._frames.stop()
         try:
             if self._loop is not None:
                 # Drain in-flight batches before cutting connections, so
@@ -117,26 +97,13 @@ class ServingFrontend:
                     self._server.aclose(), self._loop
                 ).result(timeout=_CALL_TIMEOUT_GRACE_S)
         finally:
-            self._teardown()
-
-    def _teardown(self) -> None:
-        with self._conn_lock:
-            conns = list(self._conns)
-            threads = list(self._conn_threads)
-            self._conns.clear()
-            self._conn_threads.clear()
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in threads:
-            thread.join(timeout=5.0)
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            if self._loop_thread is not None:
-                self._loop_thread.join(timeout=5.0)
-            self._loop.close()
+            if self._frames is not None:
+                self._frames.close()
+            if self._loop is not None:
+                self._loop.call_soon_threadsafe(self._loop.stop)
+                if self._loop_thread is not None:
+                    self._loop_thread.join(timeout=5.0)
+                self._loop.close()
 
     def __enter__(self) -> "ServingFrontend":
         self.start()
@@ -144,66 +111,6 @@ class ServingFrontend:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # accept + connection threads
-
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            conn.settimeout(None)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="repro-serving-conn",
-                daemon=True,
-            )
-            with self._conn_lock:
-                self._conns.add(conn)
-                self._conn_threads.append(thread)
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive() or t is thread
-                ]
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            while True:
-                msg = recv_msg(conn)
-                if msg is None:
-                    return  # client hung up cleanly
-                header, arrays = msg
-                try:
-                    reply, out, keep = self._handle(header, arrays)
-                except ReproError as exc:
-                    reply, out, keep = (
-                        {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                        {},
-                        True,
-                    )
-                send_msg(conn, reply, out)
-                if not keep:
-                    self._stop.set()
-                    return
-        except ReproError:
-            # Client died mid-frame or spoke garbage: drop the
-            # connection, keep the server (and its warm batches) alive.
-            return
-        except OSError:
-            return
-        finally:
-            with self._conn_lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------
     # op dispatch (connection threads -> event loop)

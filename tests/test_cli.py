@@ -41,7 +41,7 @@ class TestParser:
                 "--shards",
                 "4",
                 "--shard-executor",
-                "process",
+                "thread",
                 "--shard-workers",
                 "2",
                 "--shard-query-block",
@@ -49,7 +49,7 @@ class TestParser:
             ]
         )
         assert args.shards == 4
-        assert args.shard_executor == "process"
+        assert args.shard_executor == "thread"
         assert args.shard_workers == 2
         assert args.shard_query_block == 512
 
@@ -127,8 +127,6 @@ class TestCommands:
         assert "MC/TC" in out
 
     def test_grid_with_engine_sharding(self, capsys):
-        from repro.index import sharding_config
-
         code = main(
             ["grid", "--datasets", "MS-50k", *FAST]
             + ["--eps-values", "0.5", "--tau-values", "3"]
@@ -137,5 +135,3 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "(noise ratio, #clusters)" in out
-        # The configuration was scoped to the command, not left behind.
-        assert sharding_config() is None

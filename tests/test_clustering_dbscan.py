@@ -28,7 +28,7 @@ class TestAgainstReference:
         eps, tau = 0.5, 4
         result = DBSCAN(eps=eps, tau=tau).fit(clusterable_data)
         index = BruteForceIndex().build(clusterable_data)
-        counts = index.range_count_many(clusterable_data, eps)
+        counts = index.batch_range_count(clusterable_data, eps)
         assert np.array_equal(result.core_mask, counts >= tau)
 
     @given(st.integers(0, 300))

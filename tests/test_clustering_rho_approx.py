@@ -40,12 +40,12 @@ class TestApproximationSemantics:
         eps, tau, rho = 0.5, 5, 0.5
         result = RhoApproxDBSCAN(eps=eps, tau=tau, rho=rho).fit(clusterable_data)
         index = BruteForceIndex().build(clusterable_data)
-        exact_counts = index.range_count_many(clusterable_data, eps)
+        exact_counts = index.batch_range_count(clusterable_data, eps)
         # Every true core is detected (counts can only grow).
         assert result.core_mask[exact_counts >= tau].all()
         # Every claimed core is justified at the relaxed radius.
         eps_outer = min(2.0, (1 + rho) ** 2 * eps)
-        outer_counts = index.range_count_many(clusterable_data, eps_outer)
+        outer_counts = index.batch_range_count(clusterable_data, eps_outer)
         claimed = np.flatnonzero(result.core_mask)
         assert (outer_counts[claimed] >= tau).all()
 

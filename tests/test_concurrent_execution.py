@@ -16,11 +16,9 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import pytest
 
 from repro import ExecutionConfig, ShardingConfig
 from repro.clustering import DBSCAN
-from repro.index.sharded import sharded_queries, sharding_config
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.5
@@ -118,28 +116,3 @@ class TestConcurrentFits:
             assert np.array_equal(result.labels, reference.labels)
             assert "shard_live_shards" not in result.stats
 
-
-class TestThreadLocalShim:
-    def test_removed_shim_raises_in_every_thread(self):
-        """The ambient scope is gone for good: the shim raises a typed
-        error on any thread, and the read-side probe reports no state."""
-        from repro.exceptions import RemovedAPIError
-
-        with pytest.raises(RemovedAPIError, match="ExecutionConfig"):
-            with sharded_queries(n_shards=4):
-                pass
-
-        observed: list = ["unset"]
-
-        def probe() -> None:
-            try:
-                with sharded_queries(n_shards=4):
-                    pass
-            except RemovedAPIError:
-                observed[0] = sharding_config()
-
-        t = threading.Thread(target=probe)
-        t.start()
-        t.join(timeout=30)
-        assert observed[0] is None
-        assert sharding_config() is None

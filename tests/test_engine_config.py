@@ -135,7 +135,7 @@ class TestExecutionConfigSerialization:
         return ExecutionConfig(
             index=IndexSpec("kmeans_tree", {"checks_ratio": 1.0, "seed": 3}),
             sharding=ShardingConfig(
-                n_shards=4, executor="process", n_workers=2, query_block=512
+                n_shards=4, executor="thread", n_workers=2, query_block=512
             ),
             query_block=256,
             cache_eviction="keep",
@@ -196,11 +196,12 @@ class TestExecutionConfigSerialization:
         with pytest.raises(InvalidParameterError, match="cache_eviction"):
             ExecutionConfig.from_dict({"cache_eviction": 3})
 
-    def test_sharding_opt_out_round_trips(self):
-        cfg = ExecutionConfig(sharding=False)
-        payload = json.loads(json.dumps(cfg.to_dict()))
-        assert payload["sharding"] is False
-        assert ExecutionConfig.from_dict(payload) == cfg
+    def test_sharding_false_is_not_a_state(self):
+        # Two states only: a ShardingConfig or None. The old explicit
+        # opt-out is read back by the persistence loader, not here.
+        with pytest.raises(InvalidParameterError, match="ShardingConfig"):
+            ExecutionConfig.from_dict({"sharding": False})
+        assert ExecutionConfig().to_dict()["sharding"] is None
 
     def test_deserialized_config_drives_a_fit(self):
         """The wire format reconstructs a config a clusterer can run."""

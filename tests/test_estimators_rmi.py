@@ -62,7 +62,7 @@ class TestFitAndPredict:
         est.bind(X)
         eps = 0.6
         predicted = est.estimate_many(X, eps)
-        actual = index.range_count_many(X, eps).astype(float)
+        actual = index.batch_range_count(X, eps).astype(float)
         assert actual.std() > 5  # the radius is discriminative
         corr = np.corrcoef(predicted, actual)[0, 1]
         assert corr > 0.5, f"prediction correlation too weak: {corr:.3f}"
@@ -73,7 +73,7 @@ class TestFitAndPredict:
         est.bind(X)
         for eps in (0.3, 0.5, 0.7):
             predicted = est.estimate_many(X, eps).mean()
-            actual = index.range_count_many(X, eps).mean()
+            actual = index.batch_range_count(X, eps).mean()
             assert predicted == pytest.approx(actual, rel=0.4), eps
 
     def test_fractions_clipped_to_unit_interval(self, fitted):

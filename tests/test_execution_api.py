@@ -1,13 +1,12 @@
-"""Tests for the registry facade and the legacy-kwarg deprecation shims.
+"""Tests for the registry facade and the removal of the legacy kwargs.
 
 Two contracts:
 
 * ``make_clusterer`` / ``repro.cluster`` build every registered
   algorithm by name and thread one ``ExecutionConfig`` through it;
 * the removed legacy spellings (``index_factory=``, ``batch_queries=``,
-  ``sharded_queries(...)``, ``set_sharding(...)``) each raise a typed
-  :class:`~repro.exceptions.RemovedAPIError` naming the first-class
-  ``ExecutionConfig`` replacement.
+  ``sharded_queries(...)``, ``set_sharding(...)``, ``sharding=False``)
+  are gone: plain ``TypeError``s, missing names, or a validation error.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from repro.clustering import (
 )
 from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
 from repro.estimators import ExactCardinalityEstimator
-from repro.exceptions import InvalidParameterError, RemovedAPIError
-from repro.index import CoverTree, sharded_queries
+from repro.exceptions import InvalidParameterError
+from repro.index import CoverTree
 
 EPS = 0.5
 TAU = 4
@@ -151,14 +150,15 @@ class TestEngineRoutedSharding:
 
 
 class TestRemovedLegacyAPI:
-    """The PR 5 deprecation shims completed their cycle: typed errors now.
+    """The pre-ExecutionConfig spellings are gone, not shimmed.
 
-    Every removed spelling raises :class:`RemovedAPIError` (a
-    ``TypeError``) whose message names the first-class replacement.
+    Passing a removed constructor kwarg is an ordinary ``TypeError``;
+    the ambient sharding entry points no longer exist; ``sharding`` is
+    a ``ShardingConfig`` or None.
     """
 
-    def test_index_factory_raises_pointing_at_index_spec(self):
-        with pytest.raises(RemovedAPIError, match=r"IndexSpec"):
+    def test_index_factory_kwarg_is_gone(self):
+        with pytest.raises(TypeError, match="index_factory"):
             DBSCAN(eps=EPS, tau=TAU, index_factory=lambda: CoverTree(base=1.8))
 
     @pytest.mark.parametrize(
@@ -183,19 +183,8 @@ class TestRemovedLegacyAPI:
         ids=["dbscan", "dbscan++", "block", "rho", "laf", "laf++"],
     )
     def test_batch_queries_kwarg_raises_on_every_clusterer(self, factory):
-        with pytest.raises(RemovedAPIError, match=r"ExecutionConfig\(batch_queries"):
+        with pytest.raises(TypeError, match="batch_queries"):
             factory(batch_queries=False)
-
-    def test_default_valued_batch_queries_still_raises(self):
-        # The removal keys on the kwarg being *passed*, not its value.
-        with pytest.raises(RemovedAPIError, match="batch_queries"):
-            DBSCAN(eps=EPS, tau=TAU, batch_queries=True)
-
-    def test_removed_api_error_is_a_type_error(self):
-        # Callers that guarded the legacy kwargs with ``except TypeError``
-        # (the natural guard for a gone kwarg) keep working.
-        with pytest.raises(TypeError):
-            DBSCAN(eps=EPS, tau=TAU, batch_queries=True)
 
     def test_modern_construction_does_not_warn(self):
         with warnings.catch_warnings(record=True) as record:
@@ -203,33 +192,17 @@ class TestRemovedLegacyAPI:
             DBSCAN(eps=EPS, tau=TAU, execution=ExecutionConfig(batch_queries=False))
         assert _deprecation_count(record) == 0
 
-    def test_sharded_queries_raises_pointing_at_execution_config(self):
-        with pytest.raises(RemovedAPIError, match="ExecutionConfig"):
-            with sharded_queries(n_shards=3):
-                pass
+    def test_ambient_sharding_entry_points_are_gone(self):
+        import repro.index
+        import repro.index.sharded
 
-    def test_set_sharding_raises_pointing_at_execution_config(self):
-        from repro.index import set_sharding
+        for name in ("set_sharding", "sharded_queries", "sharding_config"):
+            assert not hasattr(repro.index, name)
+            assert not hasattr(repro.index.sharded, name)
 
-        with pytest.raises(RemovedAPIError, match="ExecutionConfig"):
-            set_sharding(ShardingConfig(n_shards=3))
-
-    def test_sharding_config_probe_reports_no_ambient_state(self):
-        # The read-side probe stays importable for old diagnostics code
-        # and truthfully answers that no ambient scope can exist anymore.
-        from repro.index import sharding_config
-
-        assert sharding_config() is None
-
-    def test_explicit_sharding_false_stays_first_class(self, clusterable_data):
-        # sharding=False remains the explicit opt-out (recorded on the
-        # wire); with the ambient shim gone it behaves like the default.
-        default = DBSCAN(eps=EPS, tau=TAU).fit(clusterable_data)
-        opted_out = DBSCAN(
-            eps=EPS, tau=TAU, execution=ExecutionConfig(sharding=False)
-        ).fit(clusterable_data)
-        assert "shard_live_shards" not in opted_out.stats
-        assert np.array_equal(default.labels, opted_out.labels)
+    def test_sharding_false_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="ShardingConfig or None"):
+            ExecutionConfig(sharding=False)
 
 
 class TestExecutionResolution:

@@ -22,7 +22,6 @@ import pytest
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
 from repro.index.sharded import (
-    EXECUTOR_NAMES,
     ExecutorSpec,
     ShardingConfig,
     registered_executors,
@@ -31,9 +30,11 @@ from repro.index.sharded import (
 
 class TestRegistry:
     def test_builtin_executors_are_registered(self):
-        names = registered_executors()
-        assert set(EXECUTOR_NAMES) <= set(names)
-        assert "remote" in names
+        assert registered_executors() == ("remote", "serial", "thread")
+
+    def test_removed_process_executor_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="remote, serial, thread"):
+            ShardingConfig(executor="process")
 
     def test_registered_executors_is_sorted(self):
         names = registered_executors()
@@ -79,7 +80,7 @@ class TestCoercion:
             ExecutorSpec.coerce(42)
 
     def test_single_box_executors_reject_options(self):
-        for name in EXECUTOR_NAMES:
+        for name in ("serial", "thread"):
             with pytest.raises(InvalidParameterError):
                 ExecutorSpec(name, {"addresses": ["h:1"]})
 
@@ -119,7 +120,7 @@ class TestWireFormat:
     def test_option_free_wire_value_is_the_bare_name(self):
         # The pre-spec wire format wrote bare strings; option-free specs
         # must keep old artifacts and configs byte-identical.
-        assert ExecutorSpec("process").wire_value() == "process"
+        assert ExecutorSpec("thread").wire_value() == "thread"
 
     def test_optioned_wire_value_is_the_strict_dict(self):
         spec = ExecutorSpec("remote", {"addresses": ["h:1"]})
@@ -167,5 +168,5 @@ class TestConfigIntegration:
         assert restored.sharding.n_shards == 3
 
     def test_execution_config_wire_keeps_bare_names(self):
-        cfg = ExecutionConfig(sharding=ShardingConfig(n_shards=3, executor="process"))
-        assert cfg.to_dict()["sharding"]["executor"] == "process"
+        cfg = ExecutionConfig(sharding=ShardingConfig(n_shards=3, executor="thread"))
+        assert cfg.to_dict()["sharding"]["executor"] == "thread"

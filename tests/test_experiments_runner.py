@@ -97,7 +97,7 @@ class TestRunSuite:
         assert records[0].ari == pytest.approx(expected_ari)
 
     def test_sharded_suite_matches_unsharded(self, data):
-        from repro.index import ShardingConfig, sharding_config
+        from repro.index import ShardingConfig
 
         ctx = MethodContext(eps=0.5, tau=5, estimator=ExactCardinalityEstimator())
         baseline = run_suite(data, ("DBSCAN",), ctx)[0]
@@ -107,8 +107,6 @@ class TestRunSuite:
         assert sharded.n_clusters == baseline.n_clusters
         assert sharded.noise_ratio == baseline.noise_ratio
         assert sharded.ari == pytest.approx(baseline.ari)
-        # Scoped to the suite, not left installed process-wide.
-        assert sharding_config() is None
         # Build-once accounting surfaces in both stats and the flat row.
         assert sharded.stats["shard_inner_builds"] == 3
         assert sharded.stats["shard_live_shards"] == 3

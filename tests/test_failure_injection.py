@@ -41,7 +41,7 @@ class AntiOracleEstimator(CardinalityEstimator):
         return self
 
     def predict_fraction(self, Q, eps):
-        true = self._index.range_count_many(np.atleast_2d(Q), eps) / self.n_target
+        true = self._index.batch_range_count(np.atleast_2d(Q), eps) / self.n_target
         return 1.0 - true
 
 

@@ -12,6 +12,7 @@ migration path, not a test edit.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +60,42 @@ def test_golden_model_training_set_roundtrip(model):
     predicted = model.predict(np.asarray(model.points))
     cores = model.core_mask
     assert np.array_equal(predicted[cores], model.labels[cores])
+
+
+def _golden_copy_with_execution(tmp_path, execution: dict) -> Path:
+    """The golden model with a hand-edited execution spec in its manifest."""
+    copy = tmp_path / "model"
+    shutil.copytree(GOLDEN / "model", copy)
+    manifest_path = copy / MANIFEST_FILENAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["spec"]["execution"].update(execution)
+    manifest_path.write_text(json.dumps(manifest))
+    return copy
+
+
+@pytest.mark.parametrize(
+    "sharding",
+    [
+        False,
+        {"n_shards": 2, "executor": "process", "n_workers": 2, "query_block": 64},
+    ],
+    ids=["sharding-false", "process-executor"],
+)
+def test_older_execution_spellings_still_load(tmp_path, sharding):
+    """``"sharding": false`` reads as None; executor "process" as "thread"."""
+    path = _golden_copy_with_execution(tmp_path, {"sharding": sharding})
+    with repro.load_model(path) as loaded:
+        if sharding is False:
+            assert loaded.execution.sharding is None
+        else:
+            assert loaded.execution.sharding.executor.name == "thread"
+        queries = np.load(GOLDEN / "queries.npy")
+        expected = np.load(GOLDEN / "expected_predict.npy")
+        assert np.array_equal(loaded.predict(queries), expected)
+        # New writes emit neither old spelling.
+        loaded.save(tmp_path / "resaved")
+    resaved = json.loads((tmp_path / "resaved" / MANIFEST_FILENAME).read_text())
+    assert resaved["spec"]["execution"]["sharding"] in (
+        None,
+        {"n_shards": 2, "executor": "thread", "n_workers": 2, "query_block": 64},
+    )

@@ -83,7 +83,7 @@ class TestEuclideanBruteForce:
     def test_batched_counts_match(self):
         X, _ = make_euclidean_blobs(seed=2)
         index = BruteForceIndex(metric="euclidean").build(X)
-        counts = index.range_count_many(X[:10], 2.0)
+        counts = index.batch_range_count(X[:10], 2.0)
         singles = [index.range_count(q, 2.0) for q in X[:10]]
         assert counts.tolist() == singles
 

@@ -181,18 +181,22 @@ class TestSpecValidation:
         with pytest.raises(PersistenceError, match="no registered rebuild spec"):
             save_index(tree, tmp_path / "tree")
 
-    def test_process_sharded_index_saves_and_reloads(self, data, tmp_path):
-        # Worker-held shard indexes used to refuse persistence; now the
-        # parent rebuilds each shard deterministically, records the
-        # executor spec, and the artifact reloads under any executor.
-        index = ShardedIndex(n_shards=2, executor="process", n_workers=2).build(data)
+    def test_legacy_process_sharded_index_reattaches_on_thread(self, data, tmp_path):
+        # Artifacts written while the shared-memory "process" executor
+        # existed record it by name; they load on the thread executor.
+        index = ShardedIndex(n_shards=2, executor="thread", n_workers=2).build(data)
         try:
             save_index(index, tmp_path / "sharded")
             expected = index.batch_range_query(data[:5], 0.6)
         finally:
             index.close()
-        loaded = load_index(tmp_path / "sharded", executor="serial")
+        manifest_path = tmp_path / "sharded" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["executor"] = "process"
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = load_index(tmp_path / "sharded")
         try:
+            assert loaded.executor.name == "thread"
             got = loaded.batch_range_query(data[:5], 0.6)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         finally:

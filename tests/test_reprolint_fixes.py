@@ -17,7 +17,6 @@ from repro.api import CLUSTERERS
 from repro.data.datasets import DATASET_SPECS
 from repro.estimators.mlp import MLPRegressor, _reject_object_arrays
 from repro.exceptions import PersistenceError
-from repro.index import sharded as _sharded
 from repro.remote import worker as _worker
 
 
@@ -74,7 +73,7 @@ class TestPickleFreePersistence:
 class TestBlasPinningFallback:
     def test_missing_threadpoolctl_returns_none(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        assert _sharded._pin_blas_single_thread() is None
+        assert _worker._pin_blas_single_thread() is None
 
     def test_broken_threadpoolctl_warns_instead_of_swallowing(self, monkeypatch):
         fake = types.ModuleType("threadpoolctl")
@@ -85,19 +84,11 @@ class TestBlasPinningFallback:
         fake.threadpool_limits = _boom
         monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
         with pytest.warns(RuntimeWarning, match="could not pin BLAS"):
-            assert _sharded._pin_blas_single_thread() is None
+            assert _worker._pin_blas_single_thread() is None
 
     def test_working_threadpoolctl_returns_limiter(self, monkeypatch):
         fake = types.ModuleType("threadpoolctl")
         sentinel = object()
         fake.threadpool_limits = lambda limits: sentinel
         monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        assert _sharded._pin_blas_single_thread() is sentinel
-
-    def test_remote_worker_delegates_to_shared_helper(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            _sharded, "_pin_blas_single_thread", lambda: calls.append(1)
-        )
-        _worker._pin_blas()
-        assert calls == [1]
+        assert _worker._pin_blas_single_thread() is sentinel

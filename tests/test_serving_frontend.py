@@ -11,7 +11,9 @@ fails the suite otherwise).
 from __future__ import annotations
 
 import socket
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +137,29 @@ class TestRoundTrips:
             after = client.predict("m", Q)
         assert np.array_equal(before, expect["loose"])
         assert np.array_equal(after, expect["strict"])
+
+
+class TestSmallFrameLatency:
+    """A frame is several writes; without TCP_NODELAY delayed ACK holds
+    back each small request/reply by tens of milliseconds."""
+
+    def test_client_socket_disables_nagle(self, frontend):
+        host, port = frontend.address
+        with ServingClient(host, port) as client:
+            client.ping()
+            assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_small_predict_round_trip_is_fast(self, frontend, corpus):
+        _, Q = corpus
+        host, port = frontend.address
+        with ServingClient(host, port) as client:
+            client.predict("m", Q[:4])  # warm the connection and batcher
+            rtts = []
+            for _ in range(20):
+                start = time.perf_counter()
+                client.predict("m", Q[:4])
+                rtts.append(time.perf_counter() - start)
+        assert statistics.median(rtts) < 0.040
 
 
 class TestTypedErrors:

@@ -7,17 +7,14 @@ constructions —
 * no discarded whole-dataset build (shard-before-build: the engine is
   handed the *unbuilt* backend and constructs the per-shard indexes
   directly), and
-* no per-worker rebuilds (the process executor pins every shard to one
-  worker, so a shard's index is built by exactly one process and reused
-  across every query block of the fit).
+* no rebuilds across query rounds (each shard's index is built once
+  and reused for every query block of the fit).
 
-Before this contract existed, a sharded tree fit paid ``1`` redundant
-whole-dataset build in ``maybe_shard`` plus up to ``n_workers ×
-n_shards`` lazy in-worker builds. The differential tests below count
-actual ``build`` calls in the parent process (monkeypatched class
-methods) and read the instrumented ``shard_inner_builds`` counter that
-:meth:`ShardedIndex.stats` aggregates across worker processes, across
-all three executors and all four registered inner backends; label
+The differential tests below count actual ``build`` calls in this
+process (monkeypatched class methods) and read the instrumented
+``shard_inner_builds`` counter of :meth:`ShardedIndex.stats`, across the
+serial and thread executors and all four registered inner backends
+(``tests/test_remote_pool.py`` covers the remote executor); label
 equality vs the unsharded path rides along for DBSCAN and LAF-DBSCAN.
 """
 
@@ -31,12 +28,13 @@ from repro.core import LAFDBSCAN
 from repro.engine_config import ExecutionConfig, IndexSpec
 from repro.estimators import ExactCardinalityEstimator
 from repro.index import ShardedIndex
-from repro.index.sharded import EXECUTOR_NAMES, INNER_BACKENDS, ShardingConfig
+from repro.index.sharded import INNER_BACKENDS, ShardingConfig
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.5
 TAU = 4
 N_SHARDS = 3
+EXECUTORS = ("serial", "thread")
 
 #: Inner-backend grid mirroring tests/test_sharded_equivalence.py (the
 #: k-means tree in exact mode: approx pruning is shard-shape-dependent).
@@ -68,13 +66,7 @@ def data() -> np.ndarray:
 
 @pytest.fixture
 def build_counter(monkeypatch):
-    """Count inner-backend ``build`` calls executed in *this* process.
-
-    Worker processes fork after the patch but count into their own copy,
-    so the counter isolates parent-side builds — exactly the builds the
-    shard-before-build path is supposed to eliminate or keep at
-    ``n_live_shards``.
-    """
+    """Count inner-backend ``build`` calls executed in this process."""
     counts = {"n": 0}
     for cls in set(INNER_BACKENDS.values()):
         original = cls.build
@@ -87,7 +79,7 @@ def build_counter(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
 class TestShardedIndexBuildOnce:
     def test_builds_equal_live_shards_across_query_rounds(
@@ -125,16 +117,7 @@ class TestShardedIndexBuildOnce:
         assert stats["shard_live_shards"] == N_SHARDS
 
 
-def test_unqueried_process_index_reports_zero_builds(data):
-    # Lazy contract: no queries -> no worker builds, and close() must
-    # not spawn never-started workers just to hear "0 builds".
-    index = ShardedIndex(n_shards=N_SHARDS, executor="process", n_workers=2).build(data)
-    assert index.stats()["shard_inner_builds"] == 0
-    index.close()
-    assert index.stats()["shard_inner_builds"] == 0
-
-
-@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
 class TestClustererFitBuildOnce:
     def test_dbscan_fit_builds_each_shard_once(
@@ -148,12 +131,9 @@ class TestClustererFitBuildOnce:
             eps=EPS, tau=TAU, execution=sharded_execution(executor, SPECS[name])
         ).fit(data)
         parent_builds = build_counter["n"] - parent_builds_before
-        # Shard-before-build: the parent never constructs the
-        # whole-dataset index. Serial/thread build the shards in the
-        # parent; process workers build them out-of-process.
-        assert parent_builds == (0 if executor == "process" else N_SHARDS)
-        # Instrumented accounting across all processes: exactly one
-        # inner build per live shard per fit.
+        # Shard-before-build: the whole-dataset index is never built,
+        # only one inner index per live shard.
+        assert parent_builds == N_SHARDS
         assert result.stats["shard_live_shards"] == N_SHARDS
         assert result.stats["shard_inner_builds"] == N_SHARDS
         assert result.stats["shard_rebalances"] == 0
@@ -162,7 +142,7 @@ class TestClustererFitBuildOnce:
         assert np.array_equal(result.core_mask, baseline.core_mask)
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+@pytest.mark.parametrize("executor", EXECUTORS)
 class TestLafDbscanBuildOnce:
     def test_laf_fit_builds_each_shard_once_and_matches(
         self, executor, data, build_counter
@@ -182,8 +162,8 @@ class TestLafDbscanBuildOnce:
         parent_builds = build_counter["n"] - parent_builds_before
         # The oracle estimator builds one BruteForceIndex of its own in
         # bind() — estimator machinery, not the range-query engine; the
-        # engine itself contributes 0 (process) / N_SHARDS parent builds.
-        assert parent_builds == (0 if executor == "process" else N_SHARDS) + 1
+        # engine itself contributes N_SHARDS builds.
+        assert parent_builds == N_SHARDS + 1
         assert result.stats["shard_inner_builds"] == N_SHARDS
         assert np.array_equal(result.labels, baseline.labels)
         assert result.stats["range_queries"] == baseline.stats["range_queries"]

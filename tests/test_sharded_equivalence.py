@@ -20,25 +20,25 @@ import pytest
 
 from repro.clustering import DBSCAN
 from repro.engine_config import ExecutionConfig
-from repro.exceptions import InvalidParameterError, NotFittedError, RemovedAPIError
+from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index import (
     BruteForceIndex,
     NeighborhoodCache,
     ShardedIndex,
     ShardingConfig,
-    set_sharding,
-    sharded_queries,
-    sharding_config,
 )
 from repro.index.sharded import (
-    EXECUTOR_NAMES,
+    ExecutorSpec,
     backend_spec_of,
     make_inner_backend,
-    maybe_shard,
+    resolve_engine_index,
 )
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.55
+
+#: The in-process executors (the remote one has its own suite).
+EXECUTORS = ("serial", "thread")
 
 #: (name, constructor kwargs) for every registered inner backend. The
 #: k-means tree runs in exact mode (checks_ratio=1.0): below that its
@@ -89,7 +89,7 @@ def assert_rows_equal(got_rows, expected_rows) -> None:
         assert np.array_equal(got, np.sort(np.asarray(expected))), i
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
 class TestAgainstSingleIndex:
     def test_batch_range_query(self, name, kwargs, executor, data):
@@ -121,7 +121,7 @@ class TestAgainstSingleIndex:
             )
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("name,kwargs", KNN_BACKENDS, ids=knn_backend_ids)
 class TestKnnAgainstSingleIndex:
     def test_batch_knn_query(self, name, kwargs, executor, data):
@@ -145,7 +145,7 @@ class TestKnnAgainstSingleIndex:
             assert np.array_equal(np.sort(got_idx[i]), np.arange(9))
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+@pytest.mark.parametrize("executor", EXECUTORS)
 class TestShardingEdgeCases:
     def test_knn_with_duplicated_points(self, executor, duplicated):
         """Under exact distance ties the id *sets* per tie group match.
@@ -183,8 +183,6 @@ class TestShardingEdgeCases:
         assert np.array_equal(counts, [len(r) for r in expected])
 
     def test_empty_dataset(self, executor, data):
-        # Regression: a zero-byte shared-memory segment is illegal, so
-        # the process executor must degenerate like serial/thread do.
         with sharded(
             "brute_force", {}, np.empty((0, data.shape[1])), executor, n_shards=4
         ) as index:
@@ -270,9 +268,10 @@ class TestLifecycleAndValidation:
         with pytest.raises(InvalidParameterError):
             ShardedIndex(query_block=0)
 
-    def test_factory_inner_rejected_by_process_executor(self):
-        with pytest.raises(InvalidParameterError):
-            ShardedIndex(inner=BruteForceIndex, executor="process")
+    def test_factory_inner_rejected_by_worker_executor(self):
+        remote = ExecutorSpec("remote", {"addresses": ["127.0.0.1:1"]})
+        with pytest.raises(InvalidParameterError, match="factory"):
+            ShardedIndex(inner=BruteForceIndex, executor=remote)
 
     def test_factory_inner_works_serially(self, data):
         single = BruteForceIndex().build(data)
@@ -301,7 +300,7 @@ class TestEngineWiring:
     def test_cache_close_releases_owned_sharded_index(self, data):
         index = BruteForceIndex().build(data)
         with NeighborhoodCache(
-            index, data, EPS, sharding=ShardingConfig(n_shards=2, executor="process")
+            index, data, EPS, sharding=ShardingConfig(n_shards=2, executor="thread")
         ) as cache:
             cache.plan([0, 1])
             assert cache.fetch(0).size > 0
@@ -313,7 +312,7 @@ class TestEngineWiring:
         borrowed.close()
         assert index.range_count(data[0], EPS) > 0
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_dbscan_identical_under_sharding(self, executor, data):
         baseline = DBSCAN(eps=0.5, tau=4).fit(data)
         result = DBSCAN(
@@ -327,53 +326,20 @@ class TestEngineWiring:
         assert np.array_equal(baseline.core_mask, result.core_mask)
         assert baseline.stats["range_queries"] == result.stats["range_queries"]
 
-    def test_removed_ambient_shims_raise_typed_errors(self):
-        """The PR 5 shims finished their cycle: typed errors, no scope."""
-        with pytest.raises(RemovedAPIError, match="ExecutionConfig"):
-            set_sharding(ShardingConfig(n_shards=2))
-        with pytest.raises(RemovedAPIError, match="ExecutionConfig"):
-            with sharded_queries(n_shards=8):
-                pass
-        # Even junk arguments get the removal error, not validation: the
-        # API is gone regardless of what is passed to it.
-        with pytest.raises(RemovedAPIError):
-            set_sharding("4 shards please")
-        # The read-side probe stays callable and truthfully reports that
-        # no ambient sharding scope can exist anymore.
-        assert sharding_config() is None
-
-    def test_maybe_shard_passthrough(self, data):
+    def test_resolve_engine_index_passthrough(self, data):
         class Opaque:
             pass
 
         opaque = Opaque()
         config = ShardingConfig(n_shards=2)
-        # No rebuild spec: silent passthrough (custom indexes keep
-        # working, just unsharded — the documented fallback).
-        assert maybe_shard(opaque, config) is opaque
+        # No rebuild spec: used unsharded, never silently.
+        with pytest.warns(RuntimeWarning, match="rebuild spec"):
+            assert resolve_engine_index(opaque, data, config) == (opaque, False)
         already = ShardedIndex(n_shards=2).build(data)
-        assert maybe_shard(already, config) is already
-
-    def test_maybe_shard_warns_on_unbuilt_recognised_index(self):
-        # A recognised backend whose points are unavailable must warn,
-        # never silently skip sharding.
-        unbuilt = BruteForceIndex()
-        with pytest.warns(RuntimeWarning, match="has not been built"):
-            assert maybe_shard(unbuilt, ShardingConfig(n_shards=2)) is unbuilt
-
-    def test_maybe_shard_warns_when_points_property_is_gone(self, data):
-        class NoPoints(BruteForceIndex):
-            @property
-            def points(self):
-                return None
-
-        index = NoPoints().build(data)
-        with pytest.warns(RuntimeWarning, match="points"):
-            assert maybe_shard(index, ShardingConfig(n_shards=2)) is index
+        assert resolve_engine_index(already, data, config) == (already, False)
+        already.close()
 
     def test_resolve_engine_index_builds_shards_directly(self, data):
-        from repro.index.sharded import resolve_engine_index
-
         resolved, owned = resolve_engine_index(
             BruteForceIndex(), data, ShardingConfig(n_shards=3)
         )
@@ -387,8 +353,6 @@ class TestEngineWiring:
         resolved.close()
 
     def test_resolve_engine_index_without_config_builds_single(self, data):
-        from repro.index.sharded import resolve_engine_index
-
         unbuilt = BruteForceIndex()
         resolved, owned = resolve_engine_index(unbuilt, data, None)
         assert resolved is unbuilt and owned
@@ -396,8 +360,6 @@ class TestEngineWiring:
         assert resolved.n_points == data.shape[0]
 
     def test_resolve_engine_index_fitted_takes_fallback(self, data):
-        from repro.index.sharded import resolve_engine_index
-
         fitted = BruteForceIndex().build(data)
         resolved, owned = resolve_engine_index(fitted, data, None)
         assert resolved is fitted and not owned
@@ -406,8 +368,6 @@ class TestEngineWiring:
         wrapped.close()
 
     def test_resolve_engine_index_warns_on_unbuilt_custom_index(self, data):
-        from repro.index.sharded import resolve_engine_index
-
         class Custom:
             """Spec-less duck-typed index: built once, used unsharded."""
 

@@ -1,33 +1,16 @@
-"""Failure injection for the sharded process executor.
+"""Failure injection: a fit that raises mid-query closes its engine.
 
-Two contracts under test:
-
-* **No leaked shared memory.** A fit that raises mid-query must release
-  the process executor's shared-memory segment deterministically. The
-  subtle leak: the exception traceback pins the clusterer's frame — and
-  with it the NeighborhoodCache and its owned ShardedIndex — so without
-  an explicit ``close()`` in a ``finally`` the segment survives until a
-  gc cycle collects the traceback. The injected failure here is a
-  worker-side exception (a monkeypatched shard op, inherited through
-  ``fork``), the closest analogue of a query blowing up inside a worker.
-
-* **Rebalance on worker death.** Killing a pinned worker must not lose
-  the fit: its shards get rebalanced to the survivors (who rebuild just
-  those shards lazily), the failed calls are retried, results stay
-  exact, and ``shard_rebalances`` records the event. When *every*
-  worker dies a fresh one is spawned.
-
-Everything here requires the ``fork`` start method (monkeypatch
-inheritance; deterministic worker pids) and is skipped elsewhere.
+The subtle leak this pins: the exception traceback holds the
+clusterer's frame — and with it the NeighborhoodCache and its owned
+ShardedIndex — so without an explicit ``close()`` in a ``finally`` the
+executor's thread pool survives until a gc cycle collects the
+traceback. The injected failure is a shard-op exception on the
+``thread`` executor, the closest analogue of a query blowing up inside
+a worker. Worker death and rebalancing are covered by the remote pool's
+fault-injection suite (``tests/test_remote_pool.py``).
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
-import signal
-import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -35,14 +18,10 @@ import pytest
 import repro.index.sharded as sharded_mod
 from repro.clustering import DBSCAN
 from repro.engine_config import ExecutionConfig
-from repro.index import BruteForceIndex, ShardedIndex
+from repro.exceptions import NotFittedError
+from repro.index import ShardedIndex
 from repro.index.sharded import ShardingConfig
 from repro.testing import make_blobs_on_sphere
-
-pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="requires the fork start method (monkeypatch inheritance)",
-)
 
 EPS = 0.5
 
@@ -54,121 +33,43 @@ def data() -> np.ndarray:
 
 
 @pytest.fixture
-def executor_spy(monkeypatch):
-    """Record every _ProcessExecutor constructed during the test."""
-    created: list = []
-    original_init = sharded_mod._ProcessExecutor.__init__
+def close_spy(monkeypatch):
+    """Record every ShardedIndex whose close() runs during the test."""
+    closed: list = []
+    original_close = ShardedIndex.close
 
-    def spying_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
-        created.append(self)
+    def spying_close(self):
+        closed.append(self)
+        original_close(self)
 
-    monkeypatch.setattr(sharded_mod._ProcessExecutor, "__init__", spying_init)
-    return created
-
-
-def _slot_pids(executor) -> list[int]:
-    """Worker pids per live slot (forcing lazy slots to spawn)."""
-    pids = []
-    for slot_id in executor._live_slot_ids():
-        slot = executor._slots[slot_id]
-        slot.submit(os.getpid).result()  # ensure the worker exists
-        pids.extend(p.pid for p in slot._processes.values())
-    return pids
+    monkeypatch.setattr(ShardedIndex, "close", spying_close)
+    return closed
 
 
-def _kill_and_wait(pid: int) -> None:
-    os.kill(pid, signal.SIGKILL)
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return
-        time.sleep(0.01)
-    raise AssertionError(f"worker {pid} did not die")
+def _explode(index, Q, eps):
+    raise RuntimeError("injected shard-op failure")
 
 
-class TestLeakOnMidQueryFailure:
-    def test_failed_fit_releases_shared_memory(self, data, executor_spy, monkeypatch):
-        def exploding_range(index, Q, eps):
-            raise RuntimeError("injected shard-op failure")
-
-        monkeypatch.setitem(sharded_mod._SHARD_OPS, "range", exploding_range)
+class TestCloseOnMidQueryFailure:
+    def test_failed_fit_closes_its_engine(self, data, close_spy, monkeypatch):
+        monkeypatch.setitem(sharded_mod._SHARD_OPS, "range", _explode)
         execution = ExecutionConfig(
-            sharding=ShardingConfig(n_shards=2, executor="process", n_workers=2)
+            sharding=ShardingConfig(n_shards=2, executor="thread", n_workers=2)
         )
         with pytest.raises(RuntimeError, match="injected shard-op failure"):
             DBSCAN(eps=EPS, tau=3, execution=execution).fit(data)
         # The traceback above still pins the clusterer frame (and the
         # engine in it), so only a deterministic close() in the fit's
-        # finally can have released the segment — assert it did.
-        assert len(executor_spy) == 1
-        name = executor_spy[0]._shm.name
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        # finally can have released the executor — assert it did.
+        assert close_spy, "the fit never built a sharded engine"
+        assert all(index._executor_obj is None for index in close_spy)
 
     def test_direct_index_close_after_query_failure(self, data, monkeypatch):
-        def exploding_count(index, Q, eps):
-            raise RuntimeError("boom")
-
-        monkeypatch.setitem(sharded_mod._SHARD_OPS, "count", exploding_count)
-        index = ShardedIndex(n_shards=2, executor="process", n_workers=2).build(data)
-        name = index._executor_obj._shm.name
-        with pytest.raises(RuntimeError, match="boom"):
+        monkeypatch.setitem(sharded_mod._SHARD_OPS, "count", _explode)
+        index = ShardedIndex(n_shards=2, executor="thread", n_workers=2).build(data)
+        with pytest.raises(RuntimeError, match="injected"):
             index.batch_range_count(data, EPS)
-        # A worker-side exception must not wedge or leak the executor.
+        # A shard-op exception must not wedge or leak the executor.
         index.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-class TestRebalanceOnWorkerDeath:
-    def test_one_dead_worker_rebalances_to_survivor(self, data):
-        single = BruteForceIndex().build(data)
-        expected = single.batch_range_query(data, EPS)
-        with ShardedIndex(n_shards=4, executor="process", n_workers=2).build(
-            data
-        ) as index:
-            first = index.batch_range_query(data, EPS)
-            for got, exp in zip(first, expected):
-                assert np.array_equal(got, np.sort(exp))
-            executor = index._executor_obj
-            victim = _slot_pids(executor)[0]
-            _kill_and_wait(victim)
-            again = index.batch_range_query(data, EPS)
-            for got, exp in zip(again, expected):
-                assert np.array_equal(got, np.sort(exp))
-            stats = index.stats()
-            assert stats["shard_rebalances"] >= 1
-            # The survivor owns all four shards now: its two originals
-            # plus the two orphans it rebuilt lazily on the retry.
-            assert stats["shard_inner_builds"] == 4
-
-    def test_all_workers_dead_respawns_fresh_slot(self, data):
-        single = BruteForceIndex().build(data)
-        expected = single.batch_range_query(data, EPS)
-        with ShardedIndex(n_shards=3, executor="process", n_workers=2).build(
-            data
-        ) as index:
-            index.batch_range_query(data[:4], EPS)
-            executor = index._executor_obj
-            for pid in _slot_pids(executor):
-                _kill_and_wait(pid)
-            again = index.batch_range_query(data, EPS)
-            for got, exp in zip(again, expected):
-                assert np.array_equal(got, np.sort(exp))
-            assert index.stats()["shard_rebalances"] >= 1
-
-    def test_close_after_total_worker_loss_is_clean(self, data):
-        index = ShardedIndex(n_shards=2, executor="process", n_workers=2).build(data)
-        index.batch_range_query(data[:2], EPS)
-        executor = index._executor_obj
-        name = executor._shm.name
-        for pid in _slot_pids(executor):
-            _kill_and_wait(pid)
-        # close() must neither hang nor raise while snapshotting stats
-        # from broken pools, and must still release the segment.
-        index.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        with pytest.raises(NotFittedError):
+            index.batch_range_count(data, EPS)

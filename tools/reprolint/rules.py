@@ -390,7 +390,6 @@ class TypedErrorsRule(Rule):
             "EstimatorError",
             "PersistenceError",
             "IndexError_",
-            "RemovedAPIError",
             "RemoteExecutorError",
             "RemoteProtocolError",
             "RemoteTimeoutError",
