@@ -12,10 +12,10 @@ constructions —
 
 The differential tests below count actual ``build`` calls in this
 process (monkeypatched class methods) and read the instrumented
-``shard_inner_builds`` counter of :meth:`ShardedIndex.stats`, across the
-serial and thread executors and all four registered inner backends
-(``tests/test_remote_pool.py`` covers the remote executor); label
-equality vs the unsharded path rides along for DBSCAN and LAF-DBSCAN.
+``shard_inner_builds`` counter of :meth:`ShardedIndex.stats`, across all
+three executors and all four registered inner backends; label equality
+vs the unsharded path rides along for DBSCAN and LAF-DBSCAN. Each remote
+case gets a fresh local worker pool, so its shards start cold.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from repro.core import LAFDBSCAN
 from repro.engine_config import ExecutionConfig, IndexSpec
 from repro.estimators import ExactCardinalityEstimator
 from repro.index import ShardedIndex
-from repro.index.sharded import INNER_BACKENDS, ShardingConfig
+from repro.index.sharded import INNER_BACKENDS, ExecutorSpec, ShardingConfig
+from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.5
 TAU = 4
 N_SHARDS = 3
-EXECUTORS = ("serial", "thread")
+EXECUTORS = ("serial", "thread", "remote")
 
 #: Inner-backend grid mirroring tests/test_sharded_equivalence.py (the
 #: k-means tree in exact mode: approx pruning is shard-shape-dependent).
@@ -50,7 +51,7 @@ backend_ids = [n for n, _ in BACKENDS]
 SPECS = {name: IndexSpec(name, kwargs) for name, kwargs in BACKENDS}
 
 
-def sharded_execution(executor: str, index: IndexSpec | None = None) -> ExecutionConfig:
+def sharded_execution(executor, index: IndexSpec | None = None) -> ExecutionConfig:
     """The first-class equivalent of the old ambient sharded_queries scope."""
     return ExecutionConfig(
         index=index,
@@ -62,6 +63,22 @@ def sharded_execution(executor: str, index: IndexSpec | None = None) -> Executio
 def data() -> np.ndarray:
     X, _ = make_blobs_on_sphere(20, 3, 10, spread=0.25, seed=11)
     return X
+
+
+@pytest.fixture
+def executor(request):
+    """The executor under test: a registered name, or a cold pool's spec."""
+    if request.param != "remote":
+        yield request.param
+        return
+    with WorkerPool.spawn_local(2) as pool:
+        yield pool.executor_spec()
+
+
+def local_builds(executor) -> int:
+    """Inner builds a sharded fit runs in this process: remote workers
+    build their shards out of process, the other executors in it."""
+    return 0 if isinstance(executor, ExecutorSpec) else N_SHARDS
 
 
 @pytest.fixture
@@ -79,7 +96,7 @@ def build_counter(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
 class TestShardedIndexBuildOnce:
     def test_builds_equal_live_shards_across_query_rounds(
@@ -117,7 +134,17 @@ class TestShardedIndexBuildOnce:
         assert stats["shard_live_shards"] == N_SHARDS
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("executor", ["remote"], indirect=True)
+def test_unqueried_remote_index_reports_zero_builds(executor, data):
+    # Lazy contract: no queries -> no worker builds, and close() must
+    # not attach never-queried shards just to hear "0 builds".
+    index = ShardedIndex(n_shards=N_SHARDS, executor=executor).build(data)
+    assert index.stats()["shard_inner_builds"] == 0
+    index.close()
+    assert index.stats()["shard_inner_builds"] == 0
+
+
+@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
 class TestClustererFitBuildOnce:
     def test_dbscan_fit_builds_each_shard_once(
@@ -133,7 +160,7 @@ class TestClustererFitBuildOnce:
         parent_builds = build_counter["n"] - parent_builds_before
         # Shard-before-build: the whole-dataset index is never built,
         # only one inner index per live shard.
-        assert parent_builds == N_SHARDS
+        assert parent_builds == local_builds(executor)
         assert result.stats["shard_live_shards"] == N_SHARDS
         assert result.stats["shard_inner_builds"] == N_SHARDS
         assert result.stats["shard_rebalances"] == 0
@@ -142,7 +169,7 @@ class TestClustererFitBuildOnce:
         assert np.array_equal(result.core_mask, baseline.core_mask)
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 class TestLafDbscanBuildOnce:
     def test_laf_fit_builds_each_shard_once_and_matches(
         self, executor, data, build_counter
@@ -162,8 +189,8 @@ class TestLafDbscanBuildOnce:
         parent_builds = build_counter["n"] - parent_builds_before
         # The oracle estimator builds one BruteForceIndex of its own in
         # bind() — estimator machinery, not the range-query engine; the
-        # engine itself contributes N_SHARDS builds.
-        assert parent_builds == N_SHARDS + 1
+        # engine itself contributes its shards' local builds.
+        assert parent_builds == local_builds(executor) + 1
         assert result.stats["shard_inner_builds"] == N_SHARDS
         assert np.array_equal(result.labels, baseline.labels)
         assert result.stats["range_queries"] == baseline.stats["range_queries"]

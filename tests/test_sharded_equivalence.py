@@ -33,12 +33,14 @@ from repro.index.sharded import (
     make_inner_backend,
     resolve_engine_index,
 )
+from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.55
 
-#: The in-process executors (the remote one has its own suite).
-EXECUTORS = ("serial", "thread")
+#: Every registered executor; "remote" runs against a local two-worker
+#: pool (see the ``executor`` fixture).
+EXECUTORS = ("serial", "thread", "remote")
 
 #: (name, constructor kwargs) for every registered inner backend. The
 #: k-means tree runs in exact mode (checks_ratio=1.0): below that its
@@ -62,6 +64,20 @@ knn_backend_ids = [n for n, _ in KNN_BACKENDS]
 def data() -> np.ndarray:
     X, _ = make_blobs_on_sphere(20, 3, 10, spread=0.2, seed=7)
     return X
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool.spawn_local(2) as pool:
+        yield pool
+
+
+@pytest.fixture
+def executor(request):
+    """The executor under test: a registered name, or the pool's spec."""
+    if request.param == "remote":
+        return request.getfixturevalue("pool").executor_spec()
+    return request.param
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +105,7 @@ def assert_rows_equal(got_rows, expected_rows) -> None:
         assert np.array_equal(got, np.sort(np.asarray(expected))), i
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
 class TestAgainstSingleIndex:
     def test_batch_range_query(self, name, kwargs, executor, data):
@@ -121,7 +137,7 @@ class TestAgainstSingleIndex:
             )
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 @pytest.mark.parametrize("name,kwargs", KNN_BACKENDS, ids=knn_backend_ids)
 class TestKnnAgainstSingleIndex:
     def test_batch_knn_query(self, name, kwargs, executor, data):
@@ -145,7 +161,7 @@ class TestKnnAgainstSingleIndex:
             assert np.array_equal(np.sort(got_idx[i]), np.arange(9))
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 class TestShardingEdgeCases:
     def test_knn_with_duplicated_points(self, executor, duplicated):
         """Under exact distance ties the id *sets* per tie group match.
@@ -312,7 +328,7 @@ class TestEngineWiring:
         borrowed.close()
         assert index.range_count(data[0], EPS) > 0
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
     def test_dbscan_identical_under_sharding(self, executor, data):
         baseline = DBSCAN(eps=0.5, tau=4).fit(data)
         result = DBSCAN(

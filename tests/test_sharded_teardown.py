@@ -4,8 +4,8 @@ The subtle leak this pins: the exception traceback holds the
 clusterer's frame — and with it the NeighborhoodCache and its owned
 ShardedIndex — so without an explicit ``close()`` in a ``finally`` the
 executor's thread pool survives until a gc cycle collects the
-traceback. The injected failure is a shard-op exception on the
-``thread`` executor, the closest analogue of a query blowing up inside
+traceback. The injected failure is a shard-op exception on each
+in-process executor, the closest analogue of a query blowing up inside
 a worker. Worker death and rebalancing are covered by the remote pool's
 fault-injection suite (``tests/test_remote_pool.py``).
 """
@@ -50,11 +50,14 @@ def _explode(index, Q, eps):
     raise RuntimeError("injected shard-op failure")
 
 
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 class TestCloseOnMidQueryFailure:
-    def test_failed_fit_closes_its_engine(self, data, close_spy, monkeypatch):
+    def test_failed_fit_closes_its_engine(
+        self, executor, data, close_spy, monkeypatch
+    ):
         monkeypatch.setitem(sharded_mod._SHARD_OPS, "range", _explode)
         execution = ExecutionConfig(
-            sharding=ShardingConfig(n_shards=2, executor="thread", n_workers=2)
+            sharding=ShardingConfig(n_shards=2, executor=executor, n_workers=2)
         )
         with pytest.raises(RuntimeError, match="injected shard-op failure"):
             DBSCAN(eps=EPS, tau=3, execution=execution).fit(data)
@@ -64,9 +67,11 @@ class TestCloseOnMidQueryFailure:
         assert close_spy, "the fit never built a sharded engine"
         assert all(index._executor_obj is None for index in close_spy)
 
-    def test_direct_index_close_after_query_failure(self, data, monkeypatch):
+    def test_direct_index_close_after_query_failure(
+        self, executor, data, monkeypatch
+    ):
         monkeypatch.setitem(sharded_mod._SHARD_OPS, "count", _explode)
-        index = ShardedIndex(n_shards=2, executor="thread", n_workers=2).build(data)
+        index = ShardedIndex(n_shards=2, executor=executor, n_workers=2).build(data)
         with pytest.raises(RuntimeError, match="injected"):
             index.batch_range_count(data, EPS)
         # A shard-op exception must not wedge or leak the executor.
