@@ -189,50 +189,46 @@ def test_sharded_tree_fit_build_once():
     with single_thread_blas():
         t_single_build = _best_of(lambda: CoverTree(**inner_kwargs).build(X))
 
-        rows = []
-        for executor, n_shards, n_workers in [("serial", 4, 1)]:
+        def fit_and_query():
+            index = ShardedIndex(
+                inner="cover_tree",
+                inner_kwargs=inner_kwargs,
+                n_shards=4,
+                executor="serial",
+                n_workers=1,
+            ).build(X)
+            try:
+                index.batch_range_query(X, EPS)
+                # The build-once contract, asserted inside the measured
+                # workload's own run.
+                stats = index.stats()
+                assert stats["shard_inner_builds"] == stats["shard_live_shards"]
+            finally:
+                index.close()
 
-            def fit_and_query():
-                index = ShardedIndex(
-                    inner="cover_tree",
-                    inner_kwargs=inner_kwargs,
-                    n_shards=n_shards,
-                    executor=executor,
-                    n_workers=n_workers,
-                ).build(X)
-                try:
-                    index.batch_range_query(X, EPS)
-                    # The build-once contract, asserted inside the
-                    # measured workload's own run.
-                    stats = index.stats()
-                    assert stats["shard_inner_builds"] == stats["shard_live_shards"]
-                finally:
-                    index.close()
+        t_sharded = _best_of(fit_and_query)
+    fit_speedup = (t_single_build + t_sharded) / t_sharded
+    row = {
+        "index": "sharded_cover_tree",
+        "method": "fit_serial_s4_w1",
+        "n": N_FIT,
+        "dim": DIM,
+        "eps": EPS,
+        "n_shards": 4,
+        "n_workers": 1,
+        "fit_and_query_s": t_sharded,
+        "single_build_s": t_single_build,
+        "fit_speedup": fit_speedup,
+        "usable_cpus": cpus,
+    }
+    print()
+    print(
+        f"{row['method']}: {t_sharded:.3f}s fit+query; "
+        f"build-once saves the {t_single_build:.3f}s discarded "
+        f"build ({fit_speedup:.2f}x)"
+    )
 
-            t_sharded = _best_of(fit_and_query)
-            fit_speedup = (t_single_build + t_sharded) / t_sharded
-            row = {
-                "index": "sharded_cover_tree",
-                "method": f"fit_{executor}_s{n_shards}_w{n_workers}",
-                "n": N_FIT,
-                "dim": DIM,
-                "eps": EPS,
-                "n_shards": n_shards,
-                "n_workers": n_workers,
-                "fit_and_query_s": t_sharded,
-                "single_build_s": t_single_build,
-                "fit_speedup": fit_speedup,
-                "usable_cpus": cpus,
-            }
-            rows.append(row)
-            print()
-            print(
-                f"{row['method']}: {t_sharded:.3f}s fit+query; "
-                f"build-once saves the {t_single_build:.3f}s discarded "
-                f"build ({fit_speedup:.2f}x)"
-            )
-
-    write_benchmark_rows(out_path(f"sharded_backend_fit_n{N_FIT}.json"), rows)
+    write_benchmark_rows(out_path(f"sharded_backend_fit_n{N_FIT}.json"), [row])
     # No fixed floor asserted here: fit_speedup > 1 holds by
     # construction, so the build-once guarantee is enforced by the
     # shard_inner_builds == shard_live_shards assertion inside the

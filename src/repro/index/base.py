@@ -180,10 +180,8 @@ class NeighborIndex(abc.ABC):
     def points(self) -> np.ndarray:
         """The indexed point matrix, shape ``(n_points, dim)``.
 
-        The public accessor sharding relies on: wrapping a fitted index
-        into a :class:`~repro.index.sharded.ShardedIndex` re-fits shard
-        copies over exactly these rows. Raises :class:`NotFittedError`
-        before :meth:`build`.
+        The public accessor persistence relies on to save an index's
+        rows. Raises :class:`NotFittedError` before :meth:`build`.
         """
         if self._points is None:
             raise NotFittedError(f"{type(self).__name__} has not been built yet")

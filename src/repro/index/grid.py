@@ -126,8 +126,8 @@ class GridIndex:
 
         Same public accessor contract as
         :class:`~repro.index.base.NeighborIndex.points` (the grid is not
-        a :class:`NeighborIndex` subclass, but sharding treats it as a
-        registered backend and needs the same seam). Raises
+        a :class:`NeighborIndex` subclass, but it is a registered
+        backend and needs the same seam). Raises
         :class:`NotFittedError` before :meth:`build`.
         """
         if self._points is None:

@@ -1029,7 +1029,8 @@ def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = N
 
     A *fitted* index (ρ-approximate DBSCAN's grid, which the algorithm
     also queries directly) is used as-is when unsharded; under a config
-    its shard copies are re-fit over its own points.
+    its shard copies are re-fit over ``X``, which it must already index
+    for neighbour ids to line up with the caller's rows.
 
     Returns ``(resolved_index, owned)``. ``owned`` means the resolver
     *built* the result — including the in-place build of an unbuilt
@@ -1051,4 +1052,4 @@ def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = N
     if spec is None:
         return (index, False) if fitted else (index.build(X), True)
     name, kwargs = spec
-    return config.make_index(name, kwargs).build(index.points if fitted else X), True
+    return config.make_index(name, kwargs).build(X), True

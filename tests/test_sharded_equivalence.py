@@ -15,6 +15,8 @@ reliance on test order.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,10 +75,14 @@ def pool():
 
 
 @pytest.fixture
-def executor(request):
-    """The executor under test: a registered name, or the pool's spec."""
+def executor(request, pool):
+    """The executor under test: a registered name, or the pool's spec.
+
+    Naming ``pool`` as a parameter puts the module's workers up before
+    any per-test resource snapshot, so they are not counted as leaks.
+    """
     if request.param == "remote":
-        return request.getfixturevalue("pool").executor_spec()
+        return pool.executor_spec()
     return request.param
 
 
@@ -383,6 +389,27 @@ class TestEngineWiring:
         assert isinstance(wrapped, ShardedIndex) and owned
         wrapped.close()
 
+    def test_resolve_engine_index_shards_fitted_index_without_points(self, data):
+        # Shard copies are re-fit over the caller's rows, so a fitted
+        # index that no longer exposes its points still shards.
+        class NoPoints(BruteForceIndex):
+            @property
+            def points(self):
+                return None
+
+        fitted = NoPoints().build(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resolved, owned = resolve_engine_index(
+                fitted, data, ShardingConfig(n_shards=2)
+            )
+        with resolved:
+            assert isinstance(resolved, ShardedIndex) and owned
+            assert_rows_equal(
+                resolved.batch_range_query(data, EPS),
+                fitted.batch_range_query(data, EPS),
+            )
+
     def test_resolve_engine_index_warns_on_unbuilt_custom_index(self, data):
         class Custom:
             """Spec-less duck-typed index: built once, used unsharded."""
@@ -402,7 +429,7 @@ class TestEngineWiring:
 
     @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
     def test_public_points_property_on_every_backend(self, name, kwargs, data):
-        """Sharding keys on the public ``points`` accessor, not ``_points``."""
+        """Persistence keys on the public ``points`` accessor, not ``_points``."""
         index = make_inner_backend(name, kwargs)
         assert index.is_built is False
         with pytest.raises(NotFittedError):
