@@ -24,9 +24,9 @@ Quickstart::
         execution=ExecutionConfig(sharding=ShardingConfig(n_shards=4)),
     )
 
-Execution policy (index backend, batching, sharding, cache eviction) is
-one declarative :class:`ExecutionConfig` threaded through every
-clusterer — never global state. See ``examples/`` for full pipelines
+Execution policy (index backend, batching, sharding) is one
+declarative :class:`ExecutionConfig` threaded through every clusterer —
+never global state. See ``examples/`` for full pipelines
 and ``benchmarks/`` for the reproduction of every table and figure in
 the paper.
 """

@@ -43,12 +43,7 @@ from repro.experiments.tradeoff import (
     sweep_laf_dbscanpp,
 )
 from repro.experiments.workloads import prepare_workloads
-from repro.index.sharded import (
-    INNER_BACKENDS,
-    ExecutorSpec,
-    ShardingConfig,
-    registered_executors,
-)
+from repro.index.sharded import EXECUTORS, INNER_BACKENDS, ExecutorSpec, ShardingConfig
 from repro.serving.frontend import add_serve_arguments, run_serve_args
 
 __all__ = ["main", "build_parser", "execution_from_args"]
@@ -111,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--shard-executor",
-            choices=registered_executors(),
+            choices=EXECUTORS,
             default=None,
             help="how shard queries execute (default: serial; 'remote' "
             "needs --pool-address)",

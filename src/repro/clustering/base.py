@@ -12,7 +12,7 @@ from repro.distances.metric import COSINE, Metric, get_metric
 from repro.engine_config import ExecutionConfig, IndexSpec
 from repro.exceptions import InvalidParameterError
 from repro.index.brute_force import BruteForceIndex
-from repro.index.engine import NeighborhoodCache, PerPointQueries, fresh_engine_index
+from repro.index.engine import NeighborhoodCache, PerPointQueries
 
 __all__ = [
     "NOISE",
@@ -101,7 +101,7 @@ def resolve_index_spec(spec: IndexSpec | None, metric: Metric, default=None):
     under a euclidean host. The tree/grid backends are tied to the unit
     sphere by their Equation 1 conversions, so naming one under a
     non-cosine metric is a configuration error, not a silent
-    degradation. Custom factory specs wire their own metric.
+    degradation.
 
     ``default`` is a zero-argument callable used when ``spec`` is None
     (a brute-force index in the host's metric if omitted). Shared by
@@ -113,8 +113,6 @@ def resolve_index_spec(spec: IndexSpec | None, metric: Metric, default=None):
         if default is not None:
             return default()
         return BruteForceIndex(metric=metric)
-    if spec.is_custom:
-        return spec.make()
     if spec.name == "brute_force":
         if "metric" not in spec.kwargs:
             return BruteForceIndex(metric=metric, **spec.kwargs)
@@ -130,7 +128,7 @@ def resolve_index_spec(spec: IndexSpec | None, metric: Metric, default=None):
         raise InvalidParameterError(
             f"index backend {spec.name!r} is tied to cosine distance "
             f"(Equation 1) and cannot serve metric={metric.name!r}; "
-            "use a brute_force spec or a custom factory"
+            "use a brute_force spec"
         )
     return spec.make()
 
@@ -146,9 +144,8 @@ class Clusterer(abc.ABC):
     future-work extension); the tree/grid-based baselines are tied to
     the unit sphere by their Equation 1 conversions and stay cosine.
 
-    Execution policy — backend choice, batching, sharding, cache
-    eviction — is one declarative
-    :class:`~repro.engine_config.ExecutionConfig` passed as
+    Execution policy — backend choice, batching, sharding — is one
+    declarative :class:`~repro.engine_config.ExecutionConfig` passed as
     ``execution``; :meth:`_engine` resolves it into the engine a fit
     queries through. Nothing about execution lives in global state, so
     concurrent fits with different configurations cannot interfere.
@@ -218,24 +215,18 @@ class Clusterer(abc.ABC):
         which the algorithm also needs directly).
         """
         cfg = self.execution
+        backend = self._make_index() if prebuilt is None else prebuilt
         if cfg.batch_queries:
-            if prebuilt is not None:
-                backend = prebuilt
-            else:
-                backend = fresh_engine_index(self._make_index(), X)
             engine = NeighborhoodCache(
                 backend,
                 X,
                 self.eps,
                 block_size=cfg.query_block,
                 sharding=cfg.sharding,
-                evict_on_fetch=cfg.evict_on_fetch,
             )
         else:
-            if prebuilt is not None:
-                backend = prebuilt
-            else:
-                backend = self._make_index().build(X)
+            if prebuilt is None:
+                backend.build(X)
             engine = PerPointQueries(backend, X, self.eps)
         try:
             if plan is not None:

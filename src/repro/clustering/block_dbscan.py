@@ -40,6 +40,7 @@ from repro.distances import (
     euclidean_distance_to_many,
     euclidean_from_cosine,
     iter_distance_blocks,
+    nearest_in_blocks,
 )
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
@@ -226,13 +227,9 @@ class BlockDBSCAN(Clusterer):
         # Borders: nearest core point within eps (cosine).
         non_core = np.flatnonzero(~core_mask)
         if non_core.size and core_idx.size:
-            core_X = X[core_idx]
-            for start, stop, block in iter_distance_blocks(X[non_core], core_X):
-                nearest = np.argmin(block, axis=1)
-                nearest_dist = block[np.arange(block.shape[0]), nearest]
-                chunk = non_core[start:stop]
-                ok = nearest_dist < self.eps
-                labels[chunk[ok]] = [
-                    uf.find(int(unit_of_point[core_idx[j]])) for j in nearest[ok]
-                ]
+            nearest, nearest_dist = nearest_in_blocks(
+                iter_distance_blocks(X[non_core], X[core_idx]), non_core.size
+            )
+            ok = nearest_dist < self.eps
+            labels[non_core[ok]] = labels[core_idx][nearest[ok]]
         return labels

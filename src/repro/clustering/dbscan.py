@@ -40,12 +40,12 @@ class DBSCAN(Clusterer):
     execution:
         Execution policy (:class:`~repro.engine_config.ExecutionConfig`):
         backend spec (default exact brute force in the chosen metric),
-        sharding, batched-vs-per-point switch, engine block size, cache
-        eviction. On the default batched path plain DBSCAN plans all
-        ``n`` queries up front (every point is queried exactly once, in
-        the outer loop or at its dequeue) and executes them as blocked
-        matrix products; ``batch_queries=False`` keeps the per-point
-        reference loop. The clustering is identical either way.
+        sharding, batched-vs-per-point switch, engine block size. On the
+        default batched path plain DBSCAN plans all ``n`` queries up
+        front (every point is queried exactly once, in the outer loop or
+        at its dequeue) and executes them as blocked matrix products;
+        ``batch_queries=False`` keeps the per-point reference loop. The
+        clustering is identical either way.
 
     Examples
     --------

@@ -22,7 +22,7 @@ from repro.clustering.base import (
     canonicalize_labels,
 )
 from repro.clustering.components import connected_components_within
-from repro.distances import check_unit_norm, iter_distance_blocks
+from repro.distances import check_unit_norm, iter_distance_blocks, nearest_in_blocks
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
 from repro.rng import ensure_rng
@@ -147,14 +147,10 @@ class DBSCANPlusPlus(Clusterer):
         core_labels = connected_components_within(core_X, self.eps)
 
         # Every point joins its closest core point's cluster.
-        labels = np.full(n, NOISE, dtype=np.int64)
-        for start, stop, block in iter_distance_blocks(X, core_X):
-            nearest = np.argmin(block, axis=1)
-            nearest_dist = block[np.arange(block.shape[0]), nearest]
-            assigned = core_labels[nearest]
-            if self.assign_within_eps:
-                assigned = np.where(nearest_dist < self.eps, assigned, NOISE)
-            labels[start:stop] = assigned
+        nearest, nearest_dist = nearest_in_blocks(iter_distance_blocks(X, core_X), n)
+        labels = core_labels[nearest]
+        if self.assign_within_eps:
+            labels = np.where(nearest_dist < self.eps, labels, NOISE)
         # Core points always belong to their own cluster.
         labels[core_sample] = core_labels
 

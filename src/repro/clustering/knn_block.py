@@ -37,6 +37,7 @@ from repro.distances import (
     check_unit_norm,
     euclidean_from_cosine,
     iter_distance_blocks,
+    nearest_in_blocks,
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.kmeans_tree import KMeansTree
@@ -197,10 +198,9 @@ class KNNBlockDBSCAN(Clusterer):
         # Borders: nearest core point within eps.
         non_core = np.flatnonzero(~core_mask)
         if non_core.size:
-            for start, stop, block in iter_distance_blocks(X[non_core], core_X):
-                nearest = np.argmin(block, axis=1)
-                nearest_dist = block[np.arange(block.shape[0]), nearest]
-                chunk = non_core[start:stop]
-                ok = nearest_dist < self.eps
-                labels[chunk[ok]] = [uf.find(int(core_units[j])) for j in nearest[ok]]
+            nearest, nearest_dist = nearest_in_blocks(
+                iter_distance_blocks(X[non_core], core_X), non_core.size
+            )
+            ok = nearest_dist < self.eps
+            labels[non_core[ok]] = labels[core_idx][nearest[ok]]
         return labels

@@ -28,7 +28,7 @@ from repro.clustering.base import (
 )
 from repro.clustering.components import connected_components_within
 from repro.core.laf import LAF
-from repro.distances import check_unit_norm, iter_distance_blocks
+from repro.distances import check_unit_norm, iter_distance_blocks, nearest_in_blocks
 from repro.engine_config import ExecutionConfig
 from repro.estimators.base import CardinalityEstimator
 from repro.exceptions import InvalidParameterError
@@ -158,14 +158,10 @@ class LAFDBSCANPlusPlus(Clusterer):
         core_X = X[core_sample]
         core_labels = connected_components_within(core_X, self.eps)
 
-        labels = np.full(n, NOISE, dtype=np.int64)
-        for start, stop, block in iter_distance_blocks(X, core_X):
-            nearest = np.argmin(block, axis=1)
-            nearest_dist = block[np.arange(block.shape[0]), nearest]
-            assigned = core_labels[nearest]
-            if self.assign_within_eps:
-                assigned = np.where(nearest_dist < self.eps, assigned, NOISE)
-            labels[start:stop] = assigned
+        nearest, nearest_dist = nearest_in_blocks(iter_distance_blocks(X, core_X), n)
+        labels = core_labels[nearest]
+        if self.assign_within_eps:
+            labels = np.where(nearest_dist < self.eps, labels, NOISE)
         labels[core_sample] = core_labels
         core_mask[core_sample] = True
 

@@ -32,6 +32,7 @@ from repro.distances.matrix import (
     cosine_distance_matrix,
     euclidean_distance_matrix,
     iter_distance_blocks,
+    nearest_in_blocks,
     pairwise_cosine_within,
     squared_euclidean_distance_matrix,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "get_metric",
     "is_unit_normalized",
     "iter_distance_blocks",
+    "nearest_in_blocks",
     "normalize_rows",
     "pairwise_cosine_within",
     "squared_euclidean_distance_matrix",

@@ -7,7 +7,7 @@ the brute-force index and the training-set builder use for large inputs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "squared_euclidean_distance_matrix",
     "pairwise_cosine_within",
     "iter_distance_blocks",
+    "nearest_in_blocks",
 ]
 
 #: Default number of query rows per block in blockwise iteration.
@@ -93,3 +94,23 @@ def iter_distance_blocks(
             yield start, stop, squared_euclidean_distance_matrix(Q[start:stop], X)
         else:
             yield start, stop, euclidean_distance_matrix(Q[start:stop], X)
+
+
+def nearest_in_blocks(
+    blocks: Iterable[tuple[int, int, np.ndarray]], n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row argmin over ``(start, stop, D_block)`` distance blocks.
+
+    Consumes :func:`iter_distance_blocks` output covering ``n_rows``
+    query rows and returns ``(column, distance)``: each row's nearest
+    column and its distance. Exact ties go to the first column. The
+    nearest-core assignment of every sampling and block clusterer and
+    of :class:`~repro.persistence.ClusterModel` runs through here.
+    """
+    column = np.empty(n_rows, dtype=np.int64)
+    distance = np.empty(n_rows, dtype=np.float64)
+    for start, stop, block in blocks:
+        nearest = np.argmin(block, axis=1)
+        column[start:stop] = nearest
+        distance[start:stop] = block[np.arange(stop - start), nearest]
+    return column, distance

@@ -37,8 +37,8 @@ class PersistenceError(ReproError, RuntimeError):
 
     Raised for corrupt or truncated array files, checksum mismatches,
     unknown or newer format versions, manifest drift, and artifacts
-    whose execution policy cannot be reconstructed (e.g. a model fit
-    with a custom ``IndexSpec`` factory).
+    whose execution policy cannot be reconstructed (e.g. a model saved
+    with a custom index factory).
     """
 
 

@@ -78,7 +78,7 @@ def ground_truth(
     — the reference every approximate method is scored against must
     stay exact brute force, and e.g. a ``kmeans_tree`` spec below
     ``checks_ratio=1.0`` would silently corrupt every ARI/AMI in the
-    run. Time DBSCAN under a custom backend through
+    run. Time DBSCAN under another backend through
     :func:`run_suite` / the clusterer directly instead.
     """
     if execution is not None and execution.index is not None:

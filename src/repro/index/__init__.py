@@ -30,13 +30,7 @@ from repro.index.cover_tree import CoverTree
 from repro.index.engine import NeighborhoodCache
 from repro.index.grid import GridIndex
 from repro.index.kmeans_tree import KMeansTree
-from repro.index.sharded import (
-    ExecutorSpec,
-    ShardedIndex,
-    ShardingConfig,
-    register_executor,
-    registered_executors,
-)
+from repro.index.sharded import ExecutorSpec, ShardedIndex, ShardingConfig
 
 __all__ = [
     "BruteForceIndex",
@@ -48,6 +42,4 @@ __all__ = [
     "NeighborhoodCache",
     "ShardedIndex",
     "ShardingConfig",
-    "register_executor",
-    "registered_executors",
 ]

@@ -15,8 +15,9 @@ algorithm:
 * every **fetch** of an uncached point computes one block — the fetched
   point plus the next planned, still-uncached points — in a single
   batched index call;
-* results are cached, so each point's neighborhood is computed at most
-  once per fit.
+* results are cached until served, so each point's neighborhood is
+  computed once per fit (every clusterer fetches each point at most
+  once).
 
 Correctness contract: computation is *pure* (a neighborhood depends only
 on the immutable index, the query point and ``eps``), so prefetching a
@@ -39,23 +40,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 
-__all__ = ["NeighborhoodCache", "PerPointQueries", "fresh_engine_index"]
-
-
-def fresh_engine_index(index, X: np.ndarray):
-    """Prepare a freshly constructed backend for :class:`NeighborhoodCache`.
-
-    Backends exposing the ``is_built`` seam are returned *unbuilt* — the
-    cache builds them exactly once, shard-first when sharding is active.
-    A duck-typed index without the seam keeps its legacy contract and is
-    built here over ``X`` (the cache then only queries it). This is the
-    one place the hand-over policy lives;
-    :meth:`repro.clustering.base.Clusterer._engine` routes every
-    clusterer's backend through it.
-    """
-    if getattr(index, "is_built", None) is None:
-        return index.build(X)
-    return index
+__all__ = ["NeighborhoodCache", "PerPointQueries"]
 
 
 #: Default number of queries computed per batched index call.
@@ -110,15 +95,14 @@ class NeighborhoodCache:
     Parameters
     ----------
     index:
-        Any object exposing ``batch_range_query(Q, eps) -> list[np.ndarray]``
-        over the dataset ``X`` (every :class:`~repro.index.base.NeighborIndex`
-        qualifies; :class:`~repro.index.brute_force.BruteForceIndex` makes
-        the batch a true blocked matrix product). An *unbuilt* index
-        (``is_built`` False) may be handed over instead: the cache builds
-        it over ``X`` exactly once — and when sharding is active and the
-        index has a registered rebuild spec, it builds the per-shard
-        indexes *directly* (the shard-before-build path), so no
-        whole-dataset index is ever constructed just to be discarded.
+        A :class:`~repro.index.base.NeighborIndex` over the dataset ``X``
+        (:class:`~repro.index.brute_force.BruteForceIndex` makes the batch
+        a true blocked matrix product). An *unbuilt* index (``is_built``
+        False) may be handed over instead: the cache builds it over ``X``
+        exactly once — and when sharding is active and the index has a
+        registered rebuild spec, it builds the per-shard indexes
+        *directly* (the shard-before-build path), so no whole-dataset
+        index is ever constructed just to be discarded.
     X:
         The indexed point matrix; ``fetch`` takes row indices into it.
     eps:
@@ -139,13 +123,11 @@ class NeighborhoodCache:
         engine gains sharded execution without code changes. Results are
         bit-identical for exact backends (a neighborhood is the disjoint
         union of its per-shard neighborhoods).
-    evict_on_fetch:
-        When True, a neighborhood is released as soon as it is served.
-        Safe (and memory-bounding: only prefetched-but-unserved results
-        stay resident) for hosts that fetch each point at most once —
-        which every clusterer in this repo does. A re-fetch after
-        eviction transparently recomputes, so this only ever trades
-        compute for memory, never correctness.
+
+    A neighborhood is released as soon as it is served, so only
+    prefetched-but-unserved results stay resident; every clusterer here
+    fetches each point at most once. A re-fetch after release
+    recomputes, which trades compute for memory, never correctness.
     """
 
     def __init__(
@@ -155,7 +137,6 @@ class NeighborhoodCache:
         eps: float,
         block_size: int = DEFAULT_QUERY_BLOCK,
         sharding=None,
-        evict_on_fetch: bool = False,
     ) -> None:
         if block_size <= 0:
             raise InvalidParameterError(
@@ -172,10 +153,9 @@ class NeighborhoodCache:
         self._index, self._owns_index = resolve_engine_index(index, self._X, sharding)
         self.eps = float(eps)
         self.block_size = int(block_size)
-        self.evict_on_fetch = bool(evict_on_fetch)
         n = self._X.shape[0]
         self._cached = np.zeros(n, dtype=bool)
-        # Points computed at least once; evicted points stay marked so
+        # Points computed at least once; released points stay marked so
         # the plan never re-batches something already served.
         self._ever_computed = np.zeros(n, dtype=bool)
         self._neighborhoods: list[np.ndarray | None] = [None] * n
@@ -217,9 +197,8 @@ class NeighborhoodCache:
         else:
             self._fill_block(point)
         neighbors = self._neighborhoods[point]
-        if self.evict_on_fetch:
-            self._neighborhoods[point] = None
-            self._cached[point] = False
+        self._neighborhoods[point] = None
+        self._cached[point] = False
         return neighbors
 
     def is_cached(self, point: int) -> bool:
@@ -237,11 +216,9 @@ class NeighborhoodCache:
         counts, so sharding applies here exactly as it does to ``fetch``.
         """
         ids = np.asarray(indices, dtype=np.int64)
-        counter = getattr(self._index, "batch_range_count", None)
-        if counter is None:
-            rows = self._index.batch_range_query(self._X[ids], self.eps)
-            return np.array([len(row) for row in rows], dtype=np.int64)
-        return np.asarray(counter(self._X[ids], self.eps), dtype=np.int64)
+        return np.asarray(
+            self._index.batch_range_count(self._X[ids], self.eps), dtype=np.int64
+        )
 
     def _fill_block(self, point: int) -> None:
         batch = [point]

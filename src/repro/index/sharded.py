@@ -3,7 +3,7 @@
 :class:`ShardedIndex` partitions the dataset into contiguous row shards,
 fits one inner index per shard (any registered backend: brute force,
 cover tree, k-means tree, grid), and answers the batched query API by
-fanning query blocks across the shards through a pluggable executor:
+fanning query blocks across the shards through one of three executors:
 
 * ``serial``  — one shard after another in the calling process (the
   reference executor every other one is differentially tested against);
@@ -17,13 +17,10 @@ fanning query blocks across the shards through a pluggable executor:
   builds. A dead worker's shards are rebalanced across the survivors
   and the failed calls retried; timeouts get bounded retry.
 
-Executors are named by :class:`ExecutorSpec` — a registered value type
-(``name`` + JSON-safe ``options``) that replaces the former magic
-strings. Plain strings still work everywhere as a back-compat
-constructor path (``executor="thread"`` coerces to
-``ExecutorSpec("thread")``); unknown names raise listing the registered
-executors, and :func:`register_executor` lets external packages plug in
-new fabrics behind the same seam.
+The three executors are a fixed set, :data:`EXECUTORS`. A
+:class:`ExecutorSpec` names one (``name`` + JSON-safe ``options``);
+plain strings coerce (``executor="thread"`` is
+``ExecutorSpec("thread")``), and unknown names raise listing the three.
 
 Build lifecycle: an inner index is a build-once, query-many artifact.
 The serial/thread executors build all live shards eagerly in
@@ -36,13 +33,13 @@ per-shard indexes directly, so no whole-dataset index is ever built just
 to be thrown away.
 
 Per-shard results arrive as CSR triples in *shard-local* row numbering;
-the merge kernels below (:func:`merge_shard_rows`, :func:`merge_knn_rows`)
+the merge kernels below (:func:`concat_shard_rows`, :func:`merge_knn_rows`)
 re-index them into global row ids and reassemble per-query rows that are
-sorted, deduplicated and bit-identical to the single-index answer. Shards
-are contiguous and disjoint, so re-indexing is one offset add per shard
-and deduplication can never actually drop anything — the kernels still
-enforce both properties so they hold for arbitrary (even overlapping)
-splits, which is what the property-based tests exercise.
+sorted and bit-identical to the single-index answer. Shards are
+contiguous and disjoint, so re-indexing is one offset add per shard and
+a range row is a plain concatenation. :func:`merge_shard_rows` is the
+general sort-and-deduplicate kernel for arbitrary (even overlapping)
+splits; the property-based tests check the fast path against it.
 
 The module also hosts :class:`ShardingConfig`, the declarative sharding
 spec that :class:`~repro.engine_config.ExecutionConfig` embeds and
@@ -67,7 +64,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -81,6 +78,7 @@ from repro.index.grid import GridIndex
 from repro.index.kmeans_tree import KMeansTree
 
 __all__ = [
+    "EXECUTORS",
     "INNER_BACKENDS",
     "ExecutorSpec",
     "ShardedIndex",
@@ -91,8 +89,6 @@ __all__ = [
     "make_inner_backend",
     "merge_knn_rows",
     "merge_shard_rows",
-    "register_executor",
-    "registered_executors",
     "resolve_engine_index",
     "rows_to_csr",
     "shard_offsets",
@@ -151,72 +147,55 @@ def backend_spec_of(index) -> tuple[str, dict] | None:
 
 
 # ----------------------------------------------------------------------
-# Executor specs and the executor registry
+# Executor specs
 # ----------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _ExecutorEntry:
-    """One registered executor fabric.
-
-    ``make_local`` (serial/thread style) receives the per-shard indexes
-    the parent built eagerly; ``make`` (remote style) receives
-    the raw dataset + shard bounds and owns building inside its workers.
-    Exactly one of the two is set.
-    """
-
-    name: str
-    normalize: Callable[[dict], dict]
-    make_local: Callable | None = None
-    make: Callable | None = None
-
-    @property
-    def local(self) -> bool:
-        return self.make_local is not None
+#: The shard executors, by name.
+EXECUTORS = ("remote", "serial", "thread")
 
 
-_EXECUTOR_REGISTRY: dict[str, _ExecutorEntry] = {}
-
-
-def register_executor(
-    name: str,
-    *,
-    normalize_options: Callable[[dict], dict] | None = None,
-    make_local: Callable | None = None,
-    make: Callable | None = None,
-) -> None:
-    """Register an executor fabric under ``name``.
-
-    Exactly one of ``make_local(indexes, n_workers)`` (the parent builds
-    the per-shard indexes eagerly and hands them over) or
-    ``make(X, bounds, inner_name, inner_kwargs, n_workers, spec)`` (the
-    executor owns building inside its workers) must be given.
-    ``normalize_options`` validates and canonicalizes the
-    :class:`ExecutorSpec` options dict (default: reject any option).
-    """
-    if (make_local is None) == (make is None):
+def _normalize_remote_options(options: dict) -> dict:
+    allowed = {"addresses", "timeout_s", "retries", "connect_timeout_s"}
+    unknown = set(options) - allowed
+    if unknown:
         raise InvalidParameterError(
-            "register_executor needs exactly one of make_local= or make="
+            f"unknown 'remote' executor options: {sorted(unknown)}; "
+            f"allowed: {sorted(allowed)}"
         )
-    _EXECUTOR_REGISTRY[name] = _ExecutorEntry(
-        name=name,
-        normalize=normalize_options or (lambda opts: _no_options(name, opts)),
-        make_local=make_local,
-        make=make,
-    )
-
-
-def registered_executors() -> tuple[str, ...]:
-    """Names of every registered executor, sorted."""
-    return tuple(sorted(_EXECUTOR_REGISTRY))
-
-
-def _no_options(name: str, options: dict) -> dict:
-    if options:
+    addresses = options.get("addresses")
+    if isinstance(addresses, str) or not isinstance(addresses, Sequence):
         raise InvalidParameterError(
-            f"the {name!r} executor accepts no options; got {sorted(options)}"
+            "the 'remote' executor requires an 'addresses' option: a "
+            "sequence of 'host:port' worker endpoints "
+            "(see `repro-cli pool serve`)"
         )
-    return {}
+    normalized: list[str] = []
+    for address in addresses:
+        address = str(address)
+        host, sep, port = address.rpartition(":")
+        if not sep or not host or not port.isdigit():
+            raise InvalidParameterError(
+                f"remote worker address must look like 'host:port'; "
+                f"got {address!r}"
+            )
+        normalized.append(address)
+    if not normalized:
+        raise InvalidParameterError(
+            "the 'remote' executor needs at least one worker address"
+        )
+    out: dict[str, object] = {"addresses": tuple(normalized)}
+    for key in ("timeout_s", "connect_timeout_s"):
+        if key in options:
+            value = float(options[key])
+            if not value > 0:
+                raise InvalidParameterError(f"{key} must be > 0; got {value}")
+            out[key] = value
+    if "retries" in options:
+        retries = int(options["retries"])
+        if retries < 0:
+            raise InvalidParameterError(f"retries must be >= 0; got {retries}")
+        out["retries"] = retries
+    return out
 
 
 def _json_safe_option(value):
@@ -225,15 +204,14 @@ def _json_safe_option(value):
 
 @dataclass(frozen=True)
 class ExecutorSpec:
-    """A registered executor by name, plus its JSON-safe options.
+    """One of :data:`EXECUTORS` by name, plus its JSON-safe options.
 
-    The first-class replacement for the former magic strings: anywhere
-    that accepted ``executor="thread"`` now accepts an ``ExecutorSpec``
-    (plain strings keep working as a back-compat coercion path, and wire
-    dicts round-trip through :meth:`to_dict` / :meth:`from_dict`).
-    Unknown names raise listing the registered executors; options are
-    validated and canonicalized per executor at construction, so a spec
-    that exists is a spec that can run.
+    Anywhere that accepts ``executor="thread"`` also accepts an
+    ``ExecutorSpec`` (plain strings coerce, and wire dicts round-trip
+    through :meth:`to_dict` / :meth:`from_dict`). Unknown names raise
+    listing the executors; options are validated and canonicalized at
+    construction (only ``remote`` takes any), so a spec that exists is a
+    spec that can run.
     """
 
     name: str
@@ -244,18 +222,23 @@ class ExecutorSpec:
             raise InvalidParameterError(
                 f"executor name must be a string; got {type(self.name).__name__}"
             )
-        entry = _EXECUTOR_REGISTRY.get(self.name)
-        if entry is None:
+        if self.name not in EXECUTORS:
             raise InvalidParameterError(
-                f"unknown executor {self.name!r}; registered executors: "
-                f"{', '.join(registered_executors())}"
+                f"unknown executor {self.name!r}; executors: {', '.join(EXECUTORS)}"
             )
         if not isinstance(self.options, Mapping):
             raise InvalidParameterError(
                 f"executor options must be a mapping; "
                 f"got {type(self.options).__name__}"
             )
-        object.__setattr__(self, "options", entry.normalize(dict(self.options)))
+        options = dict(self.options)
+        if self.name == "remote":
+            options = _normalize_remote_options(options)
+        elif options:
+            raise InvalidParameterError(
+                f"the {self.name!r} executor accepts no options; got {sorted(options)}"
+            )
+        object.__setattr__(self, "options", options)
 
     # options is a dict, which the generated __hash__ would choke on;
     # hash the canonical sorted item view instead (values are hashable
@@ -273,7 +256,7 @@ class ExecutorSpec:
         if isinstance(value, Mapping):
             return cls.from_dict(value)
         raise InvalidParameterError(
-            "executor must be an ExecutorSpec, a registered executor name, "
+            "executor must be an ExecutorSpec, an executor name, "
             f"or a wire dict; got {type(value).__name__}"
         )
 
@@ -476,11 +459,7 @@ def _op_range(index, Q: np.ndarray, eps: float):
 
 
 def _op_count(index, Q: np.ndarray, eps: float):
-    counter = getattr(index, "batch_range_count", None)
-    if counter is not None:
-        return np.asarray(counter(Q, eps), dtype=np.int64)
-    rows = index.batch_range_query(Q, eps)
-    return np.array([len(row) for row in rows], dtype=np.int64)
+    return np.asarray(index.batch_range_count(Q, eps), dtype=np.int64)
 
 
 def _op_knn(index, Q: np.ndarray, k: int):
@@ -541,82 +520,6 @@ class _ThreadExecutor:
 
 
 # ----------------------------------------------------------------------
-# Built-in executor registrations
-# ----------------------------------------------------------------------
-
-
-def _normalize_remote_options(options: dict) -> dict:
-    allowed = {"addresses", "timeout_s", "retries", "connect_timeout_s"}
-    unknown = set(options) - allowed
-    if unknown:
-        raise InvalidParameterError(
-            f"unknown 'remote' executor options: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
-    addresses = options.get("addresses")
-    if isinstance(addresses, str) or not isinstance(addresses, Sequence):
-        raise InvalidParameterError(
-            "the 'remote' executor requires an 'addresses' option: a "
-            "sequence of 'host:port' worker endpoints "
-            "(see `repro-cli pool serve`)"
-        )
-    normalized: list[str] = []
-    for address in addresses:
-        address = str(address)
-        host, sep, port = address.rpartition(":")
-        if not sep or not host or not port.isdigit():
-            raise InvalidParameterError(
-                f"remote worker address must look like 'host:port'; "
-                f"got {address!r}"
-            )
-        normalized.append(address)
-    if not normalized:
-        raise InvalidParameterError(
-            "the 'remote' executor needs at least one worker address"
-        )
-    out: dict[str, object] = {"addresses": tuple(normalized)}
-    for key in ("timeout_s", "connect_timeout_s"):
-        if key in options:
-            value = float(options[key])
-            if not value > 0:
-                raise InvalidParameterError(f"{key} must be > 0; got {value}")
-            out[key] = value
-    if "retries" in options:
-        retries = int(options["retries"])
-        if retries < 0:
-            raise InvalidParameterError(f"retries must be >= 0; got {retries}")
-        out["retries"] = retries
-    return out
-
-
-def _make_remote_executor(X, bounds, inner_name, inner_kwargs, n_workers, spec):
-    # Imported lazily: the remote package pulls in the socket client and
-    # is only needed once a remote spec actually builds.
-    from repro.remote.pool import RemoteExecutor
-
-    return RemoteExecutor(
-        X=X,
-        shards={s: bounds[s] for s in range(len(bounds))},
-        inner_name=inner_name,
-        inner_kwargs=inner_kwargs,
-        options=spec.options,
-    )
-
-
-register_executor(
-    "serial", make_local=lambda indexes, n_workers: _SerialExecutor(indexes)
-)
-register_executor(
-    "thread", make_local=lambda indexes, n_workers: _ThreadExecutor(indexes, n_workers)
-)
-register_executor(
-    "remote",
-    normalize_options=_normalize_remote_options,
-    make=_make_remote_executor,
-)
-
-
-# ----------------------------------------------------------------------
 # The sharded index
 # ----------------------------------------------------------------------
 
@@ -629,9 +532,7 @@ class ShardedIndex(NeighborIndex):
     inner:
         Name of the registered inner backend fitted per shard
         (``"brute_force"``, ``"cover_tree"``, ``"kmeans_tree"``,
-        ``"grid"``), or a zero-argument callable returning an unbuilt
-        index (serial/thread executors only — remote workers can only
-        rebuild from a registered name + kwargs spec).
+        ``"grid"``).
     inner_kwargs:
         Constructor arguments for the named inner backend (e.g. the
         grid's ``eps`` / ``rho``).
@@ -639,10 +540,9 @@ class ShardedIndex(NeighborIndex):
         Number of contiguous row shards (>= 1). Empty shards (when
         ``n_shards > n_points``) are skipped.
     executor:
-        An :class:`ExecutorSpec`, a registered executor name
-        (``"serial"``, ``"thread"``, ``"remote"``), or a
-        spec wire dict. Stored coerced: ``self.executor`` is always an
-        :class:`ExecutorSpec`.
+        An :class:`ExecutorSpec`, an executor name (``"serial"``,
+        ``"thread"``, ``"remote"``), or a spec wire dict. Stored
+        coerced: ``self.executor`` is always an :class:`ExecutorSpec`.
     n_workers:
         Pool width for the thread executor; defaults to
         ``min(n_live_shards, cpu_count)``. The remote executor's width
@@ -654,7 +554,7 @@ class ShardedIndex(NeighborIndex):
 
     def __init__(
         self,
-        inner="brute_force",
+        inner: str = "brute_force",
         inner_kwargs: dict | None = None,
         n_shards: int = 4,
         executor: "ExecutorSpec | str" = "serial",
@@ -668,14 +568,7 @@ class ShardedIndex(NeighborIndex):
             raise InvalidParameterError(f"n_workers must be >= 1; got {n_workers}")
         if query_block < 1:
             raise InvalidParameterError(f"query_block must be >= 1; got {query_block}")
-        if callable(inner):
-            if not _EXECUTOR_REGISTRY[executor.name].local:
-                raise InvalidParameterError(
-                    f"the {executor.name!r} executor rebuilds inner indexes "
-                    "in worker processes and therefore needs a registered "
-                    "backend name, not a factory callable"
-                )
-        elif inner not in INNER_BACKENDS:
+        if inner not in INNER_BACKENDS:
             raise InvalidParameterError(
                 f"unknown inner backend {inner!r}; "
                 f"available: {', '.join(sorted(INNER_BACKENDS))}"
@@ -697,11 +590,6 @@ class ShardedIndex(NeighborIndex):
     # Construction
     # ------------------------------------------------------------------
 
-    def _make_inner(self):
-        if callable(self.inner):
-            return self.inner()
-        return make_inner_backend(self.inner, self.inner_kwargs)
-
     def build(self, X: np.ndarray) -> "ShardedIndex":
         X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
         if X.ndim != 2:
@@ -716,29 +604,46 @@ class ShardedIndex(NeighborIndex):
             for s in range(self.n_shards)
             if self._offsets[s + 1] > self._offsets[s]
         ]
-        n_workers = self.n_workers or max(
-            1, min(len(self._live) or 1, os.cpu_count() or 1)
-        )
-        entry = _EXECUTOR_REGISTRY[self.executor.name]
-        if not self._live:
-            # Zero live shards (empty dataset): nothing to execute, so
-            # every executor degenerates to the task-free serial one.
-            self._executor_obj = _SerialExecutor({})
-        elif not entry.local:
-            bounds = tuple((lo, hi) for _, lo, hi in self._live)
-            # Re-key shard ids to positions in the live list so worker
-            # bounds index directly.
-            self._live = [(pos, lo, hi) for pos, (_, lo, hi) in enumerate(self._live)]
-            self._executor_obj = entry.make(
-                X, bounds, self.inner, self.inner_kwargs, n_workers, self.executor
-            )
+        if self.executor.name == "remote":
+            self._start_executor()
         else:
             indexes = {
-                s: self._make_inner().build(X[lo:hi]) for s, lo, hi in self._live
+                s: make_inner_backend(self.inner, self.inner_kwargs).build(X[lo:hi])
+                for s, lo, hi in self._live
             }
             self._parent_builds = len(indexes)
-            self._executor_obj = entry.make_local(indexes, n_workers)
+            self._start_executor(indexes)
         return self
+
+    def _start_executor(self, indexes=None, artifact_path=None) -> None:
+        """Start the executor over the live shards.
+
+        ``serial`` and ``thread`` query ``indexes``, the built per-shard
+        indexes keyed by live shard id. ``remote`` workers build their
+        pinned shards themselves, or load them from ``artifact_path``.
+        With no live shard (an empty dataset) there is nothing to run,
+        so every executor degenerates to the task-free serial one.
+        """
+        name = self.executor.name
+        indexes = dict(indexes or {})
+        if name == "remote" and self._live:
+            # Imported lazily: the remote package pulls in the socket
+            # client and is only needed once a remote spec starts.
+            from repro.remote.pool import RemoteExecutor
+
+            self._executor_obj = RemoteExecutor(
+                X=np.asarray(self._points, dtype=np.float64),
+                shards={s: (lo, hi) for s, lo, hi in self._live},
+                inner_name=self.inner,
+                inner_kwargs=self.inner_kwargs,
+                options=self.executor.options,
+                artifact_path=artifact_path,
+            )
+        elif name == "thread" and self._live:
+            n_workers = self.n_workers or min(len(self._live), os.cpu_count() or 1)
+            self._executor_obj = _ThreadExecutor(indexes, n_workers)
+        else:
+            self._executor_obj = _SerialExecutor(indexes)
 
     def close(self) -> None:
         """Release executor resources (pools, connections). Idempotent.
@@ -769,8 +674,7 @@ class ShardedIndex(NeighborIndex):
             "shard_inner_builds": self._parent_builds,
             "shard_rebalances": 0,
         }
-        # Duck-typed: any executor that owns building in its workers
-        # (remote, registered externals) reports its own
+        # The remote executor builds in its workers and reports its own
         # counters through collect_stats().
         collect = getattr(self._executor_obj, "collect_stats", None)
         if collect is not None:
@@ -849,27 +753,7 @@ class ShardedIndex(NeighborIndex):
         self._stats_snapshot = {}
         self._offsets = np.asarray(offsets, dtype=np.int64)
         self._live = [(int(s), int(lo), int(hi)) for s, lo, hi in live]
-        name = self.executor.name
-        if name == "remote" and self._live:
-            from repro.remote.pool import RemoteExecutor
-
-            self._executor_obj = RemoteExecutor(
-                X=np.asarray(points, dtype=np.float64),
-                shards={s: (lo, hi) for s, lo, hi in self._live},
-                inner_name=self.inner,
-                inner_kwargs=self.inner_kwargs,
-                options=self.executor.options,
-                artifact_path=artifact_path,
-            )
-            return self
-        indexes = dict(indexes)
-        if name == "thread" and self._live:
-            n_workers = self.n_workers or max(
-                1, min(len(self._live), os.cpu_count() or 1)
-            )
-            self._executor_obj = _ThreadExecutor(indexes, n_workers)
-        else:
-            self._executor_obj = _SerialExecutor(indexes)
+        self._start_executor(indexes, artifact_path)
         return self
 
     # ------------------------------------------------------------------
@@ -891,13 +775,8 @@ class ShardedIndex(NeighborIndex):
             results = executor.run("range", calls)
             per_shard = [csr_to_rows(indptr, flat) for indptr, flat in results]
             # Registered backends return sorted rows over disjoint
-            # ascending shards: concatenation is the merged answer. A
-            # factory inner makes no such promise and takes the general
-            # sort-and-dedup kernel.
-            if isinstance(self.inner, str):
-                out.extend(concat_shard_rows(per_shard, starts, Qb.shape[0]))
-            else:
-                out.extend(merge_shard_rows(per_shard, starts, n_queries=Qb.shape[0]))
+            # ascending shards: concatenation is the merged answer.
+            out.extend(concat_shard_rows(per_shard, starts, Qb.shape[0]))
         return out
 
     def batch_range_count(self, Q: np.ndarray, eps: float) -> np.ndarray:
@@ -977,7 +856,7 @@ class ShardedIndex(NeighborIndex):
 class ShardingConfig:
     """How :class:`~repro.index.engine.NeighborhoodCache` shards queries.
 
-    ``executor`` accepts an :class:`ExecutorSpec`, a registered name
+    ``executor`` accepts an :class:`ExecutorSpec`, an executor name
     string, or a spec wire dict, and is stored coerced to an
     :class:`ExecutorSpec` — so configs compare, hash, and serialize on
     the canonical form regardless of how they were spelled.
@@ -1022,8 +901,9 @@ def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = N
       indexes are built directly over ``X`` — the whole-dataset index is
       never constructed, so a sharded fit pays exactly ``n_live_shards``
       inner builds;
-    * with ``config`` set but no registered spec (a custom index), the
-      index is used unsharded, with a :class:`RuntimeWarning`;
+    * with ``config`` set but no rebuild spec (a k-means tree seeded
+      with a live Generator), the index is used unsharded, with a
+      :class:`RuntimeWarning`;
     * with ``config`` None, the index is built over ``X`` exactly as the
       host would have done.
 
@@ -1038,7 +918,6 @@ def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = N
     engine's to ``close()``; only a fitted index passed through
     untouched stays the caller's (``owned`` False).
     """
-    fitted = getattr(index, "is_built", True)
     spec = None
     if config is not None and not isinstance(index, ShardedIndex):
         spec = backend_spec_of(index)
@@ -1050,6 +929,6 @@ def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = N
                 stacklevel=2,
             )
     if spec is None:
-        return (index, False) if fitted else (index.build(X), True)
+        return (index, False) if index.is_built else (index.build(X), True)
     name, kwargs = spec
     return config.make_index(name, kwargs).build(X), True

@@ -74,8 +74,8 @@ KIND_CLUSTER_MODEL = "cluster_model"
 
 _HASH_CHUNK = 1 << 20
 
-#: Wire-format name marking an execution config whose index spec was a
-#: non-serializable custom factory (see ``IndexSpec.wire_dict``).
+#: Index name older artifacts record for a fit under a custom index
+#: factory, which cannot be rebuilt from disk.
 _CUSTOM_SPEC = "custom"
 
 
@@ -89,12 +89,15 @@ def _upgrade_execution(payload: Any) -> Any:
     """Read older spellings of a saved execution config.
 
     ``"sharding": false`` (the former explicit opt-out) reads as None,
-    and a retired executor name as its replacement. Writers emit
-    neither; this runs only at the load boundary.
+    a retired executor name as its replacement, and the retired
+    ``cache_eviction`` key is dropped whatever it held (the engine
+    always releases a neighborhood once served). Writers emit none of
+    these; this runs only at the load boundary.
     """
     if not isinstance(payload, Mapping):
         return payload
     payload = dict(payload)
+    payload.pop("cache_eviction", None)
     sharding = payload.get("sharding")
     if sharding is False:
         payload["sharding"] = None
@@ -408,12 +411,6 @@ def _save_sharded(index: Any, path: str | Path) -> Path:
     from repro.index.sharded import make_inner_backend
 
     index._require_built()
-    if callable(index.inner):
-        raise PersistenceError(
-            "a ShardedIndex built from a factory callable has no "
-            "serializable inner spec; use a registered backend name to "
-            "make it saveable"
-        )
     local_indexes = getattr(index._require_executor(), "_indexes", None)
     points = index.points
     path = Path(path)
@@ -667,7 +664,15 @@ class ClusterModel:
         serves it straight from the memory map.
         """
         if self._core_distances is None:
-            self._core_distances = self._nearest_core_distance(self.points)
+            from repro.distances.matrix import iter_distance_blocks, nearest_in_blocks
+
+            if self.n_cores == 0:
+                self._core_distances = np.full(self.n_points, np.inf)
+            else:
+                blocks = iter_distance_blocks(
+                    self.points, self._cores(), metric=self.metric.name
+                )
+                self._core_distances = nearest_in_blocks(blocks, self.n_points)[1]
         return self._core_distances
 
     def _cores(self) -> np.ndarray:
@@ -676,19 +681,6 @@ class ClusterModel:
         if self._core_points is None:
             self._core_points = np.ascontiguousarray(self.points[self._core_global])
         return self._core_points
-
-    def _nearest_core_distance(self, Q: np.ndarray) -> np.ndarray:
-        from repro.distances.matrix import iter_distance_blocks
-
-        out = np.full(Q.shape[0], np.inf)
-        cores = self._cores()
-        if cores.shape[0] == 0 or Q.shape[0] == 0:
-            return out
-        for start, stop, block in iter_distance_blocks(
-            np.asarray(Q, dtype=np.float64), cores, metric=self.metric.name
-        ):
-            out[start:stop] = block.min(axis=1)
-        return out
 
     # ------------------------------------------------------------------
     # Serving
@@ -779,8 +771,7 @@ class ClusterModel:
         ``estimator.npz`` when its type supports npz persistence (the
         RMI and its MLP stages); other estimator types are recorded by
         name only — predict never needs them, they are fit-time
-        machinery. A custom index-spec factory is recorded as a marker
-        and turns into an actionable error at load time.
+        machinery.
         """
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
@@ -805,7 +796,7 @@ class ClusterModel:
                 "algo": self.algo,
                 "params": self.params,
                 "metric": self.metric.name,
-                "execution": self.execution.wire_dict(),
+                "execution": self.execution.to_dict(),
             },
             metadata={
                 "n_points": self.n_points,
@@ -822,9 +813,10 @@ def load_model(
     """Load a :class:`ClusterModel` saved with :meth:`ClusterModel.save`.
 
     Arrays reattach as read-only memory maps (``mmap=False`` to read
-    into RAM; ``verify=False`` to skip the sha256 pass). A model fit
-    under a custom ``IndexSpec`` factory cannot reconstruct its serving
-    path and raises :class:`PersistenceError` with the fix.
+    into RAM; ``verify=False`` to skip the sha256 pass). An artifact
+    whose index is the ``"custom"`` marker (a fit under a custom index
+    factory) cannot reconstruct its serving path and raises
+    :class:`PersistenceError`.
     """
     path = Path(path)
     manifest = read_manifest(path, expected_kind=KIND_CLUSTER_MODEL)
@@ -838,11 +830,10 @@ def load_model(
     index_payload = (execution_payload or {}).get("index")
     if isinstance(index_payload, Mapping) and index_payload.get("name") == _CUSTOM_SPEC:
         raise PersistenceError(
-            f"the model at {path} was fit with a custom IndexSpec factory, "
+            f"the model at {path} was fit with a custom index factory, "
             "which cannot be reconstructed from disk; refit with a "
             "registered backend (IndexSpec(name, kwargs)) to make the "
-            "model loadable, or rebuild the ClusterModel in code around "
-            "the original factory"
+            "model loadable"
         )
     try:
         execution = ExecutionConfig.from_dict(execution_payload)

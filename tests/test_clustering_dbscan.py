@@ -123,50 +123,6 @@ class TestBehaviour:
         ).fit(clusterable_data)
         assert np.array_equal(brute.labels, tree.labels)
 
-    def test_duck_typed_custom_index_without_is_built_seam(self, clusterable_data):
-        """A custom factory exposing only build()/queries keeps working.
-
-        Such an index has no ``is_built`` property, so the clusterer
-        must build it itself (the pre-deferred-path contract) instead of
-        handing it to the engine unbuilt.
-        """
-
-        class DuckIndex:
-            def __init__(self):
-                self.n_builds = 0
-
-            def build(self, X):
-                self.n_builds += 1
-                self.X = X
-                return self
-
-            def batch_range_query(self, Q, eps):
-                import numpy as _np
-
-                return [
-                    _np.flatnonzero(1.0 - self.X @ q < eps)
-                    for q in _np.atleast_2d(Q)
-                ]
-
-            def range_query(self, q, eps):
-                return self.batch_range_query(q, eps)[0]
-
-        made: list[DuckIndex] = []
-
-        def factory():
-            index = DuckIndex()
-            made.append(index)
-            return index
-
-        brute = DBSCAN(eps=0.5, tau=5).fit(clusterable_data)
-        duck = DBSCAN(
-            eps=0.5,
-            tau=5,
-            execution=ExecutionConfig(index=IndexSpec.custom(factory)),
-        ).fit(clusterable_data)
-        assert np.array_equal(brute.labels, duck.labels)
-        assert [d.n_builds for d in made] == [1]
-
     def test_rejects_unnormalized(self):
         with pytest.raises(DataValidationError):
             DBSCAN(eps=0.5, tau=3).fit(np.ones((10, 4)))

@@ -8,6 +8,7 @@ from repro.distances import (
     cosine_distance_matrix,
     euclidean_distance_matrix,
     iter_distance_blocks,
+    nearest_in_blocks,
     normalize_rows,
     pairwise_cosine_within,
 )
@@ -81,3 +82,23 @@ class TestIterDistanceBlocks:
         Q, X = matrices
         with pytest.raises(InvalidParameterError):
             list(iter_distance_blocks(Q, X, block_size=0))
+
+
+class TestNearestInBlocks:
+    @pytest.mark.parametrize("block_size", [1, 4, 1000])
+    def test_matches_full_matrix_argmin(self, matrices, block_size):
+        Q, X = matrices
+        # The blocks themselves as reference: a GEMV and a GEMM may
+        # round differently in the last bit.
+        full = np.vstack([b for _, _, b in iter_distance_blocks(Q, X, block_size)])
+        column, distance = nearest_in_blocks(
+            iter_distance_blocks(Q, X, block_size=block_size), Q.shape[0]
+        )
+        assert np.array_equal(column, np.argmin(full, axis=1))
+        assert np.array_equal(distance, full.min(axis=1))
+
+    def test_ties_go_to_the_first_column(self):
+        X = normalize_rows(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+        column, distance = nearest_in_blocks(iter_distance_blocks(X, X), 3)
+        assert column.tolist() == [0, 1, 0]
+        assert np.array_equal(distance, np.zeros(3))

@@ -8,6 +8,7 @@ JSON-safe, lossless, and strict about unknown keys.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -42,26 +43,8 @@ class TestIndexSpec:
         with pytest.raises(InvalidParameterError, match="unknown index backend"):
             IndexSpec("faiss")
 
-    def test_non_callable_factory_rejected(self):
-        with pytest.raises(InvalidParameterError, match="callable"):
-            IndexSpec("custom", factory="not-a-callable")
-
-    def test_custom_factory_resolves(self):
-        made = []
-
-        def factory():
-            index = BruteForceIndex()
-            made.append(index)
-            return index
-
-        spec = IndexSpec.custom(factory)
-        assert spec.is_custom
-        assert spec.make() is made[0]
-
-    def test_custom_factory_not_serializable(self):
-        spec = IndexSpec.custom(BruteForceIndex)
-        with pytest.raises(InvalidParameterError, match="not serializable"):
-            spec.to_dict()
+    def test_fields_are_name_and_kwargs(self):
+        assert [f.name for f in dataclasses.fields(IndexSpec)] == ["name", "kwargs"]
 
     def test_round_trip(self):
         spec = IndexSpec("cover_tree", {"base": 1.7})
@@ -107,19 +90,18 @@ class TestExecutionConfigValidation:
         assert cfg.sharding is None
         assert cfg.batch_queries is True
         assert cfg.query_block == DEFAULT_ENGINE_BLOCK
-        assert cfg.cache_eviction == "serve"
-        assert cfg.evict_on_fetch is True
 
-    def test_keep_eviction_policy(self):
-        assert ExecutionConfig(cache_eviction="keep").evict_on_fetch is False
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
+            "index",
+            "sharding",
+            "batch_queries",
+            "query_block",
+        ]
 
     def test_rejects_bad_query_block(self):
         with pytest.raises(InvalidParameterError, match="query_block"):
             ExecutionConfig(query_block=0)
-
-    def test_rejects_bad_eviction_policy(self):
-        with pytest.raises(InvalidParameterError, match="cache_eviction"):
-            ExecutionConfig(cache_eviction="lru")
 
     def test_rejects_non_spec_index(self):
         with pytest.raises(InvalidParameterError, match="IndexSpec"):
@@ -138,7 +120,6 @@ class TestExecutionConfigSerialization:
                 n_shards=4, executor="thread", n_workers=2, query_block=512
             ),
             query_block=256,
-            cache_eviction="keep",
         )
 
     def test_round_trip_is_lossless(self):
@@ -150,7 +131,7 @@ class TestExecutionConfigSerialization:
         assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_round_trip_of_per_point_config(self):
-        cfg = ExecutionConfig(batch_queries=False, cache_eviction="keep")
+        cfg = ExecutionConfig(batch_queries=False)
         assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_dict_is_json_safe(self):
@@ -184,17 +165,32 @@ class TestExecutionConfigSerialization:
         with pytest.raises(InvalidParameterError):
             ExecutionConfig.from_dict(payload)
 
-    def test_from_dict_is_strict_about_field_types(self):
-        # A stringly-typed payload must fail loudly, never coerce:
-        # bool("false") is True, which would silently flip the path.
-        with pytest.raises(InvalidParameterError, match="batch_queries"):
-            ExecutionConfig.from_dict({"batch_queries": "false"})
-        with pytest.raises(InvalidParameterError, match="query_block"):
-            ExecutionConfig.from_dict({"query_block": "abc"})
-        with pytest.raises(InvalidParameterError, match="query_block"):
-            ExecutionConfig.from_dict({"query_block": True})
-        with pytest.raises(InvalidParameterError, match="cache_eviction"):
-            ExecutionConfig.from_dict({"cache_eviction": 3})
+    @pytest.mark.parametrize("build", ["constructor", "from_dict"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("batch_queries", "false"),
+            ("batch_queries", 1),
+            ("query_block", "abc"),
+            ("query_block", True),
+            ("query_block", 2.5),
+        ],
+    )
+    def test_is_strict_about_field_types(self, build, field, value):
+        # A mistyped value must fail loudly, never coerce: bool("false")
+        # is True, which would silently run the batched path, and 2.5
+        # would be written back as 2.
+        with pytest.raises(InvalidParameterError, match=field):
+            if build == "constructor":
+                ExecutionConfig(**{field: value})
+            else:
+                ExecutionConfig.from_dict({field: value})
+
+    def test_from_dict_rejects_retired_cache_eviction(self):
+        # Old artifacts' cache_eviction is dropped by the persistence
+        # loader; the wire format itself has no such key.
+        with pytest.raises(InvalidParameterError, match="unknown ExecutionConfig"):
+            ExecutionConfig.from_dict({"cache_eviction": "serve"})
 
     def test_sharding_false_is_not_a_state(self):
         # Two states only: a ShardingConfig or None. The old explicit

@@ -1,11 +1,11 @@
-"""Tests for the :class:`ExecutorSpec` registry value type.
+"""Tests for the :class:`ExecutorSpec` value type.
 
-The spec replaces the former magic executor strings: a registered name
-plus validated, canonicalized, JSON-safe options. Contracts:
+The spec names one of the fixed :data:`EXECUTORS` plus validated,
+canonicalized, JSON-safe options. Contracts:
 
-* coercion accepts a spec, a bare name (the back-compat path), or a
-  wire dict — and nothing else;
-* unknown names raise listing the registered executors;
+* coercion accepts a spec, a bare name, or a wire dict — and nothing
+  else;
+* unknown names raise listing the executors;
 * option-free specs serialize as their bare name (old wire format stays
   byte-identical), optioned specs as a strict ``{"name", "options"}``
   dict that round-trips;
@@ -21,35 +21,22 @@ import pytest
 
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
-from repro.index.sharded import (
-    ExecutorSpec,
-    ShardingConfig,
-    registered_executors,
-)
+import repro.index
+from repro.index.sharded import EXECUTORS, ExecutorSpec, ShardingConfig
 
 
-class TestRegistry:
-    def test_builtin_executors_are_registered(self):
-        assert registered_executors() == ("remote", "serial", "thread")
+class TestExecutorSet:
+    def test_the_executors_are_a_fixed_set(self):
+        assert EXECUTORS == ("remote", "serial", "thread")
+
+    def test_no_registry_is_exported(self):
+        for name in ("register_executor", "registered_executors"):
+            assert not hasattr(repro.index, name)
+            assert name not in repro.index.__all__
 
     def test_removed_process_executor_is_rejected(self):
         with pytest.raises(InvalidParameterError, match="remote, serial, thread"):
             ShardingConfig(executor="process")
-
-    def test_registered_executors_is_sorted(self):
-        names = registered_executors()
-        assert list(names) == sorted(names)
-
-    def test_register_needs_exactly_one_factory_kind(self):
-        from repro.index.sharded import register_executor
-
-        with pytest.raises(InvalidParameterError, match="exactly one"):
-            register_executor("broken")
-        with pytest.raises(InvalidParameterError, match="exactly one"):
-            register_executor(
-                "broken", make_local=lambda i, n: None, make=lambda *a: None
-            )
-        assert "broken" not in registered_executors()
 
 
 class TestCoercion:
@@ -69,8 +56,8 @@ class TestCoercion:
         assert spec.name == "remote"
         assert spec.options["addresses"] == ("h:1",)
 
-    def test_unknown_name_lists_registered_executors(self):
-        with pytest.raises(InvalidParameterError, match="registered executors"):
+    def test_unknown_name_lists_the_executors(self):
+        with pytest.raises(InvalidParameterError, match="executors: remote, serial"):
             ExecutorSpec("gpu")
         with pytest.raises(InvalidParameterError, match="serial"):
             ExecutorSpec.coerce("gpu")

@@ -74,27 +74,37 @@ def _golden_copy_with_execution(tmp_path, execution: dict) -> Path:
 
 
 @pytest.mark.parametrize(
-    "sharding",
+    "edit",
     [
-        False,
-        {"n_shards": 2, "executor": "process", "n_workers": 2, "query_block": 64},
+        {"sharding": False},
+        {
+            "sharding": {
+                "n_shards": 2,
+                "executor": "process",
+                "n_workers": 2,
+                "query_block": 64,
+            },
+        },
+        {"cache_eviction": "keep"},
     ],
-    ids=["sharding-false", "process-executor"],
+    ids=["sharding-false", "process-executor", "cache-eviction-keep"],
 )
-def test_older_execution_spellings_still_load(tmp_path, sharding):
-    """``"sharding": false`` reads as None; executor "process" as "thread"."""
-    path = _golden_copy_with_execution(tmp_path, {"sharding": sharding})
+def test_older_execution_spellings_still_load(tmp_path, edit):
+    """``"sharding": false`` reads as None, executor "process" as
+    "thread", and the retired ``cache_eviction`` key is dropped."""
+    path = _golden_copy_with_execution(tmp_path, edit)
     with repro.load_model(path) as loaded:
-        if sharding is False:
-            assert loaded.execution.sharding is None
-        else:
+        if edit.get("sharding"):
             assert loaded.execution.sharding.executor.name == "thread"
+        else:
+            assert loaded.execution.sharding is None
         queries = np.load(GOLDEN / "queries.npy")
         expected = np.load(GOLDEN / "expected_predict.npy")
         assert np.array_equal(loaded.predict(queries), expected)
-        # New writes emit neither old spelling.
+        # New writes emit none of the old spellings.
         loaded.save(tmp_path / "resaved")
     resaved = json.loads((tmp_path / "resaved" / MANIFEST_FILENAME).read_text())
+    assert "cache_eviction" not in resaved["spec"]["execution"]
     assert resaved["spec"]["execution"]["sharding"] in (
         None,
         {"n_shards": 2, "executor": "thread", "n_workers": 2, "query_block": 64},

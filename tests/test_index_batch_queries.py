@@ -185,12 +185,12 @@ class TestNeighborhoodCache:
         index = BruteForceIndex().build(data)
         cache = NeighborhoodCache(index, data, EPS, block_size=16)
         cache.plan(np.arange(data.shape[0]))
-        for p in list(range(data.shape[0])) * 2:  # fetch everything twice
+        for p in range(data.shape[0]):
             cache.fetch(p)
         assert cache.n_computed == data.shape[0]
         # Every fetch that didn't trigger a block fill was served from cache.
         assert cache.n_cache_hits == cache.n_fetches - cache.n_blocks
-        assert cache.n_fetches == 2 * data.shape[0]
+        assert cache.n_fetches == data.shape[0]
 
     def test_unplanned_points_are_never_computed(self, data):
         index = BruteForceIndex().build(data)
@@ -226,9 +226,9 @@ class TestNeighborhoodCache:
         assert cache.n_blocks == 2
         assert cache.n_computed == 2
 
-    def test_evict_on_fetch_releases_served_neighborhoods(self, data):
+    def test_fetch_releases_served_neighborhoods(self, data):
         index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, block_size=8, evict_on_fetch=True)
+        cache = NeighborhoodCache(index, data, EPS, block_size=8)
         cache.plan(np.arange(data.shape[0]))
         first = cache.fetch(0)
         assert not cache.is_cached(0)  # served -> released
@@ -240,9 +240,9 @@ class TestNeighborhoodCache:
 
     def test_evicted_points_never_rejoin_later_batches(self, data):
         """Regression: a frontier jump ahead of the plan pointer must not
-        re-batch the served-and-evicted point when the pointer reaches it."""
+        re-batch the served-and-released point when the pointer reaches it."""
         index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, block_size=3, evict_on_fetch=True)
+        cache = NeighborhoodCache(index, data, EPS, block_size=3)
         cache.plan(np.arange(10))
         cache.fetch(5)  # out-of-plan-order jump, then drain the plan
         for p in range(10):

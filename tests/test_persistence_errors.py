@@ -4,7 +4,7 @@ The load path promises a :class:`~repro.exceptions.PersistenceError` —
 never a bare numpy/json traceback — for each damage class: truncated
 array files, checksum mismatches, unknown or newer format versions,
 manifest/dtype drift, missing files, and artifacts whose execution
-policy cannot be reconstructed (custom ``IndexSpec`` factories).
+policy cannot be reconstructed (the ``"custom"`` index marker).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 
 import repro
 from repro.distances import normalize_rows
-from repro.engine_config import ExecutionConfig, IndexSpec
 from repro.exceptions import PersistenceError
 from repro.index import BruteForceIndex, CoverTree
 from repro.index.sharded import ShardedIndex
@@ -202,22 +201,19 @@ class TestSpecValidation:
         finally:
             loaded.close()
 
-    def test_factory_sharded_index_refuses_to_save(self, data, tmp_path):
-        index = ShardedIndex(inner=lambda: BruteForceIndex(), n_shards=2).build(data)
-        try:
-            with pytest.raises(PersistenceError, match="factory callable"):
-                save_index(index, tmp_path / "sharded")
-        finally:
-            index.close()
-
 
 class TestModelValidation:
     def test_custom_index_spec_fails_actionably(self, data, tmp_path):
-        execution = ExecutionConfig(index=IndexSpec.custom(lambda: BruteForceIndex()))
-        model = repro.fit_model(data, "dbscan", eps=0.4, tau=3, execution=execution)
+        # Artifacts saved under a custom index factory record the
+        # "custom" marker; loading one names the cause and the fix.
+        model = repro.fit_model(data, "dbscan", eps=0.4, tau=3)
         with model:
             model.save(tmp_path / "model")
-        with pytest.raises(PersistenceError, match="custom IndexSpec factory"):
+        edit_manifest(
+            tmp_path / "model",
+            lambda m: m["spec"]["execution"].update(index={"name": "custom"}),
+        )
+        with pytest.raises(PersistenceError, match="custom index factory.*refit"):
             repro.load_model(tmp_path / "model")
 
     def test_unknown_estimator_type(self, data, tmp_path):

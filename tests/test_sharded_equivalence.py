@@ -25,12 +25,12 @@ from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index import (
     BruteForceIndex,
+    KMeansTree,
     NeighborhoodCache,
     ShardedIndex,
     ShardingConfig,
 )
 from repro.index.sharded import (
-    ExecutorSpec,
     backend_spec_of,
     make_inner_backend,
     resolve_engine_index,
@@ -290,17 +290,9 @@ class TestLifecycleAndValidation:
         with pytest.raises(InvalidParameterError):
             ShardedIndex(query_block=0)
 
-    def test_factory_inner_rejected_by_worker_executor(self):
-        remote = ExecutorSpec("remote", {"addresses": ["127.0.0.1:1"]})
-        with pytest.raises(InvalidParameterError, match="factory"):
-            ShardedIndex(inner=BruteForceIndex, executor=remote)
-
-    def test_factory_inner_works_serially(self, data):
-        single = BruteForceIndex().build(data)
-        index = ShardedIndex(inner=BruteForceIndex, n_shards=3).build(data)
-        assert_rows_equal(
-            index.batch_range_query(data, EPS), single.batch_range_query(data, EPS)
-        )
+    def test_inner_takes_registered_names_only(self):
+        with pytest.raises(InvalidParameterError, match="unknown inner backend"):
+            ShardedIndex(inner=BruteForceIndex)
 
 
 class TestEngineWiring:
@@ -349,14 +341,11 @@ class TestEngineWiring:
         assert baseline.stats["range_queries"] == result.stats["range_queries"]
 
     def test_resolve_engine_index_passthrough(self, data):
-        class Opaque:
-            pass
-
-        opaque = Opaque()
+        tree = KMeansTree(seed=np.random.default_rng(0)).build(data)
         config = ShardingConfig(n_shards=2)
         # No rebuild spec: used unsharded, never silently.
         with pytest.warns(RuntimeWarning, match="rebuild spec"):
-            assert resolve_engine_index(opaque, data, config) == (opaque, False)
+            assert resolve_engine_index(tree, data, config) == (tree, False)
         already = ShardedIndex(n_shards=2).build(data)
         assert resolve_engine_index(already, data, config) == (already, False)
         already.close()
@@ -410,22 +399,15 @@ class TestEngineWiring:
                 fitted.batch_range_query(data, EPS),
             )
 
-    def test_resolve_engine_index_warns_on_unbuilt_custom_index(self, data):
-        class Custom:
-            """Spec-less duck-typed index: built once, used unsharded."""
-
-            is_built = False
-
-            def build(self, X):
-                self.is_built = True
-                self.n = X.shape[0]
-                return self
-
+    def test_resolve_engine_index_warns_on_unbuilt_specless_index(self, data):
+        # A Generator seed cannot travel as a rebuild spec, so the tree
+        # is built once over X and queried unsharded.
+        tree = KMeansTree(seed=np.random.default_rng(0))
         with pytest.warns(RuntimeWarning, match="rebuild spec"):
             resolved, owned = resolve_engine_index(
-                Custom(), data, ShardingConfig(n_shards=2)
+                tree, data, ShardingConfig(n_shards=2)
             )
-        assert isinstance(resolved, Custom) and resolved.is_built and owned
+        assert resolved is tree and resolved.is_built and owned
 
     @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
     def test_public_points_property_on_every_backend(self, name, kwargs, data):
@@ -451,7 +433,5 @@ class TestEngineWiring:
             assert type(rebuilt) is type(index)
 
     def test_generator_seeded_kmeans_tree_has_no_spec(self):
-        from repro.index import KMeansTree
-
         index = KMeansTree(seed=np.random.default_rng(0))
         assert backend_spec_of(index) is None
