@@ -5,7 +5,9 @@ eps-neighborhood through blocked ``batch_range_query`` matrix products
 beats the per-point ``range_query`` Python loop — and writes the speedup
 rows to ``benchmarks/out/engine_batching.json``. Also times the two
 DBSCAN paths end to end, since the neighborhood loop is DBSCAN's
-dominant cost.
+dominant cost. A second row, ``engine_kernel_n8000.json``, times the
+cosine range-query kernel (float32 GEMM plus float64 band recheck)
+against the float64 block it replaced, at the paper's d=768.
 """
 
 from __future__ import annotations
@@ -95,3 +97,44 @@ def test_engine_batching_speedup(n):
     # size, where fixed overheads dominate).
     if n >= 8000:
         assert query_speedup >= 3.0, f"batched speedup only {query_speedup:.2f}x"
+
+
+def _float64_block_neighborhoods(X: np.ndarray, eps: float) -> list[np.ndarray]:
+    """The float64 block the cosine kernel replaced: distances, compare, extract."""
+    rows: list[np.ndarray] = []
+    for start in range(0, X.shape[0], 1024):
+        block = np.maximum(0.0, 1.0 - X[start : start + 1024] @ X.T)
+        rows.extend(np.flatnonzero(row < eps) for row in block)
+    return rows
+
+
+def test_engine_kernel_speedup():
+    n = 8000
+    X = _dataset(n, dim=768)
+    index = BruteForceIndex().build(X)
+
+    expected = _float64_block_neighborhoods(X, EPS)
+    got = index.batch_range_query(X, EPS)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert len(got) == len(expected)
+
+    t_float64 = _best_of(lambda: _float64_block_neighborhoods(X, EPS))
+    t_kernel = _best_of(lambda: index.batch_range_query(X, EPS))
+    kernel_speedup = t_float64 / t_kernel
+    rows = [
+        {
+            "n": n,
+            "dim": int(X.shape[1]),
+            "eps": EPS,
+            "pairs": int(sum(r.size for r in expected)),
+            "float64_query_s": t_float64,
+            "kernel_query_s": t_kernel,
+            "kernel_speedup": kernel_speedup,
+        }
+    ]
+    print()
+    print(
+        f"n={n} d=768: neighborhoods float64 {t_float64:.3f}s -> kernel "
+        f"{t_kernel:.3f}s ({kernel_speedup:.2f}x)"
+    )
+    save_json(out_path(f"engine_kernel_n{n}.json"), {"rows": rows})

@@ -31,6 +31,7 @@ from repro.distances.metric import (
 from repro.distances.matrix import (
     cosine_distance_matrix,
     euclidean_distance_matrix,
+    iter_cosine_range_masks,
     iter_distance_blocks,
     nearest_in_blocks,
     pairwise_cosine_within,
@@ -60,6 +61,7 @@ __all__ = [
     "euclidean_from_cosine",
     "get_metric",
     "is_unit_normalized",
+    "iter_cosine_range_masks",
     "iter_distance_blocks",
     "nearest_in_blocks",
     "normalize_rows",

@@ -9,13 +9,18 @@ The default metric is cosine distance on unit vectors (the paper's
 setting); Euclidean distance is available through the ``metric``
 parameter (the paper's future-work extension, see
 :mod:`repro.distances.metric`).
+
+Cosine batch range queries run on a float32 copy of the points with an
+exact float64 recheck near ``eps``
+(:func:`~repro.distances.matrix.iter_cosine_range_masks`); Euclidean
+ones stay on float64 distance blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.distances.matrix import iter_distance_blocks
+from repro.distances.matrix import iter_cosine_range_masks, iter_distance_blocks
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError
 from repro.index.base import NeighborIndex
@@ -29,10 +34,14 @@ class BruteForceIndex(NeighborIndex):
     Parameters
     ----------
     block_size:
-        Row-block size for the batched query paths; bounds peak memory at
-        ``block_size * n_points`` floats.
+        Row-block size for the batched query paths. Peak memory of a
+        cosine batch range query is about ``7 * block_size * n_points``
+        bytes (a float32 similarity block and two bool masks); the other
+        batched paths hold ``block_size * n_points`` float64 distances.
     metric:
-        "cosine" (default, requires unit rows) or "euclidean".
+        "cosine" (default, requires unit rows) or "euclidean". A cosine
+        index keeps a float32 copy of the points next to the float64
+        matrix: ``4 * n_points * dim`` more bytes.
 
     Examples
     --------
@@ -53,9 +62,19 @@ class BruteForceIndex(NeighborIndex):
         self.block_size = block_size
         self.metric = get_metric(metric)
         self._points: np.ndarray | None = None
+        self._points32: np.ndarray | None = None
+        self._max_norm = 0.0
 
     def build(self, X: np.ndarray) -> "BruteForceIndex":
-        self._points = self.metric.validate(X)
+        return self._attach(self.metric.validate(X))
+
+    def _attach(self, points: np.ndarray) -> "BruteForceIndex":
+        # Everything a query reads is derived here, once: a built index
+        # is never mutated by a query, so threads may share it.
+        self._points = points
+        if self.metric.name == "cosine":
+            self._points32 = points.astype(np.float32)
+            self._max_norm = float(np.linalg.norm(points, axis=1).max())
         return self
 
     def range_query(self, q: np.ndarray, eps: float) -> np.ndarray:
@@ -97,25 +116,47 @@ class BruteForceIndex(NeighborIndex):
             metric=self.metric.name,
         )
 
+    def _iter_masks(self, Q: np.ndarray, eps: float):
+        """``(start, stop, mask)`` blocks with ``mask[i, j] = d(Q[i], x_j) < eps``."""
+        if self.metric.name == "cosine":
+            yield from iter_cosine_range_masks(
+                Q,
+                self._points,
+                eps,
+                block_size=self.block_size,
+                X32=self._points32,
+                x_norm=self._max_norm,
+            )
+        else:
+            for start, stop, block in self._iter_blocks(Q):
+                yield start, stop, block < eps
+
     def batch_range_query(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
         """Exact neighbor index arrays for every row of ``Q``, blockwise.
 
         One matrix product per block replaces ``len(Q)`` matrix-vector
-        products; peak memory stays at ``block_size * n_points`` floats.
+        products. Cosine blocks are a float32 GEMM whose pairs near
+        ``eps`` are rechecked in float64, so the result equals the
+        float64 computation's up to pairs within a few ulps of ``eps``
+        (see :func:`~repro.distances.matrix.iter_cosine_range_masks`).
         """
         self._require_built()
+        Q = self._as_query_matrix(Q)
         results: list[np.ndarray] = []
-        for _, _, block in self._iter_blocks(Q):
-            results.extend(np.flatnonzero(row < eps) for row in block)
+        for _, _, mask in self._iter_masks(Q, eps):
+            results.extend(np.flatnonzero(row) for row in mask)
         return results
 
     def batch_range_count(self, Q: np.ndarray, eps: float) -> np.ndarray:
-        """Exact neighbor counts for every row of ``Q`` at threshold ``eps``."""
+        """Exact neighbor counts for every row of ``Q`` at threshold ``eps``.
+
+        The same kernel and exactness contract as :meth:`batch_range_query`.
+        """
         self._require_built()
         Q = self._as_query_matrix(Q)
         counts = np.empty(Q.shape[0], dtype=np.int64)
-        for start, stop, block in self._iter_blocks(Q):
-            counts[start:stop] = np.count_nonzero(block < eps, axis=1)
+        for start, stop, mask in self._iter_masks(Q, eps):
+            counts[start:stop] = np.count_nonzero(mask, axis=1)
         return counts
 
     def batch_knn_query(
@@ -154,9 +195,9 @@ class BruteForceIndex(NeighborIndex):
 
     def from_arrays(self, arrays: dict) -> "BruteForceIndex":
         # Rows were validated at the original build; reattach without
-        # copying so a memory-mapped matrix stays a map.
-        self._points = np.asarray(arrays["points"], dtype=np.float64)
-        return self
+        # copying so a memory-mapped matrix stays a map (the float32
+        # copy is derived in memory, it is not part of the artifact).
+        return self._attach(np.asarray(arrays["points"], dtype=np.float64))
 
     def range_count_multi_eps(
         self, Q: np.ndarray, eps_values: np.ndarray
@@ -171,7 +212,6 @@ class BruteForceIndex(NeighborIndex):
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         counts = np.empty((Q.shape[0], eps_values.size), dtype=np.int64)
         for start, stop, block in self._iter_blocks(Q):
-            counts[start:stop] = np.count_nonzero(
-                block[:, :, None] < eps_values[None, None, :], axis=1
-            )
+            for j, radius in enumerate(eps_values):
+                counts[start:stop, j] = np.count_nonzero(block < radius, axis=1)
         return counts

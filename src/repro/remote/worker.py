@@ -100,14 +100,15 @@ def _close_indexes(indexes: list[object]) -> None:
 
 
 def _index_nbytes(index: object) -> int:
-    """Cheap size estimate of a cached shard index: its data matrix.
+    """Cheap size estimate of a cached shard index: its point matrices.
 
-    Structural arrays (tree nodes, CSR offsets) are a small fraction of
-    the contiguous point copies, so the bytes cap is enforced against
-    the dominant term only.
+    That is the float64 rows plus, for a cosine brute-force index, their
+    float32 copy. Structural arrays (tree nodes, CSR offsets) are a
+    small fraction of the contiguous point copies, so the bytes cap is
+    enforced against the dominant terms only.
     """
-    points = getattr(index, "_points", None)
-    return int(points.nbytes) if isinstance(points, np.ndarray) else 0
+    matrices = (getattr(index, name, None) for name in ("_points", "_points32"))
+    return sum(int(m.nbytes) for m in matrices if isinstance(m, np.ndarray))
 
 
 class ShardHolder:

@@ -1,5 +1,7 @@
 """Tests for batched/blockwise distance matrices."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from repro.distances import (
     cosine_distance,
     cosine_distance_matrix,
     euclidean_distance_matrix,
+    iter_cosine_range_masks,
     iter_distance_blocks,
     nearest_in_blocks,
     normalize_rows,
     pairwise_cosine_within,
 )
+from repro.distances import matrix
 from repro.exceptions import InvalidParameterError
 
 
@@ -102,3 +106,124 @@ class TestNearestInBlocks:
         column, distance = nearest_in_blocks(iter_distance_blocks(X, X), 3)
         assert column.tolist() == [0, 1, 0]
         assert np.array_equal(distance, np.zeros(3))
+
+
+def _band_edge_case(dim, eps, q_norm, n_fill=0, seed=0):
+    """A query of norm ``q_norm`` and unit rows at similarities around ``1 - eps``.
+
+    Rows sit at ``1 - eps + k * delta / 4`` (k = -8..8, with ``delta =
+    (dim + 2) 2**-24 q_norm`` the float32 error bound), which straddle
+    both band edges, and at offsets of 1e-10..1e-6, far inside the
+    band. ``n_fill`` more rows at least 0.01 from the threshold dilute
+    the band.
+    """
+    rng = np.random.default_rng(seed)
+    q_hat = normalize_rows(rng.normal(size=(1, dim)))[0]
+    delta = (dim + 2) * 2.0**-24 * q_norm
+    offsets = [k * delta / 4 for k in range(-8, 9)]
+    offsets += [sign * o for o in (1e-10, 1e-8, 1e-6) for sign in (-1, 1)]
+    fill = rng.uniform(-q_norm, q_norm, size=2 * n_fill)
+    fill = fill[np.abs(fill - (1.0 - eps)) >= 0.01][:n_fill]
+    a = np.concatenate([1.0 - eps + np.array(offsets), fill]) / q_norm
+    a = a[np.abs(a) <= 1.0]  # the rest are out of reach of a unit row
+    V = rng.normal(size=(a.size, dim))
+    V = normalize_rows(V - np.outer(V @ q_hat, q_hat))
+    rows = a[:, None] * q_hat + np.sqrt(1.0 - a * a)[:, None] * V
+    return q_norm * q_hat[None, :], rows
+
+
+def _exact_mask(Q, X, eps):
+    """``(decided, exact)``: ``1 - <q, x> < eps`` decided on fsum sums.
+
+    Pairs within 1e-12 of ``eps`` are left undecided. The float64 GEMM
+    errs by far less than 1e-9, so only pairs within that are summed.
+    """
+    D = 1.0 - Q @ X.T
+    exact = D < eps
+    decided = np.ones(D.shape, dtype=bool)
+    for i, j in zip(*np.nonzero(np.abs(D - eps) <= 1e-9)):
+        d = 1.0 - math.fsum(Q[i] * X[j])
+        exact[i, j] = d < eps
+        decided[i, j] = abs(d - eps) > 1e-12
+    return decided, exact
+
+
+def _assert_masks_exact(Q, X, eps, block_size=1024):
+    decided, exact = _exact_mask(Q, X, eps)
+    mask = np.zeros(exact.shape, dtype=bool)
+    for start, stop, block in iter_cosine_range_masks(Q, X, eps, block_size):
+        assert block.dtype == bool and block.shape == (stop - start, X.shape[0])
+        mask[start:stop] = block
+    assert decided.sum() > 0.9 * decided.size
+    assert np.array_equal(mask[decided], exact[decided])
+
+
+BAND_DIMS = [3, 64, 768]
+BAND_EPS = [0.05, 0.55, 1.0, 1.95, 2.0]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the kernel's float64 fallback blocks."""
+    calls = []
+    original = matrix.cosine_distance_matrix
+
+    def counting(Q, X):
+        calls.append(Q.shape[0])
+        return original(Q, X)
+
+    monkeypatch.setattr(matrix, "cosine_distance_matrix", counting)
+    return calls
+
+
+class TestCosineRangeMasks:
+    @pytest.mark.parametrize("eps", BAND_EPS)
+    @pytest.mark.parametrize("dim", BAND_DIMS)
+    def test_band_edges_match_exact_oracle(self, dim, eps, fallbacks):
+        # Diluted so the band is rechecked pair by pair, not by fallback.
+        Q, X = _band_edge_case(dim, eps, 1.0, n_fill=4000)
+        _assert_masks_exact(Q, X, eps)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("eps", BAND_EPS)
+    @pytest.mark.parametrize("dim", BAND_DIMS)
+    def test_dense_band_falls_back_to_float64(self, dim, eps, fallbacks):
+        # Nearly every pair is in the band: recomputing the block in
+        # float64 is cheaper than rechecking it.
+        Q, X = _band_edge_case(dim, eps, 1.0)
+        _assert_masks_exact(Q, X, eps)
+        assert fallbacks == [1]
+
+    @pytest.mark.parametrize("q_norm", [0.25, 3.0])
+    @pytest.mark.parametrize("dim", BAND_DIMS)
+    def test_non_unit_queries(self, dim, q_norm, fallbacks):
+        # The band scales with the block's largest query norm.
+        for eps in BAND_EPS:
+            Q, X = _band_edge_case(dim, eps, q_norm, n_fill=4000)
+            _assert_masks_exact(Q, X, eps)
+        assert fallbacks == []
+
+    def test_matches_float64_blocks(self, matrices):
+        Q, X = matrices
+        for eps in (0.0, 0.3, 1.0, 2.0, 2.5):
+            masks = [m for _, _, m in iter_cosine_range_masks(Q, X, eps, 5)]
+            blocks = [b < eps for _, _, b in iter_distance_blocks(Q, X, 5)]
+            assert np.array_equal(np.vstack(masks), np.vstack(blocks))
+
+    def test_non_finite_query_rows_fall_back(self, matrices, fallbacks):
+        Q, X = matrices
+        Q = Q.copy()
+        Q[1] = np.nan
+        masks = np.vstack([m for _, _, m in iter_cosine_range_masks(Q, X, 0.8, 4)])
+        assert not masks[1].any()
+        assert np.array_equal(masks, cosine_distance_matrix(Q, X) < 0.8)
+        assert fallbacks == [4]
+
+    def test_empty_batch(self, matrices):
+        _, X = matrices
+        assert list(iter_cosine_range_masks(np.empty((0, X.shape[1])), X, 0.5)) == []
+
+    def test_invalid_block_size(self, matrices):
+        Q, X = matrices
+        with pytest.raises(InvalidParameterError):
+            list(iter_cosine_range_masks(Q, X, 0.5, block_size=0))

@@ -97,29 +97,44 @@ class TestKnnQuery:
             index.knn_query(index.points[0], k=0)
 
 
+@pytest.fixture(scope="module", params=[16, 768], ids=["d16", "d768"])
+def batch_points(request, unit_vectors_small):
+    """The generic fixture, and unit vectors at the paper's dimension."""
+    if request.param == 16:
+        return unit_vectors_small
+    rng = np.random.default_rng(11)
+    centers = normalize_rows(rng.normal(size=(3, 768)))
+    return normalize_rows(
+        np.repeat(centers, 20, axis=0) + 0.04 * rng.normal(size=(60, 768))
+    )
+
+
 class TestBatchedForms:
-    def test_batch_range_count_matches_single(self, index, unit_vectors_small):
-        Q = unit_vectors_small[:9]
+    def test_batch_range_count_matches_single(self, batch_points):
+        index = BruteForceIndex().build(batch_points)
+        Q = batch_points[:9]
         counts = index.batch_range_count(Q, eps=0.6)
         singles = [index.range_count(q, 0.6) for q in Q]
         assert counts.tolist() == singles
 
-    def test_batch_range_query_matches_single(self, index, unit_vectors_small):
-        Q = unit_vectors_small[5:12]
+    def test_batch_range_query_matches_single(self, batch_points):
+        index = BruteForceIndex().build(batch_points)
+        Q = batch_points[5:12]
         results = index.batch_range_query(Q, eps=0.8)
         for q, hits in zip(Q, results):
             assert np.array_equal(hits, index.range_query(q, 0.8))
 
-    def test_blockwise_equals_unblocked(self, unit_vectors_small):
-        small_blocks = BruteForceIndex(block_size=3).build(unit_vectors_small)
-        counts_a = small_blocks.batch_range_count(unit_vectors_small, 0.5)
-        counts_b = BruteForceIndex().build(unit_vectors_small).batch_range_count(
-            unit_vectors_small, 0.5
+    def test_blockwise_equals_unblocked(self, batch_points):
+        small_blocks = BruteForceIndex(block_size=3).build(batch_points)
+        counts_a = small_blocks.batch_range_count(batch_points, 0.5)
+        counts_b = BruteForceIndex().build(batch_points).batch_range_count(
+            batch_points, 0.5
         )
         assert np.array_equal(counts_a, counts_b)
 
-    def test_multi_eps_counts(self, index, unit_vectors_small):
-        Q = unit_vectors_small[:6]
+    def test_multi_eps_counts(self, batch_points):
+        index = BruteForceIndex().build(batch_points)
+        Q = batch_points[:6]
         radii = np.array([0.2, 0.5, 0.9])
         grid = index.range_count_multi_eps(Q, radii)
         assert grid.shape == (6, 3)

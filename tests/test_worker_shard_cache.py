@@ -110,8 +110,15 @@ class TestShardHolderLRU:
         _, rebuilt = holder.attach(a)
         assert rebuilt  # fully released => evictable
 
+    def test_bytes_count_the_float32_copy(self, data):
+        # A cosine brute-force shard holds its rows twice: the float64
+        # matrix and the float32 copy its range-query kernel reads.
+        holder = holder_with_data(data)
+        holder.attach(shard_spec(0, 0, 10))
+        assert holder.stats()["cached_bytes"] == (8 + 4) * data[:10].size
+
     def test_bytes_cap(self, data):
-        one_shard_bytes = data[:10].astype(np.float64).nbytes
+        one_shard_bytes = (8 + 4) * data[:10].size  # float64 rows + float32 copy
         holder = holder_with_data(
             data, max_cached_bytes=int(one_shard_bytes * 1.5)
         )
