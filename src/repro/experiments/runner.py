@@ -18,7 +18,6 @@ from repro.clustering.base import Clusterer, ClusteringResult
 from repro.clustering.dbscan import DBSCAN
 from repro.engine_config import ExecutionConfig
 from repro.experiments.methods import MethodContext, build_method
-from repro.index.sharded import ShardingConfig
 from repro.metrics.ari import adjusted_rand_index
 from repro.metrics.mutual_info import adjusted_mutual_info
 
@@ -99,31 +98,20 @@ def run_suite(
     ctx: MethodContext,
     dataset_name: str = "dataset",
     gt_labels: np.ndarray | None = None,
-    sharding: ShardingConfig | None = None,
-    execution: ExecutionConfig | None = None,
 ) -> list[RunRecord]:
     """Run a list of methods on one dataset and score against DBSCAN.
 
     ``gt_labels`` may be supplied to avoid recomputing the ground truth;
     when omitted it is derived — when "DBSCAN" is among the methods
-    *and* the execution config keeps it exact (no index override), its
+    *and* ``ctx.execution`` keeps it exact (no index override), its
     own timed run provides the labels, otherwise :func:`ground_truth`
     recomputes an exact reference (sharding/batching still apply).
-    ``execution`` threads an
-    :class:`~repro.engine_config.ExecutionConfig` into every method of
-    the suite (overriding ``ctx.execution``); ``sharding`` is the
-    shorthand that folds one :class:`ShardingConfig` into that config.
-    Both are plain parameters — nothing is installed process- or
-    thread-wide, so concurrent suites cannot interfere.
+    ``ctx.execution`` is the one place a suite's
+    :class:`~repro.engine_config.ExecutionConfig` is set; nothing is
+    installed process- or thread-wide, so concurrent suites cannot
+    interfere.
     """
-    if execution is None:
-        execution = ctx.execution
-    if sharding is not None:
-        execution = dataclasses.replace(
-            execution or ExecutionConfig(), sharding=sharding
-        )
-    if execution is not ctx.execution:
-        ctx = dataclasses.replace(ctx, execution=execution)
+    execution = ctx.execution
     records: list[RunRecord] = []
     labels_gt = gt_labels
     # The timed DBSCAN run can double as the ground truth only while it

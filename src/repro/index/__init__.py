@@ -2,7 +2,7 @@
 
 Four indexes back the paper's methods:
 
-* :class:`BruteForceIndex` — exact, vectorized range/KNN queries; used by
+* :class:`BruteForceIndex` — exact, vectorized range queries; used by
   DBSCAN, DBSCAN++ and the LAF-enhanced variants (the paper's "range
   query" primitive).
 * :class:`CoverTree` — metric tree with configurable base; used by
@@ -17,11 +17,13 @@ All tree indexes operate in the Euclidean metric on unit vectors and
 convert cosine thresholds with the paper's Equation 1, because cosine
 distance itself violates the triangle inequality.
 
-Every index answers both scalar queries (``range_query``, ``knn_query``)
-and batched ones (``batch_range_query``, ``batch_range_count``,
-``batch_knn_query``); :class:`NeighborhoodCache` is the engine the
+Every index answers scalar range queries (``range_query``,
+``range_count``) and their batched forms (``batch_range_query``,
+``batch_range_count``); :class:`NeighborhoodCache` is the engine the
 clusterers use to route frontier expansions through the batched forms —
-see ``docs/engine.md``.
+see ``docs/engine.md``. KNN search is not part of the contract: only the
+k-means tree (for KNN-BLOCK DBSCAN) and the brute-force index (its exact
+reference) answer scalar KNN queries.
 """
 
 from repro.index.base import NeighborIndex

@@ -151,7 +151,7 @@ def group_hit_pairs(
 
 
 class NeighborIndex(abc.ABC):
-    """A point set supporting distance-threshold and KNN queries.
+    """A point set supporting distance-threshold (range) queries.
 
     Implementations store the dataset at ``build`` time and answer queries
     against it. Distances in the public API are always *cosine* distances
@@ -238,33 +238,6 @@ class NeighborIndex(abc.ABC):
         return np.fromiter(
             (self.range_count(q, eps) for q in Q), dtype=np.int64, count=Q.shape[0]
         )
-
-    def batch_knn_query(
-        self, Q: np.ndarray, k: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-row KNN results: ``(index_arrays, cosine_distance_arrays)``.
-
-        Returned as two ragged lists rather than matrices because
-        approximate indexes may surface fewer than ``k`` candidates for
-        some rows.
-        """
-        self._require_built()
-        indices: list[np.ndarray] = []
-        dists: list[np.ndarray] = []
-        for q in self._as_query_matrix(Q):
-            idx, d = self.knn_query(q, k)
-            indices.append(idx)
-            dists.append(d)
-        return indices, dists
-
-    @abc.abstractmethod
-    def knn_query(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``k`` nearest indexed points to ``q``.
-
-        Returns ``(indices, cosine_distances)`` sorted by ascending
-        distance. Approximate indexes may miss true neighbors; exactness
-        is documented per implementation.
-        """
 
     def _require_built(self) -> None:
         if self._points is None:

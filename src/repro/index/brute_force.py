@@ -159,32 +159,6 @@ class BruteForceIndex(NeighborIndex):
             counts[start:stop] = np.count_nonzero(mask, axis=1)
         return counts
 
-    def batch_knn_query(
-        self, Q: np.ndarray, k: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Exact blocked KNN: argpartition per distance block."""
-        self._require_built()
-        if k <= 0:
-            raise InvalidParameterError(f"k must be positive; got {k}")
-        k = min(k, self.n_points)
-        indices: list[np.ndarray] = []
-        dists: list[np.ndarray] = []
-        for _, _, block in self._iter_blocks(Q):
-            if k < block.shape[1]:
-                part = np.argpartition(block, k - 1, axis=1)[:, :k]
-            else:
-                part = np.broadcast_to(
-                    np.arange(block.shape[1]), (block.shape[0], block.shape[1])
-                )
-            part_d = np.take_along_axis(block, part, axis=1)
-            order = np.argsort(part_d, axis=1, kind="stable")
-            row_idx = np.take_along_axis(part, order, axis=1)
-            row_d = np.take_along_axis(part_d, order, axis=1)
-            # Copy rows out so returned arrays don't pin the whole block.
-            indices.extend(np.array(r, dtype=np.int64) for r in row_idx)
-            dists.extend(np.array(r) for r in row_d)
-        return indices, dists
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

@@ -350,54 +350,6 @@ class CoverTree(NeighborIndex):
         hit_q, _ = self._batch_range_pairs(Q, eps)
         return np.bincount(hit_q, minlength=Q.shape[0]).astype(np.int64)
 
-    def knn_query(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact KNN via best-first branch and bound.
-
-        Returns cosine distances (converted back from the internal
-        Euclidean metric).
-        """
-        self._require_built()
-        if k <= 0:
-            raise InvalidParameterError(f"k must be positive; got {k}")
-        import heapq
-
-        q = np.asarray(q, dtype=np.float64)
-        k = min(k, self.n_points)
-        root_pt = self._points[[self._node_point[self._root]]]
-        root_dist = float(euclidean_distance_to_many(q, root_pt)[0])
-        # Min-heap of (lower bound on any descendant distance, node, exact dist).
-        root_bound = max(0.0, root_dist - self._np_subtree_radius[self._root])
-        candidates = [(root_bound, self._root, root_dist)]
-        best: list[tuple[float, int]] = []  # max-heap via negated distances
-
-        def worst() -> float:
-            return -best[0][0] if len(best) == k else math.inf
-
-        while candidates:
-            bound, node, dist = heapq.heappop(candidates)
-            if bound > worst():
-                break
-            entry = (-dist, self._node_point[node])
-            if len(best) < k:
-                heapq.heappush(best, entry)
-            elif dist < -best[0][0]:
-                heapq.heapreplace(best, entry)
-            children = self._node_children[node]
-            if not children:
-                continue
-            child_ids = np.asarray(children, dtype=np.int64)
-            pts = self._points[self._np_point[child_ids]]
-            dists = euclidean_distance_to_many(q, pts)
-            bounds = np.maximum(0.0, dists - self._np_subtree_radius[child_ids])
-            limit = worst()
-            for child, d, child_bound in zip(children, dists, bounds):
-                if child_bound <= limit:
-                    heapq.heappush(candidates, (float(child_bound), child, float(d)))
-        ordered = sorted((-negd, idx) for negd, idx in best)
-        idx = np.array([i for _, i in ordered], dtype=np.int64)
-        d_euc = np.array([d for d, _ in ordered])
-        return idx, (d_euc**2) / 2.0
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

@@ -111,7 +111,6 @@ class KMeansTree(NeighborIndex):
         self._points: np.ndarray | None = None
         self._root: _Node | None = None
         self._n_leaves = 0
-        self._exact_flat: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_leaves(self) -> int:
@@ -155,7 +154,6 @@ class KMeansTree(NeighborIndex):
             [index_of[id(c)] for n in order for c in (n.children or [])],
             dtype=np.int64,
         )
-        self._exact_flat = None
 
     def _build_node(self, indices: np.ndarray) -> _Node:
         pts = self._points[indices]
@@ -213,26 +211,6 @@ class KMeansTree(NeighborIndex):
 
     def _max_leaf_checks(self) -> int:
         return max(1, math.ceil(self.checks_ratio * self._n_leaves))
-
-    def _is_exact(self) -> bool:
-        """True when the leaf-check budget covers every leaf (exact mode)."""
-        return self._max_leaf_checks() >= self._n_leaves
-
-    def _exact_candidates(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indices, points)`` of all leaves flattened in node order.
-
-        Exact-mode searches visit every leaf, so the candidate set is
-        the whole dataset; flattening the leaf blocks once (cached; a
-        loaded tree serves it straight from its memory-mapped
-        ``leaf_points_flat``) replaces the per-query heap traversal with
-        one contiguous distance kernel.
-        """
-        if self._exact_flat is None:
-            leaves = [n for n in self._np_nodes if n.is_leaf]
-            idx = np.concatenate([n.point_indices for n in leaves])
-            pts = np.ascontiguousarray(np.concatenate([n.leaf_points for n in leaves]))
-            self._exact_flat = (idx, pts)
-        return self._exact_flat
 
     def _collect_candidates(
         self, q: np.ndarray, prune_radius: float | None
@@ -437,46 +415,6 @@ class KMeansTree(NeighborIndex):
                 results[i] = grouped[i]
         return results
 
-    def batch_knn_query(
-        self, Q: np.ndarray, k: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Batched KNN; row ``i`` matches ``knn_query(Q[i], k)``.
-
-        In exact mode (the budget covers every leaf) the per-query
-        best-first traversal degenerates to "check all leaves", so the
-        batch path computes blocked GEMM distance matrices against the
-        cached flat leaf candidates and applies the scalar path's exact
-        selection ops (argpartition + stable argsort) per row: identical
-        neighbor rows, distances equal to the scalar kernel within BLAS
-        summation-order ulps (the brute-force batch contract). The
-        budget path stays per query — the best-first visit order is
-        query-dependent state that does not vectorize.
-        """
-        self._require_built()
-        if k <= 0:
-            raise InvalidParameterError(f"k must be positive; got {k}")
-        Q = self._as_query_matrix(Q)
-        if Q.shape[0] == 0 or not self._is_exact():
-            return super().batch_knn_query(Q, k)
-        candidates, pts = self._exact_candidates()
-        if candidates.size == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            empty_d = np.empty(0)
-            return [empty_i] * Q.shape[0], [empty_d] * Q.shape[0]
-        k = min(k, candidates.size)
-        # Bound each distance block to ~32 MB regardless of dataset size.
-        block_rows = max(1, (1 << 22) // candidates.size)
-        indices: list[np.ndarray] = []
-        dists: list[np.ndarray] = []
-        for lo in range(0, Q.shape[0], block_rows):
-            block = np.maximum(0.0, 1.0 - Q[lo : lo + block_rows] @ pts.T)
-            for row in block:
-                nearest = np.argpartition(row, k - 1)[:k]
-                order = np.argsort(row[nearest], kind="stable")
-                indices.append(candidates[nearest[order]])
-                dists.append(row[nearest[order]])
-        return indices, dists
-
     def batch_range_count(self, Q: np.ndarray, eps: float) -> np.ndarray:
         """Batched counts; row ``i`` equals ``range_count(Q[i], eps)``."""
         self._require_built()
@@ -549,8 +487,4 @@ class KMeansTree(NeighborIndex):
         self._root = nodes[0] if nodes else None
         self._n_leaves = int(np.count_nonzero(is_leaf))
         self._freeze()
-        # The saved flats are already the exact-mode candidate layout:
-        # seed the cache so a memory-mapped artifact serves batched
-        # exact KNN without ever copying the points into RAM.
-        self._exact_flat = (leaf_index_flat, leaf_points_flat)
         return self

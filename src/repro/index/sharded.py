@@ -32,14 +32,14 @@ shard-before-build seam: handed an *unbuilt* backend it constructs the
 per-shard indexes directly, so no whole-dataset index is ever built just
 to be thrown away.
 
-Per-shard results arrive as CSR triples in *shard-local* row numbering;
-the merge kernels below (:func:`concat_shard_rows`, :func:`merge_knn_rows`)
-re-index them into global row ids and reassemble per-query rows that are
-sorted and bit-identical to the single-index answer. Shards are
-contiguous and disjoint, so re-indexing is one offset add per shard and
-a range row is a plain concatenation. :func:`merge_shard_rows` is the
-general sort-and-deduplicate kernel for arbitrary (even overlapping)
-splits; the property-based tests check the fast path against it.
+Per-shard range results arrive as CSR pairs in *shard-local* row
+numbering; :func:`concat_shard_rows` re-indexes them into global row ids
+and reassembles per-query rows that are sorted and bit-identical to the
+single-index answer. Shards are contiguous and disjoint, so re-indexing
+is one offset add per shard and a range row is a plain concatenation.
+:func:`merge_shard_rows` is the general sort-and-deduplicate kernel for
+arbitrary (even overlapping) splits; the property-based tests check the
+fast path against it.
 
 The module also hosts :class:`ShardingConfig`, the declarative sharding
 spec that :class:`~repro.engine_config.ExecutionConfig` embeds and
@@ -49,15 +49,7 @@ is no ambient sharding state.
 
 Exactness: range queries and counts are exact for exact inner backends
 (a point's eps-neighborhood is the disjoint union of its per-shard
-neighborhoods). KNN is a per-shard candidate merge: the returned
-*distances* are exact for exact inner backends, and the returned ids
-follow the deterministic (distance, global index) order — under exactly
-tied distances (duplicated points) the id sequence may therefore differ
-from a single brute-force index, whose tie order is argpartition-
-arbitrary. Approximate inner backends (k-means tree below
-``checks_ratio=1.0``) prune per shard and may surface different
-candidates than one big tree — same contract as any partitioned ANN
-index.
+neighborhoods).
 """
 
 from __future__ import annotations
@@ -87,7 +79,6 @@ __all__ = [
     "concat_shard_rows",
     "csr_to_rows",
     "make_inner_backend",
-    "merge_knn_rows",
     "merge_shard_rows",
     "resolve_engine_index",
     "rows_to_csr",
@@ -404,50 +395,6 @@ def concat_shard_rows(
     return merged
 
 
-def merge_knn_rows(
-    per_shard_idx: Sequence[Sequence[np.ndarray]],
-    per_shard_dist: Sequence[Sequence[np.ndarray]],
-    shard_starts: Sequence[int],
-    k: int,
-    n_queries: int | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Merge per-shard KNN candidates into global top-``k`` rows.
-
-    Every shard contributes its local top-``min(k, shard_size)``; the
-    global answer is the ``k`` best candidates overall, ordered by
-    ascending distance with ties broken by ascending global index (a
-    deterministic order regardless of how candidates were split across
-    shards).
-    """
-    if n_queries is None:
-        n_queries = len(per_shard_idx[0]) if per_shard_idx else 0
-    starts = [np.int64(s) for s in shard_starts]
-    idx_rows: list[np.ndarray] = []
-    dist_rows: list[np.ndarray] = []
-    for q in range(n_queries):
-        idx_parts = [
-            np.asarray(rows[q], dtype=np.int64) + start
-            for rows, start in zip(per_shard_idx, starts)
-            if len(rows[q])
-        ]
-        if not idx_parts:
-            idx_rows.append(np.empty(0, dtype=np.int64))
-            dist_rows.append(np.empty(0))
-            continue
-        idx = np.concatenate(idx_parts)
-        dist = np.concatenate(
-            [
-                np.asarray(rows[q], dtype=np.float64)
-                for rows in per_shard_dist
-                if len(rows[q])
-            ]
-        )
-        order = np.lexsort((idx, dist))[:k]
-        idx_rows.append(idx[order])
-        dist_rows.append(dist[order])
-    return idx_rows, dist_rows
-
-
 # ----------------------------------------------------------------------
 # Shard query operations (shared with the remote worker)
 # ----------------------------------------------------------------------
@@ -462,23 +409,7 @@ def _op_count(index, Q: np.ndarray, eps: float):
     return np.asarray(index.batch_range_count(Q, eps), dtype=np.int64)
 
 
-def _op_knn(index, Q: np.ndarray, k: int):
-    query = getattr(index, "batch_knn_query", None)
-    if query is None:
-        raise InvalidParameterError(
-            f"inner backend {type(index).__name__} does not support KNN queries"
-        )
-    idx_rows, dist_rows = query(Q, k)
-    indptr, flat_idx = rows_to_csr(idx_rows)
-    flat_dist = (
-        np.concatenate([np.asarray(r, dtype=np.float64) for r in dist_rows])
-        if indptr[-1]
-        else np.empty(0)
-    )
-    return indptr, flat_idx, flat_dist
-
-
-_SHARD_OPS = {"range": _op_range, "count": _op_count, "knn": _op_knn}
+_SHARD_OPS = {"range": _op_range, "count": _op_count}
 
 
 # ----------------------------------------------------------------------
@@ -718,9 +649,6 @@ class ShardedIndex(NeighborIndex):
         Only the local (serial/thread) executors hold their indexes in
         this process; the remote executor's live in worker memory, so
         they cannot be handed out from the parent.
-        (:func:`repro.persistence.save_index` no longer needs them — it
-        rebuilds per-shard indexes parent-side when serializing a
-        worker-held executor.)
         """
         executor = self._require_executor()
         indexes = getattr(executor, "_indexes", None)
@@ -741,11 +669,10 @@ class ShardedIndex(NeighborIndex):
 
         ``points`` is typically a read-only memory map and is adopted
         as-is — reattaching never copies the matrix. A remote spec
-        reattaches through the
-        pool: ``artifact_path`` travels to the workers, which
-        :func:`~repro.persistence.load_index` their pinned shards from
-        the shared filesystem (``indexes`` may then be None — nothing is
-        deserialized parent-side).
+        reattaches through the pool: ``artifact_path`` travels to the
+        workers, which :func:`~repro.persistence.load_shard_index` their
+        pinned shards from the shared filesystem (``indexes`` is then
+        empty — nothing is deserialized parent-side).
         """
         self.close()
         self._points = points
@@ -794,40 +721,6 @@ class ShardedIndex(NeighborIndex):
                 counts[block_lo:block_hi] += shard_counts
         return counts
 
-    def batch_knn_query(
-        self, Q: np.ndarray, k: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        executor = self._require_executor()
-        if k <= 0:
-            raise InvalidParameterError(f"k must be positive; got {k}")
-        Q = self._as_query_matrix(Q)
-        n_queries = Q.shape[0]
-        idx_out: list[np.ndarray] = []
-        dist_out: list[np.ndarray] = []
-        starts = [lo for _, lo, _ in self._live]
-        for block_lo in range(0, n_queries, self.query_block):
-            Qb = Q[block_lo : block_lo + self.query_block]
-            if not self._live:
-                idx_out.extend(np.empty(0, dtype=np.int64) for _ in range(Qb.shape[0]))
-                dist_out.extend(np.empty(0) for _ in range(Qb.shape[0]))
-                continue
-            calls = [
-                (shard_id, (Qb, min(k, hi - lo))) for shard_id, lo, hi in self._live
-            ]
-            results = executor.run("knn", calls)
-            per_shard_idx = [
-                csr_to_rows(indptr, flat_idx) for indptr, flat_idx, _ in results
-            ]
-            per_shard_dist = [
-                csr_to_rows(indptr, flat_dist) for indptr, _, flat_dist in results
-            ]
-            idx_rows, dist_rows = merge_knn_rows(
-                per_shard_idx, per_shard_dist, starts, k, n_queries=Qb.shape[0]
-            )
-            idx_out.extend(idx_rows)
-            dist_out.extend(dist_rows)
-        return idx_out, dist_out
-
     # ------------------------------------------------------------------
     # Scalar queries (single-row batches)
     # ------------------------------------------------------------------
@@ -839,12 +732,6 @@ class ShardedIndex(NeighborIndex):
     def range_count(self, q: np.ndarray, eps: float) -> int:
         (count,) = self.batch_range_count(np.asarray(q, dtype=np.float64)[None, :], eps)
         return int(count)
-
-    def knn_query(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        idx_rows, dist_rows = self.batch_knn_query(
-            np.asarray(q, dtype=np.float64)[None, :], k
-        )
-        return idx_rows[0], dist_rows[0]
 
 
 # ----------------------------------------------------------------------

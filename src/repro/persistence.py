@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -336,7 +336,7 @@ def load_index(
 
     ``executor`` (sharded artifacts only) overrides the executor spec
     recorded at save time — an :class:`~repro.index.sharded.ExecutorSpec`,
-    a registered name, or a wire dict — so one artifact can reattach
+    an executor name, or a wire dict — so one artifact can reattach
     serially on a laptop or onto a worker pool without resaving.
     """
     manifest = read_manifest(path)
@@ -450,6 +450,66 @@ def _save_sharded(index: Any, path: str | Path) -> Path:
     )
 
 
+def _open_sharded(
+    path: Path,
+    manifest: Mapping,
+    *,
+    mmap: bool,
+    verify: bool,
+    load: Iterable[int] | None = None,
+) -> tuple[np.ndarray, list[tuple[int, int, int]], dict[int, Any]]:
+    """``(points, live, indexes)`` of a sharded artifact.
+
+    The manifest's ``metadata`` is not checksummed, so every ``live``
+    entry must be three ints ``[shard_id, lo, hi]`` with
+    ``0 <= lo < hi <= len(points)`` before any row slice is taken.
+    ``load`` names the shard ids to restore into ``indexes`` (None:
+    every live shard); each gets its inner backend over the shared
+    ``points[lo:hi]`` slice.
+    """
+    arrays = load_arrays(path, manifest, mmap=mmap, verify=verify)
+    try:
+        points = arrays["points"]
+    except KeyError:
+        raise PersistenceError(
+            f"sharded artifact at {path} is missing its 'points' array"
+        ) from None
+    try:
+        live = [tuple(entry) for entry in manifest["metadata"]["live"]]
+    except (KeyError, TypeError) as exc:
+        raise PersistenceError(
+            f"sharded artifact at {path} has malformed shard metadata: {exc}"
+        ) from exc
+    n_rows = points.shape[0]
+    for entry in live:
+        if not (
+            len(entry) == 3
+            and all(type(v) is int for v in entry)
+            and 0 <= entry[1] < entry[2] <= n_rows
+        ):
+            raise PersistenceError(
+                f"sharded artifact at {path} has a malformed live shard "
+                f"{list(entry)!r}: expected [shard_id, lo, hi] ints with "
+                f"0 <= lo < hi <= {n_rows}"
+            )
+    bounds = {s: (lo, hi) for s, lo, hi in live}
+    indexes: dict[int, Any] = {}
+    for s in bounds if load is None else load:
+        if s not in bounds:
+            raise PersistenceError(
+                f"sharded artifact at {path} has no shard {s}; "
+                f"live shards: {sorted(bounds)}"
+            )
+        lo, hi = bounds[s]
+        shard_path = _shard_dir(path, s)
+        shard_manifest = read_manifest(shard_path, expected_kind=KIND_INDEX_SHARD)
+        shard_arrays = load_arrays(shard_path, shard_manifest, mmap=mmap, verify=verify)
+        shard_arrays["points"] = points[lo:hi]
+        inner = _make_backend(shard_manifest["spec"], shard_path)
+        indexes[s] = _restore_backend(inner, shard_arrays, shard_path)
+    return points, live, indexes
+
+
 def _load_sharded(
     path: Path,
     manifest: Mapping,
@@ -466,21 +526,6 @@ def _load_sharded(
             raise PersistenceError(
                 f"sharded artifact at {path} is missing spec key {key!r}"
             )
-    arrays = load_arrays(path, manifest, mmap=mmap, verify=verify)
-    try:
-        points = arrays["points"]
-    except KeyError:
-        raise PersistenceError(
-            f"sharded artifact at {path} is missing its 'points' array"
-        ) from None
-    meta = manifest["metadata"]
-    try:
-        offsets = np.asarray(meta["offsets"], dtype=np.int64)
-        live = [tuple(int(v) for v in entry) for entry in meta["live"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(
-            f"sharded artifact at {path} has malformed shard metadata: {exc}"
-        ) from exc
     try:
         executor_spec = ExecutorSpec.coerce(
             _upgrade_executor(spec["executor"]) if executor is None else executor
@@ -497,22 +542,22 @@ def _load_sharded(
         raise PersistenceError(
             f"cannot reconstruct the ShardedIndex spec of {path}: {exc}"
         ) from exc
-    if executor_spec.name == "remote":
-        # Remote reattach never deserializes shard indexes parent-side:
-        # the artifact path travels to the workers, which load their
-        # pinned shards from the shared filesystem and keep them warm.
-        return out._attach_loaded(
-            points, offsets, live, None, artifact_path=str(path)
-        )
-    indexes: dict[int, object] = {}
-    for s, lo, hi in live:
-        shard_path = _shard_dir(path, s)
-        shard_manifest = read_manifest(shard_path, expected_kind=KIND_INDEX_SHARD)
-        shard_arrays = load_arrays(shard_path, shard_manifest, mmap=mmap, verify=verify)
-        shard_arrays["points"] = points[lo:hi]
-        inner = _make_backend(shard_manifest["spec"], shard_path)
-        indexes[s] = _restore_backend(inner, shard_arrays, shard_path)
-    return out._attach_loaded(points, offsets, live, indexes)
+    # Remote reattach never deserializes shard indexes parent-side: the
+    # artifact path travels to the workers, which load their pinned
+    # shards from the shared filesystem and keep them warm.
+    remote = executor_spec.name == "remote"
+    points, live, indexes = _open_sharded(
+        path, manifest, mmap=mmap, verify=verify, load=() if remote else None
+    )
+    try:
+        offsets = np.asarray(manifest["metadata"]["offsets"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(
+            f"sharded artifact at {path} has malformed shard metadata: {exc}"
+        ) from exc
+    return out._attach_loaded(
+        points, offsets, live, indexes, artifact_path=str(path) if remote else None
+    )
 
 
 def load_shard_index(
@@ -527,34 +572,10 @@ def load_shard_index(
     """
     path = Path(path)
     manifest = read_manifest(path, expected_kind=KIND_SHARDED_INDEX)
-    arrays = load_arrays(path, manifest, mmap=mmap, verify=verify)
-    try:
-        points = arrays["points"]
-    except KeyError:
-        raise PersistenceError(
-            f"sharded artifact at {path} is missing its 'points' array"
-        ) from None
-    try:
-        live = {
-            int(entry[0]): (int(entry[1]), int(entry[2]))
-            for entry in manifest["metadata"]["live"]
-        }
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise PersistenceError(
-            f"sharded artifact at {path} has malformed shard metadata: {exc}"
-        ) from exc
-    if shard_id not in live:
-        raise PersistenceError(
-            f"sharded artifact at {path} has no shard {shard_id}; "
-            f"live shards: {sorted(live)}"
-        )
-    lo, hi = live[shard_id]
-    shard_path = _shard_dir(path, shard_id)
-    shard_manifest = read_manifest(shard_path, expected_kind=KIND_INDEX_SHARD)
-    shard_arrays = load_arrays(shard_path, shard_manifest, mmap=mmap, verify=verify)
-    shard_arrays["points"] = points[lo:hi]
-    inner = _make_backend(shard_manifest["spec"], shard_path)
-    return _restore_backend(inner, shard_arrays, shard_path)
+    _, _, indexes = _open_sharded(
+        path, manifest, mmap=mmap, verify=verify, load=(shard_id,)
+    )
+    return indexes[shard_id]
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 :class:`RemoteExecutor` implements the shard-executor contract
 (``run(op, calls)`` / ``close()`` / ``collect_stats()``) over a fleet
-of :mod:`repro.remote.worker` processes. It is what the registered
-``remote`` :class:`~repro.index.sharded.ExecutorSpec` constructs behind
+of :mod:`repro.remote.worker` processes. It is what the ``remote``
+:class:`~repro.index.sharded.ExecutorSpec` constructs behind
 :class:`~repro.index.sharded.ShardedIndex` — the sharded index itself
 is unchanged: query blocks fan out with the stable ``shard → worker``
 affinity, per-shard CSR arrays come back and feed the existing merge
@@ -291,9 +291,7 @@ class RemoteExecutor:
                 self._inner_builds += 1
         if op == "range":
             return arrays["indptr"], arrays["flat"]
-        if op == "count":
-            return arrays["counts"]
-        return arrays["indptr"], arrays["flat_idx"], arrays["flat_dist"]
+        return arrays["counts"]
 
     # ------------------------------------------------------------------
     # Executor contract

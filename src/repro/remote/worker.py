@@ -24,10 +24,10 @@ Requests (see :mod:`repro.remote.protocol` for the framing):
     A shard spec (``shard``, see :func:`_shard_key`) → builds, loads,
     or cache-hits the shard index; ``{"built": bool}``.
 ``query``
-    ``{"qop": range|count|knn, "arg": eps-or-k, "shard": spec}`` +
-    array ``Q`` → runs the shard op (auto-attaching if needed — after a
-    rebalance the new owner sees the shard for the first time mid-fit)
-    and returns the op's CSR arrays plus ``{"built": bool}``.
+    ``{"qop": range|count, "arg": eps, "shard": spec}`` + array ``Q``
+    → runs the shard op (auto-attaching if needed — after a rebalance
+    the new owner sees the shard for the first time mid-fit) and returns
+    the range CSR arrays or the counts, plus ``{"built": bool}``.
 ``stats``
     Worker-global counters: ``{"inner_builds", "datasets", "indexes"}``.
 ``shutdown``
@@ -280,17 +280,15 @@ def _handle_request(holder: ShardHolder, header: dict, arrays: dict):
         if fn is None:
             raise RemoteProtocolError(f"unknown shard query op {qop!r}")
         Q = np.asarray(arrays["Q"], dtype=np.float64)
-        arg = header["arg"]
+        eps = float(header["arg"])
         # Pinned attach: an LRU-bounded holder must not evict the index
         # out from under the query another connection is running.
         with holder.acquire(header["shard"]) as (index, built):
-            result = fn(index, Q, int(arg) if qop == "knn" else float(arg))
+            result = fn(index, Q, eps)
         if qop == "count":
             out = {"counts": result}
-        elif qop == "range":
-            out = {"indptr": result[0], "flat": result[1]}
         else:
-            out = {"indptr": result[0], "flat_idx": result[1], "flat_dist": result[2]}
+            out = {"indptr": result[0], "flat": result[1]}
         return {"built": built}, out, True
     if op == "stats":
         return holder.stats(), {}, True

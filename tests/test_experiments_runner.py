@@ -1,5 +1,7 @@
 """Tests for the timed runner and scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,28 +84,35 @@ class TestRunSuite:
         from repro import ExecutionConfig, IndexSpec
         from repro.experiments import build_method
 
-        ctx = MethodContext(eps=0.5, tau=5)
         execution = ExecutionConfig(
             index=IndexSpec("kmeans_tree", {"checks_ratio": 0.05, "seed": 0})
         )
-        records = run_suite(data, ("DBSCAN",), ctx, execution=execution)
+        ctx = MethodContext(eps=0.5, tau=5, execution=execution)
+        records = run_suite(data, ("DBSCAN",), ctx)
         exact = ground_truth(data, 0.5, 5)
-        approx = build_method(
-            "DBSCAN", MethodContext(eps=0.5, tau=5, execution=execution), data
-        ).fit(data)
+        approx = build_method("DBSCAN", ctx, data).fit(data)
         from repro.metrics import adjusted_rand_index
 
         expected_ari = adjusted_rand_index(exact.labels, approx.labels)
         assert records[0].ari == pytest.approx(expected_ari)
 
+    @pytest.mark.parametrize("removed", ["sharding", "execution"])
+    def test_execution_is_set_on_the_context_only(self, data, removed):
+        # ctx.execution is the one place a suite's execution config lives.
+        with pytest.raises(TypeError, match=removed):
+            ctx = MethodContext(eps=0.5, tau=5)
+            run_suite(data, ("DBSCAN",), ctx, **{removed: None})
+
     def test_sharded_suite_matches_unsharded(self, data):
+        from repro import ExecutionConfig
         from repro.index import ShardingConfig
 
         ctx = MethodContext(eps=0.5, tau=5, estimator=ExactCardinalityEstimator())
         baseline = run_suite(data, ("DBSCAN",), ctx)[0]
-        sharded = run_suite(
-            data, ("DBSCAN",), ctx, sharding=ShardingConfig(n_shards=3)
-        )[0]
+        sharded_ctx = dataclasses.replace(
+            ctx, execution=ExecutionConfig(sharding=ShardingConfig(n_shards=3))
+        )
+        sharded = run_suite(data, ("DBSCAN",), sharded_ctx)[0]
         assert sharded.n_clusters == baseline.n_clusters
         assert sharded.noise_ratio == baseline.noise_ratio
         assert sharded.ari == pytest.approx(baseline.ari)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.distances import normalize_rows
 from repro.exceptions import NotFittedError
@@ -61,21 +59,10 @@ class TestBatchAgainstScalar:
         expected = [index.range_count(data[i], EPS) for i in range(33)]
         assert np.array_equal(counts, expected)
 
-    def test_batch_knn_query_rows_match_scalar(self, name, factory, data):
-        index = factory().build(data)
-        idx_rows, dist_rows = index.batch_knn_query(data[:25], k=5)
-        assert len(idx_rows) == len(dist_rows) == 25
-        for i in range(25):
-            exp_idx, exp_dist = index.knn_query(data[i], 5)
-            assert np.array_equal(idx_rows[i], exp_idx), i
-            np.testing.assert_allclose(dist_rows[i], exp_dist, atol=1e-12)
-
     def test_empty_batch(self, name, factory, data):
         index = factory().build(data)
         assert index.batch_range_query(np.empty((0, data.shape[1])), EPS) == []
         assert index.batch_range_count(np.empty((0, data.shape[1])), EPS).size == 0
-        idx_rows, dist_rows = index.batch_knn_query(np.empty((0, data.shape[1])), k=3)
-        assert idx_rows == [] and dist_rows == []
 
     def test_single_row_is_one_query(self, name, factory, data):
         index = factory().build(data)
@@ -150,27 +137,6 @@ class TestGridBatchedQueries:
         grid = GridIndex(EPS).build(X)
         assert grid.batch_range_query(np.empty((0, 8))) == []
         assert grid.batch_approx_range_count(np.empty((0, 8))).size == 0
-
-
-class TestBatchKnnBruteForce:
-    @given(st.integers(0, 500))
-    @settings(max_examples=15, deadline=None)
-    def test_property_blocked_knn_matches_scalar(self, seed):
-        rng = np.random.default_rng(seed)
-        X = normalize_rows(rng.normal(size=(40, 6)))
-        index = BruteForceIndex(block_size=11).build(X)
-        k = int(rng.integers(1, 8))
-        idx_rows, dist_rows = index.batch_knn_query(X, k)
-        for i in range(X.shape[0]):
-            exp_idx, exp_dist = index.knn_query(X[i], k)
-            assert np.array_equal(idx_rows[i], exp_idx)
-            np.testing.assert_allclose(dist_rows[i], exp_dist, atol=1e-12)
-
-    def test_k_larger_than_dataset_clamps(self):
-        X = normalize_rows(np.random.default_rng(1).normal(size=(9, 4)))
-        index = BruteForceIndex().build(X)
-        idx_rows, _ = index.batch_knn_query(X[:2], k=50)
-        assert all(r.size == 9 for r in idx_rows)
 
 
 class TestNeighborhoodCache:

@@ -83,31 +83,6 @@ class TestRangeQueryExactness:
         )
 
 
-class TestKnnQuery:
-    def test_matches_brute_force_sets(self, built_tree):
-        tree, X = built_tree
-        brute = BruteForceIndex().build(X)
-        for qi in (0, 33, 77):
-            t_idx, t_d = tree.knn_query(X[qi], k=5)
-            b_idx, b_d = brute.knn_query(X[qi], k=5)
-            assert np.allclose(np.sort(t_d), np.sort(b_d), atol=1e-9)
-
-    def test_first_neighbor_is_self(self, built_tree):
-        tree, X = built_tree
-        idx, dists = tree.knn_query(X[11], k=3)
-        assert idx[0] == 11 or dists[0] == pytest.approx(0.0, abs=1e-9)
-
-    def test_invalid_k(self, built_tree):
-        tree, X = built_tree
-        with pytest.raises(InvalidParameterError):
-            tree.knn_query(X[0], k=0)
-
-    def test_k_larger_than_n(self, built_tree):
-        tree, X = built_tree
-        idx, _ = tree.knn_query(X[0], k=10_000)
-        assert idx.size == X.shape[0]
-
-
 class TestSmallBases:
     """The trade-off sweep uses bases down to 1.1; ensure they work."""
 

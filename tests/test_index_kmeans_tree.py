@@ -127,12 +127,48 @@ class TestApproximateModes:
             tree.knn_query(data[0], k=-1)
 
 
-class TestVectorizedExactBatch:
-    """The GEMM fast path for exact-mode batch KNN.
+class TestExactKnnAgainstBruteForce:
+    """The scalar KNN search KNN-BLOCK DBSCAN runs, checked against the
+    exact brute-force oracle with the tree in exact mode."""
 
-    Contract (the brute-force batch precedent): neighbor index rows are
-    exactly the scalar path's rows; distances match the scalar kernel
-    within BLAS summation-order ulps (atol=1e-12).
+    @pytest.fixture(scope="class")
+    def exact_tree(self, data):
+        return KMeansTree(
+            branching=4, checks_ratio=1.0, leaf_size=8, seed=1
+        ).build(data)
+
+    @pytest.fixture(scope="class")
+    def brute(self, data):
+        return BruteForceIndex().build(data)
+
+    @pytest.mark.parametrize("k", [1, 5, 17])
+    def test_rows_match_oracle(self, exact_tree, brute, data, k):
+        for i in range(0, data.shape[0], 10):
+            t_idx, t_d = exact_tree.knn_query(data[i], k)
+            b_idx, b_d = brute.knn_query(data[i], k)
+            assert t_idx.dtype == np.int64, i
+            assert set(t_idx.tolist()) == set(b_idx.tolist()), i
+            assert np.allclose(t_d, b_d, atol=1e-9), i
+
+    def test_external_query_point(self, exact_tree, brute):
+        q = random_unit(1, 12, seed=99)[0]
+        t_idx, t_d = exact_tree.knn_query(q, 9)
+        b_idx, b_d = brute.knn_query(q, 9)
+        assert set(t_idx.tolist()) == set(b_idx.tolist())
+        assert np.allclose(t_d, b_d, atol=1e-9)
+
+    def test_k_clamps_to_dataset(self, exact_tree, data):
+        idx, dists = exact_tree.knn_query(data[7], k=10 * data.shape[0])
+        assert np.array_equal(np.sort(idx), np.arange(data.shape[0]))
+        assert idx[0] == 7
+        assert np.all(np.diff(dists) >= 0.0)
+
+
+class TestVectorizedExactBatch:
+    """An exact-mode tree reloaded from its arrays answers like the built one.
+
+    Covers both paths a loaded tree serves: the scalar KNN search that
+    KNN-BLOCK DBSCAN runs, and the vectorized batch range query.
     """
 
     @pytest.fixture(scope="class")
@@ -141,60 +177,17 @@ class TestVectorizedExactBatch:
             branching=4, checks_ratio=1.0, leaf_size=8, seed=1
         ).build(data)
 
-    @pytest.mark.parametrize("k", [1, 5, 17])
-    def test_batch_rows_match_scalar(self, exact_tree, data, k):
-        idx_rows, dist_rows = exact_tree.batch_knn_query(data[:40], k=k)
-        assert len(idx_rows) == len(dist_rows) == 40
-        for i in range(40):
-            exp_idx, exp_dist = exact_tree.knn_query(data[i], k)
-            assert np.array_equal(idx_rows[i], exp_idx), i
-            np.testing.assert_allclose(dist_rows[i], exp_dist, atol=1e-12)
-
-    def test_blocked_gemm_spans_block_boundaries(self, data):
-        # Force tiny GEMM blocks by querying more rows than one ~32 MB
-        # block would hold for a huge candidate set is impractical here;
-        # instead verify the block loop by querying every row at once
-        # (several argpartition rounds over one block) against scalars.
-        tree = KMeansTree(
-            branching=3, checks_ratio=1.0, leaf_size=4, seed=2
-        ).build(data)
-        idx_rows, dist_rows = tree.batch_knn_query(data, k=3)
-        for i in (0, data.shape[0] // 2, data.shape[0] - 1):
-            exp_idx, exp_dist = tree.knn_query(data[i], 3)
-            assert np.array_equal(idx_rows[i], exp_idx)
-            np.testing.assert_allclose(dist_rows[i], exp_dist, atol=1e-12)
-
-    def test_budget_mode_stays_on_scalar_path(self, data):
-        tree = KMeansTree(
-            branching=4, checks_ratio=0.1, leaf_size=8, seed=5
-        ).build(data)
-        idx_rows, dist_rows = tree.batch_knn_query(data[:15], k=4)
-        for i in range(15):
-            exp_idx, exp_dist = tree.knn_query(data[i], 4)
-            assert np.array_equal(idx_rows[i], exp_idx), i
-            assert np.array_equal(dist_rows[i], exp_dist), i
-
     def test_loaded_tree_matches_built_tree(self, exact_tree, data):
         loaded = KMeansTree(
             branching=4, checks_ratio=1.0, leaf_size=8, seed=1
         ).from_arrays(exact_tree.to_arrays())
-        got_idx, got_dist = loaded.batch_knn_query(data[:20], k=6)
-        exp_idx, exp_dist = exact_tree.batch_knn_query(data[:20], k=6)
-        for g, e in zip(got_idx, exp_idx):
+        for i in range(20):
+            got_idx, got_dist = loaded.knn_query(data[i], k=6)
+            exp_idx, exp_dist = exact_tree.knn_query(data[i], k=6)
+            assert np.array_equal(got_idx, exp_idx), i
+            assert np.array_equal(got_dist, exp_dist), i
+        got_rows = loaded.batch_range_query(data[:20], 0.5)
+        exp_rows = exact_tree.batch_range_query(data[:20], 0.5)
+        assert any(row.size > 1 for row in exp_rows)
+        for g, e in zip(got_rows, exp_rows):
             assert np.array_equal(g, e)
-        for g, e in zip(got_dist, exp_dist):
-            np.testing.assert_allclose(g, e, atol=1e-12)
-
-    def test_k_clamps_and_edge_inputs(self, exact_tree, data):
-        idx_rows, _ = exact_tree.batch_knn_query(data[:2], k=10_000)
-        assert all(row.size == data.shape[0] for row in idx_rows)
-        idx_rows, dist_rows = exact_tree.batch_knn_query(
-            np.empty((0, data.shape[1])), k=3
-        )
-        assert idx_rows == [] and dist_rows == []
-        one_idx, one_dist = exact_tree.batch_knn_query(data[7], k=5)
-        exp_idx, exp_dist = exact_tree.knn_query(data[7], 5)
-        assert len(one_idx) == 1 and np.array_equal(one_idx[0], exp_idx)
-        np.testing.assert_allclose(one_dist[0], exp_dist, atol=1e-12)
-        with pytest.raises(InvalidParameterError):
-            exact_tree.batch_knn_query(data[:3], k=0)

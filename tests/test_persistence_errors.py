@@ -3,8 +3,9 @@
 The load path promises a :class:`~repro.exceptions.PersistenceError` —
 never a bare numpy/json traceback — for each damage class: truncated
 array files, checksum mismatches, unknown or newer format versions,
-manifest/dtype drift, missing files, and artifacts whose execution
-policy cannot be reconstructed (the ``"custom"`` index marker).
+manifest/dtype drift, malformed shard metadata, missing files, and
+artifacts whose execution policy cannot be reconstructed (the
+``"custom"`` index marker).
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ import repro
 from repro.distances import normalize_rows
 from repro.exceptions import PersistenceError
 from repro.index import BruteForceIndex, CoverTree
-from repro.index.sharded import ShardedIndex
+from repro.index.sharded import ExecutorSpec, ShardedIndex
 from repro.persistence import (
     FORMAT_VERSION,
     MANIFEST_FILENAME,
     load_index,
     load_model,
+    load_shard_index,
     read_manifest,
     save_index,
 )
@@ -200,6 +202,78 @@ class TestSpecValidation:
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         finally:
             loaded.close()
+
+
+def _short_live_entry(live):
+    live[0] = live[0][:2]
+
+
+def _hi_past_rows(live):
+    live[0][2] = 400
+
+
+def _empty_shard_range(live):
+    live[0][1] = live[0][2]
+
+
+def _negative_lo(live):
+    live[0][1] = -1
+
+
+def _float_bound(live):
+    live[0][2] = float(live[0][2])
+
+
+LOADERS = {
+    "load_index": load_index,
+    "load_index_remote": lambda path: load_index(
+        path, executor=ExecutorSpec("remote", {"addresses": ["127.0.0.1:9"]})
+    ),
+    "load_shard_index": lambda path: load_shard_index(path, 0),
+}
+
+
+class TestShardMetadataValidation:
+    """The manifest metadata is not checksummed: a damaged ``live`` table
+    must fail typed before any shard slice is taken, in every loader."""
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _short_live_entry,
+            _hi_past_rows,
+            _empty_shard_range,
+            _negative_lo,
+            _float_bound,
+        ],
+        ids=["short-entry", "hi-past-rows", "lo-ge-hi", "negative-lo", "float-hi"],
+    )
+    def test_malformed_live_entry(self, data, tmp_path, loader, damage):
+        path = tmp_path / "sharded"
+        with ShardedIndex(n_shards=2).build(data) as index:
+            save_index(index, path)
+        edit_manifest(path, lambda m: damage(m["metadata"]["live"]))
+        with pytest.raises(PersistenceError, match="malformed live shard"):
+            LOADERS[loader](path)
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda meta: meta.pop("live"),
+            lambda meta: meta.update(live=3),
+            lambda meta: meta["live"].__setitem__(0, 7),
+        ],
+        ids=["missing-live", "live-not-a-list", "scalar-entry"],
+    )
+    def test_unreadable_live_table(self, data, tmp_path, loader, damage):
+        path = tmp_path / "sharded"
+        with ShardedIndex(n_shards=2).build(data) as index:
+            save_index(index, path)
+        edit_manifest(path, lambda m: damage(m["metadata"]))
+        with pytest.raises(PersistenceError, match="malformed shard metadata"):
+            LOADERS[loader](path)
 
 
 class TestModelValidation:

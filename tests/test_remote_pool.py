@@ -57,16 +57,14 @@ EPS = 0.55
 TAU = 4
 
 #: Same exact-backend matrix as the sharded differential suite (the
-#: k-means tree in exact mode; the grid is range/count-only).
+#: k-means tree in exact mode).
 BACKENDS = [
     ("brute_force", {}),
     ("cover_tree", {"base": 1.6}),
     ("kmeans_tree", {"checks_ratio": 1.0, "seed": 0, "leaf_size": 8}),
     ("grid", {"eps": EPS, "rho": 1.0}),
 ]
-KNN_BACKENDS = [(n, kw) for n, kw in BACKENDS if n != "grid"]
 backend_ids = [n for n, _ in BACKENDS]
-knn_backend_ids = [n for n, _ in KNN_BACKENDS]
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +134,21 @@ class TestProtocol:
         finally:
             b.close()
 
+    def test_worker_rejects_knn_query_op(self, pool, data):
+        # Shard queries are range and count only; a KNN request gets the
+        # typed error reply and the connection keeps serving.
+        host, _, port = pool.addresses[0].rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+            header = {"op": "query", "qop": "knn", "arg": 3, "shard": {}}
+            send_msg(sock, header, {"Q": data[:2]})
+            reply, _ = recv_msg(sock)
+            assert reply["error"] == {
+                "type": "RemoteProtocolError",
+                "message": "unknown shard query op 'knn'",
+            }
+            send_msg(sock, {"op": "ping"})
+            assert recv_msg(sock)[0]["ok"]
+
     def test_bad_magic_is_a_protocol_error(self):
         a, b = socket.socketpair()
         try:
@@ -173,20 +186,17 @@ class TestShardedQueriesMatchSerial:
                 serial.batch_range_count(data, EPS),
             )
 
-
-@pytest.mark.parametrize("name,kwargs", KNN_BACKENDS, ids=knn_backend_ids)
-def test_batch_knn_query_matches_serial(name, kwargs, data, pool):
-    remote = ShardedIndex(
-        inner=name, inner_kwargs=kwargs, n_shards=3, executor=pool.executor_spec()
-    ).build(data)
-    serial = ShardedIndex(
-        inner=name, inner_kwargs=kwargs, n_shards=3, executor="serial"
-    ).build(data)
-    with remote, serial:
-        got_idx, got_dist = remote.batch_knn_query(data, 5)
-        exp_idx, exp_dist = serial.batch_knn_query(data, 5)
-    assert all(np.array_equal(g, e) for g, e in zip(got_idx, exp_idx))
-    assert all(np.allclose(g, e) for g, e in zip(got_dist, exp_dist))
+    def test_scalar_queries(self, name, kwargs, data, pool):
+        # range_query / range_count travel as one-row batches.
+        remote, serial = self._pair(name, kwargs, data, pool)
+        with remote, serial:
+            for i in (0, 17, 41):
+                assert np.array_equal(
+                    remote.range_query(data[i], EPS), serial.range_query(data[i], EPS)
+                )
+                assert remote.range_count(data[i], EPS) == serial.range_count(
+                    data[i], EPS
+                )
 
 
 @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)

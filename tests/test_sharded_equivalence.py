@@ -2,11 +2,12 @@
 
 The contract of :class:`repro.index.sharded.ShardedIndex` is that
 sharding is *invisible*: for every exact inner backend and every
-executor, `batch_range_query` / `batch_range_count` / `batch_knn_query`
-return exactly what one index over the whole dataset returns (range rows
-compared as sorted arrays — the sharded backend's documented order).
+executor, `batch_range_query` / `batch_range_count` return exactly what
+one index over the whole dataset returns (range rows compared as sorted
+arrays — the sharded backend's documented order).
 Edge cases the merge layer must survive: ``eps = 0`` (strict ``d < eps``
-means even the query's duplicate is excluded), duplicated points,
+means even the query's duplicate is excluded), an eps covering the
+whole sphere, query points outside the dataset, duplicated points,
 ``n_shards > n_points`` (empty shards), and empty query batches.
 
 Everything here is deterministic: fixed seeds, no time dependence, no
@@ -21,15 +22,18 @@ import numpy as np
 import pytest
 
 from repro.clustering import DBSCAN
+from repro.distances import normalize_rows
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index import (
     BruteForceIndex,
     KMeansTree,
     NeighborhoodCache,
+    NeighborIndex,
     ShardedIndex,
     ShardingConfig,
 )
+from repro.index import sharded as sharded_mod
 from repro.index.sharded import (
     backend_spec_of,
     make_inner_backend,
@@ -39,6 +43,10 @@ from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.55
+
+#: Largest valid eps: every distance on the unit sphere is below it
+#: unless the pair is exactly antipodal.
+WHOLE_SPHERE_EPS = 2.0
 
 #: Every registered executor; "remote" runs against a local two-worker
 #: pool (see the ``executor`` fixture).
@@ -55,11 +63,7 @@ BACKENDS = [
     ("grid", {"eps": EPS, "rho": 1.0}),
 ]
 
-#: Backends supporting KNN (the grid is a range/count-only substrate).
-KNN_BACKENDS = [(n, kw) for n, kw in BACKENDS if n != "grid"]
-
 backend_ids = [n for n, _ in BACKENDS]
-knn_backend_ids = [n for n, _ in KNN_BACKENDS]
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +88,13 @@ def executor(request, pool):
     if request.param == "remote":
         return pool.executor_spec()
     return request.param
+
+
+@pytest.fixture(scope="module")
+def external(data) -> np.ndarray:
+    # Jittered copies of dataset rows: near the blobs, none in ``data``.
+    rng = np.random.default_rng(11)
+    return normalize_rows(data[:12] + 0.05 * rng.normal(size=(12, data.shape[1])))
 
 
 @pytest.fixture(scope="module")
@@ -142,59 +153,30 @@ class TestAgainstSingleIndex:
                 index.batch_range_count(data[:6], 0.0), np.zeros(6, dtype=np.int64)
             )
 
-
-@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
-@pytest.mark.parametrize("name,kwargs", KNN_BACKENDS, ids=knn_backend_ids)
-class TestKnnAgainstSingleIndex:
-    def test_batch_knn_query(self, name, kwargs, executor, data):
+    def test_external_queries(self, name, kwargs, executor, data, external):
+        # Query points outside the dataset: no self-match to lean on, and
+        # the hits of one row can fall in every shard.
         single = make_inner_backend(name, kwargs).build(data)
-        exp_idx, exp_dist = single.batch_knn_query(data[:20], k=5)
+        expected = single.batch_range_query(external, EPS)
+        assert any(len(row) > 0 for row in expected)
         with sharded(name, kwargs, data, executor) as index:
-            got_idx, got_dist = index.batch_knn_query(data[:20], k=5)
-        assert len(got_idx) == len(exp_idx)
-        for i in range(len(exp_idx)):
-            assert np.array_equal(got_idx[i], exp_idx[i]), i
-            np.testing.assert_allclose(got_dist[i], exp_dist[i], atol=1e-12)
+            assert_rows_equal(index.batch_range_query(external, EPS), expected)
+            assert np.array_equal(
+                index.batch_range_count(external, EPS), [len(r) for r in expected]
+            )
 
-    def test_k_exceeding_dataset_clamps(self, name, kwargs, executor, data):
-        X = data[:9]
-        single = make_inner_backend(name, kwargs).build(X)
-        exp_idx, _ = single.batch_knn_query(X[:3], k=50)
-        with sharded(name, kwargs, X, executor, n_shards=2) as index:
-            got_idx, _ = index.batch_knn_query(X[:3], k=50)
-        for i in range(3):
-            assert got_idx[i].size == exp_idx[i].size == 9
-            assert np.array_equal(np.sort(got_idx[i]), np.arange(9))
+    def test_eps_covering_every_point(self, name, kwargs, executor, data):
+        # Every shard contributes its whole slice to every row.
+        everything = np.arange(data.shape[0], dtype=np.int64)
+        with sharded(name, kwargs, data, executor) as index:
+            rows = index.batch_range_query(data[:5], WHOLE_SPHERE_EPS)
+            counts = index.batch_range_count(data[:5], WHOLE_SPHERE_EPS)
+        assert all(np.array_equal(row, everything) for row in rows)
+        assert np.array_equal(counts, np.full(5, data.shape[0], dtype=np.int64))
 
 
 @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 class TestShardingEdgeCases:
-    def test_knn_with_duplicated_points(self, executor, duplicated):
-        """Under exact distance ties the id *sets* per tie group match.
-
-        The sharded order is the deterministic (distance, index) order;
-        a single brute-force index breaks ties argpartition-arbitrarily,
-        so id sequences are only comparable within tie groups. Every
-        point appears in triples, so k = 6 aligns the cutoff with tie
-        group boundaries (a mid-group cutoff may legitimately keep
-        different members per path).
-        """
-        k = 6
-        single = BruteForceIndex().build(duplicated)
-        exp_idx, exp_dist = single.batch_knn_query(duplicated[:10], k)
-        with sharded("brute_force", {}, duplicated, executor, n_shards=4) as index:
-            got_idx, got_dist = index.batch_knn_query(duplicated[:10], k)
-        for i in range(10):
-            np.testing.assert_allclose(got_dist[i], exp_dist[i], atol=1e-12)
-            # Sharded ties are ordered by ascending global index.
-            order = np.lexsort((got_idx[i], got_dist[i]))
-            assert np.array_equal(got_idx[i], got_idx[i][order])
-            # Same candidate set within every group of tied distances.
-            for d in np.unique(exp_dist[i]):
-                exp_group = np.sort(exp_idx[i][exp_dist[i] == d])
-                got_group = np.sort(got_idx[i][got_dist[i] == d])
-                assert np.array_equal(got_group, exp_group), (i, d)
-
     def test_duplicated_points(self, executor, duplicated):
         single = BruteForceIndex().build(duplicated)
         with sharded("brute_force", {}, duplicated, executor, n_shards=5) as index:
@@ -214,9 +196,6 @@ class TestShardingEdgeCases:
             assert np.array_equal(
                 index.batch_range_count(data[:3], EPS), np.zeros(3, dtype=np.int64)
             )
-            idx_rows, dist_rows = index.batch_knn_query(data[:2], k=3)
-            assert [r.size for r in idx_rows] == [0, 0]
-            assert [r.size for r in dist_rows] == [0, 0]
 
     def test_more_shards_than_points(self, executor, data):
         X = data[:7]
@@ -253,10 +232,14 @@ class TestShardingEdgeCases:
                 np.sort(single.range_query(data[0], EPS)),
             )
             assert index.range_count(data[3], EPS) == single.range_count(data[3], EPS)
-            idx, dist = index.knn_query(data[5], 4)
-            exp_idx, exp_dist = single.knn_query(data[5], 4)
-            assert np.array_equal(idx, exp_idx)
-            np.testing.assert_allclose(dist, exp_dist, atol=1e-12)
+
+
+def test_index_contract_is_range_only():
+    """KNN is not part of the index contract, the sharding layer or the wire."""
+    assert not hasattr(NeighborIndex, "batch_knn_query")
+    assert not hasattr(ShardedIndex, "batch_knn_query")
+    assert "merge_knn_rows" not in sharded_mod.__all__
+    assert set(sharded_mod._SHARD_OPS) == {"range", "count"}
 
 
 class TestLifecycleAndValidation:

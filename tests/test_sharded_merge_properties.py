@@ -1,7 +1,7 @@
 """Property-based tests for the sharded backend's CSR merge kernels.
 
 The kernels (:func:`rows_to_csr` / :func:`csr_to_rows` /
-:func:`merge_shard_rows` / :func:`merge_knn_rows` /
+:func:`merge_shard_rows` / :func:`concat_shard_rows` /
 :func:`shard_offsets` in :mod:`repro.index.sharded`) are the exactness
 core of the sharded backend: whatever random dataset is split into
 whatever random row shards, re-running the per-shard queries and merging
@@ -21,7 +21,6 @@ from repro.index import BruteForceIndex
 from repro.index.sharded import (
     concat_shard_rows,
     csr_to_rows,
-    merge_knn_rows,
     merge_shard_rows,
     rows_to_csr,
     shard_offsets,
@@ -154,40 +153,3 @@ class TestMergeReassemblesUnshardedRows:
     def test_no_shards_yields_empty_rows(self):
         merged = merge_shard_rows([], [], n_queries=3)
         assert [r.size for r in merged] == [0, 0, 0]
-        idx_rows, dist_rows = merge_knn_rows([], [], [], k=4, n_queries=2)
-        assert [r.size for r in idx_rows] == [0, 0]
-        assert [r.size for r in dist_rows] == [0, 0]
-
-
-class TestKnnMerge:
-    @given(
-        seed=st.integers(0, 10_000),
-        n=st.integers(1, 50),
-        n_shards=st.integers(1, 8),
-        k=st.integers(1, 12),
-    )
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_per_shard_candidate_merge_is_global_topk(self, seed, n, n_shards, k):
-        X = dataset(seed, n, 6)
-        n_queries = min(n, 10)
-        Q = X[:n_queries]
-        offsets = shard_offsets(n, n_shards)
-        per_shard_idx, per_shard_dist, starts = [], [], []
-        for s in range(n_shards):
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            if hi == lo:
-                continue
-            index = BruteForceIndex().build(X[lo:hi])
-            idx_rows, dist_rows = index.batch_knn_query(Q, min(k, hi - lo))
-            per_shard_idx.append(idx_rows)
-            per_shard_dist.append(dist_rows)
-            starts.append(lo)
-        got_idx, got_dist = merge_knn_rows(
-            per_shard_idx, per_shard_dist, starts, k, n_queries=n_queries
-        )
-        # Reference: full distance rows, ordered by (distance, index).
-        dists = np.maximum(0.0, 1.0 - Q @ X.T)
-        for i in range(n_queries):
-            order = np.lexsort((np.arange(n), dists[i]))[:k]
-            assert np.array_equal(got_idx[i], order), i
-            np.testing.assert_allclose(got_dist[i], dists[i][order], atol=1e-12)
