@@ -7,7 +7,10 @@ rows to ``benchmarks/out/engine_batching.json``. Also times the two
 DBSCAN paths end to end, since the neighborhood loop is DBSCAN's
 dominant cost. A second row, ``engine_kernel_n8000.json``, times the
 cosine range-query kernel (float32 GEMM plus float64 band recheck)
-against the float64 block it replaced, at the paper's d=768.
+against the float64 block it replaced, at the paper's d=768. A third,
+``engine_components_n4000.json``, times the DBSCAN++ core graph
+(upper-triangle kernel blocks plus csgraph components) against the
+per-node float64 BFS it replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 from conftest import out_path
 
 from repro.clustering import DBSCAN
+from repro.clustering.components import connected_components_within
 from repro.distances import normalize_rows
 from repro.engine_config import ExecutionConfig
 from repro.experiments.reporting import save_json
@@ -138,3 +142,52 @@ def test_engine_kernel_speedup():
         f"{t_kernel:.3f}s ({kernel_speedup:.2f}x)"
     )
     save_json(out_path(f"engine_kernel_n{n}.json"), {"rows": rows})
+
+
+def _components_bfs(X: np.ndarray, eps: float) -> np.ndarray:
+    """The core-graph labelling the kernel replaced: one float64 matvec per node."""
+    labels = np.full(X.shape[0], -1, dtype=np.int64)
+    component = -1
+    for start in range(X.shape[0]):
+        if labels[start] != -1:
+            continue
+        component += 1
+        labels[start] = component
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            neighbors = np.flatnonzero((1.0 - X @ X[node] < eps) & (labels == -1))
+            labels[neighbors] = component
+            frontier.extend(neighbors.tolist())
+    return labels
+
+
+def test_components_speedup():
+    n = 4000
+    X = _dataset(n, dim=768)
+
+    expected = _components_bfs(X, EPS)
+    got, pairs = connected_components_within(X, EPS)
+    assert np.array_equal(got, expected)
+
+    t_bfs = _best_of(lambda: _components_bfs(X, EPS))
+    t_graph = _best_of(lambda: connected_components_within(X, EPS))
+    components_speedup = t_bfs / t_graph
+    rows = [
+        {
+            "n": n,
+            "dim": int(X.shape[1]),
+            "eps": EPS,
+            "pairs": pairs,
+            "components": int(expected.max()) + 1,
+            "bfs_s": t_bfs,
+            "graph_s": t_graph,
+            "components_speedup": components_speedup,
+        }
+    ]
+    print()
+    print(
+        f"n={n} d=768: core-graph components BFS {t_bfs:.3f}s -> kernel + "
+        f"csgraph {t_graph:.3f}s ({components_speedup:.2f}x)"
+    )
+    save_json(out_path(f"engine_components_n{n}.json"), {"rows": rows})

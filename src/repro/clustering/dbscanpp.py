@@ -107,8 +107,10 @@ class DBSCANPlusPlus(Clusterer):
         chosen = np.empty(m, dtype=np.int64)
         chosen[0] = int(self._rng.integers(n))
         min_dists = 1.0 - X @ X[chosen[0]]
+        min_dists[chosen[0]] = -np.inf  # argmax only sees unchosen rows
         for i in range(1, m):
             chosen[i] = int(np.argmax(min_dists))
+            min_dists[chosen[i]] = -np.inf
             new_dists = 1.0 - X @ X[chosen[i]]
             np.minimum(min_dists, new_dists, out=min_dists)
         return np.sort(chosen)
@@ -133,6 +135,8 @@ class DBSCANPlusPlus(Clusterer):
             "range_queries": int(sample.size),
             "sample_size": int(sample.size),
             "n_core": int(core_sample.size),
+            "core_graph_pairs": 0,
+            "n_core_components": 0,
         }
         stats.update(engine_stats)
         if core_sample.size == 0:
@@ -144,7 +148,9 @@ class DBSCANPlusPlus(Clusterer):
 
         # Connect core points that are mutual eps-neighbors.
         core_X = X[core_sample]
-        core_labels = connected_components_within(core_X, self.eps)
+        core_labels, core_graph_pairs = connected_components_within(core_X, self.eps)
+        stats["core_graph_pairs"] = core_graph_pairs
+        stats["n_core_components"] = int(core_labels.max()) + 1
 
         # Every point joins its closest core point's cluster.
         nearest, nearest_dist = nearest_in_blocks(iter_distance_blocks(X, core_X), n)

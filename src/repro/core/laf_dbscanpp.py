@@ -139,6 +139,8 @@ class LAFDBSCANPlusPlus(Clusterer):
             "skipped_queries": int(skipped.size),
             "sample_size": int(sample.size),
             "n_core": int(core_sample.size),
+            "core_graph_pairs": 0,
+            "n_core_components": 0,
         }
         stats.update(engine_stats)
         core_mask = np.zeros(n, dtype=bool)
@@ -156,7 +158,9 @@ class LAFDBSCANPlusPlus(Clusterer):
 
         # DBSCAN++ core graph: connect cores within eps, label components.
         core_X = X[core_sample]
-        core_labels = connected_components_within(core_X, self.eps)
+        core_labels, core_graph_pairs = connected_components_within(core_X, self.eps)
+        stats["core_graph_pairs"] = core_graph_pairs
+        stats["n_core_components"] = int(core_labels.max()) + 1
 
         nearest, nearest_dist = nearest_in_blocks(iter_distance_blocks(X, core_X), n)
         labels = core_labels[nearest]

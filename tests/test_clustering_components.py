@@ -1,0 +1,172 @@
+"""Tests for the core-graph components of DBSCAN++ and LAF-DBSCAN++."""
+
+import numpy as np
+import pytest
+
+from repro.clustering.components import connected_components_within
+from repro.distances import matrix, normalize_rows
+
+
+def _oracle(X, eps):
+    """``(labels, n_pairs)`` from per-pair float64 decisions and union-find.
+
+    Components are numbered in order of their lowest row.
+    """
+    m = X.shape[0]
+    within = np.maximum(0.0, 1.0 - X @ X.T) < eps
+    root = np.arange(m)  # quick-find: every row points at its component's lowest row
+    n_pairs = 0
+    for i in range(m):
+        linked = np.flatnonzero(within[i, i + 1 :]) + i + 1
+        n_pairs += linked.size
+        merged = np.unique(root[np.append(linked, i)])
+        root[np.isin(root, merged)] = merged[0]
+    return np.unique(root, return_inverse=True)[1], n_pairs
+
+
+def _sparse_graph_case(m, dim, seed=0):
+    """``m`` random unit rows and an eps giving about ``1.5 m`` pairs.
+
+    eps sits halfway between two consecutive pair distances, so no
+    pair is near the threshold and the graph has many components.
+    """
+    X = normalize_rows(np.random.default_rng(seed).normal(size=(m, dim)))
+    if m < 2:
+        return X, 0.5
+    D = (1.0 - X @ X.T)[np.triu_indices(m, k=1)]
+    k = min(D.size - 1, int(1.5 * m))
+    lower, upper = np.partition(D, (k - 1, k))[k - 1 : k + 1]
+    return X, (lower + upper) / 2
+
+
+def _planted_pairs(dim, eps, n_fill=2000, seed=0):
+    """Rows at similarities a few float32 ulps either side of ``1 - eps``
+    to a hub row, ``n_fill`` random rows that dilute the kernel's band,
+    and the hub last.
+    """
+    rng = np.random.default_rng(seed)
+    hub = normalize_rows(rng.normal(size=(1, dim)))[0]
+    ulp = 2.0**-24  # a float32 ulp just below 1, the largest similarity
+    offsets = np.array([k * ulp for k in (-4, -2, -1, 1, 2, 4)])
+    a = 1.0 - eps + offsets
+    V = rng.normal(size=(a.size, dim))
+    V = normalize_rows(V - np.outer(V @ hub, hub))
+    rows = a[:, None] * hub + np.sqrt(1.0 - a * a)[:, None] * V
+    assert np.array_equal(1.0 - rows @ hub < eps, offsets > 0)
+    fill = normalize_rows(rng.normal(size=(n_fill, dim)))
+    return np.vstack([rows, fill, hub])
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the range kernel's float64 fallback blocks."""
+    calls = []
+    original = matrix.cosine_distance_matrix
+
+    def counting(Q, X):
+        calls.append(Q.shape[0])
+        return original(Q, X)
+
+    monkeypatch.setattr(matrix, "cosine_distance_matrix", counting)
+    return calls
+
+
+class TestConnectedComponentsWithin:
+    def test_two_far_groups(self):
+        rng = np.random.default_rng(0)
+        a = normalize_rows(np.array([1.0, 0.0, 0.0]) + 0.01 * rng.normal(size=(5, 3)))
+        b = normalize_rows(np.array([-1.0, 0.0, 0.0]) + 0.01 * rng.normal(size=(5, 3)))
+        labels, _ = connected_components_within(np.vstack([a, b]), eps=0.5)
+        assert len(set(labels[:5].tolist())) == 1
+        assert len(set(labels[5:].tolist())) == 1
+        assert labels[0] != labels[5]
+
+    def test_chain_connectivity(self):
+        # Points on a great-circle arc, each within eps of its neighbor
+        # but not of the far end: one chained component.
+        angles = np.linspace(0.0, 1.2, 7)
+        X = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        step_gap = 1.0 - np.cos(angles[1] - angles[0])
+        end_gap = 1.0 - np.cos(angles[-1] - angles[0])
+        eps = step_gap * 1.5
+        assert eps < end_gap
+        labels, _ = connected_components_within(X, eps=eps)
+        assert len(set(labels.tolist())) == 1
+
+    def test_all_singletons(self):
+        X = np.eye(4)
+        labels, n_pairs = connected_components_within(X, eps=0.5)
+        assert len(set(labels.tolist())) == 4
+        assert n_pairs == 0
+
+    def test_matches_naive_union_find(self):
+        from repro.clustering import UnionFind
+
+        rng = np.random.default_rng(3)
+        X = normalize_rows(rng.normal(size=(40, 6)))
+        eps = 0.6
+        fast, _ = connected_components_within(X, eps)
+        uf = UnionFind(40)
+        dists = 1.0 - X @ X.T
+        for i in range(40):
+            for j in range(i + 1, 40):
+                if dists[i, j] < eps:
+                    uf.union(i, j)
+        for i in range(40):
+            for j in range(40):
+                assert (fast[i] == fast[j]) == uf.connected(i, j)
+
+    @pytest.mark.parametrize("m", [1, 1023, 1024, 1025, 2600])
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_matches_float64_oracle(self, m, dim):
+        # 2600 rows span three row blocks of the upper triangle.
+        X, eps = _sparse_graph_case(m, dim)
+        labels, n_pairs = connected_components_within(X, eps)
+        want, want_pairs = _oracle(X, eps)
+        assert np.array_equal(labels, want)
+        assert n_pairs == want_pairs
+        if m > 1:
+            assert 1 < labels.max() + 1 < m
+
+    def test_component_ids_ordered_by_lowest_row(self):
+        X, eps = _sparse_graph_case(1025, 3, seed=4)
+        labels, _ = connected_components_within(X, eps)
+        ids, first_rows = np.unique(labels, return_index=True)
+        assert np.array_equal(ids, np.arange(ids.size))
+        assert np.all(np.diff(first_rows) > 0)
+
+    def test_duplicated_rows(self):
+        X, eps = _sparse_graph_case(600, 8, seed=1)
+        X2 = np.vstack([X, X[::-1]])
+        labels, n_pairs = connected_components_within(X2, eps)
+        assert np.array_equal(labels[:600], labels[600:][::-1])
+        want, want_pairs = _oracle(X2, eps)
+        assert np.array_equal(labels, want)
+        assert n_pairs == want_pairs
+
+    def test_eps_two_keeps_antipodal_pairs_apart(self):
+        x = normalize_rows(np.random.default_rng(2).normal(size=(1, 16)))[0]
+        labels, n_pairs = connected_components_within(np.stack([x, -x]), 2.0)
+        assert labels.tolist() == [0, 1] and n_pairs == 0
+        # An orthogonal row is within 2.0 of both and joins them.
+        y = np.zeros(16)
+        y[np.argmin(np.abs(x))] = 1.0
+        y = normalize_rows((y - (y @ x) * x)[None, :])[0]
+        labels, n_pairs = connected_components_within(np.stack([x, -x, y]), 2.0)
+        assert labels.tolist() == [0, 0, 0] and n_pairs == 2
+
+    @pytest.mark.parametrize("eps", [0.05, 0.55, 1.0, 1.95])
+    @pytest.mark.parametrize("dim", [3, 64, 768])
+    def test_planted_pairs_at_the_threshold(self, dim, eps, fallbacks):
+        # Diluted so the planted pairs are rechecked pair by pair in the
+        # kernel's band, not by a float64 fallback block.
+        X = _planted_pairs(dim, eps)
+        labels, n_pairs = connected_components_within(X, eps)
+        want, want_pairs = _oracle(X, eps)
+        assert np.array_equal(labels, want)
+        assert n_pairs == want_pairs
+        assert fallbacks == []
+
+    def test_empty(self):
+        labels, n_pairs = connected_components_within(np.empty((0, 4)), 0.5)
+        assert labels.shape == (0,) and n_pairs == 0

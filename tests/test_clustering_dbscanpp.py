@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.clustering import DBSCAN, DBSCANPlusPlus
+from repro.clustering.components import connected_components_within
+from repro.distances import normalize_rows
 from repro.exceptions import InvalidParameterError
 from repro.metrics import adjusted_rand_index
 
@@ -63,6 +65,56 @@ class TestSampling:
         result = DBSCANPlusPlus(eps=0.5, tau=4, p=0.1, init="k-center", seed=0).fit(X)
         # Farthest-first traversal hits every blob: all clusters found.
         assert result.n_clusters == 3
+
+
+def _k_center_without_exclusion(X, m, seed):
+    """Farthest-first traversal that lets argmax see chosen rows again."""
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(X.shape[0]))]
+    min_dists = 1.0 - X @ X[chosen[0]]
+    for _ in range(1, m):
+        chosen.append(int(np.argmax(min_dists)))
+        np.minimum(min_dists, 1.0 - X @ X[chosen[-1]], out=min_dists)
+    return np.sort(chosen)
+
+
+class TestKCenterSampling:
+    def test_repeated_rows_are_not_chosen_twice(self):
+        # 3 distinct points repeated 5 times: the traversal used to pick
+        # one row 12 times out of 14.
+        X = np.repeat(normalize_rows(np.random.default_rng(0).normal(size=(3, 8))), 5, 0)
+        clusterer = DBSCANPlusPlus(eps=0.5, tau=2, p=0.9, init="k-center", seed=0)
+        m = round(0.9 * X.shape[0])
+        sample = clusterer._sample_indices(X)
+        assert sample.size == m
+        assert np.unique(sample).size == m
+        assert np.unique(_k_center_without_exclusion(X, m, 0)).size < m
+        result = DBSCANPlusPlus(eps=0.5, tau=2, p=0.9, init="k-center", seed=0).fit(X)
+        assert result.stats["sample_size"] == result.stats["range_queries"] == m
+
+    def test_distinct_rows_sample_unchanged(self, clusterable_data):
+        for seed in range(3):
+            clusterer = DBSCANPlusPlus(eps=0.5, tau=5, p=0.3, init="k-center", seed=seed)
+            m = round(0.3 * clusterable_data.shape[0])
+            assert np.array_equal(
+                clusterer._sample_indices(clusterable_data),
+                _k_center_without_exclusion(clusterable_data, m, seed),
+            )
+
+
+class TestCoreGraphStats:
+    def test_core_graph_reported(self, clusterable_data):
+        result = DBSCANPlusPlus(eps=0.5, tau=5, p=0.5, seed=0).fit(clusterable_data)
+        core_X = clusterable_data[result.core_mask]
+        labels, n_pairs = connected_components_within(core_X, 0.5)
+        assert result.stats["core_graph_pairs"] == n_pairs > 0
+        assert result.stats["n_core_components"] == labels.max() + 1
+        assert result.stats["n_core_components"] == result.n_clusters
+
+    def test_no_core_points(self, unit_vectors_small):
+        result = DBSCANPlusPlus(eps=0.01, tau=5, p=0.5, seed=0).fit(unit_vectors_small)
+        assert result.stats["core_graph_pairs"] == 0
+        assert result.stats["n_core_components"] == 0
 
 
 class TestQualityOnBlobs:

@@ -108,4 +108,17 @@ class TestWithImperfectEstimator:
             "fn_detected",
             "merges",
             "cardest_calls",
+            "core_graph_pairs",
+            "n_core_components",
         } <= set(laf.stats)
+
+    def test_core_graph_matches_dbscanpp(self, clusterable_data):
+        # Oracle + alpha=1 finds DBSCAN++'s cores, hence its core graph.
+        eps, tau, p, seed = 0.5, 5, 0.4, 7
+        plain = DBSCANPlusPlus(eps=eps, tau=tau, p=p, seed=seed).fit(clusterable_data)
+        laf = LAFDBSCANPlusPlus(
+            eps=eps, tau=tau, estimator=ExactCardinalityEstimator(), p=p, seed=seed
+        ).fit(clusterable_data)
+        for key in ("core_graph_pairs", "n_core_components"):
+            assert laf.stats[key] == plain.stats[key]
+        assert laf.stats["core_graph_pairs"] > 0
