@@ -3,11 +3,12 @@ datasets at the three (eps, tau) settings.
 
 Paper shape to reproduce: LAF-DBSCAN and LAF-DBSCAN++ are the fastest in
 most cases; DBSCAN is the slowest of the non-tree methods. Note on the
-tree baselines: KNN-BLOCK and BLOCK-DBSCAN run on Python tree indexes
-here, whose constant factors are far worse relative to numpy's
-BLAS-backed brute force than the paper's all-C++ substrate — their
-absolute times are distorted upward; their quality knobs and trade-off
-behaviour are still faithful.
+block baselines: KNN-BLOCK runs on a Python k-means tree, whose
+constant factors are far worse relative to numpy's BLAS-backed brute
+force than the paper's all-C++ substrate, so its absolute times are
+distorted upward. BLOCK-DBSCAN's range queries run on the brute-force
+engine rather than the paper's cover tree (same labels, less time).
+Their quality knobs and trade-off behaviour are still faithful.
 """
 
 import pytest

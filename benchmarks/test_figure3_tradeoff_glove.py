@@ -32,7 +32,7 @@ def _run_all_sweeps(X, gt_labels, estimator):
     points += sweep_knn_block(
         X, gt_labels, EPS, TAU, branchings=(3, 10, 20), checks=(0.01, 0.1, 0.3)
     )
-    points += sweep_block_dbscan(X, gt_labels, EPS, TAU, bases=(1.1, 2.0, 5.0))
+    points += sweep_block_dbscan(X, gt_labels, EPS, TAU)
     return points
 
 

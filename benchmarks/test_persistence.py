@@ -2,7 +2,7 @@
 
 The persistence layer's headline claim is that ``load()`` is a
 manifest-validation plus ``mmap`` reattach — no distance computations,
-no tree construction — so it must beat a fresh ``build()`` by a wide
+no cell assignment — so it must beat a fresh ``build()`` by a wide
 margin on any backend whose build does real work. The tracked metric is
 ``load_vs_build_speedup`` (build seconds over load seconds, same
 machine, same run), recorded per backend to
@@ -26,7 +26,7 @@ import time
 import numpy as np
 from conftest import out_path
 
-from repro.index import BruteForceIndex, CoverTree, KMeansTree
+from repro.index import BruteForceIndex, GridIndex
 from repro.persistence import load_index, save_index
 from repro.testing import make_blobs_on_sphere, write_benchmark_rows
 
@@ -35,13 +35,13 @@ DIM = 64
 EPS = 0.25
 REPEATS = 3
 
-#: backend name -> constructor; the tree builds are the interesting
-#: cells (construction does real work), brute force bounds the floor
-#: (its "build" is a copy, so the speedup there is mostly checksum cost).
+#: backend name -> constructor; the grid build is the interesting cell
+#: (it assigns every point to a cell and derives the cell tables), brute
+#: force bounds the floor (its "build" is a copy, so the speedup there is
+#: mostly checksum cost).
 BACKENDS = {
     "brute_force": lambda: BruteForceIndex(),
-    "cover_tree": lambda: CoverTree(),
-    "kmeans_tree": lambda: KMeansTree(seed=0),
+    "grid": lambda: GridIndex(eps=EPS),
 }
 
 
@@ -85,7 +85,7 @@ def test_load_vs_build(tmp_path):
             "load_s": t_load,
             "load_noverify_s": t_load_noverify,
         }
-        # Only the tree cells carry the tracked (gated) metric: the
+        # Only the grid cell carries the tracked (gated) metric: the
         # brute-force "build" is a microsecond copy, so its ratio is
         # sub-1 timing noise — recorded informationally, never gated.
         key = (
@@ -101,8 +101,8 @@ def test_load_vs_build(tmp_path):
 
     write_benchmark_rows(out_path(f"persistence_n{N}.json"), rows)
 
-    # Acceptance criterion: on the tree backends, whose builds do real
-    # distance work, a verified load is >= 3x faster than rebuilding.
+    # Acceptance criterion: on the grid, whose build does real work, a
+    # verified load is >= 3x faster than rebuilding.
     for row in rows:
         if row["index"] != "brute_force":
             assert row["load_vs_build_speedup"] >= 3.0, (

@@ -5,17 +5,15 @@ Measures the headline claim of the sharded backend — that fanning
 (NumPy releases the GIL inside BLAS) beats *serial* sharding once real
 cores exist — and records every (executor, n_shards, n_workers) cell to
 ``benchmarks/out/sharded_backend_n{N}.json`` for the CI regression gate.
-A second test measures the **build-once fit** win for tree inners: the
-shard-before-build path never constructs a whole-dataset index only to
-throw it away, and builds exactly one inner index per live shard.
+(The build-once property of sharded fits is asserted by
+``tests/test_sharded_build_accounting.py``.)
 
 Methodology notes:
 
-* The tracked metrics are same-machine, same-run ratios
+* The tracked metric is a same-machine, same-run ratio
   (``fanout_speedup``: serial-sharded time over this cell's time at the
-  same shard count; ``fit_speedup``: legacy build-then-shard fit cost
-  over the shard-before-build fit cost), which is what the regression
-  gate can compare across runner generations. The single big unsharded
+  same shard count), which is what the regression gate can compare
+  across runner generations. The single big unsharded
   GEMM is recorded as ``vs_single_ratio`` (informational): on few cores
   one GEMM usually wins, which is exactly the "when sharding loses"
   story in ``docs/engine.md``.
@@ -42,14 +40,10 @@ import pytest
 from conftest import out_path
 
 from repro.distances import normalize_rows
-from repro.index import BruteForceIndex, CoverTree, ShardedIndex
+from repro.index import BruteForceIndex, ShardedIndex
 from repro.testing import make_blobs_on_sphere, write_benchmark_rows
 
 N = int(os.environ.get("REPRO_SHARD_BENCH_N", "16384"))
-#: Fit benchmark size: big enough that a cover-tree build is a real
-#: cost, small enough that the tree-inner query grid stays in CI budget.
-N_FIT = int(os.environ.get("REPRO_SHARD_FIT_N", "4096"))
-COVER_BASE = 1.3
 DIM = 64
 #: ~80 neighbors per query at this (eps, spread): heavy enough that the
 #: distance work dominates, light enough that result pickling doesn't.
@@ -170,67 +164,3 @@ def test_sharded_backend_scaling():
             f"only {cpus} usable CPU(s): recorded "
             f"{headline['fanout_speedup']:.2f}x, >=1.8x asserted on >=4 CPUs"
         )
-
-
-def test_sharded_tree_fit_build_once():
-    """Fit-time win of build-once sharding on a tree inner.
-
-    The legacy sharded fit built the whole-dataset index and then threw
-    it away when it rebuilt per-shard copies; the shard-before-build
-    path builds only the shards. ``fit_speedup`` compares the two as
-    (single build + sharded fit) / sharded fit — both halves measured
-    fresh in this run, so the ratio is machine-resistant. The sharded
-    fit here is build + one full query pass (the engine's fit workload).
-    """
-    X = _dataset(N_FIT)
-    cpus = usable_cpus()
-    inner_kwargs = {"base": COVER_BASE}
-
-    with single_thread_blas():
-        t_single_build = _best_of(lambda: CoverTree(**inner_kwargs).build(X))
-
-        def fit_and_query():
-            index = ShardedIndex(
-                inner="cover_tree",
-                inner_kwargs=inner_kwargs,
-                n_shards=4,
-                executor="serial",
-                n_workers=1,
-            ).build(X)
-            try:
-                index.batch_range_query(X, EPS)
-                # The build-once contract, asserted inside the measured
-                # workload's own run.
-                stats = index.stats()
-                assert stats["shard_inner_builds"] == stats["shard_live_shards"]
-            finally:
-                index.close()
-
-        t_sharded = _best_of(fit_and_query)
-    fit_speedup = (t_single_build + t_sharded) / t_sharded
-    row = {
-        "index": "sharded_cover_tree",
-        "method": "fit_serial_s4_w1",
-        "n": N_FIT,
-        "dim": DIM,
-        "eps": EPS,
-        "n_shards": 4,
-        "n_workers": 1,
-        "fit_and_query_s": t_sharded,
-        "single_build_s": t_single_build,
-        "fit_speedup": fit_speedup,
-        "usable_cpus": cpus,
-    }
-    print()
-    print(
-        f"{row['method']}: {t_sharded:.3f}s fit+query; "
-        f"build-once saves the {t_single_build:.3f}s discarded "
-        f"build ({fit_speedup:.2f}x)"
-    )
-
-    write_benchmark_rows(out_path(f"sharded_backend_fit_n{N_FIT}.json"), [row])
-    # No fixed floor asserted here: fit_speedup > 1 holds by
-    # construction, so the build-once guarantee is enforced by the
-    # shard_inner_builds == shard_live_shards assertion inside the
-    # measured workload, and the magnitude is tracked by the regression
-    # gate (25% band) against the committed baseline.

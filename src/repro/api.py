@@ -1,14 +1,14 @@
 """One-call clustering facade over the clusterer registry.
 
-The paper's method matrix is six clusterers × four index backends ×
-sharded/unsharded execution. Rather than hand-wiring constructors, this
-module exposes the matrix as data: a name registry
+The paper's method matrix is six clusterers × sharded/unsharded
+execution. Rather than hand-wiring constructors, this module exposes
+the matrix as data: a name registry
 (:func:`make_clusterer`) and a one-call entry point (:func:`cluster`)
 that combine any algorithm with any
 :class:`~repro.engine_config.ExecutionConfig`::
 
     import repro
-    from repro import ExecutionConfig, IndexSpec, ShardingConfig
+    from repro import ExecutionConfig, ShardingConfig
 
     result = repro.cluster(X, algo="dbscan", eps=0.5, tau=5)
     result = repro.cluster(
@@ -18,7 +18,6 @@ that combine any algorithm with any
         tau=5,
         estimator=estimator,
         execution=ExecutionConfig(
-            index=IndexSpec("cover_tree", {"base": 1.6}),
             sharding=ShardingConfig(n_shards=4, executor="thread"),
         ),
     )

@@ -13,9 +13,9 @@ Every subcommand prepares the paper's pipeline (generate -> 8:2 split ->
 train RMI on the training split) at ``--scale`` and prints the
 paper-shaped table; ``--json PATH`` additionally writes the rows.
 
-Execution flags (``--index``, ``--per-point``, ``--engine-block``,
-``--shards`` / ``--shard-executor`` / ``--shard-workers`` /
-``--shard-query-block`` / ``--pool-address``) all map into one
+Execution flags (``--per-point``, ``--engine-block``, ``--shards`` /
+``--shard-executor`` / ``--shard-workers`` / ``--shard-query-block`` /
+``--pool-address``) all map into one
 :class:`~repro.engine_config.ExecutionConfig` threaded through the
 experiment functions — no global state is installed.
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.engine_config import DEFAULT_ENGINE_BLOCK, ExecutionConfig, IndexSpec
+from repro.engine_config import DEFAULT_ENGINE_BLOCK, ExecutionConfig
 from repro.exceptions import InvalidParameterError, PersistenceError
 from repro.experiments.efficiency import speedup_summary, timing_comparison
 from repro.experiments.missed import missed_cluster_analysis
@@ -43,7 +43,7 @@ from repro.experiments.tradeoff import (
     sweep_laf_dbscanpp,
 )
 from repro.experiments.workloads import prepare_workloads
-from repro.index.sharded import EXECUTORS, INNER_BACKENDS, ExecutorSpec, ShardingConfig
+from repro.index.sharded import EXECUTORS, ExecutorSpec, ShardingConfig
 from repro.serving.frontend import add_serve_arguments, run_serve_args
 
 __all__ = ["main", "build_parser", "execution_from_args"]
@@ -76,16 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epochs", type=int, default=40)
         p.add_argument("--json", default=None, help="write rows as JSON here")
-        p.add_argument(
-            "--index",
-            # The grid backend needs an eps at construction time and is
-            # rho-approximate DBSCAN's own substrate anyway; the CLI
-            # offers the backends constructible from their defaults.
-            choices=sorted(set(INNER_BACKENDS) - {"grid"}),
-            default=None,
-            help="range-query backend for every engine-routed method "
-            "(default: each method's own substrate)",
-        )
         p.add_argument(
             "--per-point",
             action="store_true",
@@ -222,8 +212,8 @@ def execution_from_args(args) -> ExecutionConfig:
     """Fold every execution flag into one :class:`ExecutionConfig`.
 
     The single config threads through the experiment functions and into
-    every clusterer of the run — index backend, batching, engine block
-    size and sharding are one declarative object, not ambient state.
+    every clusterer of the run — batching, engine block size and
+    sharding are one declarative object, not ambient state.
     """
     executor: ExecutorSpec | str | None = args.shard_executor
     addresses = args.pool_address or []
@@ -255,7 +245,6 @@ def execution_from_args(args) -> ExecutionConfig:
             sharding_kwargs["query_block"] = args.shard_query_block
         sharding = ShardingConfig(**sharding_kwargs)
     return ExecutionConfig(
-        index=None if args.index is None else IndexSpec(args.index),
         sharding=sharding,
         batch_queries=not args.per_point,
         query_block=(

@@ -6,7 +6,7 @@
   also the host algorithm of LAF-DBSCAN++.
 * :class:`KNNBlockDBSCAN` — block-based variant driven by approximate
   KNN queries on a k-means tree (Chen et al. 2019).
-* :class:`BlockDBSCAN` — block-based variant driven by cover-tree range
+* :class:`BlockDBSCAN` — block-based variant driven by exact range
   queries with bounded merge iterations (Chen et al. 2021).
 * :class:`RhoApproxDBSCAN` — grid-based rho-approximate DBSCAN
   (Gan & Tao 2015), included to reproduce the paper's finding that it is

@@ -92,26 +92,22 @@ class ClusteringResult:
         return np.flatnonzero(self.labels == cluster_id)
 
 
-def resolve_index_spec(spec: IndexSpec | None, metric: Metric, default=None):
+def resolve_index_spec(spec: IndexSpec | None, metric: Metric):
     """Resolve an execution config's index spec under a host's metric.
 
     A named spec carries no metric of its own, so the host's metric is
     threaded into backends that take one (brute force) — otherwise
     ``IndexSpec("brute_force")`` would silently answer cosine queries
-    under a euclidean host. The tree/grid backends are tied to the unit
-    sphere by their Equation 1 conversions, so naming one under a
-    non-cosine metric is a configuration error, not a silent
-    degradation.
+    under a euclidean host. The grid is tied to the unit sphere by its
+    Equation 1 conversion, so naming it under a non-cosine metric is a
+    configuration error, not a silent degradation.
 
-    ``default`` is a zero-argument callable used when ``spec`` is None
-    (a brute-force index in the host's metric if omitted). Shared by
-    clusterer fits and :class:`~repro.persistence.ClusterModel` serving,
-    so a loaded model resolves its query backend exactly like the fit
-    that produced it.
+    ``spec`` None means a brute-force index in the host's metric. Shared
+    by clusterer fits and :class:`~repro.persistence.ClusterModel`
+    serving, so a loaded model resolves its query backend exactly like
+    the fit that produced it.
     """
     if spec is None:
-        if default is not None:
-            return default()
         return BruteForceIndex(metric=metric)
     if spec.name == "brute_force":
         if "metric" not in spec.kwargs:
@@ -181,19 +177,13 @@ class Clusterer(abc.ABC):
     # Execution resolution
     # ------------------------------------------------------------------
 
-    def _default_index(self):
-        """The backend used when the execution config names none."""
-        return BruteForceIndex(metric=self.metric)
-
     def _make_index(self):
         """Resolve :attr:`execution`'s index spec in this clusterer's metric.
 
-        Delegates to :func:`resolve_index_spec` (shared with the serving
-        path) with this clusterer's default backend.
+        Delegates to :func:`resolve_index_spec`, shared with the serving
+        path.
         """
-        return resolve_index_spec(
-            self.execution.index, self.metric, default=self._default_index
-        )
+        return resolve_index_spec(self.execution.index, self.metric)
 
     @contextlib.contextmanager
     def _engine(self, X: np.ndarray, *, plan=None, prebuilt=None):

@@ -2,18 +2,24 @@
 
 Like KNN-BLOCK DBSCAN this method reasons about *inner core blocks* —
 balls of half the clustering radius in which every point is provably
-core — but it discovers them with **cover-tree range queries** instead of
+core — but it discovers them with **exact range queries** instead of
 KNN queries, and it approximates the block-merge test with a bounded
 number of alternating nearest-point iterations (the paper's ``RNT``
-parameter, default 10). The trade-off knob the paper sweeps for this
-baseline is the cover tree basis (1.1-5).
+parameter, default 10).
+
+The original method answers its range queries on a cover tree, and the
+paper sweeps the tree's basis (1.1-5) as this baseline's trade-off
+knob. An exact tree returns the same neighbourhoods whatever its basis,
+so the basis only ever moved time; and metric trees do not prune at the
+768-d embeddings the paper targets. The queries therefore run on the
+shared brute-force engine, which gives the same labels faster.
 
 Algorithm outline:
 
 1. repeatedly pick an unvisited point ``p`` and fetch its half-radius
-   ball from the cover tree; if it holds at least ``tau`` points it is an
-   inner core block (all members core, no more queries for them),
-   otherwise ``p`` alone is resolved with one full-radius query;
+   ball; if it holds at least ``tau`` points it is an inner core block
+   (all members core, no more queries for them), otherwise ``p`` alone
+   is core exactly when its full-radius neighbourhood holds ``tau``;
 2. merge blocks whose approximate minimum inter-block distance falls
    below ``eps`` (alternating projection, at most ``RNT`` rounds — may
    miss borderline merges, which is the method's quality approximation);
@@ -44,32 +50,28 @@ from repro.distances import (
 )
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
-from repro.index.cover_tree import CoverTree
 
 __all__ = ["BlockDBSCAN"]
 
 
 class BlockDBSCAN(Clusterer):
-    """Block-based approximate DBSCAN over cover-tree range queries.
+    """Block-based approximate DBSCAN over exact range queries.
 
     Parameters
     ----------
     eps, tau:
         DBSCAN density parameters (cosine distance).
-    base:
-        Cover tree basis (paper default 2; swept 1.1-5 in the trade-off).
     rnt:
         Maximum iterations when approximating the minimum distance
         between two inner core blocks (paper default 10).
     execution:
-        Execution policy. The default backend is the cover tree at
-        ``base`` (an ``execution.index`` spec overrides it). On the
-        default batched path seed queries route through the shared
-        engine seam: which seeds get queried depends on earlier balls
-        (visited members are skipped), so nothing is planned ahead and
-        the backend answers per point either way — the seam buys uniform
-        engine statistics and sharding. The algorithm itself visits each
-        seed at most once, so no query repeats on either path.
+        Execution policy. On the default batched path seed queries
+        route through the shared engine seam: which seeds get queried
+        depends on earlier balls (visited members are skipped), so
+        nothing is planned ahead and the backend answers per point
+        either way — the seam buys uniform engine statistics and
+        sharding. The algorithm itself visits each seed at most once,
+        so no query repeats on either path.
     """
 
     algo_name = "block-dbscan"
@@ -78,23 +80,18 @@ class BlockDBSCAN(Clusterer):
         self,
         eps: float,
         tau: int,
-        base: float = 2.0,
         rnt: int = 10,
         execution: ExecutionConfig | None = None,
     ) -> None:
         super().__init__(eps, tau, execution=execution)
         if rnt < 1:
             raise InvalidParameterError(f"rnt must be >= 1; got {rnt}")
-        self.base = float(base)
         self.rnt = int(rnt)
 
     def model_params(self) -> dict:
         params = super().model_params()
-        params.update(base=self.base, rnt=self.rnt)
+        params.update(rnt=self.rnt)
         return params
-
-    def _default_index(self) -> CoverTree:
-        return CoverTree(base=self.base)
 
     def fit(self, X: np.ndarray) -> ClusteringResult:
         X = check_unit_norm(X)
@@ -117,8 +114,8 @@ class BlockDBSCAN(Clusterer):
                 visited[p] = True
                 # One full-radius query per seed; the half-radius ball is
                 # the distance-filtered subset (same information as the
-                # original half-then-full query pair, at half the tree
-                # traversals).
+                # original half-then-full query pair, at half the
+                # queries).
                 neighbors = fetch(p)
                 n_range_queries += 1
                 ball = neighbors[1.0 - X[neighbors] @ X[p] < half_eps_cos]

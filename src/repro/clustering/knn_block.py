@@ -41,7 +41,6 @@ from repro.distances import (
 )
 from repro.exceptions import InvalidParameterError
 from repro.index.kmeans_tree import KMeansTree
-from repro.rng import ensure_rng
 
 __all__ = ["KNNBlockDBSCAN"]
 
@@ -61,7 +60,9 @@ class KNNBlockDBSCAN(Clusterer):
         How many neighbors each KNN query fetches, as a multiple of
         ``tau``; larger values form larger blocks per query.
     seed:
-        Seed for the k-means tree.
+        Seed for the k-means tree. Every :meth:`fit` builds its tree
+        from this seed, so with an int seed refitting an instance on the
+        same data repeats its result.
     execution:
         Accepted for interface parity (the registry facade passes one to
         every clusterer). The method is defined on approximate *KNN*
@@ -88,7 +89,7 @@ class KNNBlockDBSCAN(Clusterer):
         self.branching = int(branching)
         self.checks_ratio = float(checks_ratio)
         self.block_k = int(block_k)
-        self._rng = ensure_rng(seed)
+        self.seed = seed
 
     def model_params(self) -> dict:
         params = super().model_params()
@@ -108,7 +109,7 @@ class KNNBlockDBSCAN(Clusterer):
         tree = KMeansTree(
             branching=self.branching,
             checks_ratio=self.checks_ratio,
-            seed=self._rng,
+            seed=self.seed,
         ).build(X)
 
         visited = np.zeros(n, dtype=bool)

@@ -84,9 +84,9 @@ def iter_distance_blocks(
     """
     if block_size <= 0:
         raise InvalidParameterError(f"block_size must be positive; got {block_size}")
-    if metric not in ("cosine", "euclidean", "sqeuclidean"):
+    if metric not in ("cosine", "euclidean"):
         raise InvalidParameterError(
-            f"metric must be 'cosine', 'euclidean' or 'sqeuclidean'; got {metric!r}"
+            f"metric must be 'cosine' or 'euclidean'; got {metric!r}"
         )
     Q = np.asarray(Q, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -94,8 +94,6 @@ def iter_distance_blocks(
         stop = min(start + block_size, Q.shape[0])
         if metric == "cosine":
             yield start, stop, cosine_distance_matrix(Q[start:stop], X)
-        elif metric == "sqeuclidean":
-            yield start, stop, squared_euclidean_distance_matrix(Q[start:stop], X)
         else:
             yield start, stop, euclidean_distance_matrix(Q[start:stop], X)
 

@@ -49,13 +49,12 @@ class IndexSpec:
     Parameters
     ----------
     name:
-        A registered backend name (``"brute_force"``, ``"cover_tree"``,
-        ``"kmeans_tree"``, ``"grid"``) — the same registry worker
-        processes rebuild shard indexes from, so a named spec is always
-        picklable and shard-compatible.
+        A registered backend name (``"brute_force"`` or ``"grid"``) —
+        the same registry worker processes rebuild shard indexes from,
+        so a named spec is always picklable and shard-compatible.
     kwargs:
         Constructor arguments for the named backend (JSON-safe values:
-        the grid's ``eps``/``rho``, the cover tree's ``base``, ...).
+        the brute-force ``block_size``, the grid's ``eps``/``rho``).
     """
 
     name: str
@@ -110,10 +109,9 @@ class ExecutionConfig:
     Parameters
     ----------
     index:
-        Range-query backend spec, or None for the clusterer's default
-        substrate (brute force for DBSCAN and the sampling variants, the
-        cover tree for BLOCK-DBSCAN; ρ-approximate DBSCAN is defined on
-        its grid and always uses it).
+        Range-query backend spec, or None for brute force, the default
+        of every engine-routed clusterer (ρ-approximate DBSCAN is
+        defined on its grid and always uses it).
     sharding:
         Optional :class:`~repro.index.sharded.ShardingConfig`: fan range
         queries across row shards (serial, thread or remote executor).

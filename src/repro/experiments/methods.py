@@ -7,7 +7,7 @@ Centralizes the hyperparameter defaults of Section 3.1 ("Parameters"):
 * LAF-DBSCAN's ``alpha`` from Table 1 (dataset-dependent);
 * LAF-DBSCAN++'s ``alpha`` fixed at 1.0 and ``p`` identical to DBSCAN++;
 * KNN-BLOCK: branching 10, leaves-checked ratio 0.6;
-* BLOCK-DBSCAN: basis 2, RNT 10;
+* BLOCK-DBSCAN: RNT 10;
 * rho-approximate: rho = 1.0.
 """
 
@@ -77,7 +77,6 @@ class MethodContext:
     p_override: float | None = None
     branching: int = 10
     checks_ratio: float = 0.6
-    cover_base: float = 2.0
     rnt: int = 10
     rho: float = 1.0
     seed: int = 0
@@ -149,7 +148,7 @@ _METHODS = {
     ),
     "BLOCK-DBSCAN": (
         "block-dbscan",
-        lambda ctx, X: {"base": ctx.cover_base, "rnt": ctx.rnt},
+        lambda ctx, X: {"rnt": ctx.rnt},
     ),
     "RHO-APPROX": ("rho-approx", lambda ctx, X: {"rho": ctx.rho}),
 }

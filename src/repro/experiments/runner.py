@@ -73,11 +73,10 @@ def ground_truth(
     """The paper's ground truth: original DBSCAN on the same data.
 
     ``execution`` threads through the *exactness-preserving* knobs
-    (sharding, batching, block sizes); an ``index`` override is dropped
-    — the reference every approximate method is scored against must
-    stay exact brute force, and e.g. a ``kmeans_tree`` spec below
-    ``checks_ratio=1.0`` would silently corrupt every ARI/AMI in the
-    run. Time DBSCAN under another backend through
+    (sharding, batching, block sizes); an ``index`` override is dropped,
+    so the reference every approximate method is scored against always
+    runs on the brute-force engine the other exact paths are diffed
+    against. Time DBSCAN under another backend through
     :func:`run_suite` / the clusterer directly instead.
     """
     if execution is not None and execution.index is not None:

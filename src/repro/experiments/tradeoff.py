@@ -6,7 +6,9 @@ Each method's knob, exactly as Section 3.4 specifies:
 * DBSCAN++ / LAF-DBSCAN++ — sample-fraction offset ``delta`` from 0.1 to
   0.9 (``p = delta + R_c``; LAF-DBSCAN++ keeps ``alpha = 1``);
 * KNN-BLOCK — branching factor 3-20 and leaves-checked ratio 0.001-0.3;
-* BLOCK-DBSCAN — cover-tree basis 1.1-5 (RNT fixed at 10).
+* BLOCK-DBSCAN — a single point at RNT 10. The paper sweeps its
+  cover-tree basis, but an exact tree's basis changes only time, and
+  the range queries here run on the brute-force engine.
 
 Every sweep returns (knob value, elapsed seconds, ARI, AMI) points that
 the figure benchmarks print as time-vs-AMI curves.
@@ -42,7 +44,6 @@ DEFAULT_ALPHAS: tuple[float, ...] = (1.1, 1.5, 2.0, 3.0, 5.0, 8.0, 11.0, 15.0)
 DEFAULT_DELTAS: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_BRANCHINGS: tuple[int, ...] = (3, 6, 10, 20)
 DEFAULT_CHECKS: tuple[float, ...] = (0.001, 0.01, 0.1, 0.3)
-DEFAULT_BASES: tuple[float, ...] = (1.1, 1.5, 2.0, 3.0, 5.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,18 +229,16 @@ def sweep_block_dbscan(
     gt_labels: np.ndarray,
     eps: float,
     tau: int,
-    bases: Sequence[float] = DEFAULT_BASES,
     execution: ExecutionConfig | None = None,
 ) -> list[TradeoffPoint]:
-    """BLOCK-DBSCAN trade-off: cover-tree basis 1.1-5, RNT fixed at 10."""
+    """BLOCK-DBSCAN's one trade-off point: RNT 10 (see the module docstring)."""
     return [
         _score(
             "BLOCK-DBSCAN",
-            "base",
-            base,
-            BlockDBSCAN(eps=eps, tau=tau, base=base, rnt=10, execution=execution),
+            "rnt",
+            10,
+            BlockDBSCAN(eps=eps, tau=tau, rnt=10, execution=execution),
             X,
             gt_labels,
         )
-        for base in bases
     ]

@@ -1,8 +1,8 @@
 """Sharded execution backend for the batched range-query engine.
 
 :class:`ShardedIndex` partitions the dataset into contiguous row shards,
-fits one inner index per shard (any registered backend: brute force,
-cover tree, k-means tree, grid), and answers the batched query API by
+fits one inner index per shard (a registered backend: brute force or
+grid), and answers the batched query API by
 fanning query blocks across the shards through one of three executors:
 
 * ``serial``  — one shard after another in the calling process (the
@@ -47,8 +47,8 @@ threads explicitly into :class:`~repro.index.engine.NeighborhoodCache` /
 :func:`resolve_engine_index` — the *only* way to shard a fit; there
 is no ambient sharding state.
 
-Exactness: range queries and counts are exact for exact inner backends
-(a point's eps-neighborhood is the disjoint union of its per-shard
+Exactness: range queries and counts are exact (both inner backends are,
+and a point's eps-neighborhood is the disjoint union of its per-shard
 neighborhoods).
 """
 
@@ -65,9 +65,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index.base import NeighborIndex
 from repro.index.brute_force import BruteForceIndex
-from repro.index.cover_tree import CoverTree
 from repro.index.grid import GridIndex
-from repro.index.kmeans_tree import KMeansTree
 
 __all__ = [
     "EXECUTORS",
@@ -89,12 +87,7 @@ __all__ = [
 DEFAULT_QUERY_BLOCK = 2048
 
 #: Registered inner backends, constructible by name in worker processes.
-INNER_BACKENDS = {
-    "brute_force": BruteForceIndex,
-    "cover_tree": CoverTree,
-    "grid": GridIndex,
-    "kmeans_tree": KMeansTree,
-}
+INNER_BACKENDS = {"brute_force": BruteForceIndex, "grid": GridIndex}
 
 
 def make_inner_backend(name: str, kwargs: dict | None = None):
@@ -111,26 +104,13 @@ def make_inner_backend(name: str, kwargs: dict | None = None):
 def backend_spec_of(index) -> tuple[str, dict] | None:
     """The ``(name, kwargs)`` spec reconstructing ``index``'s configuration.
 
-    Returns None for index types (or states, e.g. a k-means tree seeded
-    with a live Generator) that cannot be rebuilt from a picklable spec —
-    callers leave such indexes unsharded rather than guessing.
+    Returns None for index types that cannot be rebuilt from a picklable
+    spec — callers leave such indexes unsharded rather than guessing.
     """
     if isinstance(index, BruteForceIndex):
         return "brute_force", {
             "block_size": index.block_size,
             "metric": index.metric.name,
-        }
-    if isinstance(index, CoverTree):
-        return "cover_tree", {"base": index.base}
-    if isinstance(index, KMeansTree):
-        seed = getattr(index, "seed", None)
-        if not (seed is None or isinstance(seed, int)):
-            return None
-        return "kmeans_tree", {
-            "branching": index.branching,
-            "checks_ratio": index.checks_ratio,
-            "leaf_size": index.leaf_size,
-            "seed": seed,
         }
     if isinstance(index, GridIndex):
         return "grid", {"eps": index.eps, "rho": index.rho}
@@ -462,8 +442,7 @@ class ShardedIndex(NeighborIndex):
     ----------
     inner:
         Name of the registered inner backend fitted per shard
-        (``"brute_force"``, ``"cover_tree"``, ``"kmeans_tree"``,
-        ``"grid"``).
+        (``"brute_force"`` or ``"grid"``).
     inner_kwargs:
         Constructor arguments for the named inner backend (e.g. the
         grid's ``eps`` / ``rho``).
@@ -788,8 +767,8 @@ def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = N
       indexes are built directly over ``X`` — the whole-dataset index is
       never constructed, so a sharded fit pays exactly ``n_live_shards``
       inner builds;
-    * with ``config`` set but no rebuild spec (a k-means tree seeded
-      with a live Generator), the index is used unsharded, with a
+    * with ``config`` set but no rebuild spec (an index type outside
+      :data:`INNER_BACKENDS`), the index is used unsharded, with a
       :class:`RuntimeWarning`;
     * with ``config`` None, the index is built over ``X`` exactly as the
       host would have done.

@@ -17,8 +17,8 @@ fit-once/query-forever half. An artifact is a *directory* holding one
   ("build a shard index once, serialize it, memory-map it from a
   worker") in its local form.
 
-:func:`save_index` / :func:`load_index` cover all four registered
-backends plus :class:`~repro.index.sharded.ShardedIndex` (a directory of
+:func:`save_index` / :func:`load_index` cover both registered
+backends (brute force and grid) plus :class:`~repro.index.sharded.ShardedIndex` (a directory of
 per-shard artifacts sharing one memory-mapped ``points.npy``);
 :class:`ClusterModel` freezes a fitted clustering — labels, core mask,
 core distances, the LAF estimator's fitted parameters — and serves
@@ -278,36 +278,29 @@ def load_arrays(
 def save_index(index: Any, path: str | Path) -> Path:
     """Persist a built index as a versioned artifact directory.
 
-    Handles the four registered backends and
+    Handles the registered backends (``brute_force``, ``grid``) and
     :class:`~repro.index.sharded.ShardedIndex` (saved as a directory of
-    per-shard artifacts sharing one ``points.npy``). Indexes without a
-    registered rebuild spec — custom types, or a
-    :class:`~repro.index.kmeans_tree.KMeansTree` seeded with a live
-    Generator — raise :class:`PersistenceError`; an unbuilt index raises
+    per-shard artifacts sharing one ``points.npy``). Any other type
+    raises :class:`PersistenceError`; an unbuilt index raises
     :class:`~repro.exceptions.NotFittedError`.
     """
-    from repro.index.sharded import ShardedIndex, backend_spec_of
+    from repro.index.sharded import INNER_BACKENDS, ShardedIndex, backend_spec_of
 
     if isinstance(index, ShardedIndex):
         return _save_sharded(index, path)
-    if not getattr(index, "is_built", False):
-        raise NotFittedError(
-            f"{type(index).__name__} has not been built; build() before save()"
-        )
     spec = backend_spec_of(index)
-    if spec is not None:
-        from repro.index.sharded import INNER_BACKENDS
-
-        # backend_spec_of matches by isinstance; a subclass would save
-        # under the base backend's name and load back as the wrong type.
-        if INNER_BACKENDS.get(spec[0]) is not type(index):
-            spec = None
-    if spec is None:
+    # backend_spec_of matches by isinstance; a subclass would save under
+    # the base backend's name and load back as the wrong type.
+    if spec is None or INNER_BACKENDS[spec[0]] is not type(index):
         raise PersistenceError(
             f"{type(index).__name__} has no registered rebuild spec and "
-            "cannot be saved (custom index types, and k-means trees seeded "
-            "with a live Generator, are not reconstructible from disk); "
-            "use a registered backend with JSON-safe constructor arguments"
+            "cannot be saved (custom index types are not reconstructible "
+            "from disk); use a registered backend with JSON-safe "
+            "constructor arguments"
+        )
+    if not index.is_built:
+        raise NotFittedError(
+            f"{type(index).__name__} has not been built; build() before save()"
         )
     name, kwargs = spec
     return write_artifact(

@@ -103,9 +103,9 @@ def _index_nbytes(index: object) -> int:
     """Cheap size estimate of a cached shard index: its point matrices.
 
     That is the float64 rows plus, for a cosine brute-force index, their
-    float32 copy. Structural arrays (tree nodes, CSR offsets) are a
-    small fraction of the contiguous point copies, so the bytes cap is
-    enforced against the dominant terms only.
+    float32 copy. A grid's cell tables are a small fraction of its
+    point matrix, so the bytes cap is enforced against the dominant
+    terms only.
     """
     matrices = (getattr(index, name, None) for name in ("_points", "_points32"))
     return sum(int(m.nbytes) for m in matrices if isinstance(m, np.ndarray))

@@ -114,14 +114,14 @@ class TestBehaviour:
         assert result.n_clusters == 1
         assert result.noise_ratio == 0.0
 
-    def test_cover_tree_index_gives_same_result(self, clusterable_data):
+    def test_grid_index_gives_same_result(self, clusterable_data):
         brute = DBSCAN(eps=0.5, tau=5).fit(clusterable_data)
-        tree = DBSCAN(
+        grid = DBSCAN(
             eps=0.5,
             tau=5,
-            execution=ExecutionConfig(index=IndexSpec("cover_tree")),
+            execution=ExecutionConfig(index=IndexSpec("grid", {"eps": 0.5})),
         ).fit(clusterable_data)
-        assert np.array_equal(brute.labels, tree.labels)
+        assert np.array_equal(brute.labels, grid.labels)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(DataValidationError):

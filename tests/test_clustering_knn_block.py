@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import DBSCAN, KNNBlockDBSCAN
+from repro.distances import normalize_rows
 from repro.exceptions import InvalidParameterError
 from repro.metrics import adjusted_rand_index
 
@@ -86,3 +87,15 @@ class TestApproximateMode:
         a = KNNBlockDBSCAN(eps=0.5, tau=5, seed=7).fit(clusterable_data)
         b = KNNBlockDBSCAN(eps=0.5, tau=5, seed=7).fit(clusterable_data)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_refit_same_instance_is_repeatable(self):
+        # Every fit rebuilds its k-means tree from the stored seed, so a
+        # second fit of one instance cannot see a consumed generator.
+        X, _ = make_blobs_on_sphere(50, 6, 32, spread=0.9, seed=2)
+        noise = normalize_rows(np.random.default_rng(2).normal(size=(100, 32)))
+        X = np.vstack([X, noise])
+        model = KNNBlockDBSCAN(eps=0.6, tau=4, checks_ratio=0.05, seed=0)
+        first = model.fit(X)
+        second = model.fit(X)
+        assert np.array_equal(first.core_mask, second.core_mask)
+        assert np.array_equal(first.labels, second.labels)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine_config import DEFAULT_ENGINE_BLOCK, ExecutionConfig, IndexSpec
 from repro.exceptions import InvalidParameterError
-from repro.index import BruteForceIndex, CoverTree, GridIndex, KMeansTree
+from repro.index import BruteForceIndex, GridIndex
 from repro.index.sharded import ShardingConfig
 
 
@@ -25,9 +25,9 @@ class TestIndexSpec:
         "name,kwargs,cls",
         [
             ("brute_force", {}, BruteForceIndex),
-            ("cover_tree", {"base": 1.7}, CoverTree),
-            ("kmeans_tree", {"checks_ratio": 1.0, "seed": 0}, KMeansTree),
             ("grid", {"eps": 0.5, "rho": 1.0}, GridIndex),
+            ("brute_force", {"block_size": 7, "metric": "euclidean"}, BruteForceIndex),
+            ("grid", {"eps": 0.5, "rho": 0.5}, GridIndex),
         ],
     )
     def test_make_resolves_registered_backends(self, name, kwargs, cls):
@@ -36,8 +36,8 @@ class TestIndexSpec:
         assert not index.is_built
 
     def test_kwargs_reach_the_constructor(self):
-        tree = IndexSpec("cover_tree", {"base": 1.7}).make()
-        assert tree.base == 1.7
+        index = IndexSpec("brute_force", {"block_size": 64}).make()
+        assert index.block_size == 64
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown index backend"):
@@ -47,7 +47,7 @@ class TestIndexSpec:
         assert [f.name for f in dataclasses.fields(IndexSpec)] == ["name", "kwargs"]
 
     def test_round_trip(self):
-        spec = IndexSpec("cover_tree", {"base": 1.7})
+        spec = IndexSpec("brute_force", {"block_size": 64})
         assert IndexSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -65,8 +65,8 @@ class TestIndexSpec:
     def test_specs_are_hashable_value_types(self):
         # Equal specs hash equal (usable as dict keys / set members)
         # even though kwargs is a dict internally.
-        a = IndexSpec("cover_tree", {"base": 1.8})
-        b = IndexSpec("cover_tree", {"base": 1.8})
+        a = IndexSpec("brute_force", {"block_size": 64})
+        b = IndexSpec("brute_force", {"block_size": 64})
         assert hash(a) == hash(b)
         assert {a: "x"}[b] == "x"
         assert len({a, b}) == 1
@@ -77,7 +77,7 @@ class TestIndexSpec:
         import pickle
 
         cfg = ExecutionConfig(
-            index=IndexSpec("cover_tree", {"base": 1.8}),
+            index=IndexSpec("brute_force", {"block_size": 64}),
             sharding=ShardingConfig(n_shards=2),
         )
         assert pickle.loads(pickle.dumps(cfg)) == cfg
@@ -115,7 +115,7 @@ class TestExecutionConfigValidation:
 class TestExecutionConfigSerialization:
     def full_config(self) -> ExecutionConfig:
         return ExecutionConfig(
-            index=IndexSpec("kmeans_tree", {"checks_ratio": 1.0, "seed": 3}),
+            index=IndexSpec("grid", {"eps": 0.5, "rho": 1.0}),
             sharding=ShardingConfig(
                 n_shards=4, executor="thread", n_workers=2, query_block=512
             ),
@@ -206,7 +206,7 @@ class TestExecutionConfigSerialization:
 
         X, _ = make_blobs_on_sphere(20, 3, 8, spread=0.2, seed=0)
         cfg = ExecutionConfig(
-            index=IndexSpec("cover_tree", {"base": 1.6}),
+            index=IndexSpec("brute_force", {"block_size": 16}),
             sharding=ShardingConfig(n_shards=2),
         )
         wired = ExecutionConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))

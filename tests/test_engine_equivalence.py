@@ -42,15 +42,15 @@ def _exec(b: bool, index: IndexSpec | None = None) -> ExecutionConfig:
 # randomness.
 CLUSTERERS = {
     "dbscan": lambda b: DBSCAN(eps=EPS, tau=TAU, execution=_exec(b)),
-    "dbscan_cover_tree_index": lambda b: DBSCAN(
+    "dbscan_small_block_index": lambda b: DBSCAN(
         eps=EPS,
         tau=TAU,
-        execution=_exec(b, IndexSpec("cover_tree", {"base": 1.8})),
+        execution=_exec(b, IndexSpec("brute_force", {"block_size": 7})),
     ),
-    "dbscan_kmeans_tree_index": lambda b: DBSCAN(
+    "dbscan_grid_index": lambda b: DBSCAN(
         eps=EPS,
         tau=TAU,
-        execution=_exec(b, IndexSpec("kmeans_tree", {"checks_ratio": 1.0, "seed": 0})),
+        execution=_exec(b, IndexSpec("grid", {"eps": EPS, "rho": 1.0})),
     ),
     "dbscanpp_uniform": lambda b: DBSCANPlusPlus(
         eps=EPS, tau=TAU, p=0.5, init="uniform", seed=0, execution=_exec(b)
@@ -113,8 +113,8 @@ CLUSTERERS = {
 #: Methods whose batched path must also reproduce reference_dbscan exactly.
 EXACT_METHODS = (
     "dbscan",
-    "dbscan_cover_tree_index",
-    "dbscan_kmeans_tree_index",
+    "dbscan_small_block_index",
+    "dbscan_grid_index",
     "laf_dbscan_oracle",
 )
 

@@ -28,7 +28,7 @@ from repro.clustering import (
 from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
 from repro.estimators import ExactCardinalityEstimator
 from repro.exceptions import InvalidParameterError
-from repro.index import CoverTree
+from repro.index import BruteForceIndex, GridIndex
 
 EPS = 0.5
 TAU = 4
@@ -159,7 +159,7 @@ class TestRemovedLegacyAPI:
 
     def test_index_factory_kwarg_is_gone(self):
         with pytest.raises(TypeError, match="index_factory"):
-            DBSCAN(eps=EPS, tau=TAU, index_factory=lambda: CoverTree(base=1.8))
+            DBSCAN(eps=EPS, tau=TAU, index_factory=lambda: BruteForceIndex())
 
     @pytest.mark.parametrize(
         "factory",
@@ -250,18 +250,22 @@ class TestExecutionResolution:
         with pytest.raises(InvalidParameterError, match="contradicts"):
             clusterer.fit(X)
 
-    def test_ground_truth_ignores_index_override(self, clusterable_data):
-        # The reference run must stay exact even when the suite's
-        # execution names an approximate backend.
+    def test_ground_truth_ignores_index_override(self, clusterable_data, monkeypatch):
+        # The reference run stays on brute force even when the suite's
+        # execution names another backend: the override is never built.
         from repro.experiments.runner import ground_truth
 
+        def refuse(self, X):
+            raise AssertionError("ground truth built the index override")
+
+        monkeypatch.setattr(GridIndex, "build", refuse)
         exact = ground_truth(clusterable_data, EPS, TAU)
         overridden = ground_truth(
             clusterable_data,
             EPS,
             TAU,
             execution=ExecutionConfig(
-                index=IndexSpec("kmeans_tree", {"checks_ratio": 0.05, "seed": 0}),
+                index=IndexSpec("grid", {"eps": EPS}),
                 sharding=ShardingConfig(n_shards=2),
             ),
         )
@@ -276,7 +280,7 @@ class TestExecutionResolution:
             eps=0.8,
             tau=3,
             metric="euclidean",
-            execution=ExecutionConfig(index=IndexSpec("cover_tree")),
+            execution=ExecutionConfig(index=IndexSpec("grid", {"eps": 0.8})),
         )
         with pytest.raises(InvalidParameterError, match="cosine"):
             clusterer.fit(X)

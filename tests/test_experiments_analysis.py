@@ -105,9 +105,9 @@ class TestTradeoffSweeps:
         assert len(points) == 2
         assert points[0].knob.startswith("branching=4")
 
-    def test_block_dbscan_base_sweep(self, data, gt):
-        points = sweep_block_dbscan(data, gt, 0.5, 4, bases=(1.5, 3.0))
-        assert [p.value for p in points] == [1.5, 3.0]
+    def test_block_dbscan_single_point(self, data, gt):
+        (point,) = sweep_block_dbscan(data, gt, 0.5, 4)
+        assert (point.method, point.knob, point.value) == ("BLOCK-DBSCAN", "rnt", 10)
 
     def test_point_row_format(self, data, gt):
         est = ExactCardinalityEstimator()

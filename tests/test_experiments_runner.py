@@ -78,15 +78,13 @@ class TestRunSuite:
         assert {"method", "dataset", "eps", "tau", "time_s", "ARI", "AMI"} <= set(row)
 
     def test_index_override_never_leaks_into_ground_truth(self, data):
-        # An approximate backend override must not become the reference
-        # labels the suite is scored against: DBSCAN self-scores against
-        # an exact recomputation, not its own approximate run.
+        # A backend override must not become the reference labels the
+        # suite is scored against: DBSCAN self-scores against a
+        # brute-force recomputation, not its own run on the override.
         from repro import ExecutionConfig, IndexSpec
         from repro.experiments import build_method
 
-        execution = ExecutionConfig(
-            index=IndexSpec("kmeans_tree", {"checks_ratio": 0.05, "seed": 0})
-        )
+        execution = ExecutionConfig(index=IndexSpec("grid", {"eps": 0.5}))
         ctx = MethodContext(eps=0.5, tau=5, execution=execution)
         records = run_suite(data, ("DBSCAN",), ctx)
         exact = ground_truth(data, 0.5, 5)

@@ -1,4 +1,4 @@
-"""Property tests for the batched query API across all index backends.
+"""Property tests for the batched query API of the range-query indexes.
 
 The contract: every batched query agrees row-for-row with its scalar
 counterpart, tolerates empty batches, and keeps the paper's neighborhood
@@ -13,26 +13,26 @@ import pytest
 
 from repro.distances import normalize_rows
 from repro.exceptions import NotFittedError
-from repro.index import (
-    BruteForceIndex,
-    CoverTree,
-    GridIndex,
-    KMeansTree,
-    NeighborhoodCache,
-)
+from repro.index import BruteForceIndex, GridIndex, NeighborhoodCache, ShardedIndex
 
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.6
 
-# (name, factory) for every NeighborIndex backend; the grid is tested
-# separately because it fixes eps at construction time.
+# (name, factory) for every NeighborIndex backend and the configurations
+# that take a different path through it; the grid is tested separately
+# because it fixes eps at construction time.
 BACKENDS = [
     ("brute_force", lambda: BruteForceIndex()),
     ("brute_force_small_blocks", lambda: BruteForceIndex(block_size=7)),
-    ("cover_tree", lambda: CoverTree(base=1.6)),
-    ("kmeans_tree_exact", lambda: KMeansTree(checks_ratio=1.0, seed=0)),
-    ("kmeans_tree_approx", lambda: KMeansTree(checks_ratio=0.3, seed=0)),
+    ("brute_force_block_1", lambda: BruteForceIndex(block_size=1)),
+    ("brute_force_euclidean", lambda: BruteForceIndex(metric="euclidean")),
+    ("sharded", lambda: ShardedIndex(n_shards=3)),
+    ("sharded_small_query_block", lambda: ShardedIndex(n_shards=5, query_block=16)),
+    (
+        "sharded_euclidean",
+        lambda: ShardedIndex(inner_kwargs={"metric": "euclidean"}, n_shards=3),
+    ),
 ]
 
 
@@ -222,10 +222,3 @@ class TestNeighborhoodCache:
         index = BruteForceIndex().build(data)
         with pytest.raises(InvalidParameterError):
             NeighborhoodCache(index, data, EPS, block_size=0)
-
-    def test_works_over_tree_backends(self, data):
-        tree = CoverTree().build(data)
-        cache = NeighborhoodCache(tree, data, EPS)
-        cache.plan(np.arange(20))
-        for p in range(20):
-            assert np.array_equal(cache.fetch(p), tree.range_query(data[p], EPS))

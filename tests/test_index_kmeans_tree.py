@@ -67,15 +67,45 @@ class TestExactModes:
             b_idx, b_d = brute.knn_query(data[qi], k=8)
             assert np.allclose(np.sort(t_d), np.sort(b_d), atol=1e-9)
 
-    def test_range_exact_at_full_checks(self, data):
-        tree = KMeansTree(branching=4, checks_ratio=1.0, leaf_size=8, seed=1).build(
-            data
-        )
+
+    @pytest.mark.parametrize(
+        "branching,leaf_size",
+        [(2, 1), (2, 2), (3, 5), (8, 4), (4, 300)],
+        ids=["binary_unit_leaves", "binary", "ternary", "wide", "one_leaf"],
+    )
+    def test_knn_exact_across_tree_shapes(self, data, branching, leaf_size):
+        tree = KMeansTree(
+            branching=branching, checks_ratio=1.0, leaf_size=leaf_size, seed=2
+        ).build(data)
         brute = BruteForceIndex().build(data)
-        for eps in (0.3, 0.7, 1.2):
-            got = set(tree.range_query(data[17], eps).tolist())
-            expected = set(brute.range_query(data[17], eps).tolist())
-            assert got == expected
+        for qi in range(0, data.shape[0], 25):
+            t_idx, t_d = tree.knn_query(data[qi], k=6)
+            b_idx, b_d = brute.knn_query(data[qi], k=6)
+            assert set(t_idx.tolist()) == set(b_idx.tolist()), qi
+            assert np.allclose(t_d, b_d, atol=1e-9), qi
+
+
+class TestSingleLeafKMeansTree:
+    """n <= max(leaf_size, branching) makes the root itself the leaf."""
+
+    def test_whole_dataset_in_one_leaf(self):
+        X, _ = make_blobs_on_sphere(6, 2, 8, spread=0.2, seed=1)  # 12 points
+        tree = KMeansTree(leaf_size=32, seed=0).build(X)
+        assert tree.n_leaves == 1
+        idx, dists = tree.knn_query(X[3], k=12)
+        assert np.array_equal(np.sort(idx), np.arange(12))
+        assert idx[0] == 3
+
+    def test_single_leaf_is_exact_even_at_low_checks(self):
+        X, _ = make_blobs_on_sphere(6, 2, 8, spread=0.2, seed=1)
+        tree = KMeansTree(leaf_size=32, checks_ratio=0.01, seed=0).build(X)
+        assert tree.n_leaves == 1
+        brute = BruteForceIndex().build(X)
+        for q in X:
+            t_idx, t_d = tree.knn_query(q, k=4)
+            b_idx, b_d = brute.knn_query(q, k=4)
+            assert set(t_idx.tolist()) == set(b_idx.tolist())
+            assert np.allclose(t_d, b_d, atol=1e-9)
 
 
 class TestApproximateModes:
@@ -111,15 +141,6 @@ class TestApproximateModes:
         )
         idx, dists = tree.knn_query(data[42], k=1)
         assert dists[0] == pytest.approx(0.0, abs=1e-9)
-
-    def test_range_query_subset_of_exact(self, data):
-        tree = KMeansTree(branching=4, checks_ratio=0.1, leaf_size=8, seed=5).build(
-            data
-        )
-        brute = BruteForceIndex().build(data)
-        got = set(tree.range_query(data[3], 0.8).tolist())
-        expected = set(brute.range_query(data[3], 0.8).tolist())
-        assert got <= expected  # approximate may miss, never invents
 
     def test_invalid_k(self, data):
         tree = KMeansTree(seed=0).build(data)
@@ -162,32 +183,3 @@ class TestExactKnnAgainstBruteForce:
         assert np.array_equal(np.sort(idx), np.arange(data.shape[0]))
         assert idx[0] == 7
         assert np.all(np.diff(dists) >= 0.0)
-
-
-class TestVectorizedExactBatch:
-    """An exact-mode tree reloaded from its arrays answers like the built one.
-
-    Covers both paths a loaded tree serves: the scalar KNN search that
-    KNN-BLOCK DBSCAN runs, and the vectorized batch range query.
-    """
-
-    @pytest.fixture(scope="class")
-    def exact_tree(self, data):
-        return KMeansTree(
-            branching=4, checks_ratio=1.0, leaf_size=8, seed=1
-        ).build(data)
-
-    def test_loaded_tree_matches_built_tree(self, exact_tree, data):
-        loaded = KMeansTree(
-            branching=4, checks_ratio=1.0, leaf_size=8, seed=1
-        ).from_arrays(exact_tree.to_arrays())
-        for i in range(20):
-            got_idx, got_dist = loaded.knn_query(data[i], k=6)
-            exp_idx, exp_dist = exact_tree.knn_query(data[i], k=6)
-            assert np.array_equal(got_idx, exp_idx), i
-            assert np.array_equal(got_dist, exp_dist), i
-        got_rows = loaded.batch_range_query(data[:20], 0.5)
-        exp_rows = exact_tree.batch_range_query(data[:20], 0.5)
-        assert any(row.size > 1 for row in exp_rows)
-        for g, e in zip(got_rows, exp_rows):
-            assert np.array_equal(g, e)

@@ -5,7 +5,7 @@ never a bare numpy/json traceback — for each damage class: truncated
 array files, checksum mismatches, unknown or newer format versions,
 manifest/dtype drift, malformed shard metadata, missing files, and
 artifacts whose execution policy cannot be reconstructed (the
-``"custom"`` index marker).
+``"custom"`` index marker, and the removed tree range backends).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 import repro
 from repro.distances import normalize_rows
 from repro.exceptions import PersistenceError
-from repro.index import BruteForceIndex, CoverTree
+from repro.index import BruteForceIndex, GridIndex
 from repro.index.sharded import ExecutorSpec, ShardedIndex
 from repro.persistence import (
     FORMAT_VERSION,
@@ -39,7 +39,7 @@ def data() -> np.ndarray:
 @pytest.fixture()
 def artifact(data, tmp_path):
     path = tmp_path / "index"
-    save_index(CoverTree().build(data), path)
+    save_index(GridIndex(eps=0.5).build(data), path)
     return path
 
 
@@ -124,14 +124,14 @@ class TestArrayValidation:
         assert loaded.n_points == 40
 
     def test_missing_array_file(self, artifact):
-        (artifact / "node_level.npy").unlink()
+        (artifact / "cell_of_point.npy").unlink()
         with pytest.raises(PersistenceError, match="missing"):
             load_index(artifact)
 
     def test_dtype_drift(self, artifact):
         edit_manifest(
             artifact,
-            lambda m: m["arrays"]["node_level"].update(dtype="<i4"),
+            lambda m: m["arrays"]["cell_of_point"].update(dtype="<i4"),
         )
         # Size check trips first only if nbytes disagrees; align it so the
         # dtype comparison is what fires.
@@ -175,10 +175,12 @@ class TestSpecValidation:
         with pytest.raises(PersistenceError, match="no registered rebuild spec"):
             save_index(CustomIndex().build(data), tmp_path / "custom")
 
-    def test_generator_seeded_kmeans_tree_refuses_to_save(self, data, tmp_path):
+    def test_kmeans_tree_refuses_to_save(self, data, tmp_path):
+        # The k-means tree is KNN-BLOCK's KNN substrate, not a range
+        # backend, so it has no artifact form.
         from repro.index import KMeansTree
 
-        tree = KMeansTree(seed=np.random.default_rng(0)).build(data)
+        tree = KMeansTree(seed=0).build(data)
         with pytest.raises(PersistenceError, match="no registered rebuild spec"):
             save_index(tree, tmp_path / "tree")
 
@@ -274,6 +276,66 @@ class TestShardMetadataValidation:
         edit_manifest(path, lambda m: damage(m["metadata"]))
         with pytest.raises(PersistenceError, match="malformed shard metadata"):
             LOADERS[loader](path)
+
+
+#: Range backends this library no longer ships. Version-1 artifacts that
+#: name one keep the version-1 layout, so they fail on the backend name.
+REMOVED_BACKENDS = {"cover_tree": {"base": 2.0}, "kmeans_tree": {"seed": 0}}
+
+
+class TestRemovedBackends:
+    """A v1 manifest naming a removed backend loads as a typed error."""
+
+    @pytest.mark.parametrize("backend", sorted(REMOVED_BACKENDS))
+    def test_plain_index(self, data, tmp_path, backend):
+        path = tmp_path / "index"
+        save_index(BruteForceIndex().build(data), path)
+
+        def mutate(m):
+            assert m["format_version"] == 1
+            m["spec"] = {"backend": backend, "kwargs": REMOVED_BACKENDS[backend]}
+
+        edit_manifest(path, mutate)
+        with pytest.raises(PersistenceError, match=backend):
+            load_index(path)
+
+    @pytest.mark.parametrize("loader", ["load_index", "load_shard_index"])
+    @pytest.mark.parametrize("backend", sorted(REMOVED_BACKENDS))
+    def test_sharded_inner_spec(self, data, tmp_path, backend, loader):
+        path = tmp_path / "sharded"
+        with ShardedIndex(n_shards=2).build(data) as index:
+            save_index(index, path)
+        kwargs = REMOVED_BACKENDS[backend]
+
+        def mutate(m):
+            assert m["format_version"] == 1
+            m["spec"].update(inner=backend, inner_kwargs=kwargs)
+
+        def mutate_shard(m):
+            m["spec"] = {"backend": backend, "kwargs": kwargs}
+
+        edit_manifest(path, mutate)
+        for shard in sorted((path / "shards").iterdir()):
+            edit_manifest(shard, mutate_shard)
+        with pytest.raises(PersistenceError, match=backend):
+            LOADERS[loader](path)
+
+    @pytest.mark.parametrize("backend", sorted(REMOVED_BACKENDS))
+    def test_model_execution_index(self, data, tmp_path, backend):
+        model = repro.fit_model(data, "dbscan", eps=0.4, tau=3)
+        with model:
+            model.save(tmp_path / "model")
+
+        def mutate(m):
+            assert m["format_version"] == 1
+            m["spec"]["execution"]["index"] = {
+                "name": backend,
+                "kwargs": REMOVED_BACKENDS[backend],
+            }
+
+        edit_manifest(tmp_path / "model", mutate)
+        with pytest.raises(PersistenceError, match=backend):
+            repro.load_model(tmp_path / "model")
 
 
 class TestModelValidation:

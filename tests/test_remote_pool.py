@@ -56,15 +56,20 @@ from repro.testing import make_blobs_on_sphere
 EPS = 0.55
 TAU = 4
 
-#: Same exact-backend matrix as the sharded differential suite (the
-#: k-means tree in exact mode).
+#: The backend matrix of the sharded differential suite, less its
+#: Euclidean configuration: the clusterers here run cosine DBSCAN.
 BACKENDS = [
     ("brute_force", {}),
-    ("cover_tree", {"base": 1.6}),
-    ("kmeans_tree", {"checks_ratio": 1.0, "seed": 0, "leaf_size": 8}),
+    ("brute_force", {"block_size": 7}),
     ("grid", {"eps": EPS, "rho": 1.0}),
+    ("grid", {"eps": EPS, "rho": 0.5}),
 ]
-backend_ids = [n for n, _ in BACKENDS]
+backend_ids = [
+    "brute_force",
+    "brute_force_small_blocks",
+    "grid",
+    "grid_approx",
+]
 
 
 @pytest.fixture(scope="module")
@@ -242,9 +247,9 @@ class TestWarmReuse:
         assert second.stats["shard_rebalances"] == 0
 
     def test_new_eps_reuses_eps_independent_indexes(self, data, pool):
-        # Range queries parameterize eps per call: a warm cover_tree
+        # Range queries parameterize eps per call: a warm brute-force
         # shard serves any eps without rebuilding.
-        spec = IndexSpec("cover_tree", {"base": 1.6})
+        spec = IndexSpec("brute_force", {"block_size": 64})
         execution = remote_execution(pool, index=spec)
         DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(data)
         other_eps = DBSCAN(eps=EPS - 0.1, tau=TAU, execution=execution).fit(data)
@@ -253,9 +258,7 @@ class TestWarmReuse:
     def test_persisted_artifact_reattaches_warm(self, data, pool, tmp_path):
         from repro.persistence import load_index, save_index
 
-        built = ShardedIndex(
-            inner="cover_tree", n_shards=3, executor="serial"
-        ).build(data)
+        built = ShardedIndex(n_shards=3, executor="serial").build(data)
         with built:
             save_index(built, tmp_path / "sharded")
             expected = built.batch_range_query(data[:8], EPS)

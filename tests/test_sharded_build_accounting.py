@@ -13,9 +13,10 @@ constructions —
 The differential tests below count actual ``build`` calls in this
 process (monkeypatched class methods) and read the instrumented
 ``shard_inner_builds`` counter of :meth:`ShardedIndex.stats`, across all
-three executors and all four registered inner backends; label equality
-vs the unsharded path rides along for DBSCAN and LAF-DBSCAN. Each remote
-case gets a fresh local worker pool, so its shards start cold.
+three executors and both registered inner backends (each in two
+configurations); label equality vs the unsharded path rides along for
+DBSCAN and LAF-DBSCAN. Each remote case gets a fresh local worker pool,
+so its shards start cold.
 """
 
 from __future__ import annotations
@@ -37,18 +38,20 @@ TAU = 4
 N_SHARDS = 3
 EXECUTORS = ("serial", "thread", "remote")
 
-#: Inner-backend grid mirroring tests/test_sharded_equivalence.py (the
-#: k-means tree in exact mode: approx pruning is shard-shape-dependent).
+#: The backend matrix of the sharded differential suite, less its
+#: Euclidean configuration: the clusterers here run cosine DBSCAN.
 BACKENDS = [
     ("brute_force", {}),
-    ("cover_tree", {"base": 1.6}),
-    ("kmeans_tree", {"checks_ratio": 1.0, "seed": 0, "leaf_size": 8}),
+    ("brute_force", {"block_size": 7}),
     ("grid", {"eps": EPS, "rho": 1.0}),
+    ("grid", {"eps": EPS, "rho": 0.5}),
 ]
-backend_ids = [n for n, _ in BACKENDS]
-
-#: IndexSpec equivalents for routing clusterers onto each backend.
-SPECS = {name: IndexSpec(name, kwargs) for name, kwargs in BACKENDS}
+backend_ids = [
+    "brute_force",
+    "brute_force_small_blocks",
+    "grid",
+    "grid_approx",
+]
 
 
 def sharded_execution(executor, index: IndexSpec | None = None) -> ExecutionConfig:
@@ -150,12 +153,13 @@ class TestClustererFitBuildOnce:
     def test_dbscan_fit_builds_each_shard_once(
         self, name, kwargs, executor, data, build_counter
     ):
+        spec = IndexSpec(name, kwargs)
         baseline = DBSCAN(
-            eps=EPS, tau=TAU, execution=ExecutionConfig(index=SPECS[name])
+            eps=EPS, tau=TAU, execution=ExecutionConfig(index=spec)
         ).fit(data)
         parent_builds_before = build_counter["n"]
         result = DBSCAN(
-            eps=EPS, tau=TAU, execution=sharded_execution(executor, SPECS[name])
+            eps=EPS, tau=TAU, execution=sharded_execution(executor, spec)
         ).fit(data)
         parent_builds = build_counter["n"] - parent_builds_before
         # Shard-before-build: the whole-dataset index is never built,

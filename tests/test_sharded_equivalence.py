@@ -27,7 +27,6 @@ from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index import (
     BruteForceIndex,
-    KMeansTree,
     NeighborhoodCache,
     NeighborIndex,
     ShardedIndex,
@@ -52,18 +51,48 @@ WHOLE_SPHERE_EPS = 2.0
 #: pool (see the ``executor`` fixture).
 EXECUTORS = ("serial", "thread", "remote")
 
-#: (name, constructor kwargs) for every registered inner backend. The
-#: k-means tree runs in exact mode (checks_ratio=1.0): below that its
-#: leaf-budget pruning is shard-shape-dependent, like any partitioned
-#: approximate index, and no bit-identical contract exists.
+#: (name, constructor kwargs) for every registered inner backend, plus
+#: the configurations that take a different path through it: brute-force
+#: blocks smaller than a shard, the float64 Euclidean kernel, and the
+#: grid's rho < 1 cell pruning.
 BACKENDS = [
     ("brute_force", {}),
-    ("cover_tree", {"base": 1.6}),
-    ("kmeans_tree", {"checks_ratio": 1.0, "seed": 0, "leaf_size": 8}),
+    ("brute_force", {"block_size": 7}),
+    ("brute_force", {"metric": "euclidean"}),
     ("grid", {"eps": EPS, "rho": 1.0}),
+    ("grid", {"eps": EPS, "rho": 0.5}),
 ]
 
-backend_ids = [n for n, _ in BACKENDS]
+backend_ids = [
+    "brute_force",
+    "brute_force_small_blocks",
+    "brute_force_euclidean",
+    "grid",
+    "grid_approx",
+]
+
+
+class Unregistered(NeighborIndex):
+    """A range index outside the backend registry: it has no rebuild spec."""
+
+    def __init__(self) -> None:
+        self._inner = BruteForceIndex()
+
+    def build(self, X):
+        self._points = self._inner.build(X).points
+        return self
+
+    def range_query(self, q, eps):
+        return self._inner.range_query(q, eps)
+
+    def range_count(self, q, eps):
+        return self._inner.range_count(q, eps)
+
+    def batch_range_query(self, Q, eps):
+        return self._inner.batch_range_query(Q, eps)
+
+    def batch_range_count(self, Q, eps):
+        return self._inner.batch_range_count(Q, eps)
 
 
 @pytest.fixture(scope="module")
@@ -324,11 +353,11 @@ class TestEngineWiring:
         assert baseline.stats["range_queries"] == result.stats["range_queries"]
 
     def test_resolve_engine_index_passthrough(self, data):
-        tree = KMeansTree(seed=np.random.default_rng(0)).build(data)
+        custom = Unregistered().build(data)
         config = ShardingConfig(n_shards=2)
         # No rebuild spec: used unsharded, never silently.
         with pytest.warns(RuntimeWarning, match="rebuild spec"):
-            assert resolve_engine_index(tree, data, config) == (tree, False)
+            assert resolve_engine_index(custom, data, config) == (custom, False)
         already = ShardedIndex(n_shards=2).build(data)
         assert resolve_engine_index(already, data, config) == (already, False)
         already.close()
@@ -383,14 +412,14 @@ class TestEngineWiring:
             )
 
     def test_resolve_engine_index_warns_on_unbuilt_specless_index(self, data):
-        # A Generator seed cannot travel as a rebuild spec, so the tree
-        # is built once over X and queried unsharded.
-        tree = KMeansTree(seed=np.random.default_rng(0))
+        # No rebuild spec, so the index is built once over X and
+        # queried unsharded.
+        custom = Unregistered()
         with pytest.warns(RuntimeWarning, match="rebuild spec"):
             resolved, owned = resolve_engine_index(
-                tree, data, ShardingConfig(n_shards=2)
+                custom, data, ShardingConfig(n_shards=2)
             )
-        assert resolved is tree and resolved.is_built and owned
+        assert resolved is custom and resolved.is_built and owned
 
     @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
     def test_public_points_property_on_every_backend(self, name, kwargs, data):
@@ -415,6 +444,5 @@ class TestEngineWiring:
             rebuilt = make_inner_backend(got_name, got_kwargs)
             assert type(rebuilt) is type(index)
 
-    def test_generator_seeded_kmeans_tree_has_no_spec(self):
-        index = KMeansTree(seed=np.random.default_rng(0))
-        assert backend_spec_of(index) is None
+    def test_unregistered_index_has_no_spec(self):
+        assert backend_spec_of(Unregistered()) is None
