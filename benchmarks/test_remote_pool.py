@@ -7,8 +7,7 @@ fit against a fresh pool pays every shard build plus the dataset
 upload; the second fit attaches to cached indexes and pays only the
 query fan-out. The tracked metric is ``warm_fit_speedup`` (first-fit
 seconds over second-fit seconds, same pool, same machine, same run) on
-the brute_force inner backend: the warm fit still skips the dataset
-upload and every shard build (the float32 copy of the rows). That saving
+brute-force shards: the warm fit still skips the dataset upload and every shard build (the float32 copy of the rows). That saving
 is small next to the noise of one fit, so the cold and the warm time are
 each the median over ``POOLS`` fresh pools.
 
@@ -31,7 +30,7 @@ import numpy as np
 from conftest import out_path
 
 from repro.clustering import DBSCAN
-from repro.engine_config import ExecutionConfig, IndexSpec
+from repro.engine_config import ExecutionConfig
 from repro.index.sharded import ShardingConfig
 from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere, write_benchmark_rows
@@ -59,11 +58,9 @@ def _dataset(n: int) -> np.ndarray:
 
 def test_remote_warm_fit():
     X = _dataset(N)
-    spec = IndexSpec("brute_force")
 
     def execution(executor) -> ExecutionConfig:
         return ExecutionConfig(
-            index=spec,
             sharding=ShardingConfig(n_shards=N_SHARDS, executor=executor),
         )
 

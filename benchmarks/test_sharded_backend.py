@@ -106,7 +106,6 @@ def test_sharded_backend_scaling():
         serial_times: dict[int, float] = {}
         for executor, n_shards, n_workers in GRID:
             index = ShardedIndex(
-                inner="brute_force",
                 n_shards=n_shards,
                 executor=executor,
                 n_workers=n_workers,

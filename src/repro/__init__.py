@@ -24,9 +24,9 @@ Quickstart::
         execution=ExecutionConfig(sharding=ShardingConfig(n_shards=4)),
     )
 
-Execution policy (index backend, batching, sharding) is one
-declarative :class:`ExecutionConfig` threaded through every clusterer —
-never global state. See ``examples/`` for full pipelines
+Range queries run on the exact brute-force index; execution policy
+(batching, sharding) is one declarative :class:`ExecutionConfig`
+threaded through every clusterer — never global state. See ``examples/`` for full pipelines
 and ``benchmarks/`` for the reproduction of every table and figure in
 the paper.
 """
@@ -41,7 +41,7 @@ from repro.clustering import (
     KNNBlockDBSCAN,
     RhoApproxDBSCAN,
 )
-from repro.engine_config import ExecutionConfig, IndexSpec
+from repro.engine_config import ExecutionConfig
 from repro.core import (
     LAF,
     LAFDBSCAN,
@@ -102,7 +102,6 @@ __all__ = [
     "ExactCardinalityEstimator",
     "ExecutionConfig",
     "ExecutorSpec",
-    "IndexSpec",
     "InvalidParameterError",
     "KDECardinalityEstimator",
     "KNNBlockDBSCAN",

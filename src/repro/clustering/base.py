@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 
 from repro.distances.metric import COSINE, Metric, get_metric
-from repro.engine_config import ExecutionConfig, IndexSpec
+from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
 from repro.index.brute_force import BruteForceIndex
 from repro.index.engine import NeighborhoodCache, PerPointQueries
@@ -19,7 +19,6 @@ __all__ = [
     "ClusteringResult",
     "Clusterer",
     "canonicalize_labels",
-    "resolve_index_spec",
 ]
 
 #: Label value for noise points in every result of this library.
@@ -92,43 +91,6 @@ class ClusteringResult:
         return np.flatnonzero(self.labels == cluster_id)
 
 
-def resolve_index_spec(spec: IndexSpec | None, metric: Metric):
-    """Resolve an execution config's index spec under a host's metric.
-
-    A named spec carries no metric of its own, so the host's metric is
-    threaded into backends that take one (brute force) — otherwise
-    ``IndexSpec("brute_force")`` would silently answer cosine queries
-    under a euclidean host. The grid is tied to the unit sphere by its
-    Equation 1 conversion, so naming it under a non-cosine metric is a
-    configuration error, not a silent degradation.
-
-    ``spec`` None means a brute-force index in the host's metric. Shared
-    by clusterer fits and :class:`~repro.persistence.ClusterModel`
-    serving, so a loaded model resolves its query backend exactly like
-    the fit that produced it.
-    """
-    if spec is None:
-        return BruteForceIndex(metric=metric)
-    if spec.name == "brute_force":
-        if "metric" not in spec.kwargs:
-            return BruteForceIndex(metric=metric, **spec.kwargs)
-        spec_metric = get_metric(spec.kwargs["metric"])
-        if spec_metric.name != metric.name:
-            raise InvalidParameterError(
-                f"IndexSpec metric {spec_metric.name!r} contradicts the "
-                f"clusterer's metric {metric.name!r}; drop the "
-                "spec's 'metric' kwarg to inherit the clusterer's"
-            )
-        return spec.make()
-    if metric.name != COSINE.name:
-        raise InvalidParameterError(
-            f"index backend {spec.name!r} is tied to cosine distance "
-            f"(Equation 1) and cannot serve metric={metric.name!r}; "
-            "use a brute_force spec"
-        )
-    return spec.make()
-
-
 class Clusterer(abc.ABC):
     """Interface of every clustering algorithm in this library.
 
@@ -140,7 +102,7 @@ class Clusterer(abc.ABC):
     future-work extension); the tree/grid-based baselines are tied to
     the unit sphere by their Equation 1 conversions and stay cosine.
 
-    Execution policy — backend choice, batching, sharding — is one
+    Execution policy — batching and sharding — is one
     declarative :class:`~repro.engine_config.ExecutionConfig` passed as
     ``execution``; :meth:`_engine` resolves it into the engine a fit
     queries through. Nothing about execution lives in global state, so
@@ -177,47 +139,34 @@ class Clusterer(abc.ABC):
     # Execution resolution
     # ------------------------------------------------------------------
 
-    def _make_index(self):
-        """Resolve :attr:`execution`'s index spec in this clusterer's metric.
-
-        Delegates to :func:`resolve_index_spec`, shared with the serving
-        path.
-        """
-        return resolve_index_spec(self.execution.index, self.metric)
-
     @contextlib.contextmanager
-    def _engine(self, X: np.ndarray, *, plan=None, prebuilt=None):
+    def _engine(self, X: np.ndarray, *, plan=None):
         """The shared engine lifecycle of every fit.
 
-        Resolves :attr:`execution` into a query engine over ``X`` —
-        :class:`~repro.index.engine.NeighborhoodCache` (batched path,
-        handed the *unbuilt* backend so it builds exactly once,
-        shard-first when sharding is configured) or
+        Resolves :attr:`execution` into a query engine over ``X`` on a
+        :class:`~repro.index.brute_force.BruteForceIndex` in this
+        clusterer's metric — :class:`~repro.index.engine.NeighborhoodCache`
+        (batched path, handed the *unbuilt* index so it builds exactly
+        once, shard-first when sharding is configured) or
         :class:`~repro.index.engine.PerPointQueries` (the per-point
         reference path) — optionally pre-planning ``plan``, and closes
         it deterministically on exit. The ``finally`` matters: a fit
         raising mid-query pins its frame in the traceback, so without
         an explicit close a sharded executor's thread pool or worker
         connections would leak until gc.
-
-        ``prebuilt`` hands over an already-built substrate instead of
-        resolving one from the config (ρ-approximate DBSCAN's grid,
-        which the algorithm also needs directly).
         """
         cfg = self.execution
-        backend = self._make_index() if prebuilt is None else prebuilt
+        index = BruteForceIndex(metric=self.metric)
         if cfg.batch_queries:
             engine = NeighborhoodCache(
-                backend,
+                index,
                 X,
                 self.eps,
                 block_size=cfg.query_block,
                 sharding=cfg.sharding,
             )
         else:
-            if prebuilt is None:
-                backend.build(X)
-            engine = PerPointQueries(backend, X, self.eps)
+            engine = PerPointQueries(index.build(X), X, self.eps)
         try:
             if plan is not None:
                 engine.plan(plan)

@@ -32,6 +32,7 @@ from repro.clustering.base import (
     ClusteringResult,
     canonicalize_labels,
 )
+from repro.clustering.components import connected_components_within
 from repro.clustering.union_find import UnionFind
 from repro.distances import (
     check_unit_norm,
@@ -188,12 +189,14 @@ class KNNBlockDBSCAN(Clusterer):
                 other = unit_of_point[q]
                 if other >= 0 and other != unit_id:
                     uf.union(unit_id, other)
-        # Core-core connectivity within eps (cosine strict <).
-        for start, stop, block in iter_distance_blocks(core_X, core_X):
-            rows, cols = np.nonzero(block < self.eps)
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                if start + r < c:
-                    uf.union(int(core_units[start + r]), int(core_units[c]))
+        # Core-core connectivity within eps (cosine strict <): every core
+        # unit joins the unit of its component's first core.
+        component, _ = connected_components_within(core_X, self.eps)
+        _, first = np.unique(component, return_index=True)
+        roots = core_units[first[component]]
+        for unit, root in zip(core_units.tolist(), roots.tolist()):
+            if unit != root:
+                uf.union(unit, root)
         for i, point in enumerate(core_idx):
             labels[point] = uf.find(int(core_units[i]))
         # Borders: nearest core point within eps.

@@ -52,15 +52,15 @@ class RhoApproxDBSCAN(Clusterer):
         (after finding the 0.001-0.1 range of the original work too slow
         in high dimensions).
     execution:
-        Execution policy. The method is *defined* on its grid, so the
-        grid always answers (an ``execution.index`` spec is ignored);
-        the grid-specific approximate counts stay direct, while the
-        exact border-attachment range queries route through the shared
-        engine over the already-built grid. On the default batched path
-        both run blockwise (the cell-center distance matrix is one
-        blocked product instead of a per-point loop);
-        ``batch_queries=False`` keeps the per-point reference loops.
-        Identical output either way.
+        Execution policy. The method is *defined* on its grid, which it
+        builds itself: the rho-sandwich counts and cell merging are grid
+        calls. The exact border-attachment range queries are ordinary
+        eps-range queries and go through the shared brute-force engine
+        like every other method's, sharded when ``execution.sharding``
+        is set. On the default batched path both phases run blockwise
+        (the cell-center distance matrix is one blocked product instead
+        of a per-point loop); ``batch_queries=False`` keeps the
+        per-point reference loops. Identical output either way.
     """
 
     algo_name = "rho-approx"
@@ -122,8 +122,8 @@ class RhoApproxDBSCAN(Clusterer):
             "n_cells": grid.n_cells,
         }
         # The exact border queries are ordinary eps-range queries, so
-        # they run through the shared engine over the already-built grid.
-        with self._engine(X, prebuilt=grid) as engine:
+        # they run through the shared brute-force engine.
+        with self._engine(X) as engine:
             if core_cells:
                 labels = self._merge_cells(
                     X, grid, core_mask, core_cells, r_e, r_outer, engine

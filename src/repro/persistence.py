@@ -5,7 +5,7 @@ fit-once/query-forever half. An artifact is a *directory* holding one
 ``manifest.json`` plus one ``.npy`` file per array:
 
 * the manifest is strict JSON carrying the format version, the artifact
-  kind, the reconstruction spec (backend name + kwargs for indexes, the
+  kind, the reconstruction spec (``brute_force`` + kwargs for indexes, the
   :class:`~repro.engine_config.ExecutionConfig` wire format for models),
   and per-array dtype/shape/size/sha256 — every load verifies all of it
   and raises a typed :class:`~repro.exceptions.PersistenceError` (never
@@ -17,9 +17,12 @@ fit-once/query-forever half. An artifact is a *directory* holding one
   ("build a shard index once, serialize it, memory-map it from a
   worker") in its local form.
 
-:func:`save_index` / :func:`load_index` cover both registered
-backends (brute force and grid) plus :class:`~repro.index.sharded.ShardedIndex` (a directory of
-per-shard artifacts sharing one memory-mapped ``points.npy``);
+:func:`save_index` / :func:`load_index` cover
+:class:`~repro.index.brute_force.BruteForceIndex` and
+:class:`~repro.index.sharded.ShardedIndex` (a directory of per-shard
+artifacts sharing one memory-mapped ``points.npy``); a version-1
+artifact naming any other range backend (all removed) fails to load
+with a :class:`~repro.exceptions.PersistenceError` naming it;
 :class:`ClusterModel` freezes a fitted clustering — labels, core mask,
 core distances, the LAF estimator's fitted parameters — and serves
 :meth:`ClusterModel.predict` through the same batched/sharded engine
@@ -74,9 +77,9 @@ KIND_CLUSTER_MODEL = "cluster_model"
 
 _HASH_CHUNK = 1 << 20
 
-#: Index name older artifacts record for a fit under a custom index
-#: factory, which cannot be rebuilt from disk.
-_CUSTOM_SPEC = "custom"
+#: The one range backend artifacts name: ``spec.backend`` of an index,
+#: ``spec.inner`` of a sharded index, ``execution.index`` of older models.
+_BACKEND = "brute_force"
 
 
 def _upgrade_executor(executor: Any) -> Any:
@@ -91,13 +94,21 @@ def _upgrade_execution(payload: Any) -> Any:
     ``"sharding": false`` (the former explicit opt-out) reads as None,
     a retired executor name as its replacement, and the retired
     ``cache_eviction`` key is dropped whatever it held (the engine
-    always releases a neighborhood once served). Writers emit none of
-    these; this runs only at the load boundary.
+    always releases a neighborhood once served). The retired ``index``
+    key is dropped when it is null or names brute force, the only range
+    backend; any other name raises. Writers emit none of these; this
+    runs only at the load boundary.
     """
     if not isinstance(payload, Mapping):
         return payload
     payload = dict(payload)
     payload.pop("cache_eviction", None)
+    index = payload.pop("index", None)
+    name = index.get("name") if isinstance(index, Mapping) else index
+    if name not in (None, _BACKEND):
+        raise InvalidParameterError(
+            f"index backend {name!r} was removed; only {_BACKEND!r} loads"
+        )
     sharding = payload.get("sharding")
     if sharding is False:
         payload["sharding"] = None
@@ -278,36 +289,35 @@ def load_arrays(
 def save_index(index: Any, path: str | Path) -> Path:
     """Persist a built index as a versioned artifact directory.
 
-    Handles the registered backends (``brute_force``, ``grid``) and
+    Handles :class:`~repro.index.brute_force.BruteForceIndex` and
     :class:`~repro.index.sharded.ShardedIndex` (saved as a directory of
     per-shard artifacts sharing one ``points.npy``). Any other type
     raises :class:`PersistenceError`; an unbuilt index raises
     :class:`~repro.exceptions.NotFittedError`.
     """
-    from repro.index.sharded import INNER_BACKENDS, ShardedIndex, backend_spec_of
+    from repro.index.brute_force import BruteForceIndex
+    from repro.index.sharded import ShardedIndex
 
     if isinstance(index, ShardedIndex):
         return _save_sharded(index, path)
-    spec = backend_spec_of(index)
-    # backend_spec_of matches by isinstance; a subclass would save under
-    # the base backend's name and load back as the wrong type.
-    if spec is None or INNER_BACKENDS[spec[0]] is not type(index):
+    # An exact type check: a subclass would load back as the base class.
+    if type(index) is not BruteForceIndex:
         raise PersistenceError(
-            f"{type(index).__name__} has no registered rebuild spec and "
-            "cannot be saved (custom index types are not reconstructible "
-            "from disk); use a registered backend with JSON-safe "
-            "constructor arguments"
+            f"{type(index).__name__} cannot be saved: only BruteForceIndex "
+            "and ShardedIndex artifacts exist"
         )
     if not index.is_built:
         raise NotFittedError(
             f"{type(index).__name__} has not been built; build() before save()"
         )
-    name, kwargs = spec
     return write_artifact(
         path,
         KIND_INDEX,
         index.to_arrays(),
-        spec={"backend": name, "kwargs": kwargs},
+        spec={
+            "backend": _BACKEND,
+            "kwargs": {"block_size": index.block_size, "metric": index.metric.name},
+        },
         metadata={"n_points": int(index.n_points)},
     )
 
@@ -354,7 +364,8 @@ def load_index(
 
 
 def _make_backend(spec: Mapping, path: Path) -> Any:
-    from repro.index.sharded import make_inner_backend
+    """The unbuilt brute-force index a v1 ``{backend, kwargs}`` spec names."""
+    from repro.index.brute_force import BruteForceIndex
 
     backend = spec.get("backend")
     kwargs = spec.get("kwargs", {})
@@ -363,7 +374,9 @@ def _make_backend(spec: Mapping, path: Path) -> Any:
             f"artifact at {path} has a malformed backend spec: {dict(spec)!r}"
         )
     try:
-        return make_inner_backend(backend, dict(kwargs))
+        if backend != _BACKEND:
+            raise InvalidParameterError(f"only {_BACKEND!r} indexes load")
+        return BruteForceIndex(**kwargs)
     except (InvalidParameterError, TypeError) as exc:
         raise PersistenceError(
             f"cannot reconstruct backend {backend!r} from {path}: {exc}"
@@ -387,44 +400,27 @@ def _shard_dir(path: Path, shard_id: int) -> Path:
 def _save_sharded(index: Any, path: str | Path) -> Path:
     """ShardedIndex layout: top-level ``points.npy`` + per-shard artifacts.
 
-    The full matrix is stored exactly once; each shard artifact holds
-    only its backend's structural arrays, and the loader injects the
-    mmap'd row slice ``points[lo:hi]`` back into each shard — so neither
-    disk nor a reattaching process ever holds a second copy of the data.
-
-    Works under *any* executor: the local (serial/thread) executors hand
-    their built shard indexes over directly, while a worker-held
-    executor (remote) keeps its indexes out of reach of the
-    parent — those shards are rebuilt parent-side one at a time for
-    serialization (deterministic: registered backends reconstruct
-    bit-identically from the same rows and spec). The executor spec is
-    recorded in the artifact, so loading reattaches under the saved
-    topology by default — or any other via ``load_index(executor=...)``.
+    The full matrix is stored exactly once. A brute-force shard's only
+    array is its row slice, so each shard artifact holds just its spec
+    and row range, and the loader injects the mmap'd slice
+    ``points[lo:hi]`` back into each shard — neither disk nor a
+    reattaching process ever holds a second copy of the data, and no
+    executor (not even a worker-held remote one) has to hand its shard
+    indexes over. The executor spec is recorded in the artifact, so
+    loading reattaches under the saved topology by default — or any
+    other via ``load_index(executor=...)``.
     """
-    from repro.index.sharded import make_inner_backend
-
     index._require_built()
-    local_indexes = getattr(index._require_executor(), "_indexes", None)
     points = index.points
     path = Path(path)
     live = [[int(s), int(lo), int(hi)] for s, lo, hi in index._live]
+    inner_kwargs = {"metric": index.metric.name}
     for s, lo, hi in live:
-        if local_indexes is not None:
-            shard_index = local_indexes[s]
-        else:
-            # Worker-held executor: the parent rebuilds this one shard
-            # from its rows (and drops it before the next — peak memory
-            # is one shard index, not n_shards of them).
-            shard_index = make_inner_backend(index.inner, index.inner_kwargs).build(
-                np.ascontiguousarray(points[lo:hi])
-            )
-        inner_arrays = shard_index.to_arrays()
-        inner_arrays.pop("points")  # stored once at the top level
         write_artifact(
             _shard_dir(path, s),
             KIND_INDEX_SHARD,
-            inner_arrays,
-            spec={"backend": index.inner, "kwargs": dict(index.inner_kwargs)},
+            {},
+            spec={"backend": _BACKEND, "kwargs": inner_kwargs},
             metadata={"shard_id": s, "lo": lo, "hi": hi},
         )
     return write_artifact(
@@ -432,8 +428,8 @@ def _save_sharded(index: Any, path: str | Path) -> Path:
         KIND_SHARDED_INDEX,
         {"points": points},
         spec={
-            "inner": index.inner,
-            "inner_kwargs": dict(index.inner_kwargs),
+            "inner": _BACKEND,
+            "inner_kwargs": inner_kwargs,
             "n_shards": index.n_shards,
             "executor": index.executor.wire_value(),
             "n_workers": index.n_workers,
@@ -457,7 +453,7 @@ def _open_sharded(
     entry must be three ints ``[shard_id, lo, hi]`` with
     ``0 <= lo < hi <= len(points)`` before any row slice is taken.
     ``load`` names the shard ids to restore into ``indexes`` (None:
-    every live shard); each gets its inner backend over the shared
+    every live shard); each gets its brute-force index over the shared
     ``points[lo:hi]`` slice.
     """
     arrays = load_arrays(path, manifest, mmap=mmap, verify=verify)
@@ -523,9 +519,9 @@ def _load_sharded(
         executor_spec = ExecutorSpec.coerce(
             _upgrade_executor(spec["executor"]) if executor is None else executor
         )
+        inner = {"backend": spec["inner"], "kwargs": spec["inner_kwargs"]}
         out = ShardedIndex(
-            inner=str(spec["inner"]),
-            inner_kwargs=dict(spec["inner_kwargs"]),
+            metric=_make_backend(inner, path).metric,
             n_shards=int(spec["n_shards"]),
             executor=executor_spec,
             n_workers=spec.get("n_workers"),
@@ -561,7 +557,7 @@ def load_shard_index(
     The worker-side reattach primitive of the remote pool: a worker
     pinned to shard ``shard_id`` loads only its own shard artifact plus
     a memory-mapped slice of the shared ``points.npy`` — never the
-    sibling shards. Returns the query-ready inner backend.
+    sibling shards. Returns the query-ready brute-force index.
     """
     path = Path(path)
     manifest = read_manifest(path, expected_kind=KIND_SHARDED_INDEX)
@@ -701,21 +697,20 @@ class ClusterModel:
     # ------------------------------------------------------------------
 
     def _ensure_core_index(self) -> Any:
-        """The range-query index over the core points, built once.
+        """The brute-force index over the core points, built once.
 
-        Resolved through the same seams as a fit: the execution
-        config's index spec under the model's metric
-        (:func:`repro.clustering.base.resolve_index_spec`), then
-        :func:`repro.index.sharded.resolve_engine_index` so a sharding
+        Resolved through the same seam as a fit,
+        :func:`repro.index.sharded.resolve_engine_index`, so a sharding
         config fans prediction across shards exactly like fitting.
         """
         if self._core_index is None:
-            from repro.clustering.base import resolve_index_spec
+            from repro.index.brute_force import BruteForceIndex
             from repro.index.sharded import resolve_engine_index
 
-            unbuilt = resolve_index_spec(self.execution.index, self.metric)
             self._core_index, self._core_index_owned = resolve_engine_index(
-                unbuilt, self._cores(), self.execution.sharding
+                BruteForceIndex(metric=self.metric),
+                self._cores(),
+                self.execution.sharding,
             )
         return self._core_index
 
@@ -828,9 +823,8 @@ def load_model(
 
     Arrays reattach as read-only memory maps (``mmap=False`` to read
     into RAM; ``verify=False`` to skip the sha256 pass). An artifact
-    whose index is the ``"custom"`` marker (a fit under a custom index
-    factory) cannot reconstruct its serving path and raises
-    :class:`PersistenceError`.
+    whose ``execution.index`` names a removed range backend cannot
+    reconstruct its serving path and raises :class:`PersistenceError`.
     """
     path = Path(path)
     manifest = read_manifest(path, expected_kind=KIND_CLUSTER_MODEL)
@@ -840,17 +834,8 @@ def load_model(
             raise PersistenceError(
                 f"model artifact at {path} is missing spec key {key!r}"
             )
-    execution_payload = _upgrade_execution(spec["execution"])
-    index_payload = (execution_payload or {}).get("index")
-    if isinstance(index_payload, Mapping) and index_payload.get("name") == _CUSTOM_SPEC:
-        raise PersistenceError(
-            f"the model at {path} was fit with a custom index factory, "
-            "which cannot be reconstructed from disk; refit with a "
-            "registered backend (IndexSpec(name, kwargs)) to make the "
-            "model loadable"
-        )
     try:
-        execution = ExecutionConfig.from_dict(execution_payload)
+        execution = ExecutionConfig.from_dict(_upgrade_execution(spec["execution"]))
     except InvalidParameterError as exc:
         raise PersistenceError(
             f"cannot reconstruct the execution config of {path}: {exc}"

@@ -7,8 +7,8 @@ in-process via :meth:`WorkerPool.spawn_local` — listens on TCP sockets
 speaking the length-prefixed protocol of :mod:`repro.remote.protocol`.
 Each worker holds the shard indexes pinned to it *warm across fits*:
 the first fit pays one inner build per live shard, every later fit (or
-eps value, for eps-independent inner backends) attaches to the cached
-indexes and pays zero.
+eps value: brute-force shards do not depend on eps) attaches to the
+cached indexes and pays zero.
 
 :class:`~repro.remote.pool.RemoteExecutor` is the client side, plugged
 in behind the shard-executor seam as the registered ``remote``

@@ -175,16 +175,10 @@ class RemoteExecutor:
         self,
         X: np.ndarray,
         shards: dict[int, tuple[int, int]],
-        inner_name: str,
-        inner_kwargs: dict,
+        metric: str,
         options: dict,
         artifact_path: str | None = None,
     ) -> None:
-        if not isinstance(inner_name, str):
-            raise InvalidParameterError(
-                "the remote executor rebuilds inner indexes in its "
-                "workers and needs a registered backend name"
-            )
         addresses = tuple(options.get("addresses") or ())
         if not addresses:
             raise InvalidParameterError(
@@ -201,8 +195,7 @@ class RemoteExecutor:
         ]
         self._X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
         self._shards = {int(s): (int(lo), int(hi)) for s, (lo, hi) in shards.items()}
-        self._inner_name = inner_name
-        self._inner_kwargs = dict(inner_kwargs or {})
+        self._metric = str(metric)
         self._artifact_path = artifact_path
         self._fingerprint: str | None = None
         # Stable shard→worker affinity: position in the sorted shard
@@ -229,8 +222,7 @@ class RemoteExecutor:
             "shard_id": shard_id,
             "lo": lo,
             "hi": hi,
-            "inner": self._inner_name,
-            "inner_kwargs": self._inner_kwargs,
+            "metric": self._metric,
         }
         if self._artifact_path is not None:
             payload["artifact"] = self._artifact_path

@@ -3,10 +3,10 @@
 One worker process serves many client connections (one thread each,
 via the shared :class:`~repro.remote.protocol.FrameServer`) and
 holds every shard index it has ever built or reattached in an in-memory
-cache keyed by ``(dataset, inner spec, rows)`` — so a second fit (or a
-different clusterer, or a new eps under an eps-independent inner
-backend) against the same pool attaches to the cached index and pays
-zero inner builds. Datasets arrive once per worker (content-addressed
+cache keyed by ``(dataset, metric, rows)`` — so a second fit (or a
+different clusterer, or a new eps: brute-force shards do not depend on
+eps) against the same pool attaches to the cached index and pays zero
+inner builds. Datasets arrive once per worker (content-addressed
 by sha256 fingerprint) or never (persisted shard artifacts are loaded
 from a shared filesystem via
 :func:`repro.persistence.load_shard_index`).
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import threading
 import warnings
@@ -53,6 +52,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, RemoteProtocolError
 from repro.index import sharded as _sharded
+from repro.index.brute_force import BruteForceIndex
 from repro.remote.protocol import FrameServer
 
 __all__ = ["ShardHolder", "serve", "worker_main"]
@@ -70,11 +70,11 @@ def dataset_fingerprint(X: np.ndarray) -> str:
 
 
 def _shard_key(shard: dict) -> tuple:
-    """Cache key of one shard spec: dataset, inner spec, row range.
+    """Cache key of one shard spec: dataset, metric, row range.
 
     ``shard`` carries either a ``dataset`` fingerprint (lazy-build mode)
-    or an ``artifact`` path (persisted-shard mode), plus the inner
-    backend name/kwargs, the shard id and its ``[lo, hi)`` rows.
+    or an ``artifact`` path (persisted-shard mode), plus the metric of
+    its brute-force index, the shard id and its ``[lo, hi)`` rows.
     """
     source = (
         ("artifact", str(shard["artifact"]))
@@ -83,8 +83,7 @@ def _shard_key(shard: dict) -> tuple:
     )
     return (
         source,
-        str(shard["inner"]),
-        json.dumps(shard.get("inner_kwargs") or {}, sort_keys=True),
+        str(shard["metric"]),
         int(shard["shard_id"]),
         int(shard["lo"]),
         int(shard["hi"]),
@@ -100,12 +99,10 @@ def _close_indexes(indexes: list[object]) -> None:
 
 
 def _index_nbytes(index: object) -> int:
-    """Cheap size estimate of a cached shard index: its point matrices.
+    """Size of a cached brute-force shard index: its point matrices.
 
-    That is the float64 rows plus, for a cosine brute-force index, their
-    float32 copy. A grid's cell tables are a small fraction of its
-    point matrix, so the bytes cap is enforced against the dominant
-    terms only.
+    That is the float64 rows plus, for a cosine index, their float32
+    copy.
     """
     matrices = (getattr(index, name, None) for name in ("_points", "_points32"))
     return sum(int(m.nbytes) for m in matrices if isinstance(m, np.ndarray))
@@ -186,9 +183,9 @@ class ShardHolder:
                     "client must put_dataset before attaching shards to it"
                 )
             lo, hi = int(shard["lo"]), int(shard["hi"])
-            index = _sharded.make_inner_backend(
-                str(shard["inner"]), dict(shard.get("inner_kwargs") or {})
-            ).build(np.ascontiguousarray(X[lo:hi]))
+            index = BruteForceIndex(metric=str(shard["metric"])).build(
+                np.ascontiguousarray(X[lo:hi])
+            )
         with self._lock:
             winner = self._indexes.setdefault(key, index)
             built = winner is index

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.clustering import DBSCAN
 from repro.distances import normalize_rows
-from repro.engine_config import ExecutionConfig, IndexSpec
 from repro.exceptions import DataValidationError
 from repro.index import BruteForceIndex
 from repro.metrics import adjusted_rand_index
@@ -113,15 +112,6 @@ class TestBehaviour:
         result = DBSCAN(eps=2.0, tau=3).fit(unit_vectors_small)
         assert result.n_clusters == 1
         assert result.noise_ratio == 0.0
-
-    def test_grid_index_gives_same_result(self, clusterable_data):
-        brute = DBSCAN(eps=0.5, tau=5).fit(clusterable_data)
-        grid = DBSCAN(
-            eps=0.5,
-            tau=5,
-            execution=ExecutionConfig(index=IndexSpec("grid", {"eps": 0.5})),
-        ).fit(clusterable_data)
-        assert np.array_equal(brute.labels, grid.labels)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(DataValidationError):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.clustering import DBSCAN, RhoApproxDBSCAN
+from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
 from repro.index import BruteForceIndex
 from repro.metrics import adjusted_rand_index
-
 
 
 class TestParameters:
@@ -75,3 +75,35 @@ class TestApproximationSemantics:
         a = RhoApproxDBSCAN(eps=0.5, tau=5).fit(clusterable_data)
         b = RhoApproxDBSCAN(eps=0.5, tau=5).fit(clusterable_data)
         assert np.array_equal(a.labels, b.labels)
+
+
+class TestBorderPhase:
+    """Non-core points attach through exact brute-force range queries."""
+
+    # A small rho leaves the blobs' outskirts and the noise non-core, so
+    # the border queries run, and some borders reach two clusters' cores.
+    EPS, TAU, RHO = 0.8, 8, 0.01
+
+    @pytest.mark.parametrize("batch_queries", [True, False])
+    def test_border_takes_lowest_index_core_label(
+        self, clusterable_data, batch_queries
+    ):
+        X = clusterable_data
+        result = RhoApproxDBSCAN(
+            eps=self.EPS,
+            tau=self.TAU,
+            rho=self.RHO,
+            execution=ExecutionConfig(batch_queries=batch_queries),
+        ).fit(X)
+        if batch_queries:
+            assert result.stats["engine_computed"] > 0
+        cores = np.flatnonzero(result.core_mask)
+        # float64 oracle: cosine distance of every point to every core.
+        within = np.maximum(0.0, 1.0 - X @ X[cores].T) < self.EPS
+        n_contested = 0
+        for p in np.flatnonzero(~result.core_mask):
+            reachable = cores[within[p]]
+            expected = result.labels[reachable[0]] if reachable.size else -1
+            assert result.labels[p] == expected, p
+            n_contested += np.unique(result.labels[reachable]).size > 1
+        assert n_contested > 0

@@ -1,4 +1,4 @@
-"""Tests for IndexSpec / ExecutionConfig: validation and serialization.
+"""Tests for ExecutionConfig: validation and serialization.
 
 The serialization contract matters beyond tidiness: ``to_dict`` /
 ``from_dict`` is the wire format the distributed follow-on needs to
@@ -14,86 +14,35 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine_config import DEFAULT_ENGINE_BLOCK, ExecutionConfig, IndexSpec
+from repro.engine_config import DEFAULT_ENGINE_BLOCK, ExecutionConfig
 from repro.exceptions import InvalidParameterError
-from repro.index import BruteForceIndex, GridIndex
 from repro.index.sharded import ShardingConfig
 
 
-class TestIndexSpec:
-    @pytest.mark.parametrize(
-        "name,kwargs,cls",
-        [
-            ("brute_force", {}, BruteForceIndex),
-            ("grid", {"eps": 0.5, "rho": 1.0}, GridIndex),
-            ("brute_force", {"block_size": 7, "metric": "euclidean"}, BruteForceIndex),
-            ("grid", {"eps": 0.5, "rho": 0.5}, GridIndex),
-        ],
-    )
-    def test_make_resolves_registered_backends(self, name, kwargs, cls):
-        index = IndexSpec(name, kwargs).make()
-        assert isinstance(index, cls)
-        assert not index.is_built
-
-    def test_kwargs_reach_the_constructor(self):
-        index = IndexSpec("brute_force", {"block_size": 64}).make()
-        assert index.block_size == 64
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown index backend"):
-            IndexSpec("faiss")
-
-    def test_fields_are_name_and_kwargs(self):
-        assert [f.name for f in dataclasses.fields(IndexSpec)] == ["name", "kwargs"]
-
-    def test_round_trip(self):
-        spec = IndexSpec("brute_force", {"block_size": 64})
-        assert IndexSpec.from_dict(spec.to_dict()) == spec
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(InvalidParameterError, match="unknown IndexSpec keys"):
-            IndexSpec.from_dict({"name": "brute_force", "block": 64})
-
-    def test_from_dict_requires_name(self):
-        with pytest.raises(InvalidParameterError, match="missing 'name'"):
-            IndexSpec.from_dict({"kwargs": {}})
-
-    def test_equality_is_by_value(self):
-        assert IndexSpec("grid", {"eps": 0.5}) == IndexSpec("grid", {"eps": 0.5})
-        assert IndexSpec("grid", {"eps": 0.5}) != IndexSpec("grid", {"eps": 0.6})
-
-    def test_specs_are_hashable_value_types(self):
-        # Equal specs hash equal (usable as dict keys / set members)
-        # even though kwargs is a dict internally.
-        a = IndexSpec("brute_force", {"block_size": 64})
-        b = IndexSpec("brute_force", {"block_size": 64})
+class TestExecutionConfigValueType:
+    def test_configs_are_hashable_value_types(self):
+        a = ExecutionConfig(sharding=ShardingConfig(n_shards=2), query_block=64)
+        b = ExecutionConfig(sharding=ShardingConfig(n_shards=2), query_block=64)
         assert hash(a) == hash(b)
         assert {a: "x"}[b] == "x"
         assert len({a, b}) == 1
-        cfg = ExecutionConfig(index=a, sharding=ShardingConfig(n_shards=2))
-        assert cfg in {ExecutionConfig(index=b, sharding=ShardingConfig(n_shards=2))}
 
-    def test_specs_pickle(self):
+    def test_configs_pickle(self):
         import pickle
 
-        cfg = ExecutionConfig(
-            index=IndexSpec("brute_force", {"block_size": 64}),
-            sharding=ShardingConfig(n_shards=2),
-        )
+        cfg = ExecutionConfig(sharding=ShardingConfig(n_shards=2), query_block=64)
         assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 class TestExecutionConfigValidation:
     def test_defaults(self):
         cfg = ExecutionConfig()
-        assert cfg.index is None
         assert cfg.sharding is None
         assert cfg.batch_queries is True
         assert cfg.query_block == DEFAULT_ENGINE_BLOCK
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
-            "index",
             "sharding",
             "batch_queries",
             "query_block",
@@ -103,10 +52,6 @@ class TestExecutionConfigValidation:
         with pytest.raises(InvalidParameterError, match="query_block"):
             ExecutionConfig(query_block=0)
 
-    def test_rejects_non_spec_index(self):
-        with pytest.raises(InvalidParameterError, match="IndexSpec"):
-            ExecutionConfig(index="brute_force")
-
     def test_rejects_non_config_sharding(self):
         with pytest.raises(InvalidParameterError, match="ShardingConfig"):
             ExecutionConfig(sharding=4)
@@ -115,7 +60,6 @@ class TestExecutionConfigValidation:
 class TestExecutionConfigSerialization:
     def full_config(self) -> ExecutionConfig:
         return ExecutionConfig(
-            index=IndexSpec("grid", {"eps": 0.5, "rho": 1.0}),
             sharding=ShardingConfig(
                 n_shards=4, executor="thread", n_workers=2, query_block=512
             ),
@@ -149,11 +93,11 @@ class TestExecutionConfigSerialization:
         with pytest.raises(InvalidParameterError, match="unknown ShardingConfig"):
             ExecutionConfig.from_dict(payload)
 
-    def test_from_dict_rejects_unknown_index_keys(self):
-        payload = self.full_config().to_dict()
-        payload["index"]["metric"] = "cosine"
-        with pytest.raises(InvalidParameterError, match="unknown IndexSpec"):
-            ExecutionConfig.from_dict(payload)
+    def test_from_dict_rejects_retired_index(self):
+        # Old artifacts' execution.index is checked and dropped by the
+        # persistence loader; the wire format itself has no such key.
+        with pytest.raises(InvalidParameterError, match="unknown ExecutionConfig"):
+            ExecutionConfig.from_dict({"index": None})
 
     def test_from_dict_rejects_non_mapping(self):
         with pytest.raises(InvalidParameterError, match="mapping"):
@@ -205,10 +149,7 @@ class TestExecutionConfigSerialization:
         from repro.testing import make_blobs_on_sphere
 
         X, _ = make_blobs_on_sphere(20, 3, 8, spread=0.2, seed=0)
-        cfg = ExecutionConfig(
-            index=IndexSpec("brute_force", {"block_size": 16}),
-            sharding=ShardingConfig(n_shards=2),
-        )
+        cfg = ExecutionConfig(sharding=ShardingConfig(n_shards=2), query_block=16)
         wired = ExecutionConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         baseline = DBSCAN(eps=0.5, tau=4).fit(X)
         result = DBSCAN(eps=0.5, tau=4, execution=wired).fit(X)

@@ -24,7 +24,7 @@ from repro.clustering import (
 )
 from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
 from repro.distances import normalize_rows
-from repro.engine_config import ExecutionConfig, IndexSpec
+from repro.engine_config import ExecutionConfig
 from repro.estimators import ExactCardinalityEstimator
 
 from repro.testing import canonical, make_blobs_on_sphere, reference_dbscan
@@ -33,8 +33,8 @@ EPS = 0.5
 TAU = 5
 
 
-def _exec(b: bool, index: IndexSpec | None = None) -> ExecutionConfig:
-    return ExecutionConfig(batch_queries=b, index=index)
+def _exec(b: bool, **kwargs) -> ExecutionConfig:
+    return ExecutionConfig(batch_queries=b, **kwargs)
 
 
 # Every clusterer under test, as a factory taking batch_queries. Seeded
@@ -42,15 +42,8 @@ def _exec(b: bool, index: IndexSpec | None = None) -> ExecutionConfig:
 # randomness.
 CLUSTERERS = {
     "dbscan": lambda b: DBSCAN(eps=EPS, tau=TAU, execution=_exec(b)),
-    "dbscan_small_block_index": lambda b: DBSCAN(
-        eps=EPS,
-        tau=TAU,
-        execution=_exec(b, IndexSpec("brute_force", {"block_size": 7})),
-    ),
-    "dbscan_grid_index": lambda b: DBSCAN(
-        eps=EPS,
-        tau=TAU,
-        execution=_exec(b, IndexSpec("grid", {"eps": EPS, "rho": 1.0})),
+    "dbscan_small_query_block": lambda b: DBSCAN(
+        eps=EPS, tau=TAU, execution=_exec(b, query_block=7)
     ),
     "dbscanpp_uniform": lambda b: DBSCANPlusPlus(
         eps=EPS, tau=TAU, p=0.5, init="uniform", seed=0, execution=_exec(b)
@@ -61,6 +54,11 @@ CLUSTERERS = {
     "block_dbscan": lambda b: BlockDBSCAN(eps=EPS, tau=TAU, execution=_exec(b)),
     "rho_approx": lambda b: RhoApproxDBSCAN(
         eps=EPS, tau=TAU, rho=1.0, execution=_exec(b)
+    ),
+    # A small rho at a wider eps leaves non-core points whose border
+    # queries reach cores of two clusters.
+    "rho_approx_borders": lambda b: RhoApproxDBSCAN(
+        eps=0.8, tau=8, rho=0.01, execution=_exec(b)
     ),
     "laf_dbscan_oracle": lambda b: LAFDBSCAN(
         eps=EPS,
@@ -113,8 +111,7 @@ CLUSTERERS = {
 #: Methods whose batched path must also reproduce reference_dbscan exactly.
 EXACT_METHODS = (
     "dbscan",
-    "dbscan_small_block_index",
-    "dbscan_grid_index",
+    "dbscan_small_query_block",
     "laf_dbscan_oracle",
 )
 

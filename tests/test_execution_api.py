@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import ExecutionConfig, IndexSpec, ShardingConfig, cluster, make_clusterer
+from repro import ExecutionConfig, ShardingConfig, cluster, make_clusterer
 from repro.clustering import (
     DBSCAN,
     BlockDBSCAN,
@@ -28,7 +28,7 @@ from repro.clustering import (
 from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
 from repro.estimators import ExactCardinalityEstimator
 from repro.exceptions import InvalidParameterError
-from repro.index import BruteForceIndex, GridIndex
+from repro.index import BruteForceIndex
 
 EPS = 0.5
 TAU = 4
@@ -122,6 +122,8 @@ class TestEngineRoutedSharding:
             lambda e: DBSCANPlusPlus(eps=EPS, tau=TAU, p=0.5, seed=0, execution=e),
             lambda e: BlockDBSCAN(eps=EPS, tau=TAU, execution=e),
             lambda e: RhoApproxDBSCAN(eps=EPS, tau=TAU, rho=1.0, execution=e),
+            # Non-core points left, so the border queries run sharded.
+            lambda e: RhoApproxDBSCAN(eps=0.8, tau=8, rho=0.01, execution=e),
             lambda e: LAFDBSCAN(
                 eps=EPS,
                 tau=TAU,
@@ -138,13 +140,13 @@ class TestEngineRoutedSharding:
                 execution=e,
             ),
         ],
-        ids=["dbscan", "dbscan++", "block", "rho", "laf", "laf++"],
+        ids=["dbscan", "dbscan++", "block", "rho", "rho_borders", "laf", "laf++"],
     )
-    def test_sharded_fit_matches_default(self, factory, clusterable_data):
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_sharded_fit_matches_default(self, factory, executor, clusterable_data):
         baseline = factory(None).fit(clusterable_data)
-        sharded = factory(ExecutionConfig(sharding=ShardingConfig(n_shards=3))).fit(
-            clusterable_data
-        )
+        sharding = ShardingConfig(n_shards=3, executor=executor, n_workers=2)
+        sharded = factory(ExecutionConfig(sharding=sharding)).fit(clusterable_data)
         assert np.array_equal(baseline.labels, sharded.labels)
         assert sharded.stats["shard_live_shards"] == 3
 
@@ -206,84 +208,33 @@ class TestRemovedLegacyAPI:
 
 
 class TestExecutionResolution:
-    def test_euclidean_metric_threads_into_named_brute_force(self):
-        """A named spec must not silently drop the clusterer's metric."""
+    def test_euclidean_metric_threads_into_sharded_brute_force(self):
+        """Shards are built in the clusterer's metric, never cosine by default."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(120, 6))
         default = DBSCAN(eps=0.8, tau=3, metric="euclidean").fit(X)
-        spec = DBSCAN(
+        sharded = DBSCAN(
             eps=0.8,
             tau=3,
             metric="euclidean",
-            execution=ExecutionConfig(index=IndexSpec("brute_force")),
+            execution=ExecutionConfig(sharding=ShardingConfig(n_shards=3)),
         ).fit(X)
-        assert np.array_equal(default.labels, spec.labels)
-        assert np.array_equal(default.core_mask, spec.core_mask)
+        assert np.array_equal(default.labels, sharded.labels)
+        assert np.array_equal(default.core_mask, sharded.core_mask)
+        assert sharded.stats["shard_live_shards"] == 3
 
-    def test_explicit_matching_metric_kwarg_accepted(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(120, 6))
-        default = DBSCAN(eps=0.8, tau=3, metric="euclidean").fit(X)
-        spec = DBSCAN(
-            eps=0.8,
-            tau=3,
-            metric="euclidean",
-            execution=ExecutionConfig(
-                index=IndexSpec("brute_force", {"metric": "euclidean"})
-            ),
-        ).fit(X)
-        assert np.array_equal(default.labels, spec.labels)
-
-    def test_contradictory_metric_kwarg_rejected(self):
-        # A cosine clusterer with a euclidean brute-force spec must not
-        # silently cluster in the wrong metric.
-        clusterer = DBSCAN(
-            eps=0.5,
-            tau=3,
-            execution=ExecutionConfig(
-                index=IndexSpec("brute_force", {"metric": "euclidean"})
-            ),
-        )
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(40, 6))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        with pytest.raises(InvalidParameterError, match="contradicts"):
-            clusterer.fit(X)
-
-    def test_ground_truth_ignores_index_override(self, clusterable_data, monkeypatch):
-        # The reference run stays on brute force even when the suite's
-        # execution names another backend: the override is never built.
+    def test_ground_truth_threads_sharding(self, clusterable_data):
         from repro.experiments.runner import ground_truth
 
-        def refuse(self, X):
-            raise AssertionError("ground truth built the index override")
-
-        monkeypatch.setattr(GridIndex, "build", refuse)
         exact = ground_truth(clusterable_data, EPS, TAU)
-        overridden = ground_truth(
+        sharded = ground_truth(
             clusterable_data,
             EPS,
             TAU,
-            execution=ExecutionConfig(
-                index=IndexSpec("grid", {"eps": EPS}),
-                sharding=ShardingConfig(n_shards=2),
-            ),
+            execution=ExecutionConfig(sharding=ShardingConfig(n_shards=2)),
         )
-        assert np.array_equal(exact.labels, overridden.labels)
-        # The exactness-preserving knobs still apply (it ran sharded).
-        assert overridden.stats["shard_live_shards"] == 2
-
-    def test_cosine_tied_backend_rejected_under_euclidean(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(40, 6))
-        clusterer = DBSCAN(
-            eps=0.8,
-            tau=3,
-            metric="euclidean",
-            execution=ExecutionConfig(index=IndexSpec("grid", {"eps": 0.8})),
-        )
-        with pytest.raises(InvalidParameterError, match="cosine"):
-            clusterer.fit(X)
+        assert np.array_equal(exact.labels, sharded.labels)
+        assert sharded.stats["shard_live_shards"] == 2
 
     def test_sharding_with_per_point_path_rejected(self):
         with pytest.raises(InvalidParameterError, match="batched engine"):

@@ -77,23 +77,6 @@ class TestRunSuite:
         row = record.as_row()
         assert {"method", "dataset", "eps", "tau", "time_s", "ARI", "AMI"} <= set(row)
 
-    def test_index_override_never_leaks_into_ground_truth(self, data):
-        # A backend override must not become the reference labels the
-        # suite is scored against: DBSCAN self-scores against a
-        # brute-force recomputation, not its own run on the override.
-        from repro import ExecutionConfig, IndexSpec
-        from repro.experiments import build_method
-
-        execution = ExecutionConfig(index=IndexSpec("grid", {"eps": 0.5}))
-        ctx = MethodContext(eps=0.5, tau=5, execution=execution)
-        records = run_suite(data, ("DBSCAN",), ctx)
-        exact = ground_truth(data, 0.5, 5)
-        approx = build_method("DBSCAN", ctx, data).fit(data)
-        from repro.metrics import adjusted_rand_index
-
-        expected_ari = adjusted_rand_index(exact.labels, approx.labels)
-        assert records[0].ari == pytest.approx(expected_ari)
-
     @pytest.mark.parametrize("removed", ["sharding", "execution"])
     def test_execution_is_set_on_the_context_only(self, data, removed):
         # ctx.execution is the one place a suite's execution config lives.

@@ -1,9 +1,9 @@
 """Edge cases the batched range queries must survive.
 
 Every case asserts the batched path row-identical to the scalar path on
-the brute-force index (several block sizes, both metrics), the sharded
-index over it, and the grid: empty batches, ``eps = 0``, duplicate
-points, batches larger than the dataset, and a single-point dataset.
+the brute-force index (several block sizes, both metrics) and the
+sharded index over it: empty batches, ``eps = 0``, duplicate points,
+batches larger than the dataset, and a single-point dataset.
 The duplicate and ``eps = 0`` fixtures use one-hot unit vectors so
 every inner product is exactly representable — the comparisons are
 deterministic regardless of which BLAS kernel computed them.
@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from repro.distances import normalize_rows
-from repro.exceptions import InvalidParameterError
-from repro.index import BruteForceIndex, GridIndex, ShardedIndex
+from repro.index import BruteForceIndex, ShardedIndex
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.6
 
-# Backends whose batch_range_query takes (Q, eps); the grid fixes eps at
-# construction and is exercised separately. Block sizes of 1 and 7 put
+# Every range index and the configurations that take a different path
+# through it. Block sizes of 1 and 7 put
 # block boundaries inside every fixture; the default block holds each
 # whole. The sharded entries run the serial executor, so shards (some
 # empty on the one-point fixture) and query blocks are the only change.
@@ -38,7 +37,12 @@ BACKENDS = [
     ("sharded_small_query_block", lambda: ShardedIndex(n_shards=4, query_block=5)),
     (
         "sharded_euclidean",
-        lambda: ShardedIndex(inner_kwargs={"metric": "euclidean"}, n_shards=3),
+        lambda: ShardedIndex(metric="euclidean", n_shards=3),
+    ),
+    ("sharded_many_shards", lambda: ShardedIndex(n_shards=9)),
+    (
+        "sharded_euclidean_small_query_block",
+        lambda: ShardedIndex(metric="euclidean", n_shards=4, query_block=5),
     ),
 ]
 
@@ -115,32 +119,3 @@ class TestBatchEdgeCases:
         Q, _ = make_blobs_on_sphere(15, 2, 10, spread=0.3, seed=8)
         index = factory().build(X)
         assert_batch_matches_scalar(index, Q, EPS)
-
-
-class TestGridEdgeCases:
-    """The grid fixes eps at build; its batch API mirrors the scalar one."""
-
-    def test_eps_zero_rejected_at_construction(self):
-        with pytest.raises(InvalidParameterError):
-            GridIndex(0.0)
-
-    def test_duplicate_points(self):
-        X = one_hot_duplicates(40, 8)
-        grid = GridIndex(0.5, rho=1.0).build(X)
-        rows = grid.batch_range_query(X)
-        for i, row in enumerate(rows):
-            assert np.array_equal(row, grid.exact_range_query(X[i])), i
-
-    def test_batch_larger_than_dataset(self):
-        X, _ = make_blobs_on_sphere(8, 2, 8, spread=0.2, seed=7)
-        grid = GridIndex(EPS).build(X)
-        Q = np.vstack([X, X, X])
-        rows = grid.batch_range_query(Q)
-        for i, row in enumerate(rows):
-            assert np.array_equal(row, grid.exact_range_query(Q[i])), i
-
-    def test_single_point(self):
-        X = normalize_rows(np.ones((1, 6)))
-        grid = GridIndex(EPS).build(X)
-        (row,) = grid.batch_range_query(X)
-        assert np.array_equal(row, [0])

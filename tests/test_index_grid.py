@@ -39,12 +39,6 @@ class TestConstruction:
         all_points = np.concatenate(grid.cell_points)
         assert sorted(all_points.tolist()) == list(range(X.shape[0]))
 
-    def test_cell_of_consistent(self, grid_and_data):
-        grid, X = grid_and_data
-        for p in (0, 50, 149):
-            cell = grid.cell_of(p)
-            assert p in grid.cell_points[cell]
-
     def test_cell_sizes_sum(self, grid_and_data):
         grid, X = grid_and_data
         assert grid.cell_sizes().sum() == X.shape[0]
@@ -95,21 +89,7 @@ class TestSandwichGuarantee:
         assert inner <= grid.approx_range_count(q) <= outer
 
 
-class TestExactQueries:
-    def test_exact_range_query_matches_brute(self, grid_and_data):
-        grid, X = grid_and_data
-        brute = BruteForceIndex().build(X)
-        for qi in (0, 30, 99):
-            got = set(grid.exact_range_query(X[qi]).tolist())
-            expected = set(brute.range_query(X[qi], 0.5).tolist())
-            assert got == expected
-
-    def test_exact_range_query_custom_eps(self, grid_and_data):
-        grid, X = grid_and_data
-        brute = BruteForceIndex().build(X)
-        got = set(grid.exact_range_query(X[5], eps=0.3).tolist())
-        assert got == set(brute.range_query(X[5], 0.3).tolist())
-
+class TestCellsWithin:
     def test_cells_within_includes_close_cells(self, grid_and_data):
         grid, X = grid_and_data
         # A cell is always within any positive distance of itself.

@@ -4,13 +4,15 @@ The load path promises a :class:`~repro.exceptions.PersistenceError` —
 never a bare numpy/json traceback — for each damage class: truncated
 array files, checksum mismatches, unknown or newer format versions,
 manifest/dtype drift, malformed shard metadata, missing files, and
-artifacts whose execution policy cannot be reconstructed (the
-``"custom"`` index marker, and the removed tree range backends).
+artifacts that name a removed range backend (the trees, the grid and
+the ``"custom"`` index marker).
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import pytest
 import repro
 from repro.distances import normalize_rows
 from repro.exceptions import PersistenceError
-from repro.index import BruteForceIndex, GridIndex
+from repro.index import BruteForceIndex
 from repro.index.sharded import ExecutorSpec, ShardedIndex
 from repro.persistence import (
     FORMAT_VERSION,
@@ -39,7 +41,7 @@ def data() -> np.ndarray:
 @pytest.fixture()
 def artifact(data, tmp_path):
     path = tmp_path / "index"
-    save_index(GridIndex(eps=0.5).build(data), path)
+    save_index(BruteForceIndex().build(data), path)
     return path
 
 
@@ -124,14 +126,14 @@ class TestArrayValidation:
         assert loaded.n_points == 40
 
     def test_missing_array_file(self, artifact):
-        (artifact / "cell_of_point.npy").unlink()
+        (artifact / "points.npy").unlink()
         with pytest.raises(PersistenceError, match="missing"):
             load_index(artifact)
 
     def test_dtype_drift(self, artifact):
         edit_manifest(
             artifact,
-            lambda m: m["arrays"]["cell_of_point"].update(dtype="<i4"),
+            lambda m: m["arrays"]["points"].update(dtype="<f4"),
         )
         # Size check trips first only if nbytes disagrees; align it so the
         # dtype comparison is what fires.
@@ -172,7 +174,7 @@ class TestSpecValidation:
         class CustomIndex(BruteForceIndex):
             pass
 
-        with pytest.raises(PersistenceError, match="no registered rebuild spec"):
+        with pytest.raises(PersistenceError, match="cannot be saved"):
             save_index(CustomIndex().build(data), tmp_path / "custom")
 
     def test_kmeans_tree_refuses_to_save(self, data, tmp_path):
@@ -181,7 +183,7 @@ class TestSpecValidation:
         from repro.index import KMeansTree
 
         tree = KMeansTree(seed=0).build(data)
-        with pytest.raises(PersistenceError, match="no registered rebuild spec"):
+        with pytest.raises(PersistenceError, match="cannot be saved"):
             save_index(tree, tmp_path / "tree")
 
     def test_legacy_process_sharded_index_reattaches_on_thread(self, data, tmp_path):
@@ -278,9 +280,15 @@ class TestShardMetadataValidation:
             LOADERS[loader](path)
 
 
-#: Range backends this library no longer ships. Version-1 artifacts that
-#: name one keep the version-1 layout, so they fail on the backend name.
-REMOVED_BACKENDS = {"cover_tree": {"base": 2.0}, "kmeans_tree": {"seed": 0}}
+#: Range backends this library no longer ships ("custom" marked a fit
+#: under a custom index factory). Version-1 artifacts that name one keep
+#: the version-1 layout, so they fail on the backend name.
+REMOVED_BACKENDS = {
+    "cover_tree": {"base": 2.0},
+    "custom": {},
+    "grid": {"eps": 0.5, "rho": 1.0},
+    "kmeans_tree": {"seed": 0},
+}
 
 
 class TestRemovedBackends:
@@ -337,20 +345,26 @@ class TestRemovedBackends:
         with pytest.raises(PersistenceError, match=backend):
             repro.load_model(tmp_path / "model")
 
+    def test_model_brute_force_execution_index_loads(self, tmp_path):
+        """A v1 model naming brute force in ``execution.index`` still serves."""
+        golden = Path(__file__).resolve().parent / "golden"
+        path = tmp_path / "model"
+        shutil.copytree(golden / "model", path)
+
+        def mutate(m):
+            assert m["format_version"] == 1
+            m["spec"]["execution"]["index"] = {
+                "name": "brute_force",
+                "kwargs": {"block_size": 512},
+            }
+
+        edit_manifest(path, mutate)
+        with repro.load_model(path) as model:
+            predicted = model.predict(np.load(golden / "queries.npy"))
+        assert np.array_equal(predicted, np.load(golden / "expected_predict.npy"))
+
 
 class TestModelValidation:
-    def test_custom_index_spec_fails_actionably(self, data, tmp_path):
-        # Artifacts saved under a custom index factory record the
-        # "custom" marker; loading one names the cause and the fix.
-        model = repro.fit_model(data, "dbscan", eps=0.4, tau=3)
-        with model:
-            model.save(tmp_path / "model")
-        edit_manifest(
-            tmp_path / "model",
-            lambda m: m["spec"]["execution"].update(index={"name": "custom"}),
-        )
-        with pytest.raises(PersistenceError, match="custom index factory.*refit"):
-            repro.load_model(tmp_path / "model")
 
     def test_unknown_estimator_type(self, data, tmp_path):
         model = repro.fit_model(data, "dbscan", eps=0.4, tau=3)

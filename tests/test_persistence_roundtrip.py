@@ -4,14 +4,11 @@ The persistence contract is *bit identity*: for every backend and every
 query form, ``load(save(index))`` must answer exactly what the original
 answered — same neighbor rows, same counts — because a worker
 reattaching a shard artifact must be indistinguishable from the process
-that built it. Hypothesis drives random datasets across both inner
-backends, sharded and unsharded, including the awkward cases: ``eps=0``
-(strict ``<`` yields no self-hits), duplicated points, empty query
-batches, and single-point datasets.
-
-(The grid cannot build an *empty* dataset — it needs at least one
-point — so ``n >= 1`` throughout; the empty-batch case covers the
-zero-query direction instead.)
+that built it. Hypothesis drives random datasets across both metrics,
+sharded and unsharded, including the awkward cases: ``eps=0`` (strict
+``<`` yields no self-hits), duplicated points, empty query batches, and
+single-point datasets (``n >= 1`` throughout; the empty-batch case
+covers the zero-query direction).
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from repro.distances import normalize_rows
 from repro.exceptions import NotFittedError
 from repro.index import BruteForceIndex
 from repro.index.base import NeighborIndex
-from repro.index.grid import GridIndex
 from repro.index.sharded import ShardedIndex
 from repro.persistence import load_index, save_index
 
@@ -35,8 +31,7 @@ MAX_EXAMPLES = 40
 BACKENDS = {
     "brute_force": lambda: BruteForceIndex(),
     "brute_force_euclidean": lambda: BruteForceIndex(metric="euclidean"),
-    "grid": lambda: GridIndex(eps=0.4),
-    "grid_approx": lambda: GridIndex(eps=0.4, rho=0.5),
+    "brute_force_small_blocks": lambda: BruteForceIndex(block_size=7),
 }
 
 
@@ -99,6 +94,8 @@ class TestInnerBackendRoundTrip:
         save_index(original, path)
         loaded = load_index(path)
         assert type(loaded) is type(original)
+        assert loaded.block_size == original.block_size
+        assert loaded.metric == original.metric
         assert_identical_answers(original, loaded, Q, eps)
         # Queries drawn from the indexed points themselves (self-hits,
         # duplicates) must round-trip too.
@@ -127,27 +124,24 @@ class TestShardedRoundTrip:
         n=st.integers(1, 120),
         dim=st.integers(2, 16),
         n_shards=st.integers(1, 6),
-        inner=st.sampled_from(["brute_force", "grid"]),
+        metric=st.sampled_from(["cosine", "euclidean"]),
         executor=st.sampled_from(["serial", "thread"]),
         eps=st.sampled_from([0.0, 0.4, 1.2]),
     )
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_bit_identical_queries(
-        self, tmp_path_factory, seed, n, dim, n_shards, inner, executor, eps
+        self, tmp_path_factory, seed, n, dim, n_shards, metric, executor, eps
     ):
-        inner_kwargs = {"eps": 0.4} if inner == "grid" else None
         X = dataset(seed, n, dim, dup=False)
         Q = dataset(seed + 1, min(n, 13), dim, dup=False)
         original = ShardedIndex(
-            inner=inner,
-            inner_kwargs=inner_kwargs,
-            n_shards=n_shards,
-            executor=executor,
+            metric=metric, n_shards=n_shards, executor=executor
         ).build(X)
         path = tmp_path_factory.mktemp("artifact") / "sharded"
         save_index(original, path)
         loaded = load_index(path)
         assert isinstance(loaded, ShardedIndex)
+        assert loaded.metric == original.metric
         assert loaded.n_live_shards == original.n_live_shards
         assert_identical_answers(original, loaded, Q, eps)
         original.close()
@@ -193,6 +187,6 @@ class TestLoadClassmethodTyping:
         from repro.exceptions import PersistenceError
 
         X = dataset(1, 20, 6, dup=False)
-        GridIndex(eps=0.4).build(X).save(tmp_path / "grid")
-        with pytest.raises(PersistenceError, match="GridIndex"):
-            BruteForceIndex.load(tmp_path / "grid")
+        BruteForceIndex().build(X).save(tmp_path / "bf")
+        with pytest.raises(PersistenceError, match="not a ShardedIndex"):
+            ShardedIndex.load(tmp_path / "bf")

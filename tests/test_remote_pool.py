@@ -7,8 +7,8 @@ Contracts under test:
   :class:`~repro.exceptions.RemoteProtocolError`.
 * **Invisible distribution** — a fit with a ``remote`` executor spec
   against a localhost 2-worker pool is bit-identical to the serial
-  path: ShardedIndex queries for every exact inner backend, and DBSCAN
-  / LAF-DBSCAN labels end to end.
+  path: ShardedIndex queries in both metrics, and DBSCAN / LAF-DBSCAN
+  labels end to end.
 * **Warm reuse** — a second fit against the same pool attaches to the
   workers' cached shard indexes and reports
   ``shard_inner_builds == 0`` in ``ClusteringResult.stats``; a
@@ -38,9 +38,9 @@ import numpy as np
 import pytest
 
 import repro.index.sharded as sharded_mod
-from repro.clustering import DBSCAN
-from repro.core import LAFDBSCAN
-from repro.engine_config import ExecutionConfig, IndexSpec
+from repro.clustering import DBSCAN, BlockDBSCAN, DBSCANPlusPlus, RhoApproxDBSCAN
+from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
+from repro.engine_config import ExecutionConfig
 from repro.estimators import ExactCardinalityEstimator
 from repro.exceptions import (
     RemoteExecutorError,
@@ -56,20 +56,6 @@ from repro.testing import make_blobs_on_sphere
 EPS = 0.55
 TAU = 4
 
-#: The backend matrix of the sharded differential suite, less its
-#: Euclidean configuration: the clusterers here run cosine DBSCAN.
-BACKENDS = [
-    ("brute_force", {}),
-    ("brute_force", {"block_size": 7}),
-    ("grid", {"eps": EPS, "rho": 1.0}),
-    ("grid", {"eps": EPS, "rho": 0.5}),
-]
-backend_ids = [
-    "brute_force",
-    "brute_force_small_blocks",
-    "grid",
-    "grid_approx",
-]
 
 
 @pytest.fixture(scope="module")
@@ -84,18 +70,40 @@ def pool():
         yield pool
 
 
-def remote_execution(pool, n_shards=3, index=None, **options) -> ExecutionConfig:
+#: The engine-routed clusterers besides DBSCAN and LAF-DBSCAN, as
+#: factories taking an execution config.
+OTHER_CLUSTERERS = {
+    "block_dbscan": lambda execution: BlockDBSCAN(
+        eps=EPS, tau=TAU, execution=execution
+    ),
+    "dbscanpp": lambda execution: DBSCANPlusPlus(
+        eps=EPS, tau=TAU, p=0.5, seed=0, execution=execution
+    ),
+    "laf_dbscanpp": lambda execution: LAFDBSCANPlusPlus(
+        eps=EPS,
+        tau=TAU,
+        estimator=ExactCardinalityEstimator(),
+        p=0.5,
+        seed=0,
+        execution=execution,
+    ),
+    "rho_approx": lambda execution: RhoApproxDBSCAN(
+        eps=0.05, tau=10, rho=0.01, execution=execution
+    ),
+}
+
+
+def remote_execution(pool, n_shards=3, **options) -> ExecutionConfig:
     return ExecutionConfig(
-        index=index,
         sharding=ShardingConfig(
             n_shards=n_shards, executor=pool.executor_spec(**options)
         ),
     )
 
 
-def serial_execution(n_shards=3, index=None) -> ExecutionConfig:
+def serial_execution(n_shards=3) -> ExecutionConfig:
     return ExecutionConfig(
-        index=index, sharding=ShardingConfig(n_shards=n_shards, executor="serial")
+        sharding=ShardingConfig(n_shards=n_shards, executor="serial")
     )
 
 
@@ -165,35 +173,40 @@ class TestProtocol:
             b.close()
 
 
-@pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
+@pytest.mark.parametrize(
+    "metric,query_block",
+    [("cosine", 2048), ("cosine", 5), ("euclidean", 2048)],
+    ids=["cosine", "cosine_small_query_block", "euclidean"],
+)
 class TestShardedQueriesMatchSerial:
-    def _pair(self, name, kwargs, data, pool):
+    def _pair(self, metric, query_block, data, pool):
         remote = ShardedIndex(
-            inner=name, inner_kwargs=kwargs, n_shards=3, executor=pool.executor_spec()
+            metric=metric,
+            n_shards=3,
+            executor=pool.executor_spec(),
+            query_block=query_block,
         ).build(data)
-        serial = ShardedIndex(
-            inner=name, inner_kwargs=kwargs, n_shards=3, executor="serial"
-        ).build(data)
+        serial = ShardedIndex(metric=metric, n_shards=3, executor="serial").build(data)
         return remote, serial
 
-    def test_batch_range_query(self, name, kwargs, data, pool):
-        remote, serial = self._pair(name, kwargs, data, pool)
+    def test_batch_range_query(self, metric, query_block, data, pool):
+        remote, serial = self._pair(metric, query_block, data, pool)
         with remote, serial:
             got = remote.batch_range_query(data, EPS)
             expected = serial.batch_range_query(data, EPS)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
-    def test_batch_range_count(self, name, kwargs, data, pool):
-        remote, serial = self._pair(name, kwargs, data, pool)
+    def test_batch_range_count(self, metric, query_block, data, pool):
+        remote, serial = self._pair(metric, query_block, data, pool)
         with remote, serial:
             assert np.array_equal(
                 remote.batch_range_count(data, EPS),
                 serial.batch_range_count(data, EPS),
             )
 
-    def test_scalar_queries(self, name, kwargs, data, pool):
+    def test_scalar_queries(self, metric, query_block, data, pool):
         # range_query / range_count travel as one-row batches.
-        remote, serial = self._pair(name, kwargs, data, pool)
+        remote, serial = self._pair(metric, query_block, data, pool)
         with remote, serial:
             for i in (0, 17, 41):
                 assert np.array_equal(
@@ -204,37 +217,40 @@ class TestShardedQueriesMatchSerial:
                 )
 
 
-@pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
 class TestClusterersMatchSerial:
-    def test_dbscan_labels_bit_identical(self, name, kwargs, data, pool):
-        spec = IndexSpec(name, kwargs)
-        baseline = DBSCAN(eps=EPS, tau=TAU, execution=serial_execution(index=spec))
-        remote = DBSCAN(
-            eps=EPS, tau=TAU, execution=remote_execution(pool, index=spec)
-        )
+    def test_dbscan_labels_bit_identical(self, data, pool):
+        baseline = DBSCAN(eps=EPS, tau=TAU, execution=serial_execution())
+        remote = DBSCAN(eps=EPS, tau=TAU, execution=remote_execution(pool))
         expected = baseline.fit(data)
         got = remote.fit(data)
         assert np.array_equal(expected.labels, got.labels)
         assert np.array_equal(expected.core_mask, got.core_mask)
 
-    def test_laf_dbscan_labels_bit_identical(self, name, kwargs, data, pool):
-        spec = IndexSpec(name, kwargs)
+    def test_laf_dbscan_labels_bit_identical(self, data, pool):
         estimator = ExactCardinalityEstimator()
         baseline = LAFDBSCAN(
             eps=EPS,
             tau=TAU,
             estimator=estimator,
             seed=0,
-            execution=serial_execution(index=spec),
+            execution=serial_execution(),
         ).fit(data)
         got = LAFDBSCAN(
             eps=EPS,
             tau=TAU,
             estimator=estimator,
             seed=0,
-            execution=remote_execution(pool, index=spec),
+            execution=remote_execution(pool),
         ).fit(data)
         assert np.array_equal(baseline.labels, got.labels)
+
+    @pytest.mark.parametrize("name", sorted(OTHER_CLUSTERERS))
+    def test_other_engine_routed_clusterers_bit_identical(self, name, data, pool):
+        make = OTHER_CLUSTERERS[name]
+        expected = make(serial_execution()).fit(data)
+        got = make(remote_execution(pool)).fit(data)
+        assert np.array_equal(expected.labels, got.labels)
+        assert np.array_equal(expected.core_mask, got.core_mask)
 
 
 class TestWarmReuse:
@@ -249,8 +265,7 @@ class TestWarmReuse:
     def test_new_eps_reuses_eps_independent_indexes(self, data, pool):
         # Range queries parameterize eps per call: a warm brute-force
         # shard serves any eps without rebuilding.
-        spec = IndexSpec("brute_force", {"block_size": 64})
-        execution = remote_execution(pool, index=spec)
+        execution = remote_execution(pool, n_shards=2)
         DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(data)
         other_eps = DBSCAN(eps=EPS - 0.1, tau=TAU, execution=execution).fit(data)
         assert other_eps.stats["shard_inner_builds"] == 0

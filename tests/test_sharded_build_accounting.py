@@ -13,10 +13,10 @@ constructions —
 The differential tests below count actual ``build`` calls in this
 process (monkeypatched class methods) and read the instrumented
 ``shard_inner_builds`` counter of :meth:`ShardedIndex.stats`, across all
-three executors and both registered inner backends (each in two
-configurations); label equality vs the unsharded path rides along for
-DBSCAN and LAF-DBSCAN. Each remote case gets a fresh local worker pool,
-so its shards start cold.
+three executors; label equality vs the unsharded path rides along for
+DBSCAN, BLOCK-DBSCAN, rho-approximate DBSCAN (whose border queries
+shard like every other method's) and LAF-DBSCAN. Each remote case gets a fresh local
+worker pool, so its shards start cold.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clustering import DBSCAN
+from repro.clustering import DBSCAN, BlockDBSCAN, RhoApproxDBSCAN
 from repro.core import LAFDBSCAN
-from repro.engine_config import ExecutionConfig, IndexSpec
+from repro.engine_config import ExecutionConfig
 from repro.estimators import ExactCardinalityEstimator
-from repro.index import ShardedIndex
-from repro.index.sharded import INNER_BACKENDS, ExecutorSpec, ShardingConfig
+from repro.index import BruteForceIndex, ShardedIndex
+from repro.index.sharded import ExecutorSpec, ShardingConfig
 from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
@@ -38,26 +38,23 @@ TAU = 4
 N_SHARDS = 3
 EXECUTORS = ("serial", "thread", "remote")
 
-#: The backend matrix of the sharded differential suite, less its
-#: Euclidean configuration: the clusterers here run cosine DBSCAN.
-BACKENDS = [
-    ("brute_force", {}),
-    ("brute_force", {"block_size": 7}),
-    ("grid", {"eps": EPS, "rho": 1.0}),
-    ("grid", {"eps": EPS, "rho": 0.5}),
-]
-backend_ids = [
-    "brute_force",
-    "brute_force_small_blocks",
-    "grid",
-    "grid_approx",
-]
+#: Clusterers whose sharded fits are checked, as factories taking an
+#: execution config. rho-approximate DBSCAN runs with a small eps so
+#: some points are non-core and its border queries reach every shard.
+CLUSTERERS = {
+    "block_dbscan": lambda execution: BlockDBSCAN(
+        eps=EPS, tau=TAU, execution=execution
+    ),
+    "dbscan": lambda execution: DBSCAN(eps=EPS, tau=TAU, execution=execution),
+    "rho_approx": lambda execution: RhoApproxDBSCAN(
+        eps=0.05, tau=10, rho=0.01, execution=execution
+    ),
+}
 
 
-def sharded_execution(executor, index: IndexSpec | None = None) -> ExecutionConfig:
+def sharded_execution(executor) -> ExecutionConfig:
     """The first-class equivalent of the old ambient sharded_queries scope."""
     return ExecutionConfig(
-        index=index,
         sharding=ShardingConfig(n_shards=N_SHARDS, executor=executor, n_workers=2),
     )
 
@@ -86,31 +83,26 @@ def local_builds(executor) -> int:
 
 @pytest.fixture
 def build_counter(monkeypatch):
-    """Count inner-backend ``build`` calls executed in this process."""
+    """Count brute-force ``build`` calls executed in this process."""
     counts = {"n": 0}
-    for cls in set(INNER_BACKENDS.values()):
-        original = cls.build
+    original = BruteForceIndex.build
 
-        def counting_build(self, X, _original=original):
-            counts["n"] += 1
-            return _original(self, X)
+    def counting_build(self, X):
+        counts["n"] += 1
+        return original(self, X)
 
-        monkeypatch.setattr(cls, "build", counting_build)
+    monkeypatch.setattr(BruteForceIndex, "build", counting_build)
     return counts
 
 
 @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
-@pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 class TestShardedIndexBuildOnce:
     def test_builds_equal_live_shards_across_query_rounds(
-        self, name, kwargs, executor, data
+        self, metric, executor, data
     ):
         with ShardedIndex(
-            inner=name,
-            inner_kwargs=kwargs,
-            n_shards=N_SHARDS,
-            executor=executor,
-            n_workers=2,
+            metric=metric, n_shards=N_SHARDS, executor=executor, n_workers=2
         ).build(data) as index:
             # Several rounds over every shard: pre-affinity, round 2+
             # could land a shard on a worker that had never built it.
@@ -122,13 +114,9 @@ class TestShardedIndexBuildOnce:
             assert stats["shard_inner_builds"] == N_SHARDS
             assert stats["shard_rebalances"] == 0
 
-    def test_stats_survive_close(self, name, kwargs, executor, data):
+    def test_stats_survive_close(self, metric, executor, data):
         index = ShardedIndex(
-            inner=name,
-            inner_kwargs=kwargs,
-            n_shards=N_SHARDS,
-            executor=executor,
-            n_workers=2,
+            metric=metric, n_shards=N_SHARDS, executor=executor, n_workers=2
         ).build(data)
         index.batch_range_query(data[:5], EPS)
         index.close()
@@ -148,19 +136,13 @@ def test_unqueried_remote_index_reports_zero_builds(executor, data):
 
 
 @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
-@pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
+@pytest.mark.parametrize("name", sorted(CLUSTERERS))
 class TestClustererFitBuildOnce:
-    def test_dbscan_fit_builds_each_shard_once(
-        self, name, kwargs, executor, data, build_counter
-    ):
-        spec = IndexSpec(name, kwargs)
-        baseline = DBSCAN(
-            eps=EPS, tau=TAU, execution=ExecutionConfig(index=spec)
-        ).fit(data)
+    def test_fit_builds_each_shard_once(self, name, executor, data, build_counter):
+        make = CLUSTERERS[name]
+        baseline = make(None).fit(data)
         parent_builds_before = build_counter["n"]
-        result = DBSCAN(
-            eps=EPS, tau=TAU, execution=sharded_execution(executor, spec)
-        ).fit(data)
+        result = make(sharded_execution(executor)).fit(data)
         parent_builds = build_counter["n"] - parent_builds_before
         # Shard-before-build: the whole-dataset index is never built,
         # only one inner index per live shard.
@@ -171,6 +153,7 @@ class TestClustererFitBuildOnce:
         # Sharding stays invisible: bit-identical clustering.
         assert np.array_equal(result.labels, baseline.labels)
         assert np.array_equal(result.core_mask, baseline.core_mask)
+        assert result.stats["engine_computed"] > 0
 
 
 @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)

@@ -1,8 +1,8 @@
 """Differential tests: sharded backends vs the single-index path.
 
 The contract of :class:`repro.index.sharded.ShardedIndex` is that
-sharding is *invisible*: for every exact inner backend and every
-executor, `batch_range_query` / `batch_range_count` return exactly what
+sharding is *invisible*: in both metrics and under every executor,
+`batch_range_query` / `batch_range_count` return exactly what
 one index over the whole dataset returns (range rows compared as sorted
 arrays — the sharded backend's documented order).
 Edge cases the merge layer must survive: ``eps = 0`` (strict ``d < eps``
@@ -33,11 +33,7 @@ from repro.index import (
     ShardingConfig,
 )
 from repro.index import sharded as sharded_mod
-from repro.index.sharded import (
-    backend_spec_of,
-    make_inner_backend,
-    resolve_engine_index,
-)
+from repro.index.sharded import resolve_engine_index
 from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
@@ -51,29 +47,23 @@ WHOLE_SPHERE_EPS = 2.0
 #: pool (see the ``executor`` fixture).
 EXECUTORS = ("serial", "thread", "remote")
 
-#: (name, constructor kwargs) for every registered inner backend, plus
-#: the configurations that take a different path through it: brute-force
-#: blocks smaller than a shard, the float64 Euclidean kernel, and the
-#: grid's rho < 1 cell pruning.
-BACKENDS = [
-    ("brute_force", {}),
-    ("brute_force", {"block_size": 7}),
-    ("brute_force", {"metric": "euclidean"}),
-    ("grid", {"eps": EPS, "rho": 1.0}),
-    ("grid", {"eps": EPS, "rho": 0.5}),
-]
+#: Shard metrics: the float32 cosine kernel and the float64 Euclidean one.
+METRICS = ("cosine", "euclidean")
 
-backend_ids = [
-    "brute_force",
-    "brute_force_small_blocks",
-    "brute_force_euclidean",
-    "grid",
-    "grid_approx",
-]
+#: (metric, extra ShardedIndex kwargs) per configuration that takes a
+#: different path through the merge: both metrics, more shards than
+#: the default, and query blocks that split every batch into rounds.
+SHARD_CONFIGS = {
+    "cosine": ("cosine", {}),
+    "cosine_many_shards": ("cosine", {"n_shards": 7}),
+    "cosine_small_query_block": ("cosine", {"query_block": 5}),
+    "euclidean": ("euclidean", {}),
+    "euclidean_small_query_block": ("euclidean", {"query_block": 5}),
+}
 
 
-class Unregistered(NeighborIndex):
-    """A range index outside the backend registry: it has no rebuild spec."""
+class NotBruteForce(NeighborIndex):
+    """A range index that is not brute force, so it cannot be sharded."""
 
     def __init__(self) -> None:
         self._inner = BruteForceIndex()
@@ -132,10 +122,9 @@ def duplicated(data) -> np.ndarray:
     return np.repeat(data[:12], 3, axis=0)
 
 
-def sharded(name, kwargs, X, executor, n_shards=3, **extra) -> ShardedIndex:
+def sharded(metric, X, executor, n_shards=3, **extra) -> ShardedIndex:
     index = ShardedIndex(
-        inner=name,
-        inner_kwargs=kwargs,
+        metric=metric,
         n_shards=n_shards,
         executor=executor,
         n_workers=2 if executor != "serial" else None,
@@ -152,52 +141,54 @@ def assert_rows_equal(got_rows, expected_rows) -> None:
 
 
 @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
-@pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
+@pytest.mark.parametrize(
+    "metric,extra", list(SHARD_CONFIGS.values()), ids=list(SHARD_CONFIGS)
+)
 class TestAgainstSingleIndex:
-    def test_batch_range_query(self, name, kwargs, executor, data):
-        single = make_inner_backend(name, kwargs).build(data)
-        with sharded(name, kwargs, data, executor) as index:
+    def test_batch_range_query(self, metric, extra, executor, data):
+        single = BruteForceIndex(metric=metric).build(data)
+        with sharded(metric, data, executor, **extra) as index:
             got = index.batch_range_query(data, EPS)
         assert_rows_equal(got, single.batch_range_query(data, EPS))
 
-    def test_batch_range_count(self, name, kwargs, executor, data):
-        single = make_inner_backend(name, kwargs).build(data)
+    def test_batch_range_count(self, metric, extra, executor, data):
+        single = BruteForceIndex(metric=metric).build(data)
         expected = [len(r) for r in single.batch_range_query(data, EPS)]
-        with sharded(name, kwargs, data, executor) as index:
+        with sharded(metric, data, executor, **extra) as index:
             counts = index.batch_range_count(data, EPS)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, expected)
 
-    def test_empty_query_batch(self, name, kwargs, executor, data):
-        with sharded(name, kwargs, data, executor) as index:
+    def test_empty_query_batch(self, metric, extra, executor, data):
+        with sharded(metric, data, executor, **extra) as index:
             assert index.batch_range_query(np.empty((0, data.shape[1])), EPS) == []
             assert index.batch_range_count(np.empty((0, data.shape[1])), EPS).size == 0
 
-    def test_eps_zero_returns_no_neighbors(self, name, kwargs, executor, data):
+    def test_eps_zero_returns_no_neighbors(self, metric, extra, executor, data):
         # Strict d < 0 excludes everything, the query point included.
-        with sharded(name, kwargs, data, executor) as index:
+        with sharded(metric, data, executor, **extra) as index:
             rows = index.batch_range_query(data[:6], 0.0)
             assert all(row.size == 0 for row in rows)
             assert np.array_equal(
                 index.batch_range_count(data[:6], 0.0), np.zeros(6, dtype=np.int64)
             )
 
-    def test_external_queries(self, name, kwargs, executor, data, external):
+    def test_external_queries(self, metric, extra, executor, data, external):
         # Query points outside the dataset: no self-match to lean on, and
         # the hits of one row can fall in every shard.
-        single = make_inner_backend(name, kwargs).build(data)
+        single = BruteForceIndex(metric=metric).build(data)
         expected = single.batch_range_query(external, EPS)
         assert any(len(row) > 0 for row in expected)
-        with sharded(name, kwargs, data, executor) as index:
+        with sharded(metric, data, executor, **extra) as index:
             assert_rows_equal(index.batch_range_query(external, EPS), expected)
             assert np.array_equal(
                 index.batch_range_count(external, EPS), [len(r) for r in expected]
             )
 
-    def test_eps_covering_every_point(self, name, kwargs, executor, data):
+    def test_eps_covering_every_point(self, metric, extra, executor, data):
         # Every shard contributes its whole slice to every row.
         everything = np.arange(data.shape[0], dtype=np.int64)
-        with sharded(name, kwargs, data, executor) as index:
+        with sharded(metric, data, executor, **extra) as index:
             rows = index.batch_range_query(data[:5], WHOLE_SPHERE_EPS)
             counts = index.batch_range_count(data[:5], WHOLE_SPHERE_EPS)
         assert all(np.array_equal(row, everything) for row in rows)
@@ -205,20 +196,20 @@ class TestAgainstSingleIndex:
 
 
 @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
+@pytest.mark.parametrize("metric", METRICS)
 class TestShardingEdgeCases:
-    def test_duplicated_points(self, executor, duplicated):
-        single = BruteForceIndex().build(duplicated)
-        with sharded("brute_force", {}, duplicated, executor, n_shards=5) as index:
+    def test_duplicated_points(self, metric, executor, duplicated):
+        single = BruteForceIndex(metric=metric).build(duplicated)
+        with sharded(metric, duplicated, executor, n_shards=5) as index:
             got = index.batch_range_query(duplicated, EPS)
             counts = index.batch_range_count(duplicated, EPS)
         expected = single.batch_range_query(duplicated, EPS)
         assert_rows_equal(got, expected)
         assert np.array_equal(counts, [len(r) for r in expected])
 
-    def test_empty_dataset(self, executor, data):
-        with sharded(
-            "brute_force", {}, np.empty((0, data.shape[1])), executor, n_shards=4
-        ) as index:
+    def test_empty_dataset(self, metric, executor, data):
+        empty = np.empty((0, data.shape[1]))
+        with sharded(metric, empty, executor, n_shards=4) as index:
             assert index.n_live_shards == 0
             rows = index.batch_range_query(data[:3], EPS)
             assert [r.size for r in rows] == [0, 0, 0]
@@ -226,36 +217,34 @@ class TestShardingEdgeCases:
                 index.batch_range_count(data[:3], EPS), np.zeros(3, dtype=np.int64)
             )
 
-    def test_more_shards_than_points(self, executor, data):
+    def test_more_shards_than_points(self, metric, executor, data):
         X = data[:7]
-        single = BruteForceIndex().build(X)
-        with sharded("brute_force", {}, X, executor, n_shards=32) as index:
+        single = BruteForceIndex(metric=metric).build(X)
+        with sharded(metric, X, executor, n_shards=32) as index:
             assert index.n_live_shards == 7
             assert_rows_equal(
                 index.batch_range_query(X, EPS), single.batch_range_query(X, EPS)
             )
 
-    def test_single_shard_is_the_single_index(self, executor, data):
-        single = BruteForceIndex().build(data)
-        with sharded("brute_force", {}, data, executor, n_shards=1) as index:
+    def test_single_shard_is_the_single_index(self, metric, executor, data):
+        single = BruteForceIndex(metric=metric).build(data)
+        with sharded(metric, data, executor, n_shards=1) as index:
             assert_rows_equal(
                 index.batch_range_query(data, EPS),
                 single.batch_range_query(data, EPS),
             )
 
-    def test_tiny_query_block_still_exact(self, executor, data):
-        single = BruteForceIndex().build(data)
-        with sharded(
-            "brute_force", {}, data, executor, n_shards=3, query_block=7
-        ) as index:
+    def test_tiny_query_block_still_exact(self, metric, executor, data):
+        single = BruteForceIndex(metric=metric).build(data)
+        with sharded(metric, data, executor, n_shards=3, query_block=7) as index:
             assert_rows_equal(
                 index.batch_range_query(data, EPS),
                 single.batch_range_query(data, EPS),
             )
 
-    def test_scalar_queries_route_through_shards(self, executor, data):
-        single = BruteForceIndex().build(data)
-        with sharded("brute_force", {}, data, executor) as index:
+    def test_scalar_queries_route_through_shards(self, metric, executor, data):
+        single = BruteForceIndex(metric=metric).build(data)
+        with sharded(metric, data, executor) as index:
             assert np.array_equal(
                 index.range_query(data[0], EPS),
                 np.sort(single.range_query(data[0], EPS)),
@@ -296,15 +285,11 @@ class TestLifecycleAndValidation:
         with pytest.raises(InvalidParameterError):
             ShardedIndex(executor="mapreduce")
         with pytest.raises(InvalidParameterError):
-            ShardedIndex(inner="flann")
+            ShardedIndex(metric="manhattan")
         with pytest.raises(InvalidParameterError):
             ShardedIndex(n_workers=0)
         with pytest.raises(InvalidParameterError):
             ShardedIndex(query_block=0)
-
-    def test_inner_takes_registered_names_only(self):
-        with pytest.raises(InvalidParameterError, match="unknown inner backend"):
-            ShardedIndex(inner=BruteForceIndex)
 
 
 class TestEngineWiring:
@@ -352,12 +337,8 @@ class TestEngineWiring:
         assert np.array_equal(baseline.core_mask, result.core_mask)
         assert baseline.stats["range_queries"] == result.stats["range_queries"]
 
-    def test_resolve_engine_index_passthrough(self, data):
-        custom = Unregistered().build(data)
+    def test_resolve_engine_index_keeps_a_sharded_index(self, data):
         config = ShardingConfig(n_shards=2)
-        # No rebuild spec: used unsharded, never silently.
-        with pytest.warns(RuntimeWarning, match="rebuild spec"):
-            assert resolve_engine_index(custom, data, config) == (custom, False)
         already = ShardedIndex(n_shards=2).build(data)
         assert resolve_engine_index(already, data, config) == (already, False)
         already.close()
@@ -411,20 +392,18 @@ class TestEngineWiring:
                 fitted.batch_range_query(data, EPS),
             )
 
-    def test_resolve_engine_index_warns_on_unbuilt_specless_index(self, data):
-        # No rebuild spec, so the index is built once over X and
-        # queried unsharded.
-        custom = Unregistered()
-        with pytest.warns(RuntimeWarning, match="rebuild spec"):
-            resolved, owned = resolve_engine_index(
-                custom, data, ShardingConfig(n_shards=2)
-            )
-        assert resolved is custom and resolved.is_built and owned
+    def test_resolve_engine_index_refuses_to_shard_other_indexes(self, data):
+        # Shards are brute-force indexes: anything else cannot be
+        # sharded, and is never queried unsharded behind the config.
+        with pytest.raises(InvalidParameterError, match="brute-force shards"):
+            resolve_engine_index(NotBruteForce(), data, ShardingConfig(n_shards=2))
+        custom = NotBruteForce()
+        assert resolve_engine_index(custom, data, None) == (custom, True)
 
-    @pytest.mark.parametrize("name,kwargs", BACKENDS, ids=backend_ids)
-    def test_public_points_property_on_every_backend(self, name, kwargs, data):
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_public_points_property_on_every_metric(self, metric, data):
         """Persistence keys on the public ``points`` accessor, not ``_points``."""
-        index = make_inner_backend(name, kwargs)
+        index = BruteForceIndex(metric=metric)
         assert index.is_built is False
         with pytest.raises(NotFittedError):
             _ = index.points
@@ -433,16 +412,3 @@ class TestEngineWiring:
         assert index.points.shape == data.shape
         assert np.array_equal(index.points, data)
         assert index.n_points == data.shape[0]
-
-    def test_backend_spec_roundtrip(self, data):
-        for name, kwargs in BACKENDS:
-            index = make_inner_backend(name, kwargs)
-            spec = backend_spec_of(index)
-            assert spec is not None
-            got_name, got_kwargs = spec
-            assert got_name == name
-            rebuilt = make_inner_backend(got_name, got_kwargs)
-            assert type(rebuilt) is type(index)
-
-    def test_unregistered_index_has_no_spec(self):
-        assert backend_spec_of(Unregistered()) is None

@@ -43,8 +43,7 @@ def shard_spec(shard_id: int, lo: int, hi: int) -> dict:
     return {
         "dataset": FINGERPRINT,
         "artifact": None,
-        "inner": "brute_force",
-        "inner_kwargs": {},
+        "metric": "cosine",
         "shard_id": shard_id,
         "lo": lo,
         "hi": hi,
