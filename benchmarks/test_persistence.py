@@ -13,13 +13,8 @@ load time scales with artifact size where the mmap reattach itself is
 O(metadata); both are recorded (``load_s`` is the verified load — the
 default and what users get — ``load_noverify_s`` is informational).
 
-A brute-force index row rides along informationally: its "build" is a
-copy, so its load is slower than its build (``load_vs_build_ratio``
-below 1) and it is never gated.
-
-Correctness spot-checks run before anything is timed: the loaded model
-must predict exactly what the fitted one predicts, and the loaded index
-must answer a query batch bit-identically to the index that was saved.
+A correctness spot-check runs before anything is timed: the loaded
+model must predict exactly what the fitted one predicts.
 """
 
 from __future__ import annotations
@@ -32,8 +27,7 @@ from conftest import out_path
 
 from repro.clustering import DBSCAN
 from repro.distances import normalize_rows
-from repro.index import BruteForceIndex
-from repro.persistence import load_index, load_model, save_index
+from repro.persistence import load_model
 from repro.testing import make_blobs_on_sphere, write_benchmark_rows
 
 N = int(os.environ.get("REPRO_PERSIST_BENCH_N", "4096"))
@@ -87,37 +81,13 @@ def test_load_vs_fit(tmp_path):
         "load_vs_fit_speedup": t_fit / t_load,
     }
 
-    original = BruteForceIndex().build(X)
-    index_path = tmp_path / "index"
-    save_index(original, index_path)
-    got = load_index(index_path).batch_range_query(queries, EPS)
-    for got_row, exp_row in zip(got, original.batch_range_query(queries, EPS)):
-        assert np.array_equal(got_row, exp_row)
-    t_build = _best_of(lambda: BruteForceIndex().build(X))
-    t_index_load = _best_of(lambda: load_index(index_path))
-    index_row = {
-        "index": "brute_force",
-        "method": "load_vs_build",
-        "n": N,
-        "dim": DIM,
-        "eps": EPS,
-        "build_s": t_build,
-        "load_s": t_index_load,
-        "load_noverify_s": _best_of(lambda: load_index(index_path, verify=False)),
-        "load_vs_build_ratio": t_build / t_index_load,
-    }
-
     print()
     print(
         f"dbscan model: fit {t_fit:.4f}s, load {t_load:.4f}s "
         f"(noverify {t_load_noverify:.4f}s) -> "
         f"{model_row['load_vs_fit_speedup']:.1f}x"
     )
-    print(
-        f"brute_force index: build {t_build:.4f}s, load {t_index_load:.4f}s "
-        f"-> {index_row['load_vs_build_ratio']:.2f}x (informational)"
-    )
-    write_benchmark_rows(out_path(f"persistence_n{N}.json"), [model_row, index_row])
+    write_benchmark_rows(out_path(f"persistence_n{N}.json"), [model_row])
 
     # Acceptance criterion: a verified load is >= 3x faster than a refit.
     assert model_row["load_vs_fit_speedup"] >= 3.0, (

@@ -78,7 +78,7 @@ from repro.exceptions import (
     WorkerUnavailableError,
 )
 from repro.index.sharded import ExecutorSpec, ShardingConfig
-from repro.persistence import ClusterModel, load_index, save_index
+from repro.persistence import ClusterModel
 from repro.metrics import (
     adjusted_mutual_info,
     adjusted_rand_index,
@@ -131,13 +131,11 @@ __all__ = [
     "cluster",
     "clusterer_names",
     "fit_model",
-    "load_index",
     "load_model",
     "make_clusterer",
     "missed_cluster_stats",
     "noise_ratio",
     "post_process",
-    "save_index",
     "predicted_core_ratio",
     "select_alpha",
     "__version__",

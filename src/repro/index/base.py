@@ -41,8 +41,7 @@ class NeighborIndex(abc.ABC):
     def points(self) -> np.ndarray:
         """The indexed point matrix, shape ``(n_points, dim)``.
 
-        The public accessor persistence relies on to save an index's
-        rows. Raises :class:`NotFittedError` before :meth:`build`.
+        Raises :class:`NotFittedError` before :meth:`build`.
         """
         if self._points is None:
             raise NotFittedError(f"{type(self).__name__} has not been built yet")
@@ -93,52 +92,3 @@ class NeighborIndex(abc.ABC):
     def _require_built(self) -> None:
         if self._points is None:
             raise NotFittedError(f"{type(self).__name__} has not been built yet")
-
-    # ------------------------------------------------------------------
-    # Persistence
-    #
-    # Backends expose their built state as a flat dict of arrays
-    # (to_arrays / from_arrays); the artifact layer (repro.persistence)
-    # handles the manifest, checksums, and memory-mapping. from_arrays
-    # must accept the arrays exactly as to_arrays produced them —
-    # including read-only memory maps — without copying the point
-    # matrix.
-    # ------------------------------------------------------------------
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The built state as named arrays; requires :meth:`build`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support persistence"
-        )
-
-    def from_arrays(self, arrays: dict) -> "NeighborIndex":
-        """Restore built state from :meth:`to_arrays` output; returns self."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support persistence"
-        )
-
-    def save(self, path) -> "NeighborIndex":
-        """Persist the built index as an artifact directory at ``path``.
-
-        See :func:`repro.persistence.save_index` for the format; load it
-        back with :meth:`load` or :func:`repro.persistence.load_index`.
-        """
-        from repro.persistence import save_index
-
-        save_index(self, path)
-        return self
-
-    @classmethod
-    def load(cls, path, *, mmap: bool = True, verify: bool = True):
-        """Load an index saved with :meth:`save`, memory-mapped by default.
-
-        Called on a concrete class, the artifact must hold that type
-        (a :class:`~repro.exceptions.PersistenceError` otherwise);
-        called on :class:`NeighborIndex`, any index artifact loads.
-        """
-        from repro.persistence import _check_loaded_type, load_index
-
-        index = load_index(path, mmap=mmap, verify=verify)
-        if cls is not NeighborIndex:
-            _check_loaded_type(index, cls, path)
-        return index

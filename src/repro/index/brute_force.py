@@ -159,20 +159,6 @@ class BruteForceIndex(NeighborIndex):
             counts[start:stop] = np.count_nonzero(mask, axis=1)
         return counts
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        self._require_built()
-        return {"points": self._points}
-
-    def from_arrays(self, arrays: dict) -> "BruteForceIndex":
-        # Rows were validated at the original build; reattach without
-        # copying so a memory-mapped matrix stays a map (the float32
-        # copy is derived in memory, it is not part of the artifact).
-        return self._attach(np.asarray(arrays["points"], dtype=np.float64))
-
     def range_count_multi_eps(
         self, Q: np.ndarray, eps_values: np.ndarray
     ) -> np.ndarray:

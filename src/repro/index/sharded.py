@@ -22,7 +22,7 @@ The three executors are a fixed set, :data:`EXECUTORS`. A
 plain strings coerce (``executor="thread"`` is
 ``ExecutorSpec("thread")``), and unknown names raise listing the three.
 
-Build lifecycle: an inner index is a build-once, query-many artifact.
+Build lifecycle: an inner index is built once and queried many times.
 The serial/thread executors build all live shards eagerly in
 :meth:`ShardedIndex.build`; the remote executor builds them lazily in
 the owning worker. Either way :meth:`ShardedIndex.stats` reports the
@@ -122,12 +122,20 @@ def _normalize_remote_options(options: dict) -> dict:
     out: dict[str, object] = {"addresses": tuple(normalized)}
     for key in ("timeout_s", "connect_timeout_s"):
         if key in options:
-            value = float(options[key])
+            value = options[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidParameterError(
+                    f"{key} must be a number; got {type(value).__name__}"
+                )
             if not value > 0:
                 raise InvalidParameterError(f"{key} must be > 0; got {value}")
-            out[key] = value
+            out[key] = float(value)
     if "retries" in options:
-        retries = int(options["retries"])
+        retries = options["retries"]
+        if isinstance(retries, bool) or not isinstance(retries, int):
+            raise InvalidParameterError(
+                f"retries must be an int; got {type(retries).__name__}"
+            )
         if retries < 0:
             raise InvalidParameterError(f"retries must be >= 0; got {retries}")
         out["retries"] = retries
@@ -400,6 +408,24 @@ class _ThreadExecutor:
 # ----------------------------------------------------------------------
 
 
+def _check_shard_fields(n_shards, n_workers, query_block) -> None:
+    """Strict checks shared by :class:`ShardedIndex` and :class:`ShardingConfig`.
+
+    Each field is an ``int`` (never a bool, never coerced: ``2.5`` is
+    not a shard count) of at least 1; ``n_workers`` may also be None.
+    """
+    fields = {"n_shards": n_shards, "query_block": query_block}
+    if n_workers is not None:
+        fields["n_workers"] = n_workers
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidParameterError(
+                f"{name} must be an int; got {type(value).__name__}"
+            )
+        if value < 1:
+            raise InvalidParameterError(f"{name} must be >= 1; got {value}")
+
+
 class ShardedIndex(NeighborIndex):
     """Row-sharded composite index behind the batched query API.
 
@@ -432,20 +458,13 @@ class ShardedIndex(NeighborIndex):
         n_workers: int | None = None,
         query_block: int = DEFAULT_QUERY_BLOCK,
     ) -> None:
-        if n_shards < 1:
-            raise InvalidParameterError(f"n_shards must be >= 1; got {n_shards}")
-        executor = ExecutorSpec.coerce(executor)
-        if n_workers is not None and n_workers < 1:
-            raise InvalidParameterError(f"n_workers must be >= 1; got {n_workers}")
-        if query_block < 1:
-            raise InvalidParameterError(f"query_block must be >= 1; got {query_block}")
+        _check_shard_fields(n_shards, n_workers, query_block)
         self.metric = get_metric(metric)
-        self.n_shards = int(n_shards)
-        self.executor = executor
+        self.n_shards = n_shards
+        self.executor = ExecutorSpec.coerce(executor)
         self.n_workers = n_workers
-        self.query_block = int(query_block)
+        self.query_block = query_block
         self._points: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
         self._live: list[tuple[int, int, int]] = []  # (shard_id, lo, hi)
         self._executor_obj = None
         self._parent_builds = 0
@@ -463,11 +482,11 @@ class ShardedIndex(NeighborIndex):
         self._points = X
         self._parent_builds = 0
         self._stats_snapshot = {}
-        self._offsets = shard_offsets(X.shape[0], self.n_shards)
+        offsets = shard_offsets(X.shape[0], self.n_shards)
         self._live = [
-            (s, int(self._offsets[s]), int(self._offsets[s + 1]))
+            (s, int(offsets[s]), int(offsets[s + 1]))
             for s in range(self.n_shards)
-            if self._offsets[s + 1] > self._offsets[s]
+            if offsets[s + 1] > offsets[s]
         ]
         if self.executor.name == "remote":
             self._start_executor()
@@ -480,12 +499,12 @@ class ShardedIndex(NeighborIndex):
             self._start_executor(indexes)
         return self
 
-    def _start_executor(self, indexes=None, artifact_path=None) -> None:
+    def _start_executor(self, indexes=None) -> None:
         """Start the executor over the live shards.
 
         ``serial`` and ``thread`` query ``indexes``, the built per-shard
         indexes keyed by live shard id. ``remote`` workers build their
-        pinned shards themselves, or load them from ``artifact_path``.
+        pinned shards themselves from the dataset the executor pushes.
         With no live shard (an empty dataset) there is nothing to run,
         so every executor degenerates to the task-free serial one.
         """
@@ -501,7 +520,6 @@ class ShardedIndex(NeighborIndex):
                 shards={s: (lo, hi) for s, lo, hi in self._live},
                 metric=self.metric.name,
                 options=self.executor.options,
-                artifact_path=artifact_path,
             )
         elif name == "thread" and self._live:
             n_workers = self.n_workers or min(len(self._live), os.cpu_count() or 1)
@@ -571,50 +589,6 @@ class ShardedIndex(NeighborIndex):
                 "ShardedIndex has been closed; call build() again to reopen"
             )
         return self._executor_obj
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def shard_indexes(self) -> dict[int, object]:
-        """The built per-shard inner indexes, keyed by live shard id.
-
-        Only the local (serial/thread) executors hold their indexes in
-        this process; the remote executor's live in worker memory, so
-        they cannot be handed out from the parent.
-        """
-        executor = self._require_executor()
-        indexes = getattr(executor, "_indexes", None)
-        if indexes is None:
-            from repro.exceptions import PersistenceError
-
-            raise PersistenceError(
-                f"a {self.executor.name!r}-sharded index keeps its shard "
-                "indexes in worker memory; they cannot be handed out from "
-                "the parent process"
-            )
-        return dict(indexes)
-
-    def _attach_loaded(
-        self, points, offsets, live, indexes, artifact_path=None
-    ) -> "ShardedIndex":
-        """Adopt reloaded per-shard state (repro.persistence's seam).
-
-        ``points`` is typically a read-only memory map and is adopted
-        as-is — reattaching never copies the matrix. A remote spec
-        reattaches through the pool: ``artifact_path`` travels to the
-        workers, which :func:`~repro.persistence.load_shard_index` their
-        pinned shards from the shared filesystem (``indexes`` is then
-        empty — nothing is deserialized parent-side).
-        """
-        self.close()
-        self._points = points
-        self._parent_builds = 0
-        self._stats_snapshot = {}
-        self._offsets = np.asarray(offsets, dtype=np.int64)
-        self._live = [(int(s), int(lo), int(hi)) for s, lo, hi in live]
-        self._start_executor(indexes, artifact_path)
-        return self
 
     # ------------------------------------------------------------------
     # Batched queries (the native forms; scalars route through them)
@@ -688,15 +662,8 @@ class ShardingConfig:
     query_block: int = DEFAULT_QUERY_BLOCK
 
     def __post_init__(self) -> None:
-        if self.n_shards < 1:
-            raise InvalidParameterError(f"n_shards must be >= 1; got {self.n_shards}")
+        _check_shard_fields(self.n_shards, self.n_workers, self.query_block)
         object.__setattr__(self, "executor", ExecutorSpec.coerce(self.executor))
-        if self.n_workers is not None and self.n_workers < 1:
-            raise InvalidParameterError(f"n_workers must be >= 1; got {self.n_workers}")
-        if self.query_block < 1:
-            raise InvalidParameterError(
-                f"query_block must be >= 1; got {self.query_block}"
-            )
 
     def make_index(self, metric: str | Metric) -> "ShardedIndex":
         """An unbuilt :class:`ShardedIndex` configured per this config."""

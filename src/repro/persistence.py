@@ -1,62 +1,51 @@
-"""Versioned on-disk persistence for built indexes and fitted clusterers.
+"""Versioned on-disk persistence for fitted clusterers.
 
 Everything else in this library is fit-and-forget; this module is the
-fit-once/query-forever half. An artifact is a *directory* holding one
+fit-once/query-forever half. :class:`ClusterModel` freezes a fitted
+clustering — labels, core mask, core distances, the LAF estimator's
+fitted parameters — and serves :meth:`ClusterModel.predict` through the
+same batched/sharded engine substrate the fit used. It is the one thing
+that saves and loads. A model artifact is a *directory* holding one
 ``manifest.json`` plus one ``.npy`` file per array:
 
 * the manifest is strict JSON carrying the format version, the artifact
-  kind, the reconstruction spec (``brute_force`` + kwargs for indexes, the
-  :class:`~repro.engine_config.ExecutionConfig` wire format for models),
-  and per-array dtype/shape/size/sha256 — every load verifies all of it
+  kind, the reconstruction spec (algorithm, hyperparameters, metric and
+  the :class:`~repro.engine_config.ExecutionConfig` wire format), and
+  per-array dtype/shape/size/sha256 — every load verifies all of it
   and raises a typed :class:`~repro.exceptions.PersistenceError` (never
   a bare numpy traceback) on truncation, checksum mismatch, unknown or
   newer format versions, and manifest drift;
 * the arrays are plain ``.npy`` files loaded back with
-  ``np.load(mmap_mode="r")``, so reattaching a saved index never copies
-  the data matrix into RAM — the remote-worker reattach path
-  ("build a shard index once, serialize it, memory-map it from a
-  worker") in its local form.
+  ``np.load(mmap_mode="r")``, so loading a model never copies its
+  training points into RAM.
 
-:func:`save_index` / :func:`load_index` cover
-:class:`~repro.index.brute_force.BruteForceIndex` and
-:class:`~repro.index.sharded.ShardedIndex` (a directory of per-shard
-artifacts sharing one memory-mapped ``points.npy``); a version-1
-artifact naming any other range backend (all removed) fails to load
-with a :class:`~repro.exceptions.PersistenceError` naming it;
-:class:`ClusterModel` freezes a fitted clustering — labels, core mask,
-core distances, the LAF estimator's fitted parameters — and serves
-:meth:`ClusterModel.predict` through the same batched/sharded engine
-substrate the fit used.
+Version-1 index artifacts (kinds ``index``, ``sharded_index`` and
+``index_shard``) are no longer read: a built brute-force index is the
+data matrix plus a float32 copy, and building it again from the matrix
+is as fast as loading it. :func:`load_model` rejects them by kind.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, TypeVar
+from typing import Any
 
 import numpy as np
 
 from repro.distances.metric import Metric, get_metric
 from repro.engine_config import ExecutionConfig
-from repro.exceptions import (
-    InvalidParameterError,
-    NotFittedError,
-    PersistenceError,
-)
+from repro.exceptions import InvalidParameterError, PersistenceError
 
 __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "MANIFEST_FILENAME",
     "ClusterModel",
-    "load_index",
     "load_model",
-    "load_shard_index",
     "read_manifest",
-    "save_index",
 ]
 
 #: Tag every manifest starts with; anything else is not ours.
@@ -69,17 +58,10 @@ FORMAT_VERSION = 1
 
 MANIFEST_FILENAME = "manifest.json"
 
-#: Artifact kinds.
-KIND_INDEX = "index"
-KIND_INDEX_SHARD = "index_shard"
-KIND_SHARDED_INDEX = "sharded_index"
+#: The one artifact kind.
 KIND_CLUSTER_MODEL = "cluster_model"
 
 _HASH_CHUNK = 1 << 20
-
-#: The one range backend artifacts name: ``spec.backend`` of an index,
-#: ``spec.inner`` of a sharded index, ``execution.index`` of older models.
-_BACKEND = "brute_force"
 
 
 def _upgrade_executor(executor: Any) -> Any:
@@ -105,9 +87,9 @@ def _upgrade_execution(payload: Any) -> Any:
     payload.pop("cache_eviction", None)
     index = payload.pop("index", None)
     name = index.get("name") if isinstance(index, Mapping) else index
-    if name not in (None, _BACKEND):
+    if name not in (None, "brute_force"):
         raise InvalidParameterError(
-            f"index backend {name!r} was removed; only {_BACKEND!r} loads"
+            f"index backend {name!r} was removed; only 'brute_force' loads"
         )
     sharding = payload.get("sharding")
     if sharding is False:
@@ -279,292 +261,6 @@ def load_arrays(
             )
         out[name] = arr
     return out
-
-
-# ----------------------------------------------------------------------
-# Index save/load
-# ----------------------------------------------------------------------
-
-
-def save_index(index: Any, path: str | Path) -> Path:
-    """Persist a built index as a versioned artifact directory.
-
-    Handles :class:`~repro.index.brute_force.BruteForceIndex` and
-    :class:`~repro.index.sharded.ShardedIndex` (saved as a directory of
-    per-shard artifacts sharing one ``points.npy``). Any other type
-    raises :class:`PersistenceError`; an unbuilt index raises
-    :class:`~repro.exceptions.NotFittedError`.
-    """
-    from repro.index.brute_force import BruteForceIndex
-    from repro.index.sharded import ShardedIndex
-
-    if isinstance(index, ShardedIndex):
-        return _save_sharded(index, path)
-    # An exact type check: a subclass would load back as the base class.
-    if type(index) is not BruteForceIndex:
-        raise PersistenceError(
-            f"{type(index).__name__} cannot be saved: only BruteForceIndex "
-            "and ShardedIndex artifacts exist"
-        )
-    if not index.is_built:
-        raise NotFittedError(
-            f"{type(index).__name__} has not been built; build() before save()"
-        )
-    return write_artifact(
-        path,
-        KIND_INDEX,
-        index.to_arrays(),
-        spec={
-            "backend": _BACKEND,
-            "kwargs": {"block_size": index.block_size, "metric": index.metric.name},
-        },
-        metadata={"n_points": int(index.n_points)},
-    )
-
-
-def load_index(
-    path: str | Path,
-    *,
-    mmap: bool = True,
-    verify: bool = True,
-    executor: Any = None,
-) -> Any:
-    """Load a saved index, reattaching arrays via ``np.load(mmap_mode="r")``.
-
-    The inverse of :func:`save_index`: returns a query-ready backend of
-    the saved type whose point matrix is a read-only memory map — a
-    worker reattaching a shard artifact never copies the data. Pass
-    ``verify=False`` to skip the sha256 pass (size/dtype/shape checks
-    always run); ``mmap=False`` reads the arrays into RAM instead.
-
-    ``executor`` (sharded artifacts only) overrides the executor spec
-    recorded at save time — an :class:`~repro.index.sharded.ExecutorSpec`,
-    an executor name, or a wire dict — so one artifact can reattach
-    serially on a laptop or onto a worker pool without resaving.
-    """
-    manifest = read_manifest(path)
-    kind = manifest["kind"]
-    if kind == KIND_SHARDED_INDEX:
-        return _load_sharded(
-            Path(path), manifest, mmap=mmap, verify=verify, executor=executor
-        )
-    if executor is not None:
-        raise PersistenceError(
-            f"artifact at {path} is not sharded; the executor= override "
-            "only applies to sharded artifacts"
-        )
-    if kind != KIND_INDEX:
-        raise PersistenceError(
-            f"artifact at {path} has kind {kind!r}; expected an index "
-            f"({KIND_INDEX!r} or {KIND_SHARDED_INDEX!r})"
-        )
-    index = _make_backend(manifest["spec"], path)
-    arrays = load_arrays(path, manifest, mmap=mmap, verify=verify)
-    return _restore_backend(index, arrays, path)
-
-
-def _make_backend(spec: Mapping, path: Path) -> Any:
-    """The unbuilt brute-force index a v1 ``{backend, kwargs}`` spec names."""
-    from repro.index.brute_force import BruteForceIndex
-
-    backend = spec.get("backend")
-    kwargs = spec.get("kwargs", {})
-    if not isinstance(backend, str) or not isinstance(kwargs, Mapping):
-        raise PersistenceError(
-            f"artifact at {path} has a malformed backend spec: {dict(spec)!r}"
-        )
-    try:
-        if backend != _BACKEND:
-            raise InvalidParameterError(f"only {_BACKEND!r} indexes load")
-        return BruteForceIndex(**kwargs)
-    except (InvalidParameterError, TypeError) as exc:
-        raise PersistenceError(
-            f"cannot reconstruct backend {backend!r} from {path}: {exc}"
-        ) from exc
-
-
-def _restore_backend(index: Any, arrays: dict, path: Path) -> Any:
-    try:
-        return index.from_arrays(arrays)
-    except KeyError as exc:
-        raise PersistenceError(
-            f"artifact at {path} is missing array {exc.args[0]!r} required "
-            f"by {type(index).__name__}"
-        ) from exc
-
-
-def _shard_dir(path: Path, shard_id: int) -> Path:
-    return path / "shards" / f"{shard_id:05d}"
-
-
-def _save_sharded(index: Any, path: str | Path) -> Path:
-    """ShardedIndex layout: top-level ``points.npy`` + per-shard artifacts.
-
-    The full matrix is stored exactly once. A brute-force shard's only
-    array is its row slice, so each shard artifact holds just its spec
-    and row range, and the loader injects the mmap'd slice
-    ``points[lo:hi]`` back into each shard — neither disk nor a
-    reattaching process ever holds a second copy of the data, and no
-    executor (not even a worker-held remote one) has to hand its shard
-    indexes over. The executor spec is recorded in the artifact, so
-    loading reattaches under the saved topology by default — or any
-    other via ``load_index(executor=...)``.
-    """
-    index._require_built()
-    points = index.points
-    path = Path(path)
-    live = [[int(s), int(lo), int(hi)] for s, lo, hi in index._live]
-    inner_kwargs = {"metric": index.metric.name}
-    for s, lo, hi in live:
-        write_artifact(
-            _shard_dir(path, s),
-            KIND_INDEX_SHARD,
-            {},
-            spec={"backend": _BACKEND, "kwargs": inner_kwargs},
-            metadata={"shard_id": s, "lo": lo, "hi": hi},
-        )
-    return write_artifact(
-        path,
-        KIND_SHARDED_INDEX,
-        {"points": points},
-        spec={
-            "inner": _BACKEND,
-            "inner_kwargs": inner_kwargs,
-            "n_shards": index.n_shards,
-            "executor": index.executor.wire_value(),
-            "n_workers": index.n_workers,
-            "query_block": index.query_block,
-        },
-        metadata={"offsets": index._offsets.tolist(), "live": live},
-    )
-
-
-def _open_sharded(
-    path: Path,
-    manifest: Mapping,
-    *,
-    mmap: bool,
-    verify: bool,
-    load: Iterable[int] | None = None,
-) -> tuple[np.ndarray, list[tuple[int, int, int]], dict[int, Any]]:
-    """``(points, live, indexes)`` of a sharded artifact.
-
-    The manifest's ``metadata`` is not checksummed, so every ``live``
-    entry must be three ints ``[shard_id, lo, hi]`` with
-    ``0 <= lo < hi <= len(points)`` before any row slice is taken.
-    ``load`` names the shard ids to restore into ``indexes`` (None:
-    every live shard); each gets its brute-force index over the shared
-    ``points[lo:hi]`` slice.
-    """
-    arrays = load_arrays(path, manifest, mmap=mmap, verify=verify)
-    try:
-        points = arrays["points"]
-    except KeyError:
-        raise PersistenceError(
-            f"sharded artifact at {path} is missing its 'points' array"
-        ) from None
-    try:
-        live = [tuple(entry) for entry in manifest["metadata"]["live"]]
-    except (KeyError, TypeError) as exc:
-        raise PersistenceError(
-            f"sharded artifact at {path} has malformed shard metadata: {exc}"
-        ) from exc
-    n_rows = points.shape[0]
-    for entry in live:
-        if not (
-            len(entry) == 3
-            and all(type(v) is int for v in entry)
-            and 0 <= entry[1] < entry[2] <= n_rows
-        ):
-            raise PersistenceError(
-                f"sharded artifact at {path} has a malformed live shard "
-                f"{list(entry)!r}: expected [shard_id, lo, hi] ints with "
-                f"0 <= lo < hi <= {n_rows}"
-            )
-    bounds = {s: (lo, hi) for s, lo, hi in live}
-    indexes: dict[int, Any] = {}
-    for s in bounds if load is None else load:
-        if s not in bounds:
-            raise PersistenceError(
-                f"sharded artifact at {path} has no shard {s}; "
-                f"live shards: {sorted(bounds)}"
-            )
-        lo, hi = bounds[s]
-        shard_path = _shard_dir(path, s)
-        shard_manifest = read_manifest(shard_path, expected_kind=KIND_INDEX_SHARD)
-        shard_arrays = load_arrays(shard_path, shard_manifest, mmap=mmap, verify=verify)
-        shard_arrays["points"] = points[lo:hi]
-        inner = _make_backend(shard_manifest["spec"], shard_path)
-        indexes[s] = _restore_backend(inner, shard_arrays, shard_path)
-    return points, live, indexes
-
-
-def _load_sharded(
-    path: Path,
-    manifest: Mapping,
-    *,
-    mmap: bool,
-    verify: bool,
-    executor: Any = None,
-) -> Any:
-    from repro.index.sharded import ExecutorSpec, ShardedIndex
-
-    spec = manifest["spec"]
-    for key in ("inner", "inner_kwargs", "n_shards", "executor", "query_block"):
-        if key not in spec:
-            raise PersistenceError(
-                f"sharded artifact at {path} is missing spec key {key!r}"
-            )
-    try:
-        executor_spec = ExecutorSpec.coerce(
-            _upgrade_executor(spec["executor"]) if executor is None else executor
-        )
-        inner = {"backend": spec["inner"], "kwargs": spec["inner_kwargs"]}
-        out = ShardedIndex(
-            metric=_make_backend(inner, path).metric,
-            n_shards=int(spec["n_shards"]),
-            executor=executor_spec,
-            n_workers=spec.get("n_workers"),
-            query_block=int(spec["query_block"]),
-        )
-    except (InvalidParameterError, TypeError, ValueError) as exc:
-        raise PersistenceError(
-            f"cannot reconstruct the ShardedIndex spec of {path}: {exc}"
-        ) from exc
-    # Remote reattach never deserializes shard indexes parent-side: the
-    # artifact path travels to the workers, which load their pinned
-    # shards from the shared filesystem and keep them warm.
-    remote = executor_spec.name == "remote"
-    points, live, indexes = _open_sharded(
-        path, manifest, mmap=mmap, verify=verify, load=() if remote else None
-    )
-    try:
-        offsets = np.asarray(manifest["metadata"]["offsets"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(
-            f"sharded artifact at {path} has malformed shard metadata: {exc}"
-        ) from exc
-    return out._attach_loaded(
-        points, offsets, live, indexes, artifact_path=str(path) if remote else None
-    )
-
-
-def load_shard_index(
-    path: str | Path, shard_id: int, *, mmap: bool = True, verify: bool = True
-) -> Any:
-    """Load one shard's built inner index from a sharded artifact.
-
-    The worker-side reattach primitive of the remote pool: a worker
-    pinned to shard ``shard_id`` loads only its own shard artifact plus
-    a memory-mapped slice of the shared ``points.npy`` — never the
-    sibling shards. Returns the query-ready brute-force index.
-    """
-    path = Path(path)
-    manifest = read_manifest(path, expected_kind=KIND_SHARDED_INDEX)
-    _, _, indexes = _open_sharded(
-        path, manifest, mmap=mmap, verify=verify, load=(shard_id,)
-    )
-    return indexes[shard_id]
 
 
 # ----------------------------------------------------------------------
@@ -881,15 +577,3 @@ def load_model(
         model._core_distances = np.asarray(stored, dtype=np.float64)
     return model
 
-
-_IndexT = TypeVar("_IndexT")
-
-
-def _check_loaded_type(index: Any, cls: type[_IndexT], path: Path) -> _IndexT:
-    """Shared type guard for ``SomeIndex.load(path)`` classmethods."""
-    if not isinstance(index, cls):
-        raise PersistenceError(
-            f"artifact at {path} holds a {type(index).__name__}, "
-            f"not a {cls.__name__}"
-        )
-    return index

@@ -11,7 +11,7 @@ eps value: brute-force shards do not depend on eps) attaches to the
 cached indexes and pays zero.
 
 :class:`~repro.remote.pool.RemoteExecutor` is the client side, plugged
-in behind the shard-executor seam as the registered ``remote``
+in behind the shard-executor seam as the ``remote``
 :class:`~repro.index.sharded.ExecutorSpec` — query blocks fan out with
 a stable ``shard → worker`` affinity, results come back as compact CSR
 arrays feeding the existing merge kernels unchanged, dead workers

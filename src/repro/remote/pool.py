@@ -136,7 +136,7 @@ class _WorkerClient:
         error = header_out.get("error")
         if error:
             # A worker-side application error (bad parameter, missing
-            # artifact, ...) is deterministic: retrying or rebalancing
+            # dataset, ...) is deterministic: retrying or rebalancing
             # would just repeat it, so it surfaces immediately.
             raise RemoteExecutorError(
                 f"pool worker at {self.address} reported "
@@ -164,11 +164,8 @@ class RemoteExecutor:
     :mod:`repro.index.sharded` (``run`` / ``close`` / ``collect_stats``)
     so :class:`~repro.index.sharded.ShardedIndex` cannot tell the
     difference. ``shards`` maps shard id → ``(lo, hi)`` global rows;
-    shard data reaches a worker either as the content-addressed dataset
-    (pushed once per worker, sliced and built lazily there) or as an
-    ``artifact_path`` into a persisted sharded artifact on a shared
-    filesystem (:func:`repro.persistence.load_shard_index` — the warm
-    reattach of PR 6 artifacts).
+    shard data reaches a worker as the content-addressed dataset,
+    pushed once per worker and sliced and built lazily there.
     """
 
     def __init__(
@@ -177,7 +174,6 @@ class RemoteExecutor:
         shards: dict[int, tuple[int, int]],
         metric: str,
         options: dict,
-        artifact_path: str | None = None,
     ) -> None:
         addresses = tuple(options.get("addresses") or ())
         if not addresses:
@@ -196,7 +192,6 @@ class RemoteExecutor:
         self._X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
         self._shards = {int(s): (int(lo), int(hi)) for s, (lo, hi) in shards.items()}
         self._metric = str(metric)
-        self._artifact_path = artifact_path
         self._fingerprint: str | None = None
         # Stable shard→worker affinity: position in the sorted shard
         # list, modulo the fleet.
@@ -218,17 +213,13 @@ class RemoteExecutor:
 
     def _shard_payload(self, shard_id: int) -> dict:
         lo, hi = self._shards[shard_id]
-        payload = {
+        return {
+            "dataset": self._dataset_fingerprint(),
             "shard_id": shard_id,
             "lo": lo,
             "hi": hi,
             "metric": self._metric,
         }
-        if self._artifact_path is not None:
-            payload["artifact"] = self._artifact_path
-        else:
-            payload["dataset"] = self._dataset_fingerprint()
-        return payload
 
     def _dataset_fingerprint(self) -> str:
         if self._fingerprint is None:
@@ -239,7 +230,7 @@ class RemoteExecutor:
 
     def _ensure_dataset(self, slot_id: int, client: _WorkerClient) -> None:
         """Push the dataset to a worker once (content-addressed skip)."""
-        if self._artifact_path is not None or slot_id in self._dataset_on:
+        if slot_id in self._dataset_on:
             return
         fingerprint = self._dataset_fingerprint()
         have, _ = client.call({"op": "ensure_dataset", "fingerprint": fingerprint})

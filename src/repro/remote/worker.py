@@ -2,14 +2,12 @@
 
 One worker process serves many client connections (one thread each,
 via the shared :class:`~repro.remote.protocol.FrameServer`) and
-holds every shard index it has ever built or reattached in an in-memory
-cache keyed by ``(dataset, metric, rows)`` — so a second fit (or a
-different clusterer, or a new eps: brute-force shards do not depend on
-eps) against the same pool attaches to the cached index and pays zero
-inner builds. Datasets arrive once per worker (content-addressed
-by sha256 fingerprint) or never (persisted shard artifacts are loaded
-from a shared filesystem via
-:func:`repro.persistence.load_shard_index`).
+holds every shard index it has ever built in an in-memory cache keyed
+by ``(dataset, metric, rows)`` — so a second fit (or a different
+clusterer, or a new eps: brute-force shards do not depend on eps)
+against the same pool attaches to the cached index and pays zero inner
+builds. Datasets arrive once per worker, content-addressed by sha256
+fingerprint.
 
 Requests (see :mod:`repro.remote.protocol` for the framing):
 
@@ -20,16 +18,12 @@ Requests (see :mod:`repro.remote.protocol` for the framing):
     bulk upload when the worker already holds the matrix.
 ``put_dataset``
     ``{"fingerprint"}`` + array ``X`` → stores it content-addressed.
-``attach``
-    A shard spec (``shard``, see :func:`_shard_key`) → builds, loads,
-    or cache-hits the shard index; ``{"built": bool}``.
 ``query``
     ``{"qop": range|count, "arg": eps, "shard": spec}`` + array ``Q``
-    → runs the shard op (auto-attaching if needed — after a rebalance
-    the new owner sees the shard for the first time mid-fit) and returns
-    the range CSR arrays or the counts, plus ``{"built": bool}``.
-``stats``
-    Worker-global counters: ``{"inner_builds", "datasets", "indexes"}``.
+    (``spec`` as in :func:`_shard_key`) → builds or cache-hits the
+    shard index (after a rebalance the new owner sees the shard for the
+    first time mid-fit), runs the shard op and returns the range CSR
+    arrays or the counts, plus ``{"built": bool}``.
 ``shutdown``
     Acknowledges, then stops the whole worker process.
 
@@ -72,17 +66,11 @@ def dataset_fingerprint(X: np.ndarray) -> str:
 def _shard_key(shard: dict) -> tuple:
     """Cache key of one shard spec: dataset, metric, row range.
 
-    ``shard`` carries either a ``dataset`` fingerprint (lazy-build mode)
-    or an ``artifact`` path (persisted-shard mode), plus the metric of
-    its brute-force index, the shard id and its ``[lo, hi)`` rows.
+    ``shard`` carries the ``dataset`` fingerprint, the metric of its
+    brute-force index, the shard id and its ``[lo, hi)`` rows.
     """
-    source = (
-        ("artifact", str(shard["artifact"]))
-        if shard.get("artifact")
-        else ("dataset", str(shard["dataset"]))
-    )
     return (
-        source,
+        str(shard["dataset"]),
         str(shard["metric"]),
         int(shard["shard_id"]),
         int(shard["lo"]),
@@ -151,11 +139,11 @@ class ShardHolder:
             self._datasets.setdefault(fingerprint, X)
 
     def attach(self, shard: dict, *, pin: bool = False) -> tuple[object, bool]:
-        """The shard's index, building or loading it on first sight.
+        """The shard's index, building it on first sight.
 
         Returns ``(index, built)``; ``built`` is True only when this
-        call constructed (or loaded) the index — the client sums these
-        to counter-prove warm reuse. ``pin=True`` additionally marks the
+        call constructed the index — the client sums these to
+        counter-prove warm reuse. ``pin=True`` additionally marks the
         entry in use (ineligible for eviction) until the matching
         :meth:`release`; use :meth:`acquire` for the paired form.
         """
@@ -169,23 +157,18 @@ class ShardHolder:
                 return index, False
         # Build outside the lock: shard builds are the expensive part
         # and two different shards must not serialize on each other.
-        if shard.get("artifact"):
-            from repro.persistence import load_shard_index
-
-            index = load_shard_index(shard["artifact"], int(shard["shard_id"]))
-        else:
-            fingerprint = str(shard["dataset"])
-            with self._lock:
-                X = self._datasets.get(fingerprint)
-            if X is None:
-                raise RemoteProtocolError(
-                    f"worker holds no dataset {fingerprint[:12]}…; the "
-                    "client must put_dataset before attaching shards to it"
-                )
-            lo, hi = int(shard["lo"]), int(shard["hi"])
-            index = BruteForceIndex(metric=str(shard["metric"])).build(
-                np.ascontiguousarray(X[lo:hi])
+        fingerprint = str(shard["dataset"])
+        with self._lock:
+            X = self._datasets.get(fingerprint)
+        if X is None:
+            raise RemoteProtocolError(
+                f"worker holds no dataset {fingerprint[:12]}…; the "
+                "client must put_dataset before attaching shards to it"
             )
+        lo, hi = int(shard["lo"]), int(shard["hi"])
+        index = BruteForceIndex(metric=str(shard["metric"])).build(
+            np.ascontiguousarray(X[lo:hi])
+        )
         with self._lock:
             winner = self._indexes.setdefault(key, index)
             built = winner is index
@@ -268,9 +251,6 @@ def _handle_request(holder: ShardHolder, header: dict, arrays: dict):
         X = np.asarray(arrays["X"], dtype=np.float64)
         holder.put_dataset(str(header["fingerprint"]), X)
         return {"ok": True}, {}, True
-    if op == "attach":
-        _, built = holder.attach(header["shard"])
-        return {"built": built}, {}, True
     if op == "query":
         qop = str(header["qop"])
         fn = _sharded._SHARD_OPS.get(qop)
@@ -287,8 +267,6 @@ def _handle_request(holder: ShardHolder, header: dict, arrays: dict):
         else:
             out = {"indptr": result[0], "flat": result[1]}
         return {"built": built}, out, True
-    if op == "stats":
-        return holder.stats(), {}, True
     if op == "shutdown":
         return {"ok": True}, {}, False
     raise RemoteProtocolError(f"unknown pool request op {op!r}")

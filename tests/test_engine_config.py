@@ -118,17 +118,32 @@ class TestExecutionConfigSerialization:
             ("query_block", "abc"),
             ("query_block", True),
             ("query_block", 2.5),
+            ("sharding.n_shards", "2"),
+            ("sharding.n_shards", None),
+            ("sharding.n_shards", [2]),
+            ("sharding.n_shards", 2.5),
+            ("sharding.n_shards", True),
+            ("sharding.query_block", "8"),
+            ("sharding.query_block", 2.5),
+            ("sharding.query_block", None),
+            ("sharding.n_workers", "2"),
+            ("sharding.n_workers", 1.5),
+            ("sharding.n_workers", True),
         ],
     )
     def test_is_strict_about_field_types(self, build, field, value):
         # A mistyped value must fail loudly, never coerce: bool("false")
         # is True, which would silently run the batched path, and 2.5
         # would be written back as 2.
-        with pytest.raises(InvalidParameterError, match=field):
-            if build == "constructor":
-                ExecutionConfig(**{field: value})
+        owner, _, name = field.rpartition(".")
+        with pytest.raises(InvalidParameterError, match=name):
+            if build == "constructor" and owner:
+                ExecutionConfig(sharding=ShardingConfig(**{name: value}))
+            elif build == "constructor":
+                ExecutionConfig(**{name: value})
             else:
-                ExecutionConfig.from_dict({field: value})
+                payload = {name: value}
+                ExecutionConfig.from_dict({owner: payload} if owner else payload)
 
     def test_from_dict_rejects_retired_cache_eviction(self):
         # Old artifacts' cache_eviction is dropped by the persistence

@@ -102,6 +102,26 @@ class TestRemoteOptions:
         assert spec.options["timeout_s"] == 5.0
         assert spec.options["retries"] == 0
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("timeout_s", "x"),
+            ("timeout_s", True),
+            ("timeout_s", None),
+            ("connect_timeout_s", "5"),
+            ("connect_timeout_s", [5.0]),
+            ("retries", "two"),
+            ("retries", 2.7),
+            ("retries", True),
+            ("retries", 2.0),
+        ],
+    )
+    def test_mistyped_numeric_options_fail_typed(self, key, value):
+        # Never coerced: float("x") would escape as a bare ValueError,
+        # int(2.7) would silently run 2 retries and True would run 1.
+        with pytest.raises(InvalidParameterError, match=key):
+            ExecutorSpec("remote", {"addresses": ["h:1"], key: value})
+
 
 class TestWireFormat:
     def test_option_free_wire_value_is_the_bare_name(self):

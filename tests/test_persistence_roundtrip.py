@@ -1,37 +1,43 @@
-"""Property-based round-trip tests for index persistence.
+"""Property-based round-trip tests for model persistence.
 
-The persistence contract is *bit identity*: for every backend and every
-query form, ``load(save(index))`` must answer exactly what the original
-answered — same neighbor rows, same counts — because a worker
-reattaching a shard artifact must be indistinguishable from the process
-that built it. Hypothesis drives random datasets across both metrics,
-sharded and unsharded, including the awkward cases: ``eps=0`` (strict
-``<`` yields no self-hits), duplicated points, empty query batches, and
-single-point datasets (``n >= 1`` throughout; the empty-batch case
-covers the zero-query direction).
+The persistence contract is *bit identity*: for every serving
+configuration, ``load_model(model.save(path))`` must answer exactly what
+the in-memory model answered — same labels, core mask and core
+distances, same predictions — and must carry the same execution config,
+so a restarted server fans prediction across the topology the fit used.
+Hypothesis drives random datasets across both metrics, sharded and
+unsharded, including the awkward cases: a tiny ``eps`` (no cores unless rows
+coincide, so every prediction is noise), duplicated points, empty query
+batches, single-row queries and single-point datasets.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.distances import normalize_rows
-from repro.exceptions import NotFittedError
-from repro.index import BruteForceIndex
-from repro.index.base import NeighborIndex
-from repro.index.sharded import ShardedIndex
-from repro.persistence import load_index, save_index
+from repro.engine_config import ExecutionConfig
+from repro.index.sharded import ShardingConfig
+from repro.persistence import MANIFEST_FILENAME
 
-MAX_EXAMPLES = 40
+MAX_EXAMPLES = 25
+TAU = 2
 
-#: name -> constructor
-BACKENDS = {
-    "brute_force": lambda: BruteForceIndex(),
-    "brute_force_euclidean": lambda: BruteForceIndex(metric="euclidean"),
-    "brute_force_small_blocks": lambda: BruteForceIndex(block_size=7),
+#: name -> the execution config a model is fit (and later served) under
+CONFIGS = {
+    "default": ExecutionConfig(),
+    "per_point": ExecutionConfig(batch_queries=False),
+    "small_blocks": ExecutionConfig(query_block=7),
+    "sharded_serial": ExecutionConfig(sharding=ShardingConfig(n_shards=3)),
+    "sharded_thread": ExecutionConfig(
+        sharding=ShardingConfig(n_shards=4, executor="thread", n_workers=2)
+    ),
 }
 
 
@@ -42,151 +48,78 @@ def dataset(seed: int, n: int, dim: int, dup: bool) -> np.ndarray:
     return X
 
 
-def is_memory_mapped(arr) -> bool:
-    """Whether ``arr`` is (a view of) a ``np.memmap``.
-
-    ``np.asarray`` on a memmap returns a plain ``ndarray`` view whose
-    ``.base`` chain ends at the map — still zero-copy.
-    """
-    while arr is not None:
-        if isinstance(arr, np.memmap):
-            return True
-        arr = arr.base
-    return False
-
-
-def assert_rows_equal(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
-def assert_identical_answers(original, loaded, Q, eps):
-    assert_rows_equal(
-        original.batch_range_query(Q, eps), loaded.batch_range_query(Q, eps)
+def fit(name: str, X: np.ndarray, eps: float, metric: str = "cosine"):
+    return repro.fit_model(
+        X, eps=eps, tau=TAU, metric=metric, execution=CONFIGS[name]
     )
-    assert np.array_equal(
-        original.batch_range_count(Q, eps), loaded.batch_range_count(Q, eps)
-    )
+
+
+def assert_same_model(original, loaded):
+    assert loaded.algo == original.algo
+    assert loaded.params == original.params
+    assert loaded.metric.name == original.metric.name
+    assert loaded.execution == original.execution
+    assert np.array_equal(loaded.points, original.points)
+    assert np.array_equal(loaded.labels, original.labels)
+    assert np.array_equal(loaded.core_mask, original.core_mask)
+    assert np.array_equal(loaded.core_distances, original.core_distances)
+
+
+def assert_same_predictions(original, loaded, Q):
+    assert np.array_equal(loaded.predict(Q), original.predict(Q))
     empty = np.empty((0, Q.shape[1]))
-    assert loaded.batch_range_query(empty, eps) == []
-    assert loaded.batch_range_count(empty, eps).size == 0
+    assert loaded.predict(empty).size == 0
+    assert np.array_equal(loaded.predict(Q[0]), original.predict(Q[0]))
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-class TestInnerBackendRoundTrip:
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+class TestModelRoundTrip:
     @given(
         seed=st.integers(0, 10_000),
         n=st.integers(1, 120),
         dim=st.integers(2, 24),
-        eps=st.sampled_from([0.0, 0.05, 0.4, 1.2]),
+        eps=st.sampled_from([1e-6, 0.05, 0.4, 1.2]),
+        metric=st.sampled_from(["cosine", "euclidean"]),
         dup=st.booleans(),
     )
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_bit_identical_queries(
-        self, name, tmp_path_factory, seed, n, dim, eps, dup
+    def test_bit_identical_predictions(
+        self, name, tmp_path_factory, seed, n, dim, eps, metric, dup
     ):
-        make = BACKENDS[name]
         X = dataset(seed, n, dim, dup)
         Q = dataset(seed + 1, min(n, 17), dim, dup=False)
-        original = make().build(X)
         path = tmp_path_factory.mktemp("artifact") / name
-        save_index(original, path)
-        loaded = load_index(path)
-        assert type(loaded) is type(original)
-        assert loaded.block_size == original.block_size
-        assert loaded.metric == original.metric
-        assert_identical_answers(original, loaded, Q, eps)
-        # Queries drawn from the indexed points themselves (self-hits,
-        # duplicates) must round-trip too.
-        assert_identical_answers(original, loaded, X[: min(n, 8)], eps)
+        with fit(name, X, eps, metric) as original:
+            original.save(path)
+            with repro.load_model(path) as loaded:
+                assert_same_model(original, loaded)
+                assert_same_predictions(original, loaded, Q)
+                # Queries drawn from the training points themselves
+                # (self-hits, duplicates) must round-trip too.
+                assert_same_predictions(original, loaded, X[: min(n, 8)])
 
-    def test_loaded_points_are_memory_mapped(self, name, tmp_path):
-        make = BACKENDS[name]
-        X = dataset(3, 40, 8, dup=False)
-        path = tmp_path / name
-        save_index(make().build(X), path)
-        loaded = load_index(path)
-        assert is_memory_mapped(loaded.points)
-        assert not loaded.points.flags.writeable
-        loaded_copy = load_index(path, mmap=False)
-        assert not is_memory_mapped(loaded_copy.points)
-
-    def test_unbuilt_index_refuses_to_save(self, name, tmp_path):
-        make = BACKENDS[name]
-        with pytest.raises(NotFittedError):
-            save_index(make(), tmp_path / name)
-
-
-class TestShardedRoundTrip:
-    @given(
-        seed=st.integers(0, 10_000),
-        n=st.integers(1, 120),
-        dim=st.integers(2, 16),
-        n_shards=st.integers(1, 6),
-        metric=st.sampled_from(["cosine", "euclidean"]),
-        executor=st.sampled_from(["serial", "thread"]),
-        eps=st.sampled_from([0.0, 0.4, 1.2]),
-    )
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    def test_bit_identical_queries(
-        self, tmp_path_factory, seed, n, dim, n_shards, metric, executor, eps
-    ):
-        X = dataset(seed, n, dim, dup=False)
-        Q = dataset(seed + 1, min(n, 13), dim, dup=False)
-        original = ShardedIndex(
-            metric=metric, n_shards=n_shards, executor=executor
-        ).build(X)
-        path = tmp_path_factory.mktemp("artifact") / "sharded"
-        save_index(original, path)
-        loaded = load_index(path)
-        assert isinstance(loaded, ShardedIndex)
-        assert loaded.metric == original.metric
-        assert loaded.n_live_shards == original.n_live_shards
-        assert_identical_answers(original, loaded, Q, eps)
-        original.close()
-        loaded.close()
-
-    def test_points_stored_once_and_mmapped(self, tmp_path):
-        X = dataset(7, 60, 8, dup=False)
-        original = ShardedIndex(n_shards=4).build(X)
-        path = tmp_path / "sharded"
-        save_index(original, path)
-        # One top-level points.npy; shard artifacts hold no point copies.
-        assert (path / "points.npy").is_file()
-        for shard_dir in sorted((path / "shards").iterdir()):
-            assert not (shard_dir / "points.npy").exists()
-        loaded = load_index(path)
-        assert is_memory_mapped(loaded.points)
-        # Each shard's slice views the same memory map — never a copy.
-        shard = loaded.shard_indexes()[0]
-        assert is_memory_mapped(shard.points)
-        original.close()
-        loaded.close()
-
-    def test_save_load_via_index_methods(self, tmp_path):
-        X = dataset(9, 30, 6, dup=False)
-        original = ShardedIndex(n_shards=2).build(X)
-        original.save(tmp_path / "s")
-        loaded = ShardedIndex.load(tmp_path / "s")
-        assert isinstance(loaded, ShardedIndex)
-        assert_rows_equal(
-            original.batch_range_query(X, 0.4), loaded.batch_range_query(X, 0.4)
+    def test_resave_is_stable(self, name, tmp_path):
+        # A loaded model saved again writes the same spec and the same
+        # array bytes: nothing is coerced or dropped on the way through.
+        X = dataset(3, 60, 8, dup=True)
+        with fit(name, X, 0.6) as model:
+            model.save(tmp_path / "first")
+        with repro.load_model(tmp_path / "first") as loaded:
+            loaded.save(tmp_path / "second")
+        first, second = (
+            json.loads((tmp_path / d / MANIFEST_FILENAME).read_text())
+            for d in ("first", "second")
         )
-        original.close()
-        loaded.close()
+        assert second["spec"] == first["spec"]
+        assert second["arrays"] == first["arrays"]
+        assert second["metadata"] == first["metadata"]
 
-
-class TestLoadClassmethodTyping:
-    def test_base_class_loads_any_kind(self, tmp_path):
-        X = dataset(1, 20, 6, dup=False)
-        BruteForceIndex().build(X).save(tmp_path / "bf")
-        assert isinstance(NeighborIndex.load(tmp_path / "bf"), BruteForceIndex)
-
-    def test_concrete_class_rejects_other_kind(self, tmp_path):
-        from repro.exceptions import PersistenceError
-
-        X = dataset(1, 20, 6, dup=False)
-        BruteForceIndex().build(X).save(tmp_path / "bf")
-        with pytest.raises(PersistenceError, match="not a ShardedIndex"):
-            ShardedIndex.load(tmp_path / "bf")
+    def test_copied_unverified_load_predicts_identically(self, name, tmp_path):
+        X = dataset(5, 60, 8, dup=False)
+        Q = dataset(6, 30, 8, dup=False)
+        with fit(name, X, 0.6) as model:
+            model.save(tmp_path / "model")
+            loaded = repro.load_model(tmp_path / "model", mmap=False, verify=False)
+            with loaded:
+                assert_same_model(model, loaded)
+                assert_same_predictions(model, loaded, Q)

@@ -13,7 +13,8 @@ proximity by predict (both are valid DBSCAN outputs; the ambiguity is
 inherent to border points).
 
 A loaded model must predict identically to the in-memory model it was
-saved from — bit-identical labels on the same queries.
+saved from — bit-identical labels on the same queries — and by default
+serves its training points straight from a read-only memory map.
 """
 
 from __future__ import annotations
@@ -92,6 +93,31 @@ class TestPredictReproducesFit:
             assert np.array_equal(loaded.labels, model.labels)
             assert np.array_equal(loaded.core_mask, model.core_mask)
             assert np.array_equal(loaded.core_distances, model.core_distances)
+
+
+def is_memory_mapped(arr) -> bool:
+    """Whether ``arr`` is (a view of) a ``np.memmap``.
+
+    ``np.asarray`` on a memmap returns a plain ``ndarray`` view whose
+    ``.base`` chain ends at the map — still zero-copy.
+    """
+    while arr is not None:
+        if isinstance(arr, np.memmap):
+            return True
+        arr = arr.base
+    return False
+
+
+def test_loaded_points_are_memory_mapped(blobs, tmp_path):
+    with repro.fit_model(blobs, eps=EPS, tau=TAU) as model:
+        model.save(tmp_path / "model")
+    with repro.load_model(tmp_path / "model") as loaded:
+        assert is_memory_mapped(loaded.points)
+        assert not loaded.points.flags.writeable
+        assert np.array_equal(loaded.points, blobs)
+    with repro.load_model(tmp_path / "model", mmap=False) as copied:
+        assert not is_memory_mapped(copied.points)
+        assert np.array_equal(copied.points, blobs)
 
 
 class TestPredictSemantics:

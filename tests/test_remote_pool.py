@@ -11,8 +11,7 @@ Contracts under test:
   labels end to end.
 * **Warm reuse** — a second fit against the same pool attaches to the
   workers' cached shard indexes and reports
-  ``shard_inner_builds == 0`` in ``ClusteringResult.stats``; a
-  persisted sharded artifact reattaches the same way by path.
+  ``shard_inner_builds == 0`` in ``ClusteringResult.stats``.
 * **Robustness** (fork-gated, like the process-executor teardown
   suite) — a worker killed mid-fit gets its shards rebalanced to the
   survivors with bit-identical labels and ``shard_rebalances >= 1``;
@@ -269,26 +268,6 @@ class TestWarmReuse:
         DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(data)
         other_eps = DBSCAN(eps=EPS - 0.1, tau=TAU, execution=execution).fit(data)
         assert other_eps.stats["shard_inner_builds"] == 0
-
-    def test_persisted_artifact_reattaches_warm(self, data, pool, tmp_path):
-        from repro.persistence import load_index, save_index
-
-        built = ShardedIndex(n_shards=3, executor="serial").build(data)
-        with built:
-            save_index(built, tmp_path / "sharded")
-            expected = built.batch_range_query(data[:8], EPS)
-
-        loaded = load_index(tmp_path / "sharded", executor=pool.executor_spec())
-        with loaded:
-            got = loaded.batch_range_query(data[:8], EPS)
-            first_builds = loaded.stats()["shard_inner_builds"]
-        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-
-        again = load_index(tmp_path / "sharded", executor=pool.executor_spec())
-        with again:
-            again.batch_range_query(data[:8], EPS)
-            assert again.stats()["shard_inner_builds"] == 0
-        assert first_builds == 3
 
 
 class TestPoolLifecycle:

@@ -291,6 +291,14 @@ class TestLifecycleAndValidation:
         with pytest.raises(InvalidParameterError):
             ShardedIndex(query_block=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_shards", 2.5), ("n_shards", True), ("n_workers", "2"), ("query_block", "8")],
+    )
+    def test_field_types_are_checked_like_sharding_config(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            ShardedIndex(**{field: value})
+
 
 class TestEngineWiring:
     """Sharding reaches the clusterers through NeighborhoodCache alone."""

@@ -42,7 +42,6 @@ def data() -> np.ndarray:
 def shard_spec(shard_id: int, lo: int, hi: int) -> dict:
     return {
         "dataset": FINGERPRINT,
-        "artifact": None,
         "metric": "cosine",
         "shard_id": shard_id,
         "lo": lo,
