@@ -18,6 +18,12 @@ up in the answers, only in the clock.
 Each row records ``usable_cpus`` so the regression gate skips the ratio
 on smaller machines than the committed baseline. Results land in
 ``benchmarks/out/serving_n{N}.json``.
+
+A second benchmark, ``predict_speedup``, times ``ClusterModel.predict``
+on 256-row batches (the server's batch size) at d=768 with 4,000
+cores against the per-row float64 select it replaced, after asserting
+equal labels. Both sides run the same range query per batch. Results
+land in ``benchmarks/out/serving_predict_n4000.json``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ import numpy as np
 from conftest import out_path
 
 import repro
+from repro.distances import normalize_rows
+from repro.index import BruteForceIndex
 from repro.serving import ModelServer
 from repro.testing import make_blobs_on_sphere, write_benchmark_rows
 
@@ -121,3 +129,90 @@ def test_microbatch_throughput():
     # The headline claim: coalescing concurrent small requests must at
     # least double throughput over the per-request path.
     assert speedup >= 2.0, f"micro-batching speedup only {speedup:.2f}x"
+
+
+PREDICT_CORES = 4000
+PREDICT_DIM = 768
+PREDICT_EPS = 0.5
+PREDICT_BATCH = 256
+PREDICT_REPEATS = 3
+
+
+def _predict_per_row(
+    index: BruteForceIndex, cores: np.ndarray, core_labels: np.ndarray, Q: np.ndarray
+) -> np.ndarray:
+    """The select ``predict`` ran before the blocked kernel.
+
+    After the batch's range query, one float64 matrix-vector product per
+    query over its gathered candidate cores; exact ties go to the
+    smallest core index.
+    """
+    out = np.full(Q.shape[0], -1, dtype=np.int64)
+    for i, row in enumerate(index.batch_range_query(Q, PREDICT_EPS)):
+        if row.size == 0:
+            continue
+        d = np.maximum(0.0, 1.0 - cores[row] @ Q[i])
+        out[i] = core_labels[int(row[d == d.min()].min())]
+    return out
+
+
+def _best_of(fn) -> float:
+    best = float("inf")
+    for _ in range(PREDICT_REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_predict_speedup():
+    # Ten blobs of 450 points: the first 4,000 are the training set (all
+    # cores, each query has about 400 candidates, like serve-ms50k's
+    # 377); the other 500 plus 12 noise rows are the queries.
+    X, _ = make_blobs_on_sphere(450, 10, PREDICT_DIM, spread=0.3, seed=0)
+    noise = np.random.default_rng(1).normal(size=(12, PREDICT_DIM))
+    train = X[:PREDICT_CORES]
+    queries = np.vstack([X[PREDICT_CORES:], normalize_rows(noise)])
+    batches = [
+        queries[lo : lo + PREDICT_BATCH]
+        for lo in range(0, queries.shape[0], PREDICT_BATCH)
+    ]
+
+    with repro.fit_model(train, "dbscan", eps=PREDICT_EPS, tau=TAU) as model:
+        cores = train[model.core_mask]
+        core_labels = model.labels[model.core_mask]
+        index = BruteForceIndex().build(cores)
+
+        def per_row():
+            return [_predict_per_row(index, cores, core_labels, b) for b in batches]
+
+        def blocked():
+            return [model.predict(b) for b in batches]
+
+        expected = np.concatenate(per_row())
+        assert np.array_equal(np.concatenate(blocked()), expected)
+        assert (expected != -1).any() and (expected == -1).any()
+        assert model.n_cores == PREDICT_CORES
+        t_per_row = _best_of(per_row)
+        t_blocked = _best_of(blocked)
+
+    speedup = t_per_row / t_blocked
+    row = {
+        "method": "predict_select",
+        "n": PREDICT_CORES,
+        "dim": PREDICT_DIM,
+        "eps": PREDICT_EPS,
+        "batch_rows": PREDICT_BATCH,
+        "query_rows": int(queries.shape[0]),
+        "per_row_s": t_per_row,
+        "blocked_s": t_blocked,
+        "predict_speedup": speedup,
+        "usable_cpus": usable_cpus(),
+    }
+    print()
+    print(
+        f"predict ({PREDICT_CORES} cores, d={PREDICT_DIM}, {PREDICT_BATCH}-row "
+        f"batches): per-row select {t_per_row:.3f}s, blocked {t_blocked:.3f}s "
+        f"-> {speedup:.2f}x"
+    )
+    write_benchmark_rows(out_path(f"serving_predict_n{PREDICT_CORES}.json"), [row])

@@ -152,16 +152,20 @@ class DBSCANPlusPlus(Clusterer):
         stats["core_graph_pairs"] = core_graph_pairs
         stats["n_core_components"] = int(core_labels.max()) + 1
 
-        # Every point joins its closest core point's cluster.
-        nearest, nearest_dist = nearest_in_blocks(iter_distance_blocks(X, core_X), n)
-        labels = core_labels[nearest]
-        if self.assign_within_eps:
-            labels = np.where(nearest_dist < self.eps, labels, NOISE)
-        # Core points always belong to their own cluster.
+        # Core points belong to their own cluster; every other point
+        # joins its closest core point's.
+        labels = np.empty(n, dtype=np.int64)
         labels[core_sample] = core_labels
-
         core_mask = np.zeros(n, dtype=bool)
         core_mask[core_sample] = True
+        rest = np.flatnonzero(~core_mask)
+        nearest, nearest_dist = nearest_in_blocks(
+            iter_distance_blocks(X[rest], core_X), rest.size
+        )
+        rest_labels = core_labels[nearest]
+        if self.assign_within_eps:
+            rest_labels = np.where(nearest_dist < self.eps, rest_labels, NOISE)
+        labels[rest] = rest_labels
         return ClusteringResult(
             labels=canonicalize_labels(labels),
             core_mask=core_mask,

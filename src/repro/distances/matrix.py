@@ -5,12 +5,13 @@ iterators keep peak memory bounded while staying vectorized, which is
 what the brute-force index and the training-set builder use for large
 inputs. :func:`iter_cosine_range_masks` is the cosine range-query
 kernel: a float32 GEMM with an exact float64 recheck of the pairs near
-the threshold.
+the threshold. :func:`nearest_candidates` selects each query's nearest
+row among given candidates the same way.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "pairwise_cosine_within",
     "iter_distance_blocks",
     "iter_cosine_range_masks",
+    "nearest_candidates",
     "nearest_in_blocks",
 ]
 
@@ -121,6 +123,19 @@ _RECHECK_CHUNK_FLOATS = 1 << 21
 
 def _max_row_norm(A: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", A, A).max())) if A.size else 0.0
+
+
+def _pair_dots(
+    A: np.ndarray, B: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Float64 ``<A[rows[k]], B[cols[k]]>`` for every pair ``k``, gathered in chunks."""
+    out = np.empty(rows.size)
+    chunk = max(1, _RECHECK_CHUNK_FLOATS // A.shape[1])
+    for first in range(0, rows.size, chunk):
+        r = rows[first : first + chunk]
+        c = cols[first : first + chunk]
+        out[first : first + chunk] = np.einsum("ij,ij->i", A[r], B[c])
+    return out
 
 
 def _band_halfwidth(dim: int, q_norm: float, x_norm: float, eps: float) -> float:
@@ -236,13 +251,107 @@ def iter_cosine_range_masks(
             continue
         if n_band:
             rows, cols = np.nonzero(band)
-            chunk = max(1, _RECHECK_CHUNK_FLOATS // dim)
-            for first in range(0, n_band, chunk):
-                r = rows[first : first + chunk]
-                c = cols[first : first + chunk]
-                inside = 1.0 - np.einsum("ij,ij->i", q[r], X[c]) < eps
-                mask[r[inside], c[inside]] = True
+            inside = 1.0 - _pair_dots(q, X, rows, cols) < eps
+            mask[rows[inside], cols[inside]] = True
         yield start, stop, mask
+
+
+def nearest_candidates(
+    Q: np.ndarray,
+    X: np.ndarray,
+    candidates: Sequence[np.ndarray],
+    metric: str = "cosine",
+    *,
+    X32: np.ndarray | None = None,
+    x_norm: float | None = None,
+) -> np.ndarray:
+    """Each query's nearest candidate row of ``X``; ``-1`` for none.
+
+    ``candidates[i]`` lists the rows of ``X`` that ``Q[i]`` may pick
+    (a range query's answer). The result is the candidate at the
+    smallest float64 distance -- :func:`iter_distance_blocks`' distance
+    -- with exact ties going to the smallest row index. ``Q`` is one
+    query block; the work is one GEMM of the block against the *union*
+    of its candidate rows, so a block's cost follows its candidates,
+    not ``len(X)``.
+
+    **Cosine.** ``S = Q32 @ X32[union].T`` in float32 gives every
+    candidate similarity ``s`` within ``delta`` of its float64 value
+    (:func:`_band_halfwidth`, the range kernel's bound). Let ``s*`` be
+    a row's best float32 similarity. The float64 winner ``w`` beats the
+    float32 winner ``j``, so ``s_w >= s64_w - delta >= s64_j - delta >=
+    s* - 2 delta``; a candidate tied with ``w`` in float64 distance
+    satisfies the same bound, since the rounding of ``1 - s`` is part
+    of ``delta``. Distances clamp at 0, so every candidate with ``s64 >=
+    1`` ties at distance 0; those have ``s >= 1 - delta``. Only the
+    candidates with ``s >= min(s*, 1 + delta) - 2 delta`` -- rounded
+    down to float32 -- are rechecked as ``max(0, 1 - einsum(q, x))`` in
+    float64, and the nearest of those is the exact answer. At d=768 on
+    unit vectors ``2 delta`` is about 9e-5, so the recheck is usually a
+    row's best candidate alone.
+
+    **Fallback.** Euclidean distances, and blocks that fail the float32
+    preconditions of :func:`iter_cosine_range_masks` (a non-finite
+    query, a norm that could overflow float32), are computed as one
+    float64 :func:`iter_distance_blocks` block against the same union.
+
+    ``X32`` (``X`` as float32) and ``x_norm`` (``X``'s largest row
+    norm) are derived from ``X`` when not given; callers that query one
+    ``X`` many times pass them precomputed.
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    n = Q.shape[0]
+    sizes = np.fromiter(map(len, candidates), dtype=np.intp, count=n)
+    if not sizes.any():
+        return np.full(n, -1, dtype=np.int64)
+    rows = np.repeat(np.arange(n), sizes)
+    cols = np.concatenate(candidates).astype(np.intp, copy=False)
+    present = np.zeros(X.shape[0], dtype=bool)
+    present[cols] = True
+    union = np.flatnonzero(present)
+    local = (np.cumsum(present) - 1)[cols]
+    fast = metric == "cosine"
+    if fast:
+        if x_norm is None:
+            x_norm = _max_row_norm(X)
+        q_norm = _max_row_norm(Q)
+        fast = q_norm <= _MAX_FLOAT32_NORM and x_norm <= _MAX_FLOAT32_NORM
+    if fast:
+        if X32 is None:
+            X32 = X.astype(np.float32)
+        S = Q.astype(np.float32) @ X32[union].T
+        s = S[rows, local]
+        filled = sizes > 0
+        first = (np.cumsum(sizes) - sizes)[filled]
+        best = np.maximum.reduceat(s, first).astype(np.float64)
+        delta = _band_halfwidth(X.shape[1], q_norm, x_norm, 0.0)
+        floor = np.minimum(best, 1.0 + delta) - 2.0 * delta
+        floor = np.nextafter(floor.astype(np.float32), np.float32(-np.inf))
+        keep = s >= np.repeat(floor, sizes[filled])
+        rows, cols = rows[keep], cols[keep]
+        dist = np.maximum(0.0, 1.0 - _pair_dots(Q, X, rows, cols))
+    else:
+        blocks = iter_distance_blocks(Q, X[union], block_size=n, metric=metric)
+        dist = next(blocks)[2][rows, local]
+    return _nearest_pairs(rows, cols, dist, n)
+
+
+def _nearest_pairs(
+    rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Per-row argmin of ``(row, col, distance)`` triples grouped by row.
+
+    Exact distance ties go to the smallest ``col``; rows without a
+    triple get ``-1``.
+    """
+    out = np.full(n_rows, -1, dtype=np.int64)
+    first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    nearest = np.full(n_rows, np.inf)
+    nearest[rows[first]] = np.minimum.reduceat(dist, first)
+    tied = np.where(dist == nearest[rows], cols, np.iinfo(np.int64).max)
+    out[rows[first]] = np.minimum.reduceat(tied, first)
+    return out
 
 
 def nearest_in_blocks(
@@ -254,7 +363,8 @@ def nearest_in_blocks(
     query rows and returns ``(column, distance)``: each row's nearest
     column and its distance. Exact ties go to the first column. The
     nearest-core assignment of every sampling and block clusterer and
-    of :class:`~repro.persistence.ClusterModel` runs through here.
+    ``ClusterModel.core_distances`` run through here; ``predict``
+    selects among range-query candidates with :func:`nearest_candidates`.
     """
     column = np.empty(n_rows, dtype=np.int64)
     distance = np.empty(n_rows, dtype=np.float64)

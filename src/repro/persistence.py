@@ -35,6 +35,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.distances.matrix import nearest_candidates
 from repro.distances.metric import Metric, get_metric
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError, PersistenceError
@@ -339,6 +340,7 @@ class ClusterModel:
         self.estimator = estimator
         self._core_global = np.flatnonzero(self.core_mask)
         self._core_points: np.ndarray | None = None
+        self._float32_cores: tuple[np.ndarray, float] | None = None
         self._core_index: Any = None
         self._core_index_owned = False
         self._core_distances: np.ndarray | None = None
@@ -388,6 +390,18 @@ class ClusterModel:
             self._core_points = np.ascontiguousarray(self.points[self._core_global])
         return self._core_points
 
+    def _cores32(self) -> tuple[np.ndarray | None, float | None]:
+        # The cosine select's float32 copy of the cores and their
+        # largest norm, set in one assignment so concurrent predicts
+        # never see half of it; Euclidean models select in float64 only.
+        if self.metric.name != "cosine":
+            return None, None
+        if self._float32_cores is None:
+            cores = self._cores()
+            norm = float(np.linalg.norm(cores, axis=1).max())
+            self._float32_cores = (cores.astype(np.float32), norm)
+        return self._float32_cores
+
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
@@ -413,11 +427,12 @@ class ClusterModel:
     def predict(self, X_new: np.ndarray) -> np.ndarray:
         """Labels for new points against the frozen model.
 
-        One batched range query (block size ``execution.query_block``)
-        against the core points per block of queries, then the
-        nearest-core rule described in the class docstring. A 1-d input
-        is treated as a single query; the result is always 1-d with one
-        label per query row, ``-1`` for noise.
+        Per block of queries (block size ``execution.query_block``), one
+        batched range query against the core points finds each query's
+        candidates, and :func:`~repro.distances.matrix.nearest_candidates`
+        picks the nearest of them (the rule in the class docstring). A
+        1-d input is treated as a single query; the result is always 1-d
+        with one label per query row, ``-1`` for noise.
         """
         Q = np.asarray(X_new, dtype=np.float64)
         if Q.ndim == 1:
@@ -429,25 +444,28 @@ class ClusterModel:
             )
         n_queries = Q.shape[0]
         out = np.full(n_queries, -1, dtype=np.int64)
-        if n_queries == 0 or self._core_global.size == 0:
+        if n_queries == 0:
             return out
         Q = self.metric.validate(Q)
+        if self.n_cores == 0:
+            return out
         index = self._ensure_core_index()
         cores = self._cores()
+        cores32, core_norm = self._cores32()
         core_labels = self.labels[self._core_global]
         block = int(self.execution.query_block)
         for lo in range(0, n_queries, block):
-            hi = min(lo + block, n_queries)
-            rows = index.batch_range_query(Q[lo:hi], self.eps)
-            for offset, row in enumerate(rows):
-                if row.size == 0:
-                    continue
-                d = self.metric.distance_to_many(Q[lo + offset], cores[row])
-                # Nearest core wins; exact ties go to the smallest
-                # training index (rows index the cores in ascending
-                # global order, so min over the tied subset is it).
-                chosen = int(row[d == d.min()].min())
-                out[lo + offset] = core_labels[chosen]
+            q = Q[lo : lo + block]
+            nearest = nearest_candidates(
+                q,
+                cores,
+                index.batch_range_query(q, self.eps),
+                self.metric.name,
+                X32=cores32,
+                x_norm=core_norm,
+            )
+            found = nearest >= 0
+            out[lo : lo + q.shape[0]][found] = core_labels[nearest[found]]
         return out
 
     def close(self) -> None:

@@ -15,7 +15,7 @@ from repro.distances import (
     normalize_rows,
     pairwise_cosine_within,
 )
-from repro.distances import matrix
+from repro.distances import get_metric, matrix
 from repro.exceptions import InvalidParameterError
 
 
@@ -227,3 +227,135 @@ class TestCosineRangeMasks:
         Q, X = matrices
         with pytest.raises(InvalidParameterError):
             list(iter_cosine_range_masks(Q, X, 0.5, block_size=0))
+
+
+def _nearest_candidates_loop(Q, X, candidates, metric="cosine"):
+    """The per-row float64 select ``ClusterModel.predict`` ran before the kernel."""
+    distance_to_many = get_metric(metric).distance_to_many
+    out = np.full(len(Q), -1, dtype=np.int64)
+    for i, row in enumerate(candidates):
+        if row.size == 0:
+            continue
+        d = distance_to_many(Q[i], X[row])
+        out[i] = int(row[d == d.min()].min())
+    return out
+
+
+def _random_candidates(rng, n_rows, pool, max_size):
+    """Per-row candidate arrays drawn from ``pool``, some empty or single."""
+    sizes = rng.integers(0, max_size + 1, size=n_rows)
+    sizes[: min(2, n_rows)] = [0, 1][: min(2, n_rows)]
+    return [rng.choice(pool, size=min(s, pool.size), replace=False) for s in sizes]
+
+
+def _planted_near_ties(dim, n_rows, n_fill, seed=0):
+    """Queries whose candidates sit 1-4 float32 ulps around the best.
+
+    Per query ``q``: nine rows at similarity ``c + k ulp32(c)``, k =
+    -4..4, each ``c_k q + sqrt(1 - c_k^2) v`` with a random unit ``v``
+    orthogonal to ``q``, so float32 rounding (about ``sqrt(d) 2**-24``)
+    scrambles their order and only the float64 recheck can rank them;
+    plus ``n_fill`` rows at similarity 0.46-0.55 that dilute the band.
+    Row ``q``'s winner (``k = 4``) is listed in ``winners``.
+    """
+    rng = np.random.default_rng(seed)
+    Q = normalize_rows(rng.normal(size=(n_rows, dim)))
+    blocks, candidates, winners = [], [], []
+    for i, q in enumerate(Q):
+        c = rng.uniform(0.6, 0.9)
+        ulp = float(np.spacing(np.float32(c)))
+        sims = np.concatenate(
+            [c + ulp * np.arange(-4, 5), rng.uniform(0.46, 0.55, size=n_fill)]
+        )
+        V = rng.normal(size=(sims.size, dim))
+        V = normalize_rows(V - np.outer(V @ q, q))
+        rows = sims[:, None] * q + np.sqrt(1.0 - sims * sims)[:, None] * V
+        first = sum(b.shape[0] for b in blocks)
+        blocks.append(rows)
+        candidates.append(rng.permutation(first + np.arange(sims.size)))
+        winners.append(first + 8)
+    return Q, np.vstack(blocks), candidates, np.array(winners)
+
+
+class TestNearestCandidates:
+    @pytest.mark.parametrize("n_rows", [1, 7, 64])
+    @pytest.mark.parametrize("pool_size", [3, 40, 400])
+    def test_matches_per_row_loop(self, n_rows, pool_size, fallbacks):
+        rng = np.random.default_rng(n_rows * 1000 + pool_size)
+        X = normalize_rows(rng.normal(size=(400, 32)))
+        Q = normalize_rows(rng.normal(size=(n_rows, 32)))
+        pool = rng.choice(400, size=pool_size, replace=False)
+        candidates = _random_candidates(rng, n_rows, pool, 60)
+        got = matrix.nearest_candidates(Q, X, candidates)
+        assert np.array_equal(got, _nearest_candidates_loop(Q, X, candidates))
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("dim", [64, 768])
+    def test_planted_near_ties_are_decided_in_float64(self, dim):
+        Q, X, candidates, winners = _planted_near_ties(dim, 48, n_fill=30)
+        got = matrix.nearest_candidates(Q, X, candidates)
+        assert np.array_equal(got, winners)
+        assert np.array_equal(got, _nearest_candidates_loop(Q, X, candidates))
+
+    def test_exact_duplicates_go_to_the_smallest_index(self):
+        Q, X, candidates, winners = _planted_near_ties(128, 16, n_fill=10, seed=3)
+        # Copies of every winner, appended after it: both are candidates.
+        copies = X.shape[0] + np.arange(winners.size)
+        X = np.vstack([X, X[winners]])
+        candidates = [np.r_[copy, row] for copy, row in zip(copies, candidates)]
+        got = matrix.nearest_candidates(Q, X, candidates)
+        assert np.array_equal(got, winners)
+        # ...and when the copy comes first in X, the copy wins.
+        X = np.vstack([X[copies], X[: copies[0]]])
+        moved = [
+            np.where(row >= copies[0], row - copies[0], row + winners.size)
+            for row in candidates
+        ]
+        got = matrix.nearest_candidates(Q, X, moved)
+        assert np.array_equal(got, np.arange(winners.size))
+
+    def test_distance_clamped_at_zero_ties(self):
+        # A query of norm 1 + 9e-5 (accepted as unit) has similarity
+        # above 1 with two rows: both are at distance 0, so the smaller
+        # index wins although its float32 similarity is 5e-5 lower --
+        # far outside 2 delta at d=8.
+        q = np.zeros((1, 8))
+        q[0, 0] = 1.0 + 9e-5
+        tilted = normalize_rows(np.array([[1.0, 1e-2] + [0.0] * 6]))
+        X = np.vstack([tilted, np.eye(8)[:1]])
+        assert 1.0 < (q @ X.T).min()
+        candidates = [np.array([1, 0])]
+        got = matrix.nearest_candidates(q, X, candidates)
+        expected = _nearest_candidates_loop(q, X, candidates)
+        assert got.tolist() == expected.tolist() == [0]
+
+    def test_empty_and_single_candidate_rows(self, matrices):
+        Q, X = matrices
+        candidates = [np.array([], dtype=np.int64)] * len(Q)
+        assert matrix.nearest_candidates(Q, X, candidates).tolist() == [-1] * len(Q)
+        singles = [np.array([i % X.shape[0]]) for i in range(len(Q))]
+        got = matrix.nearest_candidates(Q, X, singles)
+        assert got.tolist() == [i % X.shape[0] for i in range(len(Q))]
+        assert matrix.nearest_candidates(Q[:0], X, []).shape == (0,)
+
+    def test_euclidean_matches_per_row_loop(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(scale=5.0, size=(300, 6))
+        X = np.vstack([X, X[:20]])  # exact duplicates at higher indices
+        Q = rng.normal(scale=5.0, size=(50, 6))
+        candidates = _random_candidates(rng, 50, np.arange(320), 80)
+        candidates[5] = np.array([310, 10, 200])  # 310 duplicates 10
+        got = matrix.nearest_candidates(Q, X, candidates, "euclidean")
+        expected = _nearest_candidates_loop(Q, X, candidates, "euclidean")
+        assert np.array_equal(got, expected)
+        assert got[5] in (10, 200)
+
+    def test_huge_norm_block_falls_back_to_float64(self, matrices, fallbacks):
+        Q, X = matrices
+        Q = Q.copy()
+        Q[2] *= 2.0**61
+        rng = np.random.default_rng(2)
+        candidates = _random_candidates(rng, len(Q), np.arange(X.shape[0]), 10)
+        got = matrix.nearest_candidates(Q, X, candidates)
+        assert np.array_equal(got, _nearest_candidates_loop(Q, X, candidates))
+        assert fallbacks == [len(Q)]

@@ -25,6 +25,7 @@ import pytest
 import repro
 from repro.distances import normalize_rows
 from repro.estimators import ExactCardinalityEstimator
+from repro.exceptions import DataValidationError
 from repro.persistence import ClusterModel
 from repro.testing import make_blobs_on_sphere
 
@@ -93,6 +94,23 @@ class TestPredictReproducesFit:
             assert np.array_equal(loaded.labels, model.labels)
             assert np.array_equal(loaded.core_mask, model.core_mask)
             assert np.array_equal(loaded.core_distances, model.core_distances)
+
+
+def predict_loop(model: ClusterModel, Q: np.ndarray) -> np.ndarray:
+    """The per-row select ``predict`` ran before the blocked kernel.
+
+    Nearest core within ``eps`` by the metric's float64 one-to-many
+    distance, exact ties to the smallest training index.
+    """
+    cores = np.flatnonzero(model.core_mask)
+    out = np.full(len(Q), -1, dtype=np.int64)
+    for i, q in enumerate(Q):
+        d = model.metric.distance_to_many(q, model.points[cores])
+        row = np.flatnonzero(d < model.eps)
+        if row.size:
+            nearest = d[row].min()
+            out[i] = model.labels[cores[row[d[row] == nearest]].min()]
+    return out
 
 
 def is_memory_mapped(arr) -> bool:
@@ -194,7 +212,35 @@ class TestPredictSemantics:
         assert np.all(model.predict(X) == -1)
         assert np.all(np.isinf(model.core_distances))
 
-    def test_sharded_model_predicts_like_unsharded(self, blobs):
+    def test_core_less_model_still_validates_queries(self):
+        X = normalize_rows(np.random.default_rng(0).normal(size=(20, 8)))
+        model = repro.fit_model(X, "dbscan", eps=0.01, tau=5)
+        assert model.n_cores == 0
+        with pytest.raises(DataValidationError):
+            model.predict(np.full((2, 8), np.nan))
+        with pytest.raises(DataValidationError):
+            model.predict(2.0 * X[:3])
+        assert model.predict(np.empty((0, 8))).shape == (0,)
+
+    def test_euclidean_model_predicts_nearest_core(self):
+        rng = np.random.default_rng(3)
+        centers = rng.uniform(-10, 10, size=(3, 6))
+        X = np.vstack([c + 0.4 * rng.normal(size=(40, 6)) for c in centers])
+        model = repro.fit_model(X, "dbscan", eps=1.5, tau=4, metric="euclidean")
+        queries = np.vstack([X[:30] + 0.3 * rng.normal(size=(30, 6)), 20 * X[:5]])
+        with model:
+            assert model.n_cores > 0
+            expected = predict_loop(model, queries)
+            assert (expected != -1).any() and (expected == -1).any()
+            assert np.array_equal(model.predict(queries), expected)
+            assert model.predict(queries[7]).tolist() == [expected[7]]
+
+    @pytest.mark.parametrize(
+        "sharding",
+        [{"n_shards": 3}, {"n_shards": 4, "executor": "thread"}],
+        ids=["serial-3", "thread-4"],
+    )
+    def test_sharded_model_predicts_like_unsharded(self, blobs, sharding):
         from repro import ExecutionConfig, ShardingConfig
 
         sharded = repro.fit_model(
@@ -202,7 +248,7 @@ class TestPredictSemantics:
             "dbscan",
             eps=EPS,
             tau=TAU,
-            execution=ExecutionConfig(sharding=ShardingConfig(n_shards=3)),
+            execution=ExecutionConfig(sharding=ShardingConfig(**sharding)),
         )
         plain = repro.fit_model(blobs, "dbscan", eps=EPS, tau=TAU)
         queries = normalize_rows(
