@@ -11,6 +11,12 @@ brute-force shards: the warm fit still skips the dataset upload and every shard 
 is small next to the noise of one fit, so the cold and the warm time are
 each the median over ``POOLS`` fresh pools.
 
+The second tracked metric is ``remote_over_local_speedup``: the median
+in-process fit of the same data (no sharding, no workers) over the
+median warm remote fit. It says what the fan-out costs against the plain
+alternative on the same machine; below 1 the pool is slower than one
+process. It is a same-machine ratio, not a claim that the pool wins.
+
 A correctness spot-check runs before timing: remote labels must be
 bit-identical to the serial sharded path, and the warm fit must report
 ``shard_inner_builds == 0``.
@@ -67,7 +73,13 @@ def test_remote_warm_fit():
     baseline = DBSCAN(eps=EPS, tau=TAU, execution=execution("serial")).fit(X)
     cold_s: list[float] = []
     warm_s: list[float] = []
+    local_s: list[float] = []
     for _ in range(POOLS):
+        start = time.perf_counter()
+        local = DBSCAN(eps=EPS, tau=TAU).fit(X)
+        local_s.append(time.perf_counter() - start)
+        assert np.array_equal(baseline.labels, local.labels)
+
         with WorkerPool.spawn_local(N_WORKERS) as pool:
             remote = execution(pool.executor_spec())
 
@@ -85,6 +97,7 @@ def test_remote_warm_fit():
         assert warm.stats["shard_inner_builds"] == 0
     t_cold = float(np.median(cold_s))
     t_warm = float(np.median(warm_s))
+    t_local = float(np.median(local_s))
 
     row = {
         "index": "brute_force",
@@ -98,13 +111,16 @@ def test_remote_warm_fit():
         "cold_fit_s": t_cold,
         "warm_fit_s": t_warm,
         "warm_fit_speedup": t_cold / t_warm,
+        "local_fit_s": t_local,
+        "remote_over_local_speedup": t_local / t_warm,
         "usable_cpus": usable_cpus(),
     }
     print()
     print(
         f"remote pool ({N_WORKERS} workers, {N_SHARDS} shards, median of "
         f"{POOLS} pools): cold {t_cold:.3f}s, warm {t_warm:.3f}s -> "
-        f"{row['warm_fit_speedup']:.2f}x"
+        f"{row['warm_fit_speedup']:.2f}x; local {t_local:.3f}s -> "
+        f"remote/local {row['remote_over_local_speedup']:.2f}x"
     )
     write_benchmark_rows(out_path(f"remote_pool_n{N}.json"), [row])
 

@@ -21,8 +21,9 @@ Methodology notes:
   ratios when the fresh run has fewer usable CPUs than the committed
   baseline was measured with (parallel speedups are runner-class
   comparable, not machine-proof).
-* BLAS pools are pinned to one thread (best-effort, via threadpoolctl)
-  for the duration: the benchmark isolates *executor* parallelism, and
+* BLAS pools are pinned to one thread (every loaded OpenBLAS, through
+  its exported thread-count symbol, as the pool workers do) for the
+  duration: the benchmark isolates *executor* parallelism, and
   otherwise a multi-threaded serial GEMM masks it.
 * The >= 1.8x acceptance assertion fires only where >= 4 CPUs are
   actually usable; on smaller machines (including 1-core CI shards and
@@ -41,6 +42,7 @@ from conftest import out_path
 
 from repro.distances import normalize_rows
 from repro.index import BruteForceIndex, ShardedIndex
+from repro.remote.worker import _blas_thread_controls
 from repro.testing import make_blobs_on_sphere, write_benchmark_rows
 
 N = int(os.environ.get("REPRO_SHARD_BENCH_N", "16384"))
@@ -66,14 +68,23 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
 def single_thread_blas():
-    """Pin BLAS pools to one thread while measuring (best-effort)."""
-    try:
-        import threadpoolctl
+    """Pin every loaded OpenBLAS to one thread while measuring.
 
-        return threadpoolctl.threadpool_limits(limits=1)
-    except Exception:
-        return contextlib.nullcontext()
+    The same ctypes controls the pool workers pin themselves with; the
+    previous counts come back on exit. Without such a control the
+    benchmark runs at the library's own thread count.
+    """
+    controls = _blas_thread_controls()
+    previous = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), count in zip(controls, previous):
+            setter(count)
 
 
 def _dataset(n: int, dim: int = DIM, seed: int = 0) -> np.ndarray:

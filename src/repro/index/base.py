@@ -89,6 +89,18 @@ class NeighborIndex(abc.ABC):
     def batch_range_count(self, Q: np.ndarray, eps: float) -> np.ndarray:
         """Neighbor counts for every row of ``Q`` at threshold ``eps``."""
 
+    # Row-id forms: a fit only ever queries its own indexed points, so
+    # the engine names them by row. An index whose points already sit
+    # elsewhere (a remote worker fleet) ships the ids, not the vectors.
+
+    def batch_range_query_rows(self, ids: np.ndarray, eps: float) -> list[np.ndarray]:
+        """:meth:`batch_range_query` of the indexed points ``points[ids]``."""
+        return self.batch_range_query(self.points[ids], eps)
+
+    def batch_range_count_rows(self, ids: np.ndarray, eps: float) -> np.ndarray:
+        """:meth:`batch_range_count` of the indexed points ``points[ids]``."""
+        return self.batch_range_count(self.points[ids], eps)
+
     def _require_built(self) -> None:
         if self._points is None:
             raise NotFittedError(f"{type(self).__name__} has not been built yet")

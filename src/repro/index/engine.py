@@ -5,7 +5,8 @@ discover, in data-dependent order, which points need their
 eps-neighborhood. Executing those queries one ``index.range_query`` call
 at a time leaves the dominant cost path as a Python loop of
 matrix-vector products. :class:`NeighborhoodCache` turns the same
-workload into blockwise ``batch_range_query`` calls without changing
+workload into blockwise ``batch_range_query_rows`` calls (the index's
+batched query of its own rows, by row id) without changing
 *which* queries run or *when* their results become visible to the
 algorithm:
 
@@ -105,7 +106,8 @@ class NeighborhoodCache:
         path), so no whole-dataset index is ever constructed just to be
         discarded.
     X:
-        The indexed point matrix; ``fetch`` takes row indices into it.
+        The indexed point matrix; ``fetch`` takes row indices into it,
+        and the index is queried with those row ids.
     eps:
         Cosine-distance threshold of every cached query.
     block_size:
@@ -142,14 +144,14 @@ class NeighborhoodCache:
             raise InvalidParameterError(
                 f"block_size must be positive; got {block_size}"
             )
-        self._X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64)
         # When the cache built (or shard-wrapped) the index itself, the
         # result — and its thread pool or worker connections — belongs
         # to this cache: close() releases it deterministically.
-        self._index, self._owns_index = resolve_engine_index(index, self._X, sharding)
+        self._index, self._owns_index = resolve_engine_index(index, X, sharding)
         self.eps = float(eps)
         self.block_size = int(block_size)
-        n = self._X.shape[0]
+        n = X.shape[0]
         self._cached = np.zeros(n, dtype=bool)
         # Points computed at least once; released points stay marked so
         # the plan never re-batches something already served.
@@ -204,7 +206,7 @@ class NeighborhoodCache:
     def count(self, indices) -> np.ndarray:
         """Batched range counts of dataset rows (uncached).
 
-        Routes through the index's ``batch_range_count`` kernel — which
+        Routes through the index's ``batch_range_count_rows`` kernel — which
         never materializes neighbor lists on backends that can count
         directly — and therefore bypasses the neighborhood cache: hosts
         use it for count-only phases (DBSCAN++'s core test), where
@@ -213,7 +215,7 @@ class NeighborhoodCache:
         """
         ids = np.asarray(indices, dtype=np.int64)
         return np.asarray(
-            self._index.batch_range_count(self._X[ids], self.eps), dtype=np.int64
+            self._index.batch_range_count_rows(ids, self.eps), dtype=np.int64
         )
 
     def _fill_block(self, point: int) -> None:
@@ -227,7 +229,7 @@ class NeighborhoodCache:
                 batch.append(candidate)
                 in_batch.add(candidate)
         ids = np.asarray(batch, dtype=np.int64)
-        results = self._index.batch_range_query(self._X[ids], self.eps)
+        results = self._index.batch_range_query_rows(ids, self.eps)
         for idx, neighbors in zip(batch, results):
             self._neighborhoods[idx] = neighbors
             self._cached[idx] = True

@@ -32,6 +32,13 @@ shard-before-build seam: under a sharding config it builds the per-shard
 indexes directly over the dataset, so no whole-dataset index is ever
 built just to be thrown away.
 
+A fit queries rows of its own dataset, by id
+(:meth:`ShardedIndex.batch_range_query_rows` /
+:meth:`~ShardedIndex.batch_range_count_rows`): the ids go to the
+executor, the serial and thread executors slice the parent's ``X``, and
+the remote one sends the ids for each worker to slice the copy it
+holds. New vectors (predict, serving) travel as the query matrix.
+
 Per-shard range results arrive as CSR pairs in *shard-local* row
 numbering; :func:`concat_shard_rows` re-indexes them into global row ids
 and reassembles per-query rows that are sorted and bit-identical to the
@@ -370,15 +377,35 @@ _SHARD_OPS = {"range": _op_range, "count": _op_count}
 # ----------------------------------------------------------------------
 
 
+def _local_calls(points: np.ndarray, calls: list, rows: bool) -> list:
+    """Shard calls with row-id queries sliced from the parent's dataset.
+
+    Every call of one round shares its query block, so a block is
+    sliced once, not once per shard.
+    """
+    if not rows:
+        return calls
+    resolved, last_ids, Q = [], None, None
+    for shard_id, (ids, arg) in calls:
+        if ids is not last_ids:
+            last_ids, Q = ids, points[ids]
+        resolved.append((shard_id, (Q, arg)))
+    return resolved
+
+
 class _SerialExecutor:
     """Runs shard calls one after another in the calling process."""
 
-    def __init__(self, indexes: dict[int, object]) -> None:
+    def __init__(self, indexes: dict[int, object], points: np.ndarray) -> None:
         self._indexes = indexes
+        self._points = points
 
-    def run(self, op: str, calls: list[tuple[int, tuple]]) -> list:
+    def run(self, op: str, calls: list[tuple[int, tuple]], rows: bool = False) -> list:
         fn = _SHARD_OPS[op]
-        return [fn(self._indexes[shard_id], *args) for shard_id, args in calls]
+        return [
+            fn(self._indexes[shard_id], *args)
+            for shard_id, args in _local_calls(self._points, calls, rows)
+        ]
 
     def close(self) -> None:
         pass
@@ -387,15 +414,18 @@ class _SerialExecutor:
 class _ThreadExecutor:
     """Runs shard calls on a thread pool (BLAS releases the GIL)."""
 
-    def __init__(self, indexes: dict[int, object], n_workers: int) -> None:
+    def __init__(
+        self, indexes: dict[int, object], points: np.ndarray, n_workers: int
+    ) -> None:
         self._indexes = indexes
+        self._points = points
         self._pool = ThreadPoolExecutor(max_workers=n_workers)
 
-    def run(self, op: str, calls: list[tuple[int, tuple]]) -> list:
+    def run(self, op: str, calls: list[tuple[int, tuple]], rows: bool = False) -> list:
         fn = _SHARD_OPS[op]
         futures = [
             self._pool.submit(fn, self._indexes[shard_id], *args)
-            for shard_id, args in calls
+            for shard_id, args in _local_calls(self._points, calls, rows)
         ]
         return [future.result() for future in futures]
 
@@ -523,9 +553,9 @@ class ShardedIndex(NeighborIndex):
             )
         elif name == "thread" and self._live:
             n_workers = self.n_workers or min(len(self._live), os.cpu_count() or 1)
-            self._executor_obj = _ThreadExecutor(indexes, n_workers)
+            self._executor_obj = _ThreadExecutor(indexes, self._points, n_workers)
         else:
-            self._executor_obj = _SerialExecutor(indexes)
+            self._executor_obj = _SerialExecutor(indexes, self._points)
 
     def close(self) -> None:
         """Release executor resources (pools, connections). Idempotent.
@@ -595,37 +625,47 @@ class ShardedIndex(NeighborIndex):
     # ------------------------------------------------------------------
 
     def batch_range_query(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
+        return self._range_blocks(self._as_query_matrix(Q), eps, rows=False)
+
+    def batch_range_count(self, Q: np.ndarray, eps: float) -> np.ndarray:
+        return self._count_blocks(self._as_query_matrix(Q), eps, rows=False)
+
+    def batch_range_query_rows(self, ids: np.ndarray, eps: float) -> list[np.ndarray]:
+        """Row-id queries go to the executor as ids: a remote worker slices
+        the dataset it already holds instead of receiving the vectors."""
+        return self._range_blocks(np.asarray(ids, dtype=np.int64), eps, rows=True)
+
+    def batch_range_count_rows(self, ids: np.ndarray, eps: float) -> np.ndarray:
+        return self._count_blocks(np.asarray(ids, dtype=np.int64), eps, rows=True)
+
+    def _range_blocks(self, queries: np.ndarray, eps: float, *, rows: bool):
+        """Fan ``queries`` (vectors, or row ids when ``rows``) out per block."""
         executor = self._require_executor()
-        Q = self._as_query_matrix(Q)
-        n_queries = Q.shape[0]
         out: list[np.ndarray] = []
         starts = [lo for _, lo, _ in self._live]
-        for block_lo in range(0, n_queries, self.query_block):
-            Qb = Q[block_lo : block_lo + self.query_block]
+        for block_lo in range(0, len(queries), self.query_block):
+            block = queries[block_lo : block_lo + self.query_block]
             if not self._live:
-                out.extend(np.empty(0, dtype=np.int64) for _ in range(Qb.shape[0]))
+                out.extend(np.empty(0, dtype=np.int64) for _ in range(len(block)))
                 continue
-            calls = [(shard_id, (Qb, eps)) for shard_id, _, _ in self._live]
-            results = executor.run("range", calls)
+            calls = [(shard_id, (block, eps)) for shard_id, _, _ in self._live]
+            results = executor.run("range", calls, rows)
             per_shard = [csr_to_rows(indptr, flat) for indptr, flat in results]
             # Brute force returns sorted rows over disjoint ascending
             # shards: concatenation is the merged answer.
-            out.extend(concat_shard_rows(per_shard, starts, Qb.shape[0]))
+            out.extend(concat_shard_rows(per_shard, starts, len(block)))
         return out
 
-    def batch_range_count(self, Q: np.ndarray, eps: float) -> np.ndarray:
+    def _count_blocks(self, queries: np.ndarray, eps: float, *, rows: bool):
         executor = self._require_executor()
-        Q = self._as_query_matrix(Q)
-        n_queries = Q.shape[0]
-        counts = np.zeros(n_queries, dtype=np.int64)
-        for block_lo in range(0, n_queries, self.query_block):
-            block_hi = min(block_lo + self.query_block, n_queries)
-            Qb = Q[block_lo:block_hi]
-            if not self._live:
-                continue
-            calls = [(shard_id, (Qb, eps)) for shard_id, _, _ in self._live]
-            for shard_counts in executor.run("count", calls):
-                counts[block_lo:block_hi] += shard_counts
+        counts = np.zeros(len(queries), dtype=np.int64)
+        if not self._live:
+            return counts
+        for block_lo in range(0, len(queries), self.query_block):
+            block = queries[block_lo : block_lo + self.query_block]
+            calls = [(shard_id, (block, eps)) for shard_id, _, _ in self._live]
+            for shard_counts in executor.run("count", calls, rows):
+                counts[block_lo : block_lo + len(block)] += shard_counts
         return counts
 
     # ------------------------------------------------------------------

@@ -7,7 +7,8 @@ of :mod:`repro.remote.worker` processes. It is what the ``remote``
 :class:`~repro.index.sharded.ShardedIndex` — the sharded index itself
 is unchanged: query blocks fan out with the stable ``shard → worker``
 affinity, per-shard CSR arrays come back and feed the existing merge
-kernels.
+kernels. A fit's blocks travel as int64 row ids of the dataset each
+worker already holds; predict and serving send their new vectors.
 
 Robustness contract:
 
@@ -241,14 +242,22 @@ class RemoteExecutor:
         with self._lock:
             self._dataset_on.add(slot_id)
 
-    def _call_shard(self, slot_id: int, op: str, shard_id: int, args: tuple):
-        """One shard call with per-timeout retry on a fresh connection."""
+    def _call_shard(
+        self, slot_id: int, op: str, shard_id: int, args: tuple, rows: bool
+    ):
+        """One shard call with per-timeout retry on a fresh connection.
+
+        With ``rows`` the query is int64 row ids of the pushed dataset,
+        sent as ``rows`` for the worker to slice; otherwise it is a
+        float64 matrix of vectors, sent as ``Q``.
+        """
         client = self._clients[slot_id]
         if client is None:
             raise WorkerUnavailableError(
                 f"slot {slot_id} is already retired"
             )
-        Q, arg = args
+        query, arg = args
+        request = {"rows" if rows else "Q": query}
         header = {
             "op": "query",
             "qop": op,
@@ -259,7 +268,7 @@ class RemoteExecutor:
         for _ in range(self._retries + 1):
             try:
                 self._ensure_dataset(slot_id, client)
-                reply, arrays = client.call(header, {"Q": Q})
+                reply, arrays = client.call(header, request)
                 break
             except RemoteTimeoutError as exc:
                 last = exc
@@ -306,7 +315,7 @@ class RemoteExecutor:
             self._assignment[shard_id] = survivors[rank % len(survivors)]
         self.n_rebalances += 1
 
-    def run(self, op: str, calls: list[tuple[int, tuple]]) -> list:
+    def run(self, op: str, calls: list[tuple[int, tuple]], rows: bool = False) -> list:
         results: list = [None] * len(calls)
         pending = list(enumerate(calls))
         # Each retry round retires at least one worker; beyond that the
@@ -323,7 +332,8 @@ class RemoteExecutor:
                 # different workers run concurrently.
                 out = []
                 for pos, shard_id, args in batch:
-                    out.append((pos, self._call_shard(slot_id, op, shard_id, args)))
+                    result = self._call_shard(slot_id, op, shard_id, args, rows)
+                    out.append((pos, result))
                 return out
 
             broken: set[int] = set()

@@ -12,18 +12,24 @@ fingerprint.
 Requests (see :mod:`repro.remote.protocol` for the framing):
 
 ``ping``
-    Liveness + identity: ``{"ok", "pid"}``.
+    Liveness + identity: ``{"ok", "pid", "blas_threads"}``.
+    ``blas_threads`` is the OpenBLAS thread count read back after the
+    worker pinned it to 1 (:func:`_pin_blas_single_thread`), or ``null``
+    when the process has no OpenBLAS thread control.
 ``ensure_dataset``
     ``{"fingerprint"}`` → ``{"have": bool}`` — lets the client skip the
     bulk upload when the worker already holds the matrix.
 ``put_dataset``
     ``{"fingerprint"}`` + array ``X`` → stores it content-addressed.
 ``query``
-    ``{"qop": range|count, "arg": eps, "shard": spec}`` + array ``Q``
-    (``spec`` as in :func:`_shard_key`) → builds or cache-hits the
-    shard index (after a rebalance the new owner sees the shard for the
-    first time mid-fit), runs the shard op and returns the range CSR
-    arrays or the counts, plus ``{"built": bool}``.
+    ``{"qop": range|count, "arg": eps, "shard": spec}`` plus exactly one
+    query array (``spec`` as in :func:`_shard_key`): ``rows``, 1-d
+    integer ids of rows of the shard's held dataset (a fit queries its
+    own points), or ``Q``, a float64 matrix of new vectors (predict and
+    serving). Builds or cache-hits the shard index (after a rebalance
+    the new owner sees the shard for the first time mid-fit), runs the
+    shard op and returns the range CSR arrays or the counts, plus
+    ``{"built": bool}``.
 ``shutdown``
     Acknowledges, then stops the whole worker process.
 
@@ -35,6 +41,7 @@ take down a warm shard holder.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import threading
@@ -138,6 +145,17 @@ class ShardHolder:
         with self._lock:
             self._datasets.setdefault(fingerprint, X)
 
+    def dataset(self, fingerprint: str) -> np.ndarray:
+        """The held dataset ``fingerprint``; a protocol error when absent."""
+        with self._lock:
+            X = self._datasets.get(fingerprint)
+        if X is None:
+            raise RemoteProtocolError(
+                f"worker holds no dataset {fingerprint[:12]}…; the "
+                "client must put_dataset before attaching shards to it"
+            )
+        return X
+
     def attach(self, shard: dict, *, pin: bool = False) -> tuple[object, bool]:
         """The shard's index, building it on first sight.
 
@@ -157,14 +175,7 @@ class ShardHolder:
                 return index, False
         # Build outside the lock: shard builds are the expensive part
         # and two different shards must not serialize on each other.
-        fingerprint = str(shard["dataset"])
-        with self._lock:
-            X = self._datasets.get(fingerprint)
-        if X is None:
-            raise RemoteProtocolError(
-                f"worker holds no dataset {fingerprint[:12]}…; the "
-                "client must put_dataset before attaching shards to it"
-            )
+        X = self.dataset(str(shard["dataset"]))
         lo, hi = int(shard["lo"]), int(shard["hi"])
         index = BruteForceIndex(metric=str(shard["metric"])).build(
             np.ascontiguousarray(X[lo:hi])
@@ -240,11 +251,46 @@ class ShardHolder:
             }
 
 
-def _handle_request(holder: ShardHolder, header: dict, arrays: dict):
+def _query_rows(rows: np.ndarray, n_points: int) -> np.ndarray:
+    """Validated row ids of a ``query``: 1-d integers in ``[0, n_points)``."""
+    if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+        raise RemoteProtocolError(
+            "query rows must be a 1-d integer array; got "
+            f"{rows.ndim}-d {rows.dtype}"
+        )
+    if rows.size and (rows.min() < 0 or rows.max() >= n_points):
+        raise RemoteProtocolError(
+            f"query rows must lie in [0, {n_points}); got "
+            f"[{rows.min()}, {rows.max()}]"
+        )
+    return rows
+
+
+def _query_matrix(holder: ShardHolder, shard: dict, arrays: dict) -> np.ndarray:
+    """The query vectors of a ``query``: held rows by id, or ``Q`` as sent."""
+    if ("rows" in arrays) == ("Q" in arrays):
+        raise RemoteProtocolError(
+            "a query carries exactly one of the arrays 'rows' and 'Q'; "
+            f"got {sorted(arrays)}"
+        )
+    if "Q" in arrays:
+        return np.asarray(arrays["Q"], dtype=np.float64)
+    X = holder.dataset(str(shard["dataset"]))
+    return X[_query_rows(arrays["rows"], X.shape[0])]
+
+
+def _handle_request(
+    holder: ShardHolder,
+    header: dict,
+    arrays: dict,
+    *,
+    blas_threads: int | None = None,
+):
     """One request → ``(reply_header, reply_arrays, keep_serving)``."""
     op = header.get("op")
     if op == "ping":
-        return {"ok": True, "pid": os.getpid()}, {}, True
+        reply = {"ok": True, "pid": os.getpid(), "blas_threads": blas_threads}
+        return reply, {}, True
     if op == "ensure_dataset":
         return {"have": holder.has_dataset(str(header["fingerprint"]))}, {}, True
     if op == "put_dataset":
@@ -256,11 +302,12 @@ def _handle_request(holder: ShardHolder, header: dict, arrays: dict):
         fn = _sharded._SHARD_OPS.get(qop)
         if fn is None:
             raise RemoteProtocolError(f"unknown shard query op {qop!r}")
-        Q = np.asarray(arrays["Q"], dtype=np.float64)
+        shard = header["shard"]
+        Q = _query_matrix(holder, shard, arrays)
         eps = float(header["arg"])
         # Pinned attach: an LRU-bounded holder must not evict the index
         # out from under the query another connection is running.
-        with holder.acquire(header["shard"]) as (index, built):
+        with holder.acquire(shard) as (index, built):
             result = fn(index, Q, eps)
         if qop == "count":
             out = {"counts": result}
@@ -272,21 +319,68 @@ def _handle_request(holder: ShardHolder, header: dict, arrays: dict):
     raise RemoteProtocolError(f"unknown pool request op {op!r}")
 
 
-def _pin_blas_single_thread():
-    """Limit BLAS pools in this process to one thread; returns the limiter.
+#: ``(set, get)`` thread-count symbol pairs an OpenBLAS build may
+#: export: plain, and as renamed by the scipy-openblas wheels numpy and
+#: scipy bundle (``64_`` marks the ILP64 build).
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (
+        f"{prefix}openblas_set_num_threads{suffix}",
+        f"{prefix}openblas_get_num_threads{suffix}",
+    )
+    for prefix in ("", "scipy_")
+    for suffix in ("", "64_")
+)
+
+
+def _loaded_openblas_paths() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process.
+
+    Read from ``/proc/self/maps``; empty where that does not exist.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            lines = maps.read().splitlines()
+    except OSError:
+        return []
+    fields = (line.split(maxsplit=5) for line in lines)
+    paths = {parts[5] for parts in fields if len(parts) == 6}
+    return sorted(p for p in paths if "openblas" in os.path.basename(p).lower())
+
+
+def _blas_thread_controls() -> list[tuple[object, object]]:
+    """``(set_num_threads, get_num_threads)`` of every loaded OpenBLAS."""
+    controls = []
+    for path in _loaded_openblas_paths():
+        lib = ctypes.CDLL(path)
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+def _pin_blas_single_thread() -> int | None:
+    """Limit every loaded OpenBLAS to one thread; the count read back.
 
     One BLAS thread per worker: the pool's parallelism budget is spent
     on workers, and oversubscription (workers x BLAS threads) is the
-    classic way a worker pool ends up slower than serial. Returns
-    ``None`` when threadpoolctl is unavailable — the worker still runs,
-    just at risk of oversubscription.
+    classic way a worker pool ends up slower than serial. Each OpenBLAS
+    the process has loaded (numpy's and scipy's are separate libraries)
+    is set through its exported ``*_set_num_threads*`` symbol via
+    :mod:`ctypes`, then read back through the matching getter. Returns
+    the largest count read back (1 once pinned), or ``None`` without a
+    warning when no OpenBLAS thread control is found — the worker
+    still runs, just at risk of oversubscription. A control that fails
+    is a ``RuntimeWarning`` and ``None``.
     """
     try:
-        import threadpoolctl
-    except ImportError:
-        return None
-    try:
-        return threadpoolctl.threadpool_limits(limits=1)
+        controls = _blas_thread_controls()
+        for setter, _ in controls:
+            setter(1)
+        counts = [getter() for _, getter in controls]
     except Exception as exc:
         warnings.warn(
             f"could not pin BLAS threads to 1: {exc}",
@@ -294,6 +388,7 @@ def _pin_blas_single_thread():
             stacklevel=2,
         )
         return None
+    return max(counts, default=None)
 
 
 def serve(
@@ -309,9 +404,10 @@ def serve(
     called once listening (the CLI prints it, spawn helpers report it to
     the parent). Blocks until a ``shutdown`` request arrives.
     """
-    _pin_blas_single_thread()
+    blas_threads = _pin_blas_single_thread()
     holder = holder or ShardHolder()
-    server = FrameServer(functools.partial(_handle_request, holder), host, port)
+    handler = functools.partial(_handle_request, holder, blas_threads=blas_threads)
+    server = FrameServer(handler, host, port)
     try:
         if on_bound is not None:
             on_bound(*server.address)

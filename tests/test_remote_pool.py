@@ -37,6 +37,7 @@ import numpy as np
 import pytest
 
 import repro.index.sharded as sharded_mod
+import repro.remote.pool as pool_mod
 from repro.clustering import DBSCAN, BlockDBSCAN, DBSCANPlusPlus, RhoApproxDBSCAN
 from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
 from repro.engine_config import ExecutionConfig
@@ -48,8 +49,10 @@ from repro.exceptions import (
     WorkerUnavailableError,
 )
 from repro.index.sharded import ExecutorSpec, ShardedIndex, ShardingConfig
-from repro.remote.pool import WorkerPool
+from repro.remote import worker as _worker
+from repro.remote.pool import WorkerPool, _WorkerClient
 from repro.remote.protocol import recv_msg, send_msg
+from repro.remote.worker import dataset_fingerprint
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.55
@@ -106,6 +109,19 @@ def serial_execution(n_shards=3) -> ExecutionConfig:
     )
 
 
+def whole_dataset_shard(X: np.ndarray) -> tuple[str, dict]:
+    """The fingerprint of ``X`` and a query spec of one shard over all of it."""
+    fingerprint = dataset_fingerprint(X)
+    shard = {
+        "dataset": fingerprint,
+        "metric": "cosine",
+        "shard_id": 0,
+        "lo": 0,
+        "hi": len(X),
+    }
+    return fingerprint, shard
+
+
 class TestProtocol:
     def test_header_and_arrays_round_trip(self):
         a, b = socket.socketpair()
@@ -160,6 +176,47 @@ class TestProtocol:
             }
             send_msg(sock, {"op": "ping"})
             assert recv_msg(sock)[0]["ok"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros((2, 2), dtype=np.int64),
+            np.array([0.0, 1.0]),
+            np.array([True, False]),
+            np.array([0, -1], dtype=np.int64),
+            np.array([0, 10**6], dtype=np.int64),
+        ],
+        ids=["2d", "float", "bool", "negative", "past_the_end"],
+    )
+    def test_worker_rejects_bad_query_rows(self, pool, data, rows):
+        # Row ids index the worker's held dataset; a bad array is the
+        # typed, non-retryable protocol error, not an IndexError.
+        fingerprint, shard = whole_dataset_shard(data)
+        host, _, port = pool.addresses[0].rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+            put = {"op": "put_dataset", "fingerprint": fingerprint}
+            send_msg(sock, put, {"X": data})
+            assert recv_msg(sock)[0]["ok"]
+            header = {"op": "query", "qop": "range", "arg": EPS, "shard": shard}
+            send_msg(sock, header, {"rows": rows})
+            reply, _ = recv_msg(sock)
+            assert reply["error"]["type"] == "RemoteProtocolError"
+            assert "query rows" in reply["error"]["message"]
+            send_msg(sock, header, {"rows": np.arange(3, dtype=np.int64)})
+            reply, arrays = recv_msg(sock)
+            assert "error" not in reply
+            assert len(arrays["indptr"]) == 4
+
+    def test_bad_query_rows_surface_without_retry(self, pool, data):
+        client = _WorkerClient(pool.addresses[0], 10.0, 10.0)
+        fingerprint, shard = whole_dataset_shard(data)
+        try:
+            client.call({"op": "put_dataset", "fingerprint": fingerprint}, {"X": data})
+            header = {"op": "query", "qop": "count", "arg": EPS, "shard": shard}
+            with pytest.raises(RemoteExecutorError, match="RemoteProtocolError"):
+                client.call(header, {"rows": np.array([-1], dtype=np.int64)})
+        finally:
+            client.close()
 
     def test_bad_magic_is_a_protocol_error(self):
         a, b = socket.socketpair()
@@ -270,11 +327,63 @@ class TestWarmReuse:
         assert other_eps.stats["shard_inner_builds"] == 0
 
 
+class TestWireBytes:
+    """Fits name their queries by row id; predict ships the new vectors."""
+
+    @pytest.fixture
+    def sent_arrays(self, monkeypatch):
+        sent: list[dict] = []
+        original = pool_mod.send_msg
+
+        def spy(sock, header, arrays=None):
+            sent.append(dict(arrays or {}))
+            return original(sock, header, arrays)
+
+        monkeypatch.setattr(pool_mod, "send_msg", spy)
+        return sent
+
+    def test_warm_fit_sends_row_ids_not_vectors(self, pool, sent_arrays):
+        X, _ = make_blobs_on_sphere(50, 4, 256, spread=0.03, seed=3)
+        n_shards = 3
+        execution = remote_execution(pool, n_shards=n_shards)
+        cold = DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(X)
+        sent_arrays.clear()
+        warm = DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(X)
+        assert np.array_equal(cold.labels, warm.labels)
+        assert warm.stats["shard_inner_builds"] == 0
+        assert all(set(arrays) <= {"rows"} for arrays in sent_arrays)
+        payload = sum(a.nbytes for arrays in sent_arrays for a in arrays.values())
+        assert 0 < payload < 0.01 * n_shards * X.size * 8
+
+    def test_remote_predict_still_sends_vectors(self, pool, data, sent_arrays):
+        fitter = DBSCAN(eps=EPS, tau=TAU, execution=remote_execution(pool))
+        expected = DBSCAN(eps=EPS, tau=TAU).fit_model(data).predict(data[:7])
+        with fitter.fit_model(data) as model:
+            sent_arrays.clear()
+            labels = model.predict(data[:7])
+        queries = [arrays["Q"] for arrays in sent_arrays if "Q" in arrays]
+        assert queries and all(np.array_equal(Q, data[:7]) for Q in queries)
+        assert not any("rows" in arrays for arrays in sent_arrays)
+        assert np.array_equal(labels, expected)
+
+
 class TestPoolLifecycle:
     def test_ping_reports_one_pid_per_worker(self, pool):
         pids = pool.ping()
         assert len(pids) == 2
         assert pids == pool.worker_pids
+
+    def test_every_worker_runs_one_blas_thread(self, pool):
+        if not _worker._blas_thread_controls():
+            pytest.skip("no OpenBLAS thread control in this process")
+        replies = []
+        for address in pool.addresses:
+            client = _WorkerClient(address, 10.0, 10.0)
+            try:
+                replies.append(client.call({"op": "ping"})[0])
+            finally:
+                client.close()
+        assert [reply["blas_threads"] for reply in replies] == [1, 1]
 
     def test_executor_spec_carries_the_addresses(self, pool):
         spec = pool.executor_spec(retries=1)

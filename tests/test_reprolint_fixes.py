@@ -7,8 +7,7 @@ replaced two silently-swallowed exception handlers (RPL007).
 
 from __future__ import annotations
 
-import sys
-import types
+import warnings
 
 import numpy as np
 import pytest
@@ -71,24 +70,29 @@ class TestPickleFreePersistence:
 
 
 class TestBlasPinningFallback:
-    def test_missing_threadpoolctl_returns_none(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        assert _worker._pin_blas_single_thread() is None
+    @pytest.fixture
+    def restore_blas_threads(self):
+        """Put the test process's OpenBLAS thread counts back afterwards."""
+        controls = _worker._blas_thread_controls()
+        previous = [getter() for _, getter in controls]
+        yield controls
+        for (setter, _), count in zip(controls, previous):
+            setter(count)
 
-    def test_broken_threadpoolctl_warns_instead_of_swallowing(self, monkeypatch):
-        fake = types.ModuleType("threadpoolctl")
+    def test_no_openblas_returns_none_silently(self, monkeypatch):
+        monkeypatch.setattr(_worker, "_loaded_openblas_paths", lambda: [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _worker._pin_blas_single_thread() is None
 
-        def _boom(limits):
-            raise RuntimeError("no BLAS found")
-
-        fake.threadpool_limits = _boom
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    def test_broken_openblas_warns_instead_of_swallowing(self, monkeypatch, tmp_path):
+        missing = str(tmp_path / "libopenblas_gone.so")
+        monkeypatch.setattr(_worker, "_loaded_openblas_paths", lambda: [missing])
         with pytest.warns(RuntimeWarning, match="could not pin BLAS"):
             assert _worker._pin_blas_single_thread() is None
 
-    def test_working_threadpoolctl_returns_limiter(self, monkeypatch):
-        fake = types.ModuleType("threadpoolctl")
-        sentinel = object()
-        fake.threadpool_limits = lambda limits: sentinel
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        assert _worker._pin_blas_single_thread() is sentinel
+    def test_working_openblas_is_pinned_to_one_thread(self, restore_blas_threads):
+        if not restore_blas_threads:
+            pytest.skip("no OpenBLAS thread control in this process")
+        assert _worker._pin_blas_single_thread() == 1
+        assert all(getter() == 1 for _, getter in restore_blas_threads)
