@@ -3,9 +3,10 @@
 Measures the engine's headline claim — that computing every point's
 eps-neighborhood through blocked ``batch_range_query`` matrix products
 beats the per-point ``range_query`` Python loop — and writes the speedup
-rows to ``benchmarks/out/engine_batching.json``. Also times the two
-DBSCAN paths end to end, since the neighborhood loop is DBSCAN's
-dominant cost. A second row, ``engine_kernel_n8000.json``, times the
+rows to ``benchmarks/out/engine_batching.json``. Also times DBSCAN end
+to end on the batched engine against the same fit on the per-point
+reference engine of :mod:`repro.testing`, since the neighborhood loop
+is DBSCAN's dominant cost. A second row, ``engine_kernel_n8000.json``, times the
 cosine range-query kernel (float32 GEMM plus float64 band recheck)
 against the float64 block it replaced, at the paper's d=768. A third,
 ``engine_components_n4000.json``, times the DBSCAN++ core graph
@@ -24,10 +25,9 @@ from conftest import out_path
 from repro.clustering import DBSCAN
 from repro.clustering.components import connected_components_within
 from repro.distances import normalize_rows
-from repro.engine_config import ExecutionConfig
 from repro.experiments.reporting import save_json
 from repro.index import BruteForceIndex
-from repro.testing import make_blobs_on_sphere
+from repro.testing import make_blobs_on_sphere, use_per_point_engine
 
 EPS = 0.5
 TAU = 5
@@ -69,9 +69,8 @@ def test_engine_batching_speedup(n):
     t_batched = _best_of(lambda: _neighborhoods_batched(index, X))
     query_speedup = t_scalar / t_batched
 
-    per_point = ExecutionConfig(batch_queries=False)
     t_fit_scalar = _best_of(
-        lambda: DBSCAN(eps=EPS, tau=TAU, execution=per_point).fit(X), repeats=1
+        lambda: use_per_point_engine(DBSCAN(eps=EPS, tau=TAU)).fit(X), repeats=1
     )
     t_fit_batched = _best_of(lambda: DBSCAN(eps=EPS, tau=TAU).fit(X), repeats=1)
     fit_speedup = t_fit_scalar / t_fit_batched

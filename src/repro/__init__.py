@@ -25,7 +25,7 @@ Quickstart::
     )
 
 Range queries run on the exact brute-force index; execution policy
-(batching, sharding) is one declarative :class:`ExecutionConfig`
+(engine block size, sharding) is one declarative :class:`ExecutionConfig`
 threaded through every clusterer — never global state. See ``examples/`` for full pipelines
 and ``benchmarks/`` for the reproduction of every table and figure in
 the paper.

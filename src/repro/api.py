@@ -102,7 +102,7 @@ def make_clusterer(
     arguments (``eps``/``tau`` always, ``estimator`` for the LAF
     methods, ...); ``execution`` threads one
     :class:`~repro.engine_config.ExecutionConfig` through, configuring
-    the backend, batching and sharding of the fit without touching any
+    the engine block size and sharding of the fit without touching any
     global state.
     """
     key = str(name).strip().lower()

@@ -13,7 +13,7 @@ Every subcommand prepares the paper's pipeline (generate -> 8:2 split ->
 train RMI on the training split) at ``--scale`` and prints the
 paper-shaped table; ``--json PATH`` additionally writes the rows.
 
-Execution flags (``--per-point``, ``--engine-block``, ``--shards`` /
+Execution flags (``--engine-block``, ``--shards`` /
 ``--shard-executor`` / ``--shard-workers`` / ``--shard-query-block`` /
 ``--pool-address``) all map into one
 :class:`~repro.engine_config.ExecutionConfig` threaded through the
@@ -76,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epochs", type=int, default=40)
         p.add_argument("--json", default=None, help="write rows as JSON here")
-        p.add_argument(
-            "--per-point",
-            action="store_true",
-            help="disable the batched engine (per-point reference loops)",
-        )
         p.add_argument(
             "--engine-block",
             type=_positive_int,
@@ -212,8 +207,8 @@ def execution_from_args(args) -> ExecutionConfig:
     """Fold every execution flag into one :class:`ExecutionConfig`.
 
     The single config threads through the experiment functions and into
-    every clusterer of the run — batching, engine block size and
-    sharding are one declarative object, not ambient state.
+    every clusterer of the run — engine block size and sharding are one
+    declarative object, not ambient state.
     """
     executor: ExecutorSpec | str | None = args.shard_executor
     addresses = args.pool_address or []
@@ -246,7 +241,6 @@ def execution_from_args(args) -> ExecutionConfig:
         sharding = ShardingConfig(**sharding_kwargs)
     return ExecutionConfig(
         sharding=sharding,
-        batch_queries=not args.per_point,
         query_block=(
             DEFAULT_ENGINE_BLOCK if args.engine_block is None else args.engine_block
         ),
@@ -505,8 +499,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         execution = execution_from_args(args)
     except InvalidParameterError as exc:
-        # e.g. --per-point with --shards: a config contradiction, shown
-        # as a usage error instead of a traceback.
+        # e.g. --pool-address without --shards: a flag contradiction,
+        # shown as a usage error instead of a traceback.
         parser.error(str(exc))
     try:
         rows = _COMMANDS[args.command](args, execution)

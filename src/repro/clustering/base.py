@@ -11,8 +11,7 @@ import numpy as np
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
-from repro.index.brute_force import BruteForceIndex
-from repro.index.engine import NeighborhoodCache, PerPointQueries
+from repro.index.engine import NeighborhoodCache
 
 __all__ = [
     "NOISE",
@@ -102,7 +101,7 @@ class Clusterer(abc.ABC):
     future-work extension); the tree/grid-based baselines are tied to
     the unit sphere by their Equation 1 conversions and stay cosine.
 
-    Execution policy — batching and sharding — is one
+    Execution policy — engine block size and sharding — is one
     declarative :class:`~repro.engine_config.ExecutionConfig` passed as
     ``execution``; :meth:`_engine` resolves it into the engine a fit
     queries through. Nothing about execution lives in global state, so
@@ -143,30 +142,22 @@ class Clusterer(abc.ABC):
     def _engine(self, X: np.ndarray, *, plan=None):
         """The shared engine lifecycle of every fit.
 
-        Resolves :attr:`execution` into a query engine over ``X`` on a
-        :class:`~repro.index.brute_force.BruteForceIndex` in this
-        clusterer's metric — :class:`~repro.index.engine.NeighborhoodCache`
-        (batched path, handed the *unbuilt* index so it builds exactly
-        once, shard-first when sharding is configured) or
-        :class:`~repro.index.engine.PerPointQueries` (the per-point
-        reference path) — optionally pre-planning ``plan``, and closes
-        it deterministically on exit. The ``finally`` matters: a fit
+        A :class:`~repro.index.engine.NeighborhoodCache` over ``X`` in
+        this clusterer's metric, configured by :attr:`execution` (block
+        size, sharding), optionally pre-planning ``plan``, closed
+        deterministically on exit. The ``finally`` matters: a fit
         raising mid-query pins its frame in the traceback, so without
         an explicit close a sharded executor's thread pool or worker
         connections would leak until gc.
         """
         cfg = self.execution
-        index = BruteForceIndex(metric=self.metric)
-        if cfg.batch_queries:
-            engine = NeighborhoodCache(
-                index,
-                X,
-                self.eps,
-                block_size=cfg.query_block,
-                sharding=cfg.sharding,
-            )
-        else:
-            engine = PerPointQueries(index.build(X), X, self.eps)
+        engine = NeighborhoodCache(
+            X,
+            self.eps,
+            self.metric,
+            block_size=cfg.query_block,
+            sharding=cfg.sharding,
+        )
         try:
             if plan is not None:
                 engine.plan(plan)

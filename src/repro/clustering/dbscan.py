@@ -39,13 +39,11 @@ class DBSCAN(Clusterer):
         "cosine" (default) or "euclidean" — the future-work extension.
     execution:
         Execution policy (:class:`~repro.engine_config.ExecutionConfig`):
-        backend spec (default exact brute force in the chosen metric),
-        sharding, batched-vs-per-point switch, engine block size. On the
-        default batched path plain DBSCAN plans all ``n`` queries up
-        front (every point is queried exactly once, in the outer loop or
-        at its dequeue) and executes them as blocked matrix products;
-        ``batch_queries=False`` keeps the per-point reference loop. The
-        clustering is identical either way.
+        sharding and engine block size; range queries run on exact brute
+        force in the chosen metric. Plain DBSCAN plans all ``n`` queries
+        up front (every point is queried exactly once, in the outer loop
+        or at its dequeue) and executes them as blocked matrix products;
+        the clustering is identical to one scalar query per point.
 
     Examples
     --------

@@ -52,11 +52,9 @@ class DBSCANPlusPlus(Clusterer):
     seed:
         Sampling seed.
     execution:
-        Execution policy. On the default batched path the per-sample
-        core test runs through the engine's blocked ``count`` (the
-        index's ``batch_range_count`` kernel, sharded when a sharding
-        config is set); ``batch_queries=False`` keeps the per-point
-        reference loop. Identical output either way.
+        Execution policy. The per-sample core test runs through the
+        engine's blocked ``count`` (the index's ``batch_range_count``
+        kernel, sharded when a sharding config is set).
     """
 
     algo_name = "dbscan++"

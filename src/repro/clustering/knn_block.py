@@ -69,7 +69,7 @@ class KNNBlockDBSCAN(Clusterer):
         every clusterer). The method is defined on approximate *KNN*
         queries over its own k-means tree — there is no range-query
         engine to configure — so only the config's presence is honored;
-        backend/sharding/batching fields do not apply.
+        its sharding and block-size fields do not apply.
     """
 
     algo_name = "knn-block"

@@ -57,10 +57,8 @@ class RhoApproxDBSCAN(Clusterer):
         calls. The exact border-attachment range queries are ordinary
         eps-range queries and go through the shared brute-force engine
         like every other method's, sharded when ``execution.sharding``
-        is set. On the default batched path both phases run blockwise
-        (the cell-center distance matrix is one blocked product instead
-        of a per-point loop); ``batch_queries=False`` keeps the
-        per-point reference loops. Identical output either way.
+        is set. Both phases run blockwise (the cell-center distance
+        matrix is one blocked product instead of a per-point loop).
     """
 
     algo_name = "rho-approx"
@@ -96,19 +94,11 @@ class RhoApproxDBSCAN(Clusterer):
         for cell in np.flatnonzero(sizes >= self.tau):
             core_mask[grid.cell_points[cell]] = True
         # Rule 2: everyone else gets an approximate count. The rho
-        # sandwich is a grid-level contract, so these stay direct grid
-        # calls on both execution paths.
+        # sandwich is a grid-level contract, so these are grid calls.
         candidates = np.flatnonzero(~core_mask)
         n_count_queries += int(candidates.size)
         if candidates.size:
-            if self.execution.batch_queries:
-                counts = grid.batch_approx_range_count(X[candidates])
-            else:
-                counts = np.fromiter(
-                    (grid.approx_range_count(X[p]) for p in candidates),
-                    dtype=np.int64,
-                    count=candidates.size,
-                )
+            counts = grid.batch_approx_range_count(X[candidates])
             core_mask[candidates[counts >= self.tau]] = True
 
         labels = np.full(n, NOISE, dtype=np.int64)

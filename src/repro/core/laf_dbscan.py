@@ -57,16 +57,15 @@ class LAFDBSCAN(Clusterer):
     seed:
         Seed for the post-processing destination choice.
     execution:
-        Execution policy (default backend: exact brute force, as in the
-        paper). On the default batched path the executed range queries
-        go through the batched engine: exactly the predicted-core points
+        Execution policy (range queries run on exact brute force, as in
+        the paper). The executed range queries go through the batched
+        engine: exactly the predicted-core points
         are planned (each is queried once by Algorithm 1, no more, no
         fewer), so the gate's savings are preserved while the surviving
         queries run as blocked matrix products.
         ``UpdatePartialNeighbors`` still fires per executed query at its
         Algorithm 1 line, so the map ``E`` — and therefore
-        post-processing — is identical to the per-point path
-        (``batch_queries=False``).
+        post-processing — is identical to one scalar query per point.
 
     Examples
     --------

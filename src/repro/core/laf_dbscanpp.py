@@ -56,13 +56,13 @@ class LAFDBSCANPlusPlus(Clusterer):
     seed:
         Sampling and post-processing seed.
     execution:
-        Execution policy (default backend: exact brute force). On the
-        default batched path the range queries that survive the gate run
-        through the batched engine with the gated sample as the plan
-        (serve-and-release). Every gated sample point is queried exactly
-        once either way, and ``UpdatePartialNeighbors`` receives each
-        executed result in the same sample order, so the output is
-        identical to the per-point path (``batch_queries=False``).
+        Execution policy (range queries run on exact brute force). The
+        range queries that survive the gate run through the batched
+        engine with the gated sample as the plan (serve-and-release).
+        Every gated sample point is queried exactly once, and
+        ``UpdatePartialNeighbors`` receives each executed result in
+        sample order, so the output is identical to one scalar query per
+        point.
     """
 
     algo_name = "laf-dbscan++"

@@ -1,11 +1,10 @@
 """First-class execution configuration for the clustering engine.
 
 Range queries always run on the exact brute-force index
-(:class:`~repro.index.brute_force.BruteForceIndex`); execution policy is
-only how they batch and whether they shard. :class:`ExecutionConfig`
+(:class:`~repro.index.brute_force.BruteForceIndex`), batched; execution
+policy is only the block size and whether they shard. :class:`ExecutionConfig`
 holds the complete policy of one fit: an optional
-:class:`~repro.index.sharded.ShardingConfig`, the batched-vs-per-point
-switch and the engine block size.
+:class:`~repro.index.sharded.ShardingConfig` and the engine block size.
 
 Every clusterer accepts ``execution=ExecutionConfig(...)`` and resolves
 its engine through one shared helper
@@ -25,6 +24,7 @@ import dataclasses
 from collections.abc import Mapping
 
 from repro.exceptions import InvalidParameterError
+from repro.index.base import check_positive_int
 from repro.index.engine import DEFAULT_QUERY_BLOCK
 from repro.index.sharded import ShardingConfig
 
@@ -55,22 +55,16 @@ class ExecutionConfig:
         Threaded explicitly into the engine — no global
         state — so concurrent fits with different sharding cannot
         interfere. ``None`` (the default) means unsharded execution.
-    batch_queries:
-        True (default) routes neighborhood computation through the
-        batched engine; False keeps the per-point reference loop the
-        differential tests diff against. Identical output either way.
     query_block:
         Maximum queries per batched engine call (the
         :class:`~repro.index.engine.NeighborhoodCache` block size).
 
     Field types are checked strictly, never coerced, whether the config
-    is built directly or through :meth:`from_dict`: ``"false"`` is not a
-    bool (``bool("false")`` is True, which would silently run the
-    batched path) and ``2.5`` is not a block size.
+    is built directly or through :meth:`from_dict`: ``2.5`` is not a
+    block size.
     """
 
     sharding: ShardingConfig | None = None
-    batch_queries: bool = True
     query_block: int = DEFAULT_ENGINE_BLOCK
 
     def __post_init__(self) -> None:
@@ -78,27 +72,7 @@ class ExecutionConfig:
             raise InvalidParameterError(
                 f"sharding must be a ShardingConfig or None; got {self.sharding!r}"
             )
-        if not isinstance(self.batch_queries, bool):
-            raise InvalidParameterError(
-                f"batch_queries must be a bool; got {type(self.batch_queries).__name__}"
-            )
-        if isinstance(self.query_block, bool) or not isinstance(self.query_block, int):
-            raise InvalidParameterError(
-                f"query_block must be an int; got {type(self.query_block).__name__}"
-            )
-        if self.query_block < 1:
-            raise InvalidParameterError(
-                f"query_block must be >= 1; got {self.query_block}"
-            )
-        if self.sharding is not None and not self.batch_queries:
-            # Sharding fans *batched* query blocks across shards; the
-            # per-point reference path has no batches to fan out. Running
-            # it unsharded anyway would silently drop the parallelism the
-            # caller explicitly asked for.
-            raise InvalidParameterError(
-                "sharding requires the batched engine: "
-                "batch_queries=False cannot fan queries across shards"
-            )
+        check_positive_int("query_block", self.query_block)
 
     def to_dict(self) -> dict:
         """JSON-safe representation (the remote-worker wire format)."""
@@ -106,20 +80,12 @@ class ExecutionConfig:
         if self.sharding is not None:
             sharding = {f: getattr(self.sharding, f) for f in _SHARDING_FIELDS}
             sharding["executor"] = self.sharding.executor.wire_value()
-        return {
-            "sharding": sharding,
-            "batch_queries": self.batch_queries,
-            "query_block": self.query_block,
-        }
+        return {"sharding": sharding, "query_block": self.query_block}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExecutionConfig":
         """Inverse of :meth:`to_dict`; unknown keys (at every level) raise."""
-        data = _checked_mapping(
-            data,
-            {"sharding", "batch_queries", "query_block"},
-            "ExecutionConfig",
-        )
+        data = _checked_mapping(data, {"sharding", "query_block"}, "ExecutionConfig")
         sharding = data.get("sharding")
         if sharding is not None:
             sharding = ShardingConfig(
@@ -127,7 +93,6 @@ class ExecutionConfig:
             )
         return cls(
             sharding=sharding,
-            batch_queries=data.get("batch_queries", True),
             query_block=data.get("query_block", DEFAULT_ENGINE_BLOCK),
         )
 

@@ -72,7 +72,7 @@ def ground_truth(
 ) -> ClusteringResult:
     """The paper's ground truth: original DBSCAN on the same data.
 
-    ``execution`` threads through sharding, batching and block sizes,
+    ``execution`` threads through sharding and block sizes,
     none of which changes the labels.
     """
     return DBSCAN(eps=eps, tau=tau, execution=execution).fit(X)

@@ -20,12 +20,12 @@ tree engines this repository once carried even on 16-d clustered data,
 and the grid by 16x or more on the paper's datasets
 (``docs/engine.md``).
 
-Range-query indexes answer scalar queries (``range_query``,
-``range_count``) and their batched forms (``batch_range_query``,
-``batch_range_count``); :class:`ShardedIndex` fans the batched forms
-across row shards, and :class:`NeighborhoodCache` is the engine the
-clusterers use to route frontier expansions through them — see
-``docs/engine.md``.
+Range-query indexes answer batched queries (``batch_range_query``,
+``batch_range_count``); :class:`ShardedIndex` fans them across row
+shards, and :class:`NeighborhoodCache` is the engine the clusterers use
+to route frontier expansions through them — see ``docs/engine.md``.
+:class:`BruteForceIndex` also keeps the scalar float64 ``range_query`` /
+``range_count`` as the reference the batched kernels are tested against.
 """
 
 from repro.index.base import NeighborIndex

@@ -6,9 +6,23 @@ import abc
 
 import numpy as np
 
-from repro.exceptions import NotFittedError
+from repro.exceptions import InvalidParameterError, NotFittedError
 
-__all__ = ["NeighborIndex"]
+__all__ = ["NeighborIndex", "check_positive_int"]
+
+
+def check_positive_int(name: str, value) -> None:
+    """Reject anything but an ``int`` of at least 1 (a bool is not one).
+
+    Sizes and caps are checked strictly, never coerced: ``2.5`` rows
+    per block would otherwise fail much later, or silently round.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(
+            f"{name} must be an int; got {type(value).__name__}"
+        )
+    if value < 1:
+        raise InvalidParameterError(f"{name} must be >= 1; got {value}")
 
 
 class NeighborIndex(abc.ABC):
@@ -28,16 +42,6 @@ class NeighborIndex(abc.ABC):
         return 0 if self._points is None else int(self._points.shape[0])
 
     @property
-    def is_built(self) -> bool:
-        """Whether :meth:`build` has run (so queries and ``points`` work).
-
-        Hosts use this to tell an index they must still build from one
-        they can query — the batched engine's shard-before-build seam
-        (:func:`~repro.index.sharded.resolve_engine_index`) keys on it.
-        """
-        return self._points is not None
-
-    @property
     def points(self) -> np.ndarray:
         """The indexed point matrix, shape ``(n_points, dim)``.
 
@@ -51,22 +55,11 @@ class NeighborIndex(abc.ABC):
     def build(self, X: np.ndarray) -> "NeighborIndex":
         """Index the rows of ``X`` (unit-normalized) and return ``self``."""
 
-    @abc.abstractmethod
-    def range_query(self, q: np.ndarray, eps: float) -> np.ndarray:
-        """Indices of points with cosine distance to ``q`` strictly below ``eps``.
-
-        Matches the paper's neighborhood definition
-        ``N = {Q | d(P, Q) < eps}``; a query equal to an indexed point
-        therefore returns that point itself.
-        """
-
-    @abc.abstractmethod
-    def range_count(self, q: np.ndarray, eps: float) -> int:
-        """Number of points within cosine distance ``eps`` of ``q``."""
-
     # ------------------------------------------------------------------
     # Batched queries: the engine API every clusterer goes through (see
-    # repro.index.engine). Row ``i`` equals the scalar answer for Q[i].
+    # repro.index.engine). The neighborhood of a query is the paper's
+    # N = {Q | d(P, Q) < eps}: strict, so a query equal to an indexed
+    # point returns that point itself.
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -81,8 +74,9 @@ class NeighborIndex(abc.ABC):
     def batch_range_query(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
         """Neighbor index arrays for every row of ``Q`` at threshold ``eps``.
 
-        Row ``i`` of the result equals ``range_query(Q[i], eps)``. An
-        empty batch (shape ``(0, dim)``) returns an empty list.
+        Row ``i`` holds the indexed points with distance to ``Q[i]``
+        strictly below ``eps``. An empty batch (shape ``(0, dim)``)
+        returns an empty list.
         """
 
     @abc.abstractmethod

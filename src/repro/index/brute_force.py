@@ -1,9 +1,12 @@
 """Exact brute-force index over vectors, metric-pluggable.
 
-One matrix-vector product per query. This is the "range query" primitive
-of Algorithm 1 and the reference answer that every approximate index is
-tested against. Also provides batched forms used by DBSCAN++ (core-point
-detection over a sample) and the estimator training-set builder.
+The "range query" primitive of Algorithm 1. The batched forms
+(``batch_range_query`` / ``batch_range_count``, one matrix product per
+block of queries) are what every fit, predict and estimator
+training-set build runs. The scalar ``range_query`` / ``range_count``
+(one float64 matrix-vector product per query) are the reference answer
+the batched kernels, and the per-point engine of
+:mod:`repro.testing`, are checked against.
 
 The default metric is cosine distance on unit vectors (the paper's
 setting); Euclidean distance is available through the ``metric``
@@ -23,7 +26,7 @@ import numpy as np
 from repro.distances.matrix import iter_cosine_range_masks, iter_distance_blocks
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError
-from repro.index.base import NeighborIndex
+from repro.index.base import NeighborIndex, check_positive_int
 
 __all__ = ["BruteForceIndex"]
 
@@ -55,10 +58,7 @@ class BruteForceIndex(NeighborIndex):
     """
 
     def __init__(self, block_size: int = 1024, metric: str | Metric = COSINE) -> None:
-        if block_size <= 0:
-            raise InvalidParameterError(
-                f"block_size must be positive; got {block_size}"
-            )
+        check_positive_int("block_size", block_size)
         self.block_size = block_size
         self.metric = get_metric(metric)
         self._points: np.ndarray | None = None
@@ -78,6 +78,8 @@ class BruteForceIndex(NeighborIndex):
         return self
 
     def range_query(self, q: np.ndarray, eps: float) -> np.ndarray:
+        """Float64 reference: indices with distance to ``q`` strictly below
+        ``eps`` (a query equal to an indexed point returns that point)."""
         self._require_built()
         dists = self.metric.distance_to_many(
             np.asarray(q, dtype=np.float64), self._points
@@ -85,6 +87,7 @@ class BruteForceIndex(NeighborIndex):
         return np.flatnonzero(dists < eps)
 
     def range_count(self, q: np.ndarray, eps: float) -> int:
+        """Float64 reference: the size of :meth:`range_query`."""
         self._require_built()
         dists = self.metric.distance_to_many(
             np.asarray(q, dtype=np.float64), self._points

@@ -26,9 +26,10 @@ planned point early yields bit-identical results to querying it at its
 algorithmic execution time. Side effects tied to query execution — the
 LAF plugin's ``PartialNeighborMap.update`` (Algorithm 2), statistics
 counters — remain the host algorithm's job at the moment it *uses* a
-fetched neighborhood, which keeps the batched and per-point paths
-observationally identical (the differential tests in
-``tests/test_engine_equivalence.py`` assert exactly this). Because the
+fetched neighborhood, which keeps the batched engine observationally
+identical to one scalar query per point (the differential tests in
+``tests/test_engine_equivalence.py`` diff every clusterer against
+:class:`repro.testing.PerPointEngine`, that reference). Because the
 engine is demand-driven, a planned point whose fetch never happens costs
 nothing, so planning is a prefetch-ordering hint, never speculation.
 """
@@ -39,56 +40,15 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError
+from repro.distances.metric import COSINE, Metric
+from repro.index.base import check_positive_int
 from repro.index.sharded import resolve_engine_index
 
-__all__ = ["NeighborhoodCache", "PerPointQueries"]
+__all__ = ["NeighborhoodCache"]
 
 
 #: Default number of queries computed per batched index call.
 DEFAULT_QUERY_BLOCK = 1024
-
-
-class PerPointQueries:
-    """Per-point reference engine behind the :class:`NeighborhoodCache`
-    surface.
-
-    The ``batch_queries=False`` escape hatch of every clusterer: same
-    ``plan`` / ``fetch`` / ``count`` / ``stats`` interface as the cache,
-    but every query executes as one scalar index call at its algorithmic
-    position — the reference path the differential harness diffs the
-    batched engine against. ``plan`` is a no-op (there is nothing to
-    prefetch) and ``stats`` is empty (no engine ran).
-    """
-
-    def __init__(self, index, X: np.ndarray, eps: float) -> None:
-        self._index = index
-        self._X = np.asarray(X, dtype=np.float64)
-        self.eps = float(eps)
-
-    def plan(self, indices) -> None:
-        """Accepted for interface parity; per-point execution never
-        prefetches."""
-
-    def fetch(self, point: int) -> np.ndarray:
-        """The eps-neighborhood of dataset row ``point`` (one scalar call)."""
-        return self._index.range_query(self._X[int(point)], self.eps)
-
-    def count(self, indices) -> np.ndarray:
-        """Range counts of dataset rows, one scalar call per row."""
-        ids = np.asarray(indices, dtype=np.int64)
-        return np.fromiter(
-            (self._index.range_count(self._X[i], self.eps) for i in ids),
-            dtype=np.int64,
-            count=ids.size,
-        )
-
-    def close(self) -> None:
-        """Nothing to release: the host built and owns the index."""
-
-    def stats(self) -> dict[str, int]:
-        """No engine counters: nothing batched, nothing cached."""
-        return {}
 
 
 class NeighborhoodCache:
@@ -96,35 +56,33 @@ class NeighborhoodCache:
 
     Parameters
     ----------
-    index:
-        A :class:`~repro.index.base.NeighborIndex` over the dataset ``X``
-        (:class:`~repro.index.brute_force.BruteForceIndex` makes the batch
-        a true blocked matrix product). An *unbuilt* index (``is_built``
-        False) may be handed over instead: the cache builds it over ``X``
-        exactly once — and when sharding is active it builds the
-        per-shard brute-force indexes *directly* (the shard-before-build
-        path), so no whole-dataset index is ever constructed just to be
-        discarded.
     X:
-        The indexed point matrix; ``fetch`` takes row indices into it,
-        and the index is queried with those row ids.
+        The point matrix; the cache builds its own index over it
+        (:func:`~repro.index.sharded.resolve_engine_index`), ``fetch``
+        takes row indices into it, and the index is queried with those
+        row ids.
     eps:
-        Cosine-distance threshold of every cached query.
+        Distance threshold of every cached query.
+    metric:
+        Metric of the index (the fit's metric).
     block_size:
-        Maximum queries per batched index call. ``1`` degenerates to the
-        per-point path (useful for differential testing).
+        Maximum queries per batched index call, an ``int >= 1``. ``1``
+        computes one query per call.
     sharding:
-        Optional :class:`~repro.index.sharded.ShardingConfig` for this
-        cache — normally threaded in from
+        Optional :class:`~repro.index.sharded.ShardingConfig` — normally
+        threaded in from
         :attr:`~repro.engine_config.ExecutionConfig.sharding`; None (the
-        default) means unsharded. When a configuration is given, the
-        cache routes through a
+        default) means one
+        :class:`~repro.index.brute_force.BruteForceIndex`. With a
+        configuration the cache queries a
         :class:`~repro.index.sharded.ShardedIndex` of brute-force shards
-        in ``index``'s metric, built directly over ``X`` — and this is
-        how every clusterer that routes neighborhoods through the engine
-        gains sharded execution without code changes. Results are
-        bit-identical (a neighborhood is the disjoint union of its
-        per-shard neighborhoods).
+        built directly over ``X`` (no whole-dataset index is built just
+        to be discarded), and this is how every clusterer that routes
+        neighborhoods through the engine gains sharded execution without
+        code changes. Results are bit-identical (a neighborhood is the
+        disjoint union of its per-shard neighborhoods).
+
+    The cache owns the index it built and releases it in :meth:`close`.
 
     A neighborhood is released as soon as it is served, so only
     prefetched-but-unserved results stay resident; every clusterer here
@@ -134,23 +92,17 @@ class NeighborhoodCache:
 
     def __init__(
         self,
-        index,
         X: np.ndarray,
         eps: float,
+        metric: str | Metric = COSINE,
         block_size: int = DEFAULT_QUERY_BLOCK,
         sharding=None,
     ) -> None:
-        if block_size <= 0:
-            raise InvalidParameterError(
-                f"block_size must be positive; got {block_size}"
-            )
+        check_positive_int("block_size", block_size)
         X = np.asarray(X, dtype=np.float64)
-        # When the cache built (or shard-wrapped) the index itself, the
-        # result — and its thread pool or worker connections — belongs
-        # to this cache: close() releases it deterministically.
-        self._index, self._owns_index = resolve_engine_index(index, X, sharding)
+        self._index = resolve_engine_index(X, metric, sharding)
         self.eps = float(eps)
-        self.block_size = int(block_size)
+        self.block_size = block_size
         n = X.shape[0]
         self._cached = np.zeros(n, dtype=bool)
         # Points computed at least once; released points stay marked so
@@ -242,19 +194,11 @@ class NeighborhoodCache:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release an index this cache built or shard-wrapped. Idempotent.
-
-        Ownership follows the build: a *fitted* index the caller handed
-        in stays the caller's (closing the cache is then a no-op), but
-        an index the cache built — including an unbuilt object the
-        caller passed, which the cache built in place — belongs to the
-        cache and is released here. Don't hand the engine an unbuilt
-        index you intend to keep querying after the cache closes.
-        """
-        if self._owns_index:
-            closer = getattr(self._index, "close", None)
-            if closer is not None:
-                closer()
+        """Release the index (a sharded one's pools or connections).
+        Idempotent."""
+        closer = getattr(self._index, "close", None)
+        if closer is not None:
+            closer()
 
     def __enter__(self) -> "NeighborhoodCache":
         return self

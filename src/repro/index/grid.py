@@ -146,20 +146,14 @@ class GridIndex:
             count += int(np.count_nonzero(dists < eps_cos))
         return count
 
-    def approx_range_count(self, q: np.ndarray) -> int:
-        """Approximate |N_eps(q)| obeying the rho sandwich guarantee."""
-        self._require_built()
-        q = np.asarray(q, dtype=np.float64)
-        center_dists = euclidean_distance_to_many(q, self._cell_centers)
-        return self._approx_count_row(q, center_dists)
-
     def batch_approx_range_count(self, Q: np.ndarray) -> np.ndarray:
-        """Approximate counts for every row of ``Q``.
+        """Approximate |N_eps(q)| for every row ``q`` of ``Q``, each obeying
+        the rho sandwich guarantee.
 
-        Row ``i`` equals ``approx_range_count(Q[i])``; the cell-center
-        distance matrix — the dominant cost when nearly every point owns
-        its own cell, the high-d regime — is computed blockwise instead
-        of one matrix-vector product per query.
+        Row ``i`` depends on ``Q[i]`` alone; the cell-center distance
+        matrix — the dominant cost when nearly every point owns its own
+        cell, the high-d regime — is computed blockwise instead of one
+        matrix-vector product per query.
         """
         self._require_built()
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))

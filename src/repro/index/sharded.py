@@ -70,7 +70,7 @@ import numpy as np
 
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError, NotFittedError
-from repro.index.base import NeighborIndex
+from repro.index.base import NeighborIndex, check_positive_int
 from repro.index.brute_force import BruteForceIndex
 
 __all__ = [
@@ -444,16 +444,10 @@ def _check_shard_fields(n_shards, n_workers, query_block) -> None:
     Each field is an ``int`` (never a bool, never coerced: ``2.5`` is
     not a shard count) of at least 1; ``n_workers`` may also be None.
     """
-    fields = {"n_shards": n_shards, "query_block": query_block}
+    check_positive_int("n_shards", n_shards)
+    check_positive_int("query_block", query_block)
     if n_workers is not None:
-        fields["n_workers"] = n_workers
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidParameterError(
-                f"{name} must be an int; got {type(value).__name__}"
-            )
-        if value < 1:
-            raise InvalidParameterError(f"{name} must be >= 1; got {value}")
+        check_positive_int("n_workers", n_workers)
 
 
 class ShardedIndex(NeighborIndex):
@@ -621,7 +615,7 @@ class ShardedIndex(NeighborIndex):
         return self._executor_obj
 
     # ------------------------------------------------------------------
-    # Batched queries (the native forms; scalars route through them)
+    # Batched queries
     # ------------------------------------------------------------------
 
     def batch_range_query(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
@@ -668,18 +662,6 @@ class ShardedIndex(NeighborIndex):
                 counts[block_lo : block_lo + len(block)] += shard_counts
         return counts
 
-    # ------------------------------------------------------------------
-    # Scalar queries (single-row batches)
-    # ------------------------------------------------------------------
-
-    def range_query(self, q: np.ndarray, eps: float) -> np.ndarray:
-        (row,) = self.batch_range_query(np.asarray(q, dtype=np.float64)[None, :], eps)
-        return row
-
-    def range_count(self, q: np.ndarray, eps: float) -> int:
-        (count,) = self.batch_range_count(np.asarray(q, dtype=np.float64)[None, :], eps)
-        return int(count)
-
 
 # ----------------------------------------------------------------------
 # Engine-level sharding configuration
@@ -716,30 +698,20 @@ class ShardingConfig:
         )
 
 
-def resolve_engine_index(index, X: np.ndarray, config: ShardingConfig | None = None):
-    """Resolve the engine's query index, building shard-first when sharded.
+def resolve_engine_index(
+    X: np.ndarray, metric: str | Metric = COSINE, config: ShardingConfig | None = None
+) -> NeighborIndex:
+    """Build the engine's query index over ``X``, shard-first when sharded.
 
     The shard-before-build seam of the batched engine
-    (:class:`~repro.index.engine.NeighborhoodCache`): hosts hand over the
-    brute-force index they would have built themselves, and
-
-    * with ``config`` set, a :class:`ShardedIndex` in the index's metric
-      is built directly over ``X`` — the whole-dataset index is never
-      built, so a sharded fit pays exactly ``n_live_shards`` inner
-      builds;
-    * with ``config`` None (or a :class:`ShardedIndex` handed over), an
-      unbuilt index is built over ``X`` and a built one is used as-is.
-
-    Returns ``(resolved_index, owned)``. ``owned`` means the resolver
-    *built* the result — including the in-place build of an unbuilt
-    object the host handed over — and the host should treat it as the
-    engine's to ``close()``; only a built index passed through
-    untouched stays the caller's (``owned`` False).
+    (:class:`~repro.index.engine.NeighborhoodCache`) and of
+    :class:`~repro.persistence.ClusterModel` predict: with ``config``
+    None a :class:`~repro.index.brute_force.BruteForceIndex` in
+    ``metric``; with a config a :class:`ShardedIndex` of brute-force
+    shards built directly over ``X``, so the whole-dataset index is
+    never built and a sharded fit pays exactly ``n_live_shards`` inner
+    builds. The caller owns the result and closes it.
     """
-    if config is None or isinstance(index, ShardedIndex):
-        return (index, False) if index.is_built else (index.build(X), True)
-    if not isinstance(index, BruteForceIndex):
-        raise InvalidParameterError(
-            f"sharding builds brute-force shards; cannot shard a {type(index).__name__}"
-        )
-    return config.make_index(index.metric).build(X), True
+    if config is None:
+        return BruteForceIndex(metric=metric).build(X)
+    return config.make_index(metric).build(X)

@@ -76,8 +76,9 @@ def _upgrade_execution(payload: Any) -> Any:
 
     ``"sharding": false`` (the former explicit opt-out) reads as None,
     a retired executor name as its replacement, and the retired
-    ``cache_eviction`` key is dropped whatever it held (the engine
-    always releases a neighborhood once served). The retired ``index``
+    ``cache_eviction`` and ``batch_queries`` keys are dropped whatever
+    they held (the engine always releases a neighborhood once served,
+    and every fit and predict runs batched). The retired ``index``
     key is dropped when it is null or names brute force, the only range
     backend; any other name raises. Writers emit none of these; this
     runs only at the load boundary.
@@ -86,6 +87,7 @@ def _upgrade_execution(payload: Any) -> Any:
         return payload
     payload = dict(payload)
     payload.pop("cache_eviction", None)
+    payload.pop("batch_queries", None)
     index = payload.pop("index", None)
     name = index.get("name") if isinstance(index, Mapping) else index
     if name not in (None, "brute_force"):
@@ -342,7 +344,6 @@ class ClusterModel:
         self._core_points: np.ndarray | None = None
         self._float32_cores: tuple[np.ndarray, float] | None = None
         self._core_index: Any = None
-        self._core_index_owned = False
         self._core_distances: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -414,13 +415,10 @@ class ClusterModel:
         config fans prediction across shards exactly like fitting.
         """
         if self._core_index is None:
-            from repro.index.brute_force import BruteForceIndex
             from repro.index.sharded import resolve_engine_index
 
-            self._core_index, self._core_index_owned = resolve_engine_index(
-                BruteForceIndex(metric=self.metric),
-                self._cores(),
-                self.execution.sharding,
+            self._core_index = resolve_engine_index(
+                self._cores(), self.metric, self.execution.sharding
             )
         return self._core_index
 
@@ -470,12 +468,10 @@ class ClusterModel:
 
     def close(self) -> None:
         """Release the serving index (pools, connections). Idempotent."""
-        if self._core_index is not None and self._core_index_owned:
-            closer = getattr(self._core_index, "close", None)
-            if closer is not None:
-                closer()
+        closer = getattr(self._core_index, "close", None)
+        if closer is not None:
+            closer()
         self._core_index = None
-        self._core_index_owned = False
 
     def __enter__(self) -> "ClusterModel":
         return self

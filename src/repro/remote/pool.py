@@ -51,7 +51,9 @@ from repro.exceptions import (
     RetryExhaustedError,
     WorkerUnavailableError,
 )
+from repro.index.base import check_positive_int
 from repro.remote.protocol import recv_msg, send_msg
+from repro.remote.worker import check_cache_caps
 
 __all__ = ["RemoteExecutor", "WorkerPool", "DEFAULT_TIMEOUT_S", "DEFAULT_RETRIES"]
 
@@ -412,8 +414,8 @@ class WorkerPool:
         warm shard-index cache (LRU eviction; see
         :class:`~repro.remote.worker.ShardHolder`).
         """
-        if n_workers < 1:
-            raise InvalidParameterError(f"n_workers must be >= 1; got {n_workers}")
+        check_positive_int("n_workers", n_workers)
+        check_cache_caps(max_cached_shards, max_cached_bytes)
         ctx = multiprocessing.get_context(_start_method())
         queue = ctx.Queue()
         processes = []

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, RemoteProtocolError
 from repro.index import sharded as _sharded
+from repro.index.base import check_positive_int
 from repro.index.brute_force import BruteForceIndex
 from repro.remote.protocol import FrameServer
 
@@ -103,6 +104,20 @@ def _index_nbytes(index: object) -> int:
     return sum(int(m.nbytes) for m in matrices if isinstance(m, np.ndarray))
 
 
+def check_cache_caps(
+    max_cached_shards: int | None, max_cached_bytes: int | None
+) -> None:
+    """Each shard-cache cap is None (unbounded) or an ``int >= 1``.
+
+    Spawners call this before forking: a bad cap raised in the child
+    would only surface as a worker that never reports in.
+    """
+    if max_cached_shards is not None:
+        check_positive_int("max_cached_shards", max_cached_shards)
+    if max_cached_bytes is not None:
+        check_positive_int("max_cached_bytes", max_cached_bytes)
+
+
 class ShardHolder:
     """The worker's warm cache: datasets and built shard indexes.
 
@@ -119,14 +134,7 @@ class ShardHolder:
         max_cached_shards: int | None = None,
         max_cached_bytes: int | None = None,
     ) -> None:
-        if max_cached_shards is not None and max_cached_shards < 1:
-            raise InvalidParameterError(
-                f"max_cached_shards must be >= 1; got {max_cached_shards}"
-            )
-        if max_cached_bytes is not None and max_cached_bytes < 1:
-            raise InvalidParameterError(
-                f"max_cached_bytes must be >= 1; got {max_cached_bytes}"
-            )
+        check_cache_caps(max_cached_shards, max_cached_bytes)
         self.max_cached_shards = max_cached_shards
         self.max_cached_bytes = max_cached_bytes
         self._datasets: dict[str, np.ndarray] = {}
@@ -442,14 +450,17 @@ def worker_main(argv=None) -> int:
         help="LRU bytes cap on warm shard indexes (default: unbounded)",
     )
     args = parser.parse_args(argv)
+    try:
+        holder = ShardHolder(
+            max_cached_shards=args.max_cached_shards,
+            max_cached_bytes=args.max_cached_bytes,
+        )
+    except InvalidParameterError as exc:
+        parser.error(str(exc))
 
     def announce(host, port):
         print(f"repro pool worker listening on {host}:{port}", flush=True)
 
-    holder = ShardHolder(
-        max_cached_shards=args.max_cached_shards,
-        max_cached_bytes=args.max_cached_bytes,
-    )
     serve(args.host, args.port, on_bound=announce, holder=holder)
     return 0
 

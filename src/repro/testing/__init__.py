@@ -10,6 +10,13 @@ with the same bare module name are collected in one run.
 library code paths (full distance matrix + BFS) so algorithmic tests
 compare two distinct implementations rather than a module with itself.
 
+:class:`PerPointEngine` is the per-point reference for the batched
+engine: :func:`use_per_point_engine` makes a clusterer run every range
+query of its fit as one scalar float64 ``BruteForceIndex`` call at its
+algorithmic position — the paper's Algorithm 1 loop, query by query.
+The differential tests diff every clusterer against it, and the engine
+micro-benchmark times it as the per-point baseline.
+
 The runtime resource sanitizer lives in the ``repro.testing.sanitizer``
 submodule (a pytest plugin — load it with ``-p repro.testing.sanitizer``;
 it is intentionally not imported here so importing the helpers never
@@ -18,16 +25,73 @@ requires pytest).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from repro.distances import normalize_rows
+from repro.index.brute_force import BruteForceIndex
 
 __all__ = [
+    "PerPointEngine",
     "canonical",
     "make_blobs_on_sphere",
     "reference_dbscan",
+    "use_per_point_engine",
     "write_benchmark_rows",
 ]
+
+
+class PerPointEngine:
+    """One scalar query per ``fetch`` / counted row, nothing batched.
+
+    Has the ``plan`` / ``fetch`` / ``count`` / ``stats`` / ``close``
+    surface of :class:`~repro.index.engine.NeighborhoodCache`: ``fetch``
+    is one :meth:`BruteForceIndex.range_query` and ``count`` one
+    :meth:`BruteForceIndex.range_count` per row, each run when the host
+    asks. ``plan`` is a no-op (nothing to prefetch) and ``stats`` empty.
+    """
+
+    def __init__(self, X: np.ndarray, eps: float, metric="cosine") -> None:
+        self._index = BruteForceIndex(metric=metric).build(X)
+        self.eps = float(eps)
+
+    def plan(self, indices) -> None:
+        """Accepted for interface parity; nothing is prefetched."""
+
+    def fetch(self, point: int) -> np.ndarray:
+        """The eps-neighborhood of dataset row ``point`` (one scalar call)."""
+        return self._index.range_query(self._index.points[int(point)], self.eps)
+
+    def count(self, indices) -> np.ndarray:
+        """Range counts of dataset rows, one scalar call per row."""
+        rows = self._index.points[np.asarray(indices, dtype=np.int64)]
+        return np.array(
+            [self._index.range_count(q, self.eps) for q in rows], dtype=np.int64
+        )
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+    def stats(self) -> dict[str, int]:
+        """No engine counters: nothing batched, nothing cached."""
+        return {}
+
+
+def use_per_point_engine(clusterer):
+    """Run ``clusterer``'s fits on :class:`PerPointEngine`; returns it.
+
+    Replaces the instance's ``_engine`` (the one engine seam every fit
+    goes through), so only this object changes; its execution config's
+    block size and sharding no longer apply.
+    """
+
+    @contextlib.contextmanager
+    def per_point_engine(X, *, plan=None):
+        yield PerPointEngine(X, clusterer.eps, clusterer.metric)
+
+    clusterer._engine = per_point_engine
+    return clusterer
 
 
 def write_benchmark_rows(path: str, rows: list[dict]) -> str:

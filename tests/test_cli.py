@@ -70,13 +70,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["timing", "--shard-executor", "gpu"])
 
-    def test_per_point_with_shards_is_a_usage_error(self, capsys):
-        # The flags map into one ExecutionConfig, whose validation
-        # rejects the contradiction as a clean usage error (exit 2).
+    def test_flag_contradiction_is_a_usage_error(self, capsys):
+        # The flags map into one ExecutionConfig; a contradiction is a
+        # clean usage error (exit 2), not a traceback.
         with pytest.raises(SystemExit) as excinfo:
-            main(["timing", "--per-point", "--shards", "2"])
+            main(["timing", "--pool-address", "127.0.0.1:9"])
         assert excinfo.value.code == 2
-        assert "batched engine" in capsys.readouterr().err
+        assert "needs --shards" in capsys.readouterr().err
+
+    def test_per_point_flag_is_gone(self):
+        # Every fit runs on the batched engine.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["timing", "--per-point"])
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.clustering import DBSCAN, RhoApproxDBSCAN
-from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
 from repro.index import BruteForceIndex
 from repro.metrics import adjusted_rand_index
@@ -84,19 +83,10 @@ class TestBorderPhase:
     # the border queries run, and some borders reach two clusters' cores.
     EPS, TAU, RHO = 0.8, 8, 0.01
 
-    @pytest.mark.parametrize("batch_queries", [True, False])
-    def test_border_takes_lowest_index_core_label(
-        self, clusterable_data, batch_queries
-    ):
+    def test_border_takes_lowest_index_core_label(self, clusterable_data):
         X = clusterable_data
-        result = RhoApproxDBSCAN(
-            eps=self.EPS,
-            tau=self.TAU,
-            rho=self.RHO,
-            execution=ExecutionConfig(batch_queries=batch_queries),
-        ).fit(X)
-        if batch_queries:
-            assert result.stats["engine_computed"] > 0
+        result = RhoApproxDBSCAN(eps=self.EPS, tau=self.TAU, rho=self.RHO).fit(X)
+        assert result.stats["engine_computed"] > 0
         cores = np.flatnonzero(result.core_mask)
         # float64 oracle: cosine distance of every point to every core.
         within = np.maximum(0.0, 1.0 - X @ X[cores].T) < self.EPS

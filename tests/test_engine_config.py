@@ -38,13 +38,11 @@ class TestExecutionConfigValidation:
     def test_defaults(self):
         cfg = ExecutionConfig()
         assert cfg.sharding is None
-        assert cfg.batch_queries is True
         assert cfg.query_block == DEFAULT_ENGINE_BLOCK
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
             "sharding",
-            "batch_queries",
             "query_block",
         ]
 
@@ -74,10 +72,6 @@ class TestExecutionConfigSerialization:
         cfg = ExecutionConfig()
         assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_round_trip_of_per_point_config(self):
-        cfg = ExecutionConfig(batch_queries=False)
-        assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
-
     def test_dict_is_json_safe(self):
         cfg = self.full_config()
         payload = json.dumps(cfg.to_dict())
@@ -85,7 +79,7 @@ class TestExecutionConfigSerialization:
 
     def test_from_dict_rejects_unknown_top_level_keys(self):
         with pytest.raises(InvalidParameterError, match="unknown ExecutionConfig"):
-            ExecutionConfig.from_dict({"batch_queries": True, "gpu": True})
+            ExecutionConfig.from_dict({"query_block": 8, "gpu": True})
 
     def test_from_dict_rejects_unknown_sharding_keys(self):
         payload = self.full_config().to_dict()
@@ -101,7 +95,7 @@ class TestExecutionConfigSerialization:
 
     def test_from_dict_rejects_non_mapping(self):
         with pytest.raises(InvalidParameterError, match="mapping"):
-            ExecutionConfig.from_dict([("batch_queries", True)])
+            ExecutionConfig.from_dict([("query_block", 8)])
 
     def test_from_dict_validates_reconstructed_values(self):
         payload = self.full_config().to_dict()
@@ -113,8 +107,6 @@ class TestExecutionConfigSerialization:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("batch_queries", "false"),
-            ("batch_queries", 1),
             ("query_block", "abc"),
             ("query_block", True),
             ("query_block", 2.5),
@@ -132,9 +124,8 @@ class TestExecutionConfigSerialization:
         ],
     )
     def test_is_strict_about_field_types(self, build, field, value):
-        # A mistyped value must fail loudly, never coerce: bool("false")
-        # is True, which would silently run the batched path, and 2.5
-        # would be written back as 2.
+        # A mistyped value must fail loudly, never coerce: 2.5 would be
+        # written back as 2, and True would run one-row blocks.
         owner, _, name = field.rpartition(".")
         with pytest.raises(InvalidParameterError, match=name):
             if build == "constructor" and owner:
@@ -150,6 +141,15 @@ class TestExecutionConfigSerialization:
         # loader; the wire format itself has no such key.
         with pytest.raises(InvalidParameterError, match="unknown ExecutionConfig"):
             ExecutionConfig.from_dict({"cache_eviction": "serve"})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_from_dict_rejects_retired_batch_queries(self, value):
+        # Every fit runs on the batched engine. Old artifacts'
+        # batch_queries is dropped by the persistence loader; the wire
+        # format itself has no such key, and writers never emit it.
+        with pytest.raises(InvalidParameterError, match="unknown ExecutionConfig"):
+            ExecutionConfig.from_dict({"batch_queries": value})
+        assert "batch_queries" not in ExecutionConfig().to_dict()
 
     def test_sharding_false_is_not_a_state(self):
         # Two states only: a ShardingConfig or None. The old explicit

@@ -4,9 +4,10 @@ Two contracts:
 
 * ``make_clusterer`` / ``repro.cluster`` build every registered
   algorithm by name and thread one ``ExecutionConfig`` through it;
-* the removed legacy spellings (``index_factory=``, ``batch_queries=``,
-  ``sharded_queries(...)``, ``set_sharding(...)``, ``sharding=False``)
-  are gone: plain ``TypeError``s, missing names, or a validation error.
+* the removed legacy spellings (``index_factory=``, ``batch_queries=``
+  on clusterers and on ``ExecutionConfig``, ``sharded_queries(...)``,
+  ``set_sharding(...)``, ``sharding=False``) are gone: plain
+  ``TypeError``s, missing names, or a validation error.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class TestMakeClusterer:
             make_clusterer("optics", eps=EPS, tau=TAU)
 
     def test_execution_threads_through(self):
-        cfg = ExecutionConfig(batch_queries=False)
+        cfg = ExecutionConfig(query_block=7)
         clusterer = make_clusterer("dbscan", eps=EPS, tau=TAU, execution=cfg)
         assert clusterer.execution is cfg
 
@@ -191,7 +192,7 @@ class TestRemovedLegacyAPI:
     def test_modern_construction_does_not_warn(self):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            DBSCAN(eps=EPS, tau=TAU, execution=ExecutionConfig(batch_queries=False))
+            DBSCAN(eps=EPS, tau=TAU, execution=ExecutionConfig(query_block=7))
         assert _deprecation_count(record) == 0
 
     def test_ambient_sharding_entry_points_are_gone(self):
@@ -236,9 +237,12 @@ class TestExecutionResolution:
         assert np.array_equal(exact.labels, sharded.labels)
         assert sharded.stats["shard_live_shards"] == 2
 
-    def test_sharding_with_per_point_path_rejected(self):
-        with pytest.raises(InvalidParameterError, match="batched engine"):
-            ExecutionConfig(batch_queries=False, sharding=ShardingConfig(n_shards=4))
+    def test_per_point_switch_is_gone(self):
+        # Every fit runs on the batched engine; the per-point reference
+        # lives in repro.testing, not in the execution policy.
+        with pytest.raises(TypeError, match="batch_queries"):
+            ExecutionConfig(batch_queries=False)
+        assert not hasattr(repro.index.engine, "PerPointQueries")
 
     def test_engine_block_default_matches_cache_default(self):
         from repro.engine_config import DEFAULT_ENGINE_BLOCK

@@ -1,9 +1,10 @@
 """Property tests for the batched query API of the range-query indexes.
 
-The contract: every batched query agrees row-for-row with its scalar
-counterpart, tolerates empty batches, and keeps the paper's neighborhood
-semantics (strict ``d < eps``; a query equal to an indexed point returns
-that point).
+The contract: every batched query agrees row-for-row with the scalar
+float64 reference (``BruteForceIndex.range_query`` / ``range_count``
+over the same points, in the same metric), tolerates empty batches, and
+keeps the paper's neighborhood semantics (strict ``d < eps``; a query
+equal to an indexed point returns that point).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.distances import normalize_rows
-from repro.exceptions import NotFittedError
+from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index import BruteForceIndex, GridIndex, NeighborhoodCache, ShardedIndex
 
 from repro.testing import make_blobs_on_sphere
@@ -43,21 +44,28 @@ def data() -> np.ndarray:
     return normalize_rows(rng.normal(size=(80, 12)))
 
 
+def scalar_reference(index, data: np.ndarray) -> BruteForceIndex:
+    """The float64 scalar reference over ``data`` in ``index``'s metric."""
+    return BruteForceIndex(metric=index.metric).build(data)
+
+
 @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
 class TestBatchAgainstScalar:
     def test_batch_range_query_rows_match_scalar(self, name, factory, data):
         index = factory().build(data)
+        reference = scalar_reference(index, data)
         results = index.batch_range_query(data, EPS)
         assert len(results) == data.shape[0]
         for i, row in enumerate(results):
-            expected = index.range_query(data[i], EPS)
+            expected = reference.range_query(data[i], EPS)
             assert np.array_equal(np.sort(row), np.sort(expected)), i
 
     def test_batch_range_count_matches_scalar(self, name, factory, data):
         index = factory().build(data)
+        reference = scalar_reference(index, data)
         counts = index.batch_range_count(data[:33], EPS)
         assert counts.dtype == np.int64
-        expected = [index.range_count(data[i], EPS) for i in range(33)]
+        expected = [reference.range_count(data[i], EPS) for i in range(33)]
         assert np.array_equal(counts, expected)
 
     def test_empty_batch(self, name, factory, data):
@@ -69,9 +77,8 @@ class TestBatchAgainstScalar:
         index = factory().build(data)
         results = index.batch_range_query(data[0], EPS)
         assert len(results) == 1
-        assert np.array_equal(
-            np.sort(results[0]), np.sort(index.range_query(data[0], EPS))
-        )
+        expected = scalar_reference(index, data).range_query(data[0], EPS)
+        assert np.array_equal(np.sort(results[0]), np.sort(expected))
 
     def test_self_is_included(self, name, factory, data):
         index = factory().build(data)
@@ -110,11 +117,11 @@ class TestEpsBoundarySemantics:
 
 
 class TestGridBatchedQueries:
-    def test_batch_approx_range_count_matches_scalar(self):
+    def test_batch_approx_range_count_matches_single_rows(self):
         X, _ = make_blobs_on_sphere(30, 3, 16, spread=0.15, seed=2)
         grid = GridIndex(EPS, rho=1.0).build(X)
         counts = grid.batch_approx_range_count(X)
-        expected = [grid.approx_range_count(X[i]) for i in range(X.shape[0])]
+        expected = [grid.batch_approx_range_count(X[i])[0] for i in range(len(X))]
         assert np.array_equal(counts, expected)
 
     def test_empty_batch(self):
@@ -126,14 +133,13 @@ class TestGridBatchedQueries:
 class TestNeighborhoodCache:
     def test_fetch_matches_direct_query(self, data):
         index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS)
+        cache = NeighborhoodCache(data, EPS)
         cache.plan(np.arange(data.shape[0]))
         for p in range(data.shape[0]):
             assert np.array_equal(cache.fetch(p), index.range_query(data[p], EPS))
 
     def test_each_point_computed_at_most_once(self, data):
-        index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, block_size=16)
+        cache = NeighborhoodCache(data, EPS, block_size=16)
         cache.plan(np.arange(data.shape[0]))
         for p in range(data.shape[0]):
             cache.fetch(p)
@@ -143,16 +149,14 @@ class TestNeighborhoodCache:
         assert cache.n_fetches == data.shape[0]
 
     def test_unplanned_points_are_never_computed(self, data):
-        index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, block_size=8)
+        cache = NeighborhoodCache(data, EPS, block_size=8)
         cache.plan([0, 1, 2, 3])
         cache.fetch(0)
         assert cache.n_computed == 4  # the demanded point + its planned block
         assert not cache.is_cached(50)
 
     def test_plan_is_a_hint_not_speculation(self, data):
-        index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, block_size=4)
+        cache = NeighborhoodCache(data, EPS, block_size=4)
         cache.plan(np.arange(data.shape[0]))
         cache.fetch(10)
         # Only one block was computed: the demanded point plus the next
@@ -161,15 +165,13 @@ class TestNeighborhoodCache:
         assert cache.n_computed == 4
 
     def test_duplicate_plan_entries_not_recomputed(self, data):
-        index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, block_size=64)
+        cache = NeighborhoodCache(data, EPS, block_size=64)
         cache.plan([5, 5, 5, 6])
         cache.fetch(5)
         assert cache.n_computed == 2  # just {5, 6}; the repeats deduplicate
 
     def test_block_size_one_degenerates_to_per_point(self, data):
-        index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, block_size=1)
+        cache = NeighborhoodCache(data, EPS, block_size=1)
         cache.plan(np.arange(data.shape[0]))
         cache.fetch(3)
         cache.fetch(4)
@@ -178,7 +180,7 @@ class TestNeighborhoodCache:
 
     def test_fetch_releases_served_neighborhoods(self, data):
         index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, block_size=8)
+        cache = NeighborhoodCache(data, EPS, block_size=8)
         cache.plan(np.arange(data.shape[0]))
         first = cache.fetch(0)
         assert not cache.is_cached(0)  # served -> released
@@ -191,8 +193,7 @@ class TestNeighborhoodCache:
     def test_evicted_points_never_rejoin_later_batches(self, data):
         """Regression: a frontier jump ahead of the plan pointer must not
         re-batch the served-and-released point when the pointer reaches it."""
-        index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, block_size=3)
+        cache = NeighborhoodCache(data, EPS, block_size=3)
         cache.plan(np.arange(10))
         cache.fetch(5)  # out-of-plan-order jump, then drain the plan
         for p in range(10):
@@ -200,9 +201,8 @@ class TestNeighborhoodCache:
                 cache.fetch(p)
         assert cache.n_computed == 10
 
-    def test_invalid_block_size_rejected(self, data):
-        from repro.exceptions import InvalidParameterError
-
-        index = BruteForceIndex().build(data)
-        with pytest.raises(InvalidParameterError):
-            NeighborhoodCache(index, data, EPS, block_size=0)
+    @pytest.mark.parametrize("block_size", [0, -3, 2.5, True, "8", None])
+    def test_invalid_block_size_rejected(self, data, block_size):
+        # Checked where it is set: 2.5 would otherwise run 3-row blocks.
+        with pytest.raises(InvalidParameterError, match="block_size"):
+            NeighborhoodCache(data, EPS, block_size=block_size)

@@ -34,9 +34,11 @@ class TestBuild:
         with pytest.raises(DataValidationError):
             BruteForceIndex().build(np.ones((4, 4)))
 
-    def test_invalid_block_size(self):
-        with pytest.raises(InvalidParameterError):
-            BruteForceIndex(block_size=0)
+    @pytest.mark.parametrize("block_size", [0, -1, 2.5, True, "16", None])
+    def test_invalid_block_size(self, block_size):
+        # Rejected at construction, not with a bare TypeError mid-query.
+        with pytest.raises(InvalidParameterError, match="block_size"):
+            BruteForceIndex(block_size=block_size)
 
 
 class TestRangeQuery:

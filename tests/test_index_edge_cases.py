@@ -1,9 +1,11 @@
 """Edge cases the batched range queries must survive.
 
-Every case asserts the batched path row-identical to the scalar path on
-the brute-force index (several block sizes, both metrics) and the
-sharded index over it: empty batches, ``eps = 0``, duplicate points,
-batches larger than the dataset, and a single-point dataset.
+Every case asserts the batched path row-identical to the scalar float64
+reference (``BruteForceIndex.range_query`` / ``range_count`` over the
+same points, in the same metric) on the brute-force index (several block
+sizes, both metrics) and the sharded index over it: empty batches,
+``eps = 0``, duplicate points, batches larger than the dataset, and a
+single-point dataset.
 The duplicate and ``eps = 0`` fixtures use one-hot unit vectors so
 every inner product is exactly representable — the comparisons are
 deterministic regardless of which BLAS kernel computed them.
@@ -57,14 +59,15 @@ def one_hot_duplicates(n: int, dim: int) -> np.ndarray:
 
 
 def assert_batch_matches_scalar(index, Q: np.ndarray, eps: float) -> None:
+    reference = BruteForceIndex(metric=index.metric).build(index.points)
     rows = index.batch_range_query(Q, eps)
     assert len(rows) == Q.shape[0]
     for i, row in enumerate(rows):
-        expected = np.sort(index.range_query(Q[i], eps))
+        expected = np.sort(reference.range_query(Q[i], eps))
         assert row.dtype == np.int64
         assert np.array_equal(row, expected), f"row {i} at eps={eps}"
     counts = index.batch_range_count(Q, eps)
-    assert np.array_equal(counts, [index.range_count(q, eps) for q in Q])
+    assert np.array_equal(counts, [reference.range_count(q, eps) for q in Q])
 
 
 @pytest.mark.parametrize("name,factory", BACKENDS, ids=IDS)

@@ -32,7 +32,7 @@ class TestConstruction:
 
     def test_unbuilt_raises(self):
         with pytest.raises(NotFittedError):
-            GridIndex(eps=0.5).approx_range_count(np.zeros(3))
+            GridIndex(eps=0.5).batch_approx_range_count(np.zeros((1, 3)))
 
     def test_cells_partition_points(self, grid_and_data):
         grid, X = grid_and_data
@@ -69,11 +69,12 @@ class TestSandwichGuarantee:
         grid = GridIndex(eps=eps, rho=rho).build(X)
         brute = BruteForceIndex().build(X)
         eps_outer = min(2.0, ((1 + rho) ** 2) * eps)  # euclid scaling -> cosine
-        for qi in range(0, 120, 9):
+        queries = np.arange(0, 120, 9)
+        approx = grid.batch_approx_range_count(X[queries])
+        for qi, count in zip(queries, approx):
             inner = brute.range_count(X[qi], eps)
             outer = brute.range_count(X[qi], eps_outer)
-            approx = grid.approx_range_count(X[qi])
-            assert inner <= approx <= outer, (qi, inner, approx, outer)
+            assert inner <= count <= outer, (qi, inner, count, outer)
 
     @given(st.integers(0, 500))
     @settings(max_examples=20, deadline=None)
@@ -86,7 +87,8 @@ class TestSandwichGuarantee:
         q = X[seed % 60]
         inner = brute.range_count(q, eps)
         outer = brute.range_count(q, eps_outer)
-        assert inner <= grid.approx_range_count(q) <= outer
+        (approx,) = grid.batch_approx_range_count(q)
+        assert inner <= approx <= outer
 
 
 class TestCellsWithin:

@@ -14,6 +14,7 @@ batches, single-row queries and single-point datasets.
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ TAU = 2
 #: name -> the execution config a model is fit (and later served) under
 CONFIGS = {
     "default": ExecutionConfig(),
-    "per_point": ExecutionConfig(batch_queries=False),
     "small_blocks": ExecutionConfig(query_block=7),
     "sharded_serial": ExecutionConfig(sharding=ShardingConfig(n_shards=3)),
     "sharded_thread": ExecutionConfig(
@@ -123,3 +123,28 @@ class TestModelRoundTrip:
             with loaded:
                 assert_same_model(model, loaded)
                 assert_same_predictions(model, loaded, Q)
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_saved_batch_queries_loads_and_predicts_identically(tmp_path, value):
+    """A v1 manifest still carrying the retired ``batch_queries`` key loads
+    (the key is dropped; every predict runs batched) and answers exactly
+    what the same model saved today answers. Writers never emit it."""
+    X = dataset(7, 60, 8, dup=True)
+    Q = dataset(8, 30, 8, dup=False)
+    with fit("default", X, 0.6) as model:
+        model.save(tmp_path / "today")
+    manifest = json.loads((tmp_path / "today" / MANIFEST_FILENAME).read_text())
+    assert manifest["format_version"] == 1
+    assert "batch_queries" not in manifest["spec"]["execution"]
+    manifest["spec"]["execution"]["batch_queries"] = value
+    shutil.copytree(tmp_path / "today", tmp_path / "old")
+    (tmp_path / "old" / MANIFEST_FILENAME).write_text(json.dumps(manifest))
+    with repro.load_model(tmp_path / "today") as today:
+        with repro.load_model(tmp_path / "old") as old:
+            assert_same_model(today, old)
+            assert_same_predictions(today, old, Q)
+            assert_same_predictions(today, old, X[:8])
+            old.save(tmp_path / "resaved")
+    resaved = json.loads((tmp_path / "resaved" / MANIFEST_FILENAME).read_text())
+    assert "batch_queries" not in resaved["spec"]["execution"]

@@ -260,18 +260,6 @@ class TestShardedQueriesMatchSerial:
                 serial.batch_range_count(data, EPS),
             )
 
-    def test_scalar_queries(self, metric, query_block, data, pool):
-        # range_query / range_count travel as one-row batches.
-        remote, serial = self._pair(metric, query_block, data, pool)
-        with remote, serial:
-            for i in (0, 17, 41):
-                assert np.array_equal(
-                    remote.range_query(data[i], EPS), serial.range_query(data[i], EPS)
-                )
-                assert remote.range_count(data[i], EPS) == serial.range_count(
-                    data[i], EPS
-                )
-
 
 class TestClusterersMatchSerial:
     def test_dbscan_labels_bit_identical(self, data, pool):

@@ -16,8 +16,6 @@ reliance on test order.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -60,29 +58,6 @@ SHARD_CONFIGS = {
     "euclidean": ("euclidean", {}),
     "euclidean_small_query_block": ("euclidean", {"query_block": 5}),
 }
-
-
-class NotBruteForce(NeighborIndex):
-    """A range index that is not brute force, so it cannot be sharded."""
-
-    def __init__(self) -> None:
-        self._inner = BruteForceIndex()
-
-    def build(self, X):
-        self._points = self._inner.build(X).points
-        return self
-
-    def range_query(self, q, eps):
-        return self._inner.range_query(q, eps)
-
-    def range_count(self, q, eps):
-        return self._inner.range_count(q, eps)
-
-    def batch_range_query(self, Q, eps):
-        return self._inner.batch_range_query(Q, eps)
-
-    def batch_range_count(self, Q, eps):
-        return self._inner.batch_range_count(Q, eps)
 
 
 @pytest.fixture(scope="module")
@@ -242,15 +217,6 @@ class TestShardingEdgeCases:
                 single.batch_range_query(data, EPS),
             )
 
-    def test_scalar_queries_route_through_shards(self, metric, executor, data):
-        single = BruteForceIndex(metric=metric).build(data)
-        with sharded(metric, data, executor) as index:
-            assert np.array_equal(
-                index.range_query(data[0], EPS),
-                np.sort(single.range_query(data[0], EPS)),
-            )
-            assert index.range_count(data[3], EPS) == single.range_count(data[3], EPS)
-
 
 def test_index_contract_is_range_only():
     """KNN is not part of the index contract, the sharding layer or the wire."""
@@ -303,33 +269,28 @@ class TestLifecycleAndValidation:
 class TestEngineWiring:
     """Sharding reaches the clusterers through NeighborhoodCache alone."""
 
-    def test_cache_wraps_index_under_config(self, data):
-        index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(index, data, EPS, sharding=ShardingConfig(n_shards=3))
+    def test_cache_shards_under_config(self, data):
+        reference = BruteForceIndex().build(data)
+        cache = NeighborhoodCache(data, EPS, sharding=ShardingConfig(n_shards=3))
         assert isinstance(cache._index, ShardedIndex)
         for p in range(10):
-            assert np.array_equal(
-                cache.fetch(p), np.sort(index.range_query(data[p], EPS))
-            )
+            assert np.array_equal(cache.fetch(p), reference.range_query(data[p], EPS))
 
-    def test_cache_without_config_keeps_index(self, data):
-        index = BruteForceIndex().build(data)
-        assert NeighborhoodCache(index, data, EPS)._index is index
+    def test_cache_without_config_builds_one_brute_force_index(self, data):
+        cache = NeighborhoodCache(data, EPS, metric="euclidean")
+        assert type(cache._index) is BruteForceIndex
+        assert cache._index.metric.name == "euclidean"
+        assert cache._index.n_points == data.shape[0]
 
-    def test_cache_close_releases_owned_sharded_index(self, data):
-        index = BruteForceIndex().build(data)
+    def test_cache_close_releases_its_sharded_index(self, data):
         with NeighborhoodCache(
-            index, data, EPS, sharding=ShardingConfig(n_shards=2, executor="thread")
+            data, EPS, sharding=ShardingConfig(n_shards=2, executor="thread")
         ) as cache:
             cache.plan([0, 1])
             assert cache.fetch(0).size > 0
-        # close() ran on __exit__: the owned sharded wrapper is released.
+        # close() ran on __exit__: the cache's sharded index is released.
         with pytest.raises(NotFittedError):
             cache._index.batch_range_query(data[:1], EPS)
-        # But a cache that borrowed the caller's index must not close it.
-        borrowed = NeighborhoodCache(index, data, EPS)
-        borrowed.close()
-        assert index.range_count(data[0], EPS) > 0
 
     @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
     def test_dbscan_identical_under_sharding(self, executor, data):
@@ -345,78 +306,33 @@ class TestEngineWiring:
         assert np.array_equal(baseline.core_mask, result.core_mask)
         assert baseline.stats["range_queries"] == result.stats["range_queries"]
 
-    def test_resolve_engine_index_keeps_a_sharded_index(self, data):
-        config = ShardingConfig(n_shards=2)
-        already = ShardedIndex(n_shards=2).build(data)
-        assert resolve_engine_index(already, data, config) == (already, False)
-        already.close()
-
-    def test_resolve_engine_index_builds_shards_directly(self, data):
-        resolved, owned = resolve_engine_index(
-            BruteForceIndex(), data, ShardingConfig(n_shards=3)
-        )
-        assert owned
-        assert isinstance(resolved, ShardedIndex)
-        assert resolved.n_live_shards == 3
-        stats = resolved.stats()
-        # Shard-before-build: exactly one build per live shard, no
-        # discarded whole-dataset build.
-        assert stats["shard_inner_builds"] == stats["shard_live_shards"] == 3
-        resolved.close()
-
-    def test_resolve_engine_index_without_config_builds_single(self, data):
-        unbuilt = BruteForceIndex()
-        resolved, owned = resolve_engine_index(unbuilt, data, None)
-        assert resolved is unbuilt and owned
-        assert resolved.is_built
-        assert resolved.n_points == data.shape[0]
-
-    def test_resolve_engine_index_fitted_takes_fallback(self, data):
-        fitted = BruteForceIndex().build(data)
-        resolved, owned = resolve_engine_index(fitted, data, None)
-        assert resolved is fitted and not owned
-        wrapped, owned = resolve_engine_index(fitted, data, ShardingConfig(n_shards=2))
-        assert isinstance(wrapped, ShardedIndex) and owned
-        wrapped.close()
-
-    def test_resolve_engine_index_shards_fitted_index_without_points(self, data):
-        # Shard copies are re-fit over the caller's rows, so a fitted
-        # index that no longer exposes its points still shards.
-        class NoPoints(BruteForceIndex):
-            @property
-            def points(self):
-                return None
-
-        fitted = NoPoints().build(data)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved, owned = resolve_engine_index(
-                fitted, data, ShardingConfig(n_shards=2)
-            )
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_resolve_engine_index_builds_shards_directly(self, metric, data):
+        resolved = resolve_engine_index(data, metric, ShardingConfig(n_shards=3))
         with resolved:
-            assert isinstance(resolved, ShardedIndex) and owned
-            assert_rows_equal(
-                resolved.batch_range_query(data, EPS),
-                fitted.batch_range_query(data, EPS),
-            )
+            assert isinstance(resolved, ShardedIndex)
+            assert resolved.metric.name == metric
+            assert resolved.n_live_shards == 3
+            stats = resolved.stats()
+            # Shard-before-build: exactly one build per live shard, no
+            # discarded whole-dataset build.
+            assert stats["shard_inner_builds"] == stats["shard_live_shards"] == 3
 
-    def test_resolve_engine_index_refuses_to_shard_other_indexes(self, data):
-        # Shards are brute-force indexes: anything else cannot be
-        # sharded, and is never queried unsharded behind the config.
-        with pytest.raises(InvalidParameterError, match="brute-force shards"):
-            resolve_engine_index(NotBruteForce(), data, ShardingConfig(n_shards=2))
-        custom = NotBruteForce()
-        assert resolve_engine_index(custom, data, None) == (custom, True)
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_resolve_engine_index_without_config_builds_single(self, metric, data):
+        resolved = resolve_engine_index(data, metric)
+        assert type(resolved) is BruteForceIndex
+        assert resolved.metric.name == metric
+        assert np.array_equal(resolved.points, data)
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_public_points_property_on_every_metric(self, metric, data):
         """Persistence keys on the public ``points`` accessor, not ``_points``."""
         index = BruteForceIndex(metric=metric)
-        assert index.is_built is False
+        assert index.n_points == 0
         with pytest.raises(NotFittedError):
             _ = index.points
         index.build(data)
-        assert index.is_built is True
         assert index.points.shape == data.shape
         assert np.array_equal(index.points, data)
         assert index.n_points == data.shape[0]

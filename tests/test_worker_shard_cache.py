@@ -16,6 +16,8 @@ LRU eviction. The contracts under test:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
 from repro.index.sharded import ShardingConfig
 from repro.remote.pool import WorkerPool
-from repro.remote.worker import ShardHolder
+from repro.remote.worker import ShardHolder, worker_main
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.55
@@ -133,6 +135,46 @@ class TestShardHolderLRU:
             ShardHolder(max_cached_shards=0)
         with pytest.raises(InvalidParameterError, match="max_cached_bytes"):
             ShardHolder(max_cached_bytes=0)
+
+
+class TestCapsRejectedBeforeServing:
+    """A bad cap is an immediate typed or usage error, at every entry."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_cached_shards", 0),
+            ("max_cached_shards", 1.5),
+            ("max_cached_shards", True),
+            ("max_cached_bytes", -1),
+            ("max_cached_bytes", "64"),
+            ("n_workers", 2.5),
+        ],
+    )
+    def test_spawn_rejects_bad_values_before_forking(self, field, value):
+        # Checked in the parent: a cap the child rejects would leave the
+        # spawner waiting out its whole start timeout for a worker that
+        # never reports in.
+        kwargs = {"n_workers": 1, field: value}
+        start = time.monotonic()
+        with pytest.raises(InvalidParameterError, match=field):
+            WorkerPool.spawn_local(start_timeout_s=30.0, **kwargs)
+        assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("flag", ["--max-cached-shards", "--max-cached-bytes"])
+    def test_worker_cli_reports_bad_cap_as_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            worker_main([flag, "0"])
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_pool_serve_reports_bad_cap_as_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pool", "serve", "--max-cached-shards", "0"])
+        assert excinfo.value.code == 2
+        assert "--max-cached-shards" in capsys.readouterr().err
 
 
 class TestCappedPoolEndToEnd:
