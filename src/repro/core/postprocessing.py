@@ -8,7 +8,8 @@ repairs this with only the bookkeeping gathered during clustering:
 for every recorded stop point ``P`` with ``|E(P)| >= tau`` (proof that
 ``P`` is truly core), pick a random non-noise partial neighbor ``P'``,
 take its cluster as the destination, and merge the clusters of all
-points in ``E(P)`` into it.
+points in ``E(P)`` — and ``P``'s own cluster, when a border claim put
+it in one — into it.
 
 Merges use union-find so chains of repairs compose; the false-negative
 point itself joins the destination cluster (it is a core member of the
@@ -57,6 +58,13 @@ def post_process(
         The core threshold; ``|E(P)| >= tau`` flags a false negative.
     seed:
         Seed for the random destination-cluster choice (line 3).
+
+    Stop points are repaired in the iteration order of ``E``, which is
+    stop-point registration order (the host's frontier order). The
+    order can matter: a repair sees the labels earlier repairs wrote,
+    so a stop point that one repair moves out of noise joins a later
+    repair's merge only when that repair runs second. The random
+    destination choice never changes the final partition.
     """
     labels = np.asarray(labels, dtype=np.int64)
     rng = ensure_rng(seed)
@@ -78,7 +86,12 @@ def post_process(
         # the destination.
         destination_point = int(rng.choice(np.sort(non_noise)))
         destination = uf.find(int(out[destination_point]))
-        for label in np.unique(out[non_noise]):
+        merged = out[non_noise]
+        if out[point] != NOISE:
+            # A stop point already claimed as a border: its cluster is
+            # one of those the false negative connects.
+            merged = np.append(merged, out[point])
+        for label in np.unique(merged):
             root = uf.find(int(label))
             if root != destination:
                 uf.union(destination, root)

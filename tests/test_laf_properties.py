@@ -11,7 +11,7 @@ These check properties that must hold for *any* estimator and alpha:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.base import NOISE
@@ -49,6 +49,7 @@ class TestStructuralInvariants:
             assert partial <= true_neighbors
 
     @given(st.integers(0, 500), st.floats(1.0, 6.0))
+    @example(seed=94, alpha=3.0)  # a repaired point that was already a border
     @settings(max_examples=20, deadline=None)
     def test_postprocessing_only_coarsens(self, seed, alpha):
         X, _, with_pp = run_laf(seed, alpha, post=True)
