@@ -11,7 +11,7 @@ import numpy as np
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
-from repro.index.engine import NeighborhoodCache
+from repro.index.sharded import resolve_engine_index
 
 __all__ = [
     "NOISE",
@@ -101,10 +101,10 @@ class Clusterer(abc.ABC):
     future-work extension); the tree/grid-based baselines are tied to
     the unit sphere by their Equation 1 conversions and stay cosine.
 
-    Execution policy — engine block size and sharding — is one
+    Execution policy — kernel block size and sharding — is one
     declarative :class:`~repro.engine_config.ExecutionConfig` passed as
-    ``execution``; :meth:`_engine` resolves it into the engine a fit
-    queries through. Nothing about execution lives in global state, so
+    ``execution``; :meth:`_engine` resolves it into the index a fit
+    queries. Nothing about execution lives in global state, so
     concurrent fits with different configurations cannot interfere.
     """
 
@@ -139,31 +139,30 @@ class Clusterer(abc.ABC):
     # ------------------------------------------------------------------
 
     @contextlib.contextmanager
-    def _engine(self, X: np.ndarray, *, plan=None):
-        """The shared engine lifecycle of every fit.
+    def _engine(self, X: np.ndarray):
+        """The index every fit queries, closed deterministically on exit.
 
-        A :class:`~repro.index.engine.NeighborhoodCache` over ``X`` in
-        this clusterer's metric, configured by :attr:`execution` (block
-        size, sharding), optionally pre-planning ``plan``, closed
-        deterministically on exit. The ``finally`` matters: a fit
-        raising mid-query pins its frame in the traceback, so without
-        an explicit close a sharded executor's thread pool or worker
-        connections would leak until gc.
+        :func:`~repro.index.sharded.resolve_engine_index` over ``X`` in
+        this clusterer's metric, configured by :attr:`execution`: a
+        :class:`~repro.index.brute_force.BruteForceIndex` with
+        ``query_block``-row kernel blocks, or a
+        :class:`~repro.index.sharded.ShardedIndex` when sharding is set.
+        A fit knows up front which rows it queries, so it asks for them
+        in one ``batch_range_query_rows`` (or ``_count_rows``) call and
+        reads the neighbourhoods from the returned list. The
+        ``finally`` matters: a fit raising mid-query pins its frame in
+        the traceback, so without an explicit close a sharded
+        executor's thread pool or worker connections would leak until
+        gc.
         """
         cfg = self.execution
-        engine = NeighborhoodCache(
-            X,
-            self.eps,
-            self.metric,
-            block_size=cfg.query_block,
-            sharding=cfg.sharding,
+        index = resolve_engine_index(
+            X, self.metric, cfg.sharding, block_size=cfg.query_block
         )
         try:
-            if plan is not None:
-                engine.plan(plan)
-            yield engine
+            yield index
         finally:
-            engine.close()
+            index.close()
 
     # ------------------------------------------------------------------
     # Fitting

@@ -12,11 +12,11 @@ paper sweeps the tree's basis (1.1-5) as this baseline's trade-off
 knob. An exact tree returns the same neighbourhoods whatever its basis,
 so the basis only ever moved time; and metric trees do not prune at the
 768-d embeddings the paper targets. The queries therefore run on the
-shared brute-force engine, which gives the same labels faster.
+shared brute-force index, which gives the same labels faster.
 
 Algorithm outline:
 
-1. repeatedly pick an unvisited point ``p`` and fetch its half-radius
+1. repeatedly pick an unvisited point ``p`` and query its half-radius
    ball; if it holds at least ``tau`` points it is an inner core block
    (all members core, no more queries for them), otherwise ``p`` alone
    is core exactly when its full-radius neighbourhood holds ``tau``;
@@ -65,13 +65,11 @@ class BlockDBSCAN(Clusterer):
         Maximum iterations when approximating the minimum distance
         between two inner core blocks (paper default 10).
     execution:
-        Execution policy. On the default batched path seed queries
-        route through the shared engine seam: which seeds get queried
-        depends on earlier balls (visited members are skipped), so
-        nothing is planned ahead and the backend answers per point
-        either way — the seam buys uniform engine statistics and
-        sharding. The algorithm itself visits each seed at most once,
-        so no query repeats on either path.
+        Execution policy. Which seeds get queried depends on earlier
+        balls (visited members are skipped), so nothing is planned
+        ahead: each seed is one single-row query on the index the
+        shared engine seam builds, which buys sharding. The algorithm
+        visits each seed at most once, so no query repeats.
     """
 
     algo_name = "block-dbscan"
@@ -106,8 +104,9 @@ class BlockDBSCAN(Clusterer):
         blocks: list[np.ndarray] = []
         n_range_queries = 0
 
-        with self._engine(X) as engine:
-            fetch = engine.fetch
+        # Seeds depend on what earlier seeds covered, so there is no plan:
+        # one single-row call per seed.
+        with self._engine(X) as index:
             for p in range(n):
                 if visited[p]:
                     continue
@@ -116,7 +115,7 @@ class BlockDBSCAN(Clusterer):
                 # the distance-filtered subset (same information as the
                 # original half-then-full query pair, at half the
                 # queries).
-                neighbors = fetch(p)
+                neighbors = index.batch_range_query_rows(np.array([p]), self.eps)[0]
                 n_range_queries += 1
                 ball = neighbors[1.0 - X[neighbors] @ X[p] < half_eps_cos]
                 if ball.size >= self.tau:
@@ -139,7 +138,7 @@ class BlockDBSCAN(Clusterer):
                 "n_core": int(core_mask.sum()),
                 "n_blocks": len(blocks),
             }
-            stats.update(engine.stats())
+            stats.update(index.stats())
 
         labels = self._merge_and_assign(X, core_mask, unit_of_point, blocks, r_e)
         return ClusteringResult(

@@ -39,11 +39,12 @@ class DBSCAN(Clusterer):
         "cosine" (default) or "euclidean" — the future-work extension.
     execution:
         Execution policy (:class:`~repro.engine_config.ExecutionConfig`):
-        sharding and engine block size; range queries run on exact brute
-        force in the chosen metric. Plain DBSCAN plans all ``n`` queries
-        up front (every point is queried exactly once, in the outer loop
-        or at its dequeue) and executes them as blocked matrix products;
-        the clustering is identical to one scalar query per point.
+        sharding and kernel block size; range queries run on exact brute
+        force in the chosen metric. Every point is queried exactly once
+        (in the outer loop or at its dequeue), and a neighbourhood
+        depends only on the data, the point and ``eps``, so all ``n``
+        queries run up front as one blocked call; the clustering is
+        identical to one scalar query per point.
 
     Examples
     --------
@@ -77,14 +78,15 @@ class DBSCAN(Clusterer):
         cluster_id = -1
 
         # Every point's range query executes exactly once (in the outer
-        # loop or at its dequeue), so the full visit order is a safe
-        # prefetch plan: nothing speculative is ever computed.
-        with self._engine(X, plan=np.arange(n)) as engine:
-            fetch = engine.fetch
+        # loop or at its dequeue), so all n run in one call; the loop
+        # reads them in its own order. All neighbourhoods stay resident
+        # until the fit ends.
+        with self._engine(X) as index:
+            neighborhoods = index.batch_range_query_rows(np.arange(n), self.eps)
             for p in range(n):
                 if labels[p] != UNDEFINED:
                     continue
-                neighbors = fetch(p)
+                neighbors = neighborhoods[p]
                 n_range_queries += 1
                 if neighbors.size < self.tau:
                     labels[p] = NOISE
@@ -104,7 +106,7 @@ class DBSCAN(Clusterer):
                     if labels[q] != UNDEFINED:
                         continue
                     labels[q] = cluster_id
-                    q_neighbors = fetch(q)
+                    q_neighbors = neighborhoods[q]
                     n_range_queries += 1
                     if q_neighbors.size >= self.tau:
                         core_mask[q] = True
@@ -113,7 +115,7 @@ class DBSCAN(Clusterer):
                         queue.extend(fresh.tolist())
 
             stats: dict[str, int | float] = {"range_queries": n_range_queries}
-            stats.update(engine.stats())
+            stats.update(index.stats())
         return ClusteringResult(
             labels=canonicalize_labels(labels),
             core_mask=core_mask,

@@ -52,9 +52,9 @@ class DBSCANPlusPlus(Clusterer):
     seed:
         Sampling seed.
     execution:
-        Execution policy. The per-sample core test runs through the
-        engine's blocked ``count`` (the index's ``batch_range_count``
-        kernel, sharded when a sharding config is set).
+        Execution policy. The per-sample core test is one
+        ``batch_range_count_rows`` call over the sample (sharded when a
+        sharding config is set).
     """
 
     algo_name = "dbscan++"
@@ -123,11 +123,10 @@ class DBSCANPlusPlus(Clusterer):
         sample = self._sample_indices(X)
 
         # Core detection within the sample, counted against the full set
-        # (count-only: the engine's count surface never materializes or
-        # caches the neighbor lists).
-        with self._engine(X) as engine:
-            counts = engine.count(sample)
-            engine_stats = engine.stats()
+        # (count-only: the neighbor lists are never materialized).
+        with self._engine(X) as index:
+            counts = index.batch_range_count_rows(sample, self.eps)
+            engine_stats = index.stats()
         core_sample = sample[counts >= self.tau]
         stats = {
             "range_queries": int(sample.size),

@@ -112,14 +112,16 @@ class RhoApproxDBSCAN(Clusterer):
             "n_cells": grid.n_cells,
         }
         # The exact border queries are ordinary eps-range queries, so
-        # they run through the shared brute-force engine.
-        with self._engine(X) as engine:
+        # they run on the shared brute-force engine seam.
+        with self._engine(X) as index:
             if core_cells:
                 labels = self._merge_cells(
-                    X, grid, core_mask, core_cells, r_e, r_outer, engine
+                    X, grid, core_mask, core_cells, r_e, r_outer, index
                 )
             stats["n_core"] = int(core_mask.sum())
-            stats.update(engine.stats())
+            # One exact border query per non-core point, once a core exists.
+            stats["range_queries"] = n - stats["n_core"] if core_cells else 0
+            stats.update(index.stats())
         return ClusteringResult(
             labels=canonicalize_labels(labels),
             core_mask=core_mask,
@@ -134,7 +136,7 @@ class RhoApproxDBSCAN(Clusterer):
         core_cells: list[int],
         r_e: float,
         r_outer: float,
-        engine,
+        index,
     ) -> np.ndarray:
         n = X.shape[0]
         labels = np.full(n, NOISE, dtype=np.int64)
@@ -160,17 +162,14 @@ class RhoApproxDBSCAN(Clusterer):
             cluster = uf.find(cell_rank[cell])
             labels[core_members[cell]] = cluster
         # Borders: any core point within eps adopts the point. These are
-        # exact eps-range queries, served through the shared engine (each
-        # border point is fetched exactly once, so the whole set is a
-        # safe prefetch plan).
+        # exact eps-range queries; each border candidate is queried
+        # exactly once, so the whole set runs in one call.
         border_candidates = np.flatnonzero(~core_mask)
-        if border_candidates.size:
-            engine.plan(border_candidates)
-            for p in border_candidates.tolist():
-                neighbors = engine.fetch(p)
-                core_neighbors = neighbors[core_mask[neighbors]]
-                if core_neighbors.size:
-                    labels[p] = labels[core_neighbors[0]]
+        neighborhoods = index.batch_range_query_rows(border_candidates, self.eps)
+        for p, neighbors in zip(border_candidates.tolist(), neighborhoods):
+            core_neighbors = neighbors[core_mask[neighbors]]
+            if core_neighbors.size:
+                labels[p] = labels[core_neighbors[0]]
         return labels
 
     def _cells_connected(

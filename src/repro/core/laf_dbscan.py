@@ -58,14 +58,13 @@ class LAFDBSCAN(Clusterer):
         Seed for the post-processing destination choice.
     execution:
         Execution policy (range queries run on exact brute force, as in
-        the paper). The executed range queries go through the batched
-        engine: exactly the predicted-core points
-        are planned (each is queried once by Algorithm 1, no more, no
-        fewer), so the gate's savings are preserved while the surviving
-        queries run as blocked matrix products.
-        ``UpdatePartialNeighbors`` still fires per executed query at its
-        Algorithm 1 line, so the map ``E`` — and therefore
-        post-processing — is identical to one scalar query per point.
+        the paper). Algorithm 1 queries exactly the predicted-core
+        points, each once, so those rows run up front as one blocked
+        call: the gate's savings are preserved and a skipped point is
+        never computed. ``UpdatePartialNeighbors`` still fires per
+        executed query at its Algorithm 1 line, so the map ``E`` — and
+        therefore post-processing — is identical to one scalar query per
+        point.
 
     Examples
     --------
@@ -123,11 +122,14 @@ class LAFDBSCAN(Clusterer):
         cluster_id = -1
 
         # Algorithm 1 executes exactly one range query per
-        # predicted-core point, so those are the plan; predicted stop
-        # points are never planned and never computed, keeping the
-        # gate's skipped-query savings intact.
-        with self._engine(X, plan=np.flatnonzero(predicted_core)) as engine:
-            fetch = engine.fetch
+        # predicted-core point, so those are the plan, run in one call;
+        # predicted stop points are never computed, keeping the gate's
+        # skipped-query savings intact. slot maps a row to its plan entry.
+        plan = np.flatnonzero(predicted_core)
+        slot = np.full(n, -1, dtype=np.int64)
+        slot[plan] = np.arange(plan.size)
+        with self._engine(X) as index:
+            neighborhoods = index.batch_range_query_rows(plan, self.eps)
             for p in range(n):  # line 4
                 if labels[p] != UNDEFINED:  # line 5
                     continue
@@ -136,7 +138,7 @@ class LAFDBSCAN(Clusterer):
                     E.register_stop_point(p)  # line 8
                     n_skipped += 1
                     continue  # line 9
-                neighbors = fetch(p)  # line 10
+                neighbors = neighborhoods[slot[p]]  # line 10
                 n_range_queries += 1
                 E.update(p, neighbors)  # line 11
                 if neighbors.size < self.tau:  # line 12 (false positive)
@@ -157,7 +159,7 @@ class LAFDBSCAN(Clusterer):
                         continue
                     labels[q] = cluster_id  # line 21
                     if predicted_core[q]:  # line 22: CardEst(Q) >= alpha * tau
-                        q_neighbors = fetch(q)  # line 23
+                        q_neighbors = neighborhoods[slot[q]]  # line 23
                         n_range_queries += 1
                         E.update(q, q_neighbors)  # line 24
                         if q_neighbors.size >= self.tau:  # line 25
@@ -169,7 +171,7 @@ class LAFDBSCAN(Clusterer):
                         E.register_stop_point(q)  # lines 26-27
                         n_skipped += 1
 
-            engine_stats = engine.stats()
+            engine_stats = index.stats()
 
         outcome = self.laf.finalize(labels, self.tau)  # line 28
         stats: dict[str, int | float] = {

@@ -57,9 +57,9 @@ class LAFDBSCANPlusPlus(Clusterer):
         Sampling and post-processing seed.
     execution:
         Execution policy (range queries run on exact brute force). The
-        range queries that survive the gate run through the batched
-        engine with the gated sample as the plan (serve-and-release).
-        Every gated sample point is queried exactly once, and
+        range queries that survive the gate run as one blocked call over
+        the gated sample. Every gated sample point is queried exactly
+        once, and
         ``UpdatePartialNeighbors`` receives each executed result in
         sample order, so the output is identical to one scalar query per
         point.
@@ -119,19 +119,17 @@ class LAFDBSCANPlusPlus(Clusterer):
         core_list: list[int] = []
         n_range_queries = 0
         # Every gated point is queried exactly once, in sample order, so
-        # the gated set is the plan; serve-and-release keeps only the
-        # prefetched tail of each block resident. The E.update feed below
-        # still runs per result in sample order, exactly as the per-point
-        # loop would.
-        with self._engine(X, plan=gated) as engine:
-            fetch = engine.fetch
-            for s in gated.tolist():
-                neighbors = fetch(s)
+        # the gated set runs in one call. The E.update feed below still
+        # runs per result in sample order, exactly as the per-point loop
+        # would.
+        with self._engine(X) as index:
+            neighborhoods = index.batch_range_query_rows(gated, self.eps)
+            for s, neighbors in zip(gated.tolist(), neighborhoods):
                 n_range_queries += 1
                 E.update(s, neighbors)
                 if neighbors.size >= self.tau:
                     core_list.append(s)
-            engine_stats = engine.stats()
+            engine_stats = index.stats()
         core_sample = np.array(core_list, dtype=np.int64)
 
         stats: dict[str, int | float] = {

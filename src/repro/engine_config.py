@@ -4,7 +4,7 @@ Range queries always run on the exact brute-force index
 (:class:`~repro.index.brute_force.BruteForceIndex`), batched; execution
 policy is only the block size and whether they shard. :class:`ExecutionConfig`
 holds the complete policy of one fit: an optional
-:class:`~repro.index.sharded.ShardingConfig` and the engine block size.
+:class:`~repro.index.sharded.ShardingConfig` and the kernel block size.
 
 Every clusterer accepts ``execution=ExecutionConfig(...)`` and resolves
 its engine through one shared helper
@@ -23,9 +23,9 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Mapping
 
+from repro.distances.matrix import DEFAULT_BLOCK_SIZE
 from repro.exceptions import InvalidParameterError
 from repro.index.base import check_positive_int
-from repro.index.engine import DEFAULT_QUERY_BLOCK
 from repro.index.sharded import ShardingConfig
 
 __all__ = [
@@ -33,9 +33,9 @@ __all__ = [
     "ExecutionConfig",
 ]
 
-#: Default number of queries per batched engine call — by construction
-#: the :class:`~repro.index.engine.NeighborhoodCache` block-size default.
-DEFAULT_ENGINE_BLOCK = DEFAULT_QUERY_BLOCK
+#: Default query rows per kernel block — by construction the
+#: :class:`~repro.index.brute_force.BruteForceIndex` block-size default.
+DEFAULT_ENGINE_BLOCK = DEFAULT_BLOCK_SIZE
 
 
 #: The JSON-visible fields of ShardingConfig (kept in lockstep with the
@@ -56,8 +56,11 @@ class ExecutionConfig:
         state — so concurrent fits with different sharding cannot
         interfere. ``None`` (the default) means unsharded execution.
     query_block:
-        Maximum queries per batched engine call (the
-        :class:`~repro.index.engine.NeighborhoodCache` block size).
+        Query rows per kernel block: the ``block_size`` of the
+        unsharded :class:`~repro.index.brute_force.BruteForceIndex` a
+        fit builds, and the block of
+        :meth:`~repro.persistence.ClusterModel.predict`. A sharded fit's
+        rounds are ``sharding.query_block`` rows instead.
 
     Field types are checked strictly, never coerced, whether the config
     is built directly or through :meth:`from_dict`: ``2.5`` is not a

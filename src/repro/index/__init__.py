@@ -21,16 +21,16 @@ and the grid by 16x or more on the paper's datasets
 (``docs/engine.md``).
 
 Range-query indexes answer batched queries (``batch_range_query``,
-``batch_range_count``); :class:`ShardedIndex` fans them across row
-shards, and :class:`NeighborhoodCache` is the engine the clusterers use
-to route frontier expansions through them — see ``docs/engine.md``.
+``batch_range_count``, and the ``_rows`` forms that name the indexed
+points by row id); :class:`ShardedIndex` fans them across row shards.
+A fit asks for every row it plans to query in one row-id call and reads
+the neighbourhoods from the returned list — see ``docs/engine.md``.
 :class:`BruteForceIndex` also keeps the scalar float64 ``range_query`` /
 ``range_count`` as the reference the batched kernels are tested against.
 """
 
 from repro.index.base import NeighborIndex
 from repro.index.brute_force import BruteForceIndex
-from repro.index.engine import NeighborhoodCache
 from repro.index.grid import GridIndex
 from repro.index.kmeans_tree import KMeansTree
 from repro.index.sharded import ExecutorSpec, ShardedIndex, ShardingConfig
@@ -41,7 +41,6 @@ __all__ = [
     "GridIndex",
     "KMeansTree",
     "NeighborIndex",
-    "NeighborhoodCache",
     "ShardedIndex",
     "ShardingConfig",
 ]

@@ -55,9 +55,16 @@ class NeighborIndex(abc.ABC):
     def build(self, X: np.ndarray) -> "NeighborIndex":
         """Index the rows of ``X`` (unit-normalized) and return ``self``."""
 
+    def stats(self) -> dict[str, int]:
+        """Counters a fit merges into its result's ``stats``; none here."""
+        return {}
+
+    def close(self) -> None:
+        """Release what the index holds beyond memory; nothing here."""
+
     # ------------------------------------------------------------------
-    # Batched queries: the engine API every clusterer goes through (see
-    # repro.index.engine). The neighborhood of a query is the paper's
+    # Batched queries: the API every clusterer's fit goes through
+    # (Clusterer._engine). The neighborhood of a query is the paper's
     # N = {Q | d(P, Q) < eps}: strict, so a query equal to an indexed
     # point returns that point itself.
     # ------------------------------------------------------------------
@@ -84,8 +91,8 @@ class NeighborIndex(abc.ABC):
         """Neighbor counts for every row of ``Q`` at threshold ``eps``."""
 
     # Row-id forms: a fit only ever queries its own indexed points, so
-    # the engine names them by row. An index whose points already sit
-    # elsewhere (a remote worker fleet) ships the ids, not the vectors.
+    # it names them by row. An index whose points already sit elsewhere
+    # (a remote worker fleet) ships the ids, not the vectors.
 
     def batch_range_query_rows(self, ids: np.ndarray, eps: float) -> list[np.ndarray]:
         """:meth:`batch_range_query` of the indexed points ``points[ids]``."""

@@ -23,7 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distances.matrix import iter_cosine_range_masks, iter_distance_blocks
+from repro.distances.matrix import (
+    DEFAULT_BLOCK_SIZE,
+    iter_cosine_range_masks,
+    iter_distance_blocks,
+)
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError
 from repro.index.base import NeighborIndex, check_positive_int
@@ -41,6 +45,7 @@ class BruteForceIndex(NeighborIndex):
         cosine batch range query is about ``7 * block_size * n_points``
         bytes (a float32 similarity block and two bool masks); the other
         batched paths hold ``block_size * n_points`` float64 distances.
+        The row-id forms gather ``block_size`` query rows at a time.
     metric:
         "cosine" (default, requires unit rows) or "euclidean". A cosine
         index keeps a float32 copy of the points next to the float64
@@ -57,7 +62,9 @@ class BruteForceIndex(NeighborIndex):
     True
     """
 
-    def __init__(self, block_size: int = 1024, metric: str | Metric = COSINE) -> None:
+    def __init__(
+        self, block_size: int = DEFAULT_BLOCK_SIZE, metric: str | Metric = COSINE
+    ) -> None:
         check_positive_int("block_size", block_size)
         self.block_size = block_size
         self.metric = get_metric(metric)
@@ -160,6 +167,30 @@ class BruteForceIndex(NeighborIndex):
         counts = np.empty(Q.shape[0], dtype=np.int64)
         for start, stop, mask in self._iter_masks(Q, eps):
             counts[start:stop] = np.count_nonzero(mask, axis=1)
+        return counts
+
+    # Row-id forms: a fit's plan can be every row, so ``points[ids]`` is
+    # gathered one kernel block at a time, never as a whole copy.
+
+    def _row_blocks(self, ids: np.ndarray):
+        ids = np.asarray(ids, dtype=np.int64)
+        for start in range(0, ids.size, self.block_size):
+            yield start, self._points[ids[start : start + self.block_size]]
+
+    def batch_range_query_rows(self, ids: np.ndarray, eps: float) -> list[np.ndarray]:
+        """:meth:`batch_range_query` of ``points[ids]``, gathered per block."""
+        self._require_built()
+        results: list[np.ndarray] = []
+        for _, Q in self._row_blocks(ids):
+            results.extend(self.batch_range_query(Q, eps))
+        return results
+
+    def batch_range_count_rows(self, ids: np.ndarray, eps: float) -> np.ndarray:
+        """:meth:`batch_range_count` of ``points[ids]``, gathered per block."""
+        self._require_built()
+        counts = np.empty(len(ids), dtype=np.int64)
+        for start, Q in self._row_blocks(ids):
+            counts[start : start + len(Q)] = self.batch_range_count(Q, eps)
         return counts
 
     def range_count_multi_eps(

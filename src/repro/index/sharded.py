@@ -50,9 +50,8 @@ fast path against it.
 
 The module also hosts :class:`ShardingConfig`, the declarative sharding
 spec that :class:`~repro.engine_config.ExecutionConfig` embeds and
-threads explicitly into :class:`~repro.index.engine.NeighborhoodCache` /
-:func:`resolve_engine_index` — the *only* way to shard a fit; there
-is no ambient sharding state.
+threads explicitly into :func:`resolve_engine_index` — the *only* way
+to shard a fit; there is no ambient sharding state.
 
 Exactness: range queries and counts are exact (the brute-force inner
 index is, and a point's eps-neighborhood is the disjoint union of its
@@ -68,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.distances.matrix import DEFAULT_BLOCK_SIZE
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index.base import NeighborIndex, check_positive_int
@@ -670,7 +670,7 @@ class ShardedIndex(NeighborIndex):
 
 @dataclass(frozen=True)
 class ShardingConfig:
-    """How :class:`~repro.index.engine.NeighborhoodCache` shards queries.
+    """How :func:`resolve_engine_index` shards a fit's or a model's queries.
 
     ``executor`` accepts an :class:`ExecutorSpec`, an executor name
     string, or a spec wire dict, and is stored coerced to an
@@ -699,19 +699,24 @@ class ShardingConfig:
 
 
 def resolve_engine_index(
-    X: np.ndarray, metric: str | Metric = COSINE, config: ShardingConfig | None = None
+    X: np.ndarray,
+    metric: str | Metric = COSINE,
+    config: ShardingConfig | None = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> NeighborIndex:
-    """Build the engine's query index over ``X``, shard-first when sharded.
+    """Build the query index over ``X``, shard-first when sharded.
 
-    The shard-before-build seam of the batched engine
-    (:class:`~repro.index.engine.NeighborhoodCache`) and of
+    The shard-before-build seam of every fit
+    (:meth:`~repro.clustering.base.Clusterer._engine`) and of
     :class:`~repro.persistence.ClusterModel` predict: with ``config``
     None a :class:`~repro.index.brute_force.BruteForceIndex` in
-    ``metric``; with a config a :class:`ShardedIndex` of brute-force
-    shards built directly over ``X``, so the whole-dataset index is
-    never built and a sharded fit pays exactly ``n_live_shards`` inner
-    builds. The caller owns the result and closes it.
+    ``metric`` with kernel blocks of ``block_size`` rows; with a config
+    a :class:`ShardedIndex` of brute-force shards built directly over
+    ``X`` (its rounds are ``config.query_block`` rows), so the
+    whole-dataset index is never built and a sharded fit pays exactly
+    ``n_live_shards`` inner builds. The caller owns the result and
+    closes it.
     """
     if config is None:
-        return BruteForceIndex(metric=metric).build(X)
+        return BruteForceIndex(block_size=block_size, metric=metric).build(X)
     return config.make_index(metric).build(X)

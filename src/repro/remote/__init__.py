@@ -20,11 +20,11 @@ every call runs under a timeout with bounded retry.
 """
 
 from repro.remote.pool import RemoteExecutor, WorkerPool
-from repro.remote.worker import serve, worker_main
 
+# The worker (repro.remote.worker: serve, worker_main) is not imported
+# here: ``python -m repro.remote.worker`` imports this package first, and
+# a worker module already in sys.modules would be run a second time.
 __all__ = [
     "RemoteExecutor",
     "WorkerPool",
-    "serve",
-    "worker_main",
 ]

@@ -53,7 +53,6 @@ from repro.exceptions import (
 )
 from repro.index.base import check_positive_int
 from repro.remote.protocol import recv_msg, send_msg
-from repro.remote.worker import check_cache_caps
 
 __all__ = ["RemoteExecutor", "WorkerPool", "DEFAULT_TIMEOUT_S", "DEFAULT_RETRIES"]
 
@@ -414,6 +413,10 @@ class WorkerPool:
         warm shard-index cache (LRU eviction; see
         :class:`~repro.remote.worker.ShardHolder`).
         """
+        # Imported here, like every worker import of this module, so that
+        # ``python -m repro.remote.worker`` runs a worker not yet imported.
+        from repro.remote.worker import check_cache_caps
+
         check_positive_int("n_workers", n_workers)
         check_cache_caps(max_cached_shards, max_cached_bytes)
         ctx = multiprocessing.get_context(_start_method())

@@ -95,13 +95,14 @@ def _close_indexes(indexes: list[object]) -> None:
 
 
 def _index_nbytes(index: object) -> int:
-    """Size of a cached brute-force shard index: its point matrices.
+    """Bytes evicting a cached brute-force shard index frees.
 
-    That is the float64 rows plus, for a cosine index, their float32
-    copy.
+    Only the matrices the index owns count: a cosine index's float32
+    copy, never its float64 rows, which are a view of the held dataset.
     """
     matrices = (getattr(index, name, None) for name in ("_points", "_points32"))
-    return sum(int(m.nbytes) for m in matrices if isinstance(m, np.ndarray))
+    owned = (m for m in matrices if isinstance(m, np.ndarray) and m.flags.owndata)
+    return sum(int(m.nbytes) for m in owned)
 
 
 def check_cache_caps(

@@ -11,11 +11,12 @@ library code paths (full distance matrix + BFS) so algorithmic tests
 compare two distinct implementations rather than a module with itself.
 
 :class:`PerPointEngine` is the per-point reference for the batched
-engine: :func:`use_per_point_engine` makes a clusterer run every range
-query of its fit as one scalar float64 ``BruteForceIndex`` call at its
-algorithmic position — the paper's Algorithm 1 loop, query by query.
-The differential tests diff every clusterer against it, and the engine
-micro-benchmark times it as the per-point baseline.
+kernels: :func:`use_per_point_engine` makes a clusterer answer every
+range query of its fit with one scalar float64 ``BruteForceIndex`` call
+per row. (When a query runs does not matter: a neighbourhood depends
+only on the data, the point and eps.) The differential tests diff
+every clusterer against it, and the engine micro-benchmark times it as
+the per-point baseline.
 
 The runtime resource sanitizer lives in the ``repro.testing.sanitizer``
 submodule (a pytest plugin — load it with ``-p repro.testing.sanitizer``;
@@ -42,40 +43,24 @@ __all__ = [
 ]
 
 
-class PerPointEngine:
-    """One scalar query per ``fetch`` / counted row, nothing batched.
+class PerPointEngine(BruteForceIndex):
+    """A brute-force index whose row-id queries are one scalar call per row.
 
-    Has the ``plan`` / ``fetch`` / ``count`` / ``stats`` / ``close``
-    surface of :class:`~repro.index.engine.NeighborhoodCache`: ``fetch``
-    is one :meth:`BruteForceIndex.range_query` and ``count`` one
-    :meth:`BruteForceIndex.range_count` per row, each run when the host
-    asks. ``plan`` is a no-op (nothing to prefetch) and ``stats`` empty.
+    ``batch_range_query_rows`` runs one float64
+    :meth:`~repro.index.brute_force.BruteForceIndex.range_query` and
+    ``batch_range_count_rows`` one
+    :meth:`~repro.index.brute_force.BruteForceIndex.range_count` per
+    row: the form every fit calls, answered with nothing batched.
     """
 
-    def __init__(self, X: np.ndarray, eps: float, metric="cosine") -> None:
-        self._index = BruteForceIndex(metric=metric).build(X)
-        self.eps = float(eps)
+    def batch_range_query_rows(self, ids, eps: float) -> list[np.ndarray]:
+        return [self.range_query(self.points[i], eps) for i in np.asarray(ids)]
 
-    def plan(self, indices) -> None:
-        """Accepted for interface parity; nothing is prefetched."""
-
-    def fetch(self, point: int) -> np.ndarray:
-        """The eps-neighborhood of dataset row ``point`` (one scalar call)."""
-        return self._index.range_query(self._index.points[int(point)], self.eps)
-
-    def count(self, indices) -> np.ndarray:
-        """Range counts of dataset rows, one scalar call per row."""
-        rows = self._index.points[np.asarray(indices, dtype=np.int64)]
+    def batch_range_count_rows(self, ids, eps: float) -> np.ndarray:
         return np.array(
-            [self._index.range_count(q, self.eps) for q in rows], dtype=np.int64
+            [self.range_count(self.points[i], eps) for i in np.asarray(ids)],
+            dtype=np.int64,
         )
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-    def stats(self) -> dict[str, int]:
-        """No engine counters: nothing batched, nothing cached."""
-        return {}
 
 
 def use_per_point_engine(clusterer):
@@ -87,8 +72,8 @@ def use_per_point_engine(clusterer):
     """
 
     @contextlib.contextmanager
-    def per_point_engine(X, *, plan=None):
-        yield PerPointEngine(X, clusterer.eps, clusterer.metric)
+    def per_point_engine(X):
+        yield PerPointEngine(metric=clusterer.metric).build(X)
 
     clusterer._engine = per_point_engine
     return clusterer

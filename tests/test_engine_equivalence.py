@@ -2,15 +2,17 @@
 
 Every clusterer routes its range queries through the batched engine;
 :func:`repro.testing.use_per_point_engine` swaps in the per-point
-reference (one scalar ``BruteForceIndex`` query per fetched point, at
-its algorithmic position). The two must produce identical clusterings
-(the engine only changes *how* queries are computed, never *which*
-queries run or what the algorithm observes), and the exact methods
+reference (one scalar ``BruteForceIndex`` query per queried row). The
+two must produce identical clusterings (batching only changes *how*
+queries are computed, never *which* queries run or what the algorithm
+observes), and the exact methods
 must also reproduce the independent ``reference_dbscan``
 implementation.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
 from repro.distances import normalize_rows
 from repro.engine_config import ExecutionConfig
 from repro.estimators import ExactCardinalityEstimator
+from repro.index import BruteForceIndex
 
 from repro.testing import (
     canonical,
@@ -159,7 +162,7 @@ def test_exact_methods_match_reference(name, blob_plus_noise):
 
 class TestPropertyEquivalence:
     """Randomized differential sweep over the exact expansion path, which
-    has the subtlest batched rewrite (frontier prefetch ordering)."""
+    reads its neighbourhoods in frontier order from one batched call."""
 
     @given(st.integers(0, 300))
     @settings(max_examples=12, deadline=None)
@@ -189,32 +192,69 @@ class TestPropertyEquivalence:
         assert batched.stats["merges"] == scalar.stats["merges"]
 
 
-class TestEngineEffectiveness:
-    def test_reference_runs_no_engine(self, blob_plus_noise):
-        """The per-point side really is the scalar reference: no batches."""
-        batched = _make("dbscan", True).fit(blob_plus_noise).stats
-        scalar = _make("dbscan", False).fit(blob_plus_noise).stats
-        assert batched["engine_batches"] > 0
-        assert "engine_batches" not in scalar
-        assert scalar["range_queries"] == blob_plus_noise.shape[0]
+@pytest.fixture
+def index_rows(monkeypatch):
+    """Rows of every BruteForceIndex row-id call (and scalar query) of a fit.
 
-    def test_dbscan_batched_path_uses_few_blocks(self, blob_plus_noise):
-        n = blob_plus_noise.shape[0]
-        result = DBSCAN(eps=EPS, tau=TAU).fit(blob_plus_noise)
-        assert result.stats["range_queries"] == n
-        assert result.stats["engine_computed"] == n
-        # The whole fit should need on the order of n / block_size batched
-        # calls, not one call per point.
-        assert result.stats["engine_batches"] < n / 4
+    Maps a method name to one entry per call: the number of rows it
+    computed (1 for a scalar ``range_query`` / ``range_count``).
+    """
+    calls = defaultdict(list)
 
-    def test_laf_engine_never_computes_skipped_points(self, blob_plus_noise):
-        result = LAFDBSCAN(
-            eps=EPS,
-            tau=TAU,
-            estimator=ExactCardinalityEstimator(),
-            alpha=1.0,
-        ).fit(blob_plus_noise)
-        # The engine computed exactly the executed queries: the gate's
-        # skipped points never reached the index.
-        assert result.stats["engine_computed"] == result.stats["range_queries"]
-        assert result.stats["skipped_queries"] > 0
+    def spy_on(name):
+        original = getattr(BruteForceIndex, name)
+
+        def spy(self, arg, eps):
+            calls[name].append(len(arg) if name.endswith("_rows") else 1)
+            return original(self, arg, eps)
+
+        return spy
+
+    for name in (
+        "batch_range_query_rows",
+        "batch_range_count_rows",
+        "range_query",
+        "range_count",
+    ):
+        monkeypatch.setattr(BruteForceIndex, name, spy_on(name))
+    return calls
+
+
+class TestIndexAccounting:
+    """The index computes exactly the rows the algorithm queries."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "dbscan",
+            "laf_dbscan_false_negatives",
+            "laf_dbscanpp_false_negatives",
+            "rho_approx_borders",
+        ],
+    )
+    def test_rows_computed_equal_range_queries(self, name, index_rows, blob_plus_noise):
+        stats = _make(name, True).fit(blob_plus_noise).stats
+        assert stats["range_queries"] > 0
+        assert sum(index_rows["batch_range_query_rows"]) == stats["range_queries"]
+        if "skipped_queries" in stats:
+            # The gate's skipped points never reached the index.
+            assert stats["skipped_queries"] > 0
+        if name == "dbscan":
+            assert stats["range_queries"] == blob_plus_noise.shape[0]
+
+    @pytest.mark.parametrize("name", ["dbscan", "laf_dbscan_false_negatives"])
+    def test_one_call_per_fit(self, name, index_rows, blob_plus_noise):
+        _make(name, True).fit(blob_plus_noise)
+        assert len(index_rows["batch_range_query_rows"]) == 1
+
+    def test_reference_queries_per_point(self, index_rows, blob_plus_noise):
+        """The per-point side really is the scalar reference: one scalar
+        query per row, no batched row call."""
+        stats = _make("dbscan", False).fit(blob_plus_noise).stats
+        assert index_rows["range_query"] == [1] * stats["range_queries"]
+        assert "batch_range_query_rows" not in index_rows
+
+    def test_reference_counts_per_point(self, index_rows, blob_plus_noise):
+        stats = _make("dbscanpp_uniform", False).fit(blob_plus_noise).stats
+        assert index_rows["range_count"] == [1] * stats["sample_size"]
+        assert "batch_range_count_rows" not in index_rows

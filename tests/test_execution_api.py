@@ -242,10 +242,8 @@ class TestExecutionResolution:
         # lives in repro.testing, not in the execution policy.
         with pytest.raises(TypeError, match="batch_queries"):
             ExecutionConfig(batch_queries=False)
-        assert not hasattr(repro.index.engine, "PerPointQueries")
 
-    def test_engine_block_default_matches_cache_default(self):
+    def test_engine_block_default_matches_index_default(self):
         from repro.engine_config import DEFAULT_ENGINE_BLOCK
-        from repro.index.engine import DEFAULT_QUERY_BLOCK
 
-        assert DEFAULT_ENGINE_BLOCK == DEFAULT_QUERY_BLOCK
+        assert DEFAULT_ENGINE_BLOCK == BruteForceIndex().block_size

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.distances import normalize_rows
-from repro.exceptions import InvalidParameterError, NotFittedError
-from repro.index import BruteForceIndex, GridIndex, NeighborhoodCache, ShardedIndex
+from repro.exceptions import NotFittedError
+from repro.index import BruteForceIndex, GridIndex, ShardedIndex
 
 from repro.testing import make_blobs_on_sphere
 
@@ -130,79 +130,36 @@ class TestGridBatchedQueries:
         assert grid.batch_approx_range_count(np.empty((0, 8))).size == 0
 
 
-class TestNeighborhoodCache:
-    def test_fetch_matches_direct_query(self, data):
-        index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(data, EPS)
-        cache.plan(np.arange(data.shape[0]))
-        for p in range(data.shape[0]):
-            assert np.array_equal(cache.fetch(p), index.range_query(data[p], EPS))
+class TestRowIdForms:
+    """A fit queries its own rows by id; the answers are those of the rows."""
 
-    def test_each_point_computed_at_most_once(self, data):
-        cache = NeighborhoodCache(data, EPS, block_size=16)
-        cache.plan(np.arange(data.shape[0]))
-        for p in range(data.shape[0]):
-            cache.fetch(p)
-        assert cache.n_computed == data.shape[0]
-        # Every fetch that didn't trigger a block fill was served from cache.
-        assert cache.n_cache_hits == cache.n_fetches - cache.n_blocks
-        assert cache.n_fetches == data.shape[0]
+    @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
+    def test_rows_match_scalar(self, name, factory, data):
+        index = factory().build(data)
+        reference = scalar_reference(index, data)
+        # Out of order, with a repeat: a row set, not a prefix.
+        ids = np.concatenate([np.arange(data.shape[0])[::-3], [4, 4]])
+        rows = index.batch_range_query_rows(ids, EPS)
+        counts = index.batch_range_count_rows(ids, EPS)
+        assert len(rows) == ids.size and counts.dtype == np.int64
+        for i, row, count in zip(ids, rows, counts):
+            expected = reference.range_query(data[i], EPS)
+            assert np.array_equal(np.sort(row), expected), i
+            assert count == expected.size, i
+        assert index.batch_range_query_rows(np.empty(0, dtype=np.int64), EPS) == []
+        assert index.batch_range_count_rows(np.empty(0, dtype=np.int64), EPS).size == 0
 
-    def test_unplanned_points_are_never_computed(self, data):
-        cache = NeighborhoodCache(data, EPS, block_size=8)
-        cache.plan([0, 1, 2, 3])
-        cache.fetch(0)
-        assert cache.n_computed == 4  # the demanded point + its planned block
-        assert not cache.is_cached(50)
+    def test_brute_force_gathers_one_block_at_a_time(self, data, monkeypatch):
+        # A plan of every row must not copy the whole point matrix.
+        sizes = []
+        batch = BruteForceIndex.batch_range_query
 
-    def test_plan_is_a_hint_not_speculation(self, data):
-        cache = NeighborhoodCache(data, EPS, block_size=4)
-        cache.plan(np.arange(data.shape[0]))
-        cache.fetch(10)
-        # Only one block was computed: the demanded point plus the next
-        # planned points, nothing beyond the block size.
-        assert cache.n_blocks == 1
-        assert cache.n_computed == 4
+        def spy(self, Q, eps):
+            sizes.append(len(Q))
+            return batch(self, Q, eps)
 
-    def test_duplicate_plan_entries_not_recomputed(self, data):
-        cache = NeighborhoodCache(data, EPS, block_size=64)
-        cache.plan([5, 5, 5, 6])
-        cache.fetch(5)
-        assert cache.n_computed == 2  # just {5, 6}; the repeats deduplicate
-
-    def test_block_size_one_degenerates_to_per_point(self, data):
-        cache = NeighborhoodCache(data, EPS, block_size=1)
-        cache.plan(np.arange(data.shape[0]))
-        cache.fetch(3)
-        cache.fetch(4)
-        assert cache.n_blocks == 2
-        assert cache.n_computed == 2
-
-    def test_fetch_releases_served_neighborhoods(self, data):
-        index = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(data, EPS, block_size=8)
-        cache.plan(np.arange(data.shape[0]))
-        first = cache.fetch(0)
-        assert not cache.is_cached(0)  # served -> released
-        assert cache.is_cached(1)  # prefetched, not yet served
-        # A re-fetch transparently recomputes the same answer.
-        again = cache.fetch(0)
-        assert np.array_equal(first, again)
-        assert np.array_equal(first, index.range_query(data[0], EPS))
-
-    def test_evicted_points_never_rejoin_later_batches(self, data):
-        """Regression: a frontier jump ahead of the plan pointer must not
-        re-batch the served-and-released point when the pointer reaches it."""
-        cache = NeighborhoodCache(data, EPS, block_size=3)
-        cache.plan(np.arange(10))
-        cache.fetch(5)  # out-of-plan-order jump, then drain the plan
-        for p in range(10):
-            if p != 5:
-                cache.fetch(p)
-        assert cache.n_computed == 10
-
-    @pytest.mark.parametrize("block_size", [0, -3, 2.5, True, "8", None])
-    def test_invalid_block_size_rejected(self, data, block_size):
-        # Checked where it is set: 2.5 would otherwise run 3-row blocks.
-        with pytest.raises(InvalidParameterError, match="block_size"):
-            NeighborhoodCache(data, EPS, block_size=block_size)
+        monkeypatch.setattr(BruteForceIndex, "batch_range_query", spy)
+        BruteForceIndex(block_size=16).build(data).batch_range_query_rows(
+            np.arange(data.shape[0]), EPS
+        )
+        assert sizes == [16] * 5

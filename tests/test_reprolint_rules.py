@@ -54,6 +54,20 @@ class TestResourceLifecycle:
         src = "def f(self, X):\n    eng = self._engine(X)\n    return 1\n"
         assert codes(lint(src)) == ["RPL001"]
 
+    def test_engine_index_outside_finally_flagged(self):
+        src = (
+            "def f(X, config):\n"
+            "    index = resolve_engine_index(X, 'cosine', config)\n"
+            "    counts = index.batch_range_count_rows([0], 0.5)\n"
+            "    index.close()\n"
+            "    return counts\n"
+        )
+        assert codes(lint(src)) == ["RPL001"]
+
+    def test_sharded_index_outside_finally_flagged(self):
+        src = "def f(X):\n    index = ShardedIndex(n_shards=2)\n    return 1\n"
+        assert codes(lint(src)) == ["RPL001"]
+
     def test_engine_call_as_with_item_ok(self):
         src = (
             "def f(self, X):\n"

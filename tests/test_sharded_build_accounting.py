@@ -153,7 +153,7 @@ class TestClustererFitBuildOnce:
         # Sharding stays invisible: bit-identical clustering.
         assert np.array_equal(result.labels, baseline.labels)
         assert np.array_equal(result.core_mask, baseline.core_mask)
-        assert result.stats["engine_computed"] > 0
+        assert result.stats["range_queries"] > 0
 
 
 @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)

@@ -25,7 +25,6 @@ from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index import (
     BruteForceIndex,
-    NeighborhoodCache,
     NeighborIndex,
     ShardedIndex,
     ShardingConfig,
@@ -267,30 +266,38 @@ class TestLifecycleAndValidation:
 
 
 class TestEngineWiring:
-    """Sharding reaches the clusterers through NeighborhoodCache alone."""
+    """Sharding reaches the clusterers through the ``_engine`` seam alone."""
 
-    def test_cache_shards_under_config(self, data):
+    def test_engine_shards_under_config(self, data):
         reference = BruteForceIndex().build(data)
-        cache = NeighborhoodCache(data, EPS, sharding=ShardingConfig(n_shards=3))
-        assert isinstance(cache._index, ShardedIndex)
-        for p in range(10):
-            assert np.array_equal(cache.fetch(p), reference.range_query(data[p], EPS))
+        execution = ExecutionConfig(sharding=ShardingConfig(n_shards=3))
+        with DBSCAN(eps=EPS, tau=4, execution=execution)._engine(data) as index:
+            assert isinstance(index, ShardedIndex)
+            rows = index.batch_range_query_rows(np.arange(10), EPS)
+        for p, row in enumerate(rows):
+            assert np.array_equal(row, reference.range_query(data[p], EPS))
 
-    def test_cache_without_config_builds_one_brute_force_index(self, data):
-        cache = NeighborhoodCache(data, EPS, metric="euclidean")
-        assert type(cache._index) is BruteForceIndex
-        assert cache._index.metric.name == "euclidean"
-        assert cache._index.n_points == data.shape[0]
+    def test_engine_without_config_builds_one_brute_force_index(self, data):
+        clusterer = DBSCAN(
+            eps=EPS, tau=4, metric="euclidean", execution=ExecutionConfig(query_block=7)
+        )
+        with clusterer._engine(data) as index:
+            assert type(index) is BruteForceIndex
+            assert index.metric.name == "euclidean"
+            assert index.n_points == data.shape[0]
+            # query_block is the unsharded kernel block.
+            assert index.block_size == 7
+            assert index.stats() == {}
 
-    def test_cache_close_releases_its_sharded_index(self, data):
-        with NeighborhoodCache(
-            data, EPS, sharding=ShardingConfig(n_shards=2, executor="thread")
-        ) as cache:
-            cache.plan([0, 1])
-            assert cache.fetch(0).size > 0
-        # close() ran on __exit__: the cache's sharded index is released.
+    def test_engine_exit_releases_its_sharded_index(self, data):
+        execution = ExecutionConfig(
+            sharding=ShardingConfig(n_shards=2, executor="thread")
+        )
+        with DBSCAN(eps=EPS, tau=4, execution=execution)._engine(data) as index:
+            assert index.batch_range_query_rows(np.array([0]), EPS)[0].size > 0
+        # close() ran on exit: the sharded index is released.
         with pytest.raises(NotFittedError):
-            cache._index.batch_range_query(data[:1], EPS)
+            index.batch_range_query(data[:1], EPS)
 
     @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
     def test_dbscan_identical_under_sharding(self, executor, data):

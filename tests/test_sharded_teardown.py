@@ -1,8 +1,8 @@
 """Failure injection: a fit that raises mid-query closes its engine.
 
 The subtle leak this pins: the exception traceback holds the
-clusterer's frame — and with it the NeighborhoodCache and its owned
-ShardedIndex — so without an explicit ``close()`` in a ``finally`` the
+clusterer's frame — and with it the ShardedIndex the fit's engine seam
+built — so without an explicit ``close()`` in a ``finally`` the
 executor's thread pool survives until a gc cycle collects the
 traceback. The injected failure is a shard-op exception on each
 in-process executor, the closest analogue of a query blowing up inside

@@ -16,11 +16,16 @@ LRU eviction. The contracts under test:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.clustering import DBSCAN
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
@@ -111,14 +116,16 @@ class TestShardHolderLRU:
         assert rebuilt  # fully released => evictable
 
     def test_bytes_count_the_float32_copy(self, data):
-        # A cosine brute-force shard holds its rows twice: the float64
-        # matrix and the float32 copy its range-query kernel reads.
+        # A cosine brute-force shard's float64 rows are a view of the
+        # held dataset, which eviction never frees; only the float32
+        # copy its range-query kernel reads is the index's own.
         holder = holder_with_data(data)
-        holder.attach(shard_spec(0, 0, 10))
-        assert holder.stats()["cached_bytes"] == (8 + 4) * data[:10].size
+        index, _ = holder.attach(shard_spec(0, 0, 10))
+        assert np.shares_memory(index.points, data)
+        assert holder.stats()["cached_bytes"] == 4 * data[:10].size
 
     def test_bytes_cap(self, data):
-        one_shard_bytes = (8 + 4) * data[:10].size  # float64 rows + float32 copy
+        one_shard_bytes = 4 * data[:10].size  # the float32 copy
         holder = holder_with_data(
             data, max_cached_bytes=int(one_shard_bytes * 1.5)
         )
@@ -175,6 +182,26 @@ class TestCapsRejectedBeforeServing:
             main(["pool", "serve", "--max-cached-shards", "0"])
         assert excinfo.value.code == 2
         assert "--max-cached-shards" in capsys.readouterr().err
+
+
+def test_worker_module_runs_without_runtime_warning():
+    # ``python -m`` warns when the package import already loaded the
+    # module it is about to run.
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "error::RuntimeWarning",
+            "-m",
+            "repro.remote.worker",
+            "--help",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCappedPoolEndToEnd:

@@ -90,12 +90,14 @@ def _walk_scope(body: list[ast.stmt]) -> Iterator[ast.AST]:
 class ResourceLifecycleRule(Rule):
     """RPL001: resource acquisitions must be scoped or cleaned up.
 
-    PR 4's bug class: a ``NeighborhoodCache`` (and its shm segment)
-    constructed outside any ``with``/``finally`` leaked the segment on
-    the first exception. Any call that acquires an OS-level resource
-    must be one of: a ``with`` item, closed via a name referenced in a
-    ``finally`` block, or handed off (returned / yielded / stored on
-    ``self``) to an owner with its own lifecycle.
+    The bug class: a fit's engine (and its shm segment) constructed
+    outside any ``with``/``finally`` leaked the segment on the first
+    exception. A fit's engine is now the index ``resolve_engine_index``
+    builds (a ``ShardedIndex`` holds pools or worker connections),
+    reached through ``Clusterer._engine``. Any call that acquires an
+    OS-level resource must be one of: a ``with`` item, closed via a name
+    referenced in a ``finally`` block, or handed off (returned / yielded
+    / stored on ``self``) to an owner with its own lifecycle.
     """
 
     code = "RPL001"
@@ -106,8 +108,8 @@ class ResourceLifecycleRule(Rule):
 
     RESOURCE_NAMES = frozenset(
         {
-            "NeighborhoodCache",
             "ShardedIndex",
+            "resolve_engine_index",
             "SharedMemory",
             "ProcessPoolExecutor",
             "ThreadPoolExecutor",
