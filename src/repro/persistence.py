@@ -468,9 +468,8 @@ class ClusterModel:
 
     def close(self) -> None:
         """Release the serving index (pools, connections). Idempotent."""
-        closer = getattr(self._core_index, "close", None)
-        if closer is not None:
-            closer()
+        if self._core_index is not None:
+            self._core_index.close()
         self._core_index = None
 
     def __enter__(self) -> "ClusterModel":

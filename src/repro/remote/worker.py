@@ -86,12 +86,10 @@ def _shard_key(shard: dict) -> tuple:
     )
 
 
-def _close_indexes(indexes: list[object]) -> None:
+def _close_indexes(indexes: list[BruteForceIndex]) -> None:
     """Release evicted indexes outside the holder lock."""
     for index in indexes:
-        closer = getattr(index, "close", None)
-        if closer is not None:
-            closer()
+        index.close()
 
 
 def _index_nbytes(index: object) -> int:
