@@ -25,18 +25,20 @@ def normalize_rows(X: np.ndarray, copy: bool = True) -> np.ndarray:
     """Scale each row of ``X`` to unit L2 norm.
 
     Zero rows are left untouched (norm clamped to 1) rather than producing
-    NaNs, so degenerate generator output stays finite.
+    NaNs, so degenerate generator output stays finite. ``copy=False``
+    divides a writeable float64 ``X`` in place (other inputs convert).
     """
-    X = np.array(X, dtype=np.float64, copy=copy)
+    X = np.array(X, dtype=np.float64) if copy else np.asarray(X, dtype=np.float64)
+    if not X.flags.writeable:
+        X = X.copy()
     if X.ndim == 1:
-        norm = float(np.linalg.norm(X))
-        # reprolint pragma: exact zero-vector guard before division, the
-        # 1-D twin of the vectorized clamp below.
-        return X if norm == 0.0 else X / norm  # reprolint: disable=RPL008
+        X /= float(np.linalg.norm(X)) or 1.0  # a zero vector stays as it is
+        return X
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     np.maximum(norms, np.finfo(np.float64).tiny, out=norms)
     norms[norms == 0.0] = 1.0
-    return X / norms
+    X /= norms
+    return X
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -60,28 +60,34 @@ class TrainingHistory:
         return self.losses[-1]
 
 
-class _AdamState:
-    """First/second moment buffers for one parameter tensor."""
+def _adam_step(
+    params: np.ndarray, grads: np.ndarray, state: np.ndarray, lr: float, t: int
+) -> None:
+    """One in-place Adam step over a flat parameter buffer.
 
-    __slots__ = ("m", "v")
-
-    def __init__(self, shape: tuple[int, ...]) -> None:
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-
-    def update(
-        self, param: np.ndarray, grad: np.ndarray, lr: float, t: int,
-        beta1: float, beta2: float, eps: float,
-    ) -> None:
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
-        m_hat = self.m / (1.0 - beta1**t)
-        v_hat = self.v / (1.0 - beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``, ``p -= (lr*(m/c1))
+    / (sqrt(v/c2) + 1e-8)``: elementwise, in this order, so each layer rounds
+    as if updated alone. ``state`` rows: ``m``, ``v`` (zero at first), scratch.
+    """
+    beta1, beta2 = 0.9, 0.999
+    m, v, step, denom = state
+    m *= beta1
+    m += np.multiply(grads, 1.0 - beta1, out=step)
+    v *= beta2
+    np.multiply(grads, 1.0 - beta2, out=step)
+    v += np.multiply(step, grads, out=step)
+    np.sqrt(np.divide(v, 1.0 - beta2**t, out=denom), out=denom)
+    denom += 1e-8
+    np.divide(m, 1.0 - beta1**t, out=step)
+    step *= lr
+    params -= np.divide(step, denom, out=step)
 
 
 class MLPRegressor:
     """Minimal feed-forward regressor: ReLU hidden layers, linear output.
+
+    :meth:`fit` keeps weights and biases (and their gradients) as views
+    of one flat buffer, so one in-place Adam step updates every layer.
 
     Parameters
     ----------
@@ -133,14 +139,24 @@ class MLPRegressor:
     def is_fitted(self) -> bool:
         return bool(self._weights)
 
-    def _init_params(self, in_dim: int) -> None:
+    def _param_views(
+        self, in_dim: int
+    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """``(flat, weights, biases)``: a zeroed flat buffer laid out
+        ``W_0, b_0, W_1, b_1, ...`` and its per-layer views."""
         sizes = [in_dim, *self.hidden_layers, 1]
-        self._weights = []
-        self._biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self._weights.append(self._rng.normal(scale=scale, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
+        shapes = [s for a, b in zip(sizes[:-1], sizes[1:]) for s in ((a, b), (b,))]
+        ends = np.cumsum([np.prod(s) for s in shapes])
+        flat = np.zeros(ends[-1])
+        views = [p.reshape(s) for p, s in zip(np.split(flat, ends[:-1]), shapes)]
+        return flat, views[::2], views[1::2]
+
+    def _init_params(self, in_dim: int) -> np.ndarray:
+        """He-initialize every layer into views of one flat buffer; return it."""
+        flat, self._weights, self._biases = self._param_views(in_dim)
+        for W in self._weights:
+            W[...] = self._rng.normal(scale=np.sqrt(2.0 / W.shape[0]), size=W.shape)
+        return flat
 
     def clone_from(self, other: "MLPRegressor") -> "MLPRegressor":
         """Copy fitted parameters from another network (same architecture).
@@ -207,19 +223,22 @@ class MLPRegressor:
         return h[:, 0]
 
     def _backward(
-        self, activations: list[np.ndarray], residual: np.ndarray
+        self,
+        activations: list[np.ndarray],
+        residual: np.ndarray,
+        out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Gradients of mean-squared error w.r.t. weights and biases."""
+        """Gradients of mean-squared error w.r.t. weights and biases, written
+        into ``out``: per-layer views of one flat buffer (new when None)."""
+        grad_w, grad_b = out or self._param_views(activations[0].shape[1])[1:]
         n = residual.shape[0]
-        grad_w: list[np.ndarray] = [None] * len(self._weights)
-        grad_b: list[np.ndarray] = [None] * len(self._biases)
         # dL/dz for the output layer; L = mean(residual^2), residual = pred - y.
         delta = (2.0 / n) * residual[:, None]
         for i in range(len(self._weights) - 1, -1, -1):
-            grad_w[i] = activations[i].T @ delta
+            np.matmul(activations[i].T, delta, out=grad_w[i])
             if self.l2:
-                grad_w[i] = grad_w[i] + self.l2 * self._weights[i]
-            grad_b[i] = delta.sum(axis=0)
+                grad_w[i] += self.l2 * self._weights[i]
+            np.add.reduce(delta, axis=0, out=grad_b[i])
             if i > 0:
                 delta = (delta @ self._weights[i].T) * (activations[i] > 0.0)
         return grad_w, grad_b
@@ -241,10 +260,9 @@ class MLPRegressor:
         std[std < 1e-12] = 1.0
         self._feature_std = std
         Xs = self._standardize(X)
-        self._init_params(X.shape[1])
-        adam_w = [_AdamState(w.shape) for w in self._weights]
-        adam_b = [_AdamState(b.shape) for b in self._biases]
-        beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+        params = self._init_params(X.shape[1])
+        grads, grad_w, grad_b = self._param_views(X.shape[1])
+        adam_state = np.zeros((4, params.size))
         step = 0
         self.history = TrainingHistory()
         n = Xs.shape[0]
@@ -256,12 +274,9 @@ class MLPRegressor:
                 pred, activations = self._forward(Xs[batch])
                 residual = pred - y[batch]
                 epoch_loss += float((residual**2).sum())
-                grad_w, grad_b = self._backward(activations, residual)
+                self._backward(activations, residual, (grad_w, grad_b))
                 step += 1
-                for W, g, state in zip(self._weights, grad_w, adam_w):
-                    state.update(W, g, self.learning_rate, step, beta1, beta2, adam_eps)
-                for b, g, state in zip(self._biases, grad_b, adam_b):
-                    state.update(b, g, self.learning_rate, step, beta1, beta2, adam_eps)
+                _adam_step(params, grads, adam_state, self.learning_rate, step)
             self.history.losses.append(epoch_loss / n)
         self._fold_cache = None
         return self

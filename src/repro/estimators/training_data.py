@@ -18,9 +18,9 @@ import dataclasses
 
 import numpy as np
 
+from repro.distances.matrix import iter_distance_blocks
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError
-from repro.index.brute_force import BruteForceIndex
 from repro.rng import ensure_rng
 
 __all__ = ["TrainingSet", "build_training_set", "DEFAULT_RADII", "make_features"]
@@ -76,6 +76,9 @@ def build_training_set(
 ) -> TrainingSet:
     """Build (query, radius) -> fraction supervision from a training split.
 
+    No index is built: each query block's float64 distances
+    (:func:`~repro.distances.matrix.iter_distance_blocks`) count every radius.
+
     Parameters
     ----------
     X_train:
@@ -110,9 +113,12 @@ def build_training_set(
         if n_queries <= 0:
             raise InvalidParameterError(f"n_queries must be positive; got {n_queries}")
         queries = X_train[rng.choice(n, size=n_queries, replace=False)]
-    index = BruteForceIndex(metric=metric).build(X_train)
     radii_arr = np.asarray(sorted(radii), dtype=np.float64)
-    counts = index.range_count_multi_eps(queries, radii_arr)  # (q, r)
+    counts = np.empty((queries.shape[0], radii_arr.size), dtype=np.int64)
+    blocks = iter_distance_blocks(queries, X_train, metric=metric.name)
+    for start, stop, block in blocks:
+        for j, radius in enumerate(radii_arr):
+            counts[start:stop, j] = np.count_nonzero(block < radius, axis=1)
     m = queries.shape[0] * radii_arr.size
     features = np.empty((m, X_train.shape[1] + 1))
     features[:, :-1] = np.repeat(queries, radii_arr.size, axis=0)

@@ -2,11 +2,10 @@
 
 The "range query" primitive of Algorithm 1. The batched forms
 (``batch_range_query`` / ``batch_range_count``, one matrix product per
-block of queries) are what every fit, predict and estimator
-training-set build runs. The scalar ``range_query`` / ``range_count``
-(one float64 matrix-vector product per query) are the reference answer
-the batched kernels, and the per-point engine of
-:mod:`repro.testing`, are checked against.
+block of queries) are what every fit and predict runs. The scalar
+``range_query`` / ``range_count`` (one float64 matrix-vector product
+per query) are the reference answer the batched kernels, and the
+per-point engine of :mod:`repro.testing`, are checked against.
 
 The default metric is cosine distance on unit vectors (the paper's
 setting); Euclidean distance is available through the ``metric``
@@ -25,6 +24,7 @@ import numpy as np
 
 from repro.distances.matrix import (
     DEFAULT_BLOCK_SIZE,
+    _max_row_norm,
     iter_cosine_range_masks,
     iter_distance_blocks,
 )
@@ -81,7 +81,7 @@ class BruteForceIndex(NeighborIndex):
         self._points = points
         if self.metric.name == "cosine":
             self._points32 = points.astype(np.float32)
-            self._max_norm = float(np.linalg.norm(points, axis=1).max())
+            self._max_norm = _max_row_norm(points)
         return self
 
     def range_query(self, q: np.ndarray, eps: float) -> np.ndarray:
@@ -118,14 +118,6 @@ class BruteForceIndex(NeighborIndex):
     # Batched forms (exact, blockwise)
     # ------------------------------------------------------------------
 
-    def _iter_blocks(self, Q: np.ndarray):
-        yield from iter_distance_blocks(
-            self._as_query_matrix(Q),
-            self._points,
-            block_size=self.block_size,
-            metric=self.metric.name,
-        )
-
     def _iter_masks(self, Q: np.ndarray, eps: float):
         """``(start, stop, mask)`` blocks with ``mask[i, j] = d(Q[i], x_j) < eps``."""
         if self.metric.name == "cosine":
@@ -138,7 +130,10 @@ class BruteForceIndex(NeighborIndex):
                 x_norm=self._max_norm,
             )
         else:
-            for start, stop, block in self._iter_blocks(Q):
+            blocks = iter_distance_blocks(
+                Q, self._points, block_size=self.block_size, metric="euclidean"
+            )
+            for start, stop, block in blocks:
                 yield start, stop, block < eps
 
     def batch_range_query(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
@@ -191,21 +186,4 @@ class BruteForceIndex(NeighborIndex):
         counts = np.empty(len(ids), dtype=np.int64)
         for start, Q in self._row_blocks(ids):
             counts[start : start + len(Q)] = self.batch_range_count(Q, eps)
-        return counts
-
-    def range_count_multi_eps(
-        self, Q: np.ndarray, eps_values: np.ndarray
-    ) -> np.ndarray:
-        """Counts for every (query row, eps value) pair.
-
-        Returns shape ``(len(Q), len(eps_values))``. Used by the estimator
-        training-set builder, which needs counts at many radii per query.
-        """
-        self._require_built()
-        eps_values = np.asarray(eps_values, dtype=np.float64)
-        Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-        counts = np.empty((Q.shape[0], eps_values.size), dtype=np.int64)
-        for start, stop, block in self._iter_blocks(Q):
-            for j, radius in enumerate(eps_values):
-                counts[start:stop, j] = np.count_nonzero(block < radius, axis=1)
         return counts

@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.distances.matrix import nearest_candidates
+from repro.distances.matrix import _max_row_norm, nearest_candidates
 from repro.distances.metric import Metric, get_metric
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError, PersistenceError
@@ -399,8 +399,7 @@ class ClusterModel:
             return None, None
         if self._float32_cores is None:
             cores = self._cores()
-            norm = float(np.linalg.norm(cores, axis=1).max())
-            self._float32_cores = (cores.astype(np.float32), norm)
+            self._float32_cores = (cores.astype(np.float32), _max_row_norm(cores))
         return self._float32_cores
 
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.data import make_glove_like, make_ms_like, make_nyt_like, synthetic
 from repro.distances import (
     angular_distance,
     cosine_distance,
@@ -21,6 +22,18 @@ finite_vectors = hnp.arrays(
     shape=st.integers(2, 12),
     elements=st.floats(-10, 10, allow_nan=False),
 )
+
+
+def _normalize_out_of_place(X, copy=True):
+    """``normalize_rows`` as a fresh division, never in place (the oracle)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        norm = float(np.linalg.norm(X))
+        return X if norm == 0.0 else X / norm
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    np.maximum(norms, np.finfo(np.float64).tiny, out=norms)
+    norms[norms == 0.0] = 1.0
+    return X / norms
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -59,6 +72,43 @@ class TestNormalizeRows:
         X = np.array([[2.0, 0.0]])
         normalize_rows(X)
         assert X[0, 0] == 2.0
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3,)])
+    def test_no_copy_divides_in_place(self, shape):
+        X = np.random.default_rng(1).normal(size=shape)
+        expected = normalize_rows(X)
+        out = normalize_rows(X, copy=False)
+        assert np.shares_memory(X, out)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize(
+        "X", [[[3.0, 4.0], [0.0, 2.0]], np.array([[3, 4], [0, 2]], np.float32)]
+    )
+    def test_no_copy_converts_other_inputs(self, X):
+        out = normalize_rows(X, copy=False)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, [[0.6, 0.8], [0.0, 1.0]])
+
+    def test_no_copy_leaves_read_only_input(self):
+        X = np.array([[2.0, 0.0]])
+        X.flags.writeable = False
+        assert np.array_equal(normalize_rows(X, copy=False), [[1.0, 0.0]])
+        assert X[0, 0] == 2.0
+
+    @pytest.mark.parametrize(
+        "make, kwargs",
+        [
+            (make_ms_like, {"dim": 64}),
+            (make_glove_like, {"dim": 48}),
+            (make_nyt_like, {"out_dim": 32}),
+        ],
+    )
+    def test_generators_equal_out_of_place_division(self, monkeypatch, make, kwargs):
+        X, y = make(300, seed=4, **kwargs)
+        monkeypatch.setattr(synthetic, "normalize_rows", _normalize_out_of_place)
+        X_ref, y_ref = make(300, seed=4, **kwargs)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(y, y_ref)
 
 
 class TestCosineDistance:

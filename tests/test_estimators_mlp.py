@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.estimators import MLPRegressor
+from repro.estimators import MLPRegressor, RMICardinalityEstimator
 from repro.estimators.mlp import paper_hidden_layers
 from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.testing import make_blobs_on_sphere
 
 
 def make_regression(n=400, d=4, seed=0, noise=0.05):
@@ -13,6 +14,82 @@ def make_regression(n=400, d=4, seed=0, noise=0.05):
     X = rng.uniform(-1, 1, size=(n, d))
     y = X[:, 0] * 2.0 - X[:, 1] + 0.5 * X[:, 2] ** 2
     return X, y + noise * rng.normal(size=n)
+
+
+class _AdamState:
+    """First/second moment buffers for one parameter tensor (the oracle)."""
+
+    def __init__(self, shape):
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+
+    def update(self, param, grad, lr, t, beta1, beta2, eps):
+        self.m = beta1 * self.m + (1.0 - beta1) * grad
+        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
+        m_hat = self.m / (1.0 - beta1**t)
+        v_hat = self.v / (1.0 - beta2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def reference_fit(model, X, y):
+    """Train ``model`` with one Adam update per parameter array.
+
+    The per-array loop ``MLPRegressor.fit`` replaced with one fused step
+    over a flat buffer: same initialization draws, shuffles, backward
+    pass and update order, on separately allocated arrays.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    model._feature_mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std[std < 1e-12] = 1.0
+    model._feature_std = std
+    Xs = model._standardize(X)
+    sizes = [X.shape[1], *model.hidden_layers, 1]
+    model._weights = [
+        model._rng.normal(scale=np.sqrt(2.0 / a), size=(a, b))
+        for a, b in zip(sizes[:-1], sizes[1:])
+    ]
+    model._biases = [np.zeros(b) for b in sizes[1:]]
+    states = [_AdamState(p.shape) for p in model._weights + model._biases]
+    model.history.losses.clear()
+    step = 0
+    n = Xs.shape[0]
+    for _ in range(model.epochs):
+        order = model._rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, model.batch_size):
+            batch = order[start : start + model.batch_size]
+            pred, activations = model._forward(Xs[batch])
+            residual = pred - y[batch]
+            epoch_loss += float((residual**2).sum())
+            grad_w, grad_b = [], []
+            delta = (2.0 / residual.shape[0]) * residual[:, None]
+            for i in range(len(model._weights) - 1, -1, -1):
+                g = activations[i].T @ delta
+                if model.l2:
+                    g = g + model.l2 * model._weights[i]
+                grad_w.insert(0, g)
+                grad_b.insert(0, delta.sum(axis=0))
+                if i > 0:
+                    delta = (delta @ model._weights[i].T) * (activations[i] > 0.0)
+            step += 1
+            params = model._weights + model._biases
+            for p, g, state in zip(params, grad_w + grad_b, states):
+                state.update(p, g, model.learning_rate, step, 0.9, 0.999, 1e-8)
+        model.history.losses.append(epoch_loss / n)
+    model._fold_cache = None
+    return model
+
+
+def assert_same_network(a, b):
+    assert len(a._weights) == len(b._weights)
+    for Wa, Wb in zip(a._weights, b._weights):
+        assert np.array_equal(Wa, Wb)
+    for ba, bb in zip(a._biases, b._biases):
+        assert np.array_equal(ba, bb)
+    assert np.array_equal(a._feature_mean, b._feature_mean)
+    assert np.array_equal(a._feature_std, b._feature_std)
 
 
 class TestConstruction:
@@ -133,3 +210,37 @@ class TestCloneAndPersistence:
     def test_save_unfitted_raises(self, tmp_path):
         with pytest.raises(NotFittedError):
             MLPRegressor().save(str(tmp_path / "x.npz"))
+
+
+class TestFusedAdamMatchesPerArrayOracle:
+    """The flat-buffer Adam step trains bit for bit like per-array updates."""
+
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    @pytest.mark.parametrize("hidden", [(16,), (16, 12, 8)])
+    @pytest.mark.parametrize("batch_size", [32, 47])
+    def test_weights_and_losses_equal(self, l2, hidden, batch_size):
+        X, y = make_regression(n=200, d=5, seed=4)
+        params = dict(
+            hidden_layers=hidden, epochs=7, batch_size=batch_size, seed=9, l2=l2
+        )
+        fused = MLPRegressor(**params).fit(X, y)
+        oracle = reference_fit(MLPRegressor(**params), X, y)
+        assert_same_network(fused, oracle)
+        assert fused.history.losses == oracle.history.losses
+        assert np.array_equal(fused.predict(X), oracle.predict(X))
+
+    def test_rmi_stages_equal(self, monkeypatch):
+        X, _ = make_blobs_on_sphere(40, 3, 16, spread=0.4, seed=2)
+        params = dict(hidden_layers=(24, 12), epochs=6, n_train_queries=60, seed=3)
+        fused = RMICardinalityEstimator(**params).fit(X)
+        monkeypatch.setattr(MLPRegressor, "fit", reference_fit)
+        oracle = RMICardinalityEstimator(**params).fit(X)
+        for stage, n_models in enumerate(fused.stages):
+            for index in range(n_models):
+                assert_same_network(
+                    fused.stage_model(stage, index), oracle.stage_model(stage, index)
+                )
+        Q = X[::7]
+        fused.bind(X)
+        oracle.bind(X)
+        assert np.array_equal(fused.estimate_many(Q, 0.5), oracle.estimate_many(Q, 0.5))

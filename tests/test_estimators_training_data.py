@@ -93,3 +93,50 @@ class TestBuildTrainingSet:
     def test_unnormalized_rejected(self):
         with pytest.raises(DataValidationError):
             build_training_set(np.ones((10, 4)))
+
+
+@pytest.fixture(scope="module", params=["cosine-d16", "cosine-d768", "euclidean-d8"])
+def counted(request):
+    """``(points, metric, radii)``: both metrics, and the paper's dimension."""
+    rng = np.random.default_rng(11)
+    if request.param == "cosine-d16":
+        return normalize_rows(rng.normal(size=(60, 16))), "cosine", (0.2, 0.5, 0.9)
+    if request.param == "cosine-d768":
+        centers = normalize_rows(rng.normal(size=(3, 768)))
+        X = normalize_rows(
+            np.repeat(centers, 20, axis=0) + 0.04 * rng.normal(size=(60, 768))
+        )
+        return X, "cosine", (0.1, 0.5, 1.5)
+    centers = rng.uniform(-10, 10, size=(3, 8))
+    X = np.repeat(centers, 20, axis=0) + rng.normal(size=(60, 8))
+    return X, "euclidean", (0.5, 2.0, 10.0)
+
+
+class TestCounts:
+    """The targets are exact range counts, every radius from one block."""
+
+    def test_counts_match_batch_range_count(self, counted):
+        X, metric, radii = counted
+        ts = build_training_set(X, n_queries=9, radii=radii, seed=2, metric=metric)
+        Q = ts.features[:: len(radii), :-1]
+        index = BruteForceIndex(metric=metric).build(X)
+        per_query = ts.fractions.reshape(9, len(radii))
+        for j, eps in enumerate(radii):
+            expected = index.batch_range_count(Q, eps) / X.shape[0]
+            assert np.array_equal(per_query[:, j], expected)
+
+    def test_counts_monotone_in_radius(self, counted):
+        X, metric, radii = counted
+        ts = build_training_set(X, radii=radii, metric=metric)
+        per_query = ts.fractions.reshape(X.shape[0], len(radii))
+        assert (np.diff(per_query, axis=1) >= 0).all()
+
+    def test_counts_span_query_blocks(self):
+        # More queries than one distance block holds (1024 rows).
+        X = normalize_rows(np.random.default_rng(5).normal(size=(1100, 6)))
+        ts = build_training_set(X, radii=(0.3, 0.9), seed=0)
+        index = BruteForceIndex().build(X)
+        per_query = ts.fractions.reshape(1100, 2)
+        for j, eps in enumerate(ts.radii):
+            expected = index.batch_range_count(X, eps) / 1100
+            assert np.array_equal(per_query[:, j], expected)

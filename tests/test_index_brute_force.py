@@ -133,18 +133,3 @@ class TestBatchedForms:
             batch_points, 0.5
         )
         assert np.array_equal(counts_a, counts_b)
-
-    def test_multi_eps_counts(self, batch_points):
-        index = BruteForceIndex().build(batch_points)
-        Q = batch_points[:6]
-        radii = np.array([0.2, 0.5, 0.9])
-        grid = index.range_count_multi_eps(Q, radii)
-        assert grid.shape == (6, 3)
-        for j, eps in enumerate(radii):
-            assert np.array_equal(grid[:, j], index.batch_range_count(Q, float(eps)))
-
-    def test_multi_eps_monotone_in_radius(self, index, unit_vectors_small):
-        grid = index.range_count_multi_eps(
-            unit_vectors_small, np.array([0.1, 0.5, 1.5])
-        )
-        assert (np.diff(grid, axis=1) >= 0).all()

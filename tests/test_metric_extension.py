@@ -87,12 +87,6 @@ class TestEuclideanBruteForce:
         singles = [index.range_count(q, 2.0) for q in X[:10]]
         assert counts.tolist() == singles
 
-    def test_multi_eps_monotone(self):
-        X, _ = make_euclidean_blobs(seed=3)
-        index = BruteForceIndex(metric="euclidean").build(X)
-        grid = index.range_count_multi_eps(X[:8], np.array([0.5, 2.0, 10.0]))
-        assert (np.diff(grid, axis=1) >= 0).all()
-
 
 class TestEuclideanDBSCAN:
     def test_recovers_blobs(self):

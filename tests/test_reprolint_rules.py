@@ -68,6 +68,21 @@ class TestResourceLifecycle:
         src = "def f(X):\n    index = ShardedIndex(n_shards=2)\n    return 1\n"
         assert codes(lint(src)) == ["RPL001"]
 
+    def test_chained_acquisition_flagged(self):
+        src = "def f(X):\n    index = ShardedIndex(n_shards=2).build(X)\n    return 1\n"
+        assert codes(lint(src)) == ["RPL001"]
+
+    def test_chained_acquisition_closed_in_finally_ok(self):
+        src = (
+            "def f(X):\n"
+            "    index = ShardedIndex(n_shards=2).build(X)\n"
+            "    try:\n"
+            "        return index.batch_range_query(X, 0.5)\n"
+            "    finally:\n"
+            "        index.close()\n"
+        )
+        assert codes(lint(src)) == []
+
     def test_engine_call_as_with_item_ok(self):
         src = (
             "def f(self, X):\n"

@@ -135,6 +135,10 @@ class ResourceLifecycleRule(Rule):
                     return "socket.create_connection"
             if func.attr == "_engine":
                 return "_engine"
+            if isinstance(func.value, ast.Call):
+                # A chained call (``ShardedIndex(...).build(X)``) holds
+                # what the call it chains on acquired.
+                return self._is_resource_call(func.value)
         return None
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
