@@ -30,8 +30,9 @@ EPS, TAU = 0.55, 5
 
 # One ExecutionConfig threads through every method below via
 # MethodContext — e.g. repro.ExecutionConfig(
-#     sharding=repro.ShardingConfig(n_shards=4, executor="thread"))
-# shards every engine-routed fit. None keeps the defaults.
+#     sharding=repro.ShardingConfig(n_shards=4, executor=pool.executor_spec()))
+# shards every engine-routed fit across a repro.remote.pool.WorkerPool.
+# None keeps the defaults.
 EXECUTION = None
 
 

@@ -23,7 +23,8 @@ EPS, TAU = 0.55, 5
 
 # Execution policy is one declarative object threaded into every fit —
 # e.g. ExecutionConfig(sharding=ShardingConfig(n_shards=4,
-# executor="thread")) fans the range queries across a thread pool.
+# executor=pool.executor_spec())) fans the range queries out to a
+# repro.remote.pool.WorkerPool's warm shard indexes.
 # None keeps the default batched brute-force engine.
 EXECUTION = None
 

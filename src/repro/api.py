@@ -18,9 +18,12 @@ that combine any algorithm with any
         tau=5,
         estimator=estimator,
         execution=ExecutionConfig(
-            sharding=ShardingConfig(n_shards=4, executor="thread"),
+            sharding=ShardingConfig(n_shards=4, executor=pool.executor_spec()),
         ),
     )
+
+where ``pool`` is a :class:`~repro.remote.pool.WorkerPool`; a bare
+``ShardingConfig(n_shards=4)`` shards serially in the calling process.
 
 ``experiments.methods.build_method`` (the paper-facing registry with
 Section 3.1's hyperparameter defaults) resolves through this facade.

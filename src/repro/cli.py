@@ -14,10 +14,11 @@ train RMI on the training split) at ``--scale`` and prints the
 paper-shaped table; ``--json PATH`` additionally writes the rows.
 
 Execution flags (``--engine-block``, ``--shards`` /
-``--shard-executor`` / ``--shard-workers`` / ``--shard-query-block`` /
-``--pool-address``) all map into one
+``--shard-query-block`` / ``--pool-address``) all map into one
 :class:`~repro.engine_config.ExecutionConfig` threaded through the
-experiment functions — no global state is installed.
+experiment functions — no global state is installed. Shards run on the
+serial executor, or on the remote one when ``--pool-address`` names a
+fleet.
 
 ``pool serve`` runs a fleet of local pool workers; any other invocation
 on any machine that can reach them may then pass
@@ -43,7 +44,7 @@ from repro.experiments.tradeoff import (
     sweep_laf_dbscanpp,
 )
 from repro.experiments.workloads import prepare_workloads
-from repro.index.sharded import EXECUTORS, ExecutorSpec, ShardingConfig
+from repro.index.sharded import ExecutorSpec, ShardingConfig
 from repro.serving.frontend import add_serve_arguments, run_serve_args
 
 __all__ = ["main", "build_parser", "execution_from_args"]
@@ -90,23 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="shard the range-query engine across N row shards",
         )
         p.add_argument(
-            "--shard-executor",
-            choices=EXECUTORS,
-            default=None,
-            help="how shard queries execute (default: serial; 'remote' "
-            "needs --pool-address)",
-        )
-        p.add_argument(
-            "--shard-workers",
-            type=_positive_int,
-            default=None,
-            help="pool width for the thread shard executor",
-        )
-        p.add_argument(
             "--shard-query-block",
             type=_positive_int,
             default=None,
-            help="query rows fanned out per shard-executor round "
+            help="query rows fanned out per shard round "
             "(bounds per-call payload size and merge memory)",
         )
         p.add_argument(
@@ -115,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="HOST:PORT",
             help="a pool worker from `repro pool serve` (repeat for a "
-            "fleet; implies --shard-executor remote)",
+            "fleet); shards then run on the remote executor instead of "
+            "serially in this process",
         )
 
     p = sub.add_parser("quality", help="Table 3/5: ARI & AMI of all methods")
@@ -210,32 +199,17 @@ def execution_from_args(args) -> ExecutionConfig:
     every clusterer of the run — engine block size and sharding are one
     declarative object, not ambient state.
     """
-    executor: ExecutorSpec | str | None = args.shard_executor
-    addresses = args.pool_address or []
-    if addresses:
-        if executor not in (None, "remote"):
-            raise InvalidParameterError(
-                "--pool-address implies --shard-executor remote; it cannot "
-                f"combine with --shard-executor {executor}"
-            )
+    executor: ExecutorSpec | str = "serial"
+    if args.pool_address:
         if args.shards is None:
             raise InvalidParameterError(
                 "--pool-address needs --shards N: remote execution fans "
                 "sharded queries out to the pool"
             )
-        executor = ExecutorSpec("remote", {"addresses": addresses})
-    elif executor == "remote":
-        raise InvalidParameterError(
-            "--shard-executor remote needs at least one --pool-address "
-            "HOST:PORT (start workers with `repro pool serve`)"
-        )
+        executor = ExecutorSpec("remote", {"addresses": args.pool_address})
     sharding = None
     if args.shards is not None:
-        sharding_kwargs = dict(
-            n_shards=args.shards,
-            executor="serial" if executor is None else executor,
-            n_workers=args.shard_workers,
-        )
+        sharding_kwargs = dict(n_shards=args.shards, executor=executor)
         if args.shard_query_block is not None:
             sharding_kwargs["query_block"] = args.shard_query_block
         sharding = ShardingConfig(**sharding_kwargs)

@@ -151,9 +151,8 @@ class Clusterer(abc.ABC):
         in one ``batch_range_query_rows`` (or ``_count_rows``) call and
         reads the neighbourhoods from the returned list. The
         ``finally`` matters: a fit raising mid-query pins its frame in
-        the traceback, so without an explicit close a sharded
-        executor's thread pool or worker connections would leak until
-        gc.
+        the traceback, so without an explicit close a remote
+        executor's worker connections would leak until gc.
         """
         cfg = self.execution
         index = resolve_engine_index(

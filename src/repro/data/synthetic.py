@@ -66,25 +66,59 @@ def _skewed_cluster_sizes(
     return sizes
 
 
-def _compose_points(
+def _compose_mixture(
     rng: np.random.Generator,
     n: int,
+    n_noise: int,
     global_dir: np.ndarray,
-    center: np.ndarray,
+    centers: np.ndarray,
+    zipf_s: float,
+    spread_range: tuple[float, float],
+    background_spread: float,
     global_weight: float,
     cluster_weight: float,
-    noise_scale: float,
     halo_fraction: float,
     halo_boost: float,
-) -> np.ndarray:
-    """global + cluster + noise composition, with a noisy halo subset."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` rows: one cluster per centre, then ``n_noise`` background rows.
+
+    The ``n - n_noise`` clustered rows split into Zipf-skewed sizes, and
+    each cluster draws a noise scale log-uniformly from
+    ``spread_range``. Cluster ``c``'s rows are
+    ``global_weight * global_dir + cluster_weight * centers[c] + noise``,
+    normalized, where the noise is uniform on the sphere times the
+    cluster's scale (times ``halo_boost`` on a ``halo_fraction``
+    subset). Background rows are ``global_weight * global_dir`` plus
+    ``background_spread`` times uniform noise. Each slice of the one
+    output matrix is written in place: the scaled noise first, then the
+    (commutative) vector sum and the row normalization, so no per-part
+    copy is stacked. Rows and labels come back in one random order.
+    """
+    sizes = _skewed_cluster_sizes(n - n_noise, len(centers), rng, zipf_s)
+    low, high = spread_range
+    spreads = np.exp(rng.uniform(np.log(low), np.log(high), size=len(centers)))
     dim = global_dir.size
-    scales = np.full(n, noise_scale)
-    halo = rng.uniform(size=n) < halo_fraction
-    scales[halo] *= halo_boost
-    noise = uniform_sphere(n, dim, rng) * scales[:, None]
-    raw = global_weight * global_dir + cluster_weight * center + noise
-    return normalize_rows(raw, copy=False)
+    X = np.empty((n, dim))
+    y = np.full(n, NOISE_LABEL, dtype=np.int64)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    for cluster_id, (center, spread) in enumerate(zip(centers, spreads)):
+        lo, hi = bounds[cluster_id], bounds[cluster_id + 1]
+        rows = X[lo:hi]
+        scales = np.full(hi - lo, float(spread))
+        halo = rng.uniform(size=hi - lo) < halo_fraction
+        scales[halo] *= halo_boost
+        np.multiply(uniform_sphere(hi - lo, dim, rng), scales[:, None], out=rows)
+        rows += global_weight * global_dir + cluster_weight * center
+        # Assigning the in-place result back to its own slice is free.
+        X[lo:hi] = normalize_rows(rows, copy=False)
+        y[lo:hi] = cluster_id
+    if n_noise:
+        rows = X[n - n_noise :]
+        np.multiply(uniform_sphere(n_noise, dim, rng), background_spread, out=rows)
+        rows += global_weight * global_dir
+        X[n - n_noise :] = normalize_rows(rows, copy=False)
+    order = rng.permutation(n)
+    return X[order], y[order]
 
 
 def make_ms_like(
@@ -125,8 +159,6 @@ def make_ms_like(
         )
     rng = ensure_rng(seed)
     n_noise = int(round(n * noise_fraction))
-    n_clustered = n - n_noise
-    n_micro = n_macro * micro_per_macro
     global_dir = uniform_sphere(1, dim, rng)[0]
     macro_dirs = uniform_sphere(n_macro, dim, rng)
     micro_centers = np.vstack(
@@ -139,38 +171,20 @@ def make_ms_like(
             for macro in macro_dirs
         ]
     )
-    sizes = _skewed_cluster_sizes(n_clustered, n_micro, rng, zipf_s)
-    lo, hi = spread_range
-    spreads = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n_micro))
-    parts: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    for cluster_id, (center, size, spread) in enumerate(
-        zip(micro_centers, sizes, spreads)
-    ):
-        parts.append(
-            _compose_points(
-                rng,
-                int(size),
-                global_dir,
-                center,
-                global_weight,
-                cluster_weight,
-                float(spread),
-                halo_fraction,
-                halo_boost,
-            )
-        )
-        labels.append(np.full(int(size), cluster_id, dtype=np.int64))
-    if n_noise:
-        background = global_weight * global_dir + 1.15 * uniform_sphere(
-            n_noise, dim, rng
-        )
-        parts.append(normalize_rows(background, copy=False))
-        labels.append(np.full(n_noise, NOISE_LABEL, dtype=np.int64))
-    X = np.vstack(parts)
-    y = np.concatenate(labels)
-    order = rng.permutation(n)
-    return X[order], y[order]
+    return _compose_mixture(
+        rng,
+        n,
+        n_noise,
+        global_dir,
+        micro_centers,
+        zipf_s,
+        spread_range,
+        1.15,
+        global_weight,
+        cluster_weight,
+        halo_fraction,
+        halo_boost,
+    )
 
 
 def make_glove_like(
@@ -199,39 +213,22 @@ def make_glove_like(
         )
     rng = ensure_rng(seed)
     n_noise = int(round(n * noise_fraction))
-    n_clustered = n - n_noise
     global_dir = uniform_sphere(1, dim, rng)[0]
     centers = uniform_sphere(n_clusters, dim, rng)
-    sizes = _skewed_cluster_sizes(n_clustered, n_clusters, rng, zipf_s)
-    lo, hi = spread_range
-    spreads = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n_clusters))
-    parts: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    for cluster_id, (center, size, spread) in enumerate(zip(centers, sizes, spreads)):
-        parts.append(
-            _compose_points(
-                rng,
-                int(size),
-                global_dir,
-                center,
-                global_weight,
-                cluster_weight,
-                float(spread),
-                halo_fraction,
-                halo_boost,
-            )
-        )
-        labels.append(np.full(int(size), cluster_id, dtype=np.int64))
-    if n_noise:
-        background = global_weight * global_dir + 1.2 * uniform_sphere(
-            n_noise, dim, rng
-        )
-        parts.append(normalize_rows(background, copy=False))
-        labels.append(np.full(n_noise, NOISE_LABEL, dtype=np.int64))
-    X = np.vstack(parts)
-    y = np.concatenate(labels)
-    order = rng.permutation(n)
-    return X[order], y[order]
+    return _compose_mixture(
+        rng,
+        n,
+        n_noise,
+        global_dir,
+        centers,
+        zipf_s,
+        spread_range,
+        1.2,
+        global_weight,
+        cluster_weight,
+        halo_fraction,
+        halo_boost,
+    )
 
 
 def make_nyt_like(

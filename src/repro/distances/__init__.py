@@ -34,7 +34,6 @@ from repro.distances.matrix import (
     iter_cosine_range_masks,
     iter_distance_blocks,
     nearest_in_blocks,
-    pairwise_cosine_within,
     squared_euclidean_distance_matrix,
 )
 from repro.distances.validation import (
@@ -65,7 +64,6 @@ __all__ = [
     "iter_distance_blocks",
     "nearest_in_blocks",
     "normalize_rows",
-    "pairwise_cosine_within",
     "squared_euclidean_distance_matrix",
     "squared_euclidean_distance_to_many",
     "suggest_radii",

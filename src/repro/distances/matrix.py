@@ -21,7 +21,6 @@ __all__ = [
     "cosine_distance_matrix",
     "euclidean_distance_matrix",
     "squared_euclidean_distance_matrix",
-    "pairwise_cosine_within",
     "iter_distance_blocks",
     "iter_cosine_range_masks",
     "nearest_candidates",
@@ -48,9 +47,9 @@ def cosine_distance_matrix(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
 def squared_euclidean_distance_matrix(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of ``Q`` and rows of ``X``.
 
-    Clipped at 0 (the expansion can round slightly negative). This is
-    the comparison kernel of the tree traversals, which test against
-    squared thresholds and never need the sqrt.
+    Clipped at 0 (the expansion can round slightly negative). The
+    Euclidean kernel of :func:`euclidean_distance_matrix`, which takes
+    its square root.
     """
     Q = np.asarray(Q, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -63,11 +62,6 @@ def squared_euclidean_distance_matrix(Q: np.ndarray, X: np.ndarray) -> np.ndarra
 def euclidean_distance_matrix(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Euclidean distances between rows of ``Q`` and rows of ``X``."""
     return np.sqrt(squared_euclidean_distance_matrix(Q, X))
-
-
-def pairwise_cosine_within(X: np.ndarray) -> np.ndarray:
-    """Symmetric cosine-distance matrix of a single point set."""
-    return cosine_distance_matrix(X, X)
 
 
 def iter_distance_blocks(

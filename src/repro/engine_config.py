@@ -40,7 +40,7 @@ DEFAULT_ENGINE_BLOCK = DEFAULT_BLOCK_SIZE
 
 #: The JSON-visible fields of ShardingConfig (kept in lockstep with the
 #: dataclass; a mismatch fails the round-trip tests).
-_SHARDING_FIELDS = ("n_shards", "executor", "n_workers", "query_block")
+_SHARDING_FIELDS = ("n_shards", "executor", "query_block")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,7 +51,7 @@ class ExecutionConfig:
     ----------
     sharding:
         Optional :class:`~repro.index.sharded.ShardingConfig`: fan range
-        queries across row shards (serial, thread or remote executor).
+        queries across row shards (serial or remote executor).
         Threaded explicitly into the engine — no global
         state — so concurrent fits with different sharding cannot
         interfere. ``None`` (the default) means unsharded execution.

@@ -3,12 +3,10 @@
 :class:`ShardedIndex` partitions the dataset into contiguous row shards,
 fits one :class:`~repro.index.brute_force.BruteForceIndex` per shard (the
 inner index), and answers the batched query API by
-fanning query blocks across the shards through one of three executors:
+fanning query blocks across the shards through one of two executors:
 
 * ``serial``  — one shard after another in the calling process (the
-  reference executor every other one is differentially tested against);
-* ``thread``  — a thread pool; NumPy releases the GIL inside BLAS, so
-  shard GEMMs genuinely overlap on multi-core machines;
+  reference executor the remote one is differentially tested against);
 * ``remote``  — a fleet of :mod:`repro.remote` worker processes reached
   over a length-prefixed socket protocol. Each live shard is pinned to
   one worker (stable shard→worker affinity), which builds its inner
@@ -17,17 +15,21 @@ fanning query blocks across the shards through one of three executors:
   builds. A dead worker's shards are rebalanced across the survivors
   and the failed calls retried; timeouts get bounded retry.
 
-The three executors are a fixed set, :data:`EXECUTORS`. A
-:class:`ExecutorSpec` names one (``name`` + JSON-safe ``options``);
-plain strings coerce (``executor="thread"`` is
-``ExecutorSpec("thread")``), and unknown names raise listing the three.
+There is no in-process parallel executor: a multi-threaded BLAS already
+spreads one shard's GEMM over every core, and splitting it across
+threads only added fan-out and merge work. The two executors are a
+fixed set, :data:`EXECUTORS`. A :class:`ExecutorSpec` names one
+(``name`` + JSON-safe ``options``); plain strings coerce
+(``executor="serial"`` is ``ExecutorSpec("serial")``), and unknown names
+raise listing both.
 
 Build lifecycle: an inner index is built once and queried many times.
-The serial/thread executors build all live shards eagerly in
+The serial executor builds all live shards eagerly in
 :meth:`ShardedIndex.build`; the remote executor builds them lazily in
-the owning worker. Either way :meth:`ShardedIndex.stats` reports the
-instrumented ``shard_inner_builds`` counter so hosts can prove the
-build-once property per fit. :func:`resolve_engine_index` is the
+the owning worker. Either executor reports its builds through
+``collect_stats()``, and :meth:`ShardedIndex.stats` exposes them as the
+``shard_inner_builds`` counter so hosts can prove the build-once
+property per fit. :func:`resolve_engine_index` is the
 shard-before-build seam: under a sharding config it builds the per-shard
 indexes directly over the dataset, so no whole-dataset index is ever
 built just to be thrown away.
@@ -35,9 +37,9 @@ built just to be thrown away.
 A fit queries rows of its own dataset, by id
 (:meth:`ShardedIndex.batch_range_query_rows` /
 :meth:`~ShardedIndex.batch_range_count_rows`): the ids go to the
-executor, the serial and thread executors slice the parent's ``X``, and
-the remote one sends the ids for each worker to slice the copy it
-holds. New vectors (predict, serving) travel as the query matrix.
+executor, the serial executor slices the parent's ``X``, and the remote
+one sends the ids for each worker to slice the copy it holds. New
+vectors (predict, serving) travel as the query matrix.
 
 Per-shard range results arrive as CSR pairs in *shard-local* row
 numbering; :func:`concat_shard_rows` re-indexes them into global row ids
@@ -60,9 +62,7 @@ per-shard neighborhoods).
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +94,7 @@ DEFAULT_QUERY_BLOCK = 2048
 # ----------------------------------------------------------------------
 
 #: The shard executors, by name.
-EXECUTORS = ("remote", "serial", "thread")
+EXECUTORS = ("remote", "serial")
 
 
 def _normalize_remote_options(options: dict) -> dict:
@@ -157,7 +157,7 @@ def _json_safe_option(value):
 class ExecutorSpec:
     """One of :data:`EXECUTORS` by name, plus its JSON-safe options.
 
-    Anywhere that accepts ``executor="thread"`` also accepts an
+    Anywhere that accepts ``executor="serial"`` also accepts an
     ``ExecutorSpec`` (plain strings coerce, and wire dicts round-trip
     through :meth:`to_dict` / :meth:`from_dict`). Unknown names raise
     listing the executors; options are validated and canonicalized at
@@ -407,30 +407,12 @@ class _SerialExecutor:
             for shard_id, args in _local_calls(self._points, calls, rows)
         ]
 
+    def collect_stats(self) -> dict[str, int]:
+        """Every index it was handed was built for it; nothing rebalances."""
+        return {"inner_builds": len(self._indexes), "n_rebalances": 0}
+
     def close(self) -> None:
         pass
-
-
-class _ThreadExecutor:
-    """Runs shard calls on a thread pool (BLAS releases the GIL)."""
-
-    def __init__(
-        self, indexes: dict[int, object], points: np.ndarray, n_workers: int
-    ) -> None:
-        self._indexes = indexes
-        self._points = points
-        self._pool = ThreadPoolExecutor(max_workers=n_workers)
-
-    def run(self, op: str, calls: list[tuple[int, tuple]], rows: bool = False) -> list:
-        fn = _SHARD_OPS[op]
-        futures = [
-            self._pool.submit(fn, self._indexes[shard_id], *args)
-            for shard_id, args in _local_calls(self._points, calls, rows)
-        ]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        self._pool.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -438,16 +420,14 @@ class _ThreadExecutor:
 # ----------------------------------------------------------------------
 
 
-def _check_shard_fields(n_shards, n_workers, query_block) -> None:
+def _check_shard_fields(n_shards, query_block) -> None:
     """Strict checks shared by :class:`ShardedIndex` and :class:`ShardingConfig`.
 
     Each field is an ``int`` (never a bool, never coerced: ``2.5`` is
-    not a shard count) of at least 1; ``n_workers`` may also be None.
+    not a shard count) of at least 1.
     """
     check_positive_int("n_shards", n_shards)
     check_positive_int("query_block", query_block)
-    if n_workers is not None:
-        check_positive_int("n_workers", n_workers)
 
 
 class ShardedIndex(NeighborIndex):
@@ -463,12 +443,9 @@ class ShardedIndex(NeighborIndex):
         ``n_shards > n_points``) are skipped.
     executor:
         An :class:`ExecutorSpec`, an executor name (``"serial"``,
-        ``"thread"``, ``"remote"``), or a spec wire dict. Stored
-        coerced: ``self.executor`` is always an :class:`ExecutorSpec`.
-    n_workers:
-        Pool width for the thread executor; defaults to
-        ``min(n_live_shards, cpu_count)``. The remote executor's width
-        is its address list.
+        ``"remote"``), or a spec wire dict. Stored coerced:
+        ``self.executor`` is always an :class:`ExecutorSpec`. The remote
+        executor's width is its address list.
     query_block:
         Query rows fanned out per executor round; bounds both the
         per-call payload size and peak memory of the merge.
@@ -479,19 +456,16 @@ class ShardedIndex(NeighborIndex):
         metric: str | Metric = COSINE,
         n_shards: int = 4,
         executor: "ExecutorSpec | str" = "serial",
-        n_workers: int | None = None,
         query_block: int = DEFAULT_QUERY_BLOCK,
     ) -> None:
-        _check_shard_fields(n_shards, n_workers, query_block)
+        _check_shard_fields(n_shards, query_block)
         self.metric = get_metric(metric)
         self.n_shards = n_shards
         self.executor = ExecutorSpec.coerce(executor)
-        self.n_workers = n_workers
         self.query_block = query_block
         self._points: np.ndarray | None = None
         self._live: list[tuple[int, int, int]] = []  # (shard_id, lo, hi)
         self._executor_obj = None
-        self._parent_builds = 0
         self._stats_snapshot: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -504,7 +478,6 @@ class ShardedIndex(NeighborIndex):
             raise InvalidParameterError(f"X must be 2-d; got shape {X.shape}")
         self.close()
         self._points = X
-        self._parent_builds = 0
         self._stats_snapshot = {}
         offsets = shard_offsets(X.shape[0], self.n_shards)
         self._live = [
@@ -512,44 +485,36 @@ class ShardedIndex(NeighborIndex):
             for s in range(self.n_shards)
             if offsets[s + 1] > offsets[s]
         ]
-        if self.executor.name == "remote":
-            self._start_executor()
-        else:
-            indexes = {
-                s: BruteForceIndex(metric=self.metric).build(X[lo:hi])
-                for s, lo, hi in self._live
-            }
-            self._parent_builds = len(indexes)
-            self._start_executor(indexes)
+        self._start_executor()
         return self
 
-    def _start_executor(self, indexes=None) -> None:
+    def _start_executor(self) -> None:
         """Start the executor over the live shards.
 
-        ``serial`` and ``thread`` query ``indexes``, the built per-shard
-        indexes keyed by live shard id. ``remote`` workers build their
-        pinned shards themselves from the dataset the executor pushes.
-        With no live shard (an empty dataset) there is nothing to run,
-        so every executor degenerates to the task-free serial one.
+        ``serial`` builds every live shard's index here and queries
+        them. ``remote`` workers build their pinned shards themselves
+        from the dataset the executor pushes. With no live shard (an
+        empty dataset) there is nothing to run, so a remote spec
+        degenerates to the task-free serial executor.
         """
-        name = self.executor.name
-        indexes = dict(indexes or {})
-        if name == "remote" and self._live:
+        X = self._points
+        if self.executor.name == "remote" and self._live:
             # Imported lazily: the remote package pulls in the socket
             # client and is only needed once a remote spec starts.
             from repro.remote.pool import RemoteExecutor
 
             self._executor_obj = RemoteExecutor(
-                X=np.asarray(self._points, dtype=np.float64),
+                X=X,
                 shards={s: (lo, hi) for s, lo, hi in self._live},
                 metric=self.metric.name,
                 options=self.executor.options,
             )
-        elif name == "thread" and self._live:
-            n_workers = self.n_workers or min(len(self._live), os.cpu_count() or 1)
-            self._executor_obj = _ThreadExecutor(indexes, self._points, n_workers)
         else:
-            self._executor_obj = _SerialExecutor(indexes, self._points)
+            indexes = {
+                s: BruteForceIndex(metric=self.metric).build(X[lo:hi])
+                for s, lo, hi in self._live
+            }
+            self._executor_obj = _SerialExecutor(indexes, X)
 
     def close(self) -> None:
         """Release executor resources (pools, connections). Idempotent.
@@ -575,29 +540,21 @@ class ShardedIndex(NeighborIndex):
         return len(self._live)
 
     def _collect_stats(self) -> dict[str, int]:
-        stats = {
+        snapshot = self._executor_obj.collect_stats()
+        return {
             "shard_live_shards": len(self._live),
-            "shard_inner_builds": self._parent_builds,
-            "shard_rebalances": 0,
+            "shard_inner_builds": snapshot["inner_builds"],
+            "shard_rebalances": snapshot["n_rebalances"],
         }
-        # The remote executor builds in its workers and reports its own
-        # counters through collect_stats().
-        collect = getattr(self._executor_obj, "collect_stats", None)
-        if collect is not None:
-            snapshot = collect()
-            stats["shard_inner_builds"] = snapshot["inner_builds"]
-            stats["shard_rebalances"] = snapshot["n_rebalances"]
-        return stats
 
     def stats(self) -> dict[str, int]:
         """Instrumented build accounting of the current fit.
 
         ``shard_inner_builds`` counts inner-index constructions since
-        :meth:`build`: eager per-shard builds for the serial/thread
-        executors, lazy in-worker builds for the remote executor. The
-        build-once contract is
-        ``shard_inner_builds == shard_live_shards`` once every shard has
-        served a query — never ``n_workers × n_shards``.
+        :meth:`build`: eager per-shard builds for the serial executor,
+        lazy in-worker builds for the remote executor. The build-once
+        contract is ``shard_inner_builds == shard_live_shards`` once
+        every shard has served a query — never workers × shards.
         ``shard_rebalances`` counts worker-death rebalancing events.
         After :meth:`close` the snapshot taken at close time is returned.
         """
@@ -680,11 +637,10 @@ class ShardingConfig:
 
     n_shards: int = 4
     executor: "ExecutorSpec | str" = "serial"
-    n_workers: int | None = None
     query_block: int = DEFAULT_QUERY_BLOCK
 
     def __post_init__(self) -> None:
-        _check_shard_fields(self.n_shards, self.n_workers, self.query_block)
+        _check_shard_fields(self.n_shards, self.query_block)
         object.__setattr__(self, "executor", ExecutorSpec.coerce(self.executor))
 
     def make_index(self, metric: str | Metric) -> "ShardedIndex":
@@ -693,7 +649,6 @@ class ShardingConfig:
             metric=metric,
             n_shards=self.n_shards,
             executor=self.executor,
-            n_workers=self.n_workers,
             query_block=self.query_block,
         )
 

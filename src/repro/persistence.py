@@ -65,23 +65,23 @@ KIND_CLUSTER_MODEL = "cluster_model"
 _HASH_CHUNK = 1 << 20
 
 
-def _upgrade_executor(executor: Any) -> Any:
-    """Older artifacts may name the removed shared-memory ``process``
-    executor; they reattach on ``thread``, as loading them always did."""
-    return "thread" if executor == "process" else executor
+#: Retired in-process executors; a model that recorded one runs serial.
+_RETIRED_EXECUTORS = ("process", "thread")
 
 
 def _upgrade_execution(payload: Any) -> Any:
     """Read older spellings of a saved execution config.
 
     ``"sharding": false`` (the former explicit opt-out) reads as None,
-    a retired executor name as its replacement, and the retired
-    ``cache_eviction`` and ``batch_queries`` keys are dropped whatever
-    they held (the engine always releases a neighborhood once served,
-    and every fit and predict runs batched). The retired ``index``
-    key is dropped when it is null or names brute force, the only range
-    backend; any other name raises. Writers emit none of these; this
-    runs only at the load boundary.
+    a retired ``process`` or ``thread`` executor as ``serial`` (labels
+    never depended on the executor), and the retired ``cache_eviction``
+    and ``batch_queries`` keys and the sharding's ``n_workers`` are
+    dropped whatever they held (the engine always releases a
+    neighborhood once served, every fit and predict runs batched, and
+    only the retired thread pool read a worker count). The retired
+    ``index`` key is dropped when it is null or names brute force, the
+    only range backend; any other name raises. Writers emit none of
+    these; this runs only at the load boundary.
     """
     if not isinstance(payload, Mapping):
         return payload
@@ -97,11 +97,12 @@ def _upgrade_execution(payload: Any) -> Any:
     sharding = payload.get("sharding")
     if sharding is False:
         payload["sharding"] = None
-    elif isinstance(sharding, Mapping) and "executor" in sharding:
-        payload["sharding"] = {
-            **sharding,
-            "executor": _upgrade_executor(sharding["executor"]),
-        }
+    elif isinstance(sharding, Mapping):
+        sharding = dict(sharding)
+        sharding.pop("n_workers", None)
+        if sharding.get("executor") in _RETIRED_EXECUTORS:
+            sharding["executor"] = "serial"
+        payload["sharding"] = sharding
     return payload
 
 

@@ -162,7 +162,7 @@ class _WorkerClient:
 class RemoteExecutor:
     """Affinity-routed shard execution over a worker fleet.
 
-    Implements the same contract as the local executors in
+    Implements the same contract as the serial executor in
     :mod:`repro.index.sharded` (``run`` / ``close`` / ``collect_stats``)
     so :class:`~repro.index.sharded.ShardedIndex` cannot tell the
     difference. ``shards`` maps shard id → ``(lo, hi)`` global rows;

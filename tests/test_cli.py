@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, execution_from_args, main
 from repro.experiments.workloads import clear_cache
+from repro.index.sharded import ExecutorSpec
 
 
 @pytest.fixture(autouse=True)
@@ -40,18 +41,31 @@ class TestParser:
                 "timing",
                 "--shards",
                 "4",
-                "--shard-executor",
-                "thread",
-                "--shard-workers",
-                "2",
                 "--shard-query-block",
                 "512",
             ]
         )
         assert args.shards == 4
-        assert args.shard_executor == "thread"
-        assert args.shard_workers == 2
         assert args.shard_query_block == 512
+        sharding = execution_from_args(args).sharding
+        assert sharding.n_shards == 4
+        assert sharding.query_block == 512
+        assert sharding.executor == ExecutorSpec("serial")
+
+    def test_pool_address_selects_the_remote_executor(self):
+        args = build_parser().parse_args(
+            ["timing", "--shards", "2", "--pool-address", "127.0.0.1:9"]
+        )
+        executor = execution_from_args(args).sharding.executor
+        assert executor == ExecutorSpec("remote", {"addresses": ["127.0.0.1:9"]})
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--shard-executor", "serial"), ("--shard-workers", "2")]
+    )
+    def test_retired_executor_flags_are_usage_errors(self, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["timing", "--shards", "2", flag, value])
+        assert excinfo.value.code == 2
 
     def test_shard_query_block_validated(self):
         with pytest.raises(SystemExit):
@@ -60,15 +74,8 @@ class TestParser:
     def test_sharding_defaults_off(self):
         args = build_parser().parse_args(["timing"])
         assert args.shards is None
-        # Unset on the parser; execution_from_args falls back to serial
-        # (the flag must stay distinguishable from an explicit "serial"
-        # so --pool-address can detect contradictions).
-        assert args.shard_executor is None
         assert args.pool_address is None
-
-    def test_invalid_shard_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["timing", "--shard-executor", "gpu"])
+        assert execution_from_args(args).sharding is None
 
     def test_flag_contradiction_is_a_usage_error(self, capsys):
         # The flags map into one ExecutionConfig; a contradiction is a
@@ -135,7 +142,7 @@ class TestCommands:
         code = main(
             ["grid", "--datasets", "MS-50k", *FAST]
             + ["--eps-values", "0.5", "--tau-values", "3"]
-            + ["--shards", "3", "--shard-executor", "thread"]
+            + ["--shards", "3"]
         )
         assert code == 0
         out = capsys.readouterr().out

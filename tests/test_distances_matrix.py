@@ -13,7 +13,6 @@ from repro.distances import (
     iter_distance_blocks,
     nearest_in_blocks,
     normalize_rows,
-    pairwise_cosine_within,
 )
 from repro.distances import get_metric, matrix
 from repro.exceptions import InvalidParameterError
@@ -41,7 +40,7 @@ class TestCosineDistanceMatrix:
 
     def test_self_matrix_zero_diagonal(self, matrices):
         _, X = matrices
-        D = pairwise_cosine_within(X)
+        D = cosine_distance_matrix(X, X)
         assert np.allclose(np.diag(D), 0.0, atol=1e-12)
         assert np.allclose(D, D.T, atol=1e-12)
 

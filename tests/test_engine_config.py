@@ -46,6 +46,13 @@ class TestExecutionConfigValidation:
             "query_block",
         ]
 
+    def test_sharding_fields(self):
+        assert [f.name for f in dataclasses.fields(ShardingConfig)] == [
+            "n_shards",
+            "executor",
+            "query_block",
+        ]
+
     def test_rejects_bad_query_block(self):
         with pytest.raises(InvalidParameterError, match="query_block"):
             ExecutionConfig(query_block=0)
@@ -58,9 +65,7 @@ class TestExecutionConfigValidation:
 class TestExecutionConfigSerialization:
     def full_config(self) -> ExecutionConfig:
         return ExecutionConfig(
-            sharding=ShardingConfig(
-                n_shards=4, executor="thread", n_workers=2, query_block=512
-            ),
+            sharding=ShardingConfig(n_shards=4, executor="serial", query_block=512),
             query_block=256,
         )
 
@@ -84,6 +89,14 @@ class TestExecutionConfigSerialization:
     def test_from_dict_rejects_unknown_sharding_keys(self):
         payload = self.full_config().to_dict()
         payload["sharding"]["replication"] = 2
+        with pytest.raises(InvalidParameterError, match="unknown ShardingConfig"):
+            ExecutionConfig.from_dict(payload)
+
+    def test_from_dict_rejects_retired_n_workers(self):
+        # Only the retired thread executor read a worker count; saved
+        # models drop it in the persistence loader, the wire rejects it.
+        payload = self.full_config().to_dict()
+        payload["sharding"]["n_workers"] = 2
         with pytest.raises(InvalidParameterError, match="unknown ShardingConfig"):
             ExecutionConfig.from_dict(payload)
 
@@ -118,9 +131,6 @@ class TestExecutionConfigSerialization:
             ("sharding.query_block", "8"),
             ("sharding.query_block", 2.5),
             ("sharding.query_block", None),
-            ("sharding.n_workers", "2"),
-            ("sharding.n_workers", 1.5),
-            ("sharding.n_workers", True),
         ],
     )
     def test_is_strict_about_field_types(self, build, field, value):

@@ -30,9 +30,16 @@ from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
 from repro.estimators import ExactCardinalityEstimator
 from repro.exceptions import InvalidParameterError
 from repro.index import BruteForceIndex
+from repro.remote.pool import WorkerPool
 
 EPS = 0.5
 TAU = 4
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool.spawn_local(2) as pool:
+        yield pool
 
 
 def _deprecation_count(record) -> int:
@@ -143,12 +150,17 @@ class TestEngineRoutedSharding:
         ],
         ids=["dbscan", "dbscan++", "block", "rho", "rho_borders", "laf", "laf++"],
     )
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_sharded_fit_matches_default(self, factory, executor, clusterable_data):
+    @pytest.mark.parametrize("executor", ["serial", "remote"])
+    def test_sharded_fit_matches_default(
+        self, factory, executor, clusterable_data, pool
+    ):
+        if executor == "remote":
+            executor = pool.executor_spec()
         baseline = factory(None).fit(clusterable_data)
-        sharding = ShardingConfig(n_shards=3, executor=executor, n_workers=2)
+        sharding = ShardingConfig(n_shards=3, executor=executor)
         sharded = factory(ExecutionConfig(sharding=sharding)).fit(clusterable_data)
         assert np.array_equal(baseline.labels, sharded.labels)
+        assert np.array_equal(baseline.core_mask, sharded.core_mask)
         assert sharded.stats["shard_live_shards"] == 3
 
 

@@ -27,22 +27,23 @@ from repro.index.sharded import EXECUTORS, ExecutorSpec, ShardingConfig
 
 class TestExecutorSet:
     def test_the_executors_are_a_fixed_set(self):
-        assert EXECUTORS == ("remote", "serial", "thread")
+        assert EXECUTORS == ("remote", "serial")
 
     def test_no_registry_is_exported(self):
         for name in ("register_executor", "registered_executors"):
             assert not hasattr(repro.index, name)
             assert name not in repro.index.__all__
 
-    def test_removed_process_executor_is_rejected(self):
-        with pytest.raises(InvalidParameterError, match="remote, serial, thread"):
-            ShardingConfig(executor="process")
+    @pytest.mark.parametrize("name", ["process", "thread"])
+    def test_removed_executors_are_rejected(self, name):
+        with pytest.raises(InvalidParameterError, match="executors: remote, serial$"):
+            ShardingConfig(executor=name)
 
 
 class TestCoercion:
     def test_string_coerces_to_option_free_spec(self):
-        spec = ExecutorSpec.coerce("thread")
-        assert spec == ExecutorSpec("thread")
+        spec = ExecutorSpec.coerce("serial")
+        assert spec == ExecutorSpec("serial")
         assert spec.options == {}
 
     def test_spec_passes_through_unchanged(self):
@@ -66,10 +67,9 @@ class TestCoercion:
         with pytest.raises(InvalidParameterError, match="ExecutorSpec"):
             ExecutorSpec.coerce(42)
 
-    def test_single_box_executors_reject_options(self):
-        for name in ("serial", "thread"):
-            with pytest.raises(InvalidParameterError):
-                ExecutorSpec(name, {"addresses": ["h:1"]})
+    def test_serial_executor_rejects_options(self):
+        with pytest.raises(InvalidParameterError):
+            ExecutorSpec("serial", {"addresses": ["h:1"]})
 
 
 class TestRemoteOptions:
@@ -127,7 +127,7 @@ class TestWireFormat:
     def test_option_free_wire_value_is_the_bare_name(self):
         # The pre-spec wire format wrote bare strings; option-free specs
         # must keep old artifacts and configs byte-identical.
-        assert ExecutorSpec("thread").wire_value() == "thread"
+        assert ExecutorSpec("serial").wire_value() == "serial"
 
     def test_optioned_wire_value_is_the_strict_dict(self):
         spec = ExecutorSpec("remote", {"addresses": ["h:1"]})
@@ -158,8 +158,8 @@ class TestWireFormat:
 
 class TestConfigIntegration:
     def test_sharding_config_coerces_strings(self):
-        cfg = ShardingConfig(n_shards=2, executor="thread")
-        assert cfg.executor == ExecutorSpec("thread")
+        cfg = ShardingConfig(n_shards=2, executor="serial")
+        assert cfg.executor == ExecutorSpec("serial")
 
     def test_sharding_config_accepts_specs(self):
         spec = ExecutorSpec("remote", {"addresses": ["h:1"]})
@@ -175,5 +175,5 @@ class TestConfigIntegration:
         assert restored.sharding.n_shards == 3
 
     def test_execution_config_wire_keeps_bare_names(self):
-        cfg = ExecutionConfig(sharding=ShardingConfig(n_shards=3, executor="thread"))
-        assert cfg.to_dict()["sharding"]["executor"] == "thread"
+        cfg = ExecutionConfig(sharding=ShardingConfig(n_shards=3, executor="serial"))
+        assert cfg.to_dict()["sharding"]["executor"] == "serial"

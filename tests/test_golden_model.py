@@ -73,29 +73,40 @@ def _golden_copy_with_execution(tmp_path, execution: dict) -> Path:
     return copy
 
 
+def _retired_executor(name: str) -> dict:
+    return {
+        "sharding": {
+            "n_shards": 2,
+            "executor": name,
+            "n_workers": 2,
+            "query_block": 64,
+        },
+    }
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         {"sharding": False},
-        {
-            "sharding": {
-                "n_shards": 2,
-                "executor": "process",
-                "n_workers": 2,
-                "query_block": 64,
-            },
-        },
+        _retired_executor("process"),
+        _retired_executor("thread"),
         {"cache_eviction": "keep"},
     ],
-    ids=["sharding-false", "process-executor", "cache-eviction-keep"],
+    ids=[
+        "sharding-false",
+        "process-executor",
+        "thread-executor",
+        "cache-eviction-keep",
+    ],
 )
 def test_older_execution_spellings_still_load(tmp_path, edit):
-    """``"sharding": false`` reads as None, executor "process" as
-    "thread", and the retired ``cache_eviction`` key is dropped."""
+    """``"sharding": false`` reads as None, a retired "process" or
+    "thread" executor as "serial" without its ``n_workers``, and the
+    retired ``cache_eviction`` key is dropped."""
     path = _golden_copy_with_execution(tmp_path, edit)
     with repro.load_model(path) as loaded:
         if edit.get("sharding"):
-            assert loaded.execution.sharding.executor.name == "thread"
+            assert loaded.execution.sharding.executor.name == "serial"
         else:
             assert loaded.execution.sharding is None
         queries = np.load(GOLDEN / "queries.npy")
@@ -107,5 +118,5 @@ def test_older_execution_spellings_still_load(tmp_path, edit):
     assert "cache_eviction" not in resaved["spec"]["execution"]
     assert resaved["spec"]["execution"]["sharding"] in (
         None,
-        {"n_shards": 2, "executor": "thread", "n_workers": 2, "query_block": 64},
+        {"n_shards": 2, "executor": "serial", "query_block": 64},
     )

@@ -176,7 +176,6 @@ class TestExecutionValidation:
             ("n_shards", [2]),
             ("n_shards", 2.5),
             ("query_block", True),
-            ("n_workers", 1.5),
             ("executor", _remote(timeout_s="x")),
             ("executor", _remote(retries="two")),
         ],

@@ -35,8 +35,8 @@ CONFIGS = {
     "default": ExecutionConfig(),
     "small_blocks": ExecutionConfig(query_block=7),
     "sharded_serial": ExecutionConfig(sharding=ShardingConfig(n_shards=3)),
-    "sharded_thread": ExecutionConfig(
-        sharding=ShardingConfig(n_shards=4, executor="thread", n_workers=2)
+    "sharded_rounds": ExecutionConfig(
+        sharding=ShardingConfig(n_shards=4, query_block=16)
     ),
 }
 

@@ -237,8 +237,8 @@ class TestPredictSemantics:
 
     @pytest.mark.parametrize(
         "sharding",
-        [{"n_shards": 3}, {"n_shards": 4, "executor": "thread"}],
-        ids=["serial-3", "thread-4"],
+        [{"n_shards": 3}, {"n_shards": 4, "query_block": 16}],
+        ids=["serial-3", "serial-4-rounds-16"],
     )
     def test_sharded_model_predicts_like_unsharded(self, blobs, sharding):
         from repro import ExecutionConfig, ShardingConfig

@@ -12,11 +12,12 @@ constructions —
 
 The differential tests below count actual ``build`` calls in this
 process (monkeypatched class methods) and read the instrumented
-``shard_inner_builds`` counter of :meth:`ShardedIndex.stats`, across all
-three executors; label equality vs the unsharded path rides along for
+``shard_inner_builds`` counter of :meth:`ShardedIndex.stats`, across
+both executors; label equality vs the unsharded path rides along for
 DBSCAN, BLOCK-DBSCAN, rho-approximate DBSCAN (whose border queries
 shard like every other method's) and LAF-DBSCAN. Each remote case gets a fresh local
-worker pool, so its shards start cold.
+worker pool, so its shards start cold; a second fit on the same pool
+is warm and pays none.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.testing import make_blobs_on_sphere
 EPS = 0.5
 TAU = 4
 N_SHARDS = 3
-EXECUTORS = ("serial", "thread", "remote")
+EXECUTORS = ("serial", "remote")
 
 #: Clusterers whose sharded fits are checked, as factories taking an
 #: execution config. rho-approximate DBSCAN runs with a small eps so
@@ -55,7 +56,7 @@ CLUSTERERS = {
 def sharded_execution(executor) -> ExecutionConfig:
     """The first-class equivalent of the old ambient sharded_queries scope."""
     return ExecutionConfig(
-        sharding=ShardingConfig(n_shards=N_SHARDS, executor=executor, n_workers=2),
+        sharding=ShardingConfig(n_shards=N_SHARDS, executor=executor),
     )
 
 
@@ -102,7 +103,7 @@ class TestShardedIndexBuildOnce:
         self, metric, executor, data
     ):
         with ShardedIndex(
-            metric=metric, n_shards=N_SHARDS, executor=executor, n_workers=2
+            metric=metric, n_shards=N_SHARDS, executor=executor
         ).build(data) as index:
             # Several rounds over every shard: pre-affinity, round 2+
             # could land a shard on a worker that had never built it.
@@ -116,7 +117,7 @@ class TestShardedIndexBuildOnce:
 
     def test_stats_survive_close(self, metric, executor, data):
         index = ShardedIndex(
-            metric=metric, n_shards=N_SHARDS, executor=executor, n_workers=2
+            metric=metric, n_shards=N_SHARDS, executor=executor
         ).build(data)
         index.batch_range_query(data[:5], EPS)
         index.close()
@@ -133,6 +134,18 @@ def test_unqueried_remote_index_reports_zero_builds(executor, data):
     assert index.stats()["shard_inner_builds"] == 0
     index.close()
     assert index.stats()["shard_inner_builds"] == 0
+
+
+@pytest.mark.parametrize("executor", ["remote"], indirect=True)
+def test_warm_remote_fit_reports_zero_builds(executor, data, build_counter):
+    execution = sharded_execution(executor)
+    cold = DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(data)
+    warm = DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(data)
+    assert cold.stats["shard_inner_builds"] == N_SHARDS
+    assert warm.stats["shard_inner_builds"] == 0
+    assert warm.stats["shard_live_shards"] == N_SHARDS
+    assert build_counter["n"] == 0
+    assert np.array_equal(cold.labels, warm.labels)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)

@@ -42,7 +42,7 @@ WHOLE_SPHERE_EPS = 2.0
 
 #: Every registered executor; "remote" runs against a local two-worker
 #: pool (see the ``executor`` fixture).
-EXECUTORS = ("serial", "thread", "remote")
+EXECUTORS = ("serial", "remote")
 
 #: Shard metrics: the float32 cosine kernel and the float64 Euclidean one.
 METRICS = ("cosine", "euclidean")
@@ -97,13 +97,7 @@ def duplicated(data) -> np.ndarray:
 
 
 def sharded(metric, X, executor, n_shards=3, **extra) -> ShardedIndex:
-    index = ShardedIndex(
-        metric=metric,
-        n_shards=n_shards,
-        executor=executor,
-        n_workers=2 if executor != "serial" else None,
-        **extra,
-    )
+    index = ShardedIndex(metric=metric, n_shards=n_shards, executor=executor, **extra)
     return index.build(X)
 
 
@@ -252,13 +246,13 @@ class TestLifecycleAndValidation:
         with pytest.raises(InvalidParameterError):
             ShardedIndex(metric="manhattan")
         with pytest.raises(InvalidParameterError):
-            ShardedIndex(n_workers=0)
-        with pytest.raises(InvalidParameterError):
             ShardedIndex(query_block=0)
+        with pytest.raises(TypeError, match="n_workers"):
+            ShardedIndex(n_workers=2)
 
     @pytest.mark.parametrize(
         "field,value",
-        [("n_shards", 2.5), ("n_shards", True), ("n_workers", "2"), ("query_block", "8")],
+        [("n_shards", 2.5), ("n_shards", True), ("query_block", "8")],
     )
     def test_field_types_are_checked_like_sharding_config(self, field, value):
         with pytest.raises(InvalidParameterError, match=field):
@@ -290,9 +284,7 @@ class TestEngineWiring:
             assert index.stats() == {}
 
     def test_engine_exit_releases_its_sharded_index(self, data):
-        execution = ExecutionConfig(
-            sharding=ShardingConfig(n_shards=2, executor="thread")
-        )
+        execution = ExecutionConfig(sharding=ShardingConfig(n_shards=2))
         with DBSCAN(eps=EPS, tau=4, execution=execution)._engine(data) as index:
             assert index.batch_range_query_rows(np.array([0]), EPS)[0].size > 0
         # close() ran on exit: the sharded index is released.
@@ -306,7 +298,7 @@ class TestEngineWiring:
             eps=0.5,
             tau=4,
             execution=ExecutionConfig(
-                sharding=ShardingConfig(n_shards=4, executor=executor, n_workers=2)
+                sharding=ShardingConfig(n_shards=4, executor=executor)
             ),
         ).fit(data)
         assert np.array_equal(baseline.labels, result.labels)
