@@ -51,7 +51,7 @@ __all__ = ["main", "build_parser", "execution_from_args"]
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for flags that only accept >= 1 (shards, workers)."""
+    """argparse type for flags that only accept >= 1 (shards, block sizes)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1; got {value}")

@@ -59,6 +59,18 @@ class TestParser:
         executor = execution_from_args(args).sharding.executor
         assert executor == ExecutorSpec("remote", {"addresses": ["127.0.0.1:9"]})
 
+    def test_repeated_pool_address_lists_the_fleet_in_order(self):
+        args = build_parser().parse_args(
+            ["timing", "--shards", "4", "--shard-query-block", "32"]
+            + ["--pool-address", "10.0.0.2:7000", "--pool-address", "10.0.0.1:7000"]
+        )
+        sharding = execution_from_args(args).sharding
+        assert sharding.n_shards == 4
+        assert sharding.query_block == 32
+        assert sharding.executor == ExecutorSpec(
+            "remote", {"addresses": ["10.0.0.2:7000", "10.0.0.1:7000"]}
+        )
+
     @pytest.mark.parametrize(
         "flag,value", [("--shard-executor", "serial"), ("--shard-workers", "2")]
     )
@@ -70,6 +82,12 @@ class TestParser:
     def test_shard_query_block_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["timing", "--shard-query-block", "0"])
+
+    @pytest.mark.parametrize("flag", ["--shards", "--engine-block"])
+    def test_positive_count_flags_validated(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["timing", flag, "0"])
+        assert excinfo.value.code == 2
 
     def test_sharding_defaults_off(self):
         args = build_parser().parse_args(["timing"])

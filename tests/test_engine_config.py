@@ -131,6 +131,12 @@ class TestExecutionConfigSerialization:
             ("sharding.query_block", "8"),
             ("sharding.query_block", 2.5),
             ("sharding.query_block", None),
+            ("sharding.query_block", True),
+            ("sharding.query_block", [8]),
+            ("sharding.executor", 3),
+            ("sharding.executor", None),
+            ("query_block", None),
+            ("query_block", [8]),
         ],
     )
     def test_is_strict_about_field_types(self, build, field, value):

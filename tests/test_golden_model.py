@@ -73,12 +73,12 @@ def _golden_copy_with_execution(tmp_path, execution: dict) -> Path:
     return copy
 
 
-def _retired_executor(name: str) -> dict:
+def _retired_executor(name: str, **n_workers) -> dict:
     return {
         "sharding": {
             "n_shards": 2,
             "executor": name,
-            "n_workers": 2,
+            **n_workers,
             "query_block": 64,
         },
     }
@@ -88,21 +88,26 @@ def _retired_executor(name: str) -> dict:
     "edit",
     [
         {"sharding": False},
-        _retired_executor("process"),
+        _retired_executor("process", n_workers=2),
+        _retired_executor("thread", n_workers=2),
         _retired_executor("thread"),
+        _retired_executor("serial", n_workers=4),
         {"cache_eviction": "keep"},
     ],
     ids=[
         "sharding-false",
         "process-executor",
         "thread-executor",
+        "thread-executor-without-workers",
+        "serial-executor-with-workers",
         "cache-eviction-keep",
     ],
 )
 def test_older_execution_spellings_still_load(tmp_path, edit):
     """``"sharding": false`` reads as None, a retired "process" or
-    "thread" executor as "serial" without its ``n_workers``, and the
-    retired ``cache_eviction`` key is dropped."""
+    "thread" executor as "serial", a recorded ``n_workers`` is dropped
+    whichever executor it sits beside, and the retired
+    ``cache_eviction`` key is dropped."""
     path = _golden_copy_with_execution(tmp_path, edit)
     with repro.load_model(path) as loaded:
         if edit.get("sharding"):

@@ -178,6 +178,11 @@ class TestExecutionValidation:
             ("query_block", True),
             ("executor", _remote(timeout_s="x")),
             ("executor", _remote(retries="two")),
+            ("n_shards", True),
+            ("query_block", "8"),
+            ("query_block", 2.5),
+            ("executor", "gpu"),
+            ("executor", 3),
         ],
     )
     def test_mistyped_sharding_field(self, data, tmp_path, field, value):

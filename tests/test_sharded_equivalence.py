@@ -49,12 +49,18 @@ METRICS = ("cosine", "euclidean")
 
 #: (metric, extra ShardedIndex kwargs) per configuration that takes a
 #: different path through the merge: both metrics, more shards than
-#: the default, and query blocks that split every batch into rounds.
+#: the default, query blocks that split every batch into rounds, and
+#: rounds that each fan out over many shards.
 SHARD_CONFIGS = {
     "cosine": ("cosine", {}),
     "cosine_many_shards": ("cosine", {"n_shards": 7}),
     "cosine_small_query_block": ("cosine", {"query_block": 5}),
+    "cosine_many_shards_small_query_block": (
+        "cosine",
+        {"n_shards": 7, "query_block": 5},
+    ),
     "euclidean": ("euclidean", {}),
+    "euclidean_many_shards": ("euclidean", {"n_shards": 7}),
     "euclidean_small_query_block": ("euclidean", {"query_block": 5}),
 }
 
