@@ -7,7 +7,8 @@ fit against a fresh pool pays every shard build plus the dataset
 upload; the second fit attaches to cached indexes and pays only the
 query fan-out. The tracked metric is ``warm_fit_speedup`` (first-fit
 seconds over second-fit seconds, same pool, same machine, same run) on
-brute-force shards: the warm fit still skips the dataset upload and every shard build (the float32 copy of the rows). That saving
+brute-force shards: the warm fit still skips the dataset upload and
+every shard build (the float32 copy of the rows). That saving
 is small next to the noise of one fit, so the cold and the warm time are
 each the median over ``POOLS`` fresh pools.
 
@@ -17,9 +18,9 @@ median warm remote fit. It says what the fan-out costs against the plain
 alternative on the same machine; below 1 the pool is slower than one
 process. It is a same-machine ratio, not a claim that the pool wins.
 
-A correctness spot-check runs before timing: remote labels must be
-bit-identical to the serial sharded path, and the warm fit must report
-``shard_inner_builds == 0``.
+A correctness spot-check rides along: every fit's labels must be
+bit-identical to those of the first timed in-process fit, and the warm
+fit must report ``shard_inner_builds == 0``.
 
 Every row records ``usable_cpus`` so the regression gate skips the
 ratio on smaller machines than the committed baseline (warm-reuse
@@ -65,23 +66,24 @@ def _dataset(n: int) -> np.ndarray:
 def test_remote_warm_fit():
     X = _dataset(N)
 
-    def execution(executor) -> ExecutionConfig:
-        return ExecutionConfig(
-            sharding=ShardingConfig(n_shards=N_SHARDS, executor=executor),
-        )
-
-    baseline = DBSCAN(eps=EPS, tau=TAU, execution=execution("serial")).fit(X)
     cold_s: list[float] = []
     warm_s: list[float] = []
     local_s: list[float] = []
+    baseline = None
     for _ in range(POOLS):
         start = time.perf_counter()
         local = DBSCAN(eps=EPS, tau=TAU).fit(X)
         local_s.append(time.perf_counter() - start)
+        if baseline is None:
+            baseline = local
         assert np.array_equal(baseline.labels, local.labels)
 
         with WorkerPool.spawn_local(N_WORKERS) as pool:
-            remote = execution(pool.executor_spec())
+            remote = ExecutionConfig(
+                sharding=ShardingConfig(
+                    n_shards=N_SHARDS, executor=pool.executor_spec()
+                ),
+            )
 
             start = time.perf_counter()
             cold = DBSCAN(eps=EPS, tau=TAU, execution=remote).fit(X)

@@ -24,8 +24,9 @@ EPS, TAU = 0.55, 5
 # Execution policy is one declarative object threaded into every fit —
 # e.g. ExecutionConfig(sharding=ShardingConfig(n_shards=4,
 # executor=pool.executor_spec())) fans the range queries out to a
-# repro.remote.pool.WorkerPool's warm shard indexes.
-# None keeps the default batched brute-force engine.
+# repro.remote.pool.WorkerPool's warm shard indexes (sharding always
+# names the pool its shards run on).
+# None keeps the default unsharded, batched brute-force engine.
 EXECUTION = None
 
 

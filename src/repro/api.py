@@ -22,8 +22,8 @@ that combine any algorithm with any
         ),
     )
 
-where ``pool`` is a :class:`~repro.remote.pool.WorkerPool`; a bare
-``ShardingConfig(n_shards=4)`` shards serially in the calling process.
+where ``pool`` is a :class:`~repro.remote.pool.WorkerPool`: sharded
+execution always names the pool its shards run on.
 
 ``experiments.methods.build_method`` (the paper-facing registry with
 Section 3.1's hyperparameter defaults) resolves through this facade.

@@ -17,8 +17,8 @@ Execution flags (``--engine-block``, ``--shards`` /
 ``--shard-query-block`` / ``--pool-address``) all map into one
 :class:`~repro.engine_config.ExecutionConfig` threaded through the
 experiment functions — no global state is installed. Shards run on the
-serial executor, or on the remote one when ``--pool-address`` names a
-fleet.
+fleet of pool workers that ``--pool-address`` names; either flag without
+the other is a usage error.
 
 ``pool serve`` runs a fleet of local pool workers; any other invocation
 on any machine that can reach them may then pass
@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--shards",
             type=_positive_int,
             default=None,
-            help="shard the range-query engine across N row shards",
+            help="shard the range-query engine across N row shards "
+            "(needs --pool-address)",
         )
         p.add_argument(
             "--shard-query-block",
@@ -103,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="HOST:PORT",
             help="a pool worker from `repro pool serve` (repeat for a "
-            "fleet); shards then run on the remote executor instead of "
-            "serially in this process",
+            "fleet) that runs the --shards",
         )
 
     p = sub.add_parser("quality", help="Table 3/5: ARI & AMI of all methods")
@@ -199,16 +199,19 @@ def execution_from_args(args) -> ExecutionConfig:
     every clusterer of the run — engine block size and sharding are one
     declarative object, not ambient state.
     """
-    executor: ExecutorSpec | str = "serial"
-    if args.pool_address:
-        if args.shards is None:
-            raise InvalidParameterError(
-                "--pool-address needs --shards N: remote execution fans "
-                "sharded queries out to the pool"
-            )
-        executor = ExecutorSpec("remote", {"addresses": args.pool_address})
+    if args.pool_address and args.shards is None:
+        raise InvalidParameterError(
+            "--pool-address needs --shards N: remote execution fans "
+            "sharded queries out to the pool"
+        )
     sharding = None
     if args.shards is not None:
+        if not args.pool_address:
+            raise InvalidParameterError(
+                "--shards needs --pool-address HOST:PORT: shards run on the "
+                "workers of a pool (see `repro pool serve`)"
+            )
+        executor = ExecutorSpec(args.pool_address)
         sharding_kwargs = dict(n_shards=args.shards, executor=executor)
         if args.shard_query_block is not None:
             sharding_kwargs["query_block"] = args.shard_query_block

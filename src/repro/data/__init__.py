@@ -33,7 +33,6 @@ from repro.data.synthetic import (
     make_nyt_like,
     uniform_sphere,
 )
-from repro.data.vmf import sample_vmf
 
 __all__ = [
     "DATASET_SPECS",
@@ -45,7 +44,6 @@ __all__ = [
     "make_glove_like",
     "make_ms_like",
     "make_nyt_like",
-    "sample_vmf",
     "train_test_split",
     "uniform_sphere",
 ]

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from repro.distances.matrix import DEFAULT_BLOCK_SIZE
 from repro.exceptions import InvalidParameterError
 from repro.index.base import check_positive_int
-from repro.index.sharded import ShardingConfig
+from repro.index.sharded import ExecutorSpec, ShardingConfig
 
 __all__ = [
     "DEFAULT_ENGINE_BLOCK",
@@ -51,7 +51,7 @@ class ExecutionConfig:
     ----------
     sharding:
         Optional :class:`~repro.index.sharded.ShardingConfig`: fan range
-        queries across row shards (serial or remote executor).
+        queries across row shards on a remote worker pool.
         Threaded explicitly into the engine — no global
         state — so concurrent fits with different sharding cannot
         interfere. ``None`` (the default) means unsharded execution.
@@ -82,7 +82,7 @@ class ExecutionConfig:
         sharding: dict | None = None
         if self.sharding is not None:
             sharding = {f: getattr(self.sharding, f) for f in _SHARDING_FIELDS}
-            sharding["executor"] = self.sharding.executor.wire_value()
+            sharding["executor"] = self.sharding.executor.to_dict()
         return {"sharding": sharding, "query_block": self.query_block}
 
     @classmethod
@@ -91,9 +91,12 @@ class ExecutionConfig:
         data = _checked_mapping(data, {"sharding", "query_block"}, "ExecutionConfig")
         sharding = data.get("sharding")
         if sharding is not None:
-            sharding = ShardingConfig(
-                **_checked_mapping(sharding, set(_SHARDING_FIELDS), "ShardingConfig")
+            sharding = _checked_mapping(
+                sharding, set(_SHARDING_FIELDS), "ShardingConfig"
             )
+            if "executor" in sharding:
+                sharding["executor"] = ExecutorSpec.from_dict(sharding["executor"])
+            sharding = ShardingConfig(**sharding)
         return cls(
             sharding=sharding,
             query_block=data.get("query_block", DEFAULT_ENGINE_BLOCK),

@@ -22,7 +22,8 @@ and the grid by 16x or more on the paper's datasets
 
 Range-query indexes answer batched queries (``batch_range_query``,
 ``batch_range_count``, and the ``_rows`` forms that name the indexed
-points by row id); :class:`ShardedIndex` fans them across row shards.
+points by row id); :class:`ShardedIndex` fans them across row shards
+on a remote worker pool.
 A fit asks for every row it plans to query in one row-id call and reads
 the neighbourhoods from the returned list — see ``docs/engine.md``.
 :class:`BruteForceIndex` also keeps the scalar float64 ``range_query`` /

@@ -1,44 +1,36 @@
 """Sharded execution backend for the batched range-query engine.
 
-:class:`ShardedIndex` partitions the dataset into contiguous row shards,
-fits one :class:`~repro.index.brute_force.BruteForceIndex` per shard (the
-inner index), and answers the batched query API by
-fanning query blocks across the shards through one of two executors:
+:class:`ShardedIndex` partitions the dataset into contiguous row shards
+and answers the batched query API by fanning query blocks across them on
+a fleet of :mod:`repro.remote` worker processes, reached over a
+length-prefixed socket protocol and named by an :class:`ExecutorSpec`.
+Each live shard is pinned to one worker (stable shard→worker affinity),
+which builds a :class:`~repro.index.brute_force.BruteForceIndex` over it
+(the inner index) on first use and keeps it *warm across fits*: a second
+fit on the same pool attaches to the cached indexes and pays zero inner
+builds. A dead worker's shards are rebalanced across the survivors and
+the failed calls retried; timeouts get bounded retry.
 
-* ``serial``  — one shard after another in the calling process (the
-  reference executor the remote one is differentially tested against);
-* ``remote``  — a fleet of :mod:`repro.remote` worker processes reached
-  over a length-prefixed socket protocol. Each live shard is pinned to
-  one worker (stable shard→worker affinity), which builds its inner
-  index on first use and keeps it *warm across fits*: a second fit on
-  the same pool attaches to the cached indexes and pays zero inner
-  builds. A dead worker's shards are rebalanced across the survivors
-  and the failed calls retried; timeouts get bounded retry.
+Sharding is a two-state choice: a fit runs on one in-process index, or
+on remote shards. Shards never run inside the calling process: there
+they only added fan-out and merge work to the same GEMMs (on 10,740
+768-d rows one index answered the row queries in 1.88 s, 4 shards one
+after another in 2.28 s), and the one index's GEMM working set is
+already bounded by its kernel block (``ExecutionConfig.query_block``).
 
-There is no in-process parallel executor: a multi-threaded BLAS already
-spreads one shard's GEMM over every core, and splitting it across
-threads only added fan-out and merge work. The two executors are a
-fixed set, :data:`EXECUTORS`. A :class:`ExecutorSpec` names one
-(``name`` + JSON-safe ``options``); plain strings coerce
-(``executor="serial"`` is ``ExecutorSpec("serial")``), and unknown names
-raise listing both.
-
-Build lifecycle: an inner index is built once and queried many times.
-The serial executor builds all live shards eagerly in
-:meth:`ShardedIndex.build`; the remote executor builds them lazily in
-the owning worker. Either executor reports its builds through
-``collect_stats()``, and :meth:`ShardedIndex.stats` exposes them as the
-``shard_inner_builds`` counter so hosts can prove the build-once
-property per fit. :func:`resolve_engine_index` is the
-shard-before-build seam: under a sharding config it builds the per-shard
-indexes directly over the dataset, so no whole-dataset index is ever
-built just to be thrown away.
+Build lifecycle: an inner index is built once, in the owning worker, and
+queried many times. The executor reports the builds it triggered
+through ``collect_stats()``, and :meth:`ShardedIndex.stats` exposes them
+as the ``shard_inner_builds`` counter so hosts can prove the build-once
+property per fit. :func:`resolve_engine_index` is the shard-before-build
+seam: under a sharding config no whole-dataset index is ever built just
+to be thrown away. An empty dataset has no live shard, so it starts no
+executor and reaches no worker.
 
 A fit queries rows of its own dataset, by id
 (:meth:`ShardedIndex.batch_range_query_rows` /
-:meth:`~ShardedIndex.batch_range_count_rows`): the ids go to the
-executor, the serial executor slices the parent's ``X``, and the remote
-one sends the ids for each worker to slice the copy it holds. New
+:meth:`~ShardedIndex.batch_range_count_rows`): the executor sends the
+ids for each worker to slice the copy of the dataset it holds. New
 vectors (predict, serving) travel as the query matrix.
 
 Per-shard range results arrive as CSR pairs in *shard-local* row
@@ -62,8 +54,9 @@ per-shard neighborhoods).
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,7 +67,9 @@ from repro.index.base import NeighborIndex, check_positive_int
 from repro.index.brute_force import BruteForceIndex
 
 __all__ = [
-    "EXECUTORS",
+    "DEFAULT_CONNECT_TIMEOUT_S",
+    "DEFAULT_RETRIES",
+    "DEFAULT_TIMEOUT_S",
     "ExecutorSpec",
     "ShardedIndex",
     "ShardingConfig",
@@ -90,158 +85,125 @@ __all__ = [
 DEFAULT_QUERY_BLOCK = 2048
 
 # ----------------------------------------------------------------------
-# Executor specs
+# The remote pool spec
 # ----------------------------------------------------------------------
 
-#: The shard executors, by name.
-EXECUTORS = ("remote", "serial")
+#: Per-call socket timeout (seconds) unless the spec says otherwise.
+DEFAULT_TIMEOUT_S = 120.0
+
+#: Retries per call after a timeout, unless the spec says otherwise.
+DEFAULT_RETRIES = 2
+
+#: Connection-establishment timeout — kept short so a dead worker is
+#: detected (and rebalanced around) quickly instead of after a full
+#: call timeout.
+DEFAULT_CONNECT_TIMEOUT_S = 5.0
+
+#: The executor name in a spec's wire form (part of the saved-model
+#: format).
+_REMOTE = "remote"
+
+_HOST_PORT = re.compile(r".+:\d+")
 
 
-def _normalize_remote_options(options: dict) -> dict:
-    allowed = {"addresses", "timeout_s", "retries", "connect_timeout_s"}
-    unknown = set(options) - allowed
-    if unknown:
+def _check_seconds(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidParameterError(
-            f"unknown 'remote' executor options: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
+            f"{name} must be a number; got {type(value).__name__}"
         )
-    addresses = options.get("addresses")
-    if isinstance(addresses, str) or not isinstance(addresses, Sequence):
-        raise InvalidParameterError(
-            "the 'remote' executor requires an 'addresses' option: a "
-            "sequence of 'host:port' worker endpoints "
-            "(see `repro-cli pool serve`)"
-        )
-    normalized: list[str] = []
-    for address in addresses:
-        address = str(address)
-        host, sep, port = address.rpartition(":")
-        if not sep or not host or not port.isdigit():
+    if not value > 0:
+        raise InvalidParameterError(f"{name} must be > 0; got {value}")
+    return float(value)
+
+
+@dataclass(frozen=True)
+class ExecutorSpec:
+    """Where a sharded index runs: a fleet of remote pool workers.
+
+    ``addresses`` lists the workers as ``host:port`` strings (see
+    :meth:`~repro.remote.pool.WorkerPool.executor_spec`); each call runs
+    under a ``timeout_s`` socket timeout with ``retries`` retries, and
+    connecting waits at most ``connect_timeout_s``. Fields are validated
+    and canonicalized at construction (``addresses`` to a tuple, the
+    timeouts to floats), so a spec that exists is a spec that can run.
+    Its wire form is :meth:`to_dict` / :meth:`from_dict`.
+    """
+
+    addresses: tuple[str, ...]
+    timeout_s: float = DEFAULT_TIMEOUT_S
+    retries: int = DEFAULT_RETRIES
+    connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S
+
+    def __post_init__(self) -> None:
+        addresses = self.addresses
+        if isinstance(addresses, str) or not isinstance(addresses, Sequence):
             raise InvalidParameterError(
-                f"remote worker address must look like 'host:port'; "
-                f"got {address!r}"
+                "addresses must be a sequence of 'host:port' worker endpoints "
+                "(see `repro-cli pool serve`)"
             )
-        normalized.append(address)
-    if not normalized:
-        raise InvalidParameterError(
-            "the 'remote' executor needs at least one worker address"
-        )
-    out: dict[str, object] = {"addresses": tuple(normalized)}
-    for key in ("timeout_s", "connect_timeout_s"):
-        if key in options:
-            value = options[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+        for address in addresses:
+            if not (isinstance(address, str) and _HOST_PORT.fullmatch(address)):
                 raise InvalidParameterError(
-                    f"{key} must be a number; got {type(value).__name__}"
+                    f"remote worker address must look like 'host:port'; "
+                    f"got {address!r}"
                 )
-            if not value > 0:
-                raise InvalidParameterError(f"{key} must be > 0; got {value}")
-            out[key] = float(value)
-    if "retries" in options:
-        retries = options["retries"]
+        if not addresses:
+            raise InvalidParameterError("a worker pool needs at least one address")
+        retries = self.retries
         if isinstance(retries, bool) or not isinstance(retries, int):
             raise InvalidParameterError(
                 f"retries must be an int; got {type(retries).__name__}"
             )
         if retries < 0:
             raise InvalidParameterError(f"retries must be >= 0; got {retries}")
-        out["retries"] = retries
-    return out
-
-
-def _json_safe_option(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
-@dataclass(frozen=True)
-class ExecutorSpec:
-    """One of :data:`EXECUTORS` by name, plus its JSON-safe options.
-
-    Anywhere that accepts ``executor="serial"`` also accepts an
-    ``ExecutorSpec`` (plain strings coerce, and wire dicts round-trip
-    through :meth:`to_dict` / :meth:`from_dict`). Unknown names raise
-    listing the executors; options are validated and canonicalized at
-    construction (only ``remote`` takes any), so a spec that exists is a
-    spec that can run.
-    """
-
-    name: str
-    options: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise InvalidParameterError(
-                f"executor name must be a string; got {type(self.name).__name__}"
-            )
-        if self.name not in EXECUTORS:
-            raise InvalidParameterError(
-                f"unknown executor {self.name!r}; executors: {', '.join(EXECUTORS)}"
-            )
-        if not isinstance(self.options, Mapping):
-            raise InvalidParameterError(
-                f"executor options must be a mapping; "
-                f"got {type(self.options).__name__}"
-            )
-        options = dict(self.options)
-        if self.name == "remote":
-            options = _normalize_remote_options(options)
-        elif options:
-            raise InvalidParameterError(
-                f"the {self.name!r} executor accepts no options; got {sorted(options)}"
-            )
-        object.__setattr__(self, "options", options)
-
-    # options is a dict, which the generated __hash__ would choke on;
-    # hash the canonical sorted item view instead (values are hashable
-    # after normalization: scalars and tuples only).
-    def __hash__(self) -> int:
-        return hash((self.name, tuple(sorted(self.options.items()))))
-
-    @classmethod
-    def coerce(cls, value) -> "ExecutorSpec":
-        """Accept a spec, a bare name string, or a wire dict."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            return cls(value)
-        if isinstance(value, Mapping):
-            return cls.from_dict(value)
-        raise InvalidParameterError(
-            "executor must be an ExecutorSpec, an executor name, "
-            f"or a wire dict; got {type(value).__name__}"
-        )
+        object.__setattr__(self, "addresses", tuple(addresses))
+        for name in ("timeout_s", "connect_timeout_s"):
+            object.__setattr__(self, name, _check_seconds(name, getattr(self, name)))
 
     def to_dict(self) -> dict:
-        """JSON-safe wire form; inverse of :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "options": {k: _json_safe_option(v) for k, v in self.options.items()},
-        }
+        """JSON-safe wire form; inverse of :meth:`from_dict`.
 
-    def wire_value(self) -> "str | dict":
-        """The compact wire spelling :meth:`coerce` round-trips.
-
-        Option-free specs serialize as their bare name — byte-identical
-        to the pre-spec string wire format — optioned specs as the
-        strict :meth:`to_dict` dict.
+        ``{"name": "remote", "options": {...}}`` with the addresses and
+        every other field that differs from its default.
         """
-        return self.name if not self.options else self.to_dict()
+        options: dict[str, object] = {"addresses": list(self.addresses)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "addresses" and value != f.default:
+                options[f.name] = value
+        return {"name": _REMOTE, "options": options}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExecutorSpec":
         """Strict reconstruction from :meth:`to_dict` output."""
         if not isinstance(data, Mapping):
             raise InvalidParameterError(
-                f"ExecutorSpec.from_dict needs a mapping; got {type(data).__name__}"
+                f"an executor wire form must be a mapping; got {type(data).__name__}"
             )
         unknown = set(data) - {"name", "options"}
         if unknown:
             raise InvalidParameterError(
                 f"unknown ExecutorSpec keys: {sorted(unknown)}"
             )
-        if "name" not in data:
-            raise InvalidParameterError("ExecutorSpec dict requires a 'name' key")
-        return cls(data["name"], data.get("options") or {})
+        if data.get("name") != _REMOTE:
+            raise InvalidParameterError(
+                f"unknown executor {data.get('name')!r}; the one executor "
+                f"is {_REMOTE!r}"
+            )
+        options = data.get("options")
+        if not isinstance(options, Mapping) or "addresses" not in options:
+            raise InvalidParameterError(
+                "the 'remote' executor requires an 'addresses' option: a "
+                "sequence of 'host:port' worker endpoints"
+            )
+        allowed = {f.name for f in fields(cls)}
+        unknown = set(options) - allowed
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown 'remote' executor options: {sorted(unknown)}; "
+                f"allowed: {sorted(allowed)}"
+            )
+        return cls(**options)
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +318,7 @@ def concat_shard_rows(
 
 
 # ----------------------------------------------------------------------
-# Shard query operations (shared with the remote worker)
+# Shard query operations (run by the remote worker)
 # ----------------------------------------------------------------------
 
 
@@ -373,60 +335,24 @@ _SHARD_OPS = {"range": _op_range, "count": _op_count}
 
 
 # ----------------------------------------------------------------------
-# Executors
-# ----------------------------------------------------------------------
-
-
-def _local_calls(points: np.ndarray, calls: list, rows: bool) -> list:
-    """Shard calls with row-id queries sliced from the parent's dataset.
-
-    Every call of one round shares its query block, so a block is
-    sliced once, not once per shard.
-    """
-    if not rows:
-        return calls
-    resolved, last_ids, Q = [], None, None
-    for shard_id, (ids, arg) in calls:
-        if ids is not last_ids:
-            last_ids, Q = ids, points[ids]
-        resolved.append((shard_id, (Q, arg)))
-    return resolved
-
-
-class _SerialExecutor:
-    """Runs shard calls one after another in the calling process."""
-
-    def __init__(self, indexes: dict[int, object], points: np.ndarray) -> None:
-        self._indexes = indexes
-        self._points = points
-
-    def run(self, op: str, calls: list[tuple[int, tuple]], rows: bool = False) -> list:
-        fn = _SHARD_OPS[op]
-        return [
-            fn(self._indexes[shard_id], *args)
-            for shard_id, args in _local_calls(self._points, calls, rows)
-        ]
-
-    def collect_stats(self) -> dict[str, int]:
-        """Every index it was handed was built for it; nothing rebalances."""
-        return {"inner_builds": len(self._indexes), "n_rebalances": 0}
-
-    def close(self) -> None:
-        pass
-
-
-# ----------------------------------------------------------------------
 # The sharded index
 # ----------------------------------------------------------------------
 
 
-def _check_shard_fields(n_shards, query_block) -> None:
+def _check_shard_fields(n_shards, executor, query_block) -> None:
     """Strict checks shared by :class:`ShardedIndex` and :class:`ShardingConfig`.
 
-    Each field is an ``int`` (never a bool, never coerced: ``2.5`` is
-    not a shard count) of at least 1.
+    Each count is an ``int`` (never a bool, never coerced: ``2.5`` is
+    not a shard count) of at least 1, and ``executor`` is an
+    :class:`ExecutorSpec`.
     """
     check_positive_int("n_shards", n_shards)
+    if not isinstance(executor, ExecutorSpec):
+        raise InvalidParameterError(
+            "sharding runs on a worker pool: pass "
+            "executor=WorkerPool.executor_spec() (see `repro-cli pool serve`), "
+            f"or leave the fit unsharded; got executor={executor!r}"
+        )
     check_positive_int("query_block", query_block)
 
 
@@ -442,10 +368,8 @@ class ShardedIndex(NeighborIndex):
         Number of contiguous row shards (>= 1). Empty shards (when
         ``n_shards > n_points``) are skipped.
     executor:
-        An :class:`ExecutorSpec`, an executor name (``"serial"``,
-        ``"remote"``), or a spec wire dict. Stored coerced:
-        ``self.executor`` is always an :class:`ExecutorSpec`. The remote
-        executor's width is its address list.
+        The :class:`ExecutorSpec` of the worker pool the shards run on
+        (required; its width is its address list).
     query_block:
         Query rows fanned out per executor round; bounds both the
         per-call payload size and peak memory of the merge.
@@ -455,17 +379,18 @@ class ShardedIndex(NeighborIndex):
         self,
         metric: str | Metric = COSINE,
         n_shards: int = 4,
-        executor: "ExecutorSpec | str" = "serial",
+        executor: ExecutorSpec | None = None,
         query_block: int = DEFAULT_QUERY_BLOCK,
     ) -> None:
-        _check_shard_fields(n_shards, query_block)
+        _check_shard_fields(n_shards, executor, query_block)
         self.metric = get_metric(metric)
         self.n_shards = n_shards
-        self.executor = ExecutorSpec.coerce(executor)
+        self.executor = executor
         self.query_block = query_block
         self._points: np.ndarray | None = None
         self._live: list[tuple[int, int, int]] = []  # (shard_id, lo, hi)
         self._executor_obj = None
+        self._open = False
         self._stats_snapshot: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -478,50 +403,36 @@ class ShardedIndex(NeighborIndex):
             raise InvalidParameterError(f"X must be 2-d; got shape {X.shape}")
         self.close()
         self._points = X
-        self._stats_snapshot = {}
         offsets = shard_offsets(X.shape[0], self.n_shards)
         self._live = [
             (s, int(offsets[s]), int(offsets[s + 1]))
             for s in range(self.n_shards)
             if offsets[s + 1] > offsets[s]
         ]
-        self._start_executor()
-        return self
-
-    def _start_executor(self) -> None:
-        """Start the executor over the live shards.
-
-        ``serial`` builds every live shard's index here and queries
-        them. ``remote`` workers build their pinned shards themselves
-        from the dataset the executor pushes. With no live shard (an
-        empty dataset) there is nothing to run, so a remote spec
-        degenerates to the task-free serial executor.
-        """
-        X = self._points
-        if self.executor.name == "remote" and self._live:
+        self._stats_snapshot = self._shard_stats(0, 0)
+        self._open = True
+        # With no live shard (an empty dataset) there is nothing to run
+        # and no worker to reach: queries answer empty rows.
+        if self._live:
             # Imported lazily: the remote package pulls in the socket
-            # client and is only needed once a remote spec starts.
+            # client and is only needed once a live shard needs it.
             from repro.remote.pool import RemoteExecutor
 
             self._executor_obj = RemoteExecutor(
                 X=X,
                 shards={s: (lo, hi) for s, lo, hi in self._live},
                 metric=self.metric.name,
-                options=self.executor.options,
+                spec=self.executor,
             )
-        else:
-            indexes = {
-                s: BruteForceIndex(metric=self.metric).build(X[lo:hi])
-                for s, lo, hi in self._live
-            }
-            self._executor_obj = _SerialExecutor(indexes, X)
+        return self
 
     def close(self) -> None:
-        """Release executor resources (pools, connections). Idempotent.
+        """Release the worker connections. Idempotent.
 
         The final build accounting is snapshotted first, so
-        :meth:`stats` keeps answering after the pools are gone.
+        :meth:`stats` keeps answering after the connections are gone.
         """
+        self._open = False
         if self._executor_obj is not None:
             self._stats_snapshot = self._collect_stats()
             self._executor_obj.close()
@@ -539,20 +450,23 @@ class ShardedIndex(NeighborIndex):
         self._require_built()
         return len(self._live)
 
-    def _collect_stats(self) -> dict[str, int]:
-        snapshot = self._executor_obj.collect_stats()
+    def _shard_stats(self, inner_builds: int, rebalances: int) -> dict[str, int]:
         return {
             "shard_live_shards": len(self._live),
-            "shard_inner_builds": snapshot["inner_builds"],
-            "shard_rebalances": snapshot["n_rebalances"],
+            "shard_inner_builds": inner_builds,
+            "shard_rebalances": rebalances,
         }
+
+    def _collect_stats(self) -> dict[str, int]:
+        snapshot = self._executor_obj.collect_stats()
+        return self._shard_stats(snapshot["inner_builds"], snapshot["n_rebalances"])
 
     def stats(self) -> dict[str, int]:
         """Instrumented build accounting of the current fit.
 
-        ``shard_inner_builds`` counts inner-index constructions since
-        :meth:`build`: eager per-shard builds for the serial executor,
-        lazy in-worker builds for the remote executor. The build-once
+        ``shard_inner_builds`` counts the in-worker inner-index
+        constructions this index triggered since :meth:`build` (zero
+        for shards a warm pool already held). The build-once
         contract is ``shard_inner_builds == shard_live_shards`` once
         every shard has served a query — never workers × shards.
         ``shard_rebalances`` counts worker-death rebalancing events.
@@ -563,13 +477,12 @@ class ShardedIndex(NeighborIndex):
             self._stats_snapshot = self._collect_stats()
         return dict(self._stats_snapshot)
 
-    def _require_executor(self):
+    def _require_open(self) -> None:
         self._require_built()
-        if self._executor_obj is None:
+        if not self._open:
             raise NotFittedError(
                 "ShardedIndex has been closed; call build() again to reopen"
             )
-        return self._executor_obj
 
     # ------------------------------------------------------------------
     # Batched queries
@@ -591,16 +504,15 @@ class ShardedIndex(NeighborIndex):
 
     def _range_blocks(self, queries: np.ndarray, eps: float, *, rows: bool):
         """Fan ``queries`` (vectors, or row ids when ``rows``) out per block."""
-        executor = self._require_executor()
+        self._require_open()
+        if not self._live:
+            return [np.empty(0, dtype=np.int64) for _ in range(len(queries))]
         out: list[np.ndarray] = []
         starts = [lo for _, lo, _ in self._live]
         for block_lo in range(0, len(queries), self.query_block):
             block = queries[block_lo : block_lo + self.query_block]
-            if not self._live:
-                out.extend(np.empty(0, dtype=np.int64) for _ in range(len(block)))
-                continue
             calls = [(shard_id, (block, eps)) for shard_id, _, _ in self._live]
-            results = executor.run("range", calls, rows)
+            results = self._executor_obj.run("range", calls, rows)
             per_shard = [csr_to_rows(indptr, flat) for indptr, flat in results]
             # Brute force returns sorted rows over disjoint ascending
             # shards: concatenation is the merged answer.
@@ -608,14 +520,14 @@ class ShardedIndex(NeighborIndex):
         return out
 
     def _count_blocks(self, queries: np.ndarray, eps: float, *, rows: bool):
-        executor = self._require_executor()
+        self._require_open()
         counts = np.zeros(len(queries), dtype=np.int64)
         if not self._live:
             return counts
         for block_lo in range(0, len(queries), self.query_block):
             block = queries[block_lo : block_lo + self.query_block]
             calls = [(shard_id, (block, eps)) for shard_id, _, _ in self._live]
-            for shard_counts in executor.run("count", calls, rows):
+            for shard_counts in self._executor_obj.run("count", calls, rows):
                 counts[block_lo : block_lo + len(block)] += shard_counts
         return counts
 
@@ -629,19 +541,16 @@ class ShardedIndex(NeighborIndex):
 class ShardingConfig:
     """How :func:`resolve_engine_index` shards a fit's or a model's queries.
 
-    ``executor`` accepts an :class:`ExecutorSpec`, an executor name
-    string, or a spec wire dict, and is stored coerced to an
-    :class:`ExecutorSpec` — so configs compare, hash, and serialize on
-    the canonical form regardless of how they were spelled.
+    ``executor`` is required: the :class:`ExecutorSpec` of the worker
+    pool the shards run on (:meth:`~repro.remote.pool.WorkerPool.executor_spec`).
     """
 
     n_shards: int = 4
-    executor: "ExecutorSpec | str" = "serial"
+    executor: ExecutorSpec | None = None
     query_block: int = DEFAULT_QUERY_BLOCK
 
     def __post_init__(self) -> None:
-        _check_shard_fields(self.n_shards, self.query_block)
-        object.__setattr__(self, "executor", ExecutorSpec.coerce(self.executor))
+        _check_shard_fields(self.n_shards, self.executor, self.query_block)
 
     def make_index(self, metric: str | Metric) -> "ShardedIndex":
         """An unbuilt :class:`ShardedIndex` configured per this config."""

@@ -65,20 +65,21 @@ KIND_CLUSTER_MODEL = "cluster_model"
 _HASH_CHUNK = 1 << 20
 
 
-#: Retired in-process executors; a model that recorded one runs serial.
-_RETIRED_EXECUTORS = ("process", "thread")
+#: Retired in-process executors; a model that recorded one runs unsharded.
+_RETIRED_EXECUTORS = ("process", "serial", "thread")
 
 
 def _upgrade_execution(payload: Any) -> Any:
     """Read older spellings of a saved execution config.
 
     ``"sharding": false`` (the former explicit opt-out) reads as None,
-    a retired ``process`` or ``thread`` executor as ``serial`` (labels
-    never depended on the executor), and the retired ``cache_eviction``
-    and ``batch_queries`` keys and the sharding's ``n_workers`` are
-    dropped whatever they held (the engine always releases a
-    neighborhood once served, every fit and predict runs batched, and
-    only the retired thread pool read a worker count). The retired
+    so does a sharding on a retired in-process executor (``serial``,
+    ``thread`` or ``process``: labels never depended on the executor),
+    and the retired ``cache_eviction`` and ``batch_queries`` keys and
+    the sharding's ``n_workers`` are dropped whatever they held (the
+    engine always releases a neighborhood once served, every fit and
+    predict runs batched, and only the retired thread pool read a worker
+    count). The retired
     ``index`` key is dropped when it is null or names brute force, the
     only range backend; any other name raises. Writers emit none of
     these; this runs only at the load boundary.
@@ -100,9 +101,8 @@ def _upgrade_execution(payload: Any) -> Any:
     elif isinstance(sharding, Mapping):
         sharding = dict(sharding)
         sharding.pop("n_workers", None)
-        if sharding.get("executor") in _RETIRED_EXECUTORS:
-            sharding["executor"] = "serial"
-        payload["sharding"] = sharding
+        retired = sharding.get("executor") in _RETIRED_EXECUTORS
+        payload["sharding"] = None if retired else sharding
     return payload
 
 

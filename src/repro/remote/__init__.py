@@ -10,9 +10,10 @@ the first fit pays one inner build per live shard, every later fit (or
 eps value: brute-force shards do not depend on eps) attaches to the
 cached indexes and pays zero.
 
-:class:`~repro.remote.pool.RemoteExecutor` is the client side, plugged
-in behind the shard-executor seam as the ``remote``
-:class:`~repro.index.sharded.ExecutorSpec` — query blocks fan out with
+:class:`~repro.remote.pool.RemoteExecutor` is the client side that
+every :class:`~repro.index.sharded.ShardedIndex` runs its shards on,
+the fleet named by an :class:`~repro.index.sharded.ExecutorSpec` —
+query blocks fan out with
 a stable ``shard → worker`` affinity, results come back as compact CSR
 arrays feeding the existing merge kernels unchanged, dead workers
 trigger a round-robin rebalance of their shards to the survivors, and

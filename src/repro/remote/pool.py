@@ -1,19 +1,19 @@
 """Client side of the remote worker pool.
 
-:class:`RemoteExecutor` implements the shard-executor contract
-(``run(op, calls)`` / ``close()`` / ``collect_stats()``) over a fleet
-of :mod:`repro.remote.worker` processes. It is what the ``remote``
-:class:`~repro.index.sharded.ExecutorSpec` constructs behind
-:class:`~repro.index.sharded.ShardedIndex` — the sharded index itself
-is unchanged: query blocks fan out with the stable ``shard → worker``
-affinity, per-shard CSR arrays come back and feed the existing merge
-kernels. A fit's blocks travel as int64 row ids of the dataset each
-worker already holds; predict and serving send their new vectors.
+:class:`RemoteExecutor` runs the shard calls of a
+:class:`~repro.index.sharded.ShardedIndex` (``run(op, calls)`` /
+``close()`` / ``collect_stats()``) over the fleet of
+:mod:`repro.remote.worker` processes its
+:class:`~repro.index.sharded.ExecutorSpec` names: query blocks fan out
+with the stable ``shard → worker`` affinity, per-shard CSR arrays come
+back and feed the index's merge kernels. A fit's blocks travel as int64
+row ids of the dataset each worker already holds; predict and serving
+send their new vectors.
 
 Robustness contract:
 
 * every call runs under a per-call socket timeout; a timed-out call is
-  retried (fresh connection, bounded by the ``retries`` option) and
+  retried (fresh connection, bounded by the spec's ``retries``) and
   then raises :class:`~repro.exceptions.RetryExhaustedError` — the
   *fit* fails typed, the pool and its warm shards stay usable;
 * a worker that cannot be reached at all is declared dead: its shards
@@ -52,20 +52,10 @@ from repro.exceptions import (
     WorkerUnavailableError,
 )
 from repro.index.base import check_positive_int
+from repro.index.sharded import ExecutorSpec
 from repro.remote.protocol import recv_msg, send_msg
 
-__all__ = ["RemoteExecutor", "WorkerPool", "DEFAULT_TIMEOUT_S", "DEFAULT_RETRIES"]
-
-#: Per-call socket timeout (seconds) unless the spec says otherwise.
-DEFAULT_TIMEOUT_S = 120.0
-
-#: Connection-establishment timeout — kept short so a dead worker is
-#: detected (and rebalanced around) quickly instead of after a full
-#: call timeout.
-DEFAULT_CONNECT_TIMEOUT_S = 5.0
-
-#: Retries per call after a timeout, unless the spec says otherwise.
-DEFAULT_RETRIES = 2
+__all__ = ["RemoteExecutor", "WorkerPool"]
 
 
 def _start_method() -> str:
@@ -162,12 +152,10 @@ class _WorkerClient:
 class RemoteExecutor:
     """Affinity-routed shard execution over a worker fleet.
 
-    Implements the same contract as the serial executor in
-    :mod:`repro.index.sharded` (``run`` / ``close`` / ``collect_stats``)
-    so :class:`~repro.index.sharded.ShardedIndex` cannot tell the
-    difference. ``shards`` maps shard id → ``(lo, hi)`` global rows;
-    shard data reaches a worker as the content-addressed dataset,
-    pushed once per worker and sliced and built lazily there.
+    ``shards`` maps shard id → ``(lo, hi)`` global rows; shard data
+    reaches a worker as the content-addressed dataset, pushed once per
+    worker and sliced and built lazily there. ``spec`` names the
+    workers and the call timeouts and retries.
     """
 
     def __init__(
@@ -175,21 +163,12 @@ class RemoteExecutor:
         X: np.ndarray,
         shards: dict[int, tuple[int, int]],
         metric: str,
-        options: dict,
+        spec: ExecutorSpec,
     ) -> None:
-        addresses = tuple(options.get("addresses") or ())
-        if not addresses:
-            raise InvalidParameterError(
-                "the 'remote' executor needs at least one worker address"
-            )
-        self._timeout_s = float(options.get("timeout_s", DEFAULT_TIMEOUT_S))
-        self._connect_timeout_s = float(
-            options.get("connect_timeout_s", DEFAULT_CONNECT_TIMEOUT_S)
-        )
-        self._retries = int(options.get("retries", DEFAULT_RETRIES))
+        self._spec = spec
         self._clients: list[_WorkerClient | None] = [
-            _WorkerClient(a, self._timeout_s, self._connect_timeout_s)
-            for a in addresses
+            _WorkerClient(a, spec.timeout_s, spec.connect_timeout_s)
+            for a in spec.addresses
         ]
         self._X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
         self._shards = {int(s): (int(lo), int(hi)) for s, (lo, hi) in shards.items()}
@@ -266,7 +245,7 @@ class RemoteExecutor:
             "shard": self._shard_payload(shard_id),
         }
         last: RemoteTimeoutError | None = None
-        for _ in range(self._retries + 1):
+        for _ in range(self._spec.retries + 1):
             try:
                 self._ensure_dataset(slot_id, client)
                 reply, arrays = client.call(header, request)
@@ -276,7 +255,7 @@ class RemoteExecutor:
         else:
             raise RetryExhaustedError(
                 f"shard {shard_id} {op!r} call to {client.address} timed "
-                f"out {self._retries + 1} times ({self._timeout_s}s each); "
+                f"out {self._spec.retries + 1} times ({self._spec.timeout_s}s each); "
                 "giving up — the pool itself stays usable"
             ) from last
         if reply.get("built"):
@@ -446,13 +425,11 @@ class WorkerPool:
         # addresses[i] is the worker with pid worker_pids[i].
         return cls([bound[proc.pid] for proc in processes], processes)
 
-    def executor_spec(self, **options):
-        """The ``remote`` :class:`~repro.index.sharded.ExecutorSpec` for
-        this pool (extra options — ``timeout_s``, ``retries`` — pass
-        through)."""
-        from repro.index.sharded import ExecutorSpec
-
-        return ExecutorSpec("remote", {"addresses": self.addresses, **options})
+    def executor_spec(self, **options) -> ExecutorSpec:
+        """The :class:`~repro.index.sharded.ExecutorSpec` for this pool
+        (the other spec fields — ``timeout_s``, ``retries``,
+        ``connect_timeout_s`` — pass through)."""
+        return ExecutorSpec(self.addresses, **options)
 
     def ping(self, timeout_s: float = 10.0) -> list[int]:
         """Worker pids, in address order; proves the fleet is listening."""

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.distances import normalize_rows
+from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
 # tools/ holds dev-only packages (reprolint) that are not part of the
@@ -51,3 +52,32 @@ def clusterable_data() -> np.ndarray:
     X, _ = make_blobs_on_sphere(40, 3, 32, spread=0.12, seed=3)
     noise = normalize_rows(rng.normal(size=(30, 32)))
     return np.vstack([X, noise])
+
+
+# ---------------------------------------------------------------------------
+# Execution fixtures
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def worker_pool():
+    """A two-worker local pool that sharded tests run their shards on.
+
+    Shared by the whole session, so its shard caches are warm from
+    earlier tests: a test that counts ``shard_inner_builds`` spawns its
+    own pool. Request it as a test parameter (not lazily) so it is up
+    before the sanitizer's per-test resource snapshot.
+    """
+    with WorkerPool.spawn_local(2) as pool:
+        yield pool
+
+
+@pytest.fixture(scope="session")
+def one_worker_pool():
+    """A one-worker local pool: every shard is pinned to the same worker.
+
+    Its calls run one after another on one connection, where the
+    two-worker pool splits them. Shared and warm like ``worker_pool``.
+    """
+    with WorkerPool.spawn_local(1) as pool:
+        yield pool

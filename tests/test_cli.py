@@ -37,27 +37,15 @@ class TestParser:
 
     def test_sharding_flags(self):
         args = build_parser().parse_args(
-            [
-                "timing",
-                "--shards",
-                "4",
-                "--shard-query-block",
-                "512",
-            ]
+            ["timing", "--shards", "4", "--shard-query-block", "512"]
+            + ["--pool-address", "127.0.0.1:9"]
         )
         assert args.shards == 4
         assert args.shard_query_block == 512
         sharding = execution_from_args(args).sharding
         assert sharding.n_shards == 4
         assert sharding.query_block == 512
-        assert sharding.executor == ExecutorSpec("serial")
-
-    def test_pool_address_selects_the_remote_executor(self):
-        args = build_parser().parse_args(
-            ["timing", "--shards", "2", "--pool-address", "127.0.0.1:9"]
-        )
-        executor = execution_from_args(args).sharding.executor
-        assert executor == ExecutorSpec("remote", {"addresses": ["127.0.0.1:9"]})
+        assert sharding.executor == ExecutorSpec(["127.0.0.1:9"])
 
     def test_repeated_pool_address_lists_the_fleet_in_order(self):
         args = build_parser().parse_args(
@@ -67,9 +55,7 @@ class TestParser:
         sharding = execution_from_args(args).sharding
         assert sharding.n_shards == 4
         assert sharding.query_block == 32
-        assert sharding.executor == ExecutorSpec(
-            "remote", {"addresses": ["10.0.0.2:7000", "10.0.0.1:7000"]}
-        )
+        assert sharding.executor.addresses == ("10.0.0.2:7000", "10.0.0.1:7000")
 
     @pytest.mark.parametrize(
         "flag,value", [("--shard-executor", "serial"), ("--shard-workers", "2")]
@@ -102,6 +88,13 @@ class TestParser:
             main(["timing", "--pool-address", "127.0.0.1:9"])
         assert excinfo.value.code == 2
         assert "needs --shards" in capsys.readouterr().err
+
+    def test_shards_without_a_pool_is_a_usage_error(self, capsys):
+        # Shards run on a worker pool; there is none to default to.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["timing", "--shards", "3"])
+        assert excinfo.value.code == 2
+        assert "needs --pool-address" in capsys.readouterr().err
 
     def test_per_point_flag_is_gone(self):
         # Every fit runs on the batched engine.
@@ -156,11 +149,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "MC/TC" in out
 
-    def test_grid_with_engine_sharding(self, capsys):
+    def test_grid_with_engine_sharding(self, capsys, worker_pool):
+        pool_flags = [f"--pool-address={a}" for a in worker_pool.addresses]
         code = main(
             ["grid", "--datasets", "MS-50k", *FAST]
             + ["--eps-values", "0.5", "--tau-values", "3"]
-            + ["--shards", "3"]
+            + ["--shards", "3", *pool_flags]
         )
         assert code == 0
         out = capsys.readouterr().out

@@ -8,7 +8,8 @@ corrupt each other. Before the redesign a process-wide mutable global
 
 These tests are deliberately self-contained (no shared fixtures, no
 ambient state) so they stay valid under ``pytest -p no:randomly`` and
-``pytest -n auto`` alike.
+``pytest -n auto`` alike: each spawns the worker pool its sharded fits
+share, so its shard caches start cold.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from repro import ExecutionConfig, ShardingConfig
 from repro.clustering import DBSCAN
+from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.5
@@ -31,6 +33,34 @@ def _data() -> np.ndarray:
     return X
 
 
+def _sharded(pool: WorkerPool, n_shards: int) -> ExecutionConfig:
+    return ExecutionConfig(
+        sharding=ShardingConfig(n_shards=n_shards, executor=pool.executor_spec())
+    )
+
+
+def _run_threads(targets: dict) -> None:
+    """Start one thread per ``name -> fn``, join them, raise what they raised."""
+    errors: list[BaseException] = []
+
+    def guarded(fn):
+        try:
+            fn()
+        except BaseException as exc:  # surfaced in the main thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=guarded, args=(fn,), name=name)
+        for name, fn in targets.items()
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads), "a fit thread hung"
+    assert not errors, errors
+
+
 class TestConcurrentFits:
     def test_different_sharding_configs_do_not_interfere(self):
         """1-shard and 4-shard fits interleave; each keeps its own config.
@@ -39,36 +69,27 @@ class TestConcurrentFits:
         via a start barrier) and each result must match its own
         single-threaded reference labels *and* report its own
         ``shard_live_shards`` — a fit observing the other thread's shard
-        count is exactly the corruption the old global allowed.
+        count is exactly the corruption the old global allowed. Both
+        share one pool, whose warm cache spares every fit after a
+        config's first its builds.
         """
         X = _data()
         reference = DBSCAN(eps=EPS, tau=TAU).fit(X)
-        configs = {
-            1: ExecutionConfig(sharding=ShardingConfig(n_shards=1)),
-            4: ExecutionConfig(sharding=ShardingConfig(n_shards=4)),
-        }
-        barrier = threading.Barrier(len(configs))
-        results: dict[int, list] = {n: [] for n in configs}
-        errors: list[BaseException] = []
+        results: dict[int, list] = {1: [], 4: []}
+        barrier = threading.Barrier(len(results))
 
-        def run(n_shards: int) -> None:
-            try:
-                barrier.wait(timeout=30)
-                for _ in range(N_FITS_PER_THREAD):
-                    clusterer = DBSCAN(eps=EPS, tau=TAU, execution=configs[n_shards])
-                    results[n_shards].append(clusterer.fit(X))
-            except BaseException as exc:  # surfaced in the main thread
-                errors.append(exc)
+        def run(execution: ExecutionConfig, out: list) -> None:
+            barrier.wait(timeout=30)
+            for _ in range(N_FITS_PER_THREAD):
+                out.append(DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(X))
 
-        threads = [
-            threading.Thread(target=run, args=(n,), name=f"shards-{n}")
-            for n in configs
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, errors
+        with WorkerPool.spawn_local(2) as pool:
+            _run_threads(
+                {
+                    f"shards-{n}": lambda n=n: run(_sharded(pool, n), results[n])
+                    for n in results
+                }
+            )
         for n_shards, fits in results.items():
             assert len(fits) == N_FITS_PER_THREAD
             for result in fits:
@@ -76,7 +97,8 @@ class TestConcurrentFits:
                 # Each fit reports *its own* execution, not the other
                 # thread's: live shards == its config's shard count.
                 assert result.stats["shard_live_shards"] == n_shards
-                assert result.stats["shard_inner_builds"] == n_shards
+            builds = [result.stats["shard_inner_builds"] for result in fits]
+            assert builds == [n_shards] + [0] * (N_FITS_PER_THREAD - 1)
 
     def test_sharded_and_unsharded_fits_interleave(self):
         """An unsharded fit next to a sharded one never picks up shards."""
@@ -84,31 +106,19 @@ class TestConcurrentFits:
         reference = DBSCAN(eps=EPS, tau=TAU).fit(X)
         barrier = threading.Barrier(2)
         outputs: dict[str, list] = {"sharded": [], "plain": []}
-        errors: list[BaseException] = []
 
-        def run(kind: str) -> None:
-            try:
-                execution = (
-                    ExecutionConfig(sharding=ShardingConfig(n_shards=3))
-                    if kind == "sharded"
-                    else None
-                )
-                barrier.wait(timeout=30)
-                for _ in range(N_FITS_PER_THREAD):
-                    outputs[kind].append(
-                        DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(X)
-                    )
-            except BaseException as exc:
-                errors.append(exc)
+        def run(execution: ExecutionConfig | None, out: list) -> None:
+            barrier.wait(timeout=30)
+            for _ in range(N_FITS_PER_THREAD):
+                out.append(DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(X))
 
-        threads = [
-            threading.Thread(target=run, args=(kind,)) for kind in ("sharded", "plain")
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors, errors
+        with WorkerPool.spawn_local(2) as pool:
+            _run_threads(
+                {
+                    "sharded": lambda: run(_sharded(pool, 3), outputs["sharded"]),
+                    "plain": lambda: run(None, outputs["plain"]),
+                }
+            )
         for result in outputs["sharded"]:
             assert np.array_equal(result.labels, reference.labels)
             assert result.stats["shard_live_shards"] == 3
@@ -116,3 +126,29 @@ class TestConcurrentFits:
             assert np.array_equal(result.labels, reference.labels)
             assert "shard_live_shards" not in result.stats
 
+
+    def test_concurrent_fits_sharing_one_pool_stay_exact(self):
+        """More fitting threads than workers (and cores), one pool, one
+        config: every fit is exact, and across all of them each shard
+        is built exactly once (the workers' cache settles concurrent
+        first sights of a shard on one build)."""
+        n_threads, n_shards = 4, 3
+        X = _data()
+        reference = DBSCAN(eps=EPS, tau=TAU).fit(X)
+        results: list = []
+        barrier = threading.Barrier(n_threads)
+
+        def run(execution: ExecutionConfig) -> None:
+            barrier.wait(timeout=30)
+            for _ in range(N_FITS_PER_THREAD):
+                results.append(DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(X))
+
+        with WorkerPool.spawn_local(2) as pool:
+            execution = _sharded(pool, n_shards)
+            _run_threads({f"fit-{i}": lambda: run(execution) for i in range(n_threads)})
+        assert len(results) == n_threads * N_FITS_PER_THREAD
+        for result in results:
+            assert np.array_equal(result.labels, reference.labels)
+            assert np.array_equal(result.core_mask, reference.core_mask)
+            assert result.stats["shard_rebalances"] == 0
+        assert sum(r.stats["shard_inner_builds"] for r in results) == n_shards

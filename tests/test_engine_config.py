@@ -16,13 +16,19 @@ import pytest
 
 from repro.engine_config import DEFAULT_ENGINE_BLOCK, ExecutionConfig
 from repro.exceptions import InvalidParameterError
-from repro.index.sharded import ShardingConfig
+from repro.index.sharded import ExecutorSpec, ShardingConfig
+
+#: A pool spec for configs that are built but never run.
+SPEC = ExecutorSpec(["127.0.0.1:9"])
 
 
 class TestExecutionConfigValueType:
     def test_configs_are_hashable_value_types(self):
-        a = ExecutionConfig(sharding=ShardingConfig(n_shards=2), query_block=64)
-        b = ExecutionConfig(sharding=ShardingConfig(n_shards=2), query_block=64)
+        sharding = ShardingConfig(n_shards=2, executor=SPEC)
+        a = ExecutionConfig(sharding=sharding, query_block=64)
+        b = ExecutionConfig(
+            sharding=ShardingConfig(n_shards=2, executor=SPEC), query_block=64
+        )
         assert hash(a) == hash(b)
         assert {a: "x"}[b] == "x"
         assert len({a, b}) == 1
@@ -30,7 +36,9 @@ class TestExecutionConfigValueType:
     def test_configs_pickle(self):
         import pickle
 
-        cfg = ExecutionConfig(sharding=ShardingConfig(n_shards=2), query_block=64)
+        cfg = ExecutionConfig(
+            sharding=ShardingConfig(n_shards=2, executor=SPEC), query_block=64
+        )
         assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
@@ -65,7 +73,7 @@ class TestExecutionConfigValidation:
 class TestExecutionConfigSerialization:
     def full_config(self) -> ExecutionConfig:
         return ExecutionConfig(
-            sharding=ShardingConfig(n_shards=4, executor="serial", query_block=512),
+            sharding=ShardingConfig(n_shards=4, executor=SPEC, query_block=512),
             query_block=256,
         )
 
@@ -145,12 +153,15 @@ class TestExecutionConfigSerialization:
         owner, _, name = field.rpartition(".")
         with pytest.raises(InvalidParameterError, match=name):
             if build == "constructor" and owner:
-                ExecutionConfig(sharding=ShardingConfig(**{name: value}))
+                sharding = ShardingConfig(**{"executor": SPEC, name: value})
+                ExecutionConfig(sharding=sharding)
             elif build == "constructor":
                 ExecutionConfig(**{name: value})
+            elif owner:
+                payload = {"executor": SPEC.to_dict(), name: value}
+                ExecutionConfig.from_dict({owner: payload})
             else:
-                payload = {name: value}
-                ExecutionConfig.from_dict({owner: payload} if owner else payload)
+                ExecutionConfig.from_dict({name: value})
 
     def test_from_dict_rejects_retired_cache_eviction(self):
         # Old artifacts' cache_eviction is dropped by the persistence
@@ -174,13 +185,14 @@ class TestExecutionConfigSerialization:
             ExecutionConfig.from_dict({"sharding": False})
         assert ExecutionConfig().to_dict()["sharding"] is None
 
-    def test_deserialized_config_drives_a_fit(self):
+    def test_deserialized_config_drives_a_fit(self, worker_pool):
         """The wire format reconstructs a config a clusterer can run."""
         from repro.clustering import DBSCAN
         from repro.testing import make_blobs_on_sphere
 
         X, _ = make_blobs_on_sphere(20, 3, 8, spread=0.2, seed=0)
-        cfg = ExecutionConfig(sharding=ShardingConfig(n_shards=2), query_block=16)
+        sharding = ShardingConfig(n_shards=2, executor=worker_pool.executor_spec())
+        cfg = ExecutionConfig(sharding=sharding, query_block=16)
         wired = ExecutionConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         baseline = DBSCAN(eps=0.5, tau=4).fit(X)
         result = DBSCAN(eps=0.5, tau=4, execution=wired).fit(X)

@@ -36,10 +36,10 @@ EPS = 0.5
 TAU = 4
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with WorkerPool.spawn_local(2) as pool:
-        yield pool
+def _sharded(pool: WorkerPool, n_shards: int) -> ExecutionConfig:
+    return ExecutionConfig(
+        sharding=ShardingConfig(n_shards=n_shards, executor=pool.executor_spec())
+    )
 
 
 def _deprecation_count(record) -> int:
@@ -98,13 +98,15 @@ class TestClusterFacade:
         assert np.array_equal(direct.labels, result.labels)
 
     def test_execution_reaches_the_fit(self, clusterable_data):
-        result = cluster(
-            clusterable_data,
-            algo="dbscan",
-            eps=EPS,
-            tau=TAU,
-            execution=ExecutionConfig(sharding=ShardingConfig(n_shards=3)),
-        )
+        # A cold pool of its own, so the fit pays (and counts) its builds.
+        with WorkerPool.spawn_local(2) as pool:
+            result = cluster(
+                clusterable_data,
+                algo="dbscan",
+                eps=EPS,
+                tau=TAU,
+                execution=_sharded(pool, 3),
+            )
         assert result.stats["shard_live_shards"] == 3
         assert result.stats["shard_inner_builds"] == 3
 
@@ -150,18 +152,20 @@ class TestEngineRoutedSharding:
         ],
         ids=["dbscan", "dbscan++", "block", "rho", "rho_borders", "laf", "laf++"],
     )
-    @pytest.mark.parametrize("executor", ["serial", "remote"])
-    def test_sharded_fit_matches_default(
-        self, factory, executor, clusterable_data, pool
-    ):
-        if executor == "remote":
-            executor = pool.executor_spec()
+    def test_sharded_fit_matches_default(self, factory, clusterable_data, worker_pool):
         baseline = factory(None).fit(clusterable_data)
-        sharding = ShardingConfig(n_shards=3, executor=executor)
-        sharded = factory(ExecutionConfig(sharding=sharding)).fit(clusterable_data)
+        sharded = factory(_sharded(worker_pool, 3)).fit(clusterable_data)
         assert np.array_equal(baseline.labels, sharded.labels)
         assert np.array_equal(baseline.core_mask, sharded.core_mask)
         assert sharded.stats["shard_live_shards"] == 3
+
+
+class TestEngineRoutedShardingOnOneWorker(TestEngineRoutedSharding):
+    """The same fits with every shard on one worker."""
+
+    @pytest.fixture
+    def worker_pool(self, one_worker_pool):
+        return one_worker_pool
 
 
 class TestRemovedLegacyAPI:
@@ -221,7 +225,7 @@ class TestRemovedLegacyAPI:
 
 
 class TestExecutionResolution:
-    def test_euclidean_metric_threads_into_sharded_brute_force(self):
+    def test_euclidean_metric_threads_into_sharded_brute_force(self, worker_pool):
         """Shards are built in the clusterer's metric, never cosine by default."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(120, 6))
@@ -230,13 +234,13 @@ class TestExecutionResolution:
             eps=0.8,
             tau=3,
             metric="euclidean",
-            execution=ExecutionConfig(sharding=ShardingConfig(n_shards=3)),
+            execution=_sharded(worker_pool, 3),
         ).fit(X)
         assert np.array_equal(default.labels, sharded.labels)
         assert np.array_equal(default.core_mask, sharded.core_mask)
         assert sharded.stats["shard_live_shards"] == 3
 
-    def test_ground_truth_threads_sharding(self, clusterable_data):
+    def test_ground_truth_threads_sharding(self, clusterable_data, worker_pool):
         from repro.experiments.runner import ground_truth
 
         exact = ground_truth(clusterable_data, EPS, TAU)
@@ -244,7 +248,7 @@ class TestExecutionResolution:
             clusterable_data,
             EPS,
             TAU,
-            execution=ExecutionConfig(sharding=ShardingConfig(n_shards=2)),
+            execution=_sharded(worker_pool, 2),
         )
         assert np.array_equal(exact.labels, sharded.labels)
         assert sharded.stats["shard_live_shards"] == 2

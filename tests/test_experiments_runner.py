@@ -87,13 +87,17 @@ class TestRunSuite:
     def test_sharded_suite_matches_unsharded(self, data):
         from repro import ExecutionConfig
         from repro.index import ShardingConfig
+        from repro.remote import WorkerPool
 
         ctx = MethodContext(eps=0.5, tau=5, estimator=ExactCardinalityEstimator())
         baseline = run_suite(data, ("DBSCAN",), ctx)[0]
-        sharded_ctx = dataclasses.replace(
-            ctx, execution=ExecutionConfig(sharding=ShardingConfig(n_shards=3))
-        )
-        sharded = run_suite(data, ("DBSCAN",), sharded_ctx)[0]
+        # A cold pool of its own, so the fit pays (and counts) its builds.
+        with WorkerPool.spawn_local(2) as pool:
+            sharding = ShardingConfig(n_shards=3, executor=pool.executor_spec())
+            sharded_ctx = dataclasses.replace(
+                ctx, execution=ExecutionConfig(sharding=sharding)
+            )
+            sharded = run_suite(data, ("DBSCAN",), sharded_ctx)[0]
         assert sharded.n_clusters == baseline.n_clusters
         assert sharded.noise_ratio == baseline.noise_ratio
         assert sharded.ari == pytest.approx(baseline.ari)

@@ -104,16 +104,13 @@ def _retired_executor(name: str, **n_workers) -> dict:
     ],
 )
 def test_older_execution_spellings_still_load(tmp_path, edit):
-    """``"sharding": false`` reads as None, a retired "process" or
-    "thread" executor as "serial", a recorded ``n_workers`` is dropped
-    whichever executor it sits beside, and the retired
-    ``cache_eviction`` key is dropped."""
+    """``"sharding": false`` reads as None, and so does a sharding on a
+    retired in-process executor ("process", "thread" or "serial",
+    whatever ``n_workers`` it recorded): labels never depended on the
+    executor. The retired ``cache_eviction`` key is dropped."""
     path = _golden_copy_with_execution(tmp_path, edit)
     with repro.load_model(path) as loaded:
-        if edit.get("sharding"):
-            assert loaded.execution.sharding.executor.name == "serial"
-        else:
-            assert loaded.execution.sharding is None
+        assert loaded.execution.sharding is None
         queries = np.load(GOLDEN / "queries.npy")
         expected = np.load(GOLDEN / "expected_predict.npy")
         assert np.array_equal(loaded.predict(queries), expected)
@@ -121,7 +118,44 @@ def test_older_execution_spellings_still_load(tmp_path, edit):
         loaded.save(tmp_path / "resaved")
     resaved = json.loads((tmp_path / "resaved" / MANIFEST_FILENAME).read_text())
     assert "cache_eviction" not in resaved["spec"]["execution"]
-    assert resaved["spec"]["execution"]["sharding"] in (
-        None,
-        {"n_shards": 2, "executor": "serial", "query_block": 64},
-    )
+    assert resaved["spec"]["execution"]["sharding"] is None
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"addresses": ["127.0.0.1:9", "127.0.0.1:10"]},
+        {
+            "addresses": ["127.0.0.1:9"],
+            "connect_timeout_s": 0.5,
+            "retries": 0,
+            "timeout_s": 30.0,
+        },
+    ],
+    ids=["addresses", "every-option"],
+)
+def test_remote_sharding_manifest_round_trips_byte_for_byte(tmp_path, options):
+    """A remote sharding keeps the ``{"name": "remote", "options": ...}``
+    spelling earlier releases wrote (these manifests are, byte for byte,
+    what they wrote for the golden model fitted on such a pool), so
+    loading and saving again reproduces the manifest exactly. Loading
+    reaches no worker: the addresses need not be live."""
+    copy = tmp_path / "model"
+    shutil.copytree(GOLDEN / "model", copy)
+    manifest = json.loads((copy / MANIFEST_FILENAME).read_text())
+    manifest["spec"]["execution"] = {
+        "query_block": 1024,
+        "sharding": {
+            "n_shards": 2,
+            "executor": {"name": "remote", "options": options},
+            "query_block": 64,
+        },
+    }
+    written = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (copy / MANIFEST_FILENAME).write_text(written)
+    with repro.load_model(copy) as loaded:
+        executor = loaded.execution.sharding.executor
+        assert executor.addresses == tuple(options["addresses"])
+        assert executor.retries == options.get("retries", 2)
+        loaded.save(tmp_path / "resaved")
+    assert (tmp_path / "resaved" / MANIFEST_FILENAME).read_text() == written

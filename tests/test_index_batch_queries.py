@@ -21,19 +21,24 @@ from repro.testing import make_blobs_on_sphere
 EPS = 0.6
 
 # (name, factory) for every NeighborIndex and the configurations that
-# take a different path through it; the grid's approximate counts are
-# tested separately because it fixes eps at construction time.
+# take a different path through it, each made from the executor spec of
+# the suite's worker pool (the sharded ones run on it); the grid's
+# approximate counts are tested separately because it fixes eps at
+# construction time.
 BACKENDS = [
-    ("brute_force", lambda: BruteForceIndex()),
-    ("brute_force_small_blocks", lambda: BruteForceIndex(block_size=7)),
-    ("brute_force_block_1", lambda: BruteForceIndex(block_size=1)),
-    ("brute_force_euclidean", lambda: BruteForceIndex(metric="euclidean")),
-    ("sharded", lambda: ShardedIndex(n_shards=3)),
-    ("sharded_small_query_block", lambda: ShardedIndex(n_shards=5, query_block=16)),
-    ("sharded_many_shards", lambda: ShardedIndex(n_shards=7)),
+    ("brute_force", lambda spec: BruteForceIndex()),
+    ("brute_force_small_blocks", lambda spec: BruteForceIndex(block_size=7)),
+    ("brute_force_block_1", lambda spec: BruteForceIndex(block_size=1)),
+    ("brute_force_euclidean", lambda spec: BruteForceIndex(metric="euclidean")),
+    ("sharded", lambda spec: ShardedIndex(n_shards=3, executor=spec)),
+    (
+        "sharded_small_query_block",
+        lambda spec: ShardedIndex(n_shards=5, executor=spec, query_block=16),
+    ),
+    ("sharded_many_shards", lambda spec: ShardedIndex(n_shards=7, executor=spec)),
     (
         "sharded_euclidean",
-        lambda: ShardedIndex(metric="euclidean", n_shards=3),
+        lambda spec: ShardedIndex(metric="euclidean", n_shards=3, executor=spec),
     ),
 ]
 
@@ -44,6 +49,20 @@ def data() -> np.ndarray:
     return normalize_rows(rng.normal(size=(80, 12)))
 
 
+@pytest.fixture
+def make(factory, worker_pool):
+    """Make the backend under test, unbuilt; each is closed after the test."""
+    made = []
+
+    def _make():
+        made.append(factory(worker_pool.executor_spec()))
+        return made[-1]
+
+    yield _make
+    for index in made:
+        index.close()
+
+
 def scalar_reference(index, data: np.ndarray) -> BruteForceIndex:
     """The float64 scalar reference over ``data`` in ``index``'s metric."""
     return BruteForceIndex(metric=index.metric).build(data)
@@ -51,8 +70,8 @@ def scalar_reference(index, data: np.ndarray) -> BruteForceIndex:
 
 @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
 class TestBatchAgainstScalar:
-    def test_batch_range_query_rows_match_scalar(self, name, factory, data):
-        index = factory().build(data)
+    def test_batch_range_query_rows_match_scalar(self, name, make, data):
+        index = make().build(data)
         reference = scalar_reference(index, data)
         results = index.batch_range_query(data, EPS)
         assert len(results) == data.shape[0]
@@ -60,34 +79,34 @@ class TestBatchAgainstScalar:
             expected = reference.range_query(data[i], EPS)
             assert np.array_equal(np.sort(row), np.sort(expected)), i
 
-    def test_batch_range_count_matches_scalar(self, name, factory, data):
-        index = factory().build(data)
+    def test_batch_range_count_matches_scalar(self, name, make, data):
+        index = make().build(data)
         reference = scalar_reference(index, data)
         counts = index.batch_range_count(data[:33], EPS)
         assert counts.dtype == np.int64
         expected = [reference.range_count(data[i], EPS) for i in range(33)]
         assert np.array_equal(counts, expected)
 
-    def test_empty_batch(self, name, factory, data):
-        index = factory().build(data)
+    def test_empty_batch(self, name, make, data):
+        index = make().build(data)
         assert index.batch_range_query(np.empty((0, data.shape[1])), EPS) == []
         assert index.batch_range_count(np.empty((0, data.shape[1])), EPS).size == 0
 
-    def test_single_row_is_one_query(self, name, factory, data):
-        index = factory().build(data)
+    def test_single_row_is_one_query(self, name, make, data):
+        index = make().build(data)
         results = index.batch_range_query(data[0], EPS)
         assert len(results) == 1
         expected = scalar_reference(index, data).range_query(data[0], EPS)
         assert np.array_equal(np.sort(results[0]), np.sort(expected))
 
-    def test_self_is_included(self, name, factory, data):
-        index = factory().build(data)
+    def test_self_is_included(self, name, make, data):
+        index = make().build(data)
         for i, row in enumerate(index.batch_range_query(data[:10], EPS)):
             assert i in row, "a point is its own neighbor (d = 0 < eps)"
 
-    def test_unbuilt_index_raises(self, name, factory, data):
+    def test_unbuilt_index_raises(self, name, make, data):
         with pytest.raises(NotFittedError):
-            factory().batch_range_query(data[:3], EPS)
+            make().batch_range_query(data[:3], EPS)
 
 
 class TestEpsBoundarySemantics:
@@ -134,8 +153,8 @@ class TestRowIdForms:
     """A fit queries its own rows by id; the answers are those of the rows."""
 
     @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
-    def test_rows_match_scalar(self, name, factory, data):
-        index = factory().build(data)
+    def test_rows_match_scalar(self, name, make, data):
+        index = make().build(data)
         reference = scalar_reference(index, data)
         # Out of order, with a repeat: a row set, not a prefix.
         ids = np.concatenate([np.arange(data.shape[0])[::-3], [4, 4]])

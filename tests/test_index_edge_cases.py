@@ -23,28 +23,34 @@ from repro.testing import make_blobs_on_sphere
 EPS = 0.6
 
 # Every range index and the configurations that take a different path
-# through it. Block sizes of 1 and 7 put
-# block boundaries inside every fixture; the default block holds each
-# whole. The sharded entries run the serial executor, so shards (some
-# empty on the one-point fixture) and query blocks are the only change.
+# through it, each made from the executor spec of the suite's worker
+# pool. Block sizes of 1 and 7 put block boundaries inside every
+# fixture; the default block holds each whole. The sharded entries run
+# on the pool, so shards (some empty on the one-point fixture) and query
+# blocks are the only change.
 BACKENDS = [
-    ("brute_force", lambda: BruteForceIndex(block_size=7)),
-    ("brute_force_default_block", lambda: BruteForceIndex()),
-    ("brute_force_block_1", lambda: BruteForceIndex(block_size=1)),
+    ("brute_force", lambda spec: BruteForceIndex(block_size=7)),
+    ("brute_force_default_block", lambda spec: BruteForceIndex()),
+    ("brute_force_block_1", lambda spec: BruteForceIndex(block_size=1)),
     (
         "brute_force_euclidean",
-        lambda: BruteForceIndex(block_size=7, metric="euclidean"),
+        lambda spec: BruteForceIndex(block_size=7, metric="euclidean"),
     ),
-    ("sharded", lambda: ShardedIndex(n_shards=3)),
-    ("sharded_small_query_block", lambda: ShardedIndex(n_shards=4, query_block=5)),
+    ("sharded", lambda spec: ShardedIndex(n_shards=3, executor=spec)),
+    (
+        "sharded_small_query_block",
+        lambda spec: ShardedIndex(n_shards=4, executor=spec, query_block=5),
+    ),
     (
         "sharded_euclidean",
-        lambda: ShardedIndex(metric="euclidean", n_shards=3),
+        lambda spec: ShardedIndex(metric="euclidean", n_shards=3, executor=spec),
     ),
-    ("sharded_many_shards", lambda: ShardedIndex(n_shards=9)),
+    ("sharded_many_shards", lambda spec: ShardedIndex(n_shards=9, executor=spec)),
     (
         "sharded_euclidean_small_query_block",
-        lambda: ShardedIndex(metric="euclidean", n_shards=4, query_block=5),
+        lambda spec: ShardedIndex(
+            metric="euclidean", n_shards=4, executor=spec, query_block=5
+        ),
     ),
 ]
 
@@ -70,55 +76,69 @@ def assert_batch_matches_scalar(index, Q: np.ndarray, eps: float) -> None:
     assert np.array_equal(counts, [reference.range_count(q, eps) for q in Q])
 
 
+@pytest.fixture
+def make(factory, worker_pool):
+    """Make the backend under test, unbuilt; each is closed after the test."""
+    made = []
+
+    def _make():
+        made.append(factory(worker_pool.executor_spec()))
+        return made[-1]
+
+    yield _make
+    for index in made:
+        index.close()
+
+
 @pytest.mark.parametrize("name,factory", BACKENDS, ids=IDS)
 class TestBatchEdgeCases:
-    def test_empty_batch(self, name, factory):
+    def test_empty_batch(self, name, make):
         X, _ = make_blobs_on_sphere(10, 2, 8, seed=0)
-        index = factory().build(X)
+        index = make().build(X)
         assert index.batch_range_query(np.empty((0, 8)), EPS) == []
         assert index.batch_range_count(np.empty((0, 8)), EPS).size == 0
 
-    def test_eps_zero_returns_nothing(self, name, factory):
+    def test_eps_zero_returns_nothing(self, name, make):
         # Strict d < 0 can never hit — not even a query equal to an
         # indexed point. One-hot data keeps every distance exact.
         X = one_hot_duplicates(30, 8)
-        index = factory().build(X)
+        index = make().build(X)
         rows = index.batch_range_query(X, 0.0)
         assert all(row.size == 0 for row in rows)
         assert_batch_matches_scalar(index, X, 0.0)
 
-    def test_eps_zero_on_random_data(self, name, factory):
+    def test_eps_zero_on_random_data(self, name, make):
         X, _ = make_blobs_on_sphere(25, 3, 12, spread=0.2, seed=4)
-        index = factory().build(X)
+        index = make().build(X)
         assert_batch_matches_scalar(index, X, 0.0)
 
-    def test_duplicate_points(self, name, factory):
+    def test_duplicate_points(self, name, make):
         # 40 points, 8 distinct values: every hit set has multiplicity.
         X = one_hot_duplicates(40, 8)
-        index = factory().build(X)
+        index = make().build(X)
         for eps in (0.5, 1.0):
             assert_batch_matches_scalar(index, X, eps)
 
-    def test_all_points_identical(self, name, factory):
+    def test_all_points_identical(self, name, make):
         X = normalize_rows(np.ones((30, 5)))
-        index = factory().build(X)
+        index = make().build(X)
         assert_batch_matches_scalar(index, X, 0.4)
 
-    def test_batch_larger_than_dataset(self, name, factory):
+    def test_batch_larger_than_dataset(self, name, make):
         X, _ = make_blobs_on_sphere(8, 2, 8, spread=0.2, seed=7)  # 16 points
-        index = factory().build(X)
+        index = make().build(X)
         Q = np.vstack([X, X, X])  # 48 queries over 16 points
         assert_batch_matches_scalar(index, Q, EPS)
 
-    def test_single_point(self, name, factory):
+    def test_single_point(self, name, make):
         X = normalize_rows(np.ones((1, 6)))
-        index = factory().build(X)
+        index = make().build(X)
         assert_batch_matches_scalar(index, X, EPS)
         (row,) = index.batch_range_query(X[0], EPS)
         assert np.array_equal(row, [0])
 
-    def test_queries_not_in_dataset(self, name, factory):
+    def test_queries_not_in_dataset(self, name, make):
         X, _ = make_blobs_on_sphere(20, 2, 10, spread=0.2, seed=3)
         Q, _ = make_blobs_on_sphere(15, 2, 10, spread=0.3, seed=8)
-        index = factory().build(X)
+        index = make().build(X)
         assert_batch_matches_scalar(index, Q, EPS)

@@ -20,9 +20,8 @@ import pytest
 
 import repro
 from repro.distances import normalize_rows
-from repro.engine_config import ExecutionConfig
 from repro.exceptions import PersistenceError
-from repro.index.sharded import ShardingConfig
+from repro.index.sharded import ExecutorSpec, ShardingConfig
 from repro.persistence import (
     FORMAT_VERSION,
     MANIFEST_FILENAME,
@@ -165,6 +164,10 @@ def _remote(**options) -> dict:
     return {"name": "remote", "options": {"addresses": ["h:1"], **options}}
 
 
+#: A saved sharding as a model fitted on a pool at ``h:1`` records it.
+SAVED_SHARDING = {"n_shards": 2, "executor": _remote(), "query_block": 64}
+
+
 class TestExecutionValidation:
     """A mistyped saved execution config fails typed, never coerced."""
 
@@ -183,18 +186,29 @@ class TestExecutionValidation:
             ("query_block", 2.5),
             ("executor", "gpu"),
             ("executor", 3),
+            ("executor", None),
+            ("executor", {"name": "serial", "options": {}}),
+            ("executor", _remote(addresses="h:1")),
         ],
     )
-    def test_mistyped_sharding_field(self, data, tmp_path, field, value):
-        path = tmp_path / "model"
-        execution = ExecutionConfig(sharding=ShardingConfig(n_shards=2))
-        with repro.fit_model(data, eps=0.4, tau=3, execution=execution) as model:
-            model.save(path)
+    def test_mistyped_sharding_field(self, artifact, field, value):
+        # Loading builds no index, so the pool the sharding names need
+        # not exist.
+        sharding = {**SAVED_SHARDING, field: value}
         edit_manifest(
-            path, lambda m: m["spec"]["execution"]["sharding"].update({field: value})
+            artifact, lambda m: m["spec"]["execution"].update(sharding=sharding)
         )
         with pytest.raises(PersistenceError, match="execution config"):
-            load_model(path)
+            load_model(artifact)
+
+    def test_well_typed_sharding_loads(self, artifact):
+        edit_manifest(
+            artifact, lambda m: m["spec"]["execution"].update(sharding=SAVED_SHARDING)
+        )
+        with load_model(artifact) as model:
+            assert model.execution.sharding == ShardingConfig(
+                n_shards=2, executor=ExecutorSpec(["h:1"]), query_block=64
+            )
 
 
 #: Range backends this library no longer ships ("custom" marked a fit

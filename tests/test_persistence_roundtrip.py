@@ -6,7 +6,8 @@ the in-memory model answered — same labels, core mask and core
 distances, same predictions — and must carry the same execution config,
 so a restarted server fans prediction across the topology the fit used.
 Hypothesis drives random datasets across both metrics, sharded and
-unsharded, including the awkward cases: a tiny ``eps`` (no cores unless rows
+unsharded (the sharded configs on the suite's worker pool), including
+the awkward cases: a tiny ``eps`` (no cores unless rows
 coincide, so every prediction is noise), duplicated points, empty query
 batches, single-row queries and single-point datasets.
 """
@@ -30,15 +31,25 @@ from repro.persistence import MANIFEST_FILENAME
 MAX_EXAMPLES = 25
 TAU = 2
 
-#: name -> the execution config a model is fit (and later served) under
+#: name -> the ExecutionConfig kwargs a model is fit (and later served)
+#: under; a "sharding" entry holds the ShardingConfig kwargs other than
+#: the pool's executor spec.
 CONFIGS = {
-    "default": ExecutionConfig(),
-    "small_blocks": ExecutionConfig(query_block=7),
-    "sharded_serial": ExecutionConfig(sharding=ShardingConfig(n_shards=3)),
-    "sharded_rounds": ExecutionConfig(
-        sharding=ShardingConfig(n_shards=4, query_block=16)
-    ),
+    "default": {},
+    "small_blocks": {"query_block": 7},
+    "sharded_remote": {"sharding": {"n_shards": 3}},
+    "sharded_rounds": {"sharding": {"n_shards": 4, "query_block": 16}},
 }
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def execution(request, worker_pool):
+    kwargs = dict(CONFIGS[request.param])
+    if "sharding" in kwargs:
+        kwargs["sharding"] = ShardingConfig(
+            executor=worker_pool.executor_spec(), **kwargs["sharding"]
+        )
+    return ExecutionConfig(**kwargs)
 
 
 def dataset(seed: int, n: int, dim: int, dup: bool) -> np.ndarray:
@@ -48,10 +59,8 @@ def dataset(seed: int, n: int, dim: int, dup: bool) -> np.ndarray:
     return X
 
 
-def fit(name: str, X: np.ndarray, eps: float, metric: str = "cosine"):
-    return repro.fit_model(
-        X, eps=eps, tau=TAU, metric=metric, execution=CONFIGS[name]
-    )
+def fit(execution, X: np.ndarray, eps: float, metric: str = "cosine"):
+    return repro.fit_model(X, eps=eps, tau=TAU, metric=metric, execution=execution)
 
 
 def assert_same_model(original, loaded):
@@ -72,7 +81,6 @@ def assert_same_predictions(original, loaded, Q):
     assert np.array_equal(loaded.predict(Q[0]), original.predict(Q[0]))
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
 class TestModelRoundTrip:
     @given(
         seed=st.integers(0, 10_000),
@@ -84,12 +92,12 @@ class TestModelRoundTrip:
     )
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_bit_identical_predictions(
-        self, name, tmp_path_factory, seed, n, dim, eps, metric, dup
+        self, execution, tmp_path_factory, seed, n, dim, eps, metric, dup
     ):
         X = dataset(seed, n, dim, dup)
         Q = dataset(seed + 1, min(n, 17), dim, dup=False)
-        path = tmp_path_factory.mktemp("artifact") / name
-        with fit(name, X, eps, metric) as original:
+        path = tmp_path_factory.mktemp("artifact") / "model"
+        with fit(execution, X, eps, metric) as original:
             original.save(path)
             with repro.load_model(path) as loaded:
                 assert_same_model(original, loaded)
@@ -98,11 +106,11 @@ class TestModelRoundTrip:
                 # (self-hits, duplicates) must round-trip too.
                 assert_same_predictions(original, loaded, X[: min(n, 8)])
 
-    def test_resave_is_stable(self, name, tmp_path):
+    def test_resave_is_stable(self, execution, tmp_path):
         # A loaded model saved again writes the same spec and the same
         # array bytes: nothing is coerced or dropped on the way through.
         X = dataset(3, 60, 8, dup=True)
-        with fit(name, X, 0.6) as model:
+        with fit(execution, X, 0.6) as model:
             model.save(tmp_path / "first")
         with repro.load_model(tmp_path / "first") as loaded:
             loaded.save(tmp_path / "second")
@@ -114,10 +122,10 @@ class TestModelRoundTrip:
         assert second["arrays"] == first["arrays"]
         assert second["metadata"] == first["metadata"]
 
-    def test_copied_unverified_load_predicts_identically(self, name, tmp_path):
+    def test_copied_unverified_load_predicts_identically(self, execution, tmp_path):
         X = dataset(5, 60, 8, dup=False)
         Q = dataset(6, 30, 8, dup=False)
-        with fit(name, X, 0.6) as model:
+        with fit(execution, X, 0.6) as model:
             model.save(tmp_path / "model")
             loaded = repro.load_model(tmp_path / "model", mmap=False, verify=False)
             with loaded:
@@ -132,7 +140,7 @@ def test_saved_batch_queries_loads_and_predicts_identically(tmp_path, value):
     what the same model saved today answers. Writers never emit it."""
     X = dataset(7, 60, 8, dup=True)
     Q = dataset(8, 30, 8, dup=False)
-    with fit("default", X, 0.6) as model:
+    with fit(ExecutionConfig(), X, 0.6) as model:
         model.save(tmp_path / "today")
     manifest = json.loads((tmp_path / "today" / MANIFEST_FILENAME).read_text())
     assert manifest["format_version"] == 1

@@ -236,19 +236,33 @@ class TestPredictSemantics:
             assert model.predict(queries[7]).tolist() == [expected[7]]
 
     @pytest.mark.parametrize(
-        "sharding",
-        [{"n_shards": 3}, {"n_shards": 4, "query_block": 16}],
-        ids=["serial-3", "serial-4-rounds-16"],
+        "one_worker,sharding",
+        [
+            (False, {"n_shards": 3}),
+            (False, {"n_shards": 4, "query_block": 16}),
+            (True, {"n_shards": 3}),
+            (True, {"n_shards": 4, "query_block": 16}),
+        ],
+        ids=[
+            "remote-3",
+            "remote-4-rounds-16",
+            "one-worker-3",
+            "one-worker-4-rounds-16",
+        ],
     )
-    def test_sharded_model_predicts_like_unsharded(self, blobs, sharding):
+    def test_sharded_model_predicts_like_unsharded(
+        self, blobs, one_worker, sharding, worker_pool, one_worker_pool
+    ):
         from repro import ExecutionConfig, ShardingConfig
 
+        pool = one_worker_pool if one_worker else worker_pool
+        config = ShardingConfig(executor=pool.executor_spec(), **sharding)
         sharded = repro.fit_model(
             blobs,
             "dbscan",
             eps=EPS,
             tau=TAU,
-            execution=ExecutionConfig(sharding=ShardingConfig(**sharding)),
+            execution=ExecutionConfig(sharding=config),
         )
         plain = repro.fit_model(blobs, "dbscan", eps=EPS, tau=TAU)
         queries = normalize_rows(

@@ -5,17 +5,16 @@ Contracts under test:
 * **Wire protocol** — framed header+arrays round-trip exactly; a clean
   EOF at a frame boundary reads as None; garbage raises the typed
   :class:`~repro.exceptions.RemoteProtocolError`.
-* **Invisible distribution** — a fit with a ``remote`` executor spec
-  against a localhost 2-worker pool is bit-identical to the serial
-  path: ShardedIndex queries in both metrics, and DBSCAN / LAF-DBSCAN
-  labels end to end.
+* **Invisible distribution** — a fit sharded on a localhost 2-worker
+  pool is bit-identical to the unsharded path (one in-process
+  brute-force index): ShardedIndex queries in both metrics, and the
+  labels of every engine-routed clusterer end to end.
 * **Warm reuse** — a second fit against the same pool attaches to the
   workers' cached shard indexes and reports
   ``shard_inner_builds == 0`` in ``ClusteringResult.stats``.
-* **Robustness** (fork-gated, like the process-executor teardown
-  suite) — a worker killed mid-fit gets its shards rebalanced to the
-  survivors with bit-identical labels and ``shard_rebalances >= 1``;
-  exhausted per-call timeouts raise the typed
+* **Robustness** (fork-gated) — a worker killed mid-fit gets its
+  shards rebalanced to the survivors with bit-identical labels and
+  ``shard_rebalances >= 1``; exhausted per-call timeouts raise the typed
   :class:`~repro.exceptions.RetryExhaustedError` without poisoning the
   pool for the next fit.
 
@@ -48,6 +47,7 @@ from repro.exceptions import (
     RetryExhaustedError,
     WorkerUnavailableError,
 )
+from repro.index import BruteForceIndex
 from repro.index.sharded import ExecutorSpec, ShardedIndex, ShardingConfig
 from repro.remote import worker as _worker
 from repro.remote.pool import WorkerPool, _WorkerClient
@@ -57,7 +57,6 @@ from repro.testing import make_blobs_on_sphere
 
 EPS = 0.55
 TAU = 4
-
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +99,6 @@ def remote_execution(pool, n_shards=3, **options) -> ExecutionConfig:
         sharding=ShardingConfig(
             n_shards=n_shards, executor=pool.executor_spec(**options)
         ),
-    )
-
-
-def serial_execution(n_shards=3) -> ExecutionConfig:
-    return ExecutionConfig(
-        sharding=ShardingConfig(n_shards=n_shards, executor="serial")
     )
 
 
@@ -234,7 +227,7 @@ class TestProtocol:
     [("cosine", 2048), ("cosine", 5), ("euclidean", 2048)],
     ids=["cosine", "cosine_small_query_block", "euclidean"],
 )
-class TestShardedQueriesMatchSerial:
+class TestShardedQueriesMatchOneIndex:
     def _pair(self, metric, query_block, data, pool):
         remote = ShardedIndex(
             metric=metric,
@@ -242,28 +235,28 @@ class TestShardedQueriesMatchSerial:
             executor=pool.executor_spec(),
             query_block=query_block,
         ).build(data)
-        serial = ShardedIndex(metric=metric, n_shards=3, executor="serial").build(data)
-        return remote, serial
+        return remote, BruteForceIndex(metric=metric).build(data)
 
     def test_batch_range_query(self, metric, query_block, data, pool):
-        remote, serial = self._pair(metric, query_block, data, pool)
-        with remote, serial:
+        remote, single = self._pair(metric, query_block, data, pool)
+        with remote:
             got = remote.batch_range_query(data, EPS)
-            expected = serial.batch_range_query(data, EPS)
+        expected = single.batch_range_query(data, EPS)
+        assert len(got) == len(expected)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     def test_batch_range_count(self, metric, query_block, data, pool):
-        remote, serial = self._pair(metric, query_block, data, pool)
-        with remote, serial:
+        remote, single = self._pair(metric, query_block, data, pool)
+        with remote:
             assert np.array_equal(
                 remote.batch_range_count(data, EPS),
-                serial.batch_range_count(data, EPS),
+                single.batch_range_count(data, EPS),
             )
 
 
-class TestClusterersMatchSerial:
+class TestClusterersMatchUnsharded:
     def test_dbscan_labels_bit_identical(self, data, pool):
-        baseline = DBSCAN(eps=EPS, tau=TAU, execution=serial_execution())
+        baseline = DBSCAN(eps=EPS, tau=TAU)
         remote = DBSCAN(eps=EPS, tau=TAU, execution=remote_execution(pool))
         expected = baseline.fit(data)
         got = remote.fit(data)
@@ -277,7 +270,6 @@ class TestClusterersMatchSerial:
             tau=TAU,
             estimator=estimator,
             seed=0,
-            execution=serial_execution(),
         ).fit(data)
         got = LAFDBSCAN(
             eps=EPS,
@@ -291,7 +283,7 @@ class TestClusterersMatchSerial:
     @pytest.mark.parametrize("name", sorted(OTHER_CLUSTERERS))
     def test_other_engine_routed_clusterers_bit_identical(self, name, data, pool):
         make = OTHER_CLUSTERERS[name]
-        expected = make(serial_execution()).fit(data)
+        expected = make(None).fit(data)
         got = make(remote_execution(pool)).fit(data)
         assert np.array_equal(expected.labels, got.labels)
         assert np.array_equal(expected.core_mask, got.core_mask)
@@ -375,9 +367,7 @@ class TestPoolLifecycle:
 
     def test_executor_spec_carries_the_addresses(self, pool):
         spec = pool.executor_spec(retries=1)
-        assert spec == ExecutorSpec(
-            "remote", {"addresses": pool.addresses, "retries": 1}
-        )
+        assert spec == ExecutorSpec(pool.addresses, retries=1)
 
     def test_unreachable_worker_raises_typed_error(self, data):
         # A port nothing listens on: connection refused, no survivors.
@@ -388,9 +378,7 @@ class TestPoolLifecycle:
         execution = ExecutionConfig(
             sharding=ShardingConfig(
                 n_shards=2,
-                executor=ExecutorSpec(
-                    "remote", {"addresses": [f"127.0.0.1:{port}"]}
-                ),
+                executor=ExecutorSpec([f"127.0.0.1:{port}"]),
             )
         )
         with pytest.raises(RemoteExecutorError):
@@ -435,9 +423,7 @@ class TestFaultInjection:
 
         monkeypatch.setitem(sharded_mod._SHARD_OPS, "range", doomed_range)
         with WorkerPool.spawn_local(2) as pool:
-            baseline = DBSCAN(eps=EPS, tau=TAU, execution=serial_execution()).fit(
-                data
-            )
+            baseline = DBSCAN(eps=EPS, tau=TAU).fit(data)
             victim = pool.worker_pids[0]
             target_file.write_text(str(victim))
 
@@ -477,9 +463,7 @@ class TestFaultInjection:
             stall_file.unlink()
             # One timed-out block does not poison the pool: the same
             # spec (same workers) serves the next fit normally.
-            baseline = DBSCAN(eps=EPS, tau=TAU, execution=serial_execution()).fit(
-                data
-            )
+            baseline = DBSCAN(eps=EPS, tau=TAU).fit(data)
             result = DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(data)
             assert np.array_equal(baseline.labels, result.labels)
             assert len(pool.ping()) == 2

@@ -11,13 +11,13 @@ constructions —
   and reused for every query block of the fit).
 
 The differential tests below count actual ``build`` calls in this
-process (monkeypatched class methods) and read the instrumented
-``shard_inner_builds`` counter of :meth:`ShardedIndex.stats`, across
-both executors; label equality vs the unsharded path rides along for
-DBSCAN, BLOCK-DBSCAN, rho-approximate DBSCAN (whose border queries
-shard like every other method's) and LAF-DBSCAN. Each remote case gets a fresh local
-worker pool, so its shards start cold; a second fit on the same pool
-is warm and pays none.
+process (monkeypatched class methods: the workers build, so none run
+here) and read the instrumented ``shard_inner_builds`` counter of
+:meth:`ShardedIndex.stats`; label equality vs the unsharded path rides
+along for DBSCAN, BLOCK-DBSCAN, rho-approximate DBSCAN (whose border
+queries shard like every other method's) and LAF-DBSCAN. Each case gets
+a fresh local worker pool, of two workers or of one, so its shards
+start cold; a second fit on the same pool is warm and pays none.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ from repro.core import LAFDBSCAN
 from repro.engine_config import ExecutionConfig
 from repro.estimators import ExactCardinalityEstimator
 from repro.index import BruteForceIndex, ShardedIndex
-from repro.index.sharded import ExecutorSpec, ShardingConfig
+from repro.index.sharded import ShardingConfig
 from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.5
 TAU = 4
 N_SHARDS = 3
-EXECUTORS = ("serial", "remote")
 
 #: Clusterers whose sharded fits are checked, as factories taking an
 #: execution config. rho-approximate DBSCAN runs with a small eps so
@@ -67,19 +66,10 @@ def data() -> np.ndarray:
 
 
 @pytest.fixture
-def executor(request):
-    """The executor under test: a registered name, or a cold pool's spec."""
-    if request.param != "remote":
-        yield request.param
-        return
+def executor():
+    """The executor spec of a fresh (cold) local pool."""
     with WorkerPool.spawn_local(2) as pool:
         yield pool.executor_spec()
-
-
-def local_builds(executor) -> int:
-    """Inner builds a sharded fit runs in this process: remote workers
-    build their shards out of process, the other executors in it."""
-    return 0 if isinstance(executor, ExecutorSpec) else N_SHARDS
 
 
 @pytest.fixture
@@ -96,7 +86,6 @@ def build_counter(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
 class TestShardedIndexBuildOnce:
     def test_builds_equal_live_shards_across_query_rounds(
@@ -126,7 +115,6 @@ class TestShardedIndexBuildOnce:
         assert stats["shard_live_shards"] == N_SHARDS
 
 
-@pytest.mark.parametrize("executor", ["remote"], indirect=True)
 def test_unqueried_remote_index_reports_zero_builds(executor, data):
     # Lazy contract: no queries -> no worker builds, and close() must
     # not attach never-queried shards just to hear "0 builds".
@@ -136,7 +124,6 @@ def test_unqueried_remote_index_reports_zero_builds(executor, data):
     assert index.stats()["shard_inner_builds"] == 0
 
 
-@pytest.mark.parametrize("executor", ["remote"], indirect=True)
 def test_warm_remote_fit_reports_zero_builds(executor, data, build_counter):
     execution = sharded_execution(executor)
     cold = DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(data)
@@ -148,7 +135,6 @@ def test_warm_remote_fit_reports_zero_builds(executor, data, build_counter):
     assert np.array_equal(cold.labels, warm.labels)
 
 
-@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 @pytest.mark.parametrize("name", sorted(CLUSTERERS))
 class TestClustererFitBuildOnce:
     def test_fit_builds_each_shard_once(self, name, executor, data, build_counter):
@@ -159,7 +145,7 @@ class TestClustererFitBuildOnce:
         parent_builds = build_counter["n"] - parent_builds_before
         # Shard-before-build: the whole-dataset index is never built,
         # only one inner index per live shard.
-        assert parent_builds == local_builds(executor)
+        assert parent_builds == 0
         assert result.stats["shard_live_shards"] == N_SHARDS
         assert result.stats["shard_inner_builds"] == N_SHARDS
         assert result.stats["shard_rebalances"] == 0
@@ -169,7 +155,6 @@ class TestClustererFitBuildOnce:
         assert result.stats["range_queries"] > 0
 
 
-@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 class TestLafDbscanBuildOnce:
     def test_laf_fit_builds_each_shard_once_and_matches(
         self, executor, data, build_counter
@@ -188,10 +173,32 @@ class TestLafDbscanBuildOnce:
         result = make(sharded_execution(executor)).fit(data)
         parent_builds = build_counter["n"] - parent_builds_before
         # The oracle estimator builds one BruteForceIndex of its own in
-        # bind() — estimator machinery, not the range-query engine; the
-        # engine itself contributes its shards' local builds.
-        assert parent_builds == local_builds(executor) + 1
+        # bind() — estimator machinery, not the range-query engine,
+        # whose shards the workers build.
+        assert parent_builds == 1
         assert result.stats["shard_inner_builds"] == N_SHARDS
         assert np.array_equal(result.labels, baseline.labels)
         assert result.stats["range_queries"] == baseline.stats["range_queries"]
         assert result.stats["skipped_queries"] == baseline.stats["skipped_queries"]
+
+
+
+class _OnOneWorker:
+    """Runs a class's cases on one cold worker that holds every shard."""
+
+    @pytest.fixture
+    def executor(self):
+        with WorkerPool.spawn_local(1) as pool:
+            yield pool.executor_spec()
+
+
+class TestShardedIndexBuildOnceOnOneWorker(_OnOneWorker, TestShardedIndexBuildOnce):
+    pass
+
+
+class TestClustererFitBuildOnceOnOneWorker(_OnOneWorker, TestClustererFitBuildOnce):
+    pass
+
+
+class TestLafDbscanBuildOnceOnOneWorker(_OnOneWorker, TestLafDbscanBuildOnce):
+    pass

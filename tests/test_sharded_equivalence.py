@@ -1,10 +1,11 @@
 """Differential tests: sharded backends vs the single-index path.
 
 The contract of :class:`repro.index.sharded.ShardedIndex` is that
-sharding is *invisible*: in both metrics and under every executor,
-`batch_range_query` / `batch_range_count` return exactly what
-one index over the whole dataset returns (range rows compared as sorted
-arrays — the sharded backend's documented order).
+sharding is *invisible*: in both metrics, shards run on a local
+two-worker pool, or all on one worker, answer `batch_range_query` /
+`batch_range_count` exactly as one index over the whole dataset returns
+(range rows compared as sorted arrays — the sharded backend's
+documented order).
 Edge cases the merge layer must survive: ``eps = 0`` (strict ``d < eps``
 means even the query's duplicate is excluded), an eps covering the
 whole sphere, query points outside the dataset, duplicated points,
@@ -15,6 +16,8 @@ reliance on test order.
 """
 
 from __future__ import annotations
+
+import socket
 
 import numpy as np
 import pytest
@@ -30,8 +33,8 @@ from repro.index import (
     ShardingConfig,
 )
 from repro.index import sharded as sharded_mod
-from repro.index.sharded import resolve_engine_index
-from repro.remote.pool import WorkerPool
+from repro.index.sharded import ExecutorSpec, resolve_engine_index
+from repro.remote.pool import RemoteExecutor, WorkerPool
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.55
@@ -39,10 +42,6 @@ EPS = 0.55
 #: Largest valid eps: every distance on the unit sphere is below it
 #: unless the pair is exactly antipodal.
 WHOLE_SPHERE_EPS = 2.0
-
-#: Every registered executor; "remote" runs against a local two-worker
-#: pool (see the ``executor`` fixture).
-EXECUTORS = ("serial", "remote")
 
 #: Shard metrics: the float32 cosine kernel and the float64 Euclidean one.
 METRICS = ("cosine", "euclidean")
@@ -71,22 +70,10 @@ def data() -> np.ndarray:
     return X
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with WorkerPool.spawn_local(2) as pool:
-        yield pool
-
-
 @pytest.fixture
-def executor(request, pool):
-    """The executor under test: a registered name, or the pool's spec.
-
-    Naming ``pool`` as a parameter puts the module's workers up before
-    any per-test resource snapshot, so they are not counted as leaks.
-    """
-    if request.param == "remote":
-        return pool.executor_spec()
-    return request.param
+def executor(worker_pool):
+    """The executor spec of the suite's worker pool."""
+    return worker_pool.executor_spec()
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +101,6 @@ def assert_rows_equal(got_rows, expected_rows) -> None:
         assert np.array_equal(got, np.sort(np.asarray(expected))), i
 
 
-@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
 @pytest.mark.parametrize(
     "metric,extra", list(SHARD_CONFIGS.values()), ids=list(SHARD_CONFIGS)
 )
@@ -169,7 +155,14 @@ class TestAgainstSingleIndex:
         assert np.array_equal(counts, np.full(5, data.shape[0], dtype=np.int64))
 
 
-@pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
+class TestAgainstSingleIndexOnOneWorker(TestAgainstSingleIndex):
+    """The same cases with every shard on one worker, called in turn."""
+
+    @pytest.fixture
+    def executor(self, one_worker_pool):
+        return one_worker_pool.executor_spec()
+
+
 @pytest.mark.parametrize("metric", METRICS)
 class TestShardingEdgeCases:
     def test_duplicated_points(self, metric, executor, duplicated):
@@ -217,6 +210,38 @@ class TestShardingEdgeCases:
             )
 
 
+class TestShardingEdgeCasesOnOneWorker(TestShardingEdgeCases):
+    """The edge cases with every shard on one worker."""
+
+    @pytest.fixture
+    def executor(self, one_worker_pool):
+        return one_worker_pool.executor_spec()
+
+
+def test_empty_dataset_reaches_no_worker(monkeypatch, data):
+    """No live shard starts no executor: nothing connects, even to an
+    address nothing listens on, and the index reports 0 builds."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty sharded index reached for a worker")
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    monkeypatch.setattr(RemoteExecutor, "__init__", refuse)
+    empty = np.empty((0, data.shape[1]))
+    index = sharded("cosine", empty, ExecutorSpec(["127.0.0.1:9"]), n_shards=4)
+    with index:
+        assert [r.size for r in index.batch_range_query_rows(np.arange(0), EPS)] == []
+        assert [r.size for r in index.batch_range_query(data[:2], EPS)] == [0, 0]
+        assert index.batch_range_count(data[:2], EPS).tolist() == [0, 0]
+    assert index.stats() == {
+        "shard_live_shards": 0,
+        "shard_inner_builds": 0,
+        "shard_rebalances": 0,
+    }
+    with pytest.raises(NotFittedError):
+        index.batch_range_query(data[:1], EPS)
+
+
 def test_index_contract_is_range_only():
     """KNN is not part of the index contract, the sharding layer or the wire."""
     assert not hasattr(NeighborIndex, "batch_knn_query")
@@ -226,51 +251,55 @@ def test_index_contract_is_range_only():
 
 
 class TestLifecycleAndValidation:
-    def test_unbuilt_raises(self, data):
+    def test_unbuilt_raises(self, data, executor):
         with pytest.raises(NotFittedError):
-            ShardedIndex().batch_range_query(data, EPS)
+            ShardedIndex(executor=executor).batch_range_query(data, EPS)
 
-    def test_closed_raises_and_close_is_idempotent(self, data):
-        index = ShardedIndex(n_shards=2).build(data)
+    def test_closed_raises_and_close_is_idempotent(self, data, executor):
+        index = ShardedIndex(n_shards=2, executor=executor).build(data)
         index.close()
         index.close()
         with pytest.raises(NotFittedError):
             index.batch_range_query(data, EPS)
 
-    def test_rebuild_after_close(self, data):
-        index = ShardedIndex(n_shards=2).build(data)
+    def test_rebuild_after_close(self, data, executor):
+        index = ShardedIndex(n_shards=2, executor=executor).build(data)
         index.close()
-        index.build(data[:10])
-        assert index.n_points == 10
-        assert len(index.batch_range_query(data[:4], EPS)) == 4
+        with index.build(data[:10]):
+            assert index.n_points == 10
+            assert len(index.batch_range_query(data[:4], EPS)) == 4
 
-    def test_invalid_parameters(self):
+    def test_invalid_parameters(self, executor):
         with pytest.raises(InvalidParameterError):
-            ShardedIndex(n_shards=0)
+            ShardedIndex(n_shards=0, executor=executor)
         with pytest.raises(InvalidParameterError):
             ShardedIndex(executor="mapreduce")
         with pytest.raises(InvalidParameterError):
-            ShardedIndex(metric="manhattan")
+            ShardedIndex(metric="manhattan", executor=executor)
         with pytest.raises(InvalidParameterError):
-            ShardedIndex(query_block=0)
+            ShardedIndex(query_block=0, executor=executor)
         with pytest.raises(TypeError, match="n_workers"):
-            ShardedIndex(n_workers=2)
+            ShardedIndex(n_workers=2, executor=executor)
 
     @pytest.mark.parametrize(
         "field,value",
         [("n_shards", 2.5), ("n_shards", True), ("query_block", "8")],
     )
-    def test_field_types_are_checked_like_sharding_config(self, field, value):
+    def test_field_types_are_checked_like_sharding_config(
+        self, field, value, executor
+    ):
         with pytest.raises(InvalidParameterError, match=field):
-            ShardedIndex(**{field: value})
+            ShardedIndex(executor=executor, **{field: value})
 
 
 class TestEngineWiring:
     """Sharding reaches the clusterers through the ``_engine`` seam alone."""
 
-    def test_engine_shards_under_config(self, data):
+    def test_engine_shards_under_config(self, data, executor):
         reference = BruteForceIndex().build(data)
-        execution = ExecutionConfig(sharding=ShardingConfig(n_shards=3))
+        execution = ExecutionConfig(
+            sharding=ShardingConfig(n_shards=3, executor=executor)
+        )
         with DBSCAN(eps=EPS, tau=4, execution=execution)._engine(data) as index:
             assert isinstance(index, ShardedIndex)
             rows = index.batch_range_query_rows(np.arange(10), EPS)
@@ -289,15 +318,16 @@ class TestEngineWiring:
             assert index.block_size == 7
             assert index.stats() == {}
 
-    def test_engine_exit_releases_its_sharded_index(self, data):
-        execution = ExecutionConfig(sharding=ShardingConfig(n_shards=2))
+    def test_engine_exit_releases_its_sharded_index(self, data, executor):
+        execution = ExecutionConfig(
+            sharding=ShardingConfig(n_shards=2, executor=executor)
+        )
         with DBSCAN(eps=EPS, tau=4, execution=execution)._engine(data) as index:
             assert index.batch_range_query_rows(np.array([0]), EPS)[0].size > 0
         # close() ran on exit: the sharded index is released.
         with pytest.raises(NotFittedError):
             index.batch_range_query(data[:1], EPS)
 
-    @pytest.mark.parametrize("executor", EXECUTORS, indirect=True)
     def test_dbscan_identical_under_sharding(self, executor, data):
         baseline = DBSCAN(eps=0.5, tau=4).fit(data)
         result = DBSCAN(
@@ -313,15 +343,18 @@ class TestEngineWiring:
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_resolve_engine_index_builds_shards_directly(self, metric, data):
-        resolved = resolve_engine_index(data, metric, ShardingConfig(n_shards=3))
-        with resolved:
-            assert isinstance(resolved, ShardedIndex)
-            assert resolved.metric.name == metric
-            assert resolved.n_live_shards == 3
-            stats = resolved.stats()
-            # Shard-before-build: exactly one build per live shard, no
-            # discarded whole-dataset build.
-            assert stats["shard_inner_builds"] == stats["shard_live_shards"] == 3
+        # A cold pool of its own: the suite's pool may hold these shards.
+        with WorkerPool.spawn_local(2) as pool:
+            config = ShardingConfig(n_shards=3, executor=pool.executor_spec())
+            with resolve_engine_index(data, metric, config) as resolved:
+                assert isinstance(resolved, ShardedIndex)
+                assert resolved.metric.name == metric
+                assert resolved.n_live_shards == 3
+                resolved.batch_range_count(data, EPS)
+                stats = resolved.stats()
+        # Shard-before-build: exactly one build per live shard, no
+        # discarded whole-dataset build.
+        assert stats["shard_inner_builds"] == stats["shard_live_shards"] == 3
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_resolve_engine_index_without_config_builds_single(self, metric, data):

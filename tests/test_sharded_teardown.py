@@ -5,9 +5,9 @@ clusterer's frame — and with it the ShardedIndex the fit's engine seam
 built — so without an explicit ``close()`` in a ``finally`` the remote
 executor's fan-out threads and worker connections survive until a gc
 cycle collects the traceback. The injected failure is a shard-op
-exception: on the serial executor the op itself raises; on the remote
-one the parent's worker client raises on a query call (the workers are
-forked, so patching the shard ops would not reach them). Worker death
+exception: the parent's worker client raises on a query call (the
+module's workers are already forked, so patching the shard ops would
+not reach them). Worker death
 and rebalancing are covered by the remote pool's fault-injection suite
 (``tests/test_remote_pool.py``).
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.index.sharded as sharded_mod
 from repro.clustering import DBSCAN
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import NotFittedError
@@ -42,9 +41,8 @@ def pool():
 
 
 @pytest.fixture
-def executor(request, pool):
-    """The executor under test: ``serial``, or the module pool's spec."""
-    return pool.executor_spec() if request.param == "remote" else request.param
+def executor(pool):
+    return pool.executor_spec()
 
 
 @pytest.fixture
@@ -65,11 +63,8 @@ def _explode(*args, **kwargs):
     raise RuntimeError("injected shard-op failure")
 
 
-def inject_failure(monkeypatch, executor, op: str) -> None:
-    """Make every ``op`` shard call of ``executor`` raise."""
-    if executor == "serial":
-        monkeypatch.setitem(sharded_mod._SHARD_OPS, op, _explode)
-        return
+def inject_failure(monkeypatch, op: str) -> None:
+    """Make every ``op`` shard call raise in the worker client."""
     original_call = _WorkerClient.call
 
     def failing_call(self, header, arrays=None):
@@ -80,12 +75,11 @@ def inject_failure(monkeypatch, executor, op: str) -> None:
     monkeypatch.setattr(_WorkerClient, "call", failing_call)
 
 
-@pytest.mark.parametrize("executor", ["serial", "remote"], indirect=True)
 class TestCloseOnMidQueryFailure:
     def test_failed_fit_closes_its_engine(
         self, executor, data, close_spy, monkeypatch
     ):
-        inject_failure(monkeypatch, executor, "range")
+        inject_failure(monkeypatch, "range")
         execution = ExecutionConfig(
             sharding=ShardingConfig(n_shards=2, executor=executor)
         )
@@ -100,7 +94,7 @@ class TestCloseOnMidQueryFailure:
     def test_direct_index_close_after_query_failure(
         self, executor, data, monkeypatch
     ):
-        inject_failure(monkeypatch, executor, "count")
+        inject_failure(monkeypatch, "count")
         index = ShardedIndex(n_shards=2, executor=executor).build(data)
         with pytest.raises(RuntimeError, match="injected"):
             index.batch_range_count(data, EPS)
@@ -115,7 +109,7 @@ def test_pool_answers_the_fit_after_a_failed_one(data, pool, monkeypatch):
         sharding=ShardingConfig(n_shards=2, executor=pool.executor_spec())
     )
     with monkeypatch.context() as patch:
-        inject_failure(patch, "remote", "range")
+        inject_failure(patch, "range")
         with pytest.raises(RuntimeError, match="injected"):
             DBSCAN(eps=EPS, tau=3, execution=execution).fit(data)
     expected = DBSCAN(eps=EPS, tau=3).fit(data)

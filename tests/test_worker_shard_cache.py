@@ -206,7 +206,7 @@ def test_worker_module_runs_without_runtime_warning():
 
 class TestCappedPoolEndToEnd:
     def test_capped_pool_bit_identical_and_rebuilds(self, data):
-        serial = DBSCAN(eps=EPS, tau=TAU).fit(data)
+        unsharded = DBSCAN(eps=EPS, tau=TAU).fit(data)
         with WorkerPool.spawn_local(1, max_cached_shards=1) as pool:
             execution = ExecutionConfig(
                 sharding=ShardingConfig(
@@ -215,8 +215,8 @@ class TestCappedPoolEndToEnd:
             )
             first = DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(data)
             second = DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(data)
-        assert np.array_equal(first.labels, serial.labels)
-        assert np.array_equal(second.labels, serial.labels)
+        assert np.array_equal(first.labels, unsharded.labels)
+        assert np.array_equal(second.labels, unsharded.labels)
         # With three shards funneled through a one-slot cache, the refit
         # cannot ride the warm path an unbounded worker would give for
         # free (the warm-reuse suite proves that baseline is zero).
