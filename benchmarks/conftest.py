@@ -35,6 +35,15 @@ def out_path(name: str) -> str:
     return os.path.join(OUT_DIR, name)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on, recorded in rows whose ratios depend
+    on parallelism (the regression gate skips them on smaller machines)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def bench_workload(name: str, scale: float = BENCH_SCALE) -> Workload:
     """Memoized dataset + split + trained estimator at benchmark scale."""
     return prepare_workload(

@@ -11,7 +11,10 @@ cosine range-query kernel (float32 GEMM plus float64 band recheck)
 against the float64 block it replaced, at the paper's d=768. A third,
 ``engine_components_n4000.json``, times the DBSCAN++ core graph
 (upper-triangle kernel blocks plus csgraph components) against the
-per-node float64 BFS it replaced.
+per-node float64 BFS it replaced. A fourth, ``engine_self_join_n8000.json``,
+times DBSCAN's fit (one upper-triangle self-join plus set-at-a-time
+labels) against the full-row ``batch_range_query_rows`` call over every
+point that the fit used to make before its frontier loop.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import out_path
+from conftest import out_path, usable_cpus
 
 from repro.clustering import DBSCAN
 from repro.clustering.components import connected_components_within
@@ -190,3 +193,40 @@ def test_components_speedup():
         f"csgraph {t_graph:.3f}s ({components_speedup:.2f}x)"
     )
     save_json(out_path(f"engine_components_n{n}.json"), {"rows": rows})
+
+
+def test_self_join_speedup():
+    n = 8000
+    X = _dataset(n, dim=768)
+    index = BruteForceIndex().build(X)
+    rows = np.arange(n)
+
+    fit = DBSCAN(eps=EPS, tau=TAU).fit(X)
+    neighborhoods = index.batch_range_query_rows(rows, EPS)
+    counts = np.array([row.size for row in neighborhoods])
+    assert np.array_equal(fit.core_mask, counts >= TAU)
+    assert fit.stats["neighbor_pairs"] == (counts.sum() - n) // 2
+    del neighborhoods
+
+    t_rows = _best_of(lambda: index.batch_range_query_rows(rows, EPS))
+    t_fit = _best_of(lambda: DBSCAN(eps=EPS, tau=TAU).fit(X))
+    self_join_speedup = t_rows / t_fit
+    rows_out = [
+        {
+            "n": n,
+            "dim": int(X.shape[1]),
+            "eps": EPS,
+            "pairs": fit.stats["neighbor_pairs"],
+            "full_rows_query_s": t_rows,
+            "fit_s": t_fit,
+            "self_join_speedup": self_join_speedup,
+            # The GEMMs run on every CPU BLAS may use.
+            "usable_cpus": usable_cpus(),
+        }
+    ]
+    print()
+    print(
+        f"n={n} d=768: full-row neighbourhoods {t_rows:.3f}s, DBSCAN fit on "
+        f"the self-join {t_fit:.3f}s ({self_join_speedup:.2f}x)"
+    )
+    save_json(out_path(f"engine_self_join_n{n}.json"), {"rows": rows_out})

@@ -34,7 +34,7 @@ import os
 import time
 
 import numpy as np
-from conftest import out_path
+from conftest import out_path, usable_cpus
 
 from repro.clustering import DBSCAN
 from repro.engine_config import ExecutionConfig
@@ -49,13 +49,6 @@ TAU = 4
 N_SHARDS = 4
 N_WORKERS = 2
 POOLS = 5
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _dataset(n: int) -> np.ndarray:

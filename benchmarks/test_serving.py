@@ -33,7 +33,7 @@ import os
 import time
 
 import numpy as np
-from conftest import out_path
+from conftest import out_path, usable_cpus
 
 import repro
 from repro.distances import normalize_rows
@@ -48,13 +48,6 @@ TAU = 4
 N_CLIENTS = 64
 REQUESTS_PER_CLIENT = 32
 ROWS_PER_REQUEST = 2
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _client_requests(queries: np.ndarray, seed: int) -> list[np.ndarray]:

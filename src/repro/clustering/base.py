@@ -149,7 +149,8 @@ class Clusterer(abc.ABC):
         :class:`~repro.index.sharded.ShardedIndex` when sharding is set.
         A fit knows up front which rows it queries, so it asks for them
         in one ``batch_range_query_rows`` (or ``_count_rows``) call and
-        reads the neighbourhoods from the returned list. The
+        reads the neighbourhoods from the returned list; DBSCAN asks
+        for the pairs of all rows in one ``range_pairs`` call. The
         ``finally`` matters: a fit raising mid-query pins its frame in
         the traceback, so without an explicit close a remote
         executor's worker connections would leak until gc.

@@ -2,12 +2,12 @@
 
 DBSCAN++ (and LAF-DBSCAN++) cluster their detected core points by
 connecting any two within ``eps``. The core graph is built set at a
-time: row block ``[s, e)`` is compared with rows ``s..m-1`` only (the
-upper triangle, since the relation is symmetric) through the cosine
-range kernel :func:`~repro.distances.matrix.iter_cosine_range_masks`,
-the pairs are collected into one CSR matrix, and scipy labels its
-connected components. Peak memory is a float32 copy of the points,
-one kernel block and the CSR pairs.
+time by the index self-join
+:meth:`~repro.index.brute_force.BruteForceIndex.range_pairs` (each
+pair ``i < j`` computed once, on the upper triangle), and scipy labels
+its connected components. DBSCAN labels its core-core graph with the
+same :func:`pair_components`. Peak memory is a float32 copy of the
+points, one kernel block and the int32 pairs.
 """
 
 from __future__ import annotations
@@ -16,13 +16,39 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from repro.distances.matrix import (
-    DEFAULT_BLOCK_SIZE,
-    _max_row_norm,
-    iter_cosine_range_masks,
-)
+from repro.index.brute_force import BruteForceIndex
 
-__all__ = ["connected_components_within"]
+__all__ = ["connected_components_within", "pair_components"]
+
+
+def pair_components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Component id per node of the undirected graph with edges ``(rows, cols)``.
+
+    Nodes are ``0 .. n-1``; every node gets an id (a node without edges
+    is its own component), numbered ``0 .. k-1`` in order of each
+    component's lowest node. The edges are pairs ``i < j``.
+    """
+    # Hook each node to a higher neighbour and follow the hooks (pointer
+    # doubling). A hook path is a path of the graph, so scipy needs only
+    # the edges between two path tops: a dense cluster collapses first.
+    top = np.arange(n)
+    top[rows] = cols
+    for _ in range(n.bit_length()):
+        up = top[top]
+        if np.array_equal(up, top):
+            break
+        top = up
+    across = top[rows] != top[cols]
+    edges_from = np.concatenate([np.arange(n), rows[across]])
+    edges_to = np.concatenate([top, cols[across]])
+    graph = csr_matrix(
+        (np.ones(edges_from.size, dtype=np.int8), (edges_from, edges_to)),
+        shape=(n, n),
+    )
+    # The undirected search starts from unlabelled nodes in order, so
+    # components come out numbered by their lowest node.
+    _, labels = connected_components(graph, directed=False)
+    return labels.astype(np.int64)
 
 
 def connected_components_within(X: np.ndarray, eps: float) -> tuple[np.ndarray, int]:
@@ -36,25 +62,7 @@ def connected_components_within(X: np.ndarray, eps: float) -> tuple[np.ndarray, 
     exact up to pairs within a few ulps of ``eps``.
     """
     X = np.asarray(X, dtype=np.float64)
-    m = X.shape[0]
-    X32 = X.astype(np.float32)
-    x_norm = _max_row_norm(X)
-    indices: list[np.ndarray] = []
-    row_counts = np.zeros(m + 1, dtype=np.int64)
-    for s in range(0, m, DEFAULT_BLOCK_SIZE):
-        e = min(s + DEFAULT_BLOCK_SIZE, m)
-        _, _, mask = next(
-            iter_cosine_range_masks(X[s:e], X[s:], eps, X32=X32[s:], x_norm=x_norm)
-        )
-        # Keep pairs i < j: drop the diagonal block's diagonal and lower half.
-        mask[:, : e - s] = np.triu(mask[:, : e - s], k=1)
-        indices.append((np.nonzero(mask)[1] + s).astype(np.int32))
-        row_counts[s + 1 : e + 1] = np.count_nonzero(mask, axis=1)
-    cols = np.concatenate(indices) if indices else np.empty(0, dtype=np.int32)
-    graph = csr_matrix(
-        (np.ones(cols.size, dtype=np.int8), cols, np.cumsum(row_counts)), shape=(m, m)
-    )
-    # The undirected search starts from unlabelled rows in row order, so
-    # components come out numbered by their lowest row.
-    _, labels = connected_components(graph, directed=False)
-    return labels.astype(np.int64), int(cols.size)
+    # Attached, not built: the rows were validated with the dataset
+    # they come from, and an empty core set is a valid input.
+    rows, cols = BruteForceIndex()._attach(X).range_pairs(eps)
+    return pair_components(rows, cols, X.shape[0]), int(rows.size)

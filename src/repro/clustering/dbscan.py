@@ -1,9 +1,10 @@
 """Original DBSCAN (Ester et al. 1996) under cosine distance.
 
-This is Algorithm 1 of the paper *without* the red LAF insertions: one
-range query per point, expansion of clusters through core points, noise
-points reclaimable as borders. Its output is the ground truth every
-approximate method is scored against in the paper's evaluation.
+This is Algorithm 1 of the paper *without* the red LAF insertions,
+computed set at a time from the pairs within ``eps`` (one index
+self-join, each pair once), with the labels of sequential DBSCAN. Its
+output is the ground truth every approximate method is scored against
+in the paper's evaluation.
 """
 
 from __future__ import annotations
@@ -16,17 +17,15 @@ from repro.clustering.base import (
     ClusteringResult,
     canonicalize_labels,
 )
+from repro.clustering.components import pair_components
 from repro.distances.metric import COSINE, Metric
 from repro.engine_config import ExecutionConfig
 
 __all__ = ["DBSCAN"]
 
-#: Internal sentinel for points not yet visited (paper: "undefined").
-UNDEFINED = -2
-
 
 class DBSCAN(Clusterer):
-    """Exact density-based clustering with per-point range queries.
+    """Exact density-based clustering from one self-join of the dataset.
 
     Parameters
     ----------
@@ -39,12 +38,10 @@ class DBSCAN(Clusterer):
         "cosine" (default) or "euclidean" — the future-work extension.
     execution:
         Execution policy (:class:`~repro.engine_config.ExecutionConfig`):
-        sharding and kernel block size; range queries run on exact brute
-        force in the chosen metric. Every point is queried exactly once
-        (in the outer loop or at its dequeue), and a neighbourhood
-        depends only on the data, the point and ``eps``, so all ``n``
-        queries run up front as one blocked call; the clustering is
-        identical to one scalar query per point.
+        sharding and kernel block size; the pairs come from exact brute
+        force in the chosen metric, in one ``range_pairs`` call that
+        covers all ``n`` range queries of sequential DBSCAN. The
+        clustering is identical to one scalar query per point.
 
     Examples
     --------
@@ -69,53 +66,32 @@ class DBSCAN(Clusterer):
     def fit(self, X: np.ndarray) -> ClusteringResult:
         X = self.metric.validate(X)
         n = X.shape[0]
-        labels = np.full(n, UNDEFINED, dtype=np.int64)
-        core_mask = np.zeros(n, dtype=bool)
-        # Queue dedup: enqueueing a point twice is a semantic no-op (its
-        # second visit hits the label check), so skip the duplicate.
-        enqueued = np.zeros(n, dtype=bool)
-        n_range_queries = 0
-        cluster_id = -1
-
-        # Every point's range query executes exactly once (in the outer
-        # loop or at its dequeue), so all n run in one call; the loop
-        # reads them in its own order. All neighbourhoods stay resident
-        # until the fit ends.
         with self._engine(X) as index:
-            neighborhoods = index.batch_range_query_rows(np.arange(n), self.eps)
-            for p in range(n):
-                if labels[p] != UNDEFINED:
-                    continue
-                neighbors = neighborhoods[p]
-                n_range_queries += 1
-                if neighbors.size < self.tau:
-                    labels[p] = NOISE
-                    continue
-                cluster_id += 1
-                labels[p] = cluster_id
-                core_mask[p] = True
-                # Expansion queue: the paper's growing seed set S = N - {P}.
-                queue = neighbors[neighbors != p].tolist()
-                enqueued[neighbors] = True
-                head = 0
-                while head < len(queue):
-                    q = queue[head]
-                    head += 1
-                    if labels[q] == NOISE:
-                        labels[q] = cluster_id  # noise reclaimed as border
-                    if labels[q] != UNDEFINED:
-                        continue
-                    labels[q] = cluster_id
-                    q_neighbors = neighborhoods[q]
-                    n_range_queries += 1
-                    if q_neighbors.size >= self.tau:
-                        core_mask[q] = True
-                        fresh = q_neighbors[~enqueued[q_neighbors]]
-                        enqueued[fresh] = True
-                        queue.extend(fresh.tolist())
-
-            stats: dict[str, int | float] = {"range_queries": n_range_queries}
+            rows, cols = index.range_pairs(self.eps)
+            stats: dict[str, int | float] = {
+                "range_queries": n,
+                "neighbor_pairs": int(rows.size),
+            }
             stats.update(index.stats())
+        # A point is its own neighbour (d(P, P) = 0), and each pair
+        # counts for both of its points.
+        counts = 1 + np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+        core_mask = counts >= self.tau
+        # Sequential expansion creates one cluster per component of the
+        # core-core graph, at its lowest core. pair_components numbers
+        # components by their lowest node, so its ids are creation order.
+        row_core, col_core = core_mask[rows], core_mask[cols]
+        linked = row_core & col_core
+        component = pair_components(rows[linked], cols[linked], n)
+        labels = np.where(core_mask, component, n)
+        # A border point joins the first-created cluster among its core
+        # neighbours: the first expansion that reaches it claims it.
+        for border, core, claimed in (
+            (rows, cols, col_core & ~row_core),
+            (cols, rows, row_core & ~col_core),
+        ):
+            np.minimum.at(labels, border[claimed], component[core[claimed]])
+        labels[labels == n] = NOISE
         return ClusteringResult(
             labels=canonicalize_labels(labels),
             core_mask=core_mask,

@@ -1,7 +1,8 @@
 """Algorithm 1: LAF-enhanced DBSCAN.
 
 Line-for-line implementation of the paper's Algorithm 1. The black lines
-are original DBSCAN (:mod:`repro.clustering.dbscan`); the red lines —
+are original DBSCAN (which :mod:`repro.clustering.dbscan` computes set
+at a time, with the same labels); the red lines —
 the ``CardEst`` gate, the map ``E`` maintenance and the final
 ``PostProcessing`` — come from the :class:`~repro.core.laf.LAF` plugin:
 

@@ -102,6 +102,19 @@ class NeighborIndex(abc.ABC):
         """:meth:`batch_range_count` of the indexed points ``points[ids]``."""
         return self.batch_range_count(self.points[ids], eps)
 
+    def range_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair ``i < j`` of indexed points within ``eps`` (the self-join),
+        as int32 ``(rows, cols)`` in row-major order.
+
+        Derived here from :meth:`batch_range_query_rows` over every row.
+        """
+        neighborhoods = self.batch_range_query_rows(np.arange(self.n_points), eps)
+        sizes = [row.size for row in neighborhoods]
+        rows = np.repeat(np.arange(self.n_points, dtype=np.int32), sizes)
+        cols = np.concatenate(neighborhoods or [np.empty(0)]).astype(np.int32)
+        upper = cols > rows
+        return rows[upper], cols[upper]
+
     def _require_built(self) -> None:
         if self._points is None:
             raise NotFittedError(f"{type(self).__name__} has not been built yet")

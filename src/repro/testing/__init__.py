@@ -31,6 +31,7 @@ import contextlib
 import numpy as np
 
 from repro.distances import normalize_rows
+from repro.index.base import NeighborIndex
 from repro.index.brute_force import BruteForceIndex
 
 __all__ = [
@@ -51,6 +52,7 @@ class PerPointEngine(BruteForceIndex):
     ``batch_range_count_rows`` one
     :meth:`~repro.index.brute_force.BruteForceIndex.range_count` per
     row: the form every fit calls, answered with nothing batched.
+    ``range_pairs`` is the base class's derivation from those rows.
     """
 
     def batch_range_query_rows(self, ids, eps: float) -> list[np.ndarray]:
@@ -61,6 +63,9 @@ class PerPointEngine(BruteForceIndex):
             [self.range_count(self.points[i], eps) for i in np.asarray(ids)],
             dtype=np.int64,
         )
+
+    def range_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        return NeighborIndex.range_pairs(self, eps)
 
 
 def use_per_point_engine(clusterer):

@@ -197,7 +197,8 @@ def index_rows(monkeypatch):
     """Rows of every BruteForceIndex row-id call (and scalar query) of a fit.
 
     Maps a method name to one entry per call: the number of rows it
-    computed (1 for a scalar ``range_query`` / ``range_count``).
+    computed (1 for a scalar ``range_query`` / ``range_count``, every
+    indexed point for the ``range_pairs`` self-join).
     """
     calls = defaultdict(list)
 
@@ -217,6 +218,14 @@ def index_rows(monkeypatch):
         "range_count",
     ):
         monkeypatch.setattr(BruteForceIndex, name, spy_on(name))
+
+    original_pairs = BruteForceIndex.range_pairs
+
+    def spy_pairs(self, eps):
+        calls["range_pairs"].append(self.n_points)
+        return original_pairs(self, eps)
+
+    monkeypatch.setattr(BruteForceIndex, "range_pairs", spy_pairs)
     return calls
 
 
@@ -226,7 +235,6 @@ class TestIndexAccounting:
     @pytest.mark.parametrize(
         "name",
         [
-            "dbscan",
             "laf_dbscan_false_negatives",
             "laf_dbscanpp_false_negatives",
             "rho_approx_borders",
@@ -239,13 +247,20 @@ class TestIndexAccounting:
         if "skipped_queries" in stats:
             # The gate's skipped points never reached the index.
             assert stats["skipped_queries"] > 0
-        if name == "dbscan":
-            assert stats["range_queries"] == blob_plus_noise.shape[0]
+
+    def test_dbscan_self_join_covers_every_row(self, index_rows, blob_plus_noise):
+        """DBSCAN's n range queries are one self-join over every row,
+        and nothing else reaches the index."""
+        stats = _make("dbscan", True).fit(blob_plus_noise).stats
+        assert stats["range_queries"] == blob_plus_noise.shape[0]
+        assert index_rows["range_pairs"] == [stats["range_queries"]]
+        assert set(index_rows) == {"range_pairs"}
 
     @pytest.mark.parametrize("name", ["dbscan", "laf_dbscan_false_negatives"])
     def test_one_call_per_fit(self, name, index_rows, blob_plus_noise):
         _make(name, True).fit(blob_plus_noise)
-        assert len(index_rows["batch_range_query_rows"]) == 1
+        method = "range_pairs" if name == "dbscan" else "batch_range_query_rows"
+        assert len(index_rows[method]) == 1
 
     def test_reference_queries_per_point(self, index_rows, blob_plus_noise):
         """The per-point side really is the scalar reference: one scalar
@@ -253,6 +268,7 @@ class TestIndexAccounting:
         stats = _make("dbscan", False).fit(blob_plus_noise).stats
         assert index_rows["range_query"] == [1] * stats["range_queries"]
         assert "batch_range_query_rows" not in index_rows
+        assert "range_pairs" not in index_rows
 
     def test_reference_counts_per_point(self, index_rows, blob_plus_noise):
         stats = _make("dbscanpp_uniform", False).fit(blob_plus_noise).stats

@@ -14,7 +14,7 @@ import pytest
 
 from repro.distances import normalize_rows
 from repro.exceptions import NotFittedError
-from repro.index import BruteForceIndex, GridIndex, ShardedIndex
+from repro.index import BruteForceIndex, GridIndex, ShardedIndex, brute_force
 
 from repro.testing import make_blobs_on_sphere
 
@@ -167,6 +167,34 @@ class TestRowIdForms:
             assert count == expected.size, i
         assert index.batch_range_query_rows(np.empty(0, dtype=np.int64), EPS) == []
         assert index.batch_range_count_rows(np.empty(0, dtype=np.int64), EPS).size == 0
+
+    @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
+    def test_range_pairs_match_scalar(self, name, make, data):
+        index = make().build(data)
+        reference = scalar_reference(index, data)
+        rows, cols = index.range_pairs(EPS)
+        assert rows.dtype == cols.dtype == np.int32
+        expected = [
+            (i, j)
+            for i in range(data.shape[0])
+            for j in reference.range_query(data[i], EPS)
+            if j > i
+        ]
+        # Every pair i < j once, in row-major order.
+        assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+    def test_range_pairs_compute_the_upper_triangle(self, data, monkeypatch):
+        # Row block [s, e) runs against points[s:] only.
+        shapes = []
+        kernel = brute_force.iter_cosine_range_masks
+
+        def spy(Q, X, *args, **kwargs):
+            shapes.append((len(Q), len(X)))
+            return kernel(Q, X, *args, **kwargs)
+
+        monkeypatch.setattr(brute_force, "iter_cosine_range_masks", spy)
+        BruteForceIndex(block_size=16).build(data).range_pairs(EPS)
+        assert shapes == [(16, 80), (16, 64), (16, 48), (16, 32), (16, 16)]
 
     def test_brute_force_gathers_one_block_at_a_time(self, data, monkeypatch):
         # A plan of every row must not copy the whole point matrix.
