@@ -161,8 +161,8 @@ def test_exact_methods_match_reference(name, blob_plus_noise):
 
 
 class TestPropertyEquivalence:
-    """Randomized differential sweep over the exact expansion path, which
-    reads its neighbourhoods in frontier order from one batched call."""
+    """Randomized differential sweep over the exact paths: DBSCAN's
+    self-join and LAF-DBSCAN's one batched call read in frontier order."""
 
     @given(st.integers(0, 300))
     @settings(max_examples=12, deadline=None)
