@@ -4,10 +4,10 @@ DBSCAN++ (and LAF-DBSCAN++) cluster their detected core points by
 connecting any two within ``eps``. The core graph is built set at a
 time by the index self-join
 :meth:`~repro.index.brute_force.BruteForceIndex.range_pairs` (each
-pair ``i < j`` computed once, on the upper triangle), and scipy labels
-its connected components. DBSCAN labels its core-core graph with the
-same :func:`pair_components`. Peak memory is a float32 copy of the
-points, one kernel block and the int32 pairs.
+pair computed once, on the upper triangle), and scipy labels its
+connected components. DBSCAN labels its core-core graph with the same
+:func:`pair_components`. Peak memory is a float32 copy of the points,
+one kernel block and the int32 pairs.
 """
 
 from __future__ import annotations
@@ -26,25 +26,9 @@ def pair_components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
     Nodes are ``0 .. n-1``; every node gets an id (a node without edges
     is its own component), numbered ``0 .. k-1`` in order of each
-    component's lowest node. The edges are pairs ``i < j``.
+    component's lowest node.
     """
-    # Hook each node to a higher neighbour and follow the hooks (pointer
-    # doubling). A hook path is a path of the graph, so scipy needs only
-    # the edges between two path tops: a dense cluster collapses first.
-    top = np.arange(n)
-    top[rows] = cols
-    for _ in range(n.bit_length()):
-        up = top[top]
-        if np.array_equal(up, top):
-            break
-        top = up
-    across = top[rows] != top[cols]
-    edges_from = np.concatenate([np.arange(n), rows[across]])
-    edges_to = np.concatenate([top, cols[across]])
-    graph = csr_matrix(
-        (np.ones(edges_from.size, dtype=np.int8), (edges_from, edges_to)),
-        shape=(n, n),
-    )
+    graph = csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
     # The undirected search starts from unlabelled nodes in order, so
     # components come out numbered by their lowest node.
     _, labels = connected_components(graph, directed=False)
@@ -57,12 +41,13 @@ def connected_components_within(X: np.ndarray, eps: float) -> tuple[np.ndarray, 
     Returns ``(labels, n_pairs)``: an int array of component labels
     ``0 .. k-1`` (every row gets one; singletons form their own
     components), numbered in order of each component's lowest row, and
-    the number of pairs ``i < j`` within ``eps`` (the upper-triangle
-    edges of the core graph). Adjacency is the range kernel's decision,
-    exact up to pairs within a few ulps of ``eps``.
+    the number of pairs ``i < j`` within ``eps`` (the edges of the core
+    graph). Adjacency is the range kernel's decision, exact up to pairs
+    within a few ulps of ``eps``.
     """
     X = np.asarray(X, dtype=np.float64)
     # Attached, not built: the rows were validated with the dataset
     # they come from, and an empty core set is a valid input.
     rows, cols = BruteForceIndex()._attach(X).range_pairs(eps)
-    return pair_components(rows, cols, X.shape[0]), int(rows.size)
+    n_pairs = int(np.count_nonzero(rows < cols))
+    return pair_components(rows, cols, X.shape[0]), n_pairs

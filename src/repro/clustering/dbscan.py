@@ -68,14 +68,15 @@ class DBSCAN(Clusterer):
         n = X.shape[0]
         with self._engine(X) as index:
             rows, cols = index.range_pairs(self.eps)
+            apart = rows != cols
             stats: dict[str, int | float] = {
                 "range_queries": n,
-                "neighbor_pairs": int(rows.size),
+                "neighbor_pairs": int(np.count_nonzero(apart)),
             }
             stats.update(index.stats())
-        # A point is its own neighbour (d(P, P) = 0), and each pair
-        # counts for both of its points.
-        counts = 1 + np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+        # A pair counts for both of its points; a point's pair with itself
+        # (the kernel's d(P, P) < eps, as in its range query) once.
+        counts = np.bincount(rows, minlength=n) + np.bincount(cols[apart], minlength=n)
         core_mask = counts >= self.tau
         # Sequential expansion creates one cluster per component of the
         # core-core graph, at its lowest core. pair_components numbers

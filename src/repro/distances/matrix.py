@@ -244,8 +244,7 @@ def iter_cosine_range_masks(
             yield start, stop, cosine_distance_matrix(q, X) < eps
             continue
         if n_band:
-            # A flat scan: several times faster than a 2-d np.nonzero.
-            rows, cols = np.divmod(np.flatnonzero(band), band.shape[1])
+            rows, cols = np.nonzero(band)
             inside = 1.0 - _pair_dots(q, X, rows, cols) < eps
             mask[rows[inside], cols[inside]] = True
         yield start, stop, mask

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, NotFittedError
 
-__all__ = ["NeighborIndex", "check_positive_int"]
+__all__ = ["NeighborIndex", "check_positive_int", "upper_pairs"]
 
 
 def check_positive_int(name: str, value) -> None:
@@ -23,6 +23,18 @@ def check_positive_int(name: str, value) -> None:
         )
     if value < 1:
         raise InvalidParameterError(f"{name} must be >= 1; got {value}")
+
+
+def upper_pairs(
+    neighborhoods: list[np.ndarray], first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(i, j)``, ``j >= i``, of the neighbourhoods of rows
+    ``first, first + 1, ...`` whose ids count from ``first``, as int32."""
+    sizes = [row.size for row in neighborhoods]
+    rows = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    cols = np.concatenate(neighborhoods or [np.empty(0)]).astype(np.int32)
+    upper = cols >= rows
+    return rows[upper] + first, cols[upper] + first
 
 
 class NeighborIndex(abc.ABC):
@@ -103,17 +115,13 @@ class NeighborIndex(abc.ABC):
         return self.batch_range_count(self.points[ids], eps)
 
     def range_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair ``i < j`` of indexed points within ``eps`` (the self-join),
-        as int32 ``(rows, cols)`` in row-major order.
+        """Every pair ``i <= j`` of indexed points within ``eps`` (the self-join),
+        as int32 ``(rows, cols)`` in row-major order. A diagonal pair
+        ``(i, i)`` is there when the kernel finds ``d(P, P) < eps``.
 
         Derived here from :meth:`batch_range_query_rows` over every row.
         """
-        neighborhoods = self.batch_range_query_rows(np.arange(self.n_points), eps)
-        sizes = [row.size for row in neighborhoods]
-        rows = np.repeat(np.arange(self.n_points, dtype=np.int32), sizes)
-        cols = np.concatenate(neighborhoods or [np.empty(0)]).astype(np.int32)
-        upper = cols > rows
-        return rows[upper], cols[upper]
+        return upper_pairs(self.batch_range_query_rows(np.arange(self.n_points), eps))
 
     def _require_built(self) -> None:
         if self._points is None:

@@ -20,6 +20,8 @@ ones stay on float64 distance blocks.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.distances.matrix import (
@@ -30,7 +32,7 @@ from repro.distances.matrix import (
 )
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError
-from repro.index.base import NeighborIndex, check_positive_int
+from repro.index.base import NeighborIndex, check_positive_int, upper_pairs
 
 __all__ = ["BruteForceIndex"]
 
@@ -118,21 +120,20 @@ class BruteForceIndex(NeighborIndex):
     # Batched forms (exact, blockwise)
     # ------------------------------------------------------------------
 
-    def _iter_masks(self, Q: np.ndarray, eps: float, first: int = 0):
-        """``(start, stop, mask)`` blocks: ``mask[i, j] = d(Q[i], x[first+j]) < eps``"""
-        X = self._points[first:]
+    def _iter_masks(self, Q: np.ndarray, eps: float):
+        """``(start, stop, mask)`` blocks with ``mask[i, j] = d(Q[i], x_j) < eps``."""
         if self.metric.name == "cosine":
             yield from iter_cosine_range_masks(
                 Q,
-                X,
+                self._points,
                 eps,
                 block_size=self.block_size,
-                X32=self._points32[first:],
+                X32=self._points32,
                 x_norm=self._max_norm,
             )
         else:
             blocks = iter_distance_blocks(
-                Q, X, block_size=self.block_size, metric="euclidean"
+                Q, self._points, block_size=self.block_size, metric="euclidean"
             )
             for start, stop, block in blocks:
                 yield start, stop, block < eps
@@ -166,22 +167,21 @@ class BruteForceIndex(NeighborIndex):
         return counts
 
     def range_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair ``i < j`` of indexed points within ``eps``, computed once.
+        """Every pair ``i <= j`` of indexed points within ``eps``, computed once.
 
-        Row block ``[s, e)`` runs against ``points[s:]`` only (the upper
-        triangle), on the kernel and with the exactness contract of
-        :meth:`batch_range_query`: half the GEMM of every row's query.
+        Row block ``[s, e)`` is a :meth:`batch_range_query` against
+        ``points[s:]`` only (the upper triangle): the kernel and
+        exactness contract of every row's query, at half its GEMM.
         """
         self._require_built()
-        pairs = [(np.empty(0, dtype=np.int32),) * 2]
+        tail = copy.copy(self)  # shares the arrays, sliced per block
+        pairs = [upper_pairs([])]
         for s in range(0, self.n_points, self.block_size):
-            e = min(s + self.block_size, self.n_points)
-            _, _, mask = next(self._iter_masks(self._points[s:e], eps, first=s))
-            # Keep pairs i < j: drop the diagonal block's diagonal and lower half.
-            mask[:, : e - s] = np.triu(mask[:, : e - s], k=1)
-            # A flat scan: several times faster than a 2-d np.nonzero.
-            flat = np.divmod(np.flatnonzero(mask), mask.shape[1])
-            pairs.append(tuple((ids + s).astype(np.int32) for ids in flat))
+            tail._points = self._points[s:]
+            if self._points32 is not None:
+                tail._points32 = self._points32[s:]
+            block = tail.batch_range_query(self._points[s : s + self.block_size], eps)
+            pairs.append(upper_pairs(block, s))
         rows, cols = zip(*pairs)
         return np.concatenate(rows), np.concatenate(cols)
 

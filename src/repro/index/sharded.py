@@ -63,7 +63,7 @@ import numpy as np
 from repro.distances.matrix import DEFAULT_BLOCK_SIZE
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError, NotFittedError
-from repro.index.base import NeighborIndex, check_positive_int
+from repro.index.base import NeighborIndex, check_positive_int, upper_pairs
 from repro.index.brute_force import BruteForceIndex
 
 __all__ = [
@@ -502,20 +502,31 @@ class ShardedIndex(NeighborIndex):
     def batch_range_count_rows(self, ids: np.ndarray, eps: float) -> np.ndarray:
         return self._count_blocks(np.asarray(ids, dtype=np.int64), eps, rows=True)
 
-    def _range_blocks(self, queries: np.ndarray, eps: float, *, rows: bool):
-        """Fan ``queries`` (vectors, or row ids when ``rows``) out per block."""
+    def range_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`NeighborIndex.range_pairs` in the rounds of a row-id query of
+        every row; a block skips the shards that end at or before its first
+        row, which hold none of its pairs (the upper triangle at shard grain)."""
+        ids = np.arange(self.n_points)
+        return upper_pairs(self._range_blocks(ids, eps, rows=True, upper=True))
+
+    def _range_blocks(
+        self, queries: np.ndarray, eps: float, *, rows: bool, upper: bool = False
+    ):
+        """Fan ``queries`` (vectors, or row ids when ``rows``) out per block;
+        ``upper`` (ascending row ids) leaves out the shards below a block."""
         self._require_open()
         if not self._live:
             return [np.empty(0, dtype=np.int64) for _ in range(len(queries))]
         out: list[np.ndarray] = []
-        starts = [lo for _, lo, _ in self._live]
         for block_lo in range(0, len(queries), self.query_block):
             block = queries[block_lo : block_lo + self.query_block]
-            calls = [(shard_id, (block, eps)) for shard_id, _, _ in self._live]
+            live = [shard for shard in self._live if not upper or shard[2] > block[0]]
+            calls = [(shard_id, (block, eps)) for shard_id, _, _ in live]
             results = self._executor_obj.run("range", calls, rows)
             per_shard = [csr_to_rows(indptr, flat) for indptr, flat in results]
             # Brute force returns sorted rows over disjoint ascending
             # shards: concatenation is the merged answer.
+            starts = [lo for _, lo, _ in live]
             out.extend(concat_shard_rows(per_shard, starts, len(block)))
         return out
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.clustering import DBSCAN
 from repro.distances import normalize_rows
+from repro.distances.matrix import iter_distance_blocks
 from repro.engine_config import ExecutionConfig
 from repro.index import BruteForceIndex, ShardingConfig
 
@@ -165,6 +166,20 @@ class TestEdgeCases:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(80, 5)) + 4.0 * rng.integers(0, 3, size=(80, 1))
         assert_matches_oracle(X, eps, tau, metric="euclidean")
+
+    def test_self_membership_follows_the_kernel(self):
+        # Far from the origin the Euclidean kernel's rounded d(P, P) can
+        # reach a small eps. A point is then not in its own range query,
+        # and DBSCAN counts it as that query does (as LAF-DBSCAN does).
+        X = np.random.default_rng(0).normal(size=(60, 64)) * 1e4
+        _, _, D = next(iter_distance_blocks(X, X, metric="euclidean"))
+        eps = max(np.diag(D).max() / 2, 1e-9)
+        index = BruteForceIndex(metric="euclidean").build(X)
+        rows = index.batch_range_query_rows(np.arange(len(X)), eps)
+        in_own_query = np.array([i in row for i, row in enumerate(rows)])
+        result = DBSCAN(eps=eps, tau=1, metric="euclidean").fit(X)
+        assert np.array_equal(result.core_mask, in_own_query)
+        assert np.array_equal(result.labels >= 0, in_own_query)
 
     def test_neighbor_pairs_counts_each_pair_once(self, clusterable_data):
         result = DBSCAN(eps=0.5, tau=5).fit(clusterable_data)

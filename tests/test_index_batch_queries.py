@@ -15,6 +15,7 @@ import pytest
 from repro.distances import normalize_rows
 from repro.exceptions import NotFittedError
 from repro.index import BruteForceIndex, GridIndex, ShardedIndex, brute_force
+from repro.remote.pool import RemoteExecutor
 
 from repro.testing import make_blobs_on_sphere
 
@@ -178,23 +179,46 @@ class TestRowIdForms:
             (i, j)
             for i in range(data.shape[0])
             for j in reference.range_query(data[i], EPS)
-            if j > i
+            if j >= i
         ]
-        # Every pair i < j once, in row-major order.
+        # Every pair i <= j once (the diagonal too), in row-major order.
         assert list(zip(rows.tolist(), cols.tolist())) == expected
 
-    def test_range_pairs_compute_the_upper_triangle(self, data, monkeypatch):
-        # Row block [s, e) runs against points[s:] only.
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_range_pairs_compute_the_upper_triangle(self, metric, data, monkeypatch):
+        # Row block [s, e) is one batched range query against points[s:].
         shapes = []
-        kernel = brute_force.iter_cosine_range_masks
+        batch = BruteForceIndex.batch_range_query
 
-        def spy(Q, X, *args, **kwargs):
-            shapes.append((len(Q), len(X)))
-            return kernel(Q, X, *args, **kwargs)
+        def spy(self, Q, eps):
+            shapes.append((len(Q), self.n_points))
+            return batch(self, Q, eps)
 
-        monkeypatch.setattr(brute_force, "iter_cosine_range_masks", spy)
-        BruteForceIndex(block_size=16).build(data).range_pairs(EPS)
+        monkeypatch.setattr(BruteForceIndex, "batch_range_query", spy)
+        BruteForceIndex(block_size=16, metric=metric).build(data).range_pairs(EPS)
         assert shapes == [(16, 80), (16, 64), (16, 48), (16, 32), (16, 16)]
+
+    def test_sharded_range_pairs_skip_the_shards_below_a_block(
+        self, data, worker_pool, monkeypatch
+    ):
+        # 80 rows in shards of 20 and blocks of 20: block b holds no pair
+        # in shards 0..b-1, so it is sent to shards b..3 only.
+        calls = []
+        run = RemoteExecutor.run
+
+        def spy(self, op, shard_calls, rows=False):
+            if op == "range":
+                calls.append([shard_id for shard_id, _ in shard_calls])
+            return run(self, op, shard_calls, rows)
+
+        monkeypatch.setattr(RemoteExecutor, "run", spy)
+        spec = worker_pool.executor_spec()
+        index = ShardedIndex(n_shards=4, executor=spec, query_block=20).build(data)
+        try:
+            index.range_pairs(EPS)
+        finally:
+            index.close()
+        assert calls == [[0, 1, 2, 3], [1, 2, 3], [2, 3], [3]]
 
     def test_brute_force_gathers_one_block_at_a_time(self, data, monkeypatch):
         # A plan of every row must not copy the whole point matrix.
