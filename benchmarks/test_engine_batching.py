@@ -73,9 +73,9 @@ def test_engine_batching_speedup(n):
     query_speedup = t_scalar / t_batched
 
     t_fit_scalar = _best_of(
-        lambda: use_per_point_engine(DBSCAN(eps=EPS, tau=TAU)).fit(X), repeats=1
+        lambda: use_per_point_engine(DBSCAN(eps=EPS, tau=TAU)).fit(X)
     )
-    t_fit_batched = _best_of(lambda: DBSCAN(eps=EPS, tau=TAU).fit(X), repeats=1)
+    t_fit_batched = _best_of(lambda: DBSCAN(eps=EPS, tau=TAU).fit(X))
     fit_speedup = t_fit_scalar / t_fit_batched
 
     rows = [

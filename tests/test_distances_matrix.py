@@ -202,6 +202,28 @@ class TestCosineRangeMasks:
             _assert_masks_exact(Q, X, eps)
         assert fallbacks == []
 
+    @pytest.mark.parametrize("block_size", [1, 3, 7])
+    @pytest.mark.parametrize("eps", [0.8, 1.2])
+    @pytest.mark.parametrize("dim", BAND_DIMS)
+    def test_multi_row_blocks_split_the_band_by_row(
+        self, dim, eps, block_size, fallbacks
+    ):
+        # Seven band-edge queries in different directions and norms,
+        # stacked against all of their rows (7 x ~10,700), so every
+        # block but the single-row ones holds band pairs on several rows.
+        # (At eps=1 the threshold sits where most random rows are, and
+        # the band of a block with a norm-3 query falls back to float64.)
+        cases = [
+            _band_edge_case(dim, eps, (0.25, 1.0, 3.0)[k % 3], 1500, seed=k)
+            for k in range(7)
+        ]
+        Q = np.vstack([q for q, _ in cases])
+        X = np.vstack([x for _, x in cases])
+        near = np.abs(1.0 - Q @ X.T - eps) < 1e-3
+        assert near.any(axis=1).all() and X.shape[0] != Q.shape[0]
+        _assert_masks_exact(Q, X, eps, block_size)
+        assert fallbacks == []
+
     def test_matches_float64_blocks(self, matrices):
         Q, X = matrices
         for eps in (0.0, 0.3, 1.0, 2.0, 2.5):
