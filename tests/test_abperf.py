@@ -112,10 +112,15 @@ def test_eight_wins_of_ten_is_not_a_gain():
 
 
 def test_a_gap_inside_the_parents_spread_is_not_a_gain():
-    parent = [1.0, 1.2, 1.4, 1.6, 1.8]
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8] * 2
     change = [v - 0.05 for v in parent]  # wins every pair, gap 0.05 < IQR 0.4
     c = abperf.compare(PLAIN, parent, change)
-    assert c.wins == 5 and c.verdict == "within noise"
+    assert c.wins == 10 and c.verdict == "within noise"
+
+
+def test_fewer_than_ten_pairs_claim_no_gain():
+    assert abperf.compare(PLAIN, [1.3] * 9, [1.0] * 9).verdict == "within noise"
+    assert abperf.compare(PLAIN, [1.3] * 10, [1.0] * 10).verdict == "gain met"
 
 
 def test_a_slowdown_past_the_bound_is_flagged():
@@ -159,7 +164,7 @@ def test_main_runs_every_workload_on_unpacked_checkouts(tmp_path, capsys):
         with open(os.path.join(dest, "BENCHMARK.json"), "w") as fh:
             json.dump(CONFIG, fh)
 
-    runner = FakeRunner({"parent": [1.3] * 20, "change": [1.1] * 20})
+    runner = FakeRunner({"parent": [1.3] * 40, "change": [1.1] * 40})
     settings = []
 
     def make_runner(seconds, trace):
@@ -173,7 +178,7 @@ def test_main_runs_every_workload_on_unpacked_checkouts(tmp_path, capsys):
             "--change=def",
             "--workload=fit-ms50k",
             "--workload=remote-ms50k",
-            "--seeds=1-5",
+            "--seeds=1-10",
             "--save",
             str(saved),
         ],
@@ -185,9 +190,9 @@ def test_main_runs_every_workload_on_unpacked_checkouts(tmp_path, capsys):
     assert unpacked == ["abc", "def"]
     assert settings == [(6, False)]  # run_seconds from the change's BENCHMARK.json
     workloads = [w for _, w, _ in runner.calls]
-    assert workloads == ["fit-ms50k"] * 10 + ["remote-ms50k"] * 10
+    assert workloads == ["fit-ms50k"] * 20 + ["remote-ms50k"] * 20
     out = capsys.readouterr().out.strip().splitlines()
-    assert out[-1].startswith("A/B (`tools/abperf.py`, ABC → DEF, 5 alternating")
+    assert out[-1].startswith("A/B (`tools/abperf.py`, ABC → DEF, 10 alternating")
     assert "`fit-ms50k`: `plain_s` 1.3 [1.3, 1.3] → 1.1 [1.1, 1.1]" in out[-1]
     assert "`remote-ms50k`: " in out[-1] and "gain met" in out[-1]
     assert sorted(json.loads(saved.read_text())) == ["fit-ms50k", "remote-ms50k"]

@@ -13,8 +13,9 @@ side runs first, and reads each run's last JSON line. Per metric it
 prints the medians, the quartiles, the change's wins out of the pairs,
 an exact two-sided sign-test p and a verdict:
 
-* ``gain met``: the change is better in at least 9 of 10 pairs and its
-  median beats the parent's by more than the parent's quartile distance;
+* ``gain met``: over at least ten pairs, the change is better in at
+  least 9 of 10 and its median beats the parent's by more than the
+  parent's quartile distance;
 * ``beyond bound``: the change's median is worse than the parent's by
   more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of
   the parent's median (per-layer metrics have no bound);
@@ -40,6 +41,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Fewest pairs on which a gain can be claimed.
+MIN_PAIRS = 10
 
 #: ``(checkout, workload, seed)`` -> the run's result object.
 Runner = Callable[[str, str, int], dict]
@@ -108,7 +112,11 @@ def compare(
     gap = sign * (pq[1] - cq[1])  # > 0: the change's median is better
     if metric.bound is not None and -gap > metric.bound * abs(pq[1]):
         verdict = "beyond bound"
-    elif 10 * wins >= 9 * len(gains) and gap > pq[2] - pq[0]:
+    elif (
+        len(gains) >= MIN_PAIRS
+        and 10 * wins >= 9 * len(gains)
+        and gap > pq[2] - pq[0]
+    ):
         verdict = "gain met"
     else:
         verdict = "within noise"
