@@ -155,7 +155,58 @@ def test_report_counts_failures_per_side():
     )
 
 
-def test_main_runs_every_workload_on_unpacked_checkouts(tmp_path, capsys):
+def test_a_win_with_more_failures_is_not_a_gain():
+    parent = [1.30, 1.34, 1.36, 1.33, 1.35, 1.31, 1.40, 1.32, 1.34, 1.38]
+    clean = [(result(p), result(0.8 * p)) for p in parent]
+    assert all(c.wins == 10 for c in abperf.compare_workload([PLAIN], clean))
+    assert abperf.compare_workload([PLAIN], clean)[0].verdict == "gain met"
+    failing = clean[:-1] + [(result(parent[-1]), result(0.8 * parent[-1], failed=1))]
+    (c,) = abperf.compare_workload([PLAIN], failing)
+    assert c.wins == 10 and c.verdict == "no gain: more failures"
+    # A slowdown past the bound is still reported as such.
+    slow = [(result(1.0), result(1.3, failed=1))] * 10
+    assert abperf.compare_workload([PLAIN], slow)[0].verdict == "beyond bound"
+
+
+def test_failures_compare_incorrect_runs_and_the_failed_share():
+    def runs(failed, attempted=10, correct=True):
+        return [{"correct": correct, "failed": failed, "attempted": attempted}]
+
+    assert not abperf.fails_more(runs(0), runs(0))
+    assert not abperf.fails_more(runs(2), runs(2))
+    assert abperf.fails_more(runs(0), runs(1))
+    assert abperf.fails_more(runs(0), runs(0, correct=False))
+    assert not abperf.fails_more(runs(0, correct=False), runs(0))
+    # A share, not a count: 2 of 40 is fewer than 1 of 10.
+    assert not abperf.fails_more(runs(1, 10), runs(2, 40))
+    assert abperf.fails_more(runs(1, 40), runs(1, 10))
+    assert abperf.fails_more(runs(0, 0), runs(1, 10))
+
+
+def test_perfbench_runner_leaves_the_run_length_to_the_benchmark(monkeypatch):
+    calls = []
+
+    def fake_run(command, cwd, env, capture_output, text):
+        calls.append((command, cwd, env))
+        out = 'info: {}\n{"correct": true}\n'
+        return abperf.subprocess.CompletedProcess(command, 0, out, "")
+
+    monkeypatch.setattr(abperf.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    assert abperf.perfbench_runner(True)("/x/parent", "fit-ms50k", 3) == {
+        "correct": True
+    }
+    ((command, cwd, env),) = calls
+    assert command[1:] == [
+        os.path.join("perfbench", "run.py"),
+        "--workload=fit-ms50k",
+        "--seed=3",
+        "--trace=1",
+    ]
+    assert cwd == "/x/parent" and "PYTHONPATH" not in env
+
+
+def test_main_runs_every_workload_on_unpacked_checkouts(capsys):
     unpacked = []
 
     def fake_unpack(rev, dest):
@@ -167,11 +218,10 @@ def test_main_runs_every_workload_on_unpacked_checkouts(tmp_path, capsys):
     runner = FakeRunner({"parent": [1.3] * 40, "change": [1.1] * 40})
     settings = []
 
-    def make_runner(seconds, trace):
-        settings.append((seconds, trace))
+    def make_runner(trace):
+        settings.append(trace)
         return runner
 
-    saved = tmp_path / "runs.json"
     code = abperf.main(
         [
             "--parent=abc",
@@ -179,8 +229,6 @@ def test_main_runs_every_workload_on_unpacked_checkouts(tmp_path, capsys):
             "--workload=fit-ms50k",
             "--workload=remote-ms50k",
             "--seeds=1-10",
-            "--save",
-            str(saved),
         ],
         make_runner=make_runner,
         unpack=fake_unpack,
@@ -188,11 +236,11 @@ def test_main_runs_every_workload_on_unpacked_checkouts(tmp_path, capsys):
     )
     assert code == 0
     assert unpacked == ["abc", "def"]
-    assert settings == [(6, False)]  # run_seconds from the change's BENCHMARK.json
+    assert settings == [False]
     workloads = [w for _, w, _ in runner.calls]
     assert workloads == ["fit-ms50k"] * 20 + ["remote-ms50k"] * 20
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1].startswith("A/B (`tools/abperf.py`, ABC → DEF, 10 alternating")
+    assert "`run_seconds` 6, `--trace 0`" in out[-1]  # the change's BENCHMARK.json
     assert "`fit-ms50k`: `plain_s` 1.3 [1.3, 1.3] → 1.1 [1.1, 1.1]" in out[-1]
     assert "`remote-ms50k`: " in out[-1] and "gain met" in out[-1]
-    assert sorted(json.loads(saved.read_text())) == ["fit-ms50k", "remote-ms50k"]

@@ -15,15 +15,18 @@ an exact two-sided sign-test p and a verdict:
 
 * ``gain met``: over at least ten pairs, the change is better in at
   least 9 of 10 and its median beats the parent's by more than the
-  parent's quartile distance;
+  parent's quartile distance, and its runs have no more incorrect runs
+  and no larger share of failed operations than the parent's;
+* ``no gain: more failures``: the change would meet the gain rule but
+  has more incorrect runs or a larger share of failed operations;
 * ``beyond bound``: the change's median is worse than the parent's by
   more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of
   the parent's median (per-layer metrics have no bound);
 * ``within noise``: neither.
 
-The last line of output is one line to paste into ``CHANGES.md``.
-``--save FILE`` keeps every run's result, rewritten after each pair.
-Standard library only.
+Each side runs for its own ``BENCHMARK.json``'s ``run_seconds``. The
+last line of output is one line to paste into ``CHANGES.md``. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -101,9 +104,16 @@ def sign_test_p(wins: int, losses: int) -> float:
 
 
 def compare(
-    metric: Metric, parent: Sequence[float], change: Sequence[float]
+    metric: Metric,
+    parent: Sequence[float],
+    change: Sequence[float],
+    change_fails_more: bool = False,
 ) -> Comparison:
-    """One metric's verdict over paired runs ``parent[k]``, ``change[k]``."""
+    """One metric's verdict over paired runs ``parent[k]``, ``change[k]``.
+
+    ``change_fails_more``: the change's runs have more incorrect runs or a
+    larger share of failed operations, so no gain counts.
+    """
     sign = 1.0 if metric.better == "lower" else -1.0
     gains = [sign * (p - c) for p, c in zip(parent, change, strict=True)]
     wins = sum(g > 0 for g in gains)
@@ -117,14 +127,14 @@ def compare(
         and 10 * wins >= 9 * len(gains)
         and gap > pq[2] - pq[0]
     ):
-        verdict = "gain met"
+        verdict = "no gain: more failures" if change_fails_more else "gain met"
     else:
         verdict = "within noise"
     p = sign_test_p(wins, losses)
     return Comparison(metric, pq, cq, wins, losses, len(gains), p, verdict)
 
 
-def perfbench_runner(seconds: float, trace: bool) -> Runner:
+def perfbench_runner(trace: bool) -> Runner:
     """Runs ``perfbench/run.py`` of a checkout in a fresh process."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 
@@ -134,7 +144,6 @@ def perfbench_runner(seconds: float, trace: bool) -> Runner:
             os.path.join("perfbench", "run.py"),
             f"--workload={workload}",
             f"--seed={seed}",
-            f"--seconds={seconds}",
             f"--trace={int(trace)}",
         ]
         done = subprocess.run(
@@ -157,7 +166,6 @@ def run_pairs(
     workload: str,
     seeds: Sequence[int],
     pairs: int,
-    on_pair: Callable[[list[tuple[dict, dict]]], None] | None = None,
 ) -> list[tuple[dict, dict]]:
     """``(parent, change)`` results of ``pairs`` pairs per seed.
 
@@ -172,8 +180,7 @@ def run_pairs(
                 order.reverse()
             got = {side: runner(checkout, workload, seed) for side, checkout in order}
             results.append((got["parent"], got["change"]))
-            if on_pair is not None:
-                on_pair(results)
+            print(f"{workload}: pair {len(results)} done", file=sys.stderr, flush=True)
     return results
 
 
@@ -189,12 +196,25 @@ def failures(results: Sequence[dict]) -> tuple[int, int, int]:
     return incorrect, failed, attempted
 
 
+def fails_more(parent: Sequence[dict], change: Sequence[dict]) -> bool:
+    """The change has more incorrect runs or a larger share of failed operations."""
+    (p_incorrect, p_failed, p_attempted) = failures(parent)
+    (c_incorrect, c_failed, c_attempted) = failures(change)
+    p_share = p_failed / p_attempted if p_attempted else 0.0
+    c_share = c_failed / c_attempted if c_attempted else 0.0
+    return c_incorrect > p_incorrect or c_share > p_share
+
+
 def compare_workload(
     metrics: Sequence[Metric], results: Sequence[tuple[dict, dict]]
 ) -> list[Comparison]:
     parent = [p for p, _ in results]
     change = [c for _, c in results]
-    return [compare(m, values(parent, m.name), values(change, m.name)) for m in metrics]
+    worse = fails_more(parent, change)
+    return [
+        compare(m, values(parent, m.name), values(change, m.name), worse)
+        for m in metrics
+    ]
 
 
 def _spread(q: tuple[float, float, float]) -> str:
@@ -295,16 +315,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seeds", default="1-10", help='e.g. "1-10" or "1,3,5"')
     parser.add_argument("--pairs", type=int, default=1, help="pairs per seed")
-    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--save", default=None, help="write every run's result here")
     return parser
 
 
 def main(
     argv: Sequence[str] | None = None,
     *,
-    make_runner: Callable[[float, bool], Runner] = perfbench_runner,
+    make_runner: Callable[[bool], Runner] = perfbench_runner,
     unpack: Callable[[str, str], None] = unpack,
     describe: Callable[[str], str] = describe,
 ) -> int:
@@ -319,28 +337,10 @@ def main(
             unpack(args.change, change)
         with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
             config = json.load(fh)
-        seconds = config["run_seconds"] if args.seconds is None else args.seconds
-        runner = make_runner(seconds, bool(args.trace))
-        saved: dict[str, list] = {}
-
-        def save(workload: str, results: list) -> None:
-            print(f"{workload}: pair {len(results)} done", file=sys.stderr, flush=True)
-            if args.save:
-                saved[workload] = [list(pair) for pair in results]
-                with open(args.save, "w", encoding="utf-8") as fh:
-                    json.dump(saved, fh)
-
+        runner = make_runner(bool(args.trace))
         report = []
         for workload in args.workload:
-            results = run_pairs(
-                runner,
-                parent,
-                change,
-                workload,
-                seeds,
-                args.pairs,
-                on_pair=lambda results, w=workload: save(w, results),
-            )
+            results = run_pairs(runner, parent, change, workload, seeds, args.pairs)
             comparisons = compare_workload(metrics_of(config, args.trace), results)
             report.append((workload, comparisons, results))
             print(table(workload, comparisons, results), flush=True)
@@ -350,7 +350,8 @@ def main(
         f"A/B (`tools/abperf.py`, {describe(args.parent)} → {change_name}, "
         f"{len(seeds) * args.pairs} alternating pairs, "
         f"seeds {args.seeds} × {args.pairs}, "
-        f"`--seconds {seconds:g} --trace {args.trace}`, {cpus} CPUs; "
+        f"`run_seconds` {config['run_seconds']:g}, `--trace {args.trace}`, "
+        f"{cpus} CPUs; "
         "median [quartiles], change better in wins/pairs, sign-test p)"
     )
     print(changes_line(header, report))
