@@ -14,7 +14,10 @@ against the float64 block it replaced, at the paper's d=768. A third,
 per-node float64 BFS it replaced. A fourth, ``engine_self_join_n8000.json``,
 times DBSCAN's fit (one upper-triangle self-join plus set-at-a-time
 labels) against the full-row ``batch_range_query_rows`` call over every
-point that the fit used to make before its frontier loop.
+point that the fit used to make before its frontier loop. A fifth,
+``engine_plan_join_n8000.json``, times LAF's plan query: the join
+``range_pairs(eps, rows=plan)`` over a fixed two-thirds of the rows
+against the full-row ``batch_range_query_rows(plan)`` it replaced.
 """
 
 from __future__ import annotations
@@ -230,3 +233,51 @@ def test_self_join_speedup():
         f"the self-join {t_fit:.3f}s ({self_join_speedup:.2f}x)"
     )
     save_json(out_path(f"engine_self_join_n{n}.json"), {"rows": rows_out})
+
+
+def _plan_pair_keys(n, plan, neighborhoods) -> np.ndarray:
+    """The sorted keys ``i * n + j`` of the pairs ``range_pairs(eps,
+    rows=plan)`` owes, from the full-row neighbourhoods of ``plan``."""
+    i = np.repeat(plan, [row.size for row in neighborhoods])
+    j = np.concatenate(neighborhoods)
+    in_plan = np.zeros(n, dtype=bool)
+    in_plan[plan] = True
+    keep = ~in_plan[j] | (j >= i)
+    return np.sort(i[keep] * n + j[keep])
+
+
+def test_plan_join_speedup():
+    n = 8000
+    X = _dataset(n, dim=768)
+    index = BruteForceIndex().build(X)
+    # A fixed two-thirds of the rows, as a LAF plan of predicted cores.
+    plan = np.sort(np.random.default_rng(0).choice(n, size=2 * n // 3, replace=False))
+
+    pair_rows, cols = index.range_pairs(EPS, rows=plan)
+    got = np.sort(pair_rows.astype(np.int64) * n + cols)
+    expected = _plan_pair_keys(n, plan, index.batch_range_query_rows(plan, EPS))
+    assert np.array_equal(got, expected)
+    del pair_rows, cols, got, expected
+
+    t_rows = _best_of(lambda: index.batch_range_query_rows(plan, EPS))
+    t_join = _best_of(lambda: index.range_pairs(EPS, rows=plan))
+    plan_join_speedup = t_rows / t_join
+    rows_out = [
+        {
+            "n": n,
+            "dim": int(X.shape[1]),
+            "eps": EPS,
+            "plan_rows": int(plan.size),
+            "full_rows_query_s": t_rows,
+            "plan_join_s": t_join,
+            "plan_join_speedup": plan_join_speedup,
+            # The GEMMs run on every CPU BLAS may use.
+            "usable_cpus": usable_cpus(),
+        }
+    ]
+    print()
+    print(
+        f"n={n} d=768, {plan.size} plan rows: full-row neighbourhoods "
+        f"{t_rows:.3f}s, plan join {t_join:.3f}s ({plan_join_speedup:.2f}x)"
+    )
+    save_json(out_path(f"engine_plan_join_n{n}.json"), {"rows": rows_out})

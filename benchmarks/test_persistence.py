@@ -3,10 +3,13 @@
 The persistence layer's headline claim is that ``load_model()`` is a
 manifest-validation plus ``mmap`` reattach — no distance computations,
 no clustering — so it must beat refitting the model by a wide margin.
-The tracked metric is ``load_vs_fit_speedup``: the seconds of
-``DBSCAN.fit_model`` over the seconds of ``load_model`` on the same
-data, same machine, same run, recorded to
+The tracked metric is ``load_vs_gram_speedup``: the seconds of a fixed
+numpy Gram product ``X @ X.T`` of the benchmark's data over the seconds
+of ``load_model``, same machine, same run, recorded to
 ``benchmarks/out/persistence_n{N}.json`` for the CI regression gate.
+No change to this package moves the numerator, so the ratio moves with
+the load alone. ``fit_s`` (a ``DBSCAN.fit_model``) is recorded for
+information: a faster fit must not read as a slower load.
 
 Checksum verification reads every artifact byte, so ``verify=True``
 load time scales with artifact size where the mmap reattach itself is
@@ -66,6 +69,7 @@ def test_load_vs_fit(tmp_path):
         assert np.array_equal(loaded.predict(queries), expected)
 
     t_fit = _best_of(lambda: clusterer.fit_model(X).close())
+    t_gram = _best_of(lambda: X @ X.T)
     t_load = _best_of(lambda: _load_closed(path))
     t_load_noverify = _best_of(lambda: _load_closed(path, verify=False))
     model_row = {
@@ -76,21 +80,22 @@ def test_load_vs_fit(tmp_path):
         "eps": EPS,
         "tau": TAU,
         "fit_s": t_fit,
+        "gram_s": t_gram,
         "load_s": t_load,
         "load_noverify_s": t_load_noverify,
-        "load_vs_fit_speedup": t_fit / t_load,
+        "load_vs_gram_speedup": t_gram / t_load,
     }
 
     print()
     print(
-        f"dbscan model: fit {t_fit:.4f}s, load {t_load:.4f}s "
-        f"(noverify {t_load_noverify:.4f}s) -> "
-        f"{model_row['load_vs_fit_speedup']:.1f}x"
+        f"dbscan model: fit {t_fit:.4f}s, gram {t_gram:.4f}s, load "
+        f"{t_load:.4f}s (noverify {t_load_noverify:.4f}s) -> "
+        f"{t_fit / t_load:.1f}x a fit, "
+        f"{model_row['load_vs_gram_speedup']:.1f}x the gram"
     )
     write_benchmark_rows(out_path(f"persistence_n{N}.json"), [model_row])
 
     # Acceptance criterion: a verified load is >= 3x faster than a refit.
-    assert model_row["load_vs_fit_speedup"] >= 3.0, (
-        f"verified model load only {model_row['load_vs_fit_speedup']:.1f}x "
-        "faster than refitting"
+    assert t_fit / t_load >= 3.0, (
+        f"verified model load only {t_fit / t_load:.1f}x faster than refitting"
     )

@@ -27,8 +27,14 @@ def pair_components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     Nodes are ``0 .. n-1``; every node gets an id (a node without edges
     is its own component), numbered ``0 .. k-1`` in order of each
     component's lowest node.
+
+    ``rows`` must be sorted ascending, as in the row-major pairs of
+    :meth:`~repro.index.base.NeighborIndex.range_pairs`: the edges are
+    the CSR graph as given, with ``indptr`` found by binary search and
+    no COO-to-CSR conversion.
     """
-    graph = csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    graph = csr_matrix((np.ones(rows.size, dtype=np.int8), cols, indptr), shape=(n, n))
     # The undirected search starts from unlabelled nodes in order, so
     # components come out numbered by their lowest node.
     _, labels = connected_components(graph, directed=False)

@@ -26,9 +26,37 @@ from repro.core.partial_neighbors import PartialNeighborMap
 from repro.core.postprocessing import PostProcessOutcome, post_process
 from repro.estimators.base import CardinalityEstimator
 from repro.exceptions import InvalidParameterError
+from repro.index.base import NeighborIndex
 from repro.rng import ensure_rng
 
-__all__ = ["LAF"]
+__all__ = ["LAF", "plan_neighborhoods"]
+
+
+def plan_neighborhoods(
+    index: NeighborIndex, plan: np.ndarray, eps: float
+) -> list[np.ndarray]:
+    """The neighbourhood of every row of ``plan`` (strictly ascending row
+    ids), each in ascending id: the arrays
+    ``index.batch_range_query_rows(plan, eps)`` returns.
+
+    They come from one ``index.range_pairs(eps, rows=plan)`` call, which
+    computes a pair of two planned rows once, at its lower row; the
+    symmetry Algorithm 2 relies on (``P`` finds ``P_n``, so ``P_n``
+    finds ``P``) puts it in both neighbourhoods. One sort of the int64
+    keys ``owner << 32 | member`` orders them all, and each
+    neighbourhood is a view of the sorted members.
+    """
+    rows, cols = index.range_pairs(eps, rows=plan)
+    planned = np.zeros(index.n_points, dtype=bool)
+    planned[plan] = True
+    mirror = planned[cols] & (cols != rows)
+    owners = np.concatenate([rows, cols[mirror]]).astype(np.int64)
+    keys = owners << 32 | np.concatenate([cols, rows[mirror]])
+    keys.sort()
+    members = keys & 0xFFFFFFFF
+    ends = np.searchsorted(keys, (np.asarray(plan, dtype=np.int64) + 1) << 32)
+    starts = [0, *ends[:-1].tolist()]
+    return [members[a:b] for a, b in zip(starts, ends.tolist())]
 
 
 class LAF:

@@ -30,7 +30,7 @@ from repro.clustering.base import (
     ClusteringResult,
     canonicalize_labels,
 )
-from repro.core.laf import LAF
+from repro.core.laf import LAF, plan_neighborhoods
 from repro.distances.metric import COSINE, Metric
 from repro.engine_config import ExecutionConfig
 from repro.estimators.base import CardinalityEstimator
@@ -60,12 +60,15 @@ class LAFDBSCAN(Clusterer):
     execution:
         Execution policy (range queries run on exact brute force, as in
         the paper). Algorithm 1 queries exactly the predicted-core
-        points, each once, so those rows run up front as one blocked
-        call: the gate's savings are preserved and a skipped point is
-        never computed. ``UpdatePartialNeighbors`` still fires per
-        executed query at its Algorithm 1 line, so the map ``E`` — and
-        therefore post-processing — is identical to one scalar query per
-        point.
+        points, each once, so those rows run up front as one join,
+        ``range_pairs(eps, rows=plan)``, which computes a pair of two
+        planned rows once (:func:`~repro.core.laf.plan_neighborhoods`
+        gives it to both): the gate's savings are preserved and a
+        skipped point is never computed. Each neighbourhood is the
+        ascending array a full-row query returns, and
+        ``UpdatePartialNeighbors`` still fires per executed query at its
+        Algorithm 1 line, so the map ``E`` — and therefore
+        post-processing — is identical to one scalar query per point.
 
     Examples
     --------
@@ -123,14 +126,14 @@ class LAFDBSCAN(Clusterer):
         cluster_id = -1
 
         # Algorithm 1 executes exactly one range query per
-        # predicted-core point, so those are the plan, run in one call;
+        # predicted-core point, so those are the plan, run as one join;
         # predicted stop points are never computed, keeping the gate's
         # skipped-query savings intact. slot maps a row to its plan entry.
         plan = np.flatnonzero(predicted_core)
         slot = np.full(n, -1, dtype=np.int64)
         slot[plan] = np.arange(plan.size)
         with self._engine(X) as index:
-            neighborhoods = index.batch_range_query_rows(plan, self.eps)
+            neighborhoods = plan_neighborhoods(index, plan, self.eps)
             for p in range(n):  # line 4
                 if labels[p] != UNDEFINED:  # line 5
                     continue

@@ -27,7 +27,7 @@ from repro.clustering.base import (
     canonicalize_labels,
 )
 from repro.clustering.components import connected_components_within
-from repro.core.laf import LAF
+from repro.core.laf import LAF, plan_neighborhoods
 from repro.distances import check_unit_norm, iter_distance_blocks, nearest_in_blocks
 from repro.engine_config import ExecutionConfig
 from repro.estimators.base import CardinalityEstimator
@@ -57,12 +57,14 @@ class LAFDBSCANPlusPlus(Clusterer):
         Sampling and post-processing seed.
     execution:
         Execution policy (range queries run on exact brute force). The
-        range queries that survive the gate run as one blocked call over
-        the gated sample. Every gated sample point is queried exactly
-        once, and
-        ``UpdatePartialNeighbors`` receives each executed result in
-        sample order, so the output is identical to one scalar query per
-        point.
+        range queries that survive the gate run as one join over the
+        gated sample, ``range_pairs(eps, rows=gated)``, which computes a
+        pair of two gated points once
+        (:func:`~repro.core.laf.plan_neighborhoods` gives it to both).
+        Every gated sample point is queried exactly once, and
+        ``UpdatePartialNeighbors`` receives each executed result, the
+        ascending array a full-row query returns, in sample order, so the
+        output is identical to one scalar query per point.
     """
 
     algo_name = "laf-dbscan++"
@@ -119,11 +121,11 @@ class LAFDBSCANPlusPlus(Clusterer):
         core_list: list[int] = []
         n_range_queries = 0
         # Every gated point is queried exactly once, in sample order, so
-        # the gated set runs in one call. The E.update feed below still
+        # the gated set runs as one join. The E.update feed below still
         # runs per result in sample order, exactly as the per-point loop
         # would.
         with self._engine(X) as index:
-            neighborhoods = index.batch_range_query_rows(gated, self.eps)
+            neighborhoods = plan_neighborhoods(index, gated, self.eps)
             for s, neighbors in zip(gated.tolist(), neighborhoods):
                 n_range_queries += 1
                 E.update(s, neighbors)

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, NotFittedError
 
-__all__ = ["NeighborIndex", "check_positive_int", "upper_pairs"]
+__all__ = ["NeighborIndex", "check_plan_rows", "check_positive_int", "upper_pairs"]
 
 
 def check_positive_int(name: str, value) -> None:
@@ -35,6 +35,19 @@ def upper_pairs(
     cols = np.concatenate(neighborhoods or [np.empty(0)]).astype(np.int32)
     upper = cols >= rows
     return rows[upper] + first, cols[upper] + first
+
+
+def check_plan_rows(rows, n_points: int) -> np.ndarray:
+    """``rows`` as int64 if it is a strictly ascending set of row ids below
+    ``n_points``; anything else is rejected."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if rows.size and not (
+        rows[0] >= 0 and rows[-1] < n_points and np.all(rows[1:] > rows[:-1])
+    ):
+        raise InvalidParameterError(
+            f"rows must be strictly ascending row ids in [0, {n_points})"
+        )
+    return rows
 
 
 class NeighborIndex(abc.ABC):
@@ -114,14 +127,31 @@ class NeighborIndex(abc.ABC):
         """:meth:`batch_range_count` of the indexed points ``points[ids]``."""
         return self.batch_range_count(self.points[ids], eps)
 
-    def range_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair ``i <= j`` of indexed points within ``eps`` (the self-join),
-        as int32 ``(rows, cols)`` in row-major order. A diagonal pair
-        ``(i, i)`` is there when the kernel finds ``d(P, P) < eps``.
+    def range_pairs(
+        self, eps: float, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair ``(i, j)`` of indexed points within ``eps`` with ``i`` in
+        ``rows`` and ``j`` not in ``rows`` or ``j >= i``, each once, as int32
+        ``(rows, cols)`` grouped by ``i`` in ascending order.
 
-        Derived here from :meth:`batch_range_query_rows` over every row.
+        ``rows`` (strictly ascending row ids) defaults to every row: the
+        self-join, the pairs ``i <= j`` in row-major order. A pair of two
+        rows is there once, at its lower row; a diagonal pair ``(i, i)``
+        is there when the kernel finds ``d(P, P) < eps``.
+
+        Derived here from :meth:`batch_range_query_rows` over ``rows``.
         """
-        return upper_pairs(self.batch_range_query_rows(np.arange(self.n_points), eps))
+        self._require_built()
+        n = self.n_points
+        ids = np.arange(n) if rows is None else check_plan_rows(rows, n)
+        neighborhoods = self.batch_range_query_rows(ids, eps)
+        sizes = [row.size for row in neighborhoods]
+        pair_rows = np.repeat(ids.astype(np.int32), sizes)
+        cols = np.concatenate(neighborhoods or [np.empty(0)]).astype(np.int32)
+        outside = np.ones(n, dtype=bool)
+        outside[ids] = False
+        keep = (cols >= pair_rows) | outside[cols]
+        return pair_rows[keep], cols[keep]
 
     def _require_built(self) -> None:
         if self._points is None:

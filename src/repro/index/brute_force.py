@@ -32,7 +32,12 @@ from repro.distances.matrix import (
 )
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError
-from repro.index.base import NeighborIndex, check_positive_int, upper_pairs
+from repro.index.base import (
+    NeighborIndex,
+    check_plan_rows,
+    check_positive_int,
+    upper_pairs,
+)
 
 __all__ = ["BruteForceIndex"]
 
@@ -166,24 +171,49 @@ class BruteForceIndex(NeighborIndex):
             counts[start:stop] = np.count_nonzero(mask, axis=1)
         return counts
 
-    def range_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair ``i <= j`` of indexed points within ``eps``, computed once.
+    def range_pairs(
+        self, eps: float, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`NeighborIndex.range_pairs`, each pair computed once.
 
-        Row block ``[s, e)`` is a :meth:`batch_range_query` against
-        ``points[s:]`` only (the upper triangle): the kernel and
-        exactness contract of every row's query, at half its GEMM.
+        The points are taken in the order ``rows`` first, then the rest
+        (the index's own order when ``rows`` is None, so nothing is
+        gathered), and row block ``[s, e)`` of ``rows`` is a
+        :meth:`batch_range_query` against the points from ``s`` on in
+        that order (the upper triangle): the kernel and exactness
+        contract of every row's query. The ``rows`` x ``rows`` block is
+        computed once and the rest x rest block never. ``rows`` that fit
+        in one block meet every point either way, so they take the base
+        class's derivation, which gathers only them.
         """
         self._require_built()
+        if rows is not None and len(rows) <= self.block_size:
+            return super().range_pairs(eps, rows)
         tail = copy.copy(self)  # shares the arrays, sliced per block
-        pairs = [upper_pairs([])]
-        for s in range(0, self.n_points, self.block_size):
-            tail._points = self._points[s:]
+        n_rows = self.n_points
+        order = None
+        if rows is not None:
+            rows = check_plan_rows(rows, self.n_points)
+            n_rows = rows.size
+            rest = np.setdiff1d(np.arange(self.n_points), rows, assume_unique=True)
+            order = np.concatenate([rows, rest])
+            tail._points = self._points[order]
             if self._points32 is not None:
-                tail._points32 = self._points32[s:]
-            block = tail.batch_range_query(self._points[s : s + self.block_size], eps)
+                tail._points32 = self._points32[order]
+        points, points32 = tail._points, tail._points32
+        pairs = [upper_pairs([])]
+        for s in range(0, n_rows, self.block_size):
+            tail._points = points[s:]
+            if points32 is not None:
+                tail._points32 = points32[s:]
+            stop = min(s + self.block_size, n_rows)
+            block = tail.batch_range_query(points[s:stop], eps)
             pairs.append(upper_pairs(block, s))
-        rows, cols = zip(*pairs)
-        return np.concatenate(rows), np.concatenate(cols)
+        pair_rows, cols = (np.concatenate(side) for side in zip(*pairs))
+        if order is None:
+            return pair_rows, cols
+        order = order.astype(np.int32)
+        return order[pair_rows], order[cols]
 
     # Row-id forms: a fit's plan can be every row, so ``points[ids]`` is
     # gathered one kernel block at a time, never as a whole copy.

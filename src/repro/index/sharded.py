@@ -502,10 +502,16 @@ class ShardedIndex(NeighborIndex):
     def batch_range_count_rows(self, ids: np.ndarray, eps: float) -> np.ndarray:
         return self._count_blocks(np.asarray(ids, dtype=np.int64), eps, rows=True)
 
-    def range_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`NeighborIndex.range_pairs` in the rounds of a row-id query of
-        every row; a block skips the shards that end at or before its first
-        row, which hold none of its pairs (the upper triangle at shard grain)."""
+    def range_pairs(
+        self, eps: float, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`NeighborIndex.range_pairs`. The self-join (``rows`` None)
+        runs in the rounds of a row-id query of every row; a block skips
+        the shards that end at or before its first row, which hold none of
+        its pairs (the upper triangle at shard grain). A row subset is
+        the base class's derivation from one row-id query of ``rows``."""
+        if rows is not None:
+            return super().range_pairs(eps, rows)
         ids = np.arange(self.n_points)
         return upper_pairs(self._range_blocks(ids, eps, rows=True, upper=True))
 

@@ -64,8 +64,8 @@ class PerPointEngine(BruteForceIndex):
             dtype=np.int64,
         )
 
-    def range_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        return NeighborIndex.range_pairs(self, eps)
+    def range_pairs(self, eps: float, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        return NeighborIndex.range_pairs(self, eps, rows)
 
 
 def use_per_point_engine(clusterer):

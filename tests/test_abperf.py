@@ -112,10 +112,36 @@ def test_eight_wins_of_ten_is_not_a_gain():
 
 
 def test_a_gap_inside_the_parents_spread_is_not_a_gain():
-    parent = [1.0, 1.2, 1.4, 1.6, 1.8] * 2
-    change = [v - 0.05 for v in parent]  # wins every pair, gap 0.05 < IQR 0.4
+    parent = [1.0, 1.05, 1.1, 1.15, 1.2] * 2
+    change = [v - 0.05 for v in parent]  # wins every pair, gap 0.05 = IQR 0.1 / 2
     c = abperf.compare(PLAIN, parent, change)
     assert c.wins == 10 and c.verdict == "within noise"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # IQR 0.4 > 0.25 x median 1.4: a regression up to the bound would hide.
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8] * 2
+    c = abperf.compare(PLAIN, parent, [v - 0.05 for v in parent])
+    assert c.wins == 10 and c.verdict == "unresolved"
+    assert abperf.compare(PLAIN, parent, parent).verdict == "unresolved"
+    # A slowdown past the bound, or a clear gain, is still called.
+    assert abperf.compare(PLAIN, parent, [1.9] * 10).verdict == "beyond bound"
+    assert abperf.compare(PLAIN, parent, [0.8] * 10).verdict == "gain met"
+    # The parent's spread at exactly the bound is resolved.
+    q1, median, q3 = abperf.quartiles([0.875, 1.0, 1.125] * 4)
+    assert math.isclose(q3 - q1, 0.25 * median)
+    even = [0.875, 1.0, 1.125] * 4
+    assert abperf.compare(PLAIN, even, even).verdict == "within noise"
+
+
+def test_unresolved_runs_through_the_report():
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8] * 2
+    results = [(result(p), result(p)) for p in parent]
+    plain, ari = abperf.compare_workload([PLAIN, ARI], results)
+    assert plain.verdict == "unresolved"
+    assert ari.verdict == "within noise"  # the ARIs do not spread
+    line = abperf.changes_line("A/B", [("fit-ms50k", [plain, ari], results)])
+    assert "0/10, p 1, unresolved;" in line
 
 
 def test_fewer_than_ten_pairs_claim_no_gain():

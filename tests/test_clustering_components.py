@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from repro.clustering.components import connected_components_within
+from repro.clustering.components import connected_components_within, pair_components
 from repro.distances import matrix, normalize_rows
 
 
@@ -170,3 +172,24 @@ class TestConnectedComponentsWithin:
     def test_empty(self):
         labels, n_pairs = connected_components_within(np.empty((0, 4)), 0.5)
         assert labels.shape == (0,) and n_pairs == 0
+
+
+class TestPairComponents:
+    """The CSR graph is the row-sorted pairs as given."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2, 9, 60])
+    def test_matches_the_coo_graph(self, seed, n):
+        # Row-sorted pairs i <= j (self-loops too), nodes without edges
+        # at both ends and in between.
+        rng = np.random.default_rng(seed)
+        ends = rng.integers(0, n, size=(rng.integers(0, 2 * n), 2))
+        pairs = np.unique(np.sort(ends, axis=1), axis=0).reshape(-1, 2)
+        rows, cols = pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32)
+        coo = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        _, expected = connected_components(coo, directed=False)
+        assert np.array_equal(pair_components(rows, cols, n), expected)
+
+    def test_no_pairs(self):
+        empty = np.empty(0, dtype=np.int32)
+        assert pair_components(empty, empty, 4).tolist() == [0, 1, 2, 3]

@@ -197,8 +197,8 @@ def index_rows(monkeypatch):
     """Rows of every BruteForceIndex row-id call (and scalar query) of a fit.
 
     Maps a method name to one entry per call: the number of rows it
-    computed (1 for a scalar ``range_query`` / ``range_count``, every
-    indexed point for the ``range_pairs`` self-join).
+    computed (1 for a scalar ``range_query`` / ``range_count``; for
+    ``range_pairs`` its ``rows``, every indexed point for the self-join).
     """
     calls = defaultdict(list)
 
@@ -221,9 +221,9 @@ def index_rows(monkeypatch):
 
     original_pairs = BruteForceIndex.range_pairs
 
-    def spy_pairs(self, eps):
-        calls["range_pairs"].append(self.n_points)
-        return original_pairs(self, eps)
+    def spy_pairs(self, eps, rows=None):
+        calls["range_pairs"].append(self.n_points if rows is None else len(rows))
+        return original_pairs(self, eps, rows)
 
     monkeypatch.setattr(BruteForceIndex, "range_pairs", spy_pairs)
     return calls
@@ -232,21 +232,30 @@ def index_rows(monkeypatch):
 class TestIndexAccounting:
     """The index computes exactly the rows the algorithm queries."""
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "laf_dbscan_false_negatives",
-            "laf_dbscanpp_false_negatives",
-            "rho_approx_borders",
-        ],
-    )
-    def test_rows_computed_equal_range_queries(self, name, index_rows, blob_plus_noise):
-        stats = _make(name, True).fit(blob_plus_noise).stats
+    def test_rows_computed_equal_range_queries(self, index_rows, blob_plus_noise):
+        stats = _make("rho_approx_borders", True).fit(blob_plus_noise).stats
         assert stats["range_queries"] > 0
         assert sum(index_rows["batch_range_query_rows"]) == stats["range_queries"]
-        if "skipped_queries" in stats:
-            # The gate's skipped points never reached the index.
-            assert stats["skipped_queries"] > 0
+
+    @pytest.mark.parametrize(
+        "name", ["laf_dbscan_false_negatives", "laf_dbscanpp_false_negatives"]
+    )
+    def test_laf_plan_is_one_join_over_its_rows(
+        self, name, index_rows, blob_plus_noise
+    ):
+        """LAF's range queries are one ``range_pairs`` call over exactly the
+        planned rows; the gate's skipped points never reach the index."""
+        stats = _make(name, True).fit(blob_plus_noise).stats
+        assert stats["range_queries"] > 0
+        assert stats["skipped_queries"] > 0
+        # LAF-DBSCAN++'s core graph is a self-join over its cores.
+        core_graph = [stats["n_core"]] if "n_core" in stats else []
+        assert index_rows["range_pairs"] == [stats["range_queries"], *core_graph]
+        # A plan of one kernel block is the base derivation: one row-id
+        # query of the plan, inside the join.
+        assert stats["range_queries"] <= BruteForceIndex().block_size
+        assert index_rows["batch_range_query_rows"] == [stats["range_queries"]]
+        assert set(index_rows) == {"range_pairs", "batch_range_query_rows"}
 
     def test_dbscan_self_join_covers_every_row(self, index_rows, blob_plus_noise):
         """DBSCAN's n range queries are one self-join over every row,
@@ -259,8 +268,7 @@ class TestIndexAccounting:
     @pytest.mark.parametrize("name", ["dbscan", "laf_dbscan_false_negatives"])
     def test_one_call_per_fit(self, name, index_rows, blob_plus_noise):
         _make(name, True).fit(blob_plus_noise)
-        method = "range_pairs" if name == "dbscan" else "batch_range_query_rows"
-        assert len(index_rows[method]) == 1
+        assert len(index_rows["range_pairs"]) == 1
 
     def test_reference_queries_per_point(self, index_rows, blob_plus_noise):
         """The per-point side really is the scalar reference: one scalar

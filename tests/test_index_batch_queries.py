@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.distances import normalize_rows
-from repro.exceptions import NotFittedError
+from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index import BruteForceIndex, GridIndex, ShardedIndex, brute_force
 from repro.remote.pool import RemoteExecutor
 
@@ -183,6 +183,73 @@ class TestRowIdForms:
         ]
         # Every pair i <= j once (the diagonal too), in row-major order.
         assert list(zip(rows.tolist(), cols.tolist())) == expected
+
+    @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
+    @pytest.mark.parametrize(
+        "plan", ["empty", "single", "every_third", "two_thirds", "all"]
+    )
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["unique", "dup"])
+    def test_range_pairs_over_rows_match_scalar(
+        self, name, make, data, plan, duplicates
+    ):
+        if duplicates:  # copies of rows both inside and outside the plan
+            data = np.vstack([data[:50], data[10:40]])
+        n = data.shape[0]
+        rows = {
+            "empty": np.empty(0, dtype=np.int64),
+            "single": np.array([n // 2]),
+            "every_third": np.arange(0, n, 3),
+            "two_thirds": np.sort(
+                np.random.default_rng(1).choice(n, size=2 * n // 3, replace=False)
+            ),
+            "all": np.arange(n),
+        }[plan]
+        index = make().build(data)
+        reference = scalar_reference(index, data)
+        pair_rows, cols = index.range_pairs(EPS, rows=rows)
+        assert pair_rows.dtype == cols.dtype == np.int32
+        planned = set(rows.tolist())
+        expected = [
+            (i, j)
+            for i in rows.tolist()
+            for j in reference.range_query(data[i], EPS).tolist()
+            if j not in planned or j >= i
+        ]
+        got = list(zip(pair_rows.tolist(), cols.tolist()))
+        # Each pair once, grouped by its planned row in ascending order.
+        assert sorted(got) == expected
+        assert np.all(np.diff(pair_rows) >= 0)
+        if plan == "all":
+            assert got == expected  # the self-join, in row-major order
+            assert got == list(zip(*(a.tolist() for a in index.range_pairs(EPS))))
+
+    @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
+    @pytest.mark.parametrize("rows", [[3, 2], [2, 2], [-1, 4], [79, 80]], ids=str)
+    def test_range_pairs_reject_rows_that_are_not_ascending_ids(
+        self, name, make, data, rows
+    ):
+        index = make().build(data)
+        with pytest.raises(InvalidParameterError):
+            index.range_pairs(EPS, rows=np.array(rows))
+
+    def test_range_pairs_over_rows_compute_each_pair_once(self, data, monkeypatch):
+        # Plan rows first, then the rest: block [s, e) of the plan against
+        # positions s.. of that order; the rest x rest block never runs.
+        shapes = []
+        batch = BruteForceIndex.batch_range_query
+
+        def spy(self, Q, eps):
+            shapes.append((len(Q), self.n_points))
+            return batch(self, Q, eps)
+
+        monkeypatch.setattr(BruteForceIndex, "batch_range_query", spy)
+        index = BruteForceIndex(block_size=16).build(data)
+        index.range_pairs(EPS, rows=np.arange(1, 80, 2))  # 40 rows
+        assert shapes == [(16, 80), (16, 64), (8, 48)]
+        # One block meets every point either way: no reordered copy.
+        shapes.clear()
+        index.range_pairs(EPS, rows=np.arange(3, 80, 5))  # 16 rows
+        assert shapes == [(16, 80)]
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_range_pairs_compute_the_upper_triangle(self, metric, data, monkeypatch):

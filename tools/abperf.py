@@ -22,7 +22,10 @@ an exact two-sided sign-test p and a verdict:
 * ``beyond bound``: the change's median is worse than the parent's by
   more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction of
   the parent's median (per-layer metrics have no bound);
-* ``within noise``: neither.
+* ``unresolved``: none of the above, but the parent's quartile distance
+  is wider than the bound, so these runs cannot rule out a regression
+  past it;
+* ``within noise``: none of the above.
 
 Each side runs for its own ``BENCHMARK.json``'s ``run_seconds``. The
 last line of output is one line to paste into ``CHANGES.md``. Standard
@@ -128,6 +131,8 @@ def compare(
         and gap > pq[2] - pq[0]
     ):
         verdict = "no gain: more failures" if change_fails_more else "gain met"
+    elif metric.bound is not None and pq[2] - pq[0] > metric.bound * abs(pq[1]):
+        verdict = "unresolved"
     else:
         verdict = "within noise"
     p = sign_test_p(wins, losses)
