@@ -46,7 +46,6 @@ from repro.core import (
     LAF,
     LAFDBSCAN,
     LAFDBSCANPlusPlus,
-    PartialNeighborMap,
     post_process,
     predicted_core_ratio,
     select_alpha,
@@ -110,7 +109,6 @@ __all__ = [
     "LAFDBSCANPlusPlus",
     "MLPRegressor",
     "NotFittedError",
-    "PartialNeighborMap",
     "PersistenceError",
     "RMICardinalityEstimator",
     "RadialHistogramEstimator",

@@ -8,9 +8,10 @@ the ``CardEst`` gate, the map ``E`` maintenance and the final
 
 * a point predicted non-core (``CardEst(P) < alpha * tau``) is marked
   noise *without* executing its range query (lines 6-9, 26-27) and
-  registered in ``E``;
+  registered in ``E`` with the number of queries run so far;
 * every executed range query feeds ``UpdatePartialNeighbors`` (lines
-  11, 24), so predicted stop points passively accumulate neighbors;
+  11, 24) through its query index, so predicted stop points passively
+  accumulate the neighbors found after their registration;
 * the post-processing pass (line 28) detects false negatives
   (``|E(P)| >= tau``) and merges the clusters they split.
 
@@ -30,7 +31,7 @@ from repro.clustering.base import (
     ClusteringResult,
     canonicalize_labels,
 )
-from repro.core.laf import LAF, plan_neighborhoods
+from repro.core.laf import LAF, partial_neighbors, plan_neighborhoods
 from repro.distances.metric import COSINE, Metric
 from repro.engine_config import ExecutionConfig
 from repro.estimators.base import CardinalityEstimator
@@ -65,10 +66,14 @@ class LAFDBSCAN(Clusterer):
         planned rows once (:func:`~repro.core.laf.plan_neighborhoods`
         gives it to both): the gate's savings are preserved and a
         skipped point is never computed. Each neighbourhood is the
-        ascending array a full-row query returns, and
-        ``UpdatePartialNeighbors`` still fires per executed query at its
-        Algorithm 1 line, so the map ``E`` — and therefore
-        post-processing — is identical to one scalar query per point.
+        ascending array a full-row query returns. The frontier loop
+        stamps each stop point's registration with the number of
+        queries run so far, and each executed query with its index, at
+        their Algorithm 1 lines; the same join's (query, stop) pairs
+        whose query comes no earlier than the stop's registration are
+        the map ``E`` (:func:`~repro.core.laf.partial_neighbors`). So
+        ``E`` — and therefore post-processing — is identical to one
+        scalar query per point.
 
     Examples
     --------
@@ -114,7 +119,6 @@ class LAFDBSCAN(Clusterer):
         X = self.metric.validate(X)
         n = X.shape[0]
         predicted_core = self.laf.begin_run(X, self.eps, self.tau)  # the CardEst gate
-        E = self.laf.partial_neighbors
 
         labels = np.full(n, UNDEFINED, dtype=np.int64)  # line 3
         core_mask = np.zeros(n, dtype=bool)
@@ -122,8 +126,12 @@ class LAFDBSCAN(Clusterer):
         # visit stops at the label check), so skip it up front.
         enqueued = np.zeros(n, dtype=bool)
         n_range_queries = 0
-        n_skipped = 0
         cluster_id = -1
+        # Algorithm 2's stamps: E(S) gets the queries with
+        # query_at >= stop_at[S]; n never is a query index.
+        stops: list[int] = []
+        stop_at = np.full(n, n, dtype=np.int64)
+        query_at = np.full(n, -1, dtype=np.int64)
 
         # Algorithm 1 executes exactly one range query per
         # predicted-core point, so those are the plan, run as one join;
@@ -133,18 +141,19 @@ class LAFDBSCAN(Clusterer):
         slot = np.full(n, -1, dtype=np.int64)
         slot[plan] = np.arange(plan.size)
         with self._engine(X) as index:
-            neighborhoods = plan_neighborhoods(index, plan, self.eps)
+            pairs = index.range_pairs(self.eps, rows=plan)
+            neighborhoods = plan_neighborhoods(pairs, plan, n)
             for p in range(n):  # line 4
                 if labels[p] != UNDEFINED:  # line 5
                     continue
                 if not predicted_core[p]:  # line 6: CardEst(P) < alpha * tau
                     labels[p] = NOISE  # line 7
-                    E.register_stop_point(p)  # line 8
-                    n_skipped += 1
+                    stop_at[p] = n_range_queries  # line 8: E(P) := {}
+                    stops.append(p)
                     continue  # line 9
                 neighbors = neighborhoods[slot[p]]  # line 10
+                query_at[p] = n_range_queries  # line 11
                 n_range_queries += 1
-                E.update(p, neighbors)  # line 11
                 if neighbors.size < self.tau:  # line 12 (false positive)
                     labels[p] = NOISE  # line 13
                     continue  # line 14
@@ -164,27 +173,30 @@ class LAFDBSCAN(Clusterer):
                     labels[q] = cluster_id  # line 21
                     if predicted_core[q]:  # line 22: CardEst(Q) >= alpha * tau
                         q_neighbors = neighborhoods[slot[q]]  # line 23
+                        query_at[q] = n_range_queries  # line 24
                         n_range_queries += 1
-                        E.update(q, q_neighbors)  # line 24
                         if q_neighbors.size >= self.tau:  # line 25
                             core_mask[q] = True
                             fresh = q_neighbors[~enqueued[q_neighbors]]  # S := S u N
                             enqueued[fresh] = True
                             queue.extend(fresh.tolist())
                     else:
-                        E.register_stop_point(q)  # lines 26-27
-                        n_skipped += 1
+                        stop_at[q] = n_range_queries  # lines 26-27
+                        stops.append(q)
 
             engine_stats = index.stats()
 
-        outcome = self.laf.finalize(labels, self.tau)  # line 28
+        E = partial_neighbors(pairs, stops, stop_at, query_at)
+        outcome = self.laf.finalize(labels, self.tau, E)  # line 28
         stats: dict[str, int | float] = {
             "range_queries": n_range_queries,
-            "skipped_queries": n_skipped,
+            "skipped_queries": len(stops),
             "fn_detected": outcome.n_false_negatives,
             "merges": outcome.n_merges,
+            "cardest_calls": n,
+            "predicted_stop_points": len(E),
+            "alpha": self.laf.alpha,
         }
-        stats.update(self.laf.stats())
         stats.update(engine_stats)
         return ClusteringResult(
             labels=canonicalize_labels(outcome.labels),

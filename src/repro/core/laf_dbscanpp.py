@@ -6,9 +6,10 @@ still runs one full range query per *sampled* point to decide coreness.
 LAF inserts the identical gate:
 
 * a sampled point predicted non-core skips its range query and is
-  registered in ``E``;
+  registered in ``E``, all of them before the first query;
 * executed range queries feed ``UpdatePartialNeighbors`` so predicted
-  stop points accumulate partial neighbors;
+  stop points accumulate partial neighbors: ``E(P)`` is every queried
+  point within eps of ``P``;
 * after DBSCAN++ finishes (core graph + nearest-core assignment), the
   standard post-processing merges clusters split by false negatives.
 
@@ -27,7 +28,7 @@ from repro.clustering.base import (
     canonicalize_labels,
 )
 from repro.clustering.components import connected_components_within
-from repro.core.laf import LAF, plan_neighborhoods
+from repro.core.laf import LAF, partial_neighbors, plan_neighborhoods
 from repro.distances import check_unit_norm, iter_distance_blocks, nearest_in_blocks
 from repro.engine_config import ExecutionConfig
 from repro.estimators.base import CardinalityEstimator
@@ -61,10 +62,11 @@ class LAFDBSCANPlusPlus(Clusterer):
         gated sample, ``range_pairs(eps, rows=gated)``, which computes a
         pair of two gated points once
         (:func:`~repro.core.laf.plan_neighborhoods` gives it to both).
-        Every gated sample point is queried exactly once, and
-        ``UpdatePartialNeighbors`` receives each executed result, the
-        ascending array a full-row query returns, in sample order, so the
-        output is identical to one scalar query per point.
+        Every gated sample point is queried exactly once, and every
+        skipped one is registered before the first query, so ``E(P)`` is
+        the gated points the join pairs with ``P``
+        (:func:`~repro.core.laf.partial_neighbors`) and the output is
+        identical to one scalar query per point.
     """
 
     algo_name = "laf-dbscan++"
@@ -108,34 +110,31 @@ class LAFDBSCANPlusPlus(Clusterer):
         X = check_unit_norm(X)
         n = X.shape[0]
         predicted_core = self.laf.begin_run(X, self.eps, self.tau)
-        E = self.laf.partial_neighbors
 
         m = max(1, int(round(self.p * n)))
         sample = np.sort(self._rng.choice(n, size=m, replace=False))
 
-        # Gate the per-sample range queries with CardEst.
+        # Gate the per-sample range queries with CardEst. Every skipped
+        # point is registered in E before any query runs, so each
+        # executed query counts toward all of them (stop_at 0), and every
+        # gated point is queried exactly once, in sample order, so the
+        # gated set runs as one join.
         gated = sample[predicted_core[sample]]
         skipped = sample[~predicted_core[sample]]
-        for s in skipped.tolist():
-            E.register_stop_point(s)
-        core_list: list[int] = []
-        n_range_queries = 0
-        # Every gated point is queried exactly once, in sample order, so
-        # the gated set runs as one join. The E.update feed below still
-        # runs per result in sample order, exactly as the per-point loop
-        # would.
+        stop_at = np.full(n, n, dtype=np.int64)
+        stop_at[skipped] = 0
+        query_at = np.full(n, -1, dtype=np.int64)
+        query_at[gated] = np.arange(gated.size)
         with self._engine(X) as index:
-            neighborhoods = plan_neighborhoods(index, gated, self.eps)
-            for s, neighbors in zip(gated.tolist(), neighborhoods):
-                n_range_queries += 1
-                E.update(s, neighbors)
-                if neighbors.size >= self.tau:
-                    core_list.append(s)
+            pairs = index.range_pairs(self.eps, rows=gated)
+            neighborhoods = plan_neighborhoods(pairs, gated, n)
             engine_stats = index.stats()
-        core_sample = np.array(core_list, dtype=np.int64)
+        counts = np.array([a.size for a in neighborhoods], dtype=np.int64)
+        core_sample = gated[counts >= self.tau]
+        E = partial_neighbors(pairs, skipped.tolist(), stop_at, query_at)
 
         stats: dict[str, int | float] = {
-            "range_queries": n_range_queries,
+            "range_queries": int(gated.size),
             "skipped_queries": int(skipped.size),
             "sample_size": int(sample.size),
             "n_core": int(core_sample.size),
@@ -143,41 +142,35 @@ class LAFDBSCANPlusPlus(Clusterer):
             "n_core_components": 0,
         }
         stats.update(engine_stats)
+        labels = np.full(n, NOISE, dtype=np.int64)
         core_mask = np.zeros(n, dtype=bool)
-        if core_sample.size == 0:
-            outcome = self.laf.finalize(np.full(n, NOISE, dtype=np.int64), self.tau)
-            stats.update(self.laf.stats())
-            stats.update(
-                {"fn_detected": outcome.n_false_negatives, "merges": outcome.n_merges}
+        if core_sample.size:
+            # DBSCAN++ core graph: connect cores within eps, label components.
+            core_X = X[core_sample]
+            core_labels, core_graph_pairs = connected_components_within(
+                core_X, self.eps
             )
-            return ClusteringResult(
-                labels=canonicalize_labels(outcome.labels),
-                core_mask=core_mask,
-                stats=stats,
+            stats["core_graph_pairs"] = core_graph_pairs
+            stats["n_core_components"] = int(core_labels.max()) + 1
+
+            labels[core_sample] = core_labels
+            core_mask[core_sample] = True
+            rest = np.flatnonzero(~core_mask)
+            nearest, nearest_dist = nearest_in_blocks(
+                iter_distance_blocks(X[rest], core_X), rest.size
             )
+            rest_labels = core_labels[nearest]
+            if self.assign_within_eps:
+                rest_labels = np.where(nearest_dist < self.eps, rest_labels, NOISE)
+            labels[rest] = rest_labels
 
-        # DBSCAN++ core graph: connect cores within eps, label components.
-        core_X = X[core_sample]
-        core_labels, core_graph_pairs = connected_components_within(core_X, self.eps)
-        stats["core_graph_pairs"] = core_graph_pairs
-        stats["n_core_components"] = int(core_labels.max()) + 1
-
-        labels = np.empty(n, dtype=np.int64)
-        labels[core_sample] = core_labels
-        core_mask[core_sample] = True
-        rest = np.flatnonzero(~core_mask)
-        nearest, nearest_dist = nearest_in_blocks(
-            iter_distance_blocks(X[rest], core_X), rest.size
-        )
-        rest_labels = core_labels[nearest]
-        if self.assign_within_eps:
-            rest_labels = np.where(nearest_dist < self.eps, rest_labels, NOISE)
-        labels[rest] = rest_labels
-
-        outcome = self.laf.finalize(labels, self.tau)
-        stats.update(self.laf.stats())
+        outcome = self.laf.finalize(labels, self.tau, E)
         stats.update(
-            {"fn_detected": outcome.n_false_negatives, "merges": outcome.n_merges}
+            cardest_calls=n,
+            predicted_stop_points=len(E),
+            alpha=self.laf.alpha,
+            fn_detected=outcome.n_false_negatives,
+            merges=outcome.n_merges,
         )
         return ClusteringResult(
             labels=canonicalize_labels(outcome.labels),

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.clustering.base import NOISE
 from repro.clustering.union_find import UnionFind
-from repro.core.partial_neighbors import PartialNeighborMap
 from repro.rng import ensure_rng
 
 __all__ = ["PostProcessOutcome", "post_process"]
@@ -41,7 +40,7 @@ class PostProcessOutcome:
 
 def post_process(
     labels: np.ndarray,
-    partial_neighbors: PartialNeighborMap,
+    E: dict[int, np.ndarray],
     tau: int,
     seed: int | np.random.Generator | None = 0,
 ) -> PostProcessOutcome:
@@ -52,8 +51,9 @@ def post_process(
     labels:
         Cluster ids with ``-1`` noise, as produced by the host algorithm
         *before* repair. Not mutated.
-    partial_neighbors:
-        The map ``E`` accumulated during clustering.
+    E:
+        The map from each predicted stop point to its partial neighbours,
+        an ascending array each (:func:`repro.core.laf.partial_neighbors`).
     tau:
         The core threshold; ``|E(P)| >= tau`` flags a false negative.
     seed:
@@ -73,18 +73,16 @@ def post_process(
     out = labels.copy()
     n_false_negatives = 0
     n_merges = 0
-    for point, neighbors in partial_neighbors.items():
-        if len(neighbors) < tau:
+    for point, members in E.items():
+        if members.size < tau:
             continue
         n_false_negatives += 1
-        members = np.fromiter(neighbors, dtype=np.int64)
-        member_labels = out[members]
-        non_noise = members[member_labels != NOISE]
+        non_noise = members[out[members] != NOISE]
         if non_noise.size == 0:
             continue  # nothing to merge into — every partial neighbor is noise
         # Line 3: randomly select a non-noise neighbor; its cluster is
         # the destination.
-        destination_point = int(rng.choice(np.sort(non_noise)))
+        destination_point = int(rng.choice(non_noise))
         destination = uf.find(int(out[destination_point]))
         merged = out[non_noise]
         if out[point] != NOISE:
@@ -100,8 +98,9 @@ def post_process(
         # The false negative itself is a core member of the merged cluster.
         out[point] = destination
     if n_clusters:
+        roots = np.array([uf.find(c) for c in range(n_clusters)], dtype=np.int64)
         cluster_ids = out >= 0
-        out[cluster_ids] = [uf.find(int(label)) for label in out[cluster_ids]]
+        out[cluster_ids] = roots[out[cluster_ids]]
     return PostProcessOutcome(
         labels=out,
         n_false_negatives=n_false_negatives,

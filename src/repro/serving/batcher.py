@@ -134,10 +134,6 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # submission path (event-loop thread)
 
-    @property
-    def pending_rows(self) -> int:
-        return self._pending_rows
-
     def _bind_loop(self) -> asyncio.AbstractEventLoop:
         loop = asyncio.get_running_loop()
         if self._loop is None:

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.laf
+from repro.core import post_process
 from repro.distances import normalize_rows
 from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
@@ -81,3 +83,31 @@ def one_worker_pool():
     """
     with WorkerPool.spawn_local(1) as pool:
         yield pool
+
+
+# ---------------------------------------------------------------------------
+# LAF fixtures
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def fit_with_E():
+    """``fit_with_E(clusterer, X) -> (result, E)``: a LAF fit and the map
+    ``E`` it handed to Algorithm 3, read by wrapping
+    ``repro.core.laf.post_process``, the name ``LAF.finalize`` calls.
+    Post-processing must be on."""
+
+    def fit(clusterer, X):
+        seen = []
+
+        def capture(labels, E, tau, seed=0):
+            seen.append(E)
+            return post_process(labels, E, tau, seed=seed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.core.laf, "post_process", capture)
+            result = clusterer.fit(X)
+        (E,) = seen
+        return result, E
+
+    return fit

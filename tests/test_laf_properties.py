@@ -3,6 +3,7 @@
 These check properties that must hold for *any* estimator and alpha:
 
 * the partial-neighbor map only ever contains true neighbors;
+* a fit leaves no state on the shared :class:`LAF` bundle;
 * post-processing only merges clusters (the final partition is coarser
   than or equal to the pre-repair one on non-noise points);
 * points LAF assigns to clusters are within eps of some cluster member;
@@ -15,14 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.base import NOISE
-from repro.core import LAFDBSCAN
+from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
 from repro.core.laf import LAF
 from repro.distances import normalize_rows
 from repro.estimators import SamplingCardinalityEstimator
 from repro.index import BruteForceIndex
 
 
-def run_laf(seed: int, alpha: float, post: bool = True):
+def make_laf(seed: int, alpha: float, post: bool = True):
     rng = np.random.default_rng(seed)
     X = normalize_rows(rng.normal(size=(60, 10)))
     estimator = SamplingCardinalityEstimator(sample_size=15, seed=seed).fit(X)
@@ -34,19 +35,24 @@ def run_laf(seed: int, alpha: float, post: bool = True):
         enable_post_processing=post,
         seed=seed,
     )
+    return X, clusterer
+
+
+def run_laf(seed: int, alpha: float, post: bool = True):
+    X, clusterer = make_laf(seed, alpha, post)
     return X, clusterer, clusterer.fit(X)
 
 
 class TestStructuralInvariants:
     @given(st.integers(0, 500), st.floats(0.5, 6.0))
     @settings(max_examples=20, deadline=None)
-    def test_partial_neighbors_are_true_neighbors(self, seed, alpha):
-        X, clusterer, _ = run_laf(seed, alpha)
+    def test_partial_neighbors_are_true_neighbors(self, fit_with_E, seed, alpha):
+        X, clusterer = make_laf(seed, alpha)
+        _, E = fit_with_E(clusterer, X)
         index = BruteForceIndex().build(X)
-        E = clusterer.laf.partial_neighbors
         for point, partial in E.items():
             true_neighbors = set(index.range_query(X[point], 0.6).tolist())
-            assert partial <= true_neighbors
+            assert set(partial.tolist()) <= true_neighbors
 
     @given(st.integers(0, 500), st.floats(1.0, 6.0))
     @example(seed=94, alpha=3.0)  # a repaired point that was already a border
@@ -89,18 +95,30 @@ class TestStructuralInvariants:
 
 
 class TestLAFBundle:
-    def test_finalize_before_begin_raises(self):
-        from repro.exceptions import InvalidParameterError
+    def test_finalize_without_post_processing_counts_false_negatives(self):
+        bundle = LAF(SamplingCardinalityEstimator(seed=0), enable_post_processing=False)
+        labels = np.array([0, 0, 1, -1, -1])
+        E = {3: np.array([0, 1, 2]), 4: np.array([2])}
+        outcome = bundle.finalize(labels, tau=2, E=E)
+        assert np.array_equal(outcome.labels, labels)
+        assert (outcome.n_false_negatives, outcome.n_merges) == (1, 0)
 
-        bundle = LAF(SamplingCardinalityEstimator(seed=0), alpha=1.0)
-        with pytest.raises(InvalidParameterError):
-            bundle.finalize(np.zeros(3, dtype=np.int64), tau=2)
-
-    def test_stats_before_run(self):
-        bundle = LAF(SamplingCardinalityEstimator(seed=0), alpha=1.5)
-        stats = bundle.stats()
-        assert stats["predicted_stop_points"] == 0
-        assert stats["alpha"] == 1.5
+    @pytest.mark.parametrize("cls", [LAFDBSCAN, LAFDBSCANPlusPlus])
+    def test_fit_leaves_no_state_on_the_bundle(self, cls):
+        """A fit's ``E`` and counters stay local: the shared bundle keeps
+        the keys it was built with, and none of them holds an array or a
+        map, so concurrent fits cannot see each other's."""
+        X = normalize_rows(np.random.default_rng(0).normal(size=(60, 10)))
+        estimator = SamplingCardinalityEstimator(sample_size=15, seed=0).fit(X)
+        clusterer = cls(eps=0.6, tau=4, estimator=estimator, alpha=2.0)
+        before = dict(vars(clusterer.laf))
+        result = clusterer.fit(X)
+        assert result.stats["predicted_stop_points"] > 0
+        after = vars(clusterer.laf)
+        assert after.keys() == before.keys()
+        for key, value in after.items():
+            assert value is before[key], key
+            assert not isinstance(value, (np.ndarray, dict, list, set)), key
 
     def test_begin_run_returns_gate_mask(self):
         rng = np.random.default_rng(0)
