@@ -26,6 +26,7 @@ from conftest import out_path
 from repro.data import load_dataset
 from repro.estimators import MLPRegressor, RMICardinalityEstimator
 from repro.experiments.reporting import save_json
+from repro.rng import ensure_rng
 
 SCALE = 0.25
 EPOCHS = 20
@@ -58,8 +59,9 @@ def reference_fit(model, X, y):
     model._feature_std = std
     Xs = model._standardize(X)
     sizes = [X.shape[1], *model.hidden_layers, 1]
+    rng = ensure_rng(model.seed)
     model._weights = [
-        model._rng.normal(scale=np.sqrt(2.0 / a), size=(a, b))
+        rng.normal(scale=np.sqrt(2.0 / a), size=(a, b))
         for a, b in zip(sizes[:-1], sizes[1:])
     ]
     model._biases = [np.zeros(b) for b in sizes[1:]]
@@ -68,7 +70,7 @@ def reference_fit(model, X, y):
     step = 0
     n = Xs.shape[0]
     for _ in range(model.epochs):
-        order = model._rng.permutation(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, model.batch_size):
             batch = order[start : start + model.batch_size]

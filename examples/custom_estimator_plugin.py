@@ -40,14 +40,16 @@ class PivotInterpolationEstimator(CardinalityEstimator):
     def __init__(self, n_pivots: int = 64, k: int = 4, seed: int = 0) -> None:
         self.n_pivots = n_pivots
         self.k = k
-        self._rng = np.random.default_rng(seed)
+        self.seed = seed
         self._pivots: np.ndarray | None = None
         self._radii = np.round(np.arange(0.1, 0.95, 0.1), 2)
         self._fractions: np.ndarray | None = None  # (n_pivots, n_radii)
 
     def fit(self, X_train: np.ndarray) -> "PivotInterpolationEstimator":
         n = X_train.shape[0]
-        idx = self._rng.choice(n, size=min(self.n_pivots, n), replace=False)
+        # A generator per fit: a refit on the same split keeps its pivots.
+        rng = np.random.default_rng(self.seed)
+        idx = rng.choice(n, size=min(self.n_pivots, n), replace=False)
         self._pivots = X_train[idx]
         dists = 1.0 - self._pivots @ X_train.T  # (pivots, n)
         self._fractions = np.stack(
@@ -82,7 +84,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for name, estimator in estimators.items():
-        clusterer = LAFDBSCAN(eps=EPS, tau=TAU, estimator=estimator, alpha=1.2, seed=0)
+        clusterer = LAFDBSCAN(eps=EPS, tau=TAU, estimator=estimator, alpha=1.2)
         started = time.perf_counter()
         result = clusterer.fit(test)
         elapsed = time.perf_counter() - started

@@ -79,7 +79,7 @@ class DBSCANPlusPlus(Clusterer):
         self.p = float(p)
         self.init = init
         self.assign_within_eps = bool(assign_within_eps)
-        self._rng = ensure_rng(seed)
+        self.seed = seed
 
     def model_params(self) -> dict:
         params = super().model_params()
@@ -95,15 +95,15 @@ class DBSCANPlusPlus(Clusterer):
     def _sample_indices(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
         m = max(1, int(round(self.p * n)))
+        rng = ensure_rng(self.seed)
         if self.init == "uniform":
-            return np.sort(self._rng.choice(n, size=m, replace=False))
-        return self._k_center_indices(X, m)
+            return np.sort(rng.choice(n, size=m, replace=False))
+        return self._k_center_indices(X, m, first=int(rng.integers(n)))
 
-    def _k_center_indices(self, X: np.ndarray, m: int) -> np.ndarray:
+    def _k_center_indices(self, X: np.ndarray, m: int, first: int) -> np.ndarray:
         """Greedy farthest-first traversal (2-approximate K-center)."""
-        n = X.shape[0]
         chosen = np.empty(m, dtype=np.int64)
-        chosen[0] = int(self._rng.integers(n))
+        chosen[0] = first
         min_dists = 1.0 - X @ X[chosen[0]]
         min_dists[chosen[0]] = -np.inf  # argmax only sees unchosen rows
         for i in range(1, m):

@@ -34,8 +34,7 @@ def predicted_core_ratio(
     The paper's automatic rule for DBSCAN++'s sample fraction is
     ``p = delta + R_c`` with ``delta`` between 0.1 and 0.3.
     """
-    estimator.bind(X)
-    predictions = estimator.estimate_many(X, eps)
+    predictions = estimator.bind(X).estimate_many(X, eps)
     return float(np.count_nonzero(predictions >= alpha * tau) / X.shape[0])
 
 
@@ -57,7 +56,6 @@ def select_alpha(
     tau: int,
     alpha_grid: tuple[float, ...] = (1.0, 1.15, 1.5, 2.0, 3.0, 5.0, 7.7),
     min_ami: float = 0.4,
-    seed: int | None = 0,
 ) -> tuple[float, list[AlphaCandidate]]:
     """Grid-search alpha like the paper: fastest setting above a quality bar.
 
@@ -70,9 +68,7 @@ def select_alpha(
         raise InvalidParameterError("alpha_grid must be non-empty")
     candidates: list[AlphaCandidate] = []
     for alpha in alpha_grid:
-        clusterer = LAFDBSCAN(
-            eps=eps, tau=tau, estimator=estimator, alpha=alpha, seed=seed
-        )
+        clusterer = LAFDBSCAN(eps=eps, tau=tau, estimator=estimator, alpha=alpha)
         started = time.perf_counter()
         result = clusterer.fit(X)
         elapsed = time.perf_counter() - started

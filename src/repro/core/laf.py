@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.postprocessing import PostProcessOutcome, post_process
 from repro.estimators.base import CardinalityEstimator
 from repro.exceptions import InvalidParameterError
-from repro.rng import ensure_rng
 
 __all__ = ["LAF", "partial_neighbors", "plan_neighborhoods"]
 
@@ -107,8 +106,6 @@ class LAF:
         higher quality). This is the speed-quality knob of Figure 2/3.
     enable_post_processing:
         Disable only for ablation; the paper always post-processes.
-    seed:
-        Seed for the post-processing destination choice.
     """
 
     def __init__(
@@ -116,14 +113,12 @@ class LAF:
         estimator: CardinalityEstimator,
         alpha: float = 1.0,
         enable_post_processing: bool = True,
-        seed: int | np.random.Generator | None = 0,
     ) -> None:
         if alpha <= 0:
             raise InvalidParameterError(f"alpha must be positive; got {alpha}")
         self.estimator = estimator
         self.alpha = float(alpha)
         self.enable_post_processing = bool(enable_post_processing)
-        self._rng = ensure_rng(seed)
 
     def begin_run(self, X: np.ndarray, eps: float, tau: int) -> np.ndarray:
         """Bind the target set and precompute the gate for every point.
@@ -131,12 +126,12 @@ class LAF:
         Per Algorithm 1 each point consults ``CardEst`` at most once, so
         the per-point predictions are batched here — numerically
         identical to calling the estimator point by point, but it keeps
-        the estimator's matrix work vectorized. Returns the predicted
+        the estimator's matrix work vectorized. ``bind`` returns a bound
+        copy, so the shared estimator is unchanged. Returns the predicted
         core mask ``CardEst(P) >= alpha * tau``.
         """
         X = np.asarray(X, dtype=np.float64)
-        self.estimator.bind(X)
-        return self.estimator.estimate_many(X, eps) >= self.alpha * tau
+        return self.estimator.bind(X).estimate_many(X, eps) >= self.alpha * tau
 
     def finalize(
         self, labels: np.ndarray, tau: int, E: dict[int, np.ndarray]
@@ -150,4 +145,4 @@ class LAF:
                 n_false_negatives=sum(len(m) >= tau for m in E.values()),
                 n_merges=0,
             )
-        return post_process(labels, E, tau, seed=self._rng)
+        return post_process(labels, E, tau)

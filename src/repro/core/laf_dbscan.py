@@ -57,7 +57,8 @@ class LAFDBSCAN(Clusterer):
     enable_post_processing:
         Turn off only for the ablation study.
     seed:
-        Seed for the post-processing destination choice.
+        Accepted for interface parity (the registry facade passes one to
+        every clusterer); draws nothing.
     execution:
         Execution policy (range queries run on exact brute force, as in
         the paper). Algorithm 1 queries exactly the predicted-core
@@ -101,10 +102,7 @@ class LAFDBSCAN(Clusterer):
     ) -> None:
         super().__init__(eps, tau, metric=metric, execution=execution)
         self.laf = LAF(
-            estimator,
-            alpha=alpha,
-            enable_post_processing=enable_post_processing,
-            seed=seed,
+            estimator, alpha=alpha, enable_post_processing=enable_post_processing
         )
 
     def model_params(self) -> dict:

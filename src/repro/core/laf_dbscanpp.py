@@ -28,7 +28,7 @@ from repro.clustering.base import (
     canonicalize_labels,
 )
 from repro.clustering.components import connected_components_within
-from repro.core.laf import LAF, partial_neighbors, plan_neighborhoods
+from repro.core.laf import LAF, partial_neighbors
 from repro.distances import check_unit_norm, iter_distance_blocks, nearest_in_blocks
 from repro.engine_config import ExecutionConfig
 from repro.estimators.base import CardinalityEstimator
@@ -55,14 +55,13 @@ class LAFDBSCANPlusPlus(Clusterer):
     assign_within_eps:
         Same border semantics switch as the DBSCAN++ baseline.
     seed:
-        Sampling and post-processing seed.
+        Sampling seed; post-processing draws nothing.
     execution:
         Execution policy (range queries run on exact brute force). The
         range queries that survive the gate run as one join over the
         gated sample, ``range_pairs(eps, rows=gated)``, which computes a
-        pair of two gated points once
-        (:func:`~repro.core.laf.plan_neighborhoods` gives it to both).
-        Every gated sample point is queried exactly once, and every
+        pair of two gated points once and counts it toward both. Every
+        gated sample point is queried exactly once, and every
         skipped one is registered before the first query, so ``E(P)`` is
         the gated points the join pairs with ``P``
         (:func:`~repro.core.laf.partial_neighbors`) and the output is
@@ -88,12 +87,9 @@ class LAFDBSCANPlusPlus(Clusterer):
             raise InvalidParameterError(f"sample fraction p must lie in (0, 1]; got {p}")
         self.p = float(p)
         self.assign_within_eps = bool(assign_within_eps)
-        self._rng = ensure_rng(seed)
+        self.seed = seed
         self.laf = LAF(
-            estimator,
-            alpha=alpha,
-            enable_post_processing=enable_post_processing,
-            seed=self._rng,
+            estimator, alpha=alpha, enable_post_processing=enable_post_processing
         )
 
     def model_params(self) -> dict:
@@ -112,7 +108,7 @@ class LAFDBSCANPlusPlus(Clusterer):
         predicted_core = self.laf.begin_run(X, self.eps, self.tau)
 
         m = max(1, int(round(self.p * n)))
-        sample = np.sort(self._rng.choice(n, size=m, replace=False))
+        sample = np.sort(ensure_rng(self.seed).choice(n, size=m, replace=False))
 
         # Gate the per-sample range queries with CardEst. Every skipped
         # point is registered in E before any query runs, so each
@@ -127,10 +123,13 @@ class LAFDBSCANPlusPlus(Clusterer):
         query_at[gated] = np.arange(gated.size)
         with self._engine(X) as index:
             pairs = index.range_pairs(self.eps, rows=gated)
-            neighborhoods = plan_neighborhoods(pairs, gated, n)
             engine_stats = index.stats()
-        counts = np.array([a.size for a in neighborhoods], dtype=np.int64)
-        core_sample = gated[counts >= self.tau]
+        # A pair of two gated points (query_at >= 0) is listed once, at
+        # its lower row: it counts toward both (DBSCAN's mirror rule).
+        rows, cols = pairs
+        mirror = cols[(query_at[cols] >= 0) & (cols != rows)]
+        counts = np.bincount(rows, minlength=n) + np.bincount(mirror, minlength=n)
+        core_sample = gated[counts[gated] >= self.tau]
         E = partial_neighbors(pairs, skipped.tolist(), stop_at, query_at)
 
         stats: dict[str, int | float] = {

@@ -6,10 +6,12 @@ at the false stop point instead of flowing through it. Post-processing
 repairs this with only the bookkeeping gathered during clustering:
 
 for every recorded stop point ``P`` with ``|E(P)| >= tau`` (proof that
-``P`` is truly core), pick a random non-noise partial neighbor ``P'``,
-take its cluster as the destination, and merge the clusters of all
+``P`` is truly core), take the cluster of the first non-noise partial
+neighbor ``P'`` as the destination, and merge the clusters of all
 points in ``E(P)`` — and ``P``'s own cluster, when a border claim put
-it in one — into it.
+it in one — into it. The paper selects ``P'`` randomly; every choice
+merges the same clusters, so the first one gives the same partition
+and draws nothing.
 
 Merges use union-find so chains of repairs compose; the false-negative
 point itself joins the destination cluster (it is a core member of the
@@ -24,7 +26,6 @@ import numpy as np
 
 from repro.clustering.base import NOISE
 from repro.clustering.union_find import UnionFind
-from repro.rng import ensure_rng
 
 __all__ = ["PostProcessOutcome", "post_process"]
 
@@ -42,7 +43,6 @@ def post_process(
     labels: np.ndarray,
     E: dict[int, np.ndarray],
     tau: int,
-    seed: int | np.random.Generator | None = 0,
 ) -> PostProcessOutcome:
     """Run Algorithm 3 over a finished labeling.
 
@@ -56,18 +56,16 @@ def post_process(
         an ascending array each (:func:`repro.core.laf.partial_neighbors`).
     tau:
         The core threshold; ``|E(P)| >= tau`` flags a false negative.
-    seed:
-        Seed for the random destination-cluster choice (line 3).
 
     Stop points are repaired in the iteration order of ``E``, which is
     stop-point registration order (the host's frontier order). The
     order can matter: a repair sees the labels earlier repairs wrote,
     so a stop point that one repair moves out of noise joins a later
-    repair's merge only when that repair runs second. The random
-    destination choice never changes the final partition.
+    repair's merge only when that repair runs second. The destination
+    is the first non-noise partial neighbour; the paper's random pick
+    among them merges the same clusters, so the partition is the same.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    rng = ensure_rng(seed)
     n_clusters = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 0
     uf = UnionFind(n_clusters)
     out = labels.copy()
@@ -80,10 +78,9 @@ def post_process(
         non_noise = members[out[members] != NOISE]
         if non_noise.size == 0:
             continue  # nothing to merge into — every partial neighbor is noise
-        # Line 3: randomly select a non-noise neighbor; its cluster is
-        # the destination.
-        destination_point = int(rng.choice(non_noise))
-        destination = uf.find(int(out[destination_point]))
+        # Line 3: select a non-noise neighbor; its cluster is the
+        # destination. Any one merges the same clusters.
+        destination = uf.find(int(out[non_noise[0]]))
         merged = out[non_noise]
         if out[point] != NOISE:
             # A stop point already claimed as a border: its cluster is

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import copy
 
 import numpy as np
 
@@ -16,15 +17,16 @@ class CardinalityEstimator(abc.ABC):
 
     Lifecycle::
 
-        estimator.fit(X_train)        # learn the data distribution
-        estimator.bind(X_target)      # attach the set being clustered
-        counts = estimator.estimate_many(Q, eps)
+        estimator.fit(X_train)                # learn the data distribution
+        bound = estimator.bind(X_target)      # a view on the clustered set
+        counts = bound.estimate_many(Q, eps)
 
     ``fit`` learns *fractions* — the share of the distribution within a
     given cosine radius of a query — so the estimator transfers across
-    dataset sizes. ``bind`` only records the target size for the
-    fraction-to-count conversion (the exact oracle additionally keeps the
-    target data, which is its whole point).
+    dataset sizes. ``bind`` returns a shallow copy that records the
+    target size for the fraction-to-count conversion (the exact oracle's
+    copy also keeps the target data, which is its whole point), so the
+    estimator itself stays unchanged.
     """
 
     _n_target: int | None = None
@@ -34,9 +36,10 @@ class CardinalityEstimator(abc.ABC):
         """Learn the distribution from the training split; return self."""
 
     def bind(self, X_target: np.ndarray) -> "CardinalityEstimator":
-        """Attach the dataset whose cardinalities will be estimated."""
-        self._n_target = int(np.asarray(X_target).shape[0])
-        return self
+        """A copy bound to the dataset it will estimate; ``self`` is unchanged."""
+        bound = copy.copy(self)
+        bound._n_target = int(np.asarray(X_target).shape[0])
+        return bound
 
     @property
     def n_target(self) -> int:

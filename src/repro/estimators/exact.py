@@ -30,11 +30,11 @@ class ExactCardinalityEstimator(CardinalityEstimator):
         return self
 
     def bind(self, X_target: np.ndarray) -> "ExactCardinalityEstimator":
-        super().bind(X_target)
-        self._index = BruteForceIndex(metric=self.metric).build(
+        bound = super().bind(X_target)
+        bound._index = BruteForceIndex(metric=self.metric).build(
             np.asarray(X_target, dtype=np.float64)
         )
-        return self
+        return bound
 
     def predict_fraction(self, Q: np.ndarray, eps: float) -> np.ndarray:
         counts = self._counts(Q, eps)

@@ -43,7 +43,7 @@ class RadialHistogramEstimator(CardinalityEstimator):
             raise InvalidParameterError("n_pivots and n_bins must be positive")
         self.n_pivots = int(n_pivots)
         self.n_bins = int(n_bins)
-        self._rng = ensure_rng(seed)
+        self.seed = seed
         self._pivots: np.ndarray | None = None
         self._cdfs: np.ndarray | None = None  # (n_pivots, n_bins)
         self._bin_edges: np.ndarray | None = None
@@ -52,7 +52,7 @@ class RadialHistogramEstimator(CardinalityEstimator):
         X_train = check_unit_norm(X_train, name="X_train")
         n = X_train.shape[0]
         take = min(self.n_pivots, n)
-        idx = self._rng.choice(n, size=take, replace=False)
+        idx = ensure_rng(self.seed).choice(n, size=take, replace=False)
         self._pivots = X_train[idx]
         self._bin_edges = np.linspace(0.0, 2.0, self.n_bins + 1)
         cdfs = np.empty((take, self.n_bins))

@@ -48,7 +48,7 @@ class KDECardinalityEstimator(CardinalityEstimator):
             raise InvalidParameterError(f"bandwidth must be positive; got {bandwidth}")
         self.sample_size = int(sample_size)
         self.bandwidth = bandwidth
-        self._rng = ensure_rng(seed)
+        self.seed = seed
         self._sample: np.ndarray | None = None
         self._h: float | None = None
 
@@ -56,7 +56,7 @@ class KDECardinalityEstimator(CardinalityEstimator):
         X_train = check_unit_norm(X_train, name="X_train")
         n = X_train.shape[0]
         take = min(self.sample_size, n)
-        idx = self._rng.choice(n, size=take, replace=False)
+        idx = ensure_rng(self.seed).choice(n, size=take, replace=False)
         self._sample = X_train[idx]
         if self.bandwidth is not None:
             self._h = float(self.bandwidth)

@@ -123,7 +123,7 @@ class MLPRegressor:
         self.batch_size = int(batch_size)
         self.epochs = int(epochs)
         self.l2 = float(l2)
-        self._rng = ensure_rng(seed)
+        self.seed = seed
         self._weights: list[np.ndarray] = []
         self._biases: list[np.ndarray] = []
         self._feature_mean: np.ndarray | None = None
@@ -151,11 +151,11 @@ class MLPRegressor:
         views = [p.reshape(s) for p, s in zip(np.split(flat, ends[:-1]), shapes)]
         return flat, views[::2], views[1::2]
 
-    def _init_params(self, in_dim: int) -> np.ndarray:
+    def _init_params(self, in_dim: int, rng: np.random.Generator) -> np.ndarray:
         """He-initialize every layer into views of one flat buffer; return it."""
         flat, self._weights, self._biases = self._param_views(in_dim)
         for W in self._weights:
-            W[...] = self._rng.normal(scale=np.sqrt(2.0 / W.shape[0]), size=W.shape)
+            W[...] = rng.normal(scale=np.sqrt(2.0 / W.shape[0]), size=W.shape)
         return flat
 
     def clone_from(self, other: "MLPRegressor") -> "MLPRegressor":
@@ -260,14 +260,15 @@ class MLPRegressor:
         std[std < 1e-12] = 1.0
         self._feature_std = std
         Xs = self._standardize(X)
-        params = self._init_params(X.shape[1])
+        rng = ensure_rng(self.seed)
+        params = self._init_params(X.shape[1], rng)
         grads, grad_w, grad_b = self._param_views(X.shape[1])
         adam_state = np.zeros((4, params.size))
         step = 0
         self.history = TrainingHistory()
         n = Xs.shape[0]
         for _ in range(self.epochs):
-            order = self._rng.permutation(n)
+            order = rng.permutation(n)
             epoch_loss = 0.0
             for start in range(0, n, self.batch_size):
                 batch = order[start : start + self.batch_size]

@@ -73,8 +73,7 @@ class RMICardinalityEstimator(CardinalityEstimator):
     >>> ds = load_dataset("MS-50k", scale=0.005, seed=1)
     >>> train, test = ds.split()
     >>> est = RMICardinalityEstimator(epochs=5, n_train_queries=64, seed=0)
-    >>> est.fit(train).bind(test)                    # doctest: +ELLIPSIS
-    <repro.estimators.rmi.RMICardinalityEstimator object at ...>
+    >>> est = est.fit(train).bind(test)
     >>> counts = est.estimate_many(test[:4], eps=0.5)
     >>> counts.shape
     (4,)
@@ -106,7 +105,7 @@ class RMICardinalityEstimator(CardinalityEstimator):
         self.n_train_queries = n_train_queries
         self.radii = tuple(radii)
         self.metric = metric
-        self._rng = ensure_rng(seed)
+        self.seed = seed
         self._models: list[list[MLPRegressor]] = []
         self._target_max: float = 1.0
         self._n_reference: int | None = None
@@ -141,11 +140,12 @@ class RMICardinalityEstimator(CardinalityEstimator):
         )
 
     def fit(self, X_train: np.ndarray) -> "RMICardinalityEstimator":
+        rng = ensure_rng(self.seed)
         training = build_training_set(
             X_train,
             n_queries=self.n_train_queries,
             radii=self.radii,
-            seed=self._rng,
+            seed=rng,
             metric=self.metric,
         )
         self.training_set_ = training
@@ -155,7 +155,7 @@ class RMICardinalityEstimator(CardinalityEstimator):
         self._target_max = float(max(targets.max(), 1e-9))
 
         n_models_total = sum(self.stages)
-        rngs = iter(spawn_rng(self._rng, n_models_total))
+        rngs = iter(spawn_rng(rng, n_models_total))
         self._models = []
         # Which model of the current stage each example routes to.
         assignment = np.zeros(features.shape[0], dtype=np.int64)
@@ -163,8 +163,7 @@ class RMICardinalityEstimator(CardinalityEstimator):
             stage_models: list[MLPRegressor] = []
             predictions = np.empty(features.shape[0])
             for model_idx in range(n_models):
-                rng = next(rngs)
-                model = self._new_model(rng)
+                model = self._new_model(next(rngs))
                 mask = assignment == model_idx
                 n_routed = int(np.count_nonzero(mask))
                 if stage_idx == 0 or n_routed >= _MIN_EXAMPLES_PER_MODEL:

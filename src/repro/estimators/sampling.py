@@ -38,14 +38,14 @@ class SamplingCardinalityEstimator(CardinalityEstimator):
                 f"sample_size must be positive; got {sample_size}"
             )
         self.sample_size = int(sample_size)
-        self._rng = ensure_rng(seed)
+        self.seed = seed
         self._sample: np.ndarray | None = None
 
     def fit(self, X_train: np.ndarray) -> "SamplingCardinalityEstimator":
         X_train = check_unit_norm(X_train, name="X_train")
         n = X_train.shape[0]
         take = min(self.sample_size, n)
-        idx = self._rng.choice(n, size=take, replace=False)
+        idx = ensure_rng(self.seed).choice(n, size=take, replace=False)
         self._sample = X_train[idx]
         return self
 

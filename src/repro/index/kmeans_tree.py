@@ -90,7 +90,7 @@ class KMeansTree:
         self.branching = int(branching)
         self.checks_ratio = float(checks_ratio)
         self.leaf_size = int(leaf_size)
-        self._rng = ensure_rng(seed)
+        self.seed = seed
         self._points: np.ndarray | None = None
         self._root: _Node | None = None
         self._n_leaves = 0
@@ -108,10 +108,10 @@ class KMeansTree:
         self._points = check_unit_norm(X)
         self._n_leaves = 0
         all_indices = np.arange(self._points.shape[0], dtype=np.int64)
-        self._root = self._build_node(all_indices)
+        self._root = self._build_node(all_indices, ensure_rng(self.seed))
         return self
 
-    def _build_node(self, indices: np.ndarray) -> _Node:
+    def _build_node(self, indices: np.ndarray, rng: np.random.Generator) -> _Node:
         pts = self._points[indices]
         center = pts.mean(axis=0)
         node = _Node(center)
@@ -120,7 +120,7 @@ class KMeansTree:
             node.leaf_points = np.ascontiguousarray(pts)
             self._n_leaves += 1
             return node
-        assignments, centers = self._lloyd(pts)
+        assignments, centers = self._lloyd(pts, rng)
         occupied = [
             np.flatnonzero(assignments == cluster_id)
             for cluster_id in range(centers.shape[0])
@@ -133,14 +133,16 @@ class KMeansTree:
             node.leaf_points = np.ascontiguousarray(pts)
             self._n_leaves += 1
             return node
-        node.children = [self._build_node(indices[members]) for members in occupied]
+        node.children = [self._build_node(indices[m], rng) for m in occupied]
         node.child_centers = np.stack([c.center for c in node.children])
         return node
 
-    def _lloyd(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _lloyd(
+        self, pts: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
         """A few Lloyd iterations; returns (assignments, centers)."""
         k = min(self.branching, pts.shape[0])
-        seeds = self._rng.choice(pts.shape[0], size=k, replace=False)
+        seeds = rng.choice(pts.shape[0], size=k, replace=False)
         centers = pts[seeds].copy()
         assignments = np.zeros(pts.shape[0], dtype=np.int64)
         for _ in range(_KMEANS_ITERATIONS):

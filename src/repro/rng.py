@@ -1,13 +1,16 @@
 """Seeded random-number helpers.
 
 All stochastic components in this library (samplers, estimator training,
-sampling-based clusterers, LAF post-processing) accept a ``seed`` argument
-and route it through :func:`ensure_rng`, which gives three call styles:
+sampling-based clusterers) accept a ``seed`` argument and route it
+through :func:`ensure_rng`, which gives three call styles:
 
 * ``ensure_rng(None)`` — a fresh, OS-seeded generator;
 * ``ensure_rng(42)`` — a deterministic generator;
 * ``ensure_rng(existing_generator)`` — passed through unchanged, so a
   caller can thread one generator through a whole pipeline.
+
+A class that draws keeps its ``seed`` and calls ``ensure_rng(self.seed)``
+in each ``fit``/``build``, so with an int seed a refit repeats the first.
 """
 
 from __future__ import annotations

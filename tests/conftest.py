@@ -100,9 +100,9 @@ def fit_with_E():
     def fit(clusterer, X):
         seen = []
 
-        def capture(labels, E, tau, seed=0):
+        def capture(labels, E, tau):
             seen.append(E)
-            return post_process(labels, E, tau, seed=seed)
+            return post_process(labels, E, tau)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(repro.core.laf, "post_process", capture)

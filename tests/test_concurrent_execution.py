@@ -14,12 +14,15 @@ share, so its shard caches start cold.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 
 from repro import ExecutionConfig, ShardingConfig
-from repro.clustering import DBSCAN
+from repro.clustering import DBSCAN, DBSCANPlusPlus
+from repro.core import LAFDBSCANPlusPlus
+from repro.estimators import SamplingCardinalityEstimator
 from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
@@ -152,3 +155,49 @@ class TestConcurrentFits:
             assert np.array_equal(result.core_mask, reference.core_mask)
             assert result.stats["shard_rebalances"] == 0
         assert sum(r.stats["shard_inner_builds"] for r in results) == n_shards
+
+    def test_shared_sampling_instances_repeat_a_fresh_fit(self):
+        """Threads share one DBSCAN++ and one LAF-DBSCAN++ instance (and
+        its estimator). Each fit draws its sample from a generator it
+        makes from the instance's seed, so every fit equals a fresh
+        instance's, however the threads interleave."""
+        X = _data()
+        estimator = SamplingCardinalityEstimator(sample_size=30, seed=0).fit(X)
+
+        def dbscanpp():
+            return DBSCANPlusPlus(eps=EPS, tau=TAU, p=0.3, seed=4)
+
+        def laf_dbscanpp():
+            return LAFDBSCANPlusPlus(
+                eps=EPS, tau=TAU, estimator=estimator, p=0.3, alpha=1.5, seed=4
+            )
+
+        builders = {"dbscan++": dbscanpp, "laf-dbscan++": laf_dbscanpp}
+        shared = {name: build() for name, build in builders.items()}
+        outputs: dict[str, list] = {name: [] for name in builders}
+        threads_per_instance = 2
+        barrier = threading.Barrier(len(builders) * threads_per_instance)
+
+        def run(name: str) -> None:
+            barrier.wait(timeout=30)
+            for _ in range(N_FITS_PER_THREAD):
+                outputs[name].append(shared[name].fit(X))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-fit
+        try:
+            _run_threads(
+                {
+                    f"{name}-{i}": lambda name=name: run(name)
+                    for name in builders
+                    for i in range(threads_per_instance)
+                }
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        for name, build in builders.items():
+            reference = build().fit(X)
+            assert len(outputs[name]) == threads_per_instance * N_FITS_PER_THREAD
+            for result in outputs[name]:
+                assert np.array_equal(result.labels, reference.labels), name
+                assert np.array_equal(result.core_mask, reference.core_mask), name

@@ -45,7 +45,7 @@ class TestSelectAlpha:
         gt = DBSCAN(eps=0.5, tau=5).fit(data)
         est = SamplingCardinalityEstimator(sample_size=40, seed=0).fit(data)
         best, candidates = select_alpha(
-            data, gt.labels, est, eps=0.5, tau=5, alpha_grid=(1.0, 2.0), seed=0
+            data, gt.labels, est, eps=0.5, tau=5, alpha_grid=(1.0, 2.0)
         )
         assert best in (1.0, 2.0)
         assert len(candidates) == 2
@@ -60,7 +60,6 @@ class TestSelectAlpha:
             eps=0.5,
             tau=5,
             alpha_grid=(1.0,),
-            seed=0,
         )
         assert candidates[0].ari == pytest.approx(1.0)
         assert candidates[0].ami == pytest.approx(1.0)
@@ -76,7 +75,6 @@ class TestSelectAlpha:
             tau=5,
             alpha_grid=(50.0, 100.0),  # both destroy quality
             min_ami=0.99,
-            seed=0,
         )
         best_candidate = max(candidates, key=lambda c: c.ami)
         assert best == best_candidate.alpha

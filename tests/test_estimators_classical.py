@@ -52,7 +52,7 @@ class TestExactOracle:
 class TestSamplingEstimator:
     def test_full_sample_is_exact_fraction(self, data):
         est = SamplingCardinalityEstimator(sample_size=10_000, seed=0).fit(data)
-        est.bind(data)
+        est = est.bind(data)
         index = BruteForceIndex().build(data)
         counts = est.estimate_many(data[:10], 0.5)
         expected = index.batch_range_count(data[:10], 0.5)
@@ -60,7 +60,7 @@ class TestSamplingEstimator:
 
     def test_small_sample_unbiased_ballpark(self, data):
         est = SamplingCardinalityEstimator(sample_size=60, seed=1).fit(data)
-        est.bind(data)
+        est = est.bind(data)
         index = BruteForceIndex().build(data)
         predicted = est.estimate_many(data, 0.5).mean()
         actual = index.batch_range_count(data, 0.5).mean()
@@ -68,7 +68,7 @@ class TestSamplingEstimator:
 
     def test_unfitted_raises(self, data):
         est = SamplingCardinalityEstimator()
-        est.bind(data)
+        est = est.bind(data)
         with pytest.raises(NotFittedError):
             est.estimate_many(data[:2], 0.5)
 
@@ -91,7 +91,7 @@ class TestKDEEstimator:
 
     def test_tracks_truth_loosely(self, data):
         est = KDECardinalityEstimator(sample_size=150, bandwidth=0.02, seed=0).fit(data)
-        est.bind(data)
+        est = est.bind(data)
         index = BruteForceIndex().build(data)
         predicted = est.estimate_many(data, 0.5)
         actual = index.batch_range_count(data, 0.5)
@@ -110,7 +110,7 @@ class TestKDEEstimator:
 
     def test_unfitted_raises(self, data):
         est = KDECardinalityEstimator()
-        est.bind(data)
+        est = est.bind(data)
         with pytest.raises(NotFittedError):
             est.estimate_many(data[:2], 0.5)
 
@@ -130,7 +130,7 @@ class TestHistogramEstimator:
     def test_pivot_query_is_reasonable(self, data):
         # Querying exactly at a pivot should reproduce that pivot's CDF.
         est = RadialHistogramEstimator(n_pivots=4, n_bins=128, seed=0).fit(data)
-        est.bind(data)
+        est = est.bind(data)
         index = BruteForceIndex().build(data)
         pivot = est._pivots[0]
         predicted = est.estimate(pivot, 0.5)
@@ -145,6 +145,6 @@ class TestHistogramEstimator:
 
     def test_unfitted_raises(self, data):
         est = RadialHistogramEstimator()
-        est.bind(data)
+        est = est.bind(data)
         with pytest.raises(NotFittedError):
             est.estimate_many(data[:2], 0.5)

@@ -6,6 +6,7 @@ import pytest
 from repro.estimators import MLPRegressor, RMICardinalityEstimator
 from repro.estimators.mlp import paper_hidden_layers
 from repro.exceptions import InvalidParameterError, NotFittedError
+from repro.rng import ensure_rng
 from repro.testing import make_blobs_on_sphere
 
 
@@ -46,8 +47,9 @@ def reference_fit(model, X, y):
     model._feature_std = std
     Xs = model._standardize(X)
     sizes = [X.shape[1], *model.hidden_layers, 1]
+    rng = ensure_rng(model.seed)
     model._weights = [
-        model._rng.normal(scale=np.sqrt(2.0 / a), size=(a, b))
+        rng.normal(scale=np.sqrt(2.0 / a), size=(a, b))
         for a, b in zip(sizes[:-1], sizes[1:])
     ]
     model._biases = [np.zeros(b) for b in sizes[1:]]
@@ -56,7 +58,7 @@ def reference_fit(model, X, y):
     step = 0
     n = Xs.shape[0]
     for _ in range(model.epochs):
-        order = model._rng.permutation(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, model.batch_size):
             batch = order[start : start + model.batch_size]
@@ -241,6 +243,6 @@ class TestFusedAdamMatchesPerArrayOracle:
                     fused.stage_model(stage, index), oracle.stage_model(stage, index)
                 )
         Q = X[::7]
-        fused.bind(X)
-        oracle.bind(X)
+        fused = fused.bind(X)
+        oracle = oracle.bind(X)
         assert np.array_equal(fused.estimate_many(Q, 0.5), oracle.estimate_many(Q, 0.5))

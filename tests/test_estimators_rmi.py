@@ -59,7 +59,7 @@ class TestFitAndPredict:
         # making per-query correlation meaningless).
         est, X = fitted
         index = BruteForceIndex().build(X)
-        est.bind(X)
+        est = est.bind(X)
         eps = 0.6
         predicted = est.estimate_many(X, eps)
         actual = index.batch_range_count(X, eps).astype(float)
@@ -70,7 +70,7 @@ class TestFitAndPredict:
     def test_mean_estimates_track_truth_across_radii(self, fitted):
         est, X = fitted
         index = BruteForceIndex().build(X)
-        est.bind(X)
+        est = est.bind(X)
         for eps in (0.3, 0.5, 0.7):
             predicted = est.estimate_many(X, eps).mean()
             actual = index.batch_range_count(X, eps).mean()
@@ -83,15 +83,15 @@ class TestFitAndPredict:
 
     def test_counts_scale_with_bound_size(self, fitted):
         est, X = fitted
-        est.bind(X)
+        est = est.bind(X)
         full = est.estimate_many(X[:5], 0.5)
-        est.bind(X[:90])
+        est = est.bind(X[:90])
         half = est.estimate_many(X[:5], 0.5)
         assert np.allclose(half, full * 90 / X.shape[0], rtol=1e-9)
 
     def test_estimate_scalar_form(self, fitted):
         est, X = fitted
-        est.bind(X)
+        est = est.bind(X)
         single = est.estimate(X[0], 0.5)
         many = est.estimate_many(X[:1], 0.5)[0]
         assert single == pytest.approx(many)
@@ -117,7 +117,7 @@ class TestFitAndPredict:
 
     def test_larger_radius_larger_estimates_on_average(self, fitted):
         est, X = fitted
-        est.bind(X)
+        est = est.bind(X)
         small = est.estimate_many(X, 0.2).mean()
         large = est.estimate_many(X, 0.8).mean()
         assert large > small
@@ -152,7 +152,7 @@ class TestRouting:
         est = RMICardinalityEstimator(
             stages=(1, 3), hidden_layers=(8,), epochs=3, seed=0
         ).fit(X)
-        est.bind(X)
+        est = est.bind(X)
         assert est.estimate_many(X[:4], 0.5).shape == (4,)
 
     def test_single_stage_variant(self):
@@ -160,5 +160,5 @@ class TestRouting:
         est = RMICardinalityEstimator(
             stages=(1,), hidden_layers=(8,), epochs=3, seed=0
         ).fit(X)
-        est.bind(X)
+        est = est.bind(X)
         assert est.estimate_many(X[:4], 0.5).shape == (4,)

@@ -36,9 +36,9 @@ class AntiOracleEstimator(CardinalityEstimator):
         return self
 
     def bind(self, X_target):
-        super().bind(X_target)
-        self._index = BruteForceIndex().build(np.asarray(X_target, dtype=np.float64))
-        return self
+        bound = super().bind(X_target)
+        bound._index = BruteForceIndex().build(np.asarray(X_target, dtype=np.float64))
+        return bound
 
     def predict_fraction(self, Q, eps):
         true = self._index.batch_range_count(np.atleast_2d(Q), eps) / self.n_target

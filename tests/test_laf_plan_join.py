@@ -94,10 +94,10 @@ def update_partial_neighbors(E, p, neighbors):
             E[q].add(p)
 
 
-def repair(clusterer, labels, E, seed):
+def repair(clusterer, labels, E):
     """Algorithm 3 over the oracle's ``E``."""
     E = {s: np.array(sorted(members), dtype=np.int64) for s, members in E.items()}
-    return post_process(labels, E, clusterer.tau, seed=seed)
+    return post_process(labels, E, clusterer.tau)
 
 
 def laf_dbscan_oracle(clusterer, X):
@@ -145,7 +145,7 @@ def laf_dbscan_oracle(clusterer, X):
             else:
                 E.setdefault(q, set())
                 skipped += 1
-    repaired = repair(clusterer, labels, E, clusterer.laf._rng)
+    repaired = repair(clusterer, labels, E)
     return outcome(
         repaired.labels,
         core_mask,
@@ -163,8 +163,8 @@ def laf_dbscanpp_oracle(clusterer, X):
     graph and nearest-core assignment."""
     eps, tau, n = clusterer.eps, clusterer.tau, len(X)
     predicted_core = clusterer.laf.begin_run(X, eps, tau)
-    rng = clusterer._rng  # the fit's stream: the sample, then Algorithm 3
     m = max(1, int(round(clusterer.p * n)))
+    rng = np.random.default_rng(clusterer.seed)  # the fit's sample draw
     sample = np.sort(rng.choice(n, size=m, replace=False))
     index = BruteForceIndex().build(X)
     E = {s: set() for s in sample.tolist() if not predicted_core[s]}
@@ -188,7 +188,7 @@ def laf_dbscanpp_oracle(clusterer, X):
             iter_distance_blocks(X[rest], X[cores]), rest.size
         )
         labels[rest] = np.where(distance < eps, core_labels[nearest], NOISE)
-    repaired = repair(clusterer, labels, E, rng)
+    repaired = repair(clusterer, labels, E)
     return outcome(
         repaired.labels,
         core_mask,

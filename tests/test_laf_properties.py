@@ -3,7 +3,8 @@
 These check properties that must hold for *any* estimator and alpha:
 
 * the partial-neighbor map only ever contains true neighbors;
-* a fit leaves no state on the shared :class:`LAF` bundle;
+* a fit leaves no state on the shared :class:`LAF` bundle or its
+  estimator;
 * post-processing only merges clusters (the final partition is coarser
   than or equal to the pre-repair one on non-noise points);
 * points LAF assigns to clusters are within eps of some cluster member;
@@ -107,11 +108,13 @@ class TestLAFBundle:
     def test_fit_leaves_no_state_on_the_bundle(self, cls):
         """A fit's ``E`` and counters stay local: the shared bundle keeps
         the keys it was built with, and none of them holds an array or a
-        map, so concurrent fits cannot see each other's."""
+        map, so concurrent fits cannot see each other's. The fit binds
+        a copy of the estimator, so the estimator is left as it was."""
         X = normalize_rows(np.random.default_rng(0).normal(size=(60, 10)))
         estimator = SamplingCardinalityEstimator(sample_size=15, seed=0).fit(X)
         clusterer = cls(eps=0.6, tau=4, estimator=estimator, alpha=2.0)
         before = dict(vars(clusterer.laf))
+        estimator_before = dict(vars(estimator))
         result = clusterer.fit(X)
         assert result.stats["predicted_stop_points"] > 0
         after = vars(clusterer.laf)
@@ -119,6 +122,9 @@ class TestLAFBundle:
         for key, value in after.items():
             assert value is before[key], key
             assert not isinstance(value, (np.ndarray, dict, list, set)), key
+        assert vars(estimator).keys() == estimator_before.keys()
+        for key, value in vars(estimator).items():
+            assert value is estimator_before[key], key
 
     def test_begin_run_returns_gate_mask(self):
         rng = np.random.default_rng(0)
@@ -126,6 +132,6 @@ class TestLAFBundle:
         estimator = SamplingCardinalityEstimator(sample_size=10, seed=0).fit(X)
         bundle = LAF(estimator, alpha=1.0)
         mask = bundle.begin_run(X, eps=0.6, tau=3)
-        estimator.bind(X)
+        estimator = estimator.bind(X)
         expected = estimator.estimate_many(X, 0.6) >= 3.0
         assert np.array_equal(mask, expected)

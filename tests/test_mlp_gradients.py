@@ -24,7 +24,7 @@ def setup():
     model = MLPRegressor(hidden_layers=(7, 4), seed=1)
     model._feature_mean = np.zeros(5)
     model._feature_std = np.ones(5)
-    model._init_params(5)
+    model._init_params(5, np.random.default_rng(1))
     return model, X, y
 
 

@@ -248,6 +248,22 @@ class TestGlobalRandom:
     def test_out_of_scope_not_flagged(self):
         assert codes(lint_source("np.random.rand(3)\n", "benchmarks/b.py")) == []
 
+    @pytest.mark.parametrize("factory", ["ensure_rng(s)", "np.random.default_rng(s)"])
+    def test_generator_stored_on_self_flagged(self, factory):
+        src = f"class C:\n    def __init__(self, s):\n        self._rng = {factory}\n"
+        assert codes(lint(src)) == ["RPL006"]
+
+    def test_generator_local_to_fit_ok(self):
+        src = (
+            "class C:\n"
+            "    def __init__(self, seed):\n"
+            "        self.seed = seed\n"
+            "    def fit(self, n):\n"
+            "        rng = ensure_rng(self.seed)\n"
+            "        return rng.choice(n)\n"
+        )
+        assert codes(lint(src)) == []
+
 
 # ---------------------------------------------------------------------------
 # RPL007 swallowed exceptions

@@ -23,8 +23,8 @@ class TestRMIPersistence:
         path = str(tmp_path / "rmi.npz")
         est.save(path)
         loaded = RMICardinalityEstimator.load(path)
-        est.bind(X)
-        loaded.bind(X)
+        est = est.bind(X)
+        loaded = loaded.bind(X)
         assert np.allclose(
             est.estimate_many(X[:15], 0.5), loaded.estimate_many(X[:15], 0.5)
         )
@@ -44,7 +44,7 @@ class TestRMIPersistence:
         est.save(path)
         loaded = RMICardinalityEstimator.load(path)
         other, _ = make_blobs_on_sphere(30, 2, 12, spread=0.4, seed=9)
-        loaded.bind(other)
+        loaded = loaded.bind(other)
         counts = loaded.estimate_many(other[:5], 0.5)
         assert counts.shape == (5,)
         assert np.isfinite(counts).all()

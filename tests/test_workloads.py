@@ -35,8 +35,8 @@ class TestPrepareWorkload:
 
     def test_estimator_is_fitted_and_usable(self):
         wl = tiny()
-        wl.estimator.bind(wl.X_test)
-        counts = wl.estimator.estimate_many(wl.X_test[:3], 0.5)
+        bound = wl.estimator.bind(wl.X_test)
+        counts = bound.estimate_many(wl.X_test[:3], 0.5)
         assert counts.shape == (3,)
 
     def test_memoization_identity(self):

@@ -488,17 +488,21 @@ class WireSafetyRule(Rule):
 
 
 class GlobalRandomRule(Rule):
-    """RPL006: no global-state ``np.random.*`` calls under ``src/``.
+    """RPL006: no global-state ``np.random.*`` calls under ``src/``, and
+    no generator stored on an instance.
 
     Every stochastic code path takes a ``numpy.random.Generator`` (see
     ``repro.rng.ensure_rng``) so runs are reproducible and parallel
-    workers do not share hidden RNG state.
+    workers do not share hidden RNG state. A ``self.<attr> =
+    ensure_rng(...)`` or ``np.random.default_rng(...)`` assignment makes
+    every fit advance one shared stream: keep the seed and derive the
+    generator inside the fit instead.
     """
 
     code = "RPL006"
     summary = (
         "no global np.random.* state under src/ — accept a Generator "
-        "(repro.rng.ensure_rng)"
+        "(repro.rng.ensure_rng); keep seeds, not generators, on self"
     )
     scope = ("src",)
 
@@ -516,9 +520,38 @@ class GlobalRandomRule(Rule):
         }
     )
     NUMPY_ALIASES = frozenset({"np", "numpy"})
+    GENERATOR_FACTORIES = frozenset({"ensure_rng", "default_rng"})
+
+    def _stores_generator(self, node: ast.AST) -> bool:
+        """``self.<attr> = <generator factory>(...)``."""
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            return False
+        return (
+            isinstance(value, ast.Call)
+            and (_dotted(value.func) or "").rsplit(".", 1)[-1]
+            in self.GENERATOR_FACTORIES
+            and any(
+                isinstance(t, ast.Attribute)
+                and isinstance(t.value, ast.Name)
+                and t.value.id == "self"
+                for t in targets
+            )
+        )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
+            if self._stores_generator(node):
+                yield self.finding(
+                    ctx,
+                    node,
+                    "a generator stored on self outlives its fit; keep the "
+                    "seed and call ensure_rng(self.seed) inside the fit",
+                )
+                continue
             if not isinstance(node, ast.Attribute):
                 continue
             value = node.value
