@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, NotFittedError, PersistenceError
-from repro.rng import ensure_rng
+from repro.rng import Seed, ensure_rng
 
 __all__ = ["MLPRegressor", "TrainingHistory", "paper_hidden_layers"]
 
@@ -107,7 +107,7 @@ class MLPRegressor:
         learning_rate: float = 1e-3,
         batch_size: int = 128,
         epochs: int = 60,
-        seed: int | np.random.Generator | None = 0,
+        seed: Seed = 0,
         l2: float = 0.0,
     ) -> None:
         if any(h <= 0 for h in hidden_layers):

@@ -34,7 +34,7 @@ from repro.estimators.training_data import (
     make_features,
 )
 from repro.exceptions import InvalidParameterError, NotFittedError
-from repro.rng import ensure_rng, spawn_rng
+from repro.rng import ensure_rng
 
 __all__ = ["RMICardinalityEstimator"]
 
@@ -130,13 +130,13 @@ class RMICardinalityEstimator(CardinalityEstimator):
     # Training
     # ------------------------------------------------------------------
 
-    def _new_model(self, rng: np.random.Generator) -> MLPRegressor:
+    def _new_model(self, seed: np.random.SeedSequence) -> MLPRegressor:
         return MLPRegressor(
             hidden_layers=self.hidden_layers,
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             epochs=self.epochs,
-            seed=rng,
+            seed=seed,
         )
 
     def fit(self, X_train: np.ndarray) -> "RMICardinalityEstimator":
@@ -155,7 +155,9 @@ class RMICardinalityEstimator(CardinalityEstimator):
         self._target_max = float(max(targets.max(), 1e-9))
 
         n_models_total = sum(self.stages)
-        rngs = iter(spawn_rng(rng, n_models_total))
+        # A child seed per network (the streams Generator.spawn would
+        # give), so no network keeps a generator past its fit.
+        seeds = iter(rng.bit_generator.seed_seq.spawn(n_models_total))
         self._models = []
         # Which model of the current stage each example routes to.
         assignment = np.zeros(features.shape[0], dtype=np.int64)
@@ -163,7 +165,7 @@ class RMICardinalityEstimator(CardinalityEstimator):
             stage_models: list[MLPRegressor] = []
             predictions = np.empty(features.shape[0])
             for model_idx in range(n_models):
-                model = self._new_model(next(rngs))
+                model = self._new_model(next(seeds))
                 mask = assignment == model_idx
                 n_routed = int(np.count_nonzero(mask))
                 if stage_idx == 0 or n_routed >= _MIN_EXAMPLES_PER_MODEL:

@@ -5,7 +5,8 @@ sampling-based clusterers) accept a ``seed`` argument and route it
 through :func:`ensure_rng`, which gives three call styles:
 
 * ``ensure_rng(None)`` — a fresh, OS-seeded generator;
-* ``ensure_rng(42)`` — a deterministic generator;
+* ``ensure_rng(42)`` or ``ensure_rng(seed_sequence)`` — a deterministic
+  generator;
 * ``ensure_rng(existing_generator)`` — passed through unchanged, so a
   caller can thread one generator through a whole pipeline.
 
@@ -17,30 +18,21 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ensure_rng", "spawn_rng"]
+__all__ = ["ensure_rng"]
+
+Seed = int | np.random.SeedSequence | np.random.Generator | None
 
 
-def ensure_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
+def ensure_rng(seed: Seed) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for any accepted seed form.
 
     Parameters
     ----------
     seed:
-        ``None`` for nondeterministic, an ``int`` for a deterministic
-        stream, or an existing ``Generator`` to pass through.
+        ``None`` for nondeterministic, an ``int`` or a ``SeedSequence``
+        for a deterministic stream, or an existing ``Generator`` to pass
+        through.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` independent child generators.
-
-    Children are derived with :meth:`numpy.random.Generator.spawn`, so the
-    parent stream stays reproducible regardless of how many children are
-    requested.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    return list(rng.spawn(n))

@@ -65,6 +65,20 @@ def rmi_weights(estimator):
     return fit
 
 
+def rmi_root_network(estimator):
+    """The root network of an RMI fit, refit on the RMI's training set:
+    the RMI hands each network a seed, not a generator."""
+
+    def fit(X):
+        if estimator.training_set_ is None:
+            estimator.fit(X)
+        training = estimator.training_set_
+        model = estimator.stage_model(0, 0).fit(training.features, training.fractions)
+        return [*model._weights, *model._biases]
+
+    return fit
+
+
 def tree_leaves(tree):
     def fit(X):
         tree.build(X)
@@ -104,6 +118,11 @@ CASES = {
         RadialHistogramEstimator(n_pivots=4, seed=0), "_pivots", "_cdfs"
     ),
     "rmi": lambda: rmi_weights(
+        RMICardinalityEstimator(
+            hidden_layers=(8,), epochs=3, n_train_queries=30, seed=0
+        )
+    ),
+    "rmi-root-network": lambda: rmi_root_network(
         RMICardinalityEstimator(
             hidden_layers=(8,), epochs=3, n_train_queries=30, seed=0
         )
