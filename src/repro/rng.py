@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ensure_rng"]
+__all__ = ["Seed", "ensure_rng"]
 
 Seed = int | np.random.SeedSequence | np.random.Generator | None
 
