@@ -161,13 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_positive_int, default=2, help="worker processes"
     )
     ps.add_argument("--host", default="127.0.0.1", help="bind address")
-    ps.add_argument(
-        "--max-cached-shards",
-        type=_positive_int,
-        default=None,
-        help="LRU bound on each worker's warm shard-index cache "
-        "(default: unbounded)",
-    )
 
     p = sub.add_parser(
         "serve",
@@ -427,11 +420,7 @@ def _cmd_predict(args, execution: ExecutionConfig) -> list[dict]:
 def _cmd_pool_serve(args) -> int:
     from repro.remote.pool import WorkerPool
 
-    pool = WorkerPool.spawn_local(
-        args.workers,
-        host=args.host,
-        max_cached_shards=args.max_cached_shards,
-    )
+    pool = WorkerPool.spawn_local(args.workers, host=args.host)
     for address in pool.addresses:
         print(f"pool worker listening on {address}", flush=True)
     flags = " ".join(f"--pool-address {a}" for a in pool.addresses)

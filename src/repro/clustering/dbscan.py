@@ -20,6 +20,7 @@ from repro.clustering.base import (
 from repro.clustering.components import pair_components
 from repro.distances.metric import COSINE, Metric
 from repro.engine_config import ExecutionConfig
+from repro.index.base import pair_counts
 
 __all__ = ["DBSCAN"]
 
@@ -68,16 +69,12 @@ class DBSCAN(Clusterer):
         n = X.shape[0]
         with self._engine(X) as index:
             rows, cols = index.range_pairs(self.eps)
-            apart = rows != cols
             stats: dict[str, int | float] = {
                 "range_queries": n,
-                "neighbor_pairs": int(np.count_nonzero(apart)),
+                "neighbor_pairs": int(np.count_nonzero(rows != cols)),
             }
             stats.update(index.stats())
-        # A pair counts for both of its points; a point's pair with itself
-        # (the kernel's d(P, P) < eps, as in its range query) once.
-        counts = np.bincount(rows, minlength=n) + np.bincount(cols[apart], minlength=n)
-        core_mask = counts >= self.tau
+        core_mask = pair_counts((rows, cols), n) >= self.tau
         # Sequential expansion creates one cluster per component of the
         # core-core graph, at its lowest core. pair_components numbers
         # components by their lowest node, so its ids are creation order.

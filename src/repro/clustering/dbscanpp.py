@@ -25,6 +25,7 @@ from repro.clustering.components import connected_components_within
 from repro.distances import check_unit_norm, iter_distance_blocks, nearest_in_blocks
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
+from repro.index.base import pair_counts
 from repro.rng import ensure_rng
 
 __all__ = ["DBSCANPlusPlus"]
@@ -52,9 +53,11 @@ class DBSCANPlusPlus(Clusterer):
     seed:
         Sampling seed.
     execution:
-        Execution policy. The per-sample core test is one
-        ``batch_range_count_rows`` call over the sample (sharded when a
-        sharding config is set).
+        Execution policy. The per-sample core test is one join over the
+        sample, ``range_pairs(eps, rows=sample)`` (sharded when a
+        sharding config is set), whose pairs count toward both of their
+        points (:func:`~repro.index.base.pair_counts`): LAF-DBSCAN++'s
+        core test with every sampled point passing the gate.
     """
 
     algo_name = "dbscan++"
@@ -122,12 +125,11 @@ class DBSCANPlusPlus(Clusterer):
         n = X.shape[0]
         sample = self._sample_indices(X)
 
-        # Core detection within the sample, counted against the full set
-        # (count-only: the neighbor lists are never materialized).
+        # Core detection within the sample, counted against the full set.
         with self._engine(X) as index:
-            counts = index.batch_range_count_rows(sample, self.eps)
+            pairs = index.range_pairs(self.eps, rows=sample)
             engine_stats = index.stats()
-        core_sample = sample[counts >= self.tau]
+        core_sample = sample[pair_counts(pairs, n)[sample] >= self.tau]
         stats = {
             "range_queries": int(sample.size),
             "sample_size": int(sample.size),

@@ -33,6 +33,7 @@ from repro.distances import check_unit_norm, iter_distance_blocks, nearest_in_bl
 from repro.engine_config import ExecutionConfig
 from repro.estimators.base import CardinalityEstimator
 from repro.exceptions import InvalidParameterError
+from repro.index.base import pair_counts
 from repro.rng import ensure_rng
 
 __all__ = ["LAFDBSCANPlusPlus"]
@@ -124,12 +125,9 @@ class LAFDBSCANPlusPlus(Clusterer):
         with self._engine(X) as index:
             pairs = index.range_pairs(self.eps, rows=gated)
             engine_stats = index.stats()
-        # A pair of two gated points (query_at >= 0) is listed once, at
-        # its lower row: it counts toward both (DBSCAN's mirror rule).
-        rows, cols = pairs
-        mirror = cols[(query_at[cols] >= 0) & (cols != rows)]
-        counts = np.bincount(rows, minlength=n) + np.bincount(mirror, minlength=n)
-        core_sample = gated[counts[gated] >= self.tau]
+        # A pair of two gated points is listed once, at its lower row: it
+        # counts toward both (DBSCAN's mirror rule).
+        core_sample = gated[pair_counts(pairs, n)[gated] >= self.tau]
         E = partial_neighbors(pairs, skipped.tolist(), stop_at, query_at)
 
         stats: dict[str, int | float] = {

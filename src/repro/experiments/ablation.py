@@ -81,7 +81,6 @@ def _run_variant(
     tau: int,
     alpha: float,
     enable_post_processing: bool,
-    seed: int,
 ) -> AblationRecord:
     clusterer = LAFDBSCAN(
         eps=eps,
@@ -89,7 +88,6 @@ def _run_variant(
         estimator=estimator,
         alpha=alpha,
         enable_post_processing=enable_post_processing,
-        seed=seed,
     )
     result, elapsed = run_method(clusterer, X)
     return AblationRecord(
@@ -119,13 +117,13 @@ def estimator_ablation(
     gt = ground_truth(X, eps, tau)
     records = [
         _run_variant(
-            "rmi-learned", X, gt.labels, learned_estimator, eps, tau, alpha, True, seed
+            "rmi-learned", X, gt.labels, learned_estimator, eps, tau, alpha, True
         )
     ]
     for name, estimator in classical_estimators(seed).items():
         estimator.fit(X_train)
         records.append(
-            _run_variant(name, X, gt.labels, estimator, eps, tau, alpha, True, seed)
+            _run_variant(name, X, gt.labels, estimator, eps, tau, alpha, True)
         )
     return records
 
@@ -136,7 +134,6 @@ def postprocessing_ablation(
     eps: float,
     tau: int,
     alphas: Sequence[float] = (1.5, 3.0, 7.7),
-    seed: int = 0,
 ) -> list[AblationRecord]:
     """Algorithm 3 on/off at increasing alpha (more false negatives)."""
     gt = ground_truth(X, eps, tau)
@@ -154,7 +151,6 @@ def postprocessing_ablation(
                     tau,
                     alpha,
                     enabled,
-                    seed,
                 )
             )
     return records

@@ -126,7 +126,6 @@ _METHODS = {
         lambda ctx, X: {
             "estimator": ctx._require_estimator("LAF-DBSCAN"),
             "alpha": ctx.alpha,
-            "seed": ctx.seed,
         },
     ),
     "LAF-DBSCAN++": (

@@ -26,7 +26,6 @@ def missed_cluster_analysis(
     eps: float,
     tau: int,
     alpha: float,
-    seed: int = 0,
     execution: ExecutionConfig | None = None,
 ) -> tuple[MissedClusterStats, dict[str, int | float]]:
     """Run LAF-DBSCAN and compare to DBSCAN ground truth (one Table 6 row).
@@ -40,7 +39,6 @@ def missed_cluster_analysis(
         tau=tau,
         estimator=estimator,
         alpha=alpha,
-        seed=seed,
         execution=execution,
     ).fit(X)
     stats = missed_cluster_stats(gt.labels, result.labels)

@@ -89,7 +89,6 @@ def sweep_laf_alpha(
     eps: float,
     tau: int,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    seed: int = 0,
     execution: ExecutionConfig | None = None,
 ) -> list[TradeoffPoint]:
     """LAF-DBSCAN trade-off: vary the error factor (paper: 1.1-15)."""
@@ -103,7 +102,6 @@ def sweep_laf_alpha(
                 tau=tau,
                 estimator=estimator,
                 alpha=alpha,
-                seed=seed,
                 execution=execution,
             ),
             X,

@@ -20,10 +20,10 @@ tree engines this repository once carried even on 16-d clustered data,
 and the grid by 16x or more on the paper's datasets
 (``docs/engine.md``).
 
-Range-query indexes answer batched queries (``batch_range_query``,
-``batch_range_count``, and the ``_rows`` forms that name the indexed
-points by row id); :class:`ShardedIndex` fans them across row shards
-on a remote worker pool.
+Range-query indexes answer batched queries (``batch_range_query``, its
+``_rows`` form that names the indexed points by row id, and the
+``range_pairs`` join over rows); :class:`ShardedIndex` fans them across
+row shards on a remote worker pool.
 A fit asks for every row it plans to query in one row-id call and reads
 the neighbourhoods from the returned list — see ``docs/engine.md``.
 :class:`BruteForceIndex` also keeps the scalar float64 ``range_query`` /

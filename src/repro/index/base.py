@@ -8,7 +8,13 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, NotFittedError
 
-__all__ = ["NeighborIndex", "check_plan_rows", "check_positive_int", "upper_pairs"]
+__all__ = [
+    "NeighborIndex",
+    "check_plan_rows",
+    "check_positive_int",
+    "pair_counts",
+    "upper_pairs",
+]
 
 
 def check_positive_int(name: str, value) -> None:
@@ -111,10 +117,6 @@ class NeighborIndex(abc.ABC):
         returns an empty list.
         """
 
-    @abc.abstractmethod
-    def batch_range_count(self, Q: np.ndarray, eps: float) -> np.ndarray:
-        """Neighbor counts for every row of ``Q`` at threshold ``eps``."""
-
     # Row-id forms: a fit only ever queries its own indexed points, so
     # it names them by row. An index whose points already sit elsewhere
     # (a remote worker fleet) ships the ids, not the vectors.
@@ -122,10 +124,6 @@ class NeighborIndex(abc.ABC):
     def batch_range_query_rows(self, ids: np.ndarray, eps: float) -> list[np.ndarray]:
         """:meth:`batch_range_query` of the indexed points ``points[ids]``."""
         return self.batch_range_query(self.points[ids], eps)
-
-    def batch_range_count_rows(self, ids: np.ndarray, eps: float) -> np.ndarray:
-        """:meth:`batch_range_count` of the indexed points ``points[ids]``."""
-        return self.batch_range_count(self.points[ids], eps)
 
     def range_pairs(
         self, eps: float, rows: np.ndarray | None = None
@@ -156,3 +154,18 @@ class NeighborIndex(abc.ABC):
     def _require_built(self) -> None:
         if self._points is None:
             raise NotFittedError(f"{type(self).__name__} has not been built yet")
+
+
+def pair_counts(pairs: tuple[np.ndarray, np.ndarray], n_points: int) -> np.ndarray:
+    """Neighbourhood sizes of the rows of a :meth:`NeighborIndex.range_pairs`
+    join, as int64 of length ``n_points``.
+
+    DBSCAN's mirror rule: a pair counts toward both of its points, a
+    diagonal pair ``(i, i)`` (the kernel's ``d(P, P) < eps``) once. The
+    size is exact at the join's ``rows``; a row outside them counts
+    only its pairs with ``rows``.
+    """
+    rows, cols = pairs
+    return np.bincount(rows, minlength=n_points) + np.bincount(
+        cols[cols != rows], minlength=n_points
+    )

@@ -1,11 +1,12 @@
 """Exact brute-force index over vectors, metric-pluggable.
 
-The "range query" primitive of Algorithm 1. The batched forms
-(``batch_range_query`` / ``batch_range_count``, one matrix product per
-block of queries) are what every fit and predict runs. The scalar
-``range_query`` / ``range_count`` (one float64 matrix-vector product
-per query) are the reference answer the batched kernels, and the
-per-point engine of :mod:`repro.testing`, are checked against.
+The "range query" primitive of Algorithm 1. The batched
+``batch_range_query`` (one matrix product per block of queries) is what
+every fit and predict runs; ``batch_range_count``, on the same kernel,
+is the exact cardinality estimator's. The scalar ``range_query`` /
+``range_count`` (one float64 matrix-vector product per query) are the
+reference answer the batched kernels, and the per-point engine of
+:mod:`repro.testing`, are checked against.
 
 The default metric is cosine distance on unit vectors (the paper's
 setting); Euclidean distance is available through the ``metric``
@@ -52,7 +53,7 @@ class BruteForceIndex(NeighborIndex):
         cosine batch range query is about ``7 * block_size * n_points``
         bytes (a float32 similarity block and two bool masks); the other
         batched paths hold ``block_size * n_points`` float64 distances.
-        The row-id forms gather ``block_size`` query rows at a time.
+        The row-id form gathers ``block_size`` query rows at a time.
     metric:
         "cosine" (default, requires unit rows) or "euclidean". A cosine
         index keeps a float32 copy of the points next to the float64
@@ -215,26 +216,14 @@ class BruteForceIndex(NeighborIndex):
         order = order.astype(np.int32)
         return order[pair_rows], order[cols]
 
-    # Row-id forms: a fit's plan can be every row, so ``points[ids]`` is
-    # gathered one kernel block at a time, never as a whole copy.
-
-    def _row_blocks(self, ids: np.ndarray):
-        ids = np.asarray(ids, dtype=np.int64)
-        for start in range(0, ids.size, self.block_size):
-            yield start, self._points[ids[start : start + self.block_size]]
-
     def batch_range_query_rows(self, ids: np.ndarray, eps: float) -> list[np.ndarray]:
-        """:meth:`batch_range_query` of ``points[ids]``, gathered per block."""
+        """:meth:`batch_range_query` of ``points[ids]``, gathered one kernel
+        block at a time: a fit's plan can be every row, and ``points[ids]``
+        is never copied whole."""
         self._require_built()
+        ids = np.asarray(ids, dtype=np.int64)
         results: list[np.ndarray] = []
-        for _, Q in self._row_blocks(ids):
+        for start in range(0, ids.size, self.block_size):
+            Q = self._points[ids[start : start + self.block_size]]
             results.extend(self.batch_range_query(Q, eps))
         return results
-
-    def batch_range_count_rows(self, ids: np.ndarray, eps: float) -> np.ndarray:
-        """:meth:`batch_range_count` of ``points[ids]``, gathered per block."""
-        self._require_built()
-        counts = np.empty(len(ids), dtype=np.int64)
-        for start, Q in self._row_blocks(ids):
-            counts[start : start + len(Q)] = self.batch_range_count(Q, eps)
-        return counts

@@ -28,10 +28,10 @@ to be thrown away. An empty dataset has no live shard, so it starts no
 executor and reaches no worker.
 
 A fit queries rows of its own dataset, by id
-(:meth:`ShardedIndex.batch_range_query_rows` /
-:meth:`~ShardedIndex.batch_range_count_rows`): the executor sends the
-ids for each worker to slice the copy of the dataset it holds. New
-vectors (predict, serving) travel as the query matrix.
+(:meth:`ShardedIndex.batch_range_query_rows`, and the
+:meth:`~ShardedIndex.range_pairs` joins built on it): the executor
+sends the ids for each worker to slice the copy of the dataset it
+holds. New vectors (predict, serving) travel as the query matrix.
 
 Per-shard range results arrive as CSR pairs in *shard-local* row
 numbering; :func:`concat_shard_rows` re-indexes them into global row ids
@@ -47,9 +47,9 @@ spec that :class:`~repro.engine_config.ExecutionConfig` embeds and
 threads explicitly into :func:`resolve_engine_index` — the *only* way
 to shard a fit; there is no ambient sharding state.
 
-Exactness: range queries and counts are exact (the brute-force inner
-index is, and a point's eps-neighborhood is the disjoint union of its
-per-shard neighborhoods).
+Exactness: range queries are exact (the brute-force inner index is,
+and a point's eps-neighborhood is the disjoint union of its per-shard
+neighborhoods).
 """
 
 from __future__ import annotations
@@ -318,20 +318,13 @@ def concat_shard_rows(
 
 
 # ----------------------------------------------------------------------
-# Shard query operations (run by the remote worker)
+# The shard query operation (run by the remote worker)
 # ----------------------------------------------------------------------
 
 
 def _op_range(index, Q: np.ndarray, eps: float):
     rows = index.batch_range_query(Q, eps)
     return rows_to_csr(rows)
-
-
-def _op_count(index, Q: np.ndarray, eps: float):
-    return np.asarray(index.batch_range_count(Q, eps), dtype=np.int64)
-
-
-_SHARD_OPS = {"range": _op_range, "count": _op_count}
 
 
 # ----------------------------------------------------------------------
@@ -491,16 +484,10 @@ class ShardedIndex(NeighborIndex):
     def batch_range_query(self, Q: np.ndarray, eps: float) -> list[np.ndarray]:
         return self._range_blocks(self._as_query_matrix(Q), eps, rows=False)
 
-    def batch_range_count(self, Q: np.ndarray, eps: float) -> np.ndarray:
-        return self._count_blocks(self._as_query_matrix(Q), eps, rows=False)
-
     def batch_range_query_rows(self, ids: np.ndarray, eps: float) -> list[np.ndarray]:
         """Row-id queries go to the executor as ids: a remote worker slices
         the dataset it already holds instead of receiving the vectors."""
         return self._range_blocks(np.asarray(ids, dtype=np.int64), eps, rows=True)
-
-    def batch_range_count_rows(self, ids: np.ndarray, eps: float) -> np.ndarray:
-        return self._count_blocks(np.asarray(ids, dtype=np.int64), eps, rows=True)
 
     def range_pairs(
         self, eps: float, rows: np.ndarray | None = None
@@ -528,25 +515,13 @@ class ShardedIndex(NeighborIndex):
             block = queries[block_lo : block_lo + self.query_block]
             live = [shard for shard in self._live if not upper or shard[2] > block[0]]
             calls = [(shard_id, (block, eps)) for shard_id, _, _ in live]
-            results = self._executor_obj.run("range", calls, rows)
+            results = self._executor_obj.run(calls, rows)
             per_shard = [csr_to_rows(indptr, flat) for indptr, flat in results]
             # Brute force returns sorted rows over disjoint ascending
             # shards: concatenation is the merged answer.
             starts = [lo for _, lo, _ in live]
             out.extend(concat_shard_rows(per_shard, starts, len(block)))
         return out
-
-    def _count_blocks(self, queries: np.ndarray, eps: float, *, rows: bool):
-        self._require_open()
-        counts = np.zeros(len(queries), dtype=np.int64)
-        if not self._live:
-            return counts
-        for block_lo in range(0, len(queries), self.query_block):
-            block = queries[block_lo : block_lo + self.query_block]
-            calls = [(shard_id, (block, eps)) for shard_id, _, _ in self._live]
-            for shard_counts in self._executor_obj.run("count", calls, rows):
-                counts[block_lo : block_lo + len(block)] += shard_counts
-        return counts
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Client side of the remote worker pool.
 
 :class:`RemoteExecutor` runs the shard calls of a
-:class:`~repro.index.sharded.ShardedIndex` (``run(op, calls)`` /
+:class:`~repro.index.sharded.ShardedIndex` (``run(calls)`` /
 ``close()`` / ``collect_stats()``) over the fleet of
 :mod:`repro.remote.worker` processes its
 :class:`~repro.index.sharded.ExecutorSpec` names: query blocks fan out
@@ -222,10 +222,9 @@ class RemoteExecutor:
         with self._lock:
             self._dataset_on.add(slot_id)
 
-    def _call_shard(
-        self, slot_id: int, op: str, shard_id: int, args: tuple, rows: bool
-    ):
-        """One shard call with per-timeout retry on a fresh connection.
+    def _call_shard(self, slot_id: int, shard_id: int, args: tuple, rows: bool):
+        """One shard range query with per-timeout retry on a fresh
+        connection; the shard's CSR ``(indptr, flat)`` hit rows.
 
         With ``rows`` the query is int64 row ids of the pushed dataset,
         sent as ``rows`` for the worker to slice; otherwise it is a
@@ -238,12 +237,7 @@ class RemoteExecutor:
             )
         query, arg = args
         request = {"rows" if rows else "Q": query}
-        header = {
-            "op": "query",
-            "qop": op,
-            "arg": arg,
-            "shard": self._shard_payload(shard_id),
-        }
+        header = {"op": "query", "arg": arg, "shard": self._shard_payload(shard_id)}
         last: RemoteTimeoutError | None = None
         for _ in range(self._spec.retries + 1):
             try:
@@ -254,16 +248,14 @@ class RemoteExecutor:
                 last = exc
         else:
             raise RetryExhaustedError(
-                f"shard {shard_id} {op!r} call to {client.address} timed "
+                f"shard {shard_id} query to {client.address} timed "
                 f"out {self._spec.retries + 1} times ({self._spec.timeout_s}s each); "
                 "giving up — the pool itself stays usable"
             ) from last
         if reply.get("built"):
             with self._lock:
                 self._inner_builds += 1
-        if op == "range":
-            return arrays["indptr"], arrays["flat"]
-        return arrays["counts"]
+        return arrays["indptr"], arrays["flat"]
 
     # ------------------------------------------------------------------
     # Executor contract
@@ -295,7 +287,8 @@ class RemoteExecutor:
             self._assignment[shard_id] = survivors[rank % len(survivors)]
         self.n_rebalances += 1
 
-    def run(self, op: str, calls: list[tuple[int, tuple]], rows: bool = False) -> list:
+    def run(self, calls: list[tuple[int, tuple]], rows: bool = False) -> list:
+        """Each ``(shard_id, (query, eps))`` call's CSR hit rows, in order."""
         results: list = [None] * len(calls)
         pending = list(enumerate(calls))
         # Each retry round retires at least one worker; beyond that the
@@ -312,7 +305,7 @@ class RemoteExecutor:
                 # different workers run concurrently.
                 out = []
                 for pos, shard_id, args in batch:
-                    result = self._call_shard(slot_id, op, shard_id, args, rows)
+                    result = self._call_shard(slot_id, shard_id, args, rows)
                     out.append((pos, result))
                 return out
 
@@ -382,30 +375,14 @@ class WorkerPool:
         n_workers: int,
         host: str = "127.0.0.1",
         start_timeout_s: float = 30.0,
-        *,
-        max_cached_shards: int | None = None,
-        max_cached_bytes: int | None = None,
     ) -> "WorkerPool":
-        """Fork ``n_workers`` local workers on ephemeral ports.
-
-        ``max_cached_shards`` / ``max_cached_bytes`` bound each worker's
-        warm shard-index cache (LRU eviction; see
-        :class:`~repro.remote.worker.ShardHolder`).
-        """
-        # Imported here, like every worker import of this module, so that
-        # ``python -m repro.remote.worker`` runs a worker not yet imported.
-        from repro.remote.worker import check_cache_caps
-
+        """Fork ``n_workers`` local workers on ephemeral ports."""
         check_positive_int("n_workers", n_workers)
-        check_cache_caps(max_cached_shards, max_cached_bytes)
         ctx = multiprocessing.get_context(_start_method())
         queue = ctx.Queue()
         processes = []
         for _ in range(n_workers):
-            proc = ctx.Process(
-                target=_serve_reporting,
-                args=(host, queue, max_cached_shards, max_cached_bytes),
-            )
+            proc = ctx.Process(target=_serve_reporting, args=(host, queue))
             proc.daemon = True
             proc.start()
             processes.append(proc)
@@ -471,17 +448,10 @@ class WorkerPool:
         self.shutdown()
 
 
-def _serve_reporting(
-    host: str,
-    queue,
-    max_cached_shards: int | None = None,
-    max_cached_bytes: int | None = None,
-) -> None:
+def _serve_reporting(host: str, queue) -> None:
     """Worker-process entry: serve on an ephemeral port, report it back."""
-    from repro.remote.worker import ShardHolder, serve
+    # Imported here, like every worker import of this module, so that
+    # ``python -m repro.remote.worker`` runs a worker not yet imported.
+    from repro.remote.worker import serve
 
-    holder = ShardHolder(
-        max_cached_shards=max_cached_shards,
-        max_cached_bytes=max_cached_bytes,
-    )
-    serve(host, 0, on_bound=lambda h, p: queue.put((os.getpid(), h, p)), holder=holder)
+    serve(host, 0, on_bound=lambda h, p: queue.put((os.getpid(), h, p)))

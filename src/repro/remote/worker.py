@@ -22,13 +22,13 @@ Requests (see :mod:`repro.remote.protocol` for the framing):
 ``put_dataset``
     ``{"fingerprint"}`` + array ``X`` → stores it content-addressed.
 ``query``
-    ``{"qop": range|count, "arg": eps, "shard": spec}`` plus exactly one
-    query array (``spec`` as in :func:`_shard_key`): ``rows``, 1-d
-    integer ids of rows of the shard's held dataset (a fit queries its
-    own points), or ``Q``, a float64 matrix of new vectors (predict and
-    serving). Builds or cache-hits the shard index (after a rebalance
-    the new owner sees the shard for the first time mid-fit), runs the
-    shard op and returns the range CSR arrays or the counts, plus
+    ``{"arg": eps, "shard": spec}`` plus exactly one query array
+    (``spec`` as in :func:`_shard_key`): ``rows``, 1-d integer ids of
+    rows of the shard's held dataset (a fit queries its own points), or
+    ``Q``, a float64 matrix of new vectors (predict and serving). Builds
+    or cache-hits the shard index (after a rebalance the new owner sees
+    the shard for the first time mid-fit), runs the range query and
+    returns its CSR arrays ``indptr`` and ``flat``, plus
     ``{"built": bool}``.
 ``shutdown``
     Acknowledges, then stops the whole worker process.
@@ -46,14 +46,11 @@ import functools
 import os
 import threading
 import warnings
-from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError, RemoteProtocolError
+from repro.exceptions import RemoteProtocolError
 from repro.index import sharded as _sharded
-from repro.index.base import check_positive_int
 from repro.index.brute_force import BruteForceIndex
 from repro.remote.protocol import FrameServer
 
@@ -86,63 +83,18 @@ def _shard_key(shard: dict) -> tuple:
     )
 
 
-def _close_indexes(indexes: list[BruteForceIndex]) -> None:
-    """Release evicted indexes outside the holder lock."""
-    for index in indexes:
-        index.close()
-
-
-def _index_nbytes(index: object) -> int:
-    """Bytes evicting a cached brute-force shard index frees.
-
-    Only the matrices the index owns count: a cosine index's float32
-    copy, never its float64 rows, which are a view of the held dataset.
-    """
-    matrices = (getattr(index, name, None) for name in ("_points", "_points32"))
-    owned = (m for m in matrices if isinstance(m, np.ndarray) and m.flags.owndata)
-    return sum(int(m.nbytes) for m in owned)
-
-
-def check_cache_caps(
-    max_cached_shards: int | None, max_cached_bytes: int | None
-) -> None:
-    """Each shard-cache cap is None (unbounded) or an ``int >= 1``.
-
-    Spawners call this before forking: a bad cap raised in the child
-    would only surface as a worker that never reports in.
-    """
-    if max_cached_shards is not None:
-        check_positive_int("max_cached_shards", max_cached_shards)
-    if max_cached_bytes is not None:
-        check_positive_int("max_cached_bytes", max_cached_bytes)
-
-
 class ShardHolder:
     """The worker's warm cache: datasets and built shard indexes.
 
-    ``max_cached_shards`` / ``max_cached_bytes`` bound the shard-index
-    cache with LRU eviction so a long-lived warm worker serving many
-    datasets cannot grow without bound. Entries pinned by an in-flight
-    query (:meth:`acquire`) are never evicted — the cache may overshoot
-    its cap transiently while every resident entry is in use — and an
-    evicted shard is simply rebuilt (and counted) on its next attach.
+    Everything it receives stays until the worker exits: each dataset,
+    and each shard index built over it (a cosine shard adds its float32
+    copy; its float64 rows are a view of the held dataset).
     """
 
-    def __init__(
-        self,
-        max_cached_shards: int | None = None,
-        max_cached_bytes: int | None = None,
-    ) -> None:
-        check_cache_caps(max_cached_shards, max_cached_bytes)
-        self.max_cached_shards = max_cached_shards
-        self.max_cached_bytes = max_cached_bytes
+    def __init__(self) -> None:
         self._datasets: dict[str, np.ndarray] = {}
-        self._indexes: OrderedDict[tuple, object] = OrderedDict()
-        self._in_use: dict[tuple, int] = {}
-        self._cached_bytes = 0
+        self._indexes: dict[tuple, BruteForceIndex] = {}
         self._lock = threading.Lock()
-        self.n_builds = 0
-        self.n_evictions = 0
 
     def has_dataset(self, fingerprint: str) -> bool:
         with self._lock:
@@ -163,23 +115,18 @@ class ShardHolder:
             )
         return X
 
-    def attach(self, shard: dict, *, pin: bool = False) -> tuple[object, bool]:
+    def attach(self, shard: dict) -> tuple[BruteForceIndex, bool]:
         """The shard's index, building it on first sight.
 
         Returns ``(index, built)``; ``built`` is True only when this
         call constructed the index — the client sums these to
-        counter-prove warm reuse. ``pin=True`` additionally marks the
-        entry in use (ineligible for eviction) until the matching
-        :meth:`release`; use :meth:`acquire` for the paired form.
+        counter-prove warm reuse.
         """
         key = _shard_key(shard)
         with self._lock:
             index = self._indexes.get(key)
-            if index is not None:
-                self._indexes.move_to_end(key)
-                if pin:
-                    self._in_use[key] = self._in_use.get(key, 0) + 1
-                return index, False
+        if index is not None:
+            return index, False
         # Build outside the lock: shard builds are the expensive part
         # and two different shards must not serialize on each other.
         X = self.dataset(str(shard["dataset"]))
@@ -189,73 +136,7 @@ class ShardHolder:
         )
         with self._lock:
             winner = self._indexes.setdefault(key, index)
-            built = winner is index
-            self._indexes.move_to_end(key)
-            if built:
-                self.n_builds += 1
-                self._cached_bytes += _index_nbytes(index)
-            if pin:
-                self._in_use[key] = self._in_use.get(key, 0) + 1
-            evicted = self._evict_locked()
-        _close_indexes(evicted)
-        return winner, built
-
-    def release(self, shard: dict) -> None:
-        """Unpin one :meth:`attach(pin=True) <attach>` hold on the shard."""
-        key = _shard_key(shard)
-        with self._lock:
-            count = self._in_use.get(key, 0) - 1
-            if count > 0:
-                self._in_use[key] = count
-            else:
-                self._in_use.pop(key, None)
-            evicted = self._evict_locked()
-        _close_indexes(evicted)
-
-    @contextmanager
-    def acquire(self, shard: dict):
-        """Context-managed pinned attach: ``(index, built)``, auto-released."""
-        result = self.attach(shard, pin=True)
-        try:
-            yield result
-        finally:
-            self.release(shard)
-
-    def _evict_locked(self) -> list[object]:
-        """Evict LRU non-pinned entries until both caps hold (lock held)."""
-        evicted: list[object] = []
-        while self._over_capacity_locked():
-            victim = next(
-                (k for k in self._indexes if k not in self._in_use), None
-            )
-            if victim is None:
-                break  # everything resident is pinned: transient overshoot
-            index = self._indexes.pop(victim)
-            self._cached_bytes -= _index_nbytes(index)
-            self.n_evictions += 1
-            evicted.append(index)
-        return evicted
-
-    def _over_capacity_locked(self) -> bool:
-        if (
-            self.max_cached_shards is not None
-            and len(self._indexes) > self.max_cached_shards
-        ):
-            return True
-        return (
-            self.max_cached_bytes is not None
-            and self._cached_bytes > self.max_cached_bytes
-        )
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "inner_builds": self.n_builds,
-                "datasets": len(self._datasets),
-                "indexes": len(self._indexes),
-                "evictions": self.n_evictions,
-                "cached_bytes": self._cached_bytes,
-            }
+        return winner, winner is index
 
 
 def _query_rows(rows: np.ndarray, n_points: int) -> np.ndarray:
@@ -305,22 +186,12 @@ def _handle_request(
         holder.put_dataset(str(header["fingerprint"]), X)
         return {"ok": True}, {}, True
     if op == "query":
-        qop = str(header["qop"])
-        fn = _sharded._SHARD_OPS.get(qop)
-        if fn is None:
-            raise RemoteProtocolError(f"unknown shard query op {qop!r}")
         shard = header["shard"]
         Q = _query_matrix(holder, shard, arrays)
         eps = float(header["arg"])
-        # Pinned attach: an LRU-bounded holder must not evict the index
-        # out from under the query another connection is running.
-        with holder.acquire(shard) as (index, built):
-            result = fn(index, Q, eps)
-        if qop == "count":
-            out = {"counts": result}
-        else:
-            out = {"indptr": result[0], "flat": result[1]}
-        return {"built": built}, out, True
+        index, built = holder.attach(shard)
+        indptr, flat = _sharded._op_range(index, Q, eps)
+        return {"built": built}, {"indptr": indptr, "flat": flat}, True
     if op == "shutdown":
         return {"ok": True}, {}, False
     raise RemoteProtocolError(f"unknown pool request op {op!r}")
@@ -403,7 +274,6 @@ def serve(
     port: int = 0,
     *,
     on_bound=None,
-    holder: ShardHolder | None = None,
 ) -> None:
     """Run one worker: bind, announce, serve until told to shut down.
 
@@ -412,8 +282,9 @@ def serve(
     the parent). Blocks until a ``shutdown`` request arrives.
     """
     blas_threads = _pin_blas_single_thread()
-    holder = holder or ShardHolder()
-    handler = functools.partial(_handle_request, holder, blas_threads=blas_threads)
+    handler = functools.partial(
+        _handle_request, ShardHolder(), blas_threads=blas_threads
+    )
     server = FrameServer(handler, host, port)
     try:
         if on_bound is not None:
@@ -436,31 +307,12 @@ def worker_main(argv=None) -> int:
     parser.add_argument(
         "--port", type=int, default=0, help="bind port (0 = ephemeral)"
     )
-    parser.add_argument(
-        "--max-cached-shards",
-        type=int,
-        default=None,
-        help="LRU bound on warm shard indexes (default: unbounded)",
-    )
-    parser.add_argument(
-        "--max-cached-bytes",
-        type=int,
-        default=None,
-        help="LRU bytes cap on warm shard indexes (default: unbounded)",
-    )
     args = parser.parse_args(argv)
-    try:
-        holder = ShardHolder(
-            max_cached_shards=args.max_cached_shards,
-            max_cached_bytes=args.max_cached_bytes,
-        )
-    except InvalidParameterError as exc:
-        parser.error(str(exc))
 
     def announce(host, port):
         print(f"repro pool worker listening on {host}:{port}", flush=True)
 
-    serve(args.host, args.port, on_bound=announce, holder=holder)
+    serve(args.host, args.port, on_bound=announce)
     return 0
 
 

@@ -48,21 +48,13 @@ class PerPointEngine(BruteForceIndex):
     """A brute-force index whose row-id queries are one scalar call per row.
 
     ``batch_range_query_rows`` runs one float64
-    :meth:`~repro.index.brute_force.BruteForceIndex.range_query` and
-    ``batch_range_count_rows`` one
-    :meth:`~repro.index.brute_force.BruteForceIndex.range_count` per
+    :meth:`~repro.index.brute_force.BruteForceIndex.range_query` per
     row: the form every fit calls, answered with nothing batched.
     ``range_pairs`` is the base class's derivation from those rows.
     """
 
     def batch_range_query_rows(self, ids, eps: float) -> list[np.ndarray]:
         return [self.range_query(self.points[i], eps) for i in np.asarray(ids)]
-
-    def batch_range_count_rows(self, ids, eps: float) -> np.ndarray:
-        return np.array(
-            [self.range_count(self.points[i], eps) for i in np.asarray(ids)],
-            dtype=np.int64,
-        )
 
     def range_pairs(self, eps: float, rows=None) -> tuple[np.ndarray, np.ndarray]:
         return NeighborIndex.range_pairs(self, eps, rows)

@@ -168,6 +168,54 @@ def test_unbounded_metrics_are_never_beyond_bound():
     assert abperf.compare(gflop, [1.0] * 4, [9.0] * 4).verdict == "within noise"
 
 
+def test_bootstrap_interval_of_a_constant_ratio_is_that_ratio():
+    parent = [1.30, 1.34, 1.36, 1.33, 1.35, 1.31, 1.40, 1.32, 1.34, 1.38]
+    low, high = abperf.bootstrap_ratio_interval(parent, [0.8 * v for v in parent])
+    assert math.isclose(low, 0.8) and math.isclose(high, 0.8)
+
+
+def test_bootstrap_interval_brackets_the_median_ratio_and_repeats():
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8, 1.1, 1.3, 1.5, 1.7, 1.9]
+    change = [1.1, 1.0, 1.5, 1.4, 1.9, 1.3, 1.2, 1.8, 1.6, 1.7]
+    low, high = abperf.bootstrap_ratio_interval(parent, change)
+    ratio = abperf.quartiles(change)[1] / abperf.quartiles(parent)[1]
+    assert low < ratio < high
+    # A fixed resampling seed: the same runs give the same interval.
+    assert abperf.bootstrap_ratio_interval(parent, change) == (low, high)
+    other = abperf.bootstrap_ratio_interval(parent, change, seed=1)
+    assert other != (low, high)
+
+
+def test_bootstrap_interval_resamples_pairs_together():
+    # Every pair's change is its parent + 1: each resample's medians differ
+    # by exactly 1 only when the two runs of a pair are drawn together.
+    parent = [float(v) for v in range(1, 11)]
+    change = [v + 1.0 for v in parent]
+    low, high = abperf.bootstrap_ratio_interval(parent, change, resamples=200)
+    assert low >= 1.0 + 1.0 / 10.0 - 1e-12  # the largest parent median is 10
+    assert high <= 1.0 + 1.0 / 1.0
+
+
+def test_a_zero_parent_median_has_no_interval():
+    results = [(result(0.0), result(0.5)) for _ in range(4)]
+    (c,) = abperf.compare_workload([PLAIN], results)
+    assert c.ratio_ci is None
+    assert "n/a" in abperf.table("fit-ms50k", [c], results)
+
+
+def test_the_interval_runs_through_the_report():
+    parent = [1.30, 1.34, 1.36, 1.33, 1.35, 1.31, 1.40, 1.32, 1.34, 1.38]
+    results = [(result(p), result(0.8 * p)) for p in parent]
+    comparisons = abperf.compare_workload([PLAIN, ARI], results)
+    text = abperf.table("fit-ms50k", comparisons, results)
+    assert "ratio 95% CI" in text and "[0.800, 0.800]" in text
+    line = abperf.changes_line("A/B", [("fit-ms50k", comparisons, results)])
+    assert line.endswith(
+        "95% bootstrap interval of the change/parent median ratio: "
+        "`plain_s` [0.800, 0.800], `accel_ari` [1.000, 1.000])."
+    )
+
+
 def test_report_counts_failures_per_side():
     results = [(result(1.0), result(0.8, failed=2)), (result(1.0), result(0.8))]
     comparisons = abperf.compare_workload([PLAIN, ARI], results)

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import DBSCAN, DBSCANPlusPlus
 from repro.clustering.components import connected_components_within
 from repro.distances import normalize_rows
+from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
+from repro.index import BruteForceIndex, ShardingConfig
+from repro.index.base import pair_counts
 from repro.metrics import adjusted_rand_index
 
 from repro.testing import make_blobs_on_sphere
@@ -100,6 +105,55 @@ class TestKCenterSampling:
                 clusterer._sample_indices(clusterable_data),
                 _k_center_without_exclusion(clusterable_data, m, seed),
             )
+
+
+class TestJoinCounts:
+    """The core test counts each sampled row's neighbours from one
+    ``range_pairs`` join over the sample: the counts are the sampled
+    rows' own ``batch_range_count``, whatever the kernel block, the init
+    or where the shards run."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 60),
+        n_duplicates=st.integers(0, 12),
+        p=st.floats(0.05, 1.0),
+        tau=st.integers(1, 8),
+        init=st.sampled_from(["uniform", "k-center"]),
+        query_block=st.sampled_from([1, 7, 1024]),
+        sharded=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_join_counts_equal_batch_range_count(
+        self, worker_pool, seed, n, n_duplicates, p, tau, init, query_block, sharded
+    ):
+        rng = np.random.default_rng(seed)
+        X = normalize_rows(rng.normal(size=(n, 6)))
+        X = np.vstack([X, X[rng.integers(n, size=n_duplicates)]])
+        eps = 0.6
+        sharding = (
+            ShardingConfig(n_shards=3, executor=worker_pool.executor_spec())
+            if sharded
+            else None
+        )
+        clusterer = DBSCANPlusPlus(
+            eps=eps,
+            tau=tau,
+            p=p,
+            init=init,
+            seed=seed,
+            execution=ExecutionConfig(sharding=sharding, query_block=query_block),
+        )
+        sample = clusterer._sample_indices(X)
+        expected = BruteForceIndex().build(X).batch_range_count(X[sample], eps)
+        with clusterer._engine(X) as index:
+            pairs = index.range_pairs(eps, rows=sample)
+        assert np.array_equal(pair_counts(pairs, len(X))[sample], expected)
+        core_mask = np.zeros(len(X), dtype=bool)
+        core_mask[sample[expected >= tau]] = True
+        result = clusterer.fit(X)
+        assert np.array_equal(result.core_mask, core_mask)
+        assert result.stats["n_core"] == np.count_nonzero(core_mask)
 
 
 class TestCoreGraphStats:

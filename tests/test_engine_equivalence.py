@@ -211,12 +211,7 @@ def index_rows(monkeypatch):
 
         return spy
 
-    for name in (
-        "batch_range_query_rows",
-        "batch_range_count_rows",
-        "range_query",
-        "range_count",
-    ):
+    for name in ("batch_range_query_rows", "range_query", "range_count"):
         monkeypatch.setattr(BruteForceIndex, name, spy_on(name))
 
     original_pairs = BruteForceIndex.range_pairs
@@ -257,6 +252,23 @@ class TestIndexAccounting:
         assert index_rows["batch_range_query_rows"] == [stats["range_queries"]]
         assert set(index_rows) == {"range_pairs", "batch_range_query_rows"}
 
+    @pytest.mark.parametrize("name", ["dbscanpp_uniform", "dbscanpp_kcenter"])
+    def test_dbscanpp_counts_from_one_join_over_its_sample(
+        self, name, index_rows, blob_plus_noise
+    ):
+        """DBSCAN++'s core test is one ``range_pairs`` join over exactly its
+        sample, its core graph one self-join over its cores, and nothing
+        else reaches the index."""
+        stats = _make(name, True).fit(blob_plus_noise).stats
+        assert stats["range_queries"] == stats["sample_size"] > 0
+        assert stats["n_core"] > 0
+        assert index_rows["range_pairs"] == [stats["sample_size"], stats["n_core"]]
+        # A sample of one kernel block is the base derivation: one row-id
+        # query of the sample, inside the join.
+        assert stats["sample_size"] <= BruteForceIndex().block_size
+        assert index_rows["batch_range_query_rows"] == [stats["sample_size"]]
+        assert set(index_rows) == {"range_pairs", "batch_range_query_rows"}
+
     def test_dbscan_self_join_covers_every_row(self, index_rows, blob_plus_noise):
         """DBSCAN's n range queries are one self-join over every row,
         and nothing else reaches the index."""
@@ -278,7 +290,10 @@ class TestIndexAccounting:
         assert "batch_range_query_rows" not in index_rows
         assert "range_pairs" not in index_rows
 
-    def test_reference_counts_per_point(self, index_rows, blob_plus_noise):
+    def test_reference_dbscanpp_queries_per_point(self, index_rows, blob_plus_noise):
+        """The per-point DBSCAN++ counts its sample from one scalar range
+        query per sampled row."""
         stats = _make("dbscanpp_uniform", False).fit(blob_plus_noise).stats
-        assert index_rows["range_count"] == [1] * stats["sample_size"]
-        assert "batch_range_count_rows" not in index_rows
+        assert index_rows["range_query"] == [1] * stats["sample_size"]
+        assert "batch_range_query_rows" not in index_rows
+        assert "range_count" not in index_rows

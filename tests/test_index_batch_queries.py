@@ -80,18 +80,9 @@ class TestBatchAgainstScalar:
             expected = reference.range_query(data[i], EPS)
             assert np.array_equal(np.sort(row), np.sort(expected)), i
 
-    def test_batch_range_count_matches_scalar(self, name, make, data):
-        index = make().build(data)
-        reference = scalar_reference(index, data)
-        counts = index.batch_range_count(data[:33], EPS)
-        assert counts.dtype == np.int64
-        expected = [reference.range_count(data[i], EPS) for i in range(33)]
-        assert np.array_equal(counts, expected)
-
     def test_empty_batch(self, name, make, data):
         index = make().build(data)
         assert index.batch_range_query(np.empty((0, data.shape[1])), EPS) == []
-        assert index.batch_range_count(np.empty((0, data.shape[1])), EPS).size == 0
 
     def test_single_row_is_one_query(self, name, make, data):
         index = make().build(data)
@@ -108,6 +99,28 @@ class TestBatchAgainstScalar:
     def test_unbuilt_index_raises(self, name, make, data):
         with pytest.raises(NotFittedError):
             make().batch_range_query(data[:3], EPS)
+
+
+#: The brute-force backends: ``batch_range_count`` is theirs alone (the
+#: exact cardinality estimator's count), not part of the index contract.
+BRUTE_FORCE_BACKENDS = [b for b in BACKENDS if b[0].startswith("brute_force")]
+
+
+@pytest.mark.parametrize(
+    "name,factory", BRUTE_FORCE_BACKENDS, ids=[n for n, _ in BRUTE_FORCE_BACKENDS]
+)
+class TestBruteForceCounts:
+    def test_batch_range_count_matches_scalar(self, name, make, data):
+        index = make().build(data)
+        reference = scalar_reference(index, data)
+        counts = index.batch_range_count(data[:33], EPS)
+        assert counts.dtype == np.int64
+        expected = [reference.range_count(data[i], EPS) for i in range(33)]
+        assert np.array_equal(counts, expected)
+
+    def test_empty_batch(self, name, make, data):
+        index = make().build(data)
+        assert index.batch_range_count(np.empty((0, data.shape[1])), EPS).size == 0
 
 
 class TestEpsBoundarySemantics:
@@ -160,14 +173,11 @@ class TestRowIdForms:
         # Out of order, with a repeat: a row set, not a prefix.
         ids = np.concatenate([np.arange(data.shape[0])[::-3], [4, 4]])
         rows = index.batch_range_query_rows(ids, EPS)
-        counts = index.batch_range_count_rows(ids, EPS)
-        assert len(rows) == ids.size and counts.dtype == np.int64
-        for i, row, count in zip(ids, rows, counts):
+        assert len(rows) == ids.size
+        for i, row in zip(ids, rows):
             expected = reference.range_query(data[i], EPS)
             assert np.array_equal(np.sort(row), expected), i
-            assert count == expected.size, i
         assert index.batch_range_query_rows(np.empty(0, dtype=np.int64), EPS) == []
-        assert index.batch_range_count_rows(np.empty(0, dtype=np.int64), EPS).size == 0
 
     @pytest.mark.parametrize("name,factory", BACKENDS, ids=[n for n, _ in BACKENDS])
     def test_range_pairs_match_scalar(self, name, make, data):
@@ -273,10 +283,9 @@ class TestRowIdForms:
         calls = []
         run = RemoteExecutor.run
 
-        def spy(self, op, shard_calls, rows=False):
-            if op == "range":
-                calls.append([shard_id for shard_id, _ in shard_calls])
-            return run(self, op, shard_calls, rows)
+        def spy(self, shard_calls, rows=False):
+            calls.append([shard_id for shard_id, _ in shard_calls])
+            return run(self, shard_calls, rows)
 
         monkeypatch.setattr(RemoteExecutor, "run", spy)
         spec = worker_pool.executor_spec()

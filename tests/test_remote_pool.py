@@ -29,12 +29,16 @@ import multiprocessing
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.index.sharded as sharded_mod
 import repro.remote.pool as pool_mod
 from repro.clustering import DBSCAN, BlockDBSCAN, DBSCANPlusPlus, RhoApproxDBSCAN
@@ -42,6 +46,7 @@ from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
 from repro.engine_config import ExecutionConfig
 from repro.estimators import ExactCardinalityEstimator
 from repro.exceptions import (
+    InvalidParameterError,
     RemoteExecutorError,
     RemoteProtocolError,
     RetryExhaustedError,
@@ -155,17 +160,16 @@ class TestProtocol:
         finally:
             b.close()
 
-    def test_worker_rejects_knn_query_op(self, pool, data):
-        # Shard queries are range and count only; a KNN request gets the
-        # typed error reply and the connection keeps serving.
+    def test_worker_rejects_unknown_request_op(self, pool):
+        # An unknown request gets the typed error reply and the
+        # connection keeps serving.
         host, _, port = pool.addresses[0].rpartition(":")
         with socket.create_connection((host, int(port)), timeout=10.0) as sock:
-            header = {"op": "query", "qop": "knn", "arg": 3, "shard": {}}
-            send_msg(sock, header, {"Q": data[:2]})
+            send_msg(sock, {"op": "knn"})
             reply, _ = recv_msg(sock)
             assert reply["error"] == {
                 "type": "RemoteProtocolError",
-                "message": "unknown shard query op 'knn'",
+                "message": "unknown pool request op 'knn'",
             }
             send_msg(sock, {"op": "ping"})
             assert recv_msg(sock)[0]["ok"]
@@ -190,7 +194,7 @@ class TestProtocol:
             put = {"op": "put_dataset", "fingerprint": fingerprint}
             send_msg(sock, put, {"X": data})
             assert recv_msg(sock)[0]["ok"]
-            header = {"op": "query", "qop": "range", "arg": EPS, "shard": shard}
+            header = {"op": "query", "arg": EPS, "shard": shard}
             send_msg(sock, header, {"rows": rows})
             reply, _ = recv_msg(sock)
             assert reply["error"]["type"] == "RemoteProtocolError"
@@ -205,7 +209,7 @@ class TestProtocol:
         fingerprint, shard = whole_dataset_shard(data)
         try:
             client.call({"op": "put_dataset", "fingerprint": fingerprint}, {"X": data})
-            header = {"op": "query", "qop": "count", "arg": EPS, "shard": shard}
+            header = {"op": "query", "arg": EPS, "shard": shard}
             with pytest.raises(RemoteExecutorError, match="RemoteProtocolError"):
                 client.call(header, {"rows": np.array([-1], dtype=np.int64)})
         finally:
@@ -244,14 +248,6 @@ class TestShardedQueriesMatchOneIndex:
         expected = single.batch_range_query(data, EPS)
         assert len(got) == len(expected)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-
-    def test_batch_range_count(self, metric, query_block, data, pool):
-        remote, single = self._pair(metric, query_block, data, pool)
-        with remote:
-            assert np.array_equal(
-                remote.batch_range_count(data, EPS),
-                single.batch_range_count(data, EPS),
-            )
 
 
 class TestClusterersMatchUnsharded:
@@ -348,6 +344,34 @@ class TestWireBytes:
 
 
 class TestPoolLifecycle:
+    def test_spawn_rejects_fractional_worker_count_before_forking(self):
+        # Checked in the parent: a count the child rejects would leave the
+        # spawner waiting out its whole start timeout for a worker that
+        # never reports in.
+        start = time.monotonic()
+        with pytest.raises(InvalidParameterError, match="n_workers"):
+            WorkerPool.spawn_local(2.5, start_timeout_s=30.0)
+        assert time.monotonic() - start < 5.0
+
+    def test_worker_module_runs_without_runtime_warning(self):
+        # ``python -m`` warns when the package import already loaded the
+        # module it is about to run.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.remote.worker",
+                "--help",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_ping_reports_one_pid_per_worker(self, pool):
         pids = pool.ping()
         assert len(pids) == 2
@@ -411,7 +435,7 @@ class TestFaultInjection:
     ):
         target_file = tmp_path / "target_pid"
         ready_file = tmp_path / "entered"
-        original = sharded_mod._SHARD_OPS["range"]
+        original = sharded_mod._op_range
 
         def doomed_range(index, Q, eps):
             # Only the targeted worker stalls (announcing itself first);
@@ -421,7 +445,7 @@ class TestFaultInjection:
                 time.sleep(60.0)
             return original(index, Q, eps)
 
-        monkeypatch.setitem(sharded_mod._SHARD_OPS, "range", doomed_range)
+        monkeypatch.setattr(sharded_mod, "_op_range", doomed_range)
         with WorkerPool.spawn_local(2) as pool:
             baseline = DBSCAN(eps=EPS, tau=TAU).fit(data)
             victim = pool.worker_pids[0]
@@ -447,14 +471,14 @@ class TestFaultInjection:
         self, data, monkeypatch, tmp_path
     ):
         stall_file = tmp_path / "stall"
-        original = sharded_mod._SHARD_OPS["range"]
+        original = sharded_mod._op_range
 
         def stalling_range(index, Q, eps):
             if stall_file.exists():
                 time.sleep(2.0)
             return original(index, Q, eps)
 
-        monkeypatch.setitem(sharded_mod._SHARD_OPS, "range", stalling_range)
+        monkeypatch.setattr(sharded_mod, "_op_range", stalling_range)
         with WorkerPool.spawn_local(2) as pool:
             execution = remote_execution(pool, timeout_s=0.3, retries=1)
             stall_file.touch()

@@ -58,9 +58,9 @@ class TestResourceLifecycle:
         src = (
             "def f(X, config):\n"
             "    index = resolve_engine_index(X, 'cosine', config)\n"
-            "    counts = index.batch_range_count_rows([0], 0.5)\n"
+            "    rows = index.batch_range_query_rows([0], 0.5)\n"
             "    index.close()\n"
-            "    return counts\n"
+            "    return rows\n"
         )
         assert codes(lint(src)) == ["RPL001"]
 

@@ -98,7 +98,7 @@ class TestShardedIndexBuildOnce:
             # could land a shard on a worker that had never built it.
             for _ in range(3):
                 index.batch_range_query(data, EPS)
-                index.batch_range_count(data, EPS)
+                index.batch_range_query_rows(np.arange(len(data)), EPS)
             stats = index.stats()
             assert stats["shard_live_shards"] == N_SHARDS
             assert stats["shard_inner_builds"] == N_SHARDS

@@ -2,8 +2,8 @@
 
 The contract of :class:`repro.index.sharded.ShardedIndex` is that
 sharding is *invisible*: in both metrics, shards run on a local
-two-worker pool, or all on one worker, answer `batch_range_query` /
-`batch_range_count` exactly as one index over the whole dataset returns
+two-worker pool, or all on one worker, answer `batch_range_query`
+exactly as one index over the whole dataset returns
 (range rows compared as sorted arrays — the sharded backend's
 documented order).
 Edge cases the merge layer must survive: ``eps = 0`` (strict ``d < eps``
@@ -111,27 +111,15 @@ class TestAgainstSingleIndex:
             got = index.batch_range_query(data, EPS)
         assert_rows_equal(got, single.batch_range_query(data, EPS))
 
-    def test_batch_range_count(self, metric, extra, executor, data):
-        single = BruteForceIndex(metric=metric).build(data)
-        expected = [len(r) for r in single.batch_range_query(data, EPS)]
-        with sharded(metric, data, executor, **extra) as index:
-            counts = index.batch_range_count(data, EPS)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, expected)
-
     def test_empty_query_batch(self, metric, extra, executor, data):
         with sharded(metric, data, executor, **extra) as index:
             assert index.batch_range_query(np.empty((0, data.shape[1])), EPS) == []
-            assert index.batch_range_count(np.empty((0, data.shape[1])), EPS).size == 0
 
     def test_eps_zero_returns_no_neighbors(self, metric, extra, executor, data):
         # Strict d < 0 excludes everything, the query point included.
         with sharded(metric, data, executor, **extra) as index:
             rows = index.batch_range_query(data[:6], 0.0)
             assert all(row.size == 0 for row in rows)
-            assert np.array_equal(
-                index.batch_range_count(data[:6], 0.0), np.zeros(6, dtype=np.int64)
-            )
 
     def test_external_queries(self, metric, extra, executor, data, external):
         # Query points outside the dataset: no self-match to lean on, and
@@ -141,18 +129,13 @@ class TestAgainstSingleIndex:
         assert any(len(row) > 0 for row in expected)
         with sharded(metric, data, executor, **extra) as index:
             assert_rows_equal(index.batch_range_query(external, EPS), expected)
-            assert np.array_equal(
-                index.batch_range_count(external, EPS), [len(r) for r in expected]
-            )
 
     def test_eps_covering_every_point(self, metric, extra, executor, data):
         # Every shard contributes its whole slice to every row.
         everything = np.arange(data.shape[0], dtype=np.int64)
         with sharded(metric, data, executor, **extra) as index:
             rows = index.batch_range_query(data[:5], WHOLE_SPHERE_EPS)
-            counts = index.batch_range_count(data[:5], WHOLE_SPHERE_EPS)
         assert all(np.array_equal(row, everything) for row in rows)
-        assert np.array_equal(counts, np.full(5, data.shape[0], dtype=np.int64))
 
 
 class TestAgainstSingleIndexOnOneWorker(TestAgainstSingleIndex):
@@ -169,10 +152,7 @@ class TestShardingEdgeCases:
         single = BruteForceIndex(metric=metric).build(duplicated)
         with sharded(metric, duplicated, executor, n_shards=5) as index:
             got = index.batch_range_query(duplicated, EPS)
-            counts = index.batch_range_count(duplicated, EPS)
-        expected = single.batch_range_query(duplicated, EPS)
-        assert_rows_equal(got, expected)
-        assert np.array_equal(counts, [len(r) for r in expected])
+        assert_rows_equal(got, single.batch_range_query(duplicated, EPS))
 
     def test_empty_dataset(self, metric, executor, data):
         empty = np.empty((0, data.shape[1]))
@@ -180,9 +160,6 @@ class TestShardingEdgeCases:
             assert index.n_live_shards == 0
             rows = index.batch_range_query(data[:3], EPS)
             assert [r.size for r in rows] == [0, 0, 0]
-            assert np.array_equal(
-                index.batch_range_count(data[:3], EPS), np.zeros(3, dtype=np.int64)
-            )
 
     def test_more_shards_than_points(self, metric, executor, data):
         X = data[:7]
@@ -232,7 +209,6 @@ def test_empty_dataset_reaches_no_worker(monkeypatch, data):
     with index:
         assert [r.size for r in index.batch_range_query_rows(np.arange(0), EPS)] == []
         assert [r.size for r in index.batch_range_query(data[:2], EPS)] == [0, 0]
-        assert index.batch_range_count(data[:2], EPS).tolist() == [0, 0]
     assert index.stats() == {
         "shard_live_shards": 0,
         "shard_inner_builds": 0,
@@ -243,11 +219,12 @@ def test_empty_dataset_reaches_no_worker(monkeypatch, data):
 
 
 def test_index_contract_is_range_only():
-    """KNN is not part of the index contract, the sharding layer or the wire."""
+    """Range queries are the index contract, the sharding layer and the
+    wire: no KNN, and no count form a fit could route around the join."""
     assert not hasattr(NeighborIndex, "batch_knn_query")
     assert not hasattr(ShardedIndex, "batch_knn_query")
+    assert not hasattr(ShardedIndex, "batch_range_count")
     assert "merge_knn_rows" not in sharded_mod.__all__
-    assert set(sharded_mod._SHARD_OPS) == {"range", "count"}
 
 
 class TestLifecycleAndValidation:
@@ -350,7 +327,7 @@ class TestEngineWiring:
                 assert isinstance(resolved, ShardedIndex)
                 assert resolved.metric.name == metric
                 assert resolved.n_live_shards == 3
-                resolved.batch_range_count(data, EPS)
+                resolved.batch_range_query(data, EPS)
                 stats = resolved.stats()
         # Shard-before-build: exactly one build per live shard, no
         # discarded whole-dataset build.

@@ -63,12 +63,12 @@ def _explode(*args, **kwargs):
     raise RuntimeError("injected shard-op failure")
 
 
-def inject_failure(monkeypatch, op: str) -> None:
-    """Make every ``op`` shard call raise in the worker client."""
+def inject_failure(monkeypatch) -> None:
+    """Make every shard query raise in the worker client."""
     original_call = _WorkerClient.call
 
     def failing_call(self, header, arrays=None):
-        if header.get("op") == "query" and header.get("qop") == op:
+        if header.get("op") == "query":
             _explode()
         return original_call(self, header, arrays)
 
@@ -79,7 +79,7 @@ class TestCloseOnMidQueryFailure:
     def test_failed_fit_closes_its_engine(
         self, executor, data, close_spy, monkeypatch
     ):
-        inject_failure(monkeypatch, "range")
+        inject_failure(monkeypatch)
         execution = ExecutionConfig(
             sharding=ShardingConfig(n_shards=2, executor=executor)
         )
@@ -94,14 +94,14 @@ class TestCloseOnMidQueryFailure:
     def test_direct_index_close_after_query_failure(
         self, executor, data, monkeypatch
     ):
-        inject_failure(monkeypatch, "count")
+        inject_failure(monkeypatch)
         index = ShardedIndex(n_shards=2, executor=executor).build(data)
         with pytest.raises(RuntimeError, match="injected"):
-            index.batch_range_count(data, EPS)
+            index.batch_range_query(data, EPS)
         # A shard-op exception must not wedge or leak the executor.
         index.close()
         with pytest.raises(NotFittedError):
-            index.batch_range_count(data, EPS)
+            index.batch_range_query(data, EPS)
 
 
 def test_pool_answers_the_fit_after_a_failed_one(data, pool, monkeypatch):
@@ -109,7 +109,7 @@ def test_pool_answers_the_fit_after_a_failed_one(data, pool, monkeypatch):
         sharding=ShardingConfig(n_shards=2, executor=pool.executor_spec())
     )
     with monkeypatch.context() as patch:
-        inject_failure(patch, "range")
+        inject_failure(patch)
         with pytest.raises(RuntimeError, match="injected"):
             DBSCAN(eps=EPS, tau=3, execution=execution).fit(data)
     expected = DBSCAN(eps=EPS, tau=3).fit(data)

@@ -11,7 +11,8 @@ every workload and seed the tool runs ``--pairs`` pairs of
 ``perfbench/run.py``, one run of each side per pair, alternating which
 side runs first, and reads each run's last JSON line. Per metric it
 prints the medians, the quartiles, the change's wins out of the pairs,
-an exact two-sided sign-test p and a verdict:
+an exact two-sided sign-test p, a 95% bootstrap interval of the
+change/parent median ratio and a verdict:
 
 * ``gain met``: over at least ten pairs, the change is better in at
   least 9 of 10 and its median beats the parent's by more than the
@@ -27,6 +28,8 @@ an exact two-sided sign-test p and a verdict:
   past it;
 * ``within noise``: none of the above.
 
+The bootstrap resamples the pairs, each pair's two runs together, with
+a fixed seed, so a report repeats; it informs, and no verdict reads it.
 Each side runs for its own ``BENCHMARK.json``'s ``run_seconds``. The
 last line of output is one line to paste into ``CHANGES.md``. Standard
 library only.
@@ -38,6 +41,7 @@ import argparse
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -50,6 +54,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Fewest pairs on which a gain can be claimed.
 MIN_PAIRS = 10
+
+#: Resamples of the bootstrap interval, and the seed of its generator.
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 #: ``(checkout, workload, seed)`` -> the run's result object.
 Runner = Callable[[str, str, int], dict]
@@ -72,6 +80,7 @@ class Comparison:
     pairs: int
     p: float
     verdict: str
+    ratio_ci: tuple[float, float] | None  # 95% bootstrap, change/parent median
 
 
 def metrics_of(config: dict, trace: bool) -> list[Metric]:
@@ -106,6 +115,30 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail / 2**n)
 
 
+def bootstrap_ratio_interval(
+    parent: Sequence[float],
+    change: Sequence[float],
+    resamples: int = BOOTSTRAP_RESAMPLES,
+    seed: int = BOOTSTRAP_SEED,
+) -> tuple[float, float] | None:
+    """95% percentile-bootstrap interval of ``median(change) / median(parent)``.
+
+    Each resample draws ``len(parent)`` pairs with replacement, a pair's two
+    runs together. None when a resampled parent median is 0.
+    """
+    rng = random.Random(seed)
+    n = len(parent)
+    ratios = []
+    for _ in range(resamples):
+        picks = [rng.randrange(n) for _ in range(n)]
+        base = statistics.median(parent[i] for i in picks)
+        if base == 0:
+            return None
+        ratios.append(statistics.median(change[i] for i in picks) / base)
+    cuts = statistics.quantiles(ratios, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
 def compare(
     metric: Metric,
     parent: Sequence[float],
@@ -136,7 +169,8 @@ def compare(
     else:
         verdict = "within noise"
     p = sign_test_p(wins, losses)
-    return Comparison(metric, pq, cq, wins, losses, len(gains), p, verdict)
+    ci = bootstrap_ratio_interval(parent, change)
+    return Comparison(metric, pq, cq, wins, losses, len(gains), p, verdict, ci)
 
 
 def perfbench_runner(trace: bool) -> Runner:
@@ -234,6 +268,13 @@ def _relative(c: Comparison) -> str:
     return f"{100.0 * (c.change[1] - base) / abs(base):+.1f}%"
 
 
+def _interval(c: Comparison) -> str:
+    """The ratio interval as ``[low, high]``."""
+    if c.ratio_ci is None:
+        return "n/a"
+    return f"[{c.ratio_ci[0]:.3f}, {c.ratio_ci[1]:.3f}]"
+
+
 def _runs(results: Sequence[tuple[dict, dict]]) -> str:
     """Correct runs and failed operations of each side."""
     notes = []
@@ -248,7 +289,18 @@ def _runs(results: Sequence[tuple[dict, dict]]) -> str:
 
 def table(workload: str, comparisons: Sequence[Comparison], results) -> str:
     """A workload's report, one row per metric."""
-    rows = [("metric", "parent [q1, q3]", "change [q1, q3]", "Δ", "wins", "p", "")]
+    rows = [
+        (
+            "metric",
+            "parent [q1, q3]",
+            "change [q1, q3]",
+            "Δ",
+            "ratio 95% CI",
+            "wins",
+            "p",
+            "",
+        )
+    ]
     for c in comparisons:
         rows.append(
             (
@@ -256,6 +308,7 @@ def table(workload: str, comparisons: Sequence[Comparison], results) -> str:
                 _spread(c.parent),
                 _spread(c.change),
                 _relative(c),
+                _interval(c),
                 f"{c.wins}/{c.pairs}",
                 f"{c.p:.3g}",
                 c.verdict,
@@ -280,7 +333,13 @@ def changes_line(
             f"{_relative(c)}, {c.wins}/{c.pairs}, p {c.p:.3g}, {c.verdict}"
             for c in comparisons
         )
-        parts.append(f"`{workload}`: {metrics} ({_runs(results)})")
+        intervals = ", ".join(
+            f"`{c.metric.name}` {_interval(c)}" for c in comparisons
+        )
+        parts.append(
+            f"`{workload}`: {metrics} ({_runs(results)}; 95% bootstrap "
+            f"interval of the change/parent median ratio: {intervals})"
+        )
     return f"{header}: " + ". ".join(parts) + "."
 
 
