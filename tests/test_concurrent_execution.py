@@ -14,15 +14,18 @@ share, so its shard caches start cold.
 
 from __future__ import annotations
 
+import copy
 import sys
 import threading
+import types
 
 import numpy as np
 
+import repro.estimators.base as estimators_base
 from repro import ExecutionConfig, ShardingConfig
 from repro.clustering import DBSCAN, DBSCANPlusPlus
-from repro.core import LAFDBSCANPlusPlus
-from repro.estimators import SamplingCardinalityEstimator
+from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
+from repro.estimators import ExactCardinalityEstimator, SamplingCardinalityEstimator
 from repro.remote.pool import WorkerPool
 from repro.testing import make_blobs_on_sphere
 
@@ -201,3 +204,48 @@ class TestConcurrentFits:
             for result in outputs[name]:
                 assert np.array_equal(result.labels, reference.labels), name
                 assert np.array_equal(result.core_mask, reference.core_mask), name
+
+    def test_shared_estimator_binds_a_copy_under_a_forced_interleave(
+        self, monkeypatch
+    ):
+        """Two threads share one LAF-DBSCAN and its estimator, each fitting
+        its own dataset. A barrier holds each ``bind`` between copying the
+        estimator and binding the copy, so both threads are inside ``bind``
+        together. Each fit equals a fresh single-threaded fit, and the
+        shared estimator is unchanged: ``bind`` writes only onto its copy."""
+        datasets = {
+            "a": _data(),
+            "b": make_blobs_on_sphere(20, 4, 16, spread=0.3, seed=3)[0],
+        }
+        estimator = ExactCardinalityEstimator()
+        shared = LAFDBSCAN(eps=EPS, tau=TAU, estimator=estimator, alpha=1.3)
+        before = dict(vars(estimator))
+        barrier = threading.Barrier(len(datasets))
+
+        def copy_then_wait(obj):
+            duplicate = copy.copy(obj)
+            barrier.wait(timeout=30)
+            return duplicate
+
+        monkeypatch.setattr(
+            estimators_base, "copy", types.SimpleNamespace(copy=copy_then_wait)
+        )
+        outputs: dict[str, list] = {name: [] for name in datasets}
+
+        def run(name: str) -> None:
+            for _ in range(N_FITS_PER_THREAD):
+                outputs[name].append(shared.fit(datasets[name]))
+
+        _run_threads({name: lambda name=name: run(name) for name in datasets})
+        monkeypatch.undo()
+        assert vars(estimator).keys() == before.keys()
+        assert all(vars(estimator)[key] is value for key, value in before.items())
+        for name, X in datasets.items():
+            fresh = LAFDBSCAN(
+                eps=EPS, tau=TAU, estimator=ExactCardinalityEstimator(), alpha=1.3
+            ).fit(X)
+            assert len(outputs[name]) == N_FITS_PER_THREAD
+            for result in outputs[name]:
+                assert np.array_equal(result.labels, fresh.labels), name
+                assert np.array_equal(result.core_mask, fresh.core_mask), name
+                assert result.stats == fresh.stats, name

@@ -15,6 +15,7 @@ import pytest
 from repro.distances import normalize_rows
 from repro.exceptions import InvalidParameterError, NotFittedError
 from repro.index import BruteForceIndex, GridIndex, ShardedIndex, brute_force
+from repro.index.base import pair_counts
 from repro.remote.pool import RemoteExecutor
 
 from repro.testing import make_blobs_on_sphere
@@ -80,6 +81,17 @@ class TestBatchAgainstScalar:
             expected = reference.range_query(data[i], EPS)
             assert np.array_equal(np.sort(row), np.sort(expected)), i
 
+    def test_join_counts_match_scalar(self, name, make, data):
+        # The sampling hosts' core test: pair_counts of a join over a row
+        # subset are those rows' scalar counts.
+        index = make().build(data)
+        reference = scalar_reference(index, data)
+        rows = np.arange(0, data.shape[0], 2)
+        counts = pair_counts(index.range_pairs(EPS, rows=rows), data.shape[0])
+        assert counts.dtype == np.int64
+        expected = [reference.range_count(data[i], EPS) for i in rows]
+        assert np.array_equal(counts[rows], expected)
+
     def test_empty_batch(self, name, make, data):
         index = make().build(data)
         assert index.batch_range_query(np.empty((0, data.shape[1])), EPS) == []
@@ -117,10 +129,6 @@ class TestBruteForceCounts:
         assert counts.dtype == np.int64
         expected = [reference.range_count(data[i], EPS) for i in range(33)]
         assert np.array_equal(counts, expected)
-
-    def test_empty_batch(self, name, make, data):
-        index = make().build(data)
-        assert index.batch_range_count(np.empty((0, data.shape[1])), EPS).size == 0
 
 
 class TestEpsBoundarySemantics:
@@ -161,6 +169,25 @@ class TestGridBatchedQueries:
         X, _ = make_blobs_on_sphere(10, 2, 8, seed=0)
         grid = GridIndex(EPS).build(X)
         assert grid.batch_approx_range_count(np.empty((0, 8))).size == 0
+
+
+@pytest.mark.parametrize(
+    "rows,cols,expected",
+    [
+        # (0, 1) counts toward both points; each diagonal pair once.
+        ([0, 0, 1, 2], [0, 1, 3, 2], [2, 2, 1, 1]),
+        # No diagonal pair (the kernel found d(P, P) >= eps): P does not
+        # count itself.
+        ([0, 1], [1, 2], [1, 2, 1, 0]),
+        ([], [], [0, 0, 0, 0]),
+    ],
+    ids=["mirror_and_diagonal", "no_diagonal", "empty"],
+)
+def test_pair_counts_mirror_rule(rows, cols, expected):
+    pairs = (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))
+    counts = pair_counts(pairs, 4)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == expected
 
 
 class TestRowIdForms:

@@ -53,11 +53,12 @@ from repro.exceptions import (
     WorkerUnavailableError,
 )
 from repro.index import BruteForceIndex
+from repro.index.base import pair_counts
 from repro.index.sharded import ExecutorSpec, ShardedIndex, ShardingConfig
 from repro.remote import worker as _worker
 from repro.remote.pool import WorkerPool, _WorkerClient
 from repro.remote.protocol import recv_msg, send_msg
-from repro.remote.worker import dataset_fingerprint
+from repro.remote.worker import ShardHolder, dataset_fingerprint
 from repro.testing import make_blobs_on_sphere
 
 EPS = 0.55
@@ -226,6 +227,21 @@ class TestProtocol:
             b.close()
 
 
+class TestShardHolder:
+    def test_attach_builds_once_over_a_view_of_the_held_dataset(self, data):
+        holder = ShardHolder()
+        fingerprint, shard = whole_dataset_shard(data)
+        holder.put_dataset(fingerprint, data)
+        shard.update(shard_id=1, lo=10, hi=20)
+        index, built = holder.attach(shard)
+        assert built
+        assert holder.attach(shard) == (index, False)
+        # The shard's float64 rows are a view of the held dataset; a
+        # cosine shard's own memory is its float32 copy.
+        assert np.shares_memory(index.points, data)
+        assert np.array_equal(index.points, data[10:20])
+
+
 @pytest.mark.parametrize(
     "metric,query_block",
     [("cosine", 2048), ("cosine", 5), ("euclidean", 2048)],
@@ -248,6 +264,16 @@ class TestShardedQueriesMatchOneIndex:
         expected = single.batch_range_query(data, EPS)
         assert len(got) == len(expected)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    def test_join_counts(self, metric, query_block, data, pool):
+        # A sampling host's core test on remote shards: the join ships
+        # neighbour ids, and pair_counts of them are the rows' counts.
+        remote, single = self._pair(metric, query_block, data, pool)
+        rows = np.arange(1, len(data), 2)
+        with remote:
+            pairs = remote.range_pairs(EPS, rows=rows)
+        counts = pair_counts(pairs, len(data))[rows]
+        assert np.array_equal(counts, single.batch_range_count(data[rows], EPS))
 
 
 class TestClusterersMatchUnsharded:

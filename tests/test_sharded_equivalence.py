@@ -33,6 +33,7 @@ from repro.index import (
     ShardingConfig,
 )
 from repro.index import sharded as sharded_mod
+from repro.index.base import pair_counts
 from repro.index.sharded import ExecutorSpec, resolve_engine_index
 from repro.remote.pool import RemoteExecutor, WorkerPool
 from repro.testing import make_blobs_on_sphere
@@ -110,6 +111,16 @@ class TestAgainstSingleIndex:
         with sharded(metric, data, executor, **extra) as index:
             got = index.batch_range_query(data, EPS)
         assert_rows_equal(got, single.batch_range_query(data, EPS))
+
+    def test_join_counts(self, metric, extra, executor, data):
+        # A sampling host's core test: pair_counts of the sharded join over
+        # a row subset equals the single index's counts of those rows.
+        rows = np.arange(0, data.shape[0], 3)
+        single = BruteForceIndex(metric=metric).build(data)
+        expected = single.batch_range_count(data[rows], EPS)
+        with sharded(metric, data, executor, **extra) as index:
+            pairs = index.range_pairs(EPS, rows=rows)
+        assert np.array_equal(pair_counts(pairs, data.shape[0])[rows], expected)
 
     def test_empty_query_batch(self, metric, extra, executor, data):
         with sharded(metric, data, executor, **extra) as index:
