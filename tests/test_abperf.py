@@ -182,8 +182,6 @@ def test_bootstrap_interval_brackets_the_median_ratio_and_repeats():
     assert low < ratio < high
     # A fixed resampling seed: the same runs give the same interval.
     assert abperf.bootstrap_ratio_interval(parent, change) == (low, high)
-    other = abperf.bootstrap_ratio_interval(parent, change, seed=1)
-    assert other != (low, high)
 
 
 def test_bootstrap_interval_resamples_pairs_together():
@@ -191,7 +189,7 @@ def test_bootstrap_interval_resamples_pairs_together():
     # by exactly 1 only when the two runs of a pair are drawn together.
     parent = [float(v) for v in range(1, 11)]
     change = [v + 1.0 for v in parent]
-    low, high = abperf.bootstrap_ratio_interval(parent, change, resamples=200)
+    low, high = abperf.bootstrap_ratio_interval(parent, change)
     assert low >= 1.0 + 1.0 / 10.0 - 1e-12  # the largest parent median is 10
     assert high <= 1.0 + 1.0 / 1.0
 

@@ -110,8 +110,8 @@ class TestKCenterSampling:
 class TestJoinCounts:
     """The core test counts each sampled row's neighbours from one
     ``range_pairs`` join over the sample: the counts are the sampled
-    rows' own ``batch_range_count``, whatever the kernel block, the init
-    or where the shards run."""
+    rows' own ``batch_range_count``, whatever the kernel block (sharded:
+    also the fan-out round), the init or where the shards run."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -132,7 +132,11 @@ class TestJoinCounts:
         X = np.vstack([X, X[rng.integers(n, size=n_duplicates)]])
         eps = 0.6
         sharding = (
-            ShardingConfig(n_shards=3, executor=worker_pool.executor_spec())
+            ShardingConfig(
+                n_shards=3,
+                executor=worker_pool.executor_spec(),
+                query_block=query_block,
+            )
             if sharded
             else None
         )

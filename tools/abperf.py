@@ -118,18 +118,16 @@ def sign_test_p(wins: int, losses: int) -> float:
 def bootstrap_ratio_interval(
     parent: Sequence[float],
     change: Sequence[float],
-    resamples: int = BOOTSTRAP_RESAMPLES,
-    seed: int = BOOTSTRAP_SEED,
 ) -> tuple[float, float] | None:
     """95% percentile-bootstrap interval of ``median(change) / median(parent)``.
 
     Each resample draws ``len(parent)`` pairs with replacement, a pair's two
     runs together. None when a resampled parent median is 0.
     """
-    rng = random.Random(seed)
+    rng = random.Random(BOOTSTRAP_SEED)
     n = len(parent)
     ratios = []
-    for _ in range(resamples):
+    for _ in range(BOOTSTRAP_RESAMPLES):
         picks = [rng.randrange(n) for _ in range(n)]
         base = statistics.median(parent[i] for i in picks)
         if base == 0:
