@@ -17,7 +17,7 @@ from repro.clustering.base import (
     ClusteringResult,
     canonicalize_labels,
 )
-from repro.clustering.components import pair_components
+from repro.clustering.components import connected_components_within
 from repro.distances.metric import COSINE, Metric
 from repro.engine_config import ExecutionConfig
 from repro.index.base import pair_counts
@@ -76,19 +76,19 @@ class DBSCAN(Clusterer):
             stats.update(index.stats())
         core_mask = pair_counts((rows, cols), n) >= self.tau
         # Sequential expansion creates one cluster per component of the
-        # core-core graph, at its lowest core. pair_components numbers
-        # components by their lowest node, so its ids are creation order.
-        row_core, col_core = core_mask[rows], core_mask[cols]
-        linked = row_core & col_core
-        component = pair_components(rows[linked], cols[linked], n)
-        labels = np.where(core_mask, component, n)
+        # core-core graph, at its lowest core. The components are numbered
+        # by their lowest core, so their ids are creation order.
+        cores = np.flatnonzero(core_mask)
+        labels = np.full(n, n, dtype=np.int64)
+        labels[cores] = connected_components_within((rows, cols), cores)[0]
         # A border point joins the first-created cluster among its core
         # neighbours: the first expansion that reaches it claims it.
+        row_core, col_core = core_mask[rows], core_mask[cols]
         for border, core, claimed in (
             (rows, cols, col_core & ~row_core),
             (cols, rows, row_core & ~col_core),
         ):
-            np.minimum.at(labels, border[claimed], component[core[claimed]])
+            np.minimum.at(labels, border[claimed], labels[core[claimed]])
         labels[labels == n] = NOISE
         return ClusteringResult(
             labels=canonicalize_labels(labels),

@@ -57,7 +57,8 @@ class DBSCANPlusPlus(Clusterer):
         sample, ``range_pairs(eps, rows=sample)`` (sharded when a
         sharding config is set), whose pairs count toward both of their
         points (:func:`~repro.index.base.pair_counts`): LAF-DBSCAN++'s
-        core test with every sampled point passing the gate.
+        core test with every sampled point passing the gate. The cores
+        are sampled rows, so the core graph is read off the same pairs.
     """
 
     algo_name = "dbscan++"
@@ -145,9 +146,9 @@ class DBSCANPlusPlus(Clusterer):
                 stats=stats,
             )
 
-        # Connect core points that are mutual eps-neighbors.
-        core_X = X[core_sample]
-        core_labels, core_graph_pairs = connected_components_within(core_X, self.eps)
+        # Connect core points that are mutual eps-neighbors. The cores are
+        # sampled rows, so the join holds each pair of two cores once.
+        core_labels, core_graph_pairs = connected_components_within(pairs, core_sample)
         stats["core_graph_pairs"] = core_graph_pairs
         stats["n_core_components"] = int(core_labels.max()) + 1
 
@@ -159,7 +160,7 @@ class DBSCANPlusPlus(Clusterer):
         core_mask[core_sample] = True
         rest = np.flatnonzero(~core_mask)
         nearest, nearest_dist = nearest_in_blocks(
-            iter_distance_blocks(X[rest], core_X), rest.size
+            iter_distance_blocks(X[rest], X[core_sample]), rest.size
         )
         rest_labels = core_labels[nearest]
         if self.assign_within_eps:

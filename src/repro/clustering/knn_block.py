@@ -41,6 +41,7 @@ from repro.distances import (
     nearest_in_blocks,
 )
 from repro.exceptions import InvalidParameterError
+from repro.index.brute_force import BruteForceIndex
 from repro.index.kmeans_tree import KMeansTree
 
 __all__ = ["KNNBlockDBSCAN"]
@@ -191,7 +192,8 @@ class KNNBlockDBSCAN(Clusterer):
                     uf.union(unit_id, other)
         # Core-core connectivity within eps (cosine strict <): every core
         # unit joins the unit of its component's first core.
-        component, _ = connected_components_within(core_X, self.eps)
+        pairs = BruteForceIndex().build(core_X).range_pairs(self.eps)
+        component, _ = connected_components_within(pairs, np.arange(len(core_X)))
         _, first = np.unique(component, return_index=True)
         roots = core_units[first[component]]
         for unit, root in zip(core_units.tolist(), roots.tolist()):

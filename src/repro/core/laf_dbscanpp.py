@@ -66,7 +66,8 @@ class LAFDBSCANPlusPlus(Clusterer):
         skipped one is registered before the first query, so ``E(P)`` is
         the gated points the join pairs with ``P``
         (:func:`~repro.core.laf.partial_neighbors`) and the output is
-        identical to one scalar query per point.
+        identical to one scalar query per point. The cores are gated
+        points, so the core graph is read off the same pairs.
     """
 
     algo_name = "laf-dbscan++"
@@ -142,10 +143,10 @@ class LAFDBSCANPlusPlus(Clusterer):
         labels = np.full(n, NOISE, dtype=np.int64)
         core_mask = np.zeros(n, dtype=bool)
         if core_sample.size:
-            # DBSCAN++ core graph: connect cores within eps, label components.
-            core_X = X[core_sample]
+            # DBSCAN++ core graph: the cores are gated rows, so the join
+            # holds each pair of two cores once.
             core_labels, core_graph_pairs = connected_components_within(
-                core_X, self.eps
+                pairs, core_sample
             )
             stats["core_graph_pairs"] = core_graph_pairs
             stats["n_core_components"] = int(core_labels.max()) + 1
@@ -154,7 +155,7 @@ class LAFDBSCANPlusPlus(Clusterer):
             core_mask[core_sample] = True
             rest = np.flatnonzero(~core_mask)
             nearest, nearest_dist = nearest_in_blocks(
-                iter_distance_blocks(X[rest], core_X), rest.size
+                iter_distance_blocks(X[rest], X[core_sample]), rest.size
             )
             rest_labels = core_labels[nearest]
             if self.assign_within_eps:

@@ -38,11 +38,6 @@ __all__ = [
 DEFAULT_ENGINE_BLOCK = DEFAULT_BLOCK_SIZE
 
 
-#: The JSON-visible fields of ShardingConfig (kept in lockstep with the
-#: dataclass; a mismatch fails the round-trip tests).
-_SHARDING_FIELDS = ("n_shards", "executor", "query_block")
-
-
 @dataclasses.dataclass(frozen=True)
 class ExecutionConfig:
     """The complete execution policy of one clusterer fit.
@@ -81,7 +76,7 @@ class ExecutionConfig:
         """JSON-safe representation (the remote-worker wire format)."""
         sharding: dict | None = None
         if self.sharding is not None:
-            sharding = {f: getattr(self.sharding, f) for f in _SHARDING_FIELDS}
+            sharding = dataclasses.asdict(self.sharding)
             sharding["executor"] = self.sharding.executor.to_dict()
         return {"sharding": sharding, "query_block": self.query_block}
 
@@ -91,9 +86,8 @@ class ExecutionConfig:
         data = _checked_mapping(data, {"sharding", "query_block"}, "ExecutionConfig")
         sharding = data.get("sharding")
         if sharding is not None:
-            sharding = _checked_mapping(
-                sharding, set(_SHARDING_FIELDS), "ShardingConfig"
-            )
+            fields = {f.name for f in dataclasses.fields(ShardingConfig)}
+            sharding = _checked_mapping(sharding, fields, "ShardingConfig")
             if "executor" in sharding:
                 sharding["executor"] = ExecutorSpec.from_dict(sharding["executor"])
             sharding = ShardingConfig(**sharding)

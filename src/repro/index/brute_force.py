@@ -81,11 +81,9 @@ class BruteForceIndex(NeighborIndex):
         self._max_norm = 0.0
 
     def build(self, X: np.ndarray) -> "BruteForceIndex":
-        return self._attach(self.metric.validate(X))
-
-    def _attach(self, points: np.ndarray) -> "BruteForceIndex":
         # Everything a query reads is derived here, once: a built index
         # is never mutated by a query, so threads may share it.
+        points = self.metric.validate(X)
         self._points = points
         if self.metric.name == "cosine":
             self._points32 = points.astype(np.float32)

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clustering import DBSCAN, DBSCANPlusPlus
+from repro.clustering.base import canonicalize_labels
 from repro.clustering.components import connected_components_within
+from repro.core import LAFDBSCANPlusPlus
 from repro.distances import normalize_rows
 from repro.engine_config import ExecutionConfig
+from repro.estimators import ExactCardinalityEstimator
 from repro.exceptions import InvalidParameterError
 from repro.index import BruteForceIndex, ShardingConfig
 from repro.index.base import pair_counts
@@ -163,8 +166,13 @@ class TestJoinCounts:
 class TestCoreGraphStats:
     def test_core_graph_reported(self, clusterable_data):
         result = DBSCANPlusPlus(eps=0.5, tau=5, p=0.5, seed=0).fit(clusterable_data)
+        # The fit reads its core graph off its sample join; a self-join
+        # over its cores is the independent answer.
         core_X = clusterable_data[result.core_mask]
-        labels, n_pairs = connected_components_within(core_X, 0.5)
+        core_pairs = BruteForceIndex().build(core_X).range_pairs(0.5)
+        labels, n_pairs = connected_components_within(
+            core_pairs, np.arange(len(core_X))
+        )
         assert result.stats["core_graph_pairs"] == n_pairs > 0
         assert result.stats["n_core_components"] == labels.max() + 1
         assert result.stats["n_core_components"] == result.n_clusters
@@ -173,6 +181,73 @@ class TestCoreGraphStats:
         result = DBSCANPlusPlus(eps=0.01, tau=5, p=0.5, seed=0).fit(unit_vectors_small)
         assert result.stats["core_graph_pairs"] == 0
         assert result.stats["n_core_components"] == 0
+
+
+def _bfs_core_graph(C, eps):
+    """Component per row of ``C`` by a float64 BFS, one matvec per node,
+    numbered by lowest row, and the number of pairs ``i < j`` within eps."""
+    within = 1.0 - C @ C.T < eps
+    labels = np.full(len(C), -1, dtype=np.int64)
+    for start in range(len(C)):
+        if labels[start] == -1:
+            labels[start] = labels.max() + 1
+            frontier = [start]
+            while frontier:
+                reached = np.flatnonzero(within[frontier.pop()] & (labels == -1))
+                labels[reached] = labels[start]
+                frontier.extend(reached.tolist())
+    return labels, int(np.count_nonzero(np.triu(within, k=1)))
+
+
+class TestCoreGraphOracle:
+    """DBSCAN++ and LAF-DBSCAN++ read their core graph off their sample
+    join: it equals a float64 BFS over the fit's cores, with duplicated
+    rows, unsharded and on remote shards."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 60),
+        n_duplicates=st.integers(0, 12),
+        p=st.floats(0.05, 1.0),
+        tau=st.integers(1, 8),
+        method=st.sampled_from(["uniform", "k-center", "laf"]),
+        sharded=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_core_graph_equals_bfs_over_the_cores(
+        self, worker_pool, seed, n, n_duplicates, p, tau, method, sharded
+    ):
+        rng = np.random.default_rng(seed)
+        X = normalize_rows(rng.normal(size=(n, 6)))
+        X = np.vstack([X, X[rng.integers(n, size=n_duplicates)]])
+        eps = 0.6
+        sharding = (
+            ShardingConfig(n_shards=3, executor=worker_pool.executor_spec())
+            if sharded
+            else None
+        )
+        execution = ExecutionConfig(sharding=sharding)
+        if method == "laf":
+            clusterer = LAFDBSCANPlusPlus(
+                eps=eps,
+                tau=tau,
+                estimator=ExactCardinalityEstimator(),
+                p=p,
+                seed=seed,
+                execution=execution,
+            )
+        else:
+            clusterer = DBSCANPlusPlus(
+                eps=eps, tau=tau, p=p, init=method, seed=seed, execution=execution
+            )
+        result = clusterer.fit(X)
+        cores = np.flatnonzero(result.core_mask)
+        want, want_pairs = _bfs_core_graph(X[cores], eps)
+        assert result.stats["core_graph_pairs"] == want_pairs
+        assert result.stats["n_core_components"] == len(set(want.tolist()))
+        # Exact gate at alpha 1: no false negative, so no merge.
+        assert result.stats.get("merges", 0) == 0
+        assert np.array_equal(canonicalize_labels(result.labels[cores]), want)
 
 
 class TestQualityOnBlobs:

@@ -243,9 +243,8 @@ class TestIndexAccounting:
         stats = _make(name, True).fit(blob_plus_noise).stats
         assert stats["range_queries"] > 0
         assert stats["skipped_queries"] > 0
-        # LAF-DBSCAN++'s core graph is a self-join over its cores.
-        core_graph = [stats["n_core"]] if "n_core" in stats else []
-        assert index_rows["range_pairs"] == [stats["range_queries"], *core_graph]
+        # LAF-DBSCAN++ reads its core graph off the same join.
+        assert index_rows["range_pairs"] == [stats["range_queries"]]
         # A plan of one kernel block is the base derivation: one row-id
         # query of the plan, inside the join.
         assert stats["range_queries"] <= BruteForceIndex().block_size
@@ -256,13 +255,12 @@ class TestIndexAccounting:
     def test_dbscanpp_counts_from_one_join_over_its_sample(
         self, name, index_rows, blob_plus_noise
     ):
-        """DBSCAN++'s core test is one ``range_pairs`` join over exactly its
-        sample, its core graph one self-join over its cores, and nothing
-        else reaches the index."""
+        """DBSCAN++'s core test and core graph are one ``range_pairs`` join
+        over exactly its sample, and nothing else reaches the index."""
         stats = _make(name, True).fit(blob_plus_noise).stats
         assert stats["range_queries"] == stats["sample_size"] > 0
-        assert stats["n_core"] > 0
-        assert index_rows["range_pairs"] == [stats["sample_size"], stats["n_core"]]
+        assert stats["core_graph_pairs"] > 0
+        assert index_rows["range_pairs"] == [stats["sample_size"]]
         # A sample of one kernel block is the base derivation: one row-id
         # query of the sample, inside the join.
         assert stats["sample_size"] <= BruteForceIndex().block_size

@@ -180,7 +180,8 @@ def laf_dbscanpp_oracle(clusterer, X):
     labels = np.full(n, NOISE, dtype=np.int64)
     core_mask = np.zeros(n, dtype=bool)
     if cores:
-        core_labels, _ = connected_components_within(X[cores], eps)
+        core_pairs = BruteForceIndex().build(X[cores]).range_pairs(eps)
+        core_labels, _ = connected_components_within(core_pairs, np.arange(len(cores)))
         labels[cores] = core_labels
         core_mask[cores] = True
         rest = np.flatnonzero(~core_mask)
