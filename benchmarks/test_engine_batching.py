@@ -17,7 +17,11 @@ labels) against the full-row ``batch_range_query_rows`` call over every
 point that the fit used to make before its frontier loop. A fifth,
 ``engine_plan_join_n8000.json``, times LAF's plan query: the join
 ``range_pairs(eps, rows=plan)`` over a fixed two-thirds of the rows
-against the full-row ``batch_range_query_rows(plan)`` it replaced.
+against the full-row ``batch_range_query_rows(plan)`` it replaced. A
+sixth, ``engine_assign_n6087.json``, times the sampling hosts'
+nearest-core assign on the ``sampling-ms150k`` split: the candidates
+read off a p = 0.7 sample join (``assign_to_cores``) against the float64
+blocks of every non-core point against every core it replaced.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ import pytest
 from conftest import out_path, usable_cpus
 
 from repro.clustering import DBSCAN
-from repro.clustering.components import connected_components_within
-from repro.distances import normalize_rows
+from repro.clustering.components import assign_to_cores, connected_components_within
+from repro.data import load_dataset
+from repro.distances import iter_distance_blocks, nearest_in_blocks, normalize_rows
 from repro.experiments.reporting import save_json
 from repro.index import BruteForceIndex
+from repro.index.base import pair_counts
 from repro.testing import make_blobs_on_sphere, use_per_point_engine
 
 EPS = 0.5
@@ -286,3 +292,68 @@ def test_plan_join_speedup():
         f"{t_rows:.3f}s, plan join {t_join:.3f}s ({plan_join_speedup:.2f}x)"
     )
     save_json(out_path(f"engine_plan_join_n{n}.json"), {"rows": rows_out})
+
+
+def _assign_float64(X, cores, core_labels, eps):
+    """The assign ``assign_to_cores`` replaced: float64 blocks of every
+    non-core point against every core, nearest core within eps."""
+    labels = np.full(X.shape[0], -1, dtype=np.int64)
+    labels[cores] = core_labels
+    rest = np.setdiff1d(np.arange(X.shape[0]), cores)
+    nearest, dist = nearest_in_blocks(
+        iter_distance_blocks(X[rest], X[cores]), rest.size
+    )
+    labels[rest] = np.where(dist < eps, core_labels[nearest], -1)
+    return labels
+
+
+def _multi_cluster_points(pairs, cores, core_labels, n):
+    """Non-core points whose cores within eps lie in two or more clusters."""
+    label = np.full(n, -1, dtype=np.int64)
+    label[cores] = core_labels
+    rows, cols = pairs
+    one = (label[rows] >= 0) != (label[cols] >= 0)
+    point = np.where(label[rows] >= 0, cols, rows)[one]
+    core_label = np.where(label[rows] >= 0, label[rows], label[cols])[one]
+    distinct = np.unique(np.stack([point, core_label]), axis=1)
+    return int(np.count_nonzero(np.bincount(distinct[0]) > 1))
+
+
+def test_assign_speedup():
+    # sampling-ms150k's split and parameters, with a p = 0.7 sample.
+    eps, tau = 0.5, 3
+    _, X = load_dataset("MS-150k", scale=0.2, seed=0).split(seed=0)
+    n = X.shape[0]
+    sample = np.sort(np.random.default_rng(0).choice(n, round(0.7 * n), replace=False))
+    pairs = BruteForceIndex().build(X).range_pairs(eps, rows=sample)
+    cores = sample[pair_counts(pairs, n)[sample] >= tau]
+    core_labels, _ = connected_components_within(pairs, cores)
+
+    expected = _assign_float64(X, cores, core_labels, eps)
+    assert np.array_equal(assign_to_cores(pairs, cores, core_labels, X), expected)
+
+    t_float64 = _best_of(lambda: _assign_float64(X, cores, core_labels, eps))
+    t_join = _best_of(lambda: assign_to_cores(pairs, cores, core_labels, X))
+    assign_speedup = t_float64 / t_join
+    rows_out = [
+        {
+            "n": n,
+            "dim": int(X.shape[1]),
+            "eps": eps,
+            "cores": int(cores.size),
+            "non_core_points": int(n - cores.size),
+            "assigned_points": int(np.count_nonzero(expected >= 0) - cores.size),
+            "multi_cluster_points": _multi_cluster_points(pairs, cores, core_labels, n),
+            "float64_assign_s": t_float64,
+            "join_assign_s": t_join,
+            "assign_speedup": assign_speedup,
+            # The float64 GEMM runs on every CPU BLAS may use.
+            "usable_cpus": usable_cpus(),
+        }
+    ]
+    print()
+    print(
+        f"n={n} d={X.shape[1]}, {cores.size} cores: float64 assign "
+        f"{t_float64:.3f}s, join assign {t_join:.4f}s ({assign_speedup:.2f}x)"
+    )
+    save_json(out_path(f"engine_assign_n{n}.json"), {"rows": rows_out})

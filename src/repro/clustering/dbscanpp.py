@@ -21,7 +21,7 @@ from repro.clustering.base import (
     ClusteringResult,
     canonicalize_labels,
 )
-from repro.clustering.components import connected_components_within
+from repro.clustering.components import assign_to_cores, connected_components_within
 from repro.distances import check_unit_norm, iter_distance_blocks, nearest_in_blocks
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError
@@ -58,7 +58,10 @@ class DBSCANPlusPlus(Clusterer):
         sharding config is set), whose pairs count toward both of their
         points (:func:`~repro.index.base.pair_counts`): LAF-DBSCAN++'s
         core test with every sampled point passing the gate. The cores
-        are sampled rows, so the core graph is read off the same pairs.
+        are sampled rows, so the core graph is read off the same pairs,
+        and so is each point's list of cores within eps, from which
+        :func:`~repro.clustering.components.assign_to_cores` assigns it
+        when ``assign_within_eps``.
     """
 
     algo_name = "dbscan++"
@@ -154,18 +157,19 @@ class DBSCANPlusPlus(Clusterer):
 
         # Core points belong to their own cluster; every other point
         # joins its closest core point's.
-        labels = np.empty(n, dtype=np.int64)
-        labels[core_sample] = core_labels
         core_mask = np.zeros(n, dtype=bool)
         core_mask[core_sample] = True
-        rest = np.flatnonzero(~core_mask)
-        nearest, nearest_dist = nearest_in_blocks(
-            iter_distance_blocks(X[rest], X[core_sample]), rest.size
-        )
-        rest_labels = core_labels[nearest]
         if self.assign_within_eps:
-            rest_labels = np.where(nearest_dist < self.eps, rest_labels, NOISE)
-        labels[rest] = rest_labels
+            # The join lists every core within eps of every point.
+            labels = assign_to_cores(pairs, core_sample, core_labels, X)
+        else:
+            labels = np.empty(n, dtype=np.int64)
+            labels[core_sample] = core_labels
+            rest = np.flatnonzero(~core_mask)
+            nearest, _ = nearest_in_blocks(
+                iter_distance_blocks(X[rest], X[core_sample]), rest.size
+            )
+            labels[rest] = core_labels[nearest]
         return ClusteringResult(
             labels=canonicalize_labels(labels),
             core_mask=core_mask,

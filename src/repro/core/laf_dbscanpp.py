@@ -27,7 +27,7 @@ from repro.clustering.base import (
     ClusteringResult,
     canonicalize_labels,
 )
-from repro.clustering.components import connected_components_within
+from repro.clustering.components import assign_to_cores, connected_components_within
 from repro.core.laf import LAF, partial_neighbors
 from repro.distances import check_unit_norm, iter_distance_blocks, nearest_in_blocks
 from repro.engine_config import ExecutionConfig
@@ -67,7 +67,10 @@ class LAFDBSCANPlusPlus(Clusterer):
         the gated points the join pairs with ``P``
         (:func:`~repro.core.laf.partial_neighbors`) and the output is
         identical to one scalar query per point. The cores are gated
-        points, so the core graph is read off the same pairs.
+        points, so the core graph is read off the same pairs, and so is
+        each point's list of cores within eps, from which
+        :func:`~repro.clustering.components.assign_to_cores` assigns it
+        when ``assign_within_eps``.
     """
 
     algo_name = "laf-dbscan++"
@@ -151,16 +154,17 @@ class LAFDBSCANPlusPlus(Clusterer):
             stats["core_graph_pairs"] = core_graph_pairs
             stats["n_core_components"] = int(core_labels.max()) + 1
 
-            labels[core_sample] = core_labels
             core_mask[core_sample] = True
-            rest = np.flatnonzero(~core_mask)
-            nearest, nearest_dist = nearest_in_blocks(
-                iter_distance_blocks(X[rest], X[core_sample]), rest.size
-            )
-            rest_labels = core_labels[nearest]
             if self.assign_within_eps:
-                rest_labels = np.where(nearest_dist < self.eps, rest_labels, NOISE)
-            labels[rest] = rest_labels
+                # The join lists every core within eps of every point.
+                labels = assign_to_cores(pairs, core_sample, core_labels, X)
+            else:
+                labels[core_sample] = core_labels
+                rest = np.flatnonzero(~core_mask)
+                nearest, _ = nearest_in_blocks(
+                    iter_distance_blocks(X[rest], X[core_sample]), rest.size
+                )
+                labels[rest] = core_labels[nearest]
 
         outcome = self.laf.finalize(labels, self.tau, E)
         stats.update(

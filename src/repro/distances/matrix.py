@@ -303,6 +303,13 @@ def nearest_candidates(
     ``X32`` (``X`` as float32) and ``x_norm`` (``X``'s largest row
     norm) are derived from ``X`` when not given; callers that query one
     ``X`` many times pass them precomputed.
+
+    This is the one nearest-core rule of ``predict``
+    (``ClusterModel.predict``, candidates from a range query against the
+    cores) and of the DBSCAN++ and LAF-DBSCAN++ fits
+    (:func:`~repro.clustering.components.assign_to_cores`, candidates
+    read off the sample join, for the points whose candidate cores lie
+    in more than one cluster).
     """
     Q = np.asarray(Q, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -367,9 +374,11 @@ def nearest_in_blocks(
     Consumes :func:`iter_distance_blocks` output covering ``n_rows``
     query rows and returns ``(column, distance)``: each row's nearest
     column and its distance. Exact ties go to the first column. The
-    nearest-core assignment of every sampling and block clusterer and
-    ``ClusterModel.core_distances`` run through here; ``predict``
-    selects among range-query candidates with :func:`nearest_candidates`.
+    nearest-core assignment of BLOCK-DBSCAN and KNN-BLOCK, DBSCAN++'s and
+    LAF-DBSCAN++'s with ``assign_within_eps=False``, and
+    ``ClusterModel.core_distances`` run through here; ``predict`` and the
+    sampling hosts' assign within eps select among range-query
+    candidates with :func:`nearest_candidates`.
     """
     column = np.empty(n_rows, dtype=np.int64)
     distance = np.empty(n_rows, dtype=np.float64)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.clustering import DBSCAN, DBSCANPlusPlus
 from repro.clustering.base import canonicalize_labels
-from repro.clustering.components import connected_components_within
+from repro.clustering.components import assign_to_cores, connected_components_within
 from repro.core import LAFDBSCANPlusPlus
 from repro.distances import normalize_rows
 from repro.engine_config import ExecutionConfig
@@ -250,22 +250,145 @@ class TestCoreGraphOracle:
         assert np.array_equal(canonicalize_labels(result.labels[cores]), want)
 
 
+def _nearest_core_oracle(X, cores, eps, within_eps=True):
+    """Per row, the nearest core by float64 dot products (exact ties to
+    the lowest row), -1 for none; only cores within eps count when
+    ``within_eps``."""
+    out = np.full(len(X), -1, dtype=np.int64)
+    for i in range(len(X)):
+        dist = np.array([max(0.0, 1.0 - float(np.dot(X[i], X[c]))) for c in cores])
+        reach = dist < eps if within_eps else np.ones(len(cores), dtype=bool)
+        if reach.any():
+            out[i] = cores[reach & (dist == dist[reach].min())].min()
+    return out
+
+
+def _sampling_host(method, eps, tau, p, seed, **kwargs):
+    if method == "laf":
+        return LAFDBSCANPlusPlus(
+            eps=eps,
+            tau=tau,
+            estimator=ExactCardinalityEstimator(),
+            p=p,
+            seed=seed,
+            enable_post_processing=False,
+            **kwargs,
+        )
+    return DBSCANPlusPlus(eps=eps, tau=tau, p=p, init=method, seed=seed, **kwargs)
+
+
+class TestAssignOracle:
+    """DBSCAN++ and LAF-DBSCAN++ label each non-core point from the cores
+    their sample join lists within eps of it: the label equals a float64
+    brute-force oracle's nearest core within eps (lowest row on ties),
+    noise when there is none, with duplicated rows, unsharded and on
+    remote shards."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 60),
+        n_duplicates=st.integers(0, 12),
+        p=st.floats(0.05, 1.0),
+        tau=st.integers(1, 8),
+        method=st.sampled_from(["uniform", "k-center", "laf"]),
+        sharded=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_non_core_labels_equal_the_nearest_core_oracle(
+        self, worker_pool, seed, n, n_duplicates, p, tau, method, sharded
+    ):
+        rng = np.random.default_rng(seed)
+        X = normalize_rows(rng.normal(size=(n, 6)))
+        X = np.vstack([X, X[rng.integers(n, size=n_duplicates)]])
+        eps = 0.6
+        sharding = (
+            ShardingConfig(n_shards=3, executor=worker_pool.executor_spec())
+            if sharded
+            else None
+        )
+        clusterer = _sampling_host(
+            method, eps, tau, p, seed, execution=ExecutionConfig(sharding=sharding)
+        )
+        result = clusterer.fit(X)
+        cores = np.flatnonzero(result.core_mask)
+        nearest = _nearest_core_oracle(X, cores, eps)
+        rest = np.flatnonzero(~result.core_mask)
+        want = np.where(nearest[rest] >= 0, result.labels[nearest[rest]], -1)
+        assert np.array_equal(result.labels[rest], want)
+
+
+def _assign(X, cores, core_labels, eps):
+    """``assign_to_cores`` on a join over the cores."""
+    cores = np.asarray(cores)
+    pairs = BruteForceIndex().build(X).range_pairs(eps, rows=cores)
+    return assign_to_cores(pairs, cores, np.asarray(core_labels), X)
+
+
+def _at_angle(*degrees):
+    theta = np.radians(degrees)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+class TestAssignToCores:
+    """Hand-built joins: the nearest candidate wins, ties go to the lowest
+    core row, and a core at distance ``>= eps`` is no candidate."""
+
+    def test_bit_for_bit_tie_goes_to_the_lower_core_row(self):
+        # (cos t, sin t) and (cos t, -sin t) have the same float64 dot
+        # product with (1, 0), bit for bit.
+        for first, second in ((40.0, -40.0), (-40.0, 40.0)):
+            X = np.vstack([_at_angle(first, second), [[1.0, 0.0]]])
+            dots = X[:2] @ X[2]
+            assert dots[0] == dots[1]
+            assert _assign(X, [0, 1], [7, 3], 0.5).tolist() == [7, 3, 7]
+            assert _assign(X, [0, 1], [3, 7], 0.5).tolist() == [3, 7, 3]
+
+    def test_nearer_candidate_wins_over_lower_row_and_lower_label(self):
+        # Row 0 (label 0) is 50 degrees from the point, row 1 (label 1)
+        # 20 degrees: both within eps, the higher row is nearer.
+        X = _at_angle(50.0, -20.0, 0.0)
+        assert _assign(X, [0, 1], [0, 1], 0.5).tolist() == [0, 1, 1]
+        # A point sampled into the join's rows lists its cores at its
+        # own row when it is the lower one.
+        X = _at_angle(0.0, 50.0, -20.0)
+        pairs = BruteForceIndex().build(X).range_pairs(0.5, rows=np.arange(3))
+        labels = assign_to_cores(pairs, np.array([1, 2]), np.array([0, 1]), X)
+        assert labels.tolist() == [1, 0, 1]
+
+    def test_core_at_or_beyond_eps_gives_noise(self):
+        # 1 - cos(60 degrees) is 0.5 exactly here: (0.5, sqrt(3)/2).(1, 0).
+        X = np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2], [0.0, 1.0]])
+        assert 1.0 - X[1] @ X[0] == 0.5
+        assert _assign(X, [0], [0], 0.5).tolist() == [0, -1, -1]
+        assert _assign(X, [0], [0], 0.5 + 1e-9).tolist() == [0, 0, -1]
+
+    def test_no_cores_and_no_pairs(self):
+        X = _at_angle(0.0, 90.0, 180.0)
+        assert _assign(X, np.empty(0, dtype=np.int64), [], 0.5).tolist() == [-1] * 3
+        assert _assign(X, [1], [0], 0.5).tolist() == [-1, 0, -1]
+
+
 class TestQualityOnBlobs:
     def test_recovers_blobs_with_moderate_sample(self, blob_data):
         X, y = blob_data
         result = DBSCANPlusPlus(eps=0.5, tau=4, p=0.4, seed=3).fit(X)
         assert adjusted_rand_index(y, result.labels) > 0.9
 
-    def test_assign_within_eps_false_absorbs_everything(self, clusterable_data):
-        strict = DBSCANPlusPlus(
-            eps=0.5, tau=5, p=0.5, assign_within_eps=True, seed=0
-        ).fit(clusterable_data)
-        absorb = DBSCANPlusPlus(
-            eps=0.5, tau=5, p=0.5, assign_within_eps=False, seed=0
-        ).fit(clusterable_data)
-        if strict.stats["n_core"] > 0:
-            assert absorb.noise_ratio == 0.0
-            assert absorb.noise_ratio <= strict.noise_ratio
+    @pytest.mark.parametrize("method", ["uniform", "k-center", "laf"])
+    def test_assign_within_eps_false_absorbs_everything(
+        self, method, clusterable_data
+    ):
+        """Every point joins its nearest core's cluster at any distance."""
+        eps = 0.5
+        clusterer = _sampling_host(method, eps, 5, 0.5, 0, assign_within_eps=False)
+        result = clusterer.fit(clusterable_data)
+        cores = np.flatnonzero(result.core_mask)
+        assert cores.size > 0
+        nearest = _nearest_core_oracle(clusterable_data, cores, eps, within_eps=False)
+        # Some points lie beyond eps of every core and are absorbed anyway.
+        assert (_nearest_core_oracle(clusterable_data, cores, eps) == -1).any()
+        assert np.array_equal(result.labels, result.labels[nearest])
+        assert result.noise_ratio == 0.0
 
     def test_no_core_points_all_noise(self, unit_vectors_small):
         result = DBSCANPlusPlus(eps=0.01, tau=5, p=0.5, seed=0).fit(unit_vectors_small)

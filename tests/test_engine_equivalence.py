@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.clustering.dbscanpp
+import repro.core.laf_dbscanpp
 from repro.clustering import (
     DBSCAN,
     BlockDBSCAN,
@@ -26,7 +28,7 @@ from repro.clustering import (
     RhoApproxDBSCAN,
 )
 from repro.core import LAFDBSCAN, LAFDBSCANPlusPlus
-from repro.distances import normalize_rows
+from repro.distances import iter_distance_blocks, normalize_rows
 from repro.engine_config import ExecutionConfig
 from repro.estimators import ExactCardinalityEstimator
 from repro.index import BruteForceIndex
@@ -266,6 +268,36 @@ class TestIndexAccounting:
         assert stats["sample_size"] <= BruteForceIndex().block_size
         assert index_rows["batch_range_query_rows"] == [stats["sample_size"]]
         assert set(index_rows) == {"range_pairs", "batch_range_query_rows"}
+
+    @pytest.mark.parametrize(
+        "name", ["dbscanpp_uniform", "dbscanpp_kcenter", "laf_dbscanpp"]
+    )
+    @pytest.mark.parametrize("within_eps", [True, False])
+    def test_assign_reads_the_join_within_eps(
+        self, name, within_eps, monkeypatch, blob_plus_noise
+    ):
+        """Within eps, the nearest-core assign reads its candidates off the
+        sample join and computes no distance block; absorbing every point
+        takes the float64 blocks against every core."""
+        module = (
+            repro.core.laf_dbscanpp
+            if name.startswith("laf")
+            else repro.clustering.dbscanpp
+        )
+        blocks = []
+
+        def spy(*args, **kwargs):
+            if within_eps:
+                raise AssertionError("iter_distance_blocks called")
+            blocks.append(args)
+            return iter_distance_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(module, "iter_distance_blocks", spy)
+        clusterer = _make(name, True)
+        clusterer.assign_within_eps = within_eps
+        result = clusterer.fit(blob_plus_noise)
+        assert result.stats["n_core"] > 0
+        assert len(blocks) == (0 if within_eps else 1)
 
     def test_dbscan_self_join_covers_every_row(self, index_rows, blob_plus_noise):
         """DBSCAN's n range queries are one self-join over every row,

@@ -10,7 +10,8 @@ point of every clusterer** — that is the differential anchor. Border
 points are only pinned, not required to match the fit: a border in two
 clusters' reach is assigned in discovery order by the fit but by
 proximity by predict (both are valid DBSCAN outputs; the ambiguity is
-inherent to border points).
+inherent to border points). DBSCAN++ assigns by predict's rule, so its
+``predict(X_train)`` equals the fit on every point.
 
 A loaded model must predict identically to the in-memory model it was
 saved from — bit-identical labels on the same queries — and by default
@@ -94,6 +95,17 @@ class TestPredictReproducesFit:
             assert np.array_equal(loaded.labels, model.labels)
             assert np.array_equal(loaded.core_mask, model.core_mask)
             assert np.array_equal(loaded.core_distances, model.core_distances)
+
+
+@pytest.mark.parametrize("init", ["uniform", "k-center"])
+def test_dbscanpp_predict_reproduces_the_fit_on_every_point(init, blobs):
+    """DBSCAN++ gives a non-core point its nearest core within eps,
+    ``predict``'s rule: ``predict(X_train)`` equals the fit on every row."""
+    model = repro.fit_model(blobs, "dbscan++", eps=EPS, tau=TAU, p=0.5, init=init)
+    with model:
+        border = ~model.core_mask & (model.labels != -1)
+        assert border.any() and (model.labels == -1).any()
+        assert np.array_equal(model.predict(blobs), model.labels)
 
 
 def predict_loop(model: ClusterModel, Q: np.ndarray) -> np.ndarray:
