@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--shard-query-block",
             type=_positive_int,
             default=None,
-            help="query rows fanned out per shard round "
-            "(bounds per-call payload size and merge memory)",
+            help="query rows fanned out per shard round of a batched "
+            "query (a fit's join is one round whatever its size)",
         )
         p.add_argument(
             "--pool-address",

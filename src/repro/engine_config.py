@@ -54,8 +54,9 @@ class ExecutionConfig:
         Query rows per kernel block: the ``block_size`` of the
         unsharded :class:`~repro.index.brute_force.BruteForceIndex` a
         fit builds, and the block of
-        :meth:`~repro.persistence.ClusterModel.predict`. A sharded fit's
-        rounds are ``sharding.query_block`` rows instead.
+        :meth:`~repro.persistence.ClusterModel.predict`. On shards, a
+        batched query's rounds are ``sharding.query_block`` rows instead,
+        and a join is one round.
 
     Field types are checked strictly, never coerced, whether the config
     is built directly or through :meth:`from_dict`: ``2.5`` is not a

@@ -13,7 +13,6 @@ __all__ = [
     "check_plan_rows",
     "check_positive_int",
     "pair_counts",
-    "upper_pairs",
 ]
 
 
@@ -29,18 +28,6 @@ def check_positive_int(name: str, value) -> None:
         )
     if value < 1:
         raise InvalidParameterError(f"{name} must be >= 1; got {value}")
-
-
-def upper_pairs(
-    neighborhoods: list[np.ndarray], first: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs ``(i, j)``, ``j >= i``, of the neighbourhoods of rows
-    ``first, first + 1, ...`` whose ids count from ``first``, as int32."""
-    sizes = [row.size for row in neighborhoods]
-    rows = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    cols = np.concatenate(neighborhoods or [np.empty(0)]).astype(np.int32)
-    upper = cols >= rows
-    return rows[upper] + first, cols[upper] + first
 
 
 def check_plan_rows(rows, n_points: int) -> np.ndarray:

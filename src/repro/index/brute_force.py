@@ -33,12 +33,7 @@ from repro.distances.matrix import (
 )
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError
-from repro.index.base import (
-    NeighborIndex,
-    check_plan_rows,
-    check_positive_int,
-    upper_pairs,
-)
+from repro.index.base import NeighborIndex, check_plan_rows, check_positive_int
 
 __all__ = ["BruteForceIndex"]
 
@@ -175,44 +170,83 @@ class BruteForceIndex(NeighborIndex):
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`NeighborIndex.range_pairs`, each pair computed once.
 
-        The points are taken in the order ``rows`` first, then the rest
-        (the index's own order when ``rows`` is None, so nothing is
-        gathered), and row block ``[s, e)`` of ``rows`` is a
-        :meth:`batch_range_query` against the points from ``s`` on in
-        that order (the upper triangle): the kernel and exactness
-        contract of every row's query. The ``rows`` x ``rows`` block is
-        computed once and the rest x rest block never. ``rows`` that fit
-        in one block meet every point either way, so they take the base
-        class's derivation, which gathers only them.
+        The one-shard case of :meth:`column_join`: this index's points are
+        both the join's rows and its columns.
         """
         self._require_built()
-        if rows is not None and len(rows) <= self.block_size:
-            return super().range_pairs(eps, rows)
-        tail = copy.copy(self)  # shares the arrays, sliced per block
-        n_rows = self.n_points
-        order = None
         if rows is not None:
             rows = check_plan_rows(rows, self.n_points)
-            n_rows = rows.size
-            rest = np.setdiff1d(np.arange(self.n_points), rows, assume_unique=True)
-            order = np.concatenate([rows, rest])
-            tail._points = self._points[order]
-            if self._points32 is not None:
-                tail._points32 = self._points32[order]
-        points, points32 = tail._points, tail._points32
-        pairs = [upper_pairs([])]
-        for s in range(0, n_rows, self.block_size):
-            tail._points = points[s:]
+        positions, cols = self.column_join(self._points, eps, rows)
+        if rows is None:
+            return positions, cols
+        return rows.astype(np.int32)[positions], cols
+
+    def column_join(
+        self, X: np.ndarray, eps: float, rows: np.ndarray | None = None, lo: int = 0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The :meth:`range_pairs` join of rows of ``X`` against this index's
+        points, which are the columns ``X[lo:lo + n_points]``.
+
+        ``rows`` (strictly ascending ids of ``X``, every row when None) are
+        the join's rows, and a column among them is *planned*. The columns
+        are taken planned first, then the rest; in their own order when
+        that is the same, or when the rows fit one block (then nothing is
+        gathered). Row block ``[s, e)`` of ``rows`` is one
+        :meth:`batch_range_query` against the columns from the first
+        planned one at or past ``rows[s]`` on in that order: the planned
+        columns from ``rows[s]`` on, and every unplanned one. A pair
+        ``(r, c)`` is kept when ``c >= r`` or ``c`` is not planned, so a
+        pair of two planned points is computed once.
+
+        Returns int32 ``(positions, cols)``: each pair's row as its
+        position in ``rows`` (its id when ``rows`` is None), grouped in
+        ascending order, and its column as an id of ``X``, in the order the
+        block met it.
+        """
+        self._require_built()
+        width = self.n_points
+        ids = np.arange(X.shape[0]) if rows is None else rows
+        planned = ids[np.searchsorted(ids, lo) : np.searchsorted(ids, lo + width)] - lo
+        # Row i meets the columns from position firsts[i] on.
+        firsts = np.searchsorted(planned, ids - lo)
+        tail = copy.copy(self)  # shares the arrays, sliced per block
+        points, points32 = self._points, self._points32
+        unplanned = order = None
+        if planned.size < width and ids.size > self.block_size:
+            order = np.concatenate([planned, np.setdiff1d(np.arange(width), planned)])
+            points = points[order]
             if points32 is not None:
-                tail._points32 = points32[s:]
-            stop = min(s + self.block_size, n_rows)
-            block = tail.batch_range_query(points[s:stop], eps)
-            pairs.append(upper_pairs(block, s))
-        pair_rows, cols = (np.concatenate(side) for side in zip(*pairs))
-        if order is None:
-            return pair_rows, cols
-        order = order.astype(np.int32)
-        return order[pair_rows], order[cols]
+                points32 = points32[order]
+            order = order.astype(np.int32)
+        elif planned.size < width:
+            unplanned = np.ones(width, dtype=bool)
+            unplanned[planned] = False
+        empty = np.empty(0, dtype=np.int32)
+        positions, columns = [empty], [empty]
+        for s in range(0, ids.size, self.block_size):
+            first = int(firsts[s])
+            if first == width:
+                continue  # every column is planned and below the block
+            tail._points = points[first:]
+            if points32 is not None:
+                tail._points32 = points32[first:]
+            stop = min(s + self.block_size, ids.size)
+            Q = X[s:stop] if rows is None else X[ids[s:stop]]
+            block = tail.batch_range_query(Q, eps)
+            sizes = [row.size for row in block]
+            pos = np.repeat(np.arange(s, stop, dtype=np.int32), sizes)
+            cols = np.concatenate(block or [empty]).astype(np.int32) + first
+            if unplanned is None:
+                # Planned first: an unplanned column is past every row's first.
+                keep = cols >= np.repeat(firsts[s:stop], sizes)
+            else:
+                keep = (cols >= ids[pos] - lo) | unplanned[cols]
+            cols = cols[keep]
+            if order is not None:
+                cols = order[cols]
+            positions.append(pos[keep])
+            columns.append(cols + lo)
+        return np.concatenate(positions), np.concatenate(columns)
 
     def batch_range_query_rows(self, ids: np.ndarray, eps: float) -> list[np.ndarray]:
         """:meth:`batch_range_query` of ``points[ids]``, gathered one kernel

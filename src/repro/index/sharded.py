@@ -27,20 +27,25 @@ seam: under a sharding config no whole-dataset index is ever built just
 to be thrown away. An empty dataset has no live shard, so it starts no
 executor and reaches no worker.
 
-A fit queries rows of its own dataset, by id
-(:meth:`ShardedIndex.batch_range_query_rows`, and the
-:meth:`~ShardedIndex.range_pairs` joins built on it): the executor
-sends the ids for each worker to slice the copy of the dataset it
-holds. New vectors (predict, serving) travel as the query matrix.
+A fit's join (:meth:`ShardedIndex.range_pairs`) is one executor round:
+one ``pairs`` request per live shard, naming its rows by id (a row
+subset sends them, the self-join sends no array at all). Each worker
+runs the join loop of
+:meth:`~repro.index.brute_force.BruteForceIndex.range_pairs` over its
+shard's columns, reading the query rows from the copy of the
+dataset it holds, and replies with the shard's int32 pairs as CSR over
+the join's rows. Other row-id queries
+(:meth:`ShardedIndex.batch_range_query_rows`) send the ids per round;
+new vectors (predict, serving) travel as the query matrix.
 
-Per-shard range results arrive as CSR pairs in *shard-local* row
-numbering; :func:`concat_shard_rows` re-indexes them into global row ids
-and reassembles per-query rows that are sorted and bit-identical to the
-single-index answer. Shards are contiguous and disjoint, so re-indexing
-is one offset add per shard and a range row is a plain concatenation.
-:func:`merge_shard_rows` is the general sort-and-deduplicate kernel for
-arbitrary (even overlapping) splits; the property-based tests check the
-fast path against it.
+Per-shard answers arrive as CSR arrays over the same queries;
+:func:`concat_shard_rows` merges them into one CSR in one vectorized
+scatter per shard, re-indexing shard-local ids to global ones where a
+reply holds them (a range query's). Shards are contiguous, disjoint and
+ascending and every per-shard row is sorted, so a merged row is a plain
+concatenation: sorted and bit-identical to the single-index answer. The
+property-based tests check it against a general sort-and-deduplicate
+merge.
 
 The module also hosts :class:`ShardingConfig`, the declarative sharding
 spec that :class:`~repro.engine_config.ExecutionConfig` embeds and
@@ -63,7 +68,7 @@ import numpy as np
 from repro.distances.matrix import DEFAULT_BLOCK_SIZE
 from repro.distances.metric import COSINE, Metric, get_metric
 from repro.exceptions import InvalidParameterError, NotFittedError
-from repro.index.base import NeighborIndex, check_positive_int, upper_pairs
+from repro.index.base import NeighborIndex, check_plan_rows, check_positive_int
 from repro.index.brute_force import BruteForceIndex
 
 __all__ = [
@@ -75,13 +80,13 @@ __all__ = [
     "ShardingConfig",
     "concat_shard_rows",
     "csr_to_rows",
-    "merge_shard_rows",
     "resolve_engine_index",
     "rows_to_csr",
     "shard_offsets",
 ]
 
-#: Default number of query rows fanned out per executor round.
+#: Default number of query rows fanned out per executor round of a
+#: batched query (a join is one round).
 DEFAULT_QUERY_BLOCK = 2048
 
 # ----------------------------------------------------------------------
@@ -238,8 +243,10 @@ def rows_to_csr(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     an order of magnitude cheaper than a list of small ndarrays.
     """
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    for i, row in enumerate(rows):
-        indptr[i + 1] = indptr[i] + len(row)
+    np.cumsum(
+        np.fromiter((len(row) for row in rows), dtype=np.int64, count=len(rows)),
+        out=indptr[1:],
+    )
     if indptr[-1] == 0:
         return indptr, np.empty(0, dtype=np.int64)
     flat = np.concatenate([np.asarray(row, dtype=np.int64) for row in rows])
@@ -251,80 +258,63 @@ def csr_to_rows(indptr: np.ndarray, flat: np.ndarray) -> list[np.ndarray]:
     return [flat[indptr[i] : indptr[i + 1]] for i in range(len(indptr) - 1)]
 
 
-def merge_shard_rows(
-    per_shard_rows: Sequence[Sequence[np.ndarray]],
-    shard_starts: Sequence[int],
-    n_queries: int | None = None,
-) -> list[np.ndarray]:
-    """Merge shard-local hit rows into global, sorted, deduplicated rows.
-
-    ``per_shard_rows[s][q]`` holds query ``q``'s hits within shard ``s``
-    in shard-local numbering; ``shard_starts[s]`` is the shard's first
-    global row. Row ``q`` of the result is the sorted union of
-    ``per_shard_rows[s][q] + shard_starts[s]`` over all shards. For the
-    disjoint contiguous shards :class:`ShardedIndex` produces, the union
-    is a plain concatenation — but the kernel deduplicates regardless,
-    so it is correct for arbitrary overlapping splits too.
-    """
-    if n_queries is None:
-        n_queries = len(per_shard_rows[0]) if per_shard_rows else 0
-    starts = [np.int64(s) for s in shard_starts]
-    merged: list[np.ndarray] = []
-    for q in range(n_queries):
-        parts = [
-            np.asarray(rows[q], dtype=np.int64) + start
-            for rows, start in zip(per_shard_rows, starts)
-            if len(rows[q])
-        ]
-        if not parts:
-            merged.append(np.empty(0, dtype=np.int64))
-        elif len(parts) == 1:
-            merged.append(np.unique(parts[0]))
-        else:
-            merged.append(np.unique(np.concatenate(parts)))
-    return merged
-
-
 def concat_shard_rows(
-    per_shard_rows: Sequence[Sequence[np.ndarray]],
-    shard_starts: Sequence[int],
+    per_shard: Sequence[tuple[np.ndarray, np.ndarray]],
     n_queries: int,
-) -> list[np.ndarray]:
-    """Fast-path merge for disjoint ascending shards with sorted rows.
+    starts: Sequence[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the shards' CSR answers to the same queries into one CSR.
 
-    When shard ``s`` owns the contiguous global range starting at
-    ``shard_starts[s]``, the starts ascend, and every per-shard row is
-    sorted (true for the brute-force inner index), the global row is a
-    plain offset-add concatenation — already sorted and duplicate-free,
-    no per-row sort needed. :func:`merge_shard_rows` is the general
-    kernel the property tests prove for arbitrary (even overlapping)
-    splits; this one skips its ``np.unique`` on the hot path.
+    ``per_shard[s]`` is shard ``s``'s ``(indptr, cols)`` over the
+    ``n_queries`` queries, its ids offset by ``starts[s]`` (shard-local
+    ids made global) or, with ``starts`` None, already global. Row ``q``
+    of the result is the concatenation of the shards' rows ``q`` in shard
+    order, written in one vectorized scatter per shard. When shard ``s``
+    owns the contiguous global range starting at ``starts[s]``, the
+    starts ascend and every per-shard row is sorted (true for the
+    brute-force inner index), that is the sorted global row, with no
+    per-row sort.
     """
-    starts = [np.int64(s) for s in shard_starts]
-    merged: list[np.ndarray] = []
-    for q in range(n_queries):
-        parts = [
-            np.asarray(rows[q], dtype=np.int64) + start
-            for rows, start in zip(per_shard_rows, starts)
-            if len(rows[q])
-        ]
-        if not parts:
-            merged.append(np.empty(0, dtype=np.int64))
-        elif len(parts) == 1:
-            merged.append(parts[0])
-        else:
-            merged.append(np.concatenate(parts))
-    return merged
+    indptr = np.zeros(n_queries + 1, dtype=np.int64)
+    if not per_shard:
+        return indptr, np.empty(0, dtype=np.int64)
+    sizes = [np.diff(shard_indptr) for shard_indptr, _ in per_shard]
+    np.cumsum(np.sum(sizes, axis=0), out=indptr[1:])
+    flat = np.empty(indptr[-1], dtype=np.result_type(*(c for _, c in per_shard)))
+    free = indptr[:-1].copy()  # the next free slot of each merged row
+    for s, ((shard_indptr, cols), size) in enumerate(zip(per_shard, sizes)):
+        slots = np.repeat(free - shard_indptr[:-1], size) + np.arange(cols.size)
+        flat[slots] = cols if starts is None else cols + starts[s]
+        free += size
+    return indptr, flat
 
 
 # ----------------------------------------------------------------------
-# The shard query operation (run by the remote worker)
+# The shard operations (run by the remote worker)
 # ----------------------------------------------------------------------
 
 
 def _op_range(index, Q: np.ndarray, eps: float):
     rows = index.batch_range_query(Q, eps)
     return rows_to_csr(rows)
+
+
+def _op_pairs(index, X: np.ndarray, eps: float, rows: np.ndarray | None, lo: int):
+    """The shard's part of a :meth:`~ShardedIndex.range_pairs` join: the
+    :meth:`~repro.index.brute_force.BruteForceIndex.column_join` of the
+    query rows ``rows`` of ``X`` (every row when None) against the shard's
+    columns from ``lo``, as CSR over the query rows: ``indptr`` and each
+    row's global int32 columns, ascending."""
+    positions, cols = index.column_join(X, eps, rows, lo)
+    n_rows = X.shape[0] if rows is None else rows.size
+    if rows is not None:
+        # Planned columns come before the rest: sort each row's columns.
+        key = positions.astype(np.int64) * X.shape[0] + cols
+        key.sort()
+        cols = (key % X.shape[0]).astype(np.int32)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(positions, minlength=n_rows), out=indptr[1:])
+    return indptr, cols
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +354,11 @@ class ShardedIndex(NeighborIndex):
         The :class:`ExecutorSpec` of the worker pool the shards run on
         (required; its width is its address list).
     query_block:
-        Query rows fanned out per executor round; bounds both the
-        per-call payload size and peak memory of the merge.
+        Query rows fanned out per executor round of a batched query
+        (:meth:`batch_range_query`, :meth:`batch_range_query_rows`: predict
+        and serving, BLOCK-DBSCAN, ρ-approximate DBSCAN's borders); bounds
+        their per-call payload size and merge memory. A
+        :meth:`range_pairs` join is one round whatever its size.
     """
 
     def __init__(
@@ -492,35 +485,47 @@ class ShardedIndex(NeighborIndex):
     def range_pairs(
         self, eps: float, rows: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`NeighborIndex.range_pairs`. The self-join (``rows`` None)
-        runs in the rounds of a row-id query of every row; a block skips
-        the shards that end at or before its first row, which hold none of
-        its pairs (the upper triangle at shard grain). A row subset is
-        the base class's derivation from one row-id query of ``rows``."""
-        if rows is not None:
-            return super().range_pairs(eps, rows)
-        ids = np.arange(self.n_points)
-        return upper_pairs(self._range_blocks(ids, eps, rows=True, upper=True))
+        """:meth:`NeighborIndex.range_pairs` in one executor round: each live
+        shard's worker runs the join loop of
+        :meth:`BruteForceIndex.range_pairs` over the shard's columns
+        (:meth:`~repro.index.brute_force.BruteForceIndex.column_join`) and
+        replies with CSR pairs over the join's rows, which are merged per
+        row. The self-join sends no array, a row subset sends ``rows``.
+        Each row's columns come out ascending: the self-join equals one
+        index's arrays, a subset join its pairs."""
+        self._require_open()
+        n = self.n_points
+        ids = np.arange(n) if rows is None else check_plan_rows(rows, n)
+        if not self._live:
+            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+        arrays = {} if rows is None else {"rows": ids}
+        calls = [(shard_id, eps, arrays) for shard_id, _, _ in self._live]
+        results = self._executor_obj.run("pairs", calls)
+        indptr, cols = concat_shard_rows(
+            [(reply["indptr"], reply["cols"]) for reply in results], ids.size
+        )
+        return np.repeat(ids.astype(np.int32), np.diff(indptr)), cols
 
-    def _range_blocks(
-        self, queries: np.ndarray, eps: float, *, rows: bool, upper: bool = False
-    ):
-        """Fan ``queries`` (vectors, or row ids when ``rows``) out per block;
-        ``upper`` (ascending row ids) leaves out the shards below a block."""
+    def _range_blocks(self, queries: np.ndarray, eps: float, *, rows: bool):
+        """Fan ``queries`` (vectors, or row ids when ``rows``) out per block."""
         self._require_open()
         if not self._live:
             return [np.empty(0, dtype=np.int64) for _ in range(len(queries))]
+        starts = [lo for _, lo, _ in self._live]
         out: list[np.ndarray] = []
         for block_lo in range(0, len(queries), self.query_block):
             block = queries[block_lo : block_lo + self.query_block]
-            live = [shard for shard in self._live if not upper or shard[2] > block[0]]
-            calls = [(shard_id, (block, eps)) for shard_id, _, _ in live]
-            results = self._executor_obj.run(calls, rows)
-            per_shard = [csr_to_rows(indptr, flat) for indptr, flat in results]
+            arrays = {"rows" if rows else "Q": block}
+            calls = [(shard_id, eps, arrays) for shard_id, _, _ in self._live]
+            results = self._executor_obj.run("query", calls)
             # Brute force returns sorted rows over disjoint ascending
             # shards: concatenation is the merged answer.
-            starts = [lo for _, lo, _ in live]
-            out.extend(concat_shard_rows(per_shard, starts, len(block)))
+            indptr, flat = concat_shard_rows(
+                [(reply["indptr"], reply["flat"]) for reply in results],
+                len(block),
+                starts,
+            )
+            out.extend(csr_to_rows(indptr, flat))
         return out
 
 
@@ -535,6 +540,8 @@ class ShardingConfig:
 
     ``executor`` is required: the :class:`ExecutorSpec` of the worker
     pool the shards run on (:meth:`~repro.remote.pool.WorkerPool.executor_spec`).
+    ``query_block`` is the rows per round of a batched query (see
+    :class:`ShardedIndex`).
     """
 
     n_shards: int = 4
@@ -568,7 +575,8 @@ def resolve_engine_index(
     None a :class:`~repro.index.brute_force.BruteForceIndex` in
     ``metric`` with kernel blocks of ``block_size`` rows; with a config
     a :class:`ShardedIndex` of brute-force shards built directly over
-    ``X`` (its rounds are ``config.query_block`` rows), so the
+    ``X`` (its batched queries' rounds are ``config.query_block`` rows),
+    so the
     whole-dataset index is never built and a sharded fit pays exactly
     ``n_live_shards`` inner builds. The caller owns the result and
     closes it.

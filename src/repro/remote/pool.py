@@ -1,14 +1,21 @@
 """Client side of the remote worker pool.
 
 :class:`RemoteExecutor` runs the shard calls of a
-:class:`~repro.index.sharded.ShardedIndex` (``run(calls)`` /
+:class:`~repro.index.sharded.ShardedIndex` (``run(op, calls)`` /
 ``close()`` / ``collect_stats()``) over the fleet of
 :mod:`repro.remote.worker` processes its
-:class:`~repro.index.sharded.ExecutorSpec` names: query blocks fan out
-with the stable ``shard → worker`` affinity, per-shard CSR arrays come
-back and feed the index's merge kernels. A fit's blocks travel as int64
-row ids of the dataset each worker already holds; predict and serving
-send their new vectors.
+:class:`~repro.index.sharded.ExecutorSpec` names: one call per shard
+fans out with the stable ``shard → worker`` affinity, and per-shard CSR
+arrays come back to feed the index's merge kernel. A fit's join is one
+``pairs`` round that names its rows by int64 id of the dataset each
+worker already holds (the self-join names none); other row-id queries
+send ids per ``query`` round, and predict and serving send their new
+vectors.
+
+Affinity deals the sorted shards over the workers back and forth
+(boustrophedon: 0→A, 1→B, 2→B, 3→A): the upper-triangle work of a
+self-join grows with the shard's position, and the snake evens it out
+where round-robin would give the last worker the most.
 
 Robustness contract:
 
@@ -62,6 +69,12 @@ def _start_method() -> str:
     """Prefer fork where available: no interpreter reboot per worker."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
+
+
+def _snake(pos: int, n_slots: int) -> int:
+    """Slot of the ``pos``-th shard dealt back and forth over ``n_slots``."""
+    lap, slot = divmod(pos, n_slots)
+    return slot if lap % 2 == 0 else n_slots - 1 - slot
 
 
 def _parse_address(address: str) -> tuple[str, int]:
@@ -174,11 +187,13 @@ class RemoteExecutor:
         self._shards = {int(s): (int(lo), int(hi)) for s, (lo, hi) in shards.items()}
         self._metric = str(metric)
         self._fingerprint: str | None = None
-        # Stable shard→worker affinity: position in the sorted shard
-        # list, modulo the fleet.
+        # Stable shard→worker affinity, dealt in boustrophedon order over
+        # the sorted shards (0→A, 1→B, 2→B, 3→A): a self-join's work on
+        # shard s grows as 2s + 1, and the snake gives each worker an
+        # equal share of it where round-robin gives the last worker most.
         n_slots = len(self._clients)
         self._assignment = {
-            s: pos % n_slots for pos, s in enumerate(sorted(self._shards))
+            s: _snake(pos, n_slots) for pos, s in enumerate(sorted(self._shards))
         }
         self._dataset_on: set[int] = set()
         self._lock = threading.Lock()
@@ -222,40 +237,41 @@ class RemoteExecutor:
         with self._lock:
             self._dataset_on.add(slot_id)
 
-    def _call_shard(self, slot_id: int, shard_id: int, args: tuple, rows: bool):
-        """One shard range query with per-timeout retry on a fresh
-        connection; the shard's CSR ``(indptr, flat)`` hit rows.
+    def _call_shard(
+        self, slot_id: int, shard_id: int, op: str, arg: float, arrays: dict
+    ) -> dict:
+        """One shard request with per-timeout retry on a fresh connection;
+        the reply's arrays.
 
-        With ``rows`` the query is int64 row ids of the pushed dataset,
-        sent as ``rows`` for the worker to slice; otherwise it is a
-        float64 matrix of vectors, sent as ``Q``.
+        ``op`` is ``query`` (``arrays`` holds int64 row ids of the pushed
+        dataset as ``rows``, or a float64 matrix of vectors as ``Q``) or
+        ``pairs`` (``arrays`` holds the join's ``rows``, or nothing for the
+        self-join).
         """
         client = self._clients[slot_id]
         if client is None:
             raise WorkerUnavailableError(
                 f"slot {slot_id} is already retired"
             )
-        query, arg = args
-        request = {"rows" if rows else "Q": query}
-        header = {"op": "query", "arg": arg, "shard": self._shard_payload(shard_id)}
+        header = {"op": op, "arg": arg, "shard": self._shard_payload(shard_id)}
         last: RemoteTimeoutError | None = None
         for _ in range(self._spec.retries + 1):
             try:
                 self._ensure_dataset(slot_id, client)
-                reply, arrays = client.call(header, request)
+                reply, reply_arrays = client.call(header, arrays)
                 break
             except RemoteTimeoutError as exc:
                 last = exc
         else:
             raise RetryExhaustedError(
-                f"shard {shard_id} query to {client.address} timed "
+                f"shard {shard_id} {op} to {client.address} timed "
                 f"out {self._spec.retries + 1} times ({self._spec.timeout_s}s each); "
                 "giving up — the pool itself stays usable"
             ) from last
         if reply.get("built"):
             with self._lock:
                 self._inner_builds += 1
-        return arrays["indptr"], arrays["flat"]
+        return reply_arrays
 
     # ------------------------------------------------------------------
     # Executor contract
@@ -287,25 +303,26 @@ class RemoteExecutor:
             self._assignment[shard_id] = survivors[rank % len(survivors)]
         self.n_rebalances += 1
 
-    def run(self, calls: list[tuple[int, tuple]], rows: bool = False) -> list:
-        """Each ``(shard_id, (query, eps))`` call's CSR hit rows, in order."""
+    def run(self, op: str, calls: list[tuple[int, float, dict]]) -> list[dict]:
+        """Each ``(shard_id, eps, arrays)`` call's reply arrays, in order;
+        every call is an ``op`` request (see :meth:`_call_shard`)."""
         results: list = [None] * len(calls)
         pending = list(enumerate(calls))
         # Each retry round retires at least one worker; beyond that the
         # fleet is actively dying under us and retrying would loop.
         for _ in range(len(self._clients) + 1):
-            by_slot: dict[int, list[tuple[int, int, tuple]]] = {}
-            for pos, (shard_id, args) in pending:
+            by_slot: dict[int, list[tuple[int, int, float, dict]]] = {}
+            for pos, (shard_id, arg, arrays) in pending:
                 by_slot.setdefault(self._assignment[shard_id], []).append(
-                    (pos, shard_id, args)
+                    (pos, shard_id, arg, arrays)
                 )
 
             def run_slot(slot_id, batch):
                 # One worker's calls run in order on its one connection;
                 # different workers run concurrently.
                 out = []
-                for pos, shard_id, args in batch:
-                    result = self._call_shard(slot_id, shard_id, args, rows)
+                for pos, shard_id, arg, arrays in batch:
+                    result = self._call_shard(slot_id, shard_id, op, arg, arrays)
                     out.append((pos, result))
                 return out
 
@@ -321,7 +338,7 @@ class RemoteExecutor:
                         results[pos] = result
                 except WorkerUnavailableError:
                     broken.add(slot_id)
-                    failed.extend(pos for pos, _, _ in by_slot[slot_id])
+                    failed.extend(pos for pos, *_ in by_slot[slot_id])
             if not broken:
                 return results
             self._rebalance(broken)

@@ -24,12 +24,23 @@ Requests (see :mod:`repro.remote.protocol` for the framing):
 ``query``
     ``{"arg": eps, "shard": spec}`` plus exactly one query array
     (``spec`` as in :func:`_shard_key`): ``rows``, 1-d integer ids of
-    rows of the shard's held dataset (a fit queries its own points), or
+    rows of the shard's held dataset (a fit's row-id queries), or
     ``Q``, a float64 matrix of new vectors (predict and serving). Builds
     or cache-hits the shard index (after a rebalance the new owner sees
     the shard for the first time mid-fit), runs the range query and
-    returns its CSR arrays ``indptr`` and ``flat``, plus
-    ``{"built": bool}``.
+    returns its CSR arrays ``indptr`` and ``flat`` (shard-local int64
+    ids), plus ``{"built": bool}``.
+``pairs``
+    ``{"arg": eps, "shard": spec}`` plus, for a join over a row subset,
+    ``rows``: strictly ascending integer ids of the held dataset; the
+    self-join sends no array. The shard's part of a
+    :meth:`~repro.index.sharded.ShardedIndex.range_pairs` join: the join
+    loop of :meth:`~repro.index.brute_force.BruteForceIndex.range_pairs`
+    over the shard's columns (every row below the shard is read from the
+    held dataset). Returns CSR over the join's rows: ``indptr`` and each
+    row's ascending global int32 ``cols``, plus ``{"built": bool}``.
+    Rows are validated as a ``query``'s, and must also be strictly
+    ascending.
 ``shutdown``
     Acknowledges, then stops the whole worker process.
 
@@ -140,7 +151,7 @@ class ShardHolder:
 
 
 def _query_rows(rows: np.ndarray, n_points: int) -> np.ndarray:
-    """Validated row ids of a ``query``: 1-d integers in ``[0, n_points)``."""
+    """Validated row ids of a request: 1-d integers in ``[0, n_points)``."""
     if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
         raise RemoteProtocolError(
             "query rows must be a 1-d integer array; got "
@@ -150,6 +161,23 @@ def _query_rows(rows: np.ndarray, n_points: int) -> np.ndarray:
         raise RemoteProtocolError(
             f"query rows must lie in [0, {n_points}); got "
             f"[{rows.min()}, {rows.max()}]"
+        )
+    return rows
+
+
+def _join_rows(arrays: dict, n_points: int) -> np.ndarray | None:
+    """The rows of a ``pairs`` join: none (the self-join), or ``rows``
+    valid as a query's and strictly ascending."""
+    if not set(arrays) <= {"rows"}:
+        raise RemoteProtocolError(
+            f"a pairs request carries at most the array 'rows'; got {sorted(arrays)}"
+        )
+    if "rows" not in arrays:
+        return None
+    rows = _query_rows(arrays["rows"], n_points).astype(np.int64)
+    if np.any(rows[1:] <= rows[:-1]):
+        raise RemoteProtocolError(
+            "query rows of a pairs join must be strictly ascending"
         )
     return rows
 
@@ -192,6 +220,14 @@ def _handle_request(
         index, built = holder.attach(shard)
         indptr, flat = _sharded._op_range(index, Q, eps)
         return {"built": built}, {"indptr": indptr, "flat": flat}, True
+    if op == "pairs":
+        shard = header["shard"]
+        X = holder.dataset(str(shard["dataset"]))
+        rows = _join_rows(arrays, X.shape[0])
+        eps = float(header["arg"])
+        index, built = holder.attach(shard)
+        indptr, cols = _sharded._op_pairs(index, X, eps, rows, int(shard["lo"]))
+        return {"built": built}, {"indptr": indptr, "cols": cols}, True
     if op == "shutdown":
         return {"ok": True}, {}, False
     raise RemoteProtocolError(f"unknown pool request op {op!r}")

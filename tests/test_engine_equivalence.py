@@ -196,11 +196,12 @@ class TestPropertyEquivalence:
 
 @pytest.fixture
 def index_rows(monkeypatch):
-    """Rows of every BruteForceIndex row-id call (and scalar query) of a fit.
+    """Rows of every BruteForceIndex batched call (and scalar query) of a fit.
 
     Maps a method name to one entry per call: the number of rows it
     computed (1 for a scalar ``range_query`` / ``range_count``; for
-    ``range_pairs`` its ``rows``, every indexed point for the self-join).
+    ``range_pairs`` its ``rows``, every indexed point for the self-join;
+    ``batch_range_query`` is the kernel call inside the others).
     """
     calls = defaultdict(list)
 
@@ -208,12 +209,13 @@ def index_rows(monkeypatch):
         original = getattr(BruteForceIndex, name)
 
         def spy(self, arg, eps):
-            calls[name].append(len(arg) if name.endswith("_rows") else 1)
+            calls[name].append(len(arg) if name.startswith("batch") else 1)
             return original(self, arg, eps)
 
         return spy
 
-    for name in ("batch_range_query_rows", "range_query", "range_count"):
+    names = ("batch_range_query", "batch_range_query_rows", "range_query")
+    for name in (*names, "range_count"):
         monkeypatch.setattr(BruteForceIndex, name, spy_on(name))
 
     original_pairs = BruteForceIndex.range_pairs
@@ -247,11 +249,10 @@ class TestIndexAccounting:
         assert stats["skipped_queries"] > 0
         # LAF-DBSCAN++ reads its core graph off the same join.
         assert index_rows["range_pairs"] == [stats["range_queries"]]
-        # A plan of one kernel block is the base derivation: one row-id
-        # query of the plan, inside the join.
+        # A plan of one kernel block is one kernel call, inside the join.
         assert stats["range_queries"] <= BruteForceIndex().block_size
-        assert index_rows["batch_range_query_rows"] == [stats["range_queries"]]
-        assert set(index_rows) == {"range_pairs", "batch_range_query_rows"}
+        assert index_rows["batch_range_query"] == [stats["range_queries"]]
+        assert set(index_rows) == {"range_pairs", "batch_range_query"}
 
     @pytest.mark.parametrize("name", ["dbscanpp_uniform", "dbscanpp_kcenter"])
     def test_dbscanpp_counts_from_one_join_over_its_sample(
@@ -263,11 +264,10 @@ class TestIndexAccounting:
         assert stats["range_queries"] == stats["sample_size"] > 0
         assert stats["core_graph_pairs"] > 0
         assert index_rows["range_pairs"] == [stats["sample_size"]]
-        # A sample of one kernel block is the base derivation: one row-id
-        # query of the sample, inside the join.
+        # A sample of one kernel block is one kernel call, inside the join.
         assert stats["sample_size"] <= BruteForceIndex().block_size
-        assert index_rows["batch_range_query_rows"] == [stats["sample_size"]]
-        assert set(index_rows) == {"range_pairs", "batch_range_query_rows"}
+        assert index_rows["batch_range_query"] == [stats["sample_size"]]
+        assert set(index_rows) == {"range_pairs", "batch_range_query"}
 
     @pytest.mark.parametrize(
         "name", ["dbscanpp_uniform", "dbscanpp_kcenter", "laf_dbscanpp"]
@@ -305,7 +305,9 @@ class TestIndexAccounting:
         stats = _make("dbscan", True).fit(blob_plus_noise).stats
         assert stats["range_queries"] == blob_plus_noise.shape[0]
         assert index_rows["range_pairs"] == [stats["range_queries"]]
-        assert set(index_rows) == {"range_pairs"}
+        # Inside the join, each row is in one kernel call.
+        assert sum(index_rows["batch_range_query"]) == stats["range_queries"]
+        assert set(index_rows) == {"range_pairs", "batch_range_query"}
 
     @pytest.mark.parametrize("name", ["dbscan", "laf_dbscan_false_negatives"])
     def test_one_call_per_fit(self, name, index_rows, blob_plus_noise):

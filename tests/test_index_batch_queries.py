@@ -302,26 +302,29 @@ class TestRowIdForms:
         BruteForceIndex(block_size=16, metric=metric).build(data).range_pairs(EPS)
         assert shapes == [(16, 80), (16, 64), (16, 48), (16, 32), (16, 16)]
 
-    def test_sharded_range_pairs_skip_the_shards_below_a_block(
-        self, data, worker_pool, monkeypatch
+    @pytest.mark.parametrize(
+        "rows", [None, np.arange(1, 80, 3)], ids=["self_join", "subset"]
+    )
+    def test_sharded_range_pairs_run_in_one_round(
+        self, data, worker_pool, monkeypatch, rows
     ):
-        # 80 rows in shards of 20 and blocks of 20: block b holds no pair
-        # in shards 0..b-1, so it is sent to shards b..3 only.
+        # 80 rows in shards of 20 and rounds of 20 rows: the join is still
+        # one executor round, one pairs call per live shard.
         calls = []
         run = RemoteExecutor.run
 
-        def spy(self, shard_calls, rows=False):
-            calls.append([shard_id for shard_id, _ in shard_calls])
-            return run(self, shard_calls, rows)
+        def spy(self, op, shard_calls):
+            calls.append((op, [shard_id for shard_id, _, _ in shard_calls]))
+            return run(self, op, shard_calls)
 
         monkeypatch.setattr(RemoteExecutor, "run", spy)
         spec = worker_pool.executor_spec()
         index = ShardedIndex(n_shards=4, executor=spec, query_block=20).build(data)
         try:
-            index.range_pairs(EPS)
+            index.range_pairs(EPS, rows=rows)
         finally:
             index.close()
-        assert calls == [[0, 1, 2, 3], [1, 2, 3], [2, 3], [3]]
+        assert calls == [("pairs", [0, 1, 2, 3])]
 
     def test_brute_force_gathers_one_block_at_a_time(self, data, monkeypatch):
         # A plan of every row must not copy the whole point matrix.

@@ -353,6 +353,12 @@ class TestWireBytes:
         warm = DBSCAN(eps=EPS, tau=TAU, execution=execution).fit(X)
         assert np.array_equal(cold.labels, warm.labels)
         assert warm.stats["shard_inner_builds"] == 0
+        # The self-join names no row: its requests carry no array at all.
+        assert sent_arrays and not any(sent_arrays)
+        # A subset join (DBSCAN++'s sample) sends only its row ids.
+        sent_arrays.clear()
+        sampled = OTHER_CLUSTERERS["dbscanpp"](execution).fit(X)
+        assert sampled.stats["shard_inner_builds"] == 0
         assert all(set(arrays) <= {"rows"} for arrays in sent_arrays)
         payload = sum(a.nbytes for arrays in sent_arrays for a in arrays.values())
         assert 0 < payload < 0.01 * n_shards * X.size * 8
@@ -461,17 +467,17 @@ class TestFaultInjection:
     ):
         target_file = tmp_path / "target_pid"
         ready_file = tmp_path / "entered"
-        original = sharded_mod._op_range
+        original = sharded_mod._op_pairs
 
-        def doomed_range(index, Q, eps):
+        def doomed_join(*args):
             # Only the targeted worker stalls (announcing itself first);
             # its sibling keeps serving so the rebalance has a survivor.
             if target_file.exists() and int(target_file.read_text()) == os.getpid():
                 ready_file.touch()
                 time.sleep(60.0)
-            return original(index, Q, eps)
+            return original(*args)
 
-        monkeypatch.setattr(sharded_mod, "_op_range", doomed_range)
+        monkeypatch.setattr(sharded_mod, "_op_pairs", doomed_join)
         with WorkerPool.spawn_local(2) as pool:
             baseline = DBSCAN(eps=EPS, tau=TAU).fit(data)
             victim = pool.worker_pids[0]
@@ -497,14 +503,14 @@ class TestFaultInjection:
         self, data, monkeypatch, tmp_path
     ):
         stall_file = tmp_path / "stall"
-        original = sharded_mod._op_range
+        original = sharded_mod._op_pairs
 
-        def stalling_range(index, Q, eps):
+        def stalling_join(*args):
             if stall_file.exists():
                 time.sleep(2.0)
-            return original(index, Q, eps)
+            return original(*args)
 
-        monkeypatch.setattr(sharded_mod, "_op_range", stalling_range)
+        monkeypatch.setattr(sharded_mod, "_op_pairs", stalling_join)
         with WorkerPool.spawn_local(2) as pool:
             execution = remote_execution(pool, timeout_s=0.3, retries=1)
             stall_file.touch()

@@ -1,13 +1,15 @@
 """Property-based tests for the sharded backend's CSR merge kernels.
 
 The kernels (:func:`rows_to_csr` / :func:`csr_to_rows` /
-:func:`merge_shard_rows` / :func:`concat_shard_rows` /
-:func:`shard_offsets` in :mod:`repro.index.sharded`) are the exactness
-core of the sharded backend: whatever random dataset is split into
-whatever random row shards, re-running the per-shard queries and merging
-must reassemble *exactly* the unsharded neighbor rows — sorted, deduped,
-globally indexed. Hypothesis drives the randomness; every strategy is
-seeded by the shared deterministic profile, so failures replay.
+:func:`concat_shard_rows` / :func:`shard_offsets` in
+:mod:`repro.index.sharded`) are the exactness core of the sharded
+backend: whatever random dataset is split into whatever random row
+shards, re-running the per-shard queries and merging must reassemble
+*exactly* the unsharded neighbor rows — sorted, deduped, globally
+indexed. The oracle is :func:`merge_shard_rows` below, a per-row
+sort-and-deduplicate merge that is right for arbitrary (even
+overlapping) splits. Hypothesis drives the randomness; every strategy
+is seeded by the shared deterministic profile, so failures replay.
 """
 
 from __future__ import annotations
@@ -21,12 +23,35 @@ from repro.index import BruteForceIndex
 from repro.index.sharded import (
     concat_shard_rows,
     csr_to_rows,
-    merge_shard_rows,
     rows_to_csr,
     shard_offsets,
 )
 
 MAX_EXAMPLES = 40
+
+
+def merge_shard_rows(per_shard_rows, shard_starts, n_queries):
+    """Merge shard-local hit rows into global, sorted, deduplicated rows.
+
+    ``per_shard_rows[s][q]`` holds query ``q``'s hits within shard ``s``
+    in shard-local numbering; ``shard_starts[s]`` is the shard's first
+    global row. Row ``q`` of the result is the sorted union of
+    ``per_shard_rows[s][q] + shard_starts[s]`` over all shards.
+    """
+    merged = []
+    for q in range(n_queries):
+        parts = [
+            np.asarray(rows[q], dtype=np.int64) + start
+            for rows, start in zip(per_shard_rows, shard_starts)
+        ]
+        merged.append(np.unique(np.concatenate([np.empty(0, np.int64), *parts])))
+    return merged
+
+
+def concat_rows(per_shard_rows, shard_starts, n_queries):
+    """:func:`concat_shard_rows` of the shards' rows packed as CSR, as rows."""
+    per_shard = [rows_to_csr(rows) for rows in per_shard_rows]
+    return csr_to_rows(*concat_shard_rows(per_shard, n_queries, shard_starts))
 
 
 def dataset(seed: int, n: int, dim: int) -> np.ndarray:
@@ -109,8 +134,10 @@ class TestMergeReassemblesUnshardedRows:
             assert np.array_equal(got, np.unique(got))
         # The hot-path kernel (no sort/dedup) agrees on disjoint sorted
         # shards — the shape ShardedIndex always produces.
-        fast = concat_shard_rows(per_shard, starts, n_queries=n)
+        fast = concat_rows(per_shard, starts, n)
+        assert len(fast) == n
         for got, exp in zip(fast, merged):
+            assert got.dtype == np.int64
             assert np.array_equal(got, exp)
 
     @given(
@@ -131,6 +158,8 @@ class TestMergeReassemblesUnshardedRows:
         merged = merge_shard_rows(per_shard, starts, n_queries=n)
         for got, exp in zip(merged, expected):
             assert np.array_equal(got, np.sort(exp))
+        for got, exp in zip(concat_rows(per_shard, starts, n), merged):
+            assert np.array_equal(got, exp)
 
     @given(seed=st.integers(0, 10_000), n_queries=st.integers(0, 20))
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
@@ -153,3 +182,36 @@ class TestMergeReassemblesUnshardedRows:
     def test_no_shards_yields_empty_rows(self):
         merged = merge_shard_rows([], [], n_queries=3)
         assert [r.size for r in merged] == [0, 0, 0]
+        indptr, flat = concat_shard_rows([], 3)
+        assert indptr.tolist() == [0, 0, 0, 0] and flat.size == 0
+
+
+class TestConcatGlobalCsr:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_queries=st.integers(0, 20),
+        n_shards=st.integers(1, 5),
+    )
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_rows_are_the_shards_rows_in_shard_order(self, seed, n_queries, n_shards):
+        # Global int32 ids (starts None), as a pairs join replies: row q
+        # is each shard's row q in shard order, the dtype kept.
+        rng = np.random.default_rng(seed)
+        per_shard_rows = [
+            [
+                np.sort(rng.integers(0, 100, size=rng.integers(0, 6))).astype(np.int32)
+                for _ in range(n_queries)
+            ]
+            for _ in range(n_shards)
+        ]
+        per_shard = []
+        for rows in per_shard_rows:
+            indptr, flat = rows_to_csr(rows)
+            per_shard.append((indptr, flat.astype(np.int32)))
+        indptr, cols = concat_shard_rows(per_shard, n_queries)
+        assert cols.dtype == np.int32
+        for q, got in enumerate(csr_to_rows(indptr, cols)):
+            expected = np.concatenate(
+                [np.empty(0, np.int32)] + [rows[q] for rows in per_shard_rows]
+            )
+            assert np.array_equal(got, expected)

@@ -5,9 +5,9 @@ clusterer's frame — and with it the ShardedIndex the fit's engine seam
 built — so without an explicit ``close()`` in a ``finally`` the remote
 executor's fan-out threads and worker connections survive until a gc
 cycle collects the traceback. The injected failure is a shard-op
-exception: the parent's worker client raises on a query call (the
-module's workers are already forked, so patching the shard ops would
-not reach them). Worker death
+exception: the parent's worker client raises on a shard call, a fit's
+``pairs`` join or a direct ``query`` (the module's workers are already
+forked, so patching the shard ops would not reach them). Worker death
 and rebalancing are covered by the remote pool's fault-injection suite
 (``tests/test_remote_pool.py``).
 """
@@ -63,12 +63,12 @@ def _explode(*args, **kwargs):
     raise RuntimeError("injected shard-op failure")
 
 
-def inject_failure(monkeypatch) -> None:
-    """Make every shard query raise in the worker client."""
+def inject_failure(monkeypatch, op: str = "pairs") -> None:
+    """Make every ``op`` shard call raise in the worker client."""
     original_call = _WorkerClient.call
 
     def failing_call(self, header, arrays=None):
-        if header.get("op") == "query":
+        if header.get("op") == op:
             _explode()
         return original_call(self, header, arrays)
 
@@ -94,7 +94,7 @@ class TestCloseOnMidQueryFailure:
     def test_direct_index_close_after_query_failure(
         self, executor, data, monkeypatch
     ):
-        inject_failure(monkeypatch)
+        inject_failure(monkeypatch, op="query")
         index = ShardedIndex(n_shards=2, executor=executor).build(data)
         with pytest.raises(RuntimeError, match="injected"):
             index.batch_range_query(data, EPS)
