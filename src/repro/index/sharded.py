@@ -93,7 +93,9 @@ DEFAULT_QUERY_BLOCK = 2048
 # The remote pool spec
 # ----------------------------------------------------------------------
 
-#: Per-call socket timeout (seconds) unless the spec says otherwise.
+#: Per-call socket timeout (seconds) unless the spec says otherwise. A
+#: join's call is a shard's whole join, so it bounds the join's size: see
+#: :class:`ExecutorSpec`.
 DEFAULT_TIMEOUT_S = 120.0
 
 #: Retries per call after a timeout, unless the spec says otherwise.
@@ -132,6 +134,15 @@ class ExecutorSpec:
     and canonicalized at construction (``addresses`` to a tuple, the
     timeouts to floats), so a spec that exists is a spec that can run.
     Its wire form is :meth:`to_dict` / :meth:`from_dict`.
+
+    A :meth:`ShardedIndex.range_pairs` join is one call per shard, so each
+    shard's whole join must finish within ``timeout_s``; its work grows as
+    n² / ``n_shards``, and a retry after a timeout repeats all of it. A
+    join that does not finish in time fails with
+    :class:`~repro.exceptions.RetryExhaustedError`. On 768-d data with one
+    BLAS thread per worker, the heaviest of 4 shards joined 10,740 rows in
+    0.455 s, so the 120 s default is reached near 170,000 rows; larger
+    fits need a larger ``timeout_s`` or more shards.
     """
 
     addresses: tuple[str, ...]
@@ -307,8 +318,9 @@ def _op_pairs(index, X: np.ndarray, eps: float, rows: np.ndarray | None, lo: int
     row's global int32 columns, ascending."""
     positions, cols = index.column_join(X, eps, rows, lo)
     n_rows = X.shape[0] if rows is None else rows.size
-    if rows is not None:
-        # Planned columns come before the rest: sort each row's columns.
+    if rows is not None and np.any((np.diff(cols) < 0) & (np.diff(positions) == 0)):
+        # The join gathered its planned columns before the rest (a plan of
+        # more than one kernel block): sort each row's columns.
         key = positions.astype(np.int64) * X.shape[0] + cols
         key.sort()
         cols = (key % X.shape[0]).astype(np.int32)
@@ -541,7 +553,9 @@ class ShardingConfig:
     ``executor`` is required: the :class:`ExecutorSpec` of the worker
     pool the shards run on (:meth:`~repro.remote.pool.WorkerPool.executor_spec`).
     ``query_block`` is the rows per round of a batched query (see
-    :class:`ShardedIndex`).
+    :class:`ShardedIndex`); it does not split a join, whose per-shard call
+    must finish within the executor's ``timeout_s`` (see
+    :class:`ExecutorSpec`).
     """
 
     n_shards: int = 4

@@ -15,7 +15,10 @@ the parent concatenates per row. Contracts under test:
   the shards' replies merge to the same pairs;
 * a warm fit is one executor round; bad ``pairs`` rows are a protocol
   error that is not retried; shards are dealt to workers in
-  boustrophedon order.
+  boustrophedon order;
+* a join is one call per shard, so the executor's ``timeout_s`` bounds a
+  shard's whole join: one that runs longer fails typed, and each retry
+  repeats it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import repro.remote.pool as pool_mod
 from repro.clustering import DBSCAN
 from repro.distances import normalize_rows
 from repro.engine_config import ExecutionConfig
-from repro.exceptions import RemoteExecutorError
+from repro.exceptions import RemoteExecutorError, RetryExhaustedError
 from repro.index import BruteForceIndex, NeighborIndex, ShardedIndex, ShardingConfig
 from repro.index.sharded import (
     ExecutorSpec,
@@ -206,6 +209,32 @@ def test_bad_pairs_rows_fail_without_retry(worker_pool, monkeypatch, arrays):
         assert reply["indptr"].size == 4
     finally:
         executor.close()
+
+
+def test_a_join_slower_than_the_timeout_fails_typed(worker_pool, monkeypatch):
+    # Every pair of 2,000 points lies within eps 2: one shard's join takes
+    # about 0.15 s, fifteen times the 10 ms timeout.
+    X = points(6, 2000, 64, 0, "cosine")
+    with ShardedIndex(n_shards=1, executor=worker_pool.executor_spec()).build(X) as w:
+        w.range_pairs(1e-6, np.arange(1))  # the worker holds X and the shard
+    sent = []
+    call = _WorkerClient.call
+
+    def spy(self, header, arrays=None):
+        sent.append(header["op"])
+        return call(self, header, arrays)
+
+    monkeypatch.setattr(pool_mod._WorkerClient, "call", spy)
+    spec = worker_pool.executor_spec(timeout_s=0.01, retries=1)
+    with ShardedIndex(n_shards=1, executor=spec).build(X) as index:
+        with pytest.raises(RetryExhaustedError, match="shard 0 pairs .* timed out 2"):
+            index.range_pairs(2.0)
+    assert sent.count("pairs") == 2  # the retry ran the whole join again
+    # The pool answers the next join under the default timeout.
+    expected = BruteForceIndex().build(X).range_pairs(0.5)
+    spec = worker_pool.executor_spec()
+    with ShardedIndex(n_shards=1, executor=spec).build(X) as index:
+        assert_join_equal(index.range_pairs(0.5), expected, None)
 
 
 @pytest.mark.parametrize(
