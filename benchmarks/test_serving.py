@@ -3,7 +3,7 @@
 64 concurrent clients each stream small predict requests at a
 :class:`~repro.serving.server.ModelServer`. The per-request
 configuration (``max_batch_rows=1``) pays one ``ClusterModel.predict``
-call — index dispatch, nearest-core selection, Python overhead — per
+call — kernel dispatch, nearest-core selection, Python overhead — per
 tiny request; the micro-batched configuration coalesces concurrent
 requests into large batches and amortizes that fixed cost across every
 row. The tracked metric is ``microbatch_throughput_speedup`` (rows/s
@@ -21,9 +21,11 @@ on smaller machines than the committed baseline. Results land in
 
 A second benchmark, ``predict_speedup``, times ``ClusterModel.predict``
 on 256-row batches (the server's batch size) at d=768 with 4,000
-cores against the per-row float64 select it replaced, after asserting
-equal labels. Both sides run the same range query per batch. Results
-land in ``benchmarks/out/serving_predict_n4000.json``.
+cores against the range query and per-row float64 select it replaced,
+after asserting equal labels. Only the replaced side runs a range
+query: predict's one kernel finds each query's nearest core within eps
+from a single float32 GEMM. Results land in
+``benchmarks/out/serving_predict_n4000.json``.
 """
 
 from __future__ import annotations
@@ -134,11 +136,11 @@ PREDICT_REPEATS = 3
 def _predict_per_row(
     index: BruteForceIndex, cores: np.ndarray, core_labels: np.ndarray, Q: np.ndarray
 ) -> np.ndarray:
-    """The select ``predict`` ran before the blocked kernel.
+    """``predict`` before its blocked kernels: a range query, then a per-row select.
 
-    After the batch's range query, one float64 matrix-vector product per
-    query over its gathered candidate cores; exact ties go to the
-    smallest core index.
+    One batched range query against the cores, then one float64
+    matrix-vector product per query over its gathered candidate cores;
+    exact ties go to the smallest core index.
     """
     out = np.full(Q.shape[0], -1, dtype=np.int64)
     for i, row in enumerate(index.batch_range_query(Q, PREDICT_EPS)):

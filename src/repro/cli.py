@@ -95,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--shard-query-block",
             type=_positive_int,
             default=None,
-            help="query rows fanned out per shard round of a batched "
-            "query (a fit's join is one round whatever its size)",
+            help="query rows fanned out per shard round of a fit's batched "
+            "query (a fit's join is one round whatever its size; predict "
+            "runs without shards)",
         )
         p.add_argument(
             "--pool-address",

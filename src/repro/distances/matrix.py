@@ -5,8 +5,9 @@ iterators keep peak memory bounded while staying vectorized, which is
 what the brute-force index and the training-set builder use for large
 inputs. :func:`iter_cosine_range_masks` is the cosine range-query
 kernel: a float32 GEMM with an exact float64 recheck of the pairs near
-the threshold. :func:`nearest_candidates` selects each query's nearest
-row among given candidates the same way.
+the threshold. :func:`nearest_within` finds each query's nearest row
+within ``eps`` from the same GEMM, and :func:`nearest_candidates`
+selects each query's nearest row among given candidates the same way.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "iter_cosine_range_masks",
     "nearest_candidates",
     "nearest_in_blocks",
+    "nearest_within",
 ]
 
 #: Default number of query rows per block in blockwise iteration.
@@ -261,6 +263,145 @@ def iter_cosine_range_masks(
         yield start, stop, mask
 
 
+def _near_top_floor(best: np.ndarray, delta: float) -> np.ndarray:
+    """Per row, the float32 similarity below which no row is the nearest.
+
+    ``best`` holds each query's largest float32 similarity ``s*`` and
+    ``delta`` bounds how far a float32 similarity sits from its float64
+    value (:func:`_band_halfwidth`, the range kernel's bound). The
+    float64 winner ``w`` beats the float32 winner ``j``, so ``s_w >=
+    s64_w - delta >= s64_j - delta >= s* - 2 delta``; a row tied with
+    ``w`` in float64 distance satisfies the same bound, since the
+    rounding of ``1 - s`` is part of ``delta``. Distances clamp at 0, so
+    every row with ``s64 >= 1`` ties at distance 0; those have ``s >= 1
+    - delta``. The floor is therefore ``min(s*, 1 + delta) - 2 delta``,
+    rounded down to float32: rechecking every similarity at or above it
+    as ``max(0, 1 - einsum(q, x))`` in float64 and taking the nearest
+    gives the exact answer. At d=768 on unit vectors ``2 delta`` is
+    about 9e-5, so the recheck is usually a query's best row alone.
+    """
+    floor = np.minimum(best.astype(np.float64), 1.0 + delta) - 2.0 * delta
+    return np.nextafter(floor.astype(np.float32), np.float32(-np.inf))
+
+
+def nearest_within(
+    Q: np.ndarray,
+    X: np.ndarray,
+    eps: float,
+    metric: str = "cosine",
+    *,
+    X32: np.ndarray | None = None,
+    x_norm: float | None = None,
+) -> np.ndarray:
+    """Each query's nearest row of ``X`` within ``eps``; ``-1`` for none.
+
+    The answer is the row at the smallest float64 distance when that
+    distance is ``< eps``, with exact ties going to the smallest row
+    index. This is a range query followed by :func:`nearest_candidates`
+    over its answer, in one pass: if the nearest row overall is within
+    ``eps`` it is also the nearest of the rows within ``eps``, and if it
+    is not, no row is. Distances are decided pair by pair
+    (:func:`_pair_distances`), so exact duplicates of a row tie exactly.
+
+    **Cosine.** Per block of at most ``DEFAULT_BLOCK_SIZE`` queries, one
+    float32 GEMM ``S = Q32 @ X32.T``. Each query keeps only the rows
+    whose similarity is at or above both :func:`_near_top_floor` of its
+    best (below it a row is not the nearest) and the range kernel's
+    lower band edge ``1 - eps - delta`` rounded down to float32 (below
+    it a row is not within ``eps``, see :func:`iter_cosine_range_masks`).
+    The kept pairs are rechecked in float64, and the nearest of those
+    within ``eps`` is the answer. Peak memory per block is the float32
+    block and one bool mask, about ``5 * block * len(X)`` bytes.
+
+    **Fallback.** Euclidean distances, and blocks that fail the float32
+    preconditions of :func:`iter_cosine_range_masks` (a non-finite
+    query, a norm or ``eps`` that could overflow float32), run one
+    float64 GEMM block instead (squared distances for Euclidean) and
+    recheck each query's rows within :func:`_float64_slack` of its
+    minimum.
+
+    ``X32`` (``X`` as float32, read by the cosine path) and ``x_norm``
+    (``X``'s largest row norm) are derived from ``X`` when not given;
+    callers that query one ``X`` many times pass them precomputed. This
+    is ``ClusterModel.predict``'s kernel, with the cores as ``X``.
+    """
+    if metric not in ("cosine", "euclidean"):
+        raise InvalidParameterError(
+            f"metric must be 'cosine' or 'euclidean'; got {metric!r}"
+        )
+    Q = np.asarray(Q, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    out = np.full(Q.shape[0], -1, dtype=np.int64)
+    if X.shape[0] == 0:
+        return out
+    eps = float(eps)
+    if x_norm is None:
+        x_norm = _max_row_norm(X)
+    if metric == "cosine" and X32 is None:
+        X32 = X.astype(np.float32)
+    for start in range(0, Q.shape[0], DEFAULT_BLOCK_SIZE):
+        q = Q[start : start + DEFAULT_BLOCK_SIZE]
+        q_norm = _max_row_norm(q)
+        limit = _MAX_FLOAT32_NORM
+        fits_float32 = q_norm <= limit and x_norm <= limit and abs(eps) <= limit
+        if metric == "cosine" and fits_float32:
+            delta = _band_halfwidth(X.shape[1], q_norm, x_norm, eps)
+            S = q.astype(np.float32) @ X32.T
+            lo = np.nextafter(np.float32(1.0 - eps - delta), np.float32(-np.inf))
+            near = S >= np.maximum(_near_top_floor(S.max(axis=1), delta), lo)[:, None]
+        else:
+            if metric == "cosine":
+                D = cosine_distance_matrix(q, X)
+            else:
+                D = squared_euclidean_distance_matrix(q, X)
+            q_norms = np.sqrt(np.einsum("ij,ij->i", q, q))[:, None]
+            slack = _float64_slack(X.shape[1], q_norms, x_norm)
+            near = D <= D.min(axis=1, keepdims=True) + slack
+        rows, cols = np.divmod(np.flatnonzero(near), X.shape[0])
+        dist = _pair_distances(q, X, rows, cols, metric)
+        inside = dist < eps
+        out[start : start + q.shape[0]] = _nearest_pairs(
+            rows[inside], cols[inside], dist[inside], q.shape[0]
+        )
+    return out
+
+
+def _float64_slack(
+    dim: int, q_norm: float | np.ndarray, x_norm: float
+) -> float | np.ndarray:
+    """Bound on how far two float64 evaluations of one distance differ.
+
+    A float64 cosine distance ``1 - <q, x>`` or squared Euclidean
+    distance ``|q|^2 - 2 <q, x> + |x|^2``, summed in any order (a GEMM
+    or :func:`_pair_distances`), errs from the exact value by at most
+    ``gamma_{d+8} ((|q| + |x|)^2 + 1)``: ``gamma_d`` for each dot
+    product, a few unit roundoffs for the additions and the final
+    square root. Two evaluations differ by at most twice that, enlarged
+    by ``2**-20`` for the rounding of the bound itself. A query's
+    nearest row by :func:`_pair_distances` therefore sits within this
+    slack of the query's GEMM minimum.
+    """
+    k = (dim + 8) * _U64
+    return 2.0 * k / (1.0 - k) * ((q_norm + x_norm) ** 2 + 1.0) * (1.0 + 2.0**-20)
+
+
+def _pair_distances(
+    Q: np.ndarray, X: np.ndarray, rows: np.ndarray, cols: np.ndarray, metric: str
+) -> np.ndarray:
+    """Float64 distance of every pair ``(Q[rows[k]], X[cols[k]])``.
+
+    Cosine ``max(0, 1 - <q, x>)``, Euclidean ``sqrt(max(0, |q|^2 - 2
+    <q, x> + |x|^2))``, each a function of its two rows alone: a GEMM's
+    entry can depend on where its column sits, so two copies of one row
+    could tie inexactly there.
+    """
+    dots = _pair_dots(Q, X, rows, cols)
+    if metric == "cosine":
+        return np.maximum(0.0, 1.0 - dots)
+    sq = _pair_dots(Q, Q, rows, rows) - 2.0 * dots + _pair_dots(X, X, cols, cols)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def nearest_candidates(
     Q: np.ndarray,
     X: np.ndarray,
@@ -274,42 +415,31 @@ def nearest_candidates(
 
     ``candidates[i]`` lists the rows of ``X`` that ``Q[i]`` may pick
     (a range query's answer). The result is the candidate at the
-    smallest float64 distance -- :func:`iter_distance_blocks`' distance
-    -- with exact ties going to the smallest row index. ``Q`` is one
-    query block; the work is one GEMM of the block against the *union*
-    of its candidate rows, so a block's cost follows its candidates,
-    not ``len(X)``.
+    smallest float64 distance (:func:`_pair_distances`), with exact
+    ties going to the smallest row index. ``Q`` is one query block.
 
-    **Cosine.** ``S = Q32 @ X32[union].T`` in float32 gives every
-    candidate similarity ``s`` within ``delta`` of its float64 value
-    (:func:`_band_halfwidth`, the range kernel's bound). Let ``s*`` be
-    a row's best float32 similarity. The float64 winner ``w`` beats the
-    float32 winner ``j``, so ``s_w >= s64_w - delta >= s64_j - delta >=
-    s* - 2 delta``; a candidate tied with ``w`` in float64 distance
-    satisfies the same bound, since the rounding of ``1 - s`` is part
-    of ``delta``. Distances clamp at 0, so every candidate with ``s64 >=
-    1`` ties at distance 0; those have ``s >= 1 - delta``. Only the
-    candidates with ``s >= min(s*, 1 + delta) - 2 delta`` -- rounded
-    down to float32 -- are rechecked as ``max(0, 1 - einsum(q, x))`` in
-    float64, and the nearest of those is the exact answer. At d=768 on
-    unit vectors ``2 delta`` is about 9e-5, so the recheck is usually a
-    row's best candidate alone.
+    **Cosine.** ``S = Q32 @ X32[union].T`` in float32, one GEMM of the
+    block against the *union* of its candidate rows, so a block's cost
+    follows its candidates, not ``len(X)``. Only the candidates at or
+    above :func:`_near_top_floor` of a row's best candidate similarity
+    are rechecked in float64, and the nearest of those is the exact
+    answer.
 
     **Fallback.** Euclidean distances, and blocks that fail the float32
     preconditions of :func:`iter_cosine_range_masks` (a non-finite
-    query, a norm that could overflow float32), are computed as one
-    float64 :func:`iter_distance_blocks` block against the same union.
+    query, a norm that could overflow float32), recheck every candidate
+    in float64.
 
     ``X32`` (``X`` as float32) and ``x_norm`` (``X``'s largest row
     norm) are derived from ``X`` when not given; callers that query one
     ``X`` many times pass them precomputed.
 
-    This is the one nearest-core rule of ``predict``
-    (``ClusterModel.predict``, candidates from a range query against the
-    cores) and of the DBSCAN++ and LAF-DBSCAN++ fits
+    This is the nearest-core rule of the DBSCAN++ and LAF-DBSCAN++ fits
     (:func:`~repro.clustering.components.assign_to_cores`, candidates
     read off the sample join, for the points whose candidate cores lie
-    in more than one cluster).
+    in more than one cluster). ``ClusterModel.predict``, whose
+    candidates would be every core within ``eps``, runs
+    :func:`nearest_within` instead.
     """
     Q = np.asarray(Q, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -319,10 +449,6 @@ def nearest_candidates(
         return np.full(n, -1, dtype=np.int64)
     rows = np.repeat(np.arange(n), sizes)
     cols = np.concatenate(candidates).astype(np.intp, copy=False)
-    present = np.zeros(X.shape[0], dtype=bool)
-    present[cols] = True
-    union = np.flatnonzero(present)
-    local = (np.cumsum(present) - 1)[cols]
     fast = metric == "cosine"
     if fast:
         if x_norm is None:
@@ -332,20 +458,18 @@ def nearest_candidates(
     if fast:
         if X32 is None:
             X32 = X.astype(np.float32)
-        S = Q.astype(np.float32) @ X32[union].T
+        present = np.zeros(X.shape[0], dtype=bool)
+        present[cols] = True
+        local = (np.cumsum(present) - 1)[cols]
+        S = Q.astype(np.float32) @ X32[np.flatnonzero(present)].T
         s = S[rows, local]
         filled = sizes > 0
         first = (np.cumsum(sizes) - sizes)[filled]
-        best = np.maximum.reduceat(s, first).astype(np.float64)
         delta = _band_halfwidth(X.shape[1], q_norm, x_norm, 0.0)
-        floor = np.minimum(best, 1.0 + delta) - 2.0 * delta
-        floor = np.nextafter(floor.astype(np.float32), np.float32(-np.inf))
+        floor = _near_top_floor(np.maximum.reduceat(s, first), delta)
         keep = s >= np.repeat(floor, sizes[filled])
         rows, cols = rows[keep], cols[keep]
-        dist = np.maximum(0.0, 1.0 - _pair_dots(Q, X, rows, cols))
-    else:
-        blocks = iter_distance_blocks(Q, X[union], block_size=n, metric=metric)
-        dist = next(blocks)[2][rows, local]
+    dist = _pair_distances(Q, X, rows, cols, metric)
     return _nearest_pairs(rows, cols, dist, n)
 
 
@@ -358,6 +482,8 @@ def _nearest_pairs(
     triple get ``-1``.
     """
     out = np.full(n_rows, -1, dtype=np.int64)
+    if not rows.size:
+        return out
     first = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
     nearest = np.full(n_rows, np.inf)
     nearest[rows[first]] = np.minimum.reduceat(dist, first)
@@ -376,8 +502,9 @@ def nearest_in_blocks(
     column and its distance. Exact ties go to the first column. The
     nearest-core assignment of BLOCK-DBSCAN and KNN-BLOCK, DBSCAN++'s and
     LAF-DBSCAN++'s with ``assign_within_eps=False``, and
-    ``ClusterModel.core_distances`` run through here; ``predict`` and the
-    sampling hosts' assign within eps select among range-query
+    ``ClusterModel.core_distances`` run through here; ``predict`` finds
+    each query's nearest core within eps with :func:`nearest_within`, and
+    the sampling hosts' assign within eps selects among the sample join's
     candidates with :func:`nearest_candidates`.
     """
     column = np.empty(n_rows, dtype=np.int64)

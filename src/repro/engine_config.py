@@ -54,9 +54,11 @@ class ExecutionConfig:
         Query rows per kernel block: the ``block_size`` of the
         unsharded :class:`~repro.index.brute_force.BruteForceIndex` a
         fit builds, and the block of
-        :meth:`~repro.persistence.ClusterModel.predict`. On shards, a
-        batched query's rounds are ``sharding.query_block`` rows instead,
-        and a join is one round.
+        :meth:`~repro.persistence.ClusterModel.predict` (whose kernel,
+        :func:`~repro.distances.matrix.nearest_within`, splits a larger
+        block at its own 1,024 rows). On shards, a fit's batched query's
+        rounds are ``sharding.query_block`` rows instead, and a join is
+        one round; predict never runs on shards.
 
     Field types are checked strictly, never coerced, whether the config
     is built directly or through :meth:`from_dict`: ``2.5`` is not a

@@ -2,7 +2,7 @@
 
 The "range query" primitive of Algorithm 1. The batched
 ``batch_range_query`` (one matrix product per block of queries) is what
-every fit and predict runs; ``batch_range_count``, on the same kernel,
+every fit runs; ``batch_range_count``, on the same kernel,
 is the exact cardinality estimator's. The scalar ``range_query`` /
 ``range_count`` (one float64 matrix-vector product per query) are the
 reference answer the batched kernels, and the per-point engine of

@@ -36,7 +36,8 @@ shard's columns, reading the query rows from the copy of the
 dataset it holds, and replies with the shard's int32 pairs as CSR over
 the join's rows. Other row-id queries
 (:meth:`ShardedIndex.batch_range_query_rows`) send the ids per round;
-new vectors (predict, serving) travel as the query matrix.
+new vectors (:meth:`ShardedIndex.batch_range_query`) travel as the query
+matrix. ``ClusterModel.predict`` asks no shard: it runs on the parent.
 
 Per-shard answers arrive as CSR arrays over the same queries;
 :func:`concat_shard_rows` merges them into one CSR in one vectorized
@@ -367,10 +368,11 @@ class ShardedIndex(NeighborIndex):
         (required; its width is its address list).
     query_block:
         Query rows fanned out per executor round of a batched query
-        (:meth:`batch_range_query`, :meth:`batch_range_query_rows`: predict
-        and serving, BLOCK-DBSCAN, ρ-approximate DBSCAN's borders); bounds
-        their per-call payload size and merge memory. A
-        :meth:`range_pairs` join is one round whatever its size.
+        (:meth:`batch_range_query`, :meth:`batch_range_query_rows`:
+        BLOCK-DBSCAN, ρ-approximate DBSCAN's borders); bounds their
+        per-call payload size and merge memory. A :meth:`range_pairs`
+        join is one round whatever its size, and predict and serving
+        ask no shard.
     """
 
     def __init__(
@@ -555,7 +557,8 @@ class ShardingConfig:
     ``query_block`` is the rows per round of a batched query (see
     :class:`ShardedIndex`); it does not split a join, whose per-shard call
     must finish within the executor's ``timeout_s`` (see
-    :class:`ExecutorSpec`).
+    :class:`ExecutorSpec`), and it does not bound predict or serving,
+    which run on the parent without the pool.
     """
 
     n_shards: int = 4
@@ -584,8 +587,7 @@ def resolve_engine_index(
     """Build the query index over ``X``, shard-first when sharded.
 
     The shard-before-build seam of every fit
-    (:meth:`~repro.clustering.base.Clusterer._engine`) and of
-    :class:`~repro.persistence.ClusterModel` predict: with ``config``
+    (:meth:`~repro.clustering.base.Clusterer._engine`): with ``config``
     None a :class:`~repro.index.brute_force.BruteForceIndex` in
     ``metric`` with kernel blocks of ``block_size`` rows; with a config
     a :class:`ShardedIndex` of brute-force shards built directly over

@@ -3,9 +3,9 @@
 Everything else in this library is fit-and-forget; this module is the
 fit-once/query-forever half. :class:`ClusterModel` freezes a fitted
 clustering — labels, core mask, core distances, the LAF estimator's
-fitted parameters — and serves :meth:`ClusterModel.predict` through the
-same batched/sharded engine substrate the fit used. It is the one thing
-that saves and loads. A model artifact is a *directory* holding one
+fitted parameters — and serves :meth:`ClusterModel.predict` with one
+nearest-core kernel against the core points. It is the one thing that
+saves and loads. A model artifact is a *directory* holding one
 ``manifest.json`` plus one ``.npy`` file per array:
 
 * the manifest is strict JSON carrying the format version, the artifact
@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.distances.matrix import _max_row_norm, nearest_candidates
+from repro.distances.matrix import _max_row_norm, nearest_within
 from repro.distances.metric import Metric, get_metric
 from repro.engine_config import ExecutionConfig
 from repro.exceptions import InvalidParameterError, PersistenceError
@@ -286,12 +286,12 @@ class ClusterModel:
     """A fitted clustering frozen for serving.
 
     Holds the training points, per-point labels and core mask of one
-    fit, plus the metadata to reconstruct its serving path: algorithm
-    name, JSON-safe hyperparameters, metric, and the
-    :class:`~repro.engine_config.ExecutionConfig` of the fit — so
-    :meth:`predict` shards across the same executor topology the fit
-    used. Built by ``Clusterer.fit_model`` / :func:`repro.fit_model`,
-    persisted with :meth:`save`, reattached with :func:`load_model`.
+    fit, plus its metadata: algorithm name, JSON-safe hyperparameters,
+    metric, and the :class:`~repro.engine_config.ExecutionConfig` of the
+    fit (its ``query_block`` also blocks :meth:`predict`; its sharding
+    is saved but not used to predict). Built by ``Clusterer.fit_model``
+    / :func:`repro.fit_model`, persisted with :meth:`save`, reattached
+    with :func:`load_model`.
 
     Predict semantics (pinned by ``tests/test_predict_differential.py``
     and documented in ``docs/persistence.md``): a new point takes the
@@ -344,7 +344,6 @@ class ClusterModel:
         self._core_global = np.flatnonzero(self.core_mask)
         self._core_points: np.ndarray | None = None
         self._float32_cores: tuple[np.ndarray, float] | None = None
-        self._core_index: Any = None
         self._core_distances: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -387,15 +386,15 @@ class ClusterModel:
 
     def _cores(self) -> np.ndarray:
         # The serving working set: the core rows gathered into a dense
-        # matrix (indexes build over a matrix, not a row subset).
+        # matrix (the kernel reads a matrix, not a row subset).
         if self._core_points is None:
             self._core_points = np.ascontiguousarray(self.points[self._core_global])
         return self._core_points
 
     def _cores32(self) -> tuple[np.ndarray | None, float | None]:
-        # The cosine select's float32 copy of the cores and their
+        # The cosine kernel's float32 copy of the cores and their
         # largest norm, set in one assignment so concurrent predicts
-        # never see half of it; Euclidean models select in float64 only.
+        # never see half of it; Euclidean models predict in float64 only.
         if self.metric.name != "cosine":
             return None, None
         if self._float32_cores is None:
@@ -407,30 +406,17 @@ class ClusterModel:
     # Serving
     # ------------------------------------------------------------------
 
-    def _ensure_core_index(self) -> Any:
-        """The brute-force index over the core points, built once.
-
-        Resolved through the same seam as a fit,
-        :func:`repro.index.sharded.resolve_engine_index`, so a sharding
-        config fans prediction across shards exactly like fitting.
-        """
-        if self._core_index is None:
-            from repro.index.sharded import resolve_engine_index
-
-            self._core_index = resolve_engine_index(
-                self._cores(), self.metric, self.execution.sharding
-            )
-        return self._core_index
-
     def predict(self, X_new: np.ndarray) -> np.ndarray:
         """Labels for new points against the frozen model.
 
-        Per block of queries (block size ``execution.query_block``), one
-        batched range query against the core points finds each query's
-        candidates, and :func:`~repro.distances.matrix.nearest_candidates`
-        picks the nearest of them (the rule in the class docstring). A
-        1-d input is treated as a single query; the result is always 1-d
-        with one label per query row, ``-1`` for noise.
+        Per block of queries (block size ``execution.query_block``),
+        :func:`~repro.distances.matrix.nearest_within` finds each query's
+        nearest core within ``eps`` (the rule in the class docstring):
+        one float32 GEMM against the cores and a float64 recheck of the
+        near-top similarities. Predict builds no index and asks no
+        worker pool, so a sharded model predicts locally, with the same
+        labels. A 1-d input is treated as a single query; the result is
+        always 1-d with one label per query row, ``-1`` for noise.
         """
         Q = np.asarray(X_new, dtype=np.float64)
         if Q.ndim == 1:
@@ -445,32 +431,29 @@ class ClusterModel:
         if n_queries == 0:
             return out
         Q = self.metric.validate(Q)
-        if self.n_cores == 0:
-            return out
-        index = self._ensure_core_index()
         cores = self._cores()
         cores32, core_norm = self._cores32()
         core_labels = self.labels[self._core_global]
         block = int(self.execution.query_block)
         for lo in range(0, n_queries, block):
-            q = Q[lo : lo + block]
-            nearest = nearest_candidates(
-                q,
+            nearest = nearest_within(
+                Q[lo : lo + block],
                 cores,
-                index.batch_range_query(q, self.eps),
+                self.eps,
                 self.metric.name,
                 X32=cores32,
                 x_norm=core_norm,
             )
             found = nearest >= 0
-            out[lo : lo + q.shape[0]][found] = core_labels[nearest[found]]
+            out[lo : lo + nearest.size][found] = core_labels[nearest[found]]
         return out
 
     def close(self) -> None:
-        """Release the serving index (pools, connections). Idempotent."""
-        if self._core_index is not None:
-            self._core_index.close()
-        self._core_index = None
+        """Nothing to release: predict holds no index, pool or connection.
+
+        Kept so owners can release a model without knowing what it
+        holds (``with model:``, a serving tenant's shutdown).
+        """
 
     def __enter__(self) -> "ClusterModel":
         return self

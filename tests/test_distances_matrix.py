@@ -371,12 +371,123 @@ class TestNearestCandidates:
         assert np.array_equal(got, expected)
         assert got[5] in (10, 200)
 
-    def test_huge_norm_block_falls_back_to_float64(self, matrices, fallbacks):
+    def test_huge_norm_block_falls_back_to_float64(self, matrices, monkeypatch):
         Q, X = matrices
         Q = Q.copy()
         Q[2] *= 2.0**61
         rng = np.random.default_rng(2)
         candidates = _random_candidates(rng, len(Q), np.arange(X.shape[0]), 10)
+        float32_blocks = []
+        monkeypatch.setattr(matrix, "_near_top_floor", float32_blocks.append)
         got = matrix.nearest_candidates(Q, X, candidates)
         assert np.array_equal(got, _nearest_candidates_loop(Q, X, candidates))
-        assert fallbacks == [len(Q)]
+        assert float32_blocks == []
+
+
+def _nearest_within_loop(Q, X, eps, metric="cosine"):
+    """Per query, the float64 nearest row when it is within ``eps``."""
+    distance_to_many = get_metric(metric).distance_to_many
+    out = np.full(len(Q), -1, dtype=np.int64)
+    for i, q in enumerate(Q):
+        d = distance_to_many(q, X)
+        if d.min() < eps:
+            out[i] = int(np.flatnonzero(d == d.min()).min())
+    return out
+
+
+class TestNearestWithin:
+    @pytest.mark.parametrize("eps", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("n_rows", [1, 7, 64])
+    def test_matches_per_row_loop(self, n_rows, eps, fallbacks):
+        rng = np.random.default_rng(n_rows)
+        X = normalize_rows(rng.normal(size=(400, 32)))
+        Q = normalize_rows(X[:n_rows] + 0.2 * rng.normal(size=(n_rows, 32)))
+        got = matrix.nearest_within(Q, X, eps)
+        expected = _nearest_within_loop(Q, X, eps)
+        assert np.array_equal(got, expected)
+        assert (expected >= 0).any() or n_rows == 1
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("dim", [64, 768])
+    def test_planted_near_ties_are_decided_in_float64(self, dim):
+        Q, X, _, winners = _planted_near_ties(dim, 48, n_fill=30)
+        got = matrix.nearest_within(Q, X, 0.5)
+        assert np.array_equal(got, winners)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.55, 1.0, 1.5])
+    @pytest.mark.parametrize("dim", BAND_DIMS)
+    def test_eps_boundary_matches_exact_oracle(self, dim, eps, fallbacks):
+        # One band-edge row at a time, so it is the query's nearest and
+        # only the eps decision is left; at least 256 farther rows keep
+        # the block on the float32 path.
+        Q, X = _band_edge_case(dim, eps, 1.0, n_fill=2000)
+        sims = (Q @ X.T)[0]
+        far = X[sims < 1.0 - eps - 0.005]
+        edge = X[np.abs(sims - (1.0 - eps)) < 0.005]
+        assert far.shape[0] >= matrix._RECHECK_COST and edge.shape[0] > 10
+        decided, exact = _exact_mask(Q, edge, eps)
+        for j in np.flatnonzero(decided[0]):
+            got = matrix.nearest_within(Q, np.vstack([edge[j : j + 1], far]), eps)
+            assert got.tolist() == [0 if exact[0, j] else -1]
+        assert fallbacks == []
+
+    def test_exact_duplicates_go_to_the_smallest_index(self):
+        Q, X, _, winners = _planted_near_ties(128, 16, n_fill=10, seed=3)
+        got = matrix.nearest_within(Q, np.vstack([X, X[winners]]), 0.5)
+        assert np.array_equal(got, winners)
+        got = matrix.nearest_within(Q, np.vstack([X[winners], X]), 0.5)
+        assert np.array_equal(got, np.arange(winners.size))
+
+    def test_distance_clamped_at_zero_ties(self):
+        # Both rows sit at similarity above 1, so at distance 0: the
+        # smaller index wins although its float32 similarity is lower.
+        q = np.zeros((1, 8))
+        q[0, 0] = 1.0 + 9e-5
+        tilted = normalize_rows(np.array([[1.0, 1e-2] + [0.0] * 6]))
+        X = np.vstack([tilted, np.eye(8)[:1]])
+        assert 1.0 < (q @ X.T).min()
+        assert matrix.nearest_within(q, X, 0.1).tolist() == [0]
+
+    def test_rows_without_a_row_within_eps_are_minus_one(self, matrices):
+        Q, X = matrices
+        assert matrix.nearest_within(Q, X, 0.0).tolist() == [-1] * len(Q)
+        assert matrix.nearest_within(Q[:1], X, 1e-12).tolist() == [-1]
+        assert matrix.nearest_within(Q, X[:0], 0.5).tolist() == [-1] * len(Q)
+        assert matrix.nearest_within(Q[:0], X, 0.5).shape == (0,)
+
+    def test_blocks_of_default_size(self, monkeypatch):
+        monkeypatch.setattr(matrix, "DEFAULT_BLOCK_SIZE", 3)
+        rng = np.random.default_rng(4)
+        X = normalize_rows(rng.normal(size=(50, 8)))
+        Q = normalize_rows(X[:10] + 0.3 * rng.normal(size=(10, 8)))
+        got = matrix.nearest_within(Q, X, 0.4)
+        assert np.array_equal(got, _nearest_within_loop(Q, X, 0.4))
+
+    def test_euclidean_matches_per_row_loop(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(scale=5.0, size=(300, 6))
+        X = np.vstack([X, X[:20]])  # exact duplicates at higher indices
+        Q = np.vstack([rng.normal(scale=5.0, size=(50, 6)), X[305:310]])
+        got = matrix.nearest_within(Q, X, 4.0, "euclidean")
+        expected = _nearest_within_loop(Q, X, 4.0, "euclidean")
+        assert np.array_equal(got, expected)
+        assert got[-5:].tolist() == [5, 6, 7, 8, 9]
+
+    def test_huge_norm_and_non_finite_blocks_fall_back(self, matrices, fallbacks):
+        Q, X = matrices
+        Q = Q.copy()
+        Q[2] *= 2.0**61
+        got = matrix.nearest_within(Q, X, 0.8)
+        assert np.array_equal(got, _nearest_within_loop(Q, X, 0.8))
+        Q[2] = np.nan
+        got = matrix.nearest_within(Q, X, 0.8)
+        assert got[2] == -1
+        rest = np.delete(Q, 2, axis=0)
+        assert np.array_equal(np.delete(got, 2), _nearest_within_loop(rest, X, 0.8))
+        assert fallbacks == [len(Q), len(Q)]
+
+
+def test_nearest_pairs_without_triples_is_all_minus_one():
+    empty = np.empty(0, dtype=np.int64)
+    got = matrix._nearest_pairs(empty, empty, np.empty(0), 3)
+    assert got.tolist() == [-1, -1, -1]

@@ -330,7 +330,7 @@ class TestWarmReuse:
 
 
 class TestWireBytes:
-    """Fits name their queries by row id; predict ships the new vectors."""
+    """Fits name their queries by row id; predict sends nothing."""
 
     @pytest.fixture
     def sent_arrays(self, monkeypatch):
@@ -363,16 +363,24 @@ class TestWireBytes:
         payload = sum(a.nbytes for arrays in sent_arrays for a in arrays.values())
         assert 0 < payload < 0.01 * n_shards * X.size * 8
 
-    def test_remote_predict_still_sends_vectors(self, pool, data, sent_arrays):
+    def test_sharded_model_predicts_without_the_pool(self, pool, data, sent_arrays):
         fitter = DBSCAN(eps=EPS, tau=TAU, execution=remote_execution(pool))
         expected = DBSCAN(eps=EPS, tau=TAU).fit_model(data).predict(data[:7])
         with fitter.fit_model(data) as model:
             sent_arrays.clear()
             labels = model.predict(data[:7])
-        queries = [arrays["Q"] for arrays in sent_arrays if "Q" in arrays]
-        assert queries and all(np.array_equal(Q, data[:7]) for Q in queries)
-        assert not any("rows" in arrays for arrays in sent_arrays)
+        assert sent_arrays == []
         assert np.array_equal(labels, expected)
+
+    def test_saved_sharded_model_predicts_after_its_pool_closes(self, data, tmp_path):
+        expected = DBSCAN(eps=EPS, tau=TAU).fit_model(data).predict(data)
+        with WorkerPool.spawn_local(1) as own_pool:
+            fitter = DBSCAN(eps=EPS, tau=TAU, execution=remote_execution(own_pool))
+            with fitter.fit_model(data) as model:
+                model.save(tmp_path / "model")
+        with repro.load_model(tmp_path / "model") as loaded:
+            assert loaded.execution.sharding is not None
+            assert np.array_equal(loaded.predict(data), expected)
 
 
 class TestPoolLifecycle:
