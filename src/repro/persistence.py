@@ -343,7 +343,7 @@ class ClusterModel:
         self.estimator = estimator
         self._core_global = np.flatnonzero(self.core_mask)
         self._core_points: np.ndarray | None = None
-        self._float32_cores: tuple[np.ndarray, float] | None = None
+        self._float32_cores: tuple[np.ndarray | None, float] | None = None
         self._core_distances: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -391,15 +391,15 @@ class ClusterModel:
             self._core_points = np.ascontiguousarray(self.points[self._core_global])
         return self._core_points
 
-    def _cores32(self) -> tuple[np.ndarray | None, float | None]:
-        # The cosine kernel's float32 copy of the cores and their
-        # largest norm, set in one assignment so concurrent predicts
-        # never see half of it; Euclidean models predict in float64 only.
-        if self.metric.name != "cosine":
-            return None, None
+    def _cores32(self) -> tuple[np.ndarray | None, float]:
+        # The kernel's float32 copy of the cores (None for Euclidean
+        # models, which predict in float64 only) and their largest norm,
+        # set in one assignment so concurrent predicts never see half of it.
         if self._float32_cores is None:
             cores = self._cores()
-            self._float32_cores = (cores.astype(np.float32), _max_row_norm(cores))
+            cosine = self.metric.name == "cosine"
+            cores32 = cores.astype(np.float32) if cosine else None
+            self._float32_cores = (cores32, _max_row_norm(cores))
         return self._float32_cores
 
     # ------------------------------------------------------------------
