@@ -473,6 +473,46 @@ class TestNearestWithin:
         assert np.array_equal(got, expected)
         assert got[-5:].tolist() == [5, 6, 7, 8, 9]
 
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_a_row_at_exactly_eps_is_not_within(self, metric):
+        rng = np.random.default_rng(6)
+        X = normalize_rows(rng.normal(size=(400, 16)))
+        q = normalize_rows(X[:1] + 0.1 * rng.normal(size=(1, 16)))
+        d = matrix._pair_distances(q, X, np.array([0]), np.array([0]), metric)[0]
+        assert matrix.nearest_within(q, X[:1], d, metric).tolist() == [-1]
+        assert matrix.nearest_within(q, X[:1], np.nextafter(d, 3.0), metric) == [0]
+
+    @pytest.mark.parametrize("dim", [64, 768])
+    def test_euclidean_near_ties_are_decided_pair_by_pair(self, dim):
+        # Rows 1-4 ulps apart in similarity, hence in distance: the GEMM
+        # may order them differently from the pair distances, and the
+        # pair distances decide.
+        Q, X, _, _ = _planted_near_ties(dim, 48, n_fill=30)
+        rows = np.repeat(np.arange(len(Q)), len(X))
+        cols = np.tile(np.arange(len(X)), len(Q))
+        dist = matrix._pair_distances(Q, X, rows, cols, "euclidean")
+        expected = matrix._nearest_pairs(rows, cols, dist, len(Q))
+        assert np.array_equal(matrix.nearest_within(Q, X, 1.5, "euclidean"), expected)
+
+    @pytest.mark.parametrize("dim", [8, 33, 64])
+    def test_euclidean_duplicates_go_to_the_first_copy(self, dim):
+        # A GEMM entry can depend on where its column sits, so copies of
+        # one row may differ there in the last bits; the pair recheck
+        # still picks the first copy.
+        rng = np.random.default_rng(dim)
+        X = normalize_rows(rng.normal(size=(120, dim)))
+        X = np.vstack([X, X[rng.integers(120, size=60)]])
+        Q = normalize_rows(rng.normal(size=(200, dim)))
+        Q = np.vstack([Q, X[rng.integers(180, size=50)]])
+        # One query per call too: a one-row block is a matrix-vector
+        # product, whose entries follow each row's memory alignment.
+        got = matrix.nearest_within(Q, X, 1.2, "euclidean")
+        singles = [matrix.nearest_within(q[None], X, 1.2, "euclidean") for q in Q]
+        assert np.array_equal(np.concatenate(singles), got)
+        found = got[got >= 0]
+        first = [np.flatnonzero((X == X[j]).all(axis=1))[0] for j in found]
+        assert found.size > 100 and np.array_equal(found, first)
+
     def test_huge_norm_and_non_finite_blocks_fall_back(self, matrices, fallbacks):
         Q, X = matrices
         Q = Q.copy()
